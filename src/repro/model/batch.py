@@ -29,19 +29,39 @@ by construction rather than by tolerance:
 * a finished member steps on as an exact no-op (zero outstanding bytes means
   zero offers, zero admissions, no window motion — the post-step invariant
   ``starved_time < rto`` rules out late timeouts), so no per-lane masking is
-  needed; only member-local scalars (observed time, pressure step counts,
-  backend commits, completion handling) are gated on liveness.
+  needed; only the backend commits of a finished member's servers are
+  masked off (``PVFSDeployment.live``), and its observed time and pressure
+  step count stop at the totals of its last step.
+
+Flat control plane
+------------------
+Nothing in a step loops over members, servers or processes:
+
+* the server laws (drain capacity, backend commit) run elementwise over
+  the stacked servers of every member in one flat
+  :class:`~repro.pfs.filesystem.PVFSDeployment`;
+* application lifecycle and per-process issue state are flat arrays, so the
+  completion phase finds the few applications whose operation completed
+  with one vectorized scan, and Python runs only for those;
+* link accounting, observed time and pressure step counts advance once
+  per step for the whole batch (a finished member's buffers hold at most
+  its completion residue, under a byte per application, so its lanes never
+  count as full), and the running totals are stamped on each member as it
+  finishes.
 
 Driver
 ------
 Each member keeps its own discrete-event engine for the control plane
 (application starts, operation issues, trace sampling) — those are exact
-scalar code paths on member-local state.  A periodic NORMAL-priority marker
-event (the same ``schedule_periodic`` arithmetic the scalar driver uses)
-stops each engine at every step boundary; the batched kernel then advances
-all members at once and the engines resume.  Event ordering within a step
-instant (CONTROL < NORMAL < OBSERVE) is therefore identical to the scalar
-run, including trace samples observing post-step state.
+scalar code paths on member-local state.  The driver advances the step
+clock with the same ``t + dt`` arithmetic as the scalar driver's periodic
+step event, and before each step runs only the engines that have an event
+due by then, up to and including the CONTROL events of the step instant
+(``Simulator.run(until=t, until_priority=NORMAL)``): exactly the events
+that precede the NORMAL-priority step in a scalar run.  Event ordering
+within a step instant (CONTROL < NORMAL < OBSERVE) is therefore identical to
+the scalar run, including trace samples observing post-step state, while a
+step with no due event costs no engine call at all.
 
 Bucketing
 ---------
@@ -74,6 +94,7 @@ from repro.network.congestion import WindowState
 from repro.network.incast import ServerBuffers
 from repro.network.topology import StarTopology
 from repro.obs.telemetry import get_telemetry
+from repro.pfs.filesystem import PVFSDeployment
 from repro.sim.engine import Simulator
 from repro.sim.events import EventPriority
 from repro.sim.rng import RandomStreams
@@ -94,7 +115,12 @@ _WINDOW_ARRAYS = (
     "cwnd", "stall_until", "backoff", "starved_time", "last_delivery",
     "collapse_count", "delivered_bytes", "paced", "ever_paced",
 )
-_BUFFER_SERVER_ARRAYS = ("fill", "total_admitted", "total_drained")
+_BUFFER_SERVER_ARRAYS = ("fill", "total_admitted", "total_drained", "full_steps")
+_DEPLOYMENT_ARRAYS = (
+    "drained_bytes", "busy_time", "dirty_bytes", "absorbed_bytes",
+    "flushed_bytes", "pending_bytes", "written_bytes", "device_busy_time",
+)
+_PROCESS_ARRAYS = ("proc_current_op", "proc_next_issue")
 
 
 # ---------------------------------------------------------------------- #
@@ -205,116 +231,30 @@ class _BatchMember:
     conn_sl: slice
     srv_sl: slice
     node_sl: slice
-    until: float
+    app_sl: slice
+    proc_sl: slice
     admission_rng: np.random.Generator
     live: bool = True
     n_steps: int = 0
     end_time: float = float("nan")
-
-
-class _BatchedTopology:
-    """Flat per-link accounting shared by every member.
-
-    Busy/transferred arrays are the storage the members' own topologies view
-    into; ``_observed_time`` stays member-local (it advances only while the
-    member is live) so utilization denominators freeze at member finish.
-    """
-
-    def __init__(self, node_capacity: np.ndarray, server_capacity: np.ndarray) -> None:
-        self._node_capacity = node_capacity
-        self._server_capacity = server_capacity
-        n_nodes = node_capacity.shape[0]
-        n_servers = server_capacity.shape[0]
-        self.node_busy = np.zeros(n_nodes, dtype=np.float64)
-        self.node_transferred = np.zeros(n_nodes, dtype=np.float64)
-        self.server_busy = np.zeros(n_servers, dtype=np.float64)
-        self.server_transferred = np.zeros(n_servers, dtype=np.float64)
-        self._scratch_node = np.empty(n_nodes, dtype=np.float64)
-        self._scratch_node2 = np.empty(n_nodes, dtype=np.float64)
-        self._scratch_server = np.empty(n_servers, dtype=np.float64)
-        self._scratch_server2 = np.empty(n_servers, dtype=np.float64)
-
-    @property
-    def n_client_nodes(self) -> int:
-        return self._node_capacity.shape[0]
-
-    def node_capacities(self) -> np.ndarray:
-        return self._node_capacity.copy()
-
-    def server_capacities(self) -> np.ndarray:
-        return self._server_capacity.copy()
-
-    def record_step_flat(
-        self, per_node: np.ndarray, per_server: np.ndarray, dt: float
-    ) -> None:
-        """The two `_record_group` updates of ``StarTopology.record_step``.
-
-        Validation is skipped (the batched kernel feeds its own bincounts)
-        and ``_observed_time`` is left to the per-member accounting.  Dead
-        members contribute exact zeros, so flat accumulation is exact.
-        """
-        StarTopology._record_group(
-            per_node, self._node_capacity, self.node_transferred,
-            self.node_busy, self._scratch_node, self._scratch_node2, dt,
-        )
-        StarTopology._record_group(
-            per_server, self._server_capacity, self.server_transferred,
-            self.server_busy, self._scratch_server, self._scratch_server2, dt,
-        )
-
-
-class _BatchedDeployment:
-    """Routes drain-rate queries and backend commits to live members.
-
-    The per-server drain law is a Python loop over mutable ``PVFSServer``
-    objects, so it stays member-local: each live member's deployment answers
-    for its own server lanes.  Dead members keep stale lanes in ``_rates`` —
-    harmless, since their connections offer zero bytes.
-    """
-
-    def __init__(self, members: Sequence[_BatchMember], n_servers: int) -> None:
-        self._members = members
-        self._rates = np.zeros(n_servers, dtype=np.float64)
-
-    def drain_rates(self, n_streams: np.ndarray, avg_frag: np.ndarray) -> np.ndarray:
-        rates = self._rates
-        for member in self._members:
-            if member.live:
-                sl = member.srv_sl
-                rates[sl] = member.sim.state.deployment.drain_rates(
-                    n_streams[sl], avg_frag[sl]
-                )
-        return rates
-
-    def commit(
-        self,
-        drained: np.ndarray,
-        dt: float,
-        n_streams: np.ndarray,
-        avg_frag: np.ndarray,
-    ) -> None:
-        for member in self._members:
-            if member.live:
-                sl = member.srv_sl
-                member.sim.state.deployment.commit(
-                    drained[sl], dt, n_streams[sl], avg_frag[sl]
-                )
+    #: Time of the member engine's next event (``inf`` when none).
+    due: float = float("inf")
 
 
 class _BatchedState:
     """Duck-typed ``ModelState`` facade over the flat batch arrays.
 
-    Carries exactly the attributes the inherited stepping phases read; the
-    control plane (operation issue, completion, results) never sees it — it
-    runs on the members' own ``ModelState`` objects, whose hot arrays are
+    Carries exactly the attributes the inherited stepping phases read.  The
+    members' own ``ModelState`` objects keep running the control plane
+    (operation issue, completion, results); their hot arrays — transport,
+    buffers, backend, application lifecycle and process issue state — are
     views into the flat storage below.
     """
 
     def __init__(
         self,
         members: Sequence[_BatchMember],
-        topology: _BatchedTopology,
-        deployment: _BatchedDeployment,
+        topology: StarTopology,
         conn_server: np.ndarray,
         conn_node: np.ndarray,
     ) -> None:
@@ -326,12 +266,21 @@ class _BatchedState:
         self.streams = RandomStreams(0)
         self.recorder = None  # the batched phases never mark; members do
         self.topology = topology
-        self.deployment = deployment
         self.conn_server = conn_server
         self.conn_node = conn_node
         self.n_connections = int(conn_server.shape[0])
-        self.n_servers = int(topology.server_capacities().shape[0])
-        self.n_apps = sum(m.sim.state.n_apps for m in members)
+        self.n_servers = topology.n_servers
+        states = [m.sim.state for m in members]
+        self.n_apps = sum(st.n_apps for st in states)
+        self.n_processes = sum(st.n_processes for st in states)
+        #: All members' servers as one deployment (same configuration, so
+        #: the same laws); a member's lanes stop committing when it finishes.
+        self.deployment = PVFSDeployment(
+            scenario.filesystem,
+            server_nic_bw=scenario.platform.network.server_nic_bw,
+            n_servers=self.n_servers,
+        )
+        self.deployment.live = np.ones(self.n_servers, dtype=bool)
         transport = scenario.platform.network.transport
         #: Flat transport/buffer state.  Freshly constructed flat arrays have
         #: the same initial values as each member's own fresh arrays, so
@@ -352,6 +301,22 @@ class _BatchedState:
             self.n_servers, scenario.filesystem.server.ingest_bw, dtype=np.float64
         )
         self.last_admission_rate = np.zeros(self.n_servers, dtype=np.float64)
+        # Flat control-plane state, with application and process indices
+        # offset into one global numbering.
+        app_offsets = [m.app_sl.start for m in members]
+        proc_offsets = [m.proc_sl.start for m in members]
+        self.conn_app = np.concatenate(
+            [st.conn_app + off for st, off in zip(states, app_offsets)])
+        self.conn_proc = np.concatenate(
+            [st.conn_proc + off for st, off in zip(states, proc_offsets)])
+        self.proc_app = np.concatenate(
+            [st.proc_app + off for st, off in zip(states, app_offsets)])
+        self.app_phase = np.concatenate([st.app_phase for st in states])
+        self.app_collective = np.concatenate([st.app_collective for st in states])
+        self.app_n_procs = np.concatenate([st.app_n_procs for st in states])
+        self.proc_n_ops = np.concatenate([st.proc_n_ops for st in states])
+        self.proc_current_op = np.concatenate([st.proc_current_op for st in states])
+        self.proc_next_issue = np.concatenate([st.proc_next_issue for st in states])
 
 
 # ---------------------------------------------------------------------- #
@@ -362,15 +327,24 @@ class _BatchedState:
 class BatchedStepper(ModelStepper):
     """The seven-phase kernel over the flat batch state.
 
-    Inherits the data-plane phases unchanged (they are pure array code over
-    the facade state) and overrides the four places that touch RNG streams or
-    member-local bookkeeping: the burst-escape gate, window dynamics,
-    accounting, and completion.
+    Inherits the data-plane phases and the accounting unchanged (they are
+    pure array code over the facade state) and overrides the three places
+    that touch RNG streams or member-local bookkeeping: the burst-escape
+    gate, window dynamics, and completion.
     """
 
     def __init__(self, state: _BatchedState, members: Sequence[_BatchMember]) -> None:
         super().__init__(state)  # type: ignore[arg-type]
         self._members = list(members)
+        #: Member index of every flat application.
+        self._app_member = [
+            i for i, m in enumerate(self._members)
+            for _ in range(m.app_sl.start, m.app_sl.stop)
+        ]
+        #: Members whose control plane changed in the last step (an
+        #: operation completed, an issue was scheduled, a member finished),
+        #: in member order; the driver follows up on exactly these.
+        self.changed: List[_BatchMember] = []
         #: Per-member RNG sites for WindowState.update: hazard draws and
         #: collapse jitter come from each member's own transport stream,
         #: sliced to its lanes.  Dead members never have candidates (their
@@ -454,27 +428,28 @@ class BatchedStepper(ModelStepper):
                     data={"count": int(b - a)},
                 )
 
-    def _phase_accounting(self, ctx: StepContext) -> None:
-        state = self.state
-        per_node = np.bincount(
-            state.conn_node, weights=ctx.admitted, minlength=self._n_nodes
-        )
-        per_server = np.bincount(
-            state.conn_server, weights=ctx.admitted, minlength=self._n_servers
-        )
-        state.topology.record_step_flat(per_node, per_server, ctx.dt)
-        # Observed time and pressure-step counts are member-local and stop
-        # advancing at member finish, exactly like a scalar run ending.
-        for member in self._members:
-            if member.live:
-                member.sim.state.topology._observed_time += ctx.dt
-                member.sim.state.buffers.note_step()
-        np.divide(per_server, ctx.dt, out=state.last_admission_rate)
-
     def _phase_completion(self, sim: Optional[Simulator]) -> None:
-        for member in self._members:
-            if member.live:
-                member.sim.stepper._handle_completions(member.engine)
+        """One flat scan over every member's applications; each change runs
+        on its member's own stepper, engine and state."""
+        changed = self.changed
+        changed.clear()
+        now = self._ctx.now
+        scan = self._scan_completions(now)
+        if scan is None:
+            return
+        apps, ready, settled = scan
+        members = self._members
+        for index in apps.tolist():
+            member = members[self._app_member[index]]
+            member.sim.stepper._complete_app(
+                index - member.app_sl.start,
+                None if ready is None else ready[member.proc_sl],
+                None if settled is None else settled[member.app_sl],
+                member.engine,
+                now,
+            )
+            if not changed or changed[-1] is not member:
+                changed.append(member)
 
     # -- the batched step ----------------------------------------------- #
 
@@ -537,7 +512,6 @@ class BatchSimulator:
             0.0, min(app.start_time for app in scenario.applications)
         )
         self._max_time = scenario.control.max_time
-        transport = scenario.platform.network.transport
         for sim in sims:
             s = sim.scenario
             t0 = min(0.0, min(app.start_time for app in s.applications))
@@ -555,8 +529,8 @@ class BatchSimulator:
 
         # Lanes.
         members: List[_BatchMember] = []
-        conn_off = srv_off = node_off = 0
-        until = self._t0 + self._max_time
+        conn_off = srv_off = node_off = app_off = proc_off = 0
+        self._until = self._t0 + self._max_time
         horizon = self._t0 + self._max_time * 2 + 1.0
         for sim in sims:
             st = sim.state
@@ -571,13 +545,16 @@ class BatchSimulator:
                     conn_sl=slice(conn_off, conn_off + n_c),
                     srv_sl=slice(srv_off, srv_off + n_s),
                     node_sl=slice(node_off, node_off + n_n),
-                    until=until,
+                    app_sl=slice(app_off, app_off + st.n_apps),
+                    proc_sl=slice(proc_off, proc_off + st.n_processes),
                     admission_rng=sim.stepper._rng,
                 )
             )
             conn_off += n_c
             srv_off += n_s
             node_off += n_n
+            app_off += st.n_apps
+            proc_off += st.n_processes
         self.members = members
 
         # Flat index maps and facade state.
@@ -587,16 +564,18 @@ class BatchSimulator:
         conn_node = np.concatenate(
             [m.sim.state.conn_node + m.node_sl.start for m in members]
         )
-        topology = _BatchedTopology(
-            np.concatenate([m.sim.state.topology.node_capacities() for m in members]),
-            np.concatenate([m.sim.state.topology.server_capacities() for m in members]),
+        # Members share the platform, so per-link capacities repeat.
+        topology = StarTopology(
+            n_client_nodes=node_off, n_servers=srv_off,
+            network=scenario.platform.network,
         )
-        deployment = _BatchedDeployment(members, srv_off)
-        state = _BatchedState(members, topology, deployment, conn_server, conn_node)
+        state = _BatchedState(members, topology, conn_server, conn_node)
         self.state = state
         self._repoint_members()
         self.stepper = BatchedStepper(state, members)
         self._schedule_control_plane()
+        self._n_live = len(members)
+        self._next_due = min(m.due for m in members)
         self.n_batch_steps = 0
 
     # ------------------------------------------------------------------ #
@@ -605,9 +584,9 @@ class BatchSimulator:
         """Point every member's hot arrays at its lanes of the flat state.
 
         Both sides are freshly constructed (identical initial values), so
-        this changes storage, not state.  Member-local arrays — process
-        bookkeeping, collapse statistics, pressure step counts, observed
-        time — stay where they are.
+        this changes storage, not state.  Member-local state — collapse
+        statistics, application runtimes — stays where it is; observed
+        times and step counts are stamped when the member finishes.
         """
         state = self.state
         for member in self.members:
@@ -616,26 +595,24 @@ class BatchSimulator:
                 setattr(st.windows, name, getattr(state.windows, name)[member.conn_sl])
             for name in _BUFFER_SERVER_ARRAYS:
                 setattr(st.buffers, name, getattr(state.buffers, name)[member.srv_sl])
+            for name in _DEPLOYMENT_ARRAYS:
+                setattr(st.deployment, name, getattr(state.deployment, name)[member.srv_sl])
+            for name in _PROCESS_ARRAYS:
+                setattr(st, name, getattr(state, name)[member.proc_sl])
+            st.app_phase = state.app_phase[member.app_sl]
             st.buffers.conn_bytes = state.buffers.conn_bytes[member.conn_sl]
             st.send_remaining = state.send_remaining[member.conn_sl]
             st.frag_size = state.frag_size[member.conn_sl]
             st.last_drain_rate = state.last_drain_rate[member.srv_sl]
             st.last_admission_rate = state.last_admission_rate[member.srv_sl]
-            topo = st.topology
-            topo._node_busy = state.topology.node_busy[member.node_sl]
-            topo._node_transferred = state.topology.node_transferred[member.node_sl]
-            topo._server_busy = state.topology.server_busy[member.srv_sl]
-            topo._server_transferred = state.topology.server_transferred[member.srv_sl]
+            topo, flat = st.topology, state.topology
+            topo._node_busy = flat._node_busy[member.node_sl]
+            topo._node_transferred = flat._node_transferred[member.node_sl]
+            topo._server_busy = flat._server_busy[member.srv_sl]
+            topo._server_transferred = flat._server_transferred[member.srv_sl]
 
     def _schedule_control_plane(self) -> None:
-        """Schedule each member's starts, step markers and trace sampling.
-
-        The step marker is a periodic NORMAL event that merely stops the
-        member's engine at every step boundary; it uses the same
-        ``schedule_periodic`` arithmetic as the scalar driver's tick, so
-        marker times match the scalar step times bitwise.
-        """
-        dt = self.dt
+        """Schedule each member's application starts and trace sampling."""
         t0 = self._t0
         for member in self.members:
             sim = member.sim
@@ -648,14 +625,6 @@ class BatchSimulator:
                     priority=EventPriority.CONTROL,
                     label=f"start.{app.name}",
                 )
-            engine.schedule_periodic(
-                dt,
-                _stop_for_batch_step,
-                start=t0 + dt,
-                priority=EventPriority.NORMAL,
-                label="model.step",
-                stop_when=_make_finished_probe(st),
-            )
             if sim.recorder.config.records_series:
                 sample_period = sim.scenario.control.trace.series_sample_period
                 engine.schedule_periodic(
@@ -666,16 +635,53 @@ class BatchSimulator:
                     label="trace.sample",
                     stop_when=_make_finished_probe(st),
                 )
+            member.due = _next_event_time(engine)
 
     # ------------------------------------------------------------------ #
 
-    def _advance_one_step(self) -> None:
-        now: Optional[float] = None
+    def _run_control_plane(self, now: float) -> None:
+        """Run every live engine with an event due by the step at ``now``:
+        the events a scalar run executes before its NORMAL-priority step."""
+        next_due = float("inf")
         for member in self.members:
             if not member.live:
                 continue
-            member.engine.run(until=member.until)
-            if member.engine.stop_reason != "batch-step":
+            if member.due <= now:
+                member.engine.run(until=now, until_priority=EventPriority.NORMAL)
+                member.due = _next_event_time(member.engine)
+            next_due = min(next_due, member.due)
+        self._next_due = next_due
+
+    def _follow_up(self, member: _BatchMember, now: float) -> None:
+        """After a step that changed ``member``'s control plane: retire it if
+        it finished, else note when its engine next has work."""
+        if member.sim.state.all_finished():
+            member.live = False
+            member.end_time = now
+            member.n_steps = self.n_batch_steps
+            self._n_live -= 1
+            flat = self.state
+            flat.deployment.live[member.srv_sl] = False
+            st = member.sim.state
+            st.deployment.observed_time = flat.deployment.observed_time
+            st.topology._observed_time = flat.topology._observed_time
+            st.buffers.observed_steps = flat.buffers.observed_steps
+            return
+        member.due = _next_event_time(member.engine)
+        self._next_due = min(self._next_due, member.due)
+
+    def run(self) -> List[RunResult]:
+        """Run every member to completion; results in member order."""
+        wall_start = time.perf_counter()
+        dt = self.dt
+        stepper = self.stepper
+        now = self._t0
+        while self._n_live:
+            # The scalar driver's periodic step: first at t0 + dt, then
+            # each step dt after the last.
+            now = now + dt
+            if now > self._until:
+                member = next(m for m in self.members if m.live)
                 unfinished = [
                     rt.app.name
                     for rt in member.sim.state.app_runtime
@@ -686,26 +692,12 @@ class BatchSimulator:
                     f"unfinished applications {unfinished}; check the "
                     "scenario configuration"
                 )
-            if now is None:
-                now = member.engine.now
-            elif member.engine.now != now:  # pragma: no cover - lockstep guard
-                raise SimulationError("batch members fell out of lockstep")
-        assert now is not None
-        self.stepper.step_batch(now, self.dt)
-        self.n_batch_steps += 1
-        for member in self.members:
-            if not member.live:
-                continue
-            member.n_steps += 1
-            if member.sim.state.all_finished():
-                member.live = False
-                member.end_time = now
-
-    def run(self) -> List[RunResult]:
-        """Run every member to completion; results in member order."""
-        wall_start = time.perf_counter()
-        while any(member.live for member in self.members):
-            self._advance_one_step()
+            if now >= self._next_due:
+                self._run_control_plane(now)
+            stepper.step_batch(now, dt)
+            self.n_batch_steps += 1
+            for member in stepper.changed:
+                self._follow_up(member, now)
         wall_time = time.perf_counter() - wall_start
         results = []
         for member in self.members:
@@ -714,8 +706,9 @@ class BatchSimulator:
         return results
 
 
-def _stop_for_batch_step(sim: Simulator) -> None:
-    sim.stop("batch-step")
+def _next_event_time(engine: Simulator) -> float:
+    head = engine.peek_next_time()
+    return float("inf") if head is None else head
 
 
 def _make_finished_probe(state):

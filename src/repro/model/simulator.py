@@ -4,10 +4,12 @@
 engine:
 
 * an event starts each application at its configured time,
-* model-step events advance the fluid model — on a fixed cadence under the
-  default (``fixed``) stepping policy, or at the adaptive bound computed by
-  :meth:`repro.model.stepper.ModelStepper.next_bound` under the ``adaptive``
-  policy, which collapses quiescent intervals into a single jump,
+* model steps advance the fluid model — on a fixed cadence under the
+  default (``fixed``) stepping policy, driven by a loop that runs the
+  engine's due events before each step, or as engine events at the adaptive
+  bound computed by :meth:`repro.model.stepper.ModelStepper.next_bound`
+  under the ``adaptive`` policy, which collapses quiescent intervals into a
+  single jump,
 * a periodic observation event samples traces,
 * the run ends when every application has finished its I/O phase.
 
@@ -109,22 +111,6 @@ class IOPathSimulator:
             self._step_event = None
             self.stepper.pressure_step_ref = dt
             self.stepper.on_control_change = self._adaptive_catch_up
-        else:
-            # Fixed cadence: the seed behaviour, byte-identical output.
-            def tick(s: Simulator) -> None:
-                self.stepper.step(s, dt)
-                self._n_steps += 1
-                if state.all_finished():
-                    s.stop("all applications finished")
-
-            sim.schedule_periodic(
-                dt,
-                tick,
-                start=t0 + dt,
-                priority=EventPriority.NORMAL,
-                label="model.step",
-                stop_when=lambda s: state.all_finished(),
-            )
 
         # Trace sampling.  When no periodic series category records, the
         # sampling event is not scheduled at all: a disabled trace must not
@@ -151,7 +137,10 @@ class IOPathSimulator:
             self.stepper.profiler = profiler
 
         wall_start = time.perf_counter()
-        end_time = sim.run(until=t0 + horizon)
+        if self._stepping.is_adaptive:
+            end_time = sim.run(until=t0 + horizon)
+        else:
+            end_time = self._run_fixed(sim, t0 + horizon)
         wall_time = time.perf_counter() - wall_start
 
         if profiler is not None:
@@ -167,6 +156,31 @@ class IOPathSimulator:
                 f"applications {unfinished}; check the scenario configuration"
             )
         return self._build_result(end_time, wall_time)
+
+    def _run_fixed(self, sim: Simulator, until: float) -> float:
+        """Fixed cadence: one model step every ``dt``, first at ``t0 + dt``.
+
+        Steps are not engine events.  Before each step the engine runs
+        exactly what a NORMAL-priority step event at that instant would
+        follow — every earlier event plus the CONTROL events of the instant
+        — so the event order, including trace samples observing post-step
+        state, is the one a periodic step event gives, without scheduling,
+        queueing and firing an event per step.  Returns the end time.
+        """
+        dt = self._step_size
+        state = self.state
+        stepper = self.stepper
+        now = sim.now
+        while True:
+            # The periodic arithmetic: each step dt after the last.
+            now = now + dt
+            if now > until:
+                return sim.run(until=until)
+            sim.run(until=now, until_priority=EventPriority.NORMAL)
+            stepper.step(sim, dt)
+            self._n_steps += 1
+            if state.all_finished():
+                return now
 
     # ------------------------------------------------------------------ #
     # Telemetry publication (post-run, hot loop untouched)

@@ -12,11 +12,17 @@
   the stepper updates,
 * per-application progress bookkeeping (current operation, completion
   times).
+
+The control-plane state the stepper scans every step — each application's
+lifecycle phase, each process's current operation and next issue instant —
+lives in flat arrays too, so the completion phase finds the (rare) steps on
+which something changes with a few vectorized reductions and runs Python
+only for the applications that actually change.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -27,28 +33,66 @@ from repro.network.congestion import WindowState
 from repro.network.incast import ServerBuffers
 from repro.network.topology import StarTopology
 from repro.pfs.filesystem import PVFSDeployment
-from repro.pfs.striping import extent_to_server_bytes
+from repro.pfs.striping import extents_to_server_matrix
 from repro.sim.rng import RandomStreams
 from repro.sim.tracing import TraceRecorder
 from repro.workload.application import Application
+from repro.workload.patterns import request_extents
 
-__all__ = ["AppRuntime", "ModelState"]
+__all__ = [
+    "APP_ACTIVE", "APP_FINISHED", "APP_PENDING", "APP_WAITING",
+    "AppRuntime", "ModelState",
+]
+
+#: Application lifecycle phases (values of ``ModelState.app_phase``).
+APP_PENDING = 0    #: not started yet
+APP_ACTIVE = 1     #: an operation is in flight
+APP_WAITING = 2    #: between collective operations (issue overhead)
+APP_FINISHED = 3   #: I/O phase complete
 
 
-@dataclass
 class AppRuntime:
-    """Mutable per-application bookkeeping."""
+    """Per-application bookkeeping.
 
-    app: Application
-    started: bool = False
-    finished: bool = False
-    waiting_issue: bool = False
-    current_op: int = -1
-    ops_completed: int = 0
-    actual_start_time: float = 0.0
-    end_time: float = float("nan")
-    issued_bytes: float = 0.0
-    completed_bytes: float = 0.0
+    The lifecycle flags are read-only views of ``ModelState.app_phase`` (the
+    array the vectorized completion scan reads); transitions go through the
+    :class:`ModelState` methods.
+    """
+
+    __slots__ = (
+        "app", "_state", "current_op", "ops_completed", "actual_start_time",
+        "end_time", "issued_bytes", "completed_bytes",
+    )
+
+    def __init__(self, app: Application, state: "ModelState") -> None:
+        self.app = app
+        # Weak, so that a state and its runtimes form no reference cycle:
+        # a cycle would hold every finished simulation's arrays until the
+        # cyclic garbage collector happens to run.
+        self._state = weakref.ref(state)
+        self.current_op = -1
+        self.ops_completed = 0
+        self.actual_start_time = 0.0
+        self.end_time = float("nan")
+        self.issued_bytes = 0.0
+        self.completed_bytes = 0.0
+
+    @property
+    def phase(self) -> int:
+        """Lifecycle phase (one of the ``APP_*`` codes)."""
+        return int(self._state().app_phase[self.app.index])
+
+    @property
+    def started(self) -> bool:
+        return self.phase != APP_PENDING
+
+    @property
+    def finished(self) -> bool:
+        return self.phase == APP_FINISHED
+
+    @property
+    def waiting_issue(self) -> bool:
+        return self.phase == APP_WAITING
 
     @property
     def write_time(self) -> float:
@@ -154,7 +198,23 @@ class ModelState:
         self.frag_size = np.zeros(self.n_connections, dtype=np.float64)
 
         # Per-application runtime bookkeeping.
-        self.app_runtime: List[AppRuntime] = [AppRuntime(app=app) for app in self.applications]
+        #: Lifecycle phase per application (``APP_*`` codes).
+        self.app_phase = np.full(self.n_apps, APP_PENDING, dtype=np.int8)
+        self.n_finished = 0
+        self.app_runtime: List[AppRuntime] = [
+            AppRuntime(app, self) for app in self.applications
+        ]
+        #: Static per-application / per-process facts the completion scan reads.
+        self.app_collective = np.array(
+            [app.spec.pattern.collective for app in self.applications], dtype=bool
+        )
+        self.app_n_procs = np.array(
+            [app.n_processes for app in self.applications], dtype=np.int64
+        )
+        app_n_ops = np.array(
+            [app.n_operations for app in self.applications], dtype=np.int64
+        )
+        self.proc_n_ops = app_n_ops[self.proc_app]
 
         # Per-process bookkeeping for the non-collective mode.
         self.proc_current_op = np.full(self.n_processes, -1, dtype=np.int64)
@@ -202,6 +262,38 @@ class ModelState:
         """
         return self._app_conn_ids[app.index]
 
+    def _load_extents(
+        self,
+        app: Application,
+        procs: np.ndarray,
+        offsets: np.ndarray,
+        lengths: np.ndarray,
+    ) -> np.ndarray:
+        """Load one extent per process onto its connections, all at once.
+
+        Returns the bytes each process issued: the sum of its touched
+        servers' shares, reduced exactly as a per-process
+        ``per_server[touched].sum()`` would be.
+        """
+        per_server = extents_to_server_matrix(
+            offsets, lengths, self.scenario.filesystem.stripe_size,
+            app.servers, self.n_servers,
+        )
+        touched = per_server > 0
+        rows, servers = np.nonzero(touched)
+        conns = self.conn_matrix[procs[rows], servers]
+        if np.any(conns < 0):  # pragma: no cover - defensive
+            raise SimulationError(
+                f"application {app.name!r} has a process without a connection "
+                "to one of its servers"
+            )
+        values = per_server[rows, servers]
+        # Distinct (process, server) pairs are distinct connections, so one
+        # fancy-indexed update equals the per-process updates.
+        self.send_remaining[conns] += values
+        self.frag_size[conns] = values
+        return _segment_sums(values, touched.sum(axis=1))
+
     def issue_operation(self, app: Application, op_index: int) -> float:
         """Load operation ``op_index`` of ``app`` onto its connections.
 
@@ -213,54 +305,55 @@ class ModelState:
                 f"application {app.name!r} has no operation {op_index}"
             )
         offsets, lengths = app.operation_extents(op_index)
-        fs = self.scenario.filesystem
-        ids = self.app_proc_ids[app.index]
-        issued = 0.0
-        for local_rank in range(ids.shape[0]):
-            proc = int(ids[local_rank])
-            per_server = extent_to_server_bytes(
-                float(offsets[local_rank]),
-                float(lengths[local_rank]),
-                fs.stripe_size,
-                app.servers,
-                self.n_servers,
-            )
-            touched = np.flatnonzero(per_server > 0)
-            conns = self.conn_matrix[proc, touched]
-            if np.any(conns < 0):  # pragma: no cover - defensive
-                raise SimulationError(
-                    f"process {proc} has no connection to one of servers {touched}"
-                )
-            self.send_remaining[conns] += per_server[touched]
-            self.frag_size[conns] = per_server[touched]
-            issued += float(per_server[touched].sum())
+        per_proc = self._load_extents(app, self.app_proc_ids[app.index], offsets, lengths)
+        # cumsum accumulates in process order, as a running Python total does.
+        issued = float(np.cumsum(per_proc)[-1]) if per_proc.size else 0.0
         runtime = self.app_runtime[app.index]
         runtime.issued_bytes += issued
         runtime.current_op = op_index
-        runtime.waiting_issue = False
+        if self.app_phase[app.index] == APP_WAITING:
+            self.app_phase[app.index] = APP_ACTIVE
         return issued
 
-    def issue_process_operation(self, proc: int, op_index: int) -> float:
-        """Load operation ``op_index`` of one process (non-collective mode)."""
-        app = self.applications[int(self.proc_app[proc])]
-        offsets, lengths = app.operation_extents(op_index)
-        local_rank = int(self.proc_rank[proc])
-        fs = self.scenario.filesystem
-        per_server = extent_to_server_bytes(
-            float(offsets[local_rank]),
-            float(lengths[local_rank]),
-            fs.stripe_size,
-            app.servers,
-            self.n_servers,
+    def issue_process_operations(
+        self, app: Application, procs: np.ndarray, op_indices: np.ndarray
+    ) -> np.ndarray:
+        """Load operation ``op_indices[i]`` of process ``procs[i]`` of ``app``
+        (non-collective mode); returns the bytes each process issued."""
+        procs = np.asarray(procs, dtype=np.int64)
+        op_indices = np.asarray(op_indices, dtype=np.int64)
+        offsets, lengths = request_extents(
+            app.spec.pattern, self.proc_rank[procs], op_indices, app.n_processes
         )
-        touched = np.flatnonzero(per_server > 0)
-        conns = self.conn_matrix[proc, touched]
-        self.send_remaining[conns] += per_server[touched]
-        self.frag_size[conns] = per_server[touched]
-        issued = float(per_server[touched].sum())
-        self.app_runtime[app.index].issued_bytes += issued
-        self.proc_current_op[proc] = op_index
-        return issued
+        per_proc = self._load_extents(app, procs, offsets, lengths)
+        runtime = self.app_runtime[app.index]
+        if per_proc.size:
+            # Accumulated process by process, in order.
+            running = np.cumsum(np.concatenate(([runtime.issued_bytes], per_proc)))
+            runtime.issued_bytes = float(running[-1])
+        self.proc_current_op[procs] = op_indices
+        return per_proc
+
+    # ------------------------------------------------------------------ #
+    # Lifecycle transitions
+    # ------------------------------------------------------------------ #
+
+    def mark_started(self, app_index: int, now: float) -> None:
+        """The application's I/O phase begins at ``now``."""
+        self.app_phase[app_index] = APP_ACTIVE
+        self.app_runtime[app_index].actual_start_time = now
+
+    def mark_waiting(self, app_index: int) -> None:
+        """A collective operation completed; the next one is pending issue."""
+        self.app_phase[app_index] = APP_WAITING
+
+    def mark_finished(self, app_index: int, now: float) -> None:
+        """The application completed its I/O phase at ``now``."""
+        self.app_phase[app_index] = APP_FINISHED
+        self.n_finished += 1
+        runtime = self.app_runtime[app_index]
+        runtime.end_time = now
+        runtime.completed_bytes = runtime.issued_bytes
 
     # ------------------------------------------------------------------ #
     # Aggregations used by the stepper
@@ -284,10 +377,30 @@ class ModelState:
 
     def all_finished(self) -> bool:
         """True when every application has completed its I/O phase."""
-        return all(rt.finished for rt in self.app_runtime)
+        return self.n_finished == self.n_apps
 
     def completed_bytes_per_app(self) -> np.ndarray:
         """Bytes durably handled so far, per application."""
         issued = np.array([rt.issued_bytes for rt in self.app_runtime])
         outstanding = self.outstanding_per_app()
         return np.maximum(issued - outstanding, 0.0)
+
+
+def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum of each of the consecutive segments of ``values`` sized ``counts``.
+
+    Each segment is reduced by NumPy exactly as the segment alone would be
+    (equal-width segments as the rows of one matrix, whose row reductions
+    use the same pairwise summation as a 1-D reduction of the row).
+    """
+    n = counts.shape[0]
+    width = int(counts[0]) if n else 0
+    if n and bool((counts == width).all()):
+        if width == 0:
+            return np.zeros(n, dtype=np.float64)
+        return values.reshape(n, width).sum(axis=1)
+    ends = np.cumsum(counts).tolist()
+    return np.array(
+        [values[end - count:end].sum() for count, end in zip(counts.tolist(), ends)],
+        dtype=np.float64,
+    )

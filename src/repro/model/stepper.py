@@ -69,7 +69,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.model.state import ModelState
+from repro.model.state import APP_ACTIVE, ModelState
 from repro.sim.engine import Simulator
 from repro.sim.events import EventPriority
 
@@ -232,6 +232,8 @@ class ModelStepper:
         self._n_servers = state.n_servers
         self._n_nodes = state.topology.n_client_nodes
         self._n_apps = state.n_apps
+        self._app_independent = ~state.app_collective
+        self._any_independent = bool(self._app_independent.any())
         self._stripe_size = state.scenario.filesystem.stripe_size
         #: rwnd_overcommit * buffer capacity (numerator of the per-server
         #: receive-window budget).
@@ -606,7 +608,7 @@ class ModelStepper:
         per_server = np.bincount(
             state.conn_server, weights=ctx.admitted, minlength=self._n_servers
         )
-        state.topology.record_step(per_node, per_server, ctx.dt)
+        state.topology.record_step_flat(per_node, per_server, ctx.dt)
         if self.pressure_step_ref:
             state.buffers.note_step(weight=ctx.dt / self.pressure_step_ref)
         else:
@@ -711,99 +713,126 @@ class ModelStepper:
         (``proc_next_issue``); collective issues are engine events and are
         bounded by the driver.  Returns ``None`` when no process is waiting.
         """
-        state = self.state
-        waits = []
-        per_proc_outstanding: Optional[np.ndarray] = None
-        for runtime in state.app_runtime:
-            app = runtime.app
-            if not runtime.started or runtime.finished or runtime.waiting_issue:
-                continue
-            if app.spec.pattern.collective:
-                continue
-            if per_proc_outstanding is None:
-                per_proc_outstanding = state.outstanding_per_process()
-            ids = state.app_proc_ids[app.index]
-            idle = per_proc_outstanding[ids] <= self._completion_epsilon
-            more_ops = (state.proc_current_op[ids] + 1) < app.n_operations
-            pending = state.proc_next_issue[ids][idle & more_ops]
-            pending = pending[pending > now]
-            if pending.size:
-                waits.append(float(pending.min()) - now)
-        if not waits:
+        if not self._any_independent:
             return None
-        return max(min(waits), 0.0)
+        state = self.state
+        independent = (state.app_phase == APP_ACTIVE) & self._app_independent
+        if not np.count_nonzero(independent):
+            return None
+        waiting = independent[state.proc_app]
+        waiting &= state.outstanding_per_process() <= self._completion_epsilon
+        waiting &= (state.proc_current_op + 1) < state.proc_n_ops
+        pending = state.proc_next_issue[waiting]
+        pending = pending[pending > now]
+        if not pending.size:
+            return None
+        return max(float(pending.min()) - now, 0.0)
 
     # ------------------------------------------------------------------ #
     # Completion handling
     # ------------------------------------------------------------------ #
 
     def _handle_completions(self, sim: Simulator) -> None:
-        state = self.state
         now = sim.now
-        outstanding_app: Optional[np.ndarray] = None
-        per_proc_outstanding: Optional[np.ndarray] = None
+        scan = self._scan_completions(now)
+        if scan is None:
+            return
+        apps, ready, settled = scan
+        for index in apps.tolist():
+            self._complete_app(index, ready, settled, sim, now)
 
-        for runtime in state.app_runtime:
-            app = runtime.app
-            if not runtime.started or runtime.finished or runtime.waiting_issue:
-                continue
-            pattern = app.spec.pattern
-            if pattern.collective:
-                if outstanding_app is None:
-                    outstanding_app = state.outstanding_per_app()
-                if outstanding_app[app.index] > self._completion_epsilon:
-                    continue
-                if runtime.current_op < 0:
-                    continue
-                runtime.ops_completed = runtime.current_op + 1
-                if runtime.ops_completed >= app.n_operations:
-                    self._finish_app(runtime, now)
-                else:
-                    runtime.waiting_issue = True
-                    next_op = runtime.current_op + 1
-                    delay = pattern.collective_overhead
-                    sim.schedule_after(
-                        delay,
-                        self._make_issue_callback(app.index, next_op),
-                        priority=EventPriority.CONTROL,
-                        label=f"issue.{app.name}.op{next_op}",
-                    )
-            else:
-                if per_proc_outstanding is None:
-                    per_proc_outstanding = state.outstanding_per_process()
-                self._advance_independent(runtime, per_proc_outstanding, now)
+    def _scan_completions(self, now: float):
+        """Find the applications whose state changes at the end of this step.
 
-    def _advance_independent(
-        self, runtime, per_proc_outstanding: np.ndarray, now: float
-    ) -> None:
-        """Advance per-process (non-collective) operations of one application.
+        One set of vectorized reductions over every application and process
+        replaces a Python pass over the applications.  Returns ``None`` when
+        nothing changes (the common case) or ``(apps, ready, settled)``: the
+        ascending indices of the applications to update, the per-process mask
+        of non-collective processes ready to issue their next operation, and
+        the per-application mask of non-collective applications whose every
+        process is done.  The masks read the same post-step outstanding
+        bytes the per-application checks read, and an application's update
+        only touches its own connections, so scanning all applications up
+        front decides exactly what a pass in index order would.
 
-        The idle/ready/finished classification is one set of grouped
-        vectorized reductions over the application's (precomputed) process
-        index block; only the processes that actually issue fall back to the
-        per-process striping arithmetic.
+        Reads:  outstanding bytes, ``app_phase``, process issue state.
+        Writes: nothing (clobbers ``tmp_conn_a``).
         """
         state = self.state
+        active = state.app_phase == APP_ACTIVE
+        if not np.count_nonzero(active):
+            return None
+        eps = self._completion_epsilon
+        outstanding = np.add(
+            state.send_remaining, state.buffers.conn_bytes, out=self.workspace.tmp_conn_a
+        )
+        changed = active & state.app_collective
+        if np.count_nonzero(changed):
+            per_app = np.bincount(state.conn_app, weights=outstanding, minlength=state.n_apps)
+            changed &= per_app <= eps
+        ready = settled = None
+        independent = active & self._app_independent if self._any_independent else None
+        if independent is not None and np.count_nonzero(independent):
+            per_proc = np.bincount(
+                state.conn_proc, weights=outstanding, minlength=state.n_processes
+            )
+            idle = per_proc <= eps
+            exhausted = (state.proc_current_op + 1) >= state.proc_n_ops
+            ready = idle & ~exhausted
+            ready &= state.proc_next_issue <= now
+            ready &= independent[state.proc_app]
+            idle &= exhausted
+            settled = np.bincount(
+                state.proc_app, weights=idle, minlength=state.n_apps
+            ) == state.app_n_procs
+            settled &= independent
+            changed |= settled
+            changed[state.proc_app[ready]] = True
+        if not np.count_nonzero(changed):
+            return None
+        return np.flatnonzero(changed), ready, settled
+
+    def _complete_app(
+        self,
+        index: int,
+        ready: Optional[np.ndarray],
+        settled: Optional[np.ndarray],
+        sim: Simulator,
+        now: float,
+    ) -> None:
+        """Apply one application's end-of-step change found by the scan."""
+        state = self.state
+        runtime = state.app_runtime[index]
         app = runtime.app
-        ids = state.app_proc_ids[app.index]
         pattern = app.spec.pattern
-        idle = per_proc_outstanding[ids] <= self._completion_epsilon
-        current = state.proc_current_op[ids]
-        exhausted = (current + 1) >= app.n_operations
-        ready = idle & ~exhausted & (state.proc_next_issue[ids] <= now)
-        if ready.any():
-            overhead = pattern.collective_overhead
-            for proc, op in zip(ids[ready], current[ready]):
-                proc = int(proc)
-                state.issue_process_operation(proc, int(op) + 1)
-                state.proc_next_issue[proc] = now + overhead
-        if int(np.count_nonzero(idle & exhausted)) == ids.shape[0]:
+        if pattern.collective:
+            if runtime.current_op < 0:
+                return
+            runtime.ops_completed = runtime.current_op + 1
+            if runtime.ops_completed >= app.n_operations:
+                self._finish_app(runtime, now)
+                return
+            state.mark_waiting(index)
+            next_op = runtime.current_op + 1
+            # ``now`` is the step instant (the engine clock in a scalar
+            # run), so this is the scalar schedule_after(delay).
+            sim.schedule(
+                now + float(pattern.collective_overhead),
+                self._make_issue_callback(index, next_op),
+                priority=EventPriority.CONTROL,
+                label=f"issue.{app.name}.op{next_op}",
+            )
+            return
+        ids = state.app_proc_ids[index]
+        issuing = ids[ready[ids]]
+        if issuing.size:
+            state.issue_process_operations(app, issuing, state.proc_current_op[issuing] + 1)
+            state.proc_next_issue[issuing] = now + pattern.collective_overhead
+        if settled[index]:
             self._finish_app(runtime, now)
 
     def _finish_app(self, runtime, now: float) -> None:
-        runtime.finished = True
-        runtime.end_time = now
-        runtime.completed_bytes = runtime.issued_bytes
+        self.state.mark_finished(runtime.app.index, now)
         self.state.recorder.mark(now, "phase", f"{runtime.app.name}.end")
 
     def _make_issue_callback(self, app_index: int, op_index: int):
@@ -833,12 +862,11 @@ class ModelStepper:
             raise SimulationError(f"application {app.name!r} started twice")
         if self.on_control_change is not None:
             self.on_control_change(sim)
-        runtime.started = True
-        runtime.actual_start_time = sim.now
+        state.mark_started(app_index, sim.now)
         state.recorder.mark(sim.now, "phase", f"{app.name}.start")
         if app.spec.pattern.collective:
             state.issue_operation(app, 0)
         else:
-            for proc in state.app_proc_ids[app_index]:
-                state.issue_process_operation(int(proc), 0)
-                state.proc_next_issue[int(proc)] = sim.now
+            procs = state.app_proc_ids[app_index]
+            state.issue_process_operations(app, procs, np.zeros(procs.shape[0], dtype=np.int64))
+            state.proc_next_issue[procs] = sim.now

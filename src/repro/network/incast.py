@@ -118,6 +118,7 @@ class ServerBuffers:
         # the per-step allocation count flat without changing any result.
         self._scratch_capacity = np.zeros(self.n_servers, dtype=np.float64)
         self._scratch_fraction = np.zeros(self.n_servers, dtype=np.float64)
+        self._scratch_full = np.zeros(self.n_servers, dtype=bool)
         self._scratch_conn = np.zeros(n_conns, dtype=np.float64)
         self._validated_weights: Optional[np.ndarray] = None
         #: Bytes currently buffered per server.
@@ -401,14 +402,17 @@ class ServerBuffers:
     def note_step(self, full_threshold: float = 0.95, weight: float = 1.0) -> None:
         """Record occupancy statistics for one step (for root-cause analysis).
 
-        ``weight`` is the step's worth in base-step units (1 under the fixed
-        policy; ``dt / base_dt`` for an adaptive jump).
+        A server counts as full when its occupancy reaches ``full_threshold``
+        (a fraction in (0, 1]).  ``weight`` is the step's worth in base-step
+        units (1 under the fixed policy; ``dt / base_dt`` for an adaptive
+        jump).
         """
         self.observed_steps += weight
         occupancy = self._scratch_fraction
         np.divide(self.fill, self.capacity, out=occupancy)
-        np.clip(occupancy, 0.0, 1.0, out=occupancy)
-        self.full_steps[occupancy >= full_threshold] += weight
+        full = self._scratch_full
+        np.greater_equal(occupancy, full_threshold, out=full)
+        np.add(self.full_steps, weight, out=self.full_steps, where=full)
 
     def reset(self) -> None:
         """Clear all state (buffers and statistics)."""

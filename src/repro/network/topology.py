@@ -111,6 +111,16 @@ class StarTopology:
             raise SimulationError("dt must be positive")
         if np.any(per_node_bytes < 0) or np.any(per_server_bytes < 0):
             raise SimulationError("cannot record a negative number of bytes")
+        self.record_step_flat(per_node_bytes, per_server_bytes, dt)
+
+    def record_step_flat(
+        self,
+        per_node_bytes: np.ndarray,
+        per_server_bytes: np.ndarray,
+        dt: float,
+    ) -> None:
+        """:meth:`record_step` without the input validation, for the model
+        stepper, whose per-step bincounts are well-formed by construction."""
         self._observed_time += dt
         self._record_group(
             per_node_bytes, self._node_capacity, self._node_transferred,

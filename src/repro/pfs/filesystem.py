@@ -1,22 +1,59 @@
 """A PVFS deployment: the set of servers plus striping configuration.
 
-:class:`PVFSDeployment` instantiates one :class:`~repro.pfs.server.PVFSServer`
-per configured server and offers vectorized queries (per-server drain rates,
-utilizations) the model stepper and the root-cause analysis consume.
+:class:`PVFSDeployment` holds the state of every server of one deployment in
+flat per-server arrays and runs the server laws of
+:class:`~repro.pfs.server.PVFSServer` (drain capacity, backend commit,
+write-back cache, device queue) elementwise over all of them at once: one
+NumPy expression per law instead of one Python call per server.  Every
+elementwise operation is the IEEE operation the scalar law performs, in the
+same order, so each lane is bit for bit what a :class:`PVFSServer` would hold
+after the same sequence of steps (``tests/test_pfs_flat.py`` pins this).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.config.filesystem import FileSystemConfig, SyncMode
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.pfs.client import PVFSClient
-from repro.pfs.server import PVFSServer
+from repro.pfs.server import FLOW_BUFFER_BYTES, PVFSServer
 
 __all__ = ["PVFSDeployment"]
+
+#: Distinct workload mixes remembered per deployment before the memo resets.
+#: On the tiny fleet matrix and the tiny paper campaign about 98% of law
+#: lookups hit this memo (a single last-mix slot would catch about 94%).
+_LAW_MEMO_SIZE = 64
+
+
+class _Law:
+    """The drain law evaluated for one workload mix (arrays are read-only).
+
+    ``rates`` is the law at the raw fragment sizes (what the drain phase
+    asks for); ``commit_rates`` is the law at ``granularity = max(fragment,
+    1)``, against which a commit charges busy time.  ``device_positive`` and
+    ``commit_positive`` say whether every lane's rate is positive, hence
+    (``dt > 0``) every lane's capacity for a step.
+    """
+
+    __slots__ = ("mix_key", "n_streams", "fragments", "device_bw", "rates",
+                 "commit_rates", "device_positive", "commit_positive")
+
+    def __init__(self, mix_key, n_streams, fragments, device_bw, rates,
+                 commit_rates) -> None:
+        self.mix_key = mix_key
+        self.n_streams = n_streams
+        self.fragments = fragments
+        self.device_bw = device_bw
+        self.rates = rates
+        self.commit_rates = commit_rates
+        for array in (n_streams, fragments, device_bw, rates, commit_rates):
+            array.flags.writeable = False
+        self.device_positive = bool((device_bw > 0).all())
+        self.commit_positive = bool((commit_rates > 0).all())
 
 
 class PVFSDeployment:
@@ -29,39 +66,62 @@ class PVFSDeployment:
     server_nic_bw:
         Downlink bandwidth of each server (bytes/s), taken from the network
         configuration of the scenario.
+    n_servers:
+        Number of server lanes; defaults to ``config.n_servers``.  The
+        batched kernel stacks the servers of several same-configuration
+        deployments into one wider deployment.
     """
 
-    def __init__(self, config: FileSystemConfig, server_nic_bw: float) -> None:
+    def __init__(
+        self,
+        config: FileSystemConfig,
+        server_nic_bw: float,
+        n_servers: Optional[int] = None,
+    ) -> None:
         if server_nic_bw <= 0:
             raise ConfigurationError("server_nic_bw must be positive")
         self.config = config
-        self.servers: List[PVFSServer] = [
-            PVFSServer(
-                server_id=s,
-                config=config.server,
-                device=config.device,
-                sync_mode=config.sync_mode,
-                stripe_size=config.stripe_size,
-                server_nic_bw=server_nic_bw,
-            )
-            for s in range(config.n_servers)
-        ]
-        # Drain-rate memo: every server shares the same static resources, so
-        # the drain-rate law is a pure function of (n_streams, granularity)
-        # plus — for the Sync OFF path only — whether the server's write-back
-        # cache is currently full.  One simulation step asks for the same few
-        # keys across all servers; the memo collapses those to one evaluation.
-        self._rate_memo: Dict[tuple, float] = {}
-        keyed_on_cache = config.sync_mode is SyncMode.SYNC_OFF
-        for server in self.servers:
-            server.attach_rate_memo(self._rate_memo, keyed_on_cache)
+        self.n_servers = config.n_servers if n_servers is None else int(n_servers)
+        server = config.server
+        self._sync_mode = config.sync_mode
+        self._device = config.device
+        self._server_nic_bw = server_nic_bw
+        # Static terms of the laws (PVFSServer.ingest_rate/processing_unit).
+        # The scalar law's "byte_rate == inf -> NIC rate" fallback is a no-op
+        # here: byte_rate <= ingest rate <= NIC rate, so inf implies NIC inf.
+        self._ingest_rate = (
+            server_nic_bw
+            if config.sync_mode is SyncMode.NULL_AIO
+            else min(server.ingest_bw, server_nic_bw)
+        )
+        self._unit_cap = max(config.stripe_size, FLOW_BUFFER_BYTES)
+        self._op_cost = server.fragment_op_cost
+        self._cache_capacity = server.page_cache_bytes
+        self._memory_bw = server.memory_bw
+        self._flush_fraction = server.flush_bw_fraction
+
+        n = self.n_servers
+        #: Bytes drained from the receive buffer, per server.
+        self.drained_bytes = np.zeros(n, dtype=np.float64)
+        #: Time each server's drain path was busy.
+        self.busy_time = np.zeros(n, dtype=np.float64)
+        #: Time every server has observed (each commit advances all by dt).
+        self.observed_time = 0.0
+        #: Write-back cache state (Sync OFF path).
+        self.dirty_bytes = np.zeros(n, dtype=np.float64)
+        self.absorbed_bytes = np.zeros(n, dtype=np.float64)
+        self.flushed_bytes = np.zeros(n, dtype=np.float64)
+        #: Device queue state (Sync ON path).
+        self.pending_bytes = np.zeros(n, dtype=np.float64)
+        self.written_bytes = np.zeros(n, dtype=np.float64)
+        self.device_busy_time = np.zeros(n, dtype=np.float64)
+        #: Lanes whose commits count: ``True`` (all), or a boolean mask the
+        #: batched kernel clears for the servers of finished members.
+        self.live: Union[bool, np.ndarray] = True
+        self._laws: Dict[bytes, _Law] = {}
+        self._scratch = np.zeros(n, dtype=np.float64)
 
     # ------------------------------------------------------------------ #
-
-    @property
-    def n_servers(self) -> int:
-        """Number of servers in the deployment."""
-        return len(self.servers)
 
     def make_client(self, app: str, rank: int, servers: Sequence[int] | None = None) -> PVFSClient:
         """Create a client handle for one application process."""
@@ -75,7 +135,109 @@ class PVFSDeployment:
         )
 
     # ------------------------------------------------------------------ #
-    # Vectorized queries used by the model stepper
+    # The server laws, elementwise
+    # ------------------------------------------------------------------ #
+
+    def _device_bw(self, n_streams: np.ndarray, granularity: np.ndarray) -> np.ndarray:
+        """``DeviceSpec.effective_write_bw`` per lane (``granularity >= 1``).
+
+        A single stream has switch fraction ``1 - 1/1 = 0``, which zeroes the
+        penalty exactly as the scalar law's special case does.
+        """
+        device = self._device
+        if device.is_unlimited:
+            return np.full(granularity.shape, np.inf)
+        switch = 1.0 - 1.0 / np.maximum(n_streams, 1)
+        granule = np.minimum(granularity, device.interleave_granule_cap)
+        penalty = switch * device.positioning_cost * device.write_bw / granule
+        return device.write_bw / (1.0 + penalty)
+
+    def _flush_rate(self, device_bw: np.ndarray) -> Union[float, np.ndarray]:
+        """``WritebackCache.flush_rate`` per lane."""
+        if self._device.is_unlimited:
+            return self._memory_bw
+        return device_bw * self._flush_fraction
+
+    def _drain_rate(
+        self,
+        byte_rate: np.ndarray,
+        granularity: np.ndarray,
+        nonpositive: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """``PVFSServer.drain_rate`` per lane from its byte-rate ceiling.
+
+        Lanes flagged ``nonpositive`` (a non-positive fragment size) process
+        at the flow-buffer unit, like the scalar ``processing_unit``.
+        """
+        if self._op_cost <= 0:
+            return byte_rate
+        unit = np.minimum(self._unit_cap, granularity)
+        if nonpositive is not None:
+            np.copyto(unit, self._unit_cap, where=nonpositive)
+        return 1.0 / (1.0 / byte_rate + self._op_cost / unit)
+
+    def _law(self, mix_key: bytes, n_streams: np.ndarray, fragments: np.ndarray) -> "_Law":
+        """The drain law evaluated for one workload mix, memoized.
+
+        The law is a pure function of each lane's stream count and fragment
+        size — plus, on the Sync OFF path, whether its cache is full — and a
+        workload mix typically holds for many consecutive steps, so one
+        evaluation serves them all.
+        """
+        key = mix_key
+        full = None
+        if self._sync_mode is SyncMode.SYNC_OFF:
+            full = self.dirty_bytes >= self._cache_capacity
+            key = mix_key + full.tobytes()
+        law = self._laws.get(key)
+        if law is None:
+            law = self._evaluate(mix_key, n_streams, fragments, full)
+            if len(self._laws) >= _LAW_MEMO_SIZE:
+                self._laws.clear()
+            self._laws[key] = law
+        return law
+
+    def _evaluate(
+        self,
+        mix_key: bytes,
+        n_streams: np.ndarray,
+        fragments: np.ndarray,
+        full: Optional[np.ndarray],
+    ) -> "_Law":
+        granularity = np.maximum(fragments, 1.0)
+        device_bw = self._device_bw(n_streams, granularity)
+        mode = self._sync_mode
+        if mode is SyncMode.NULL_AIO:
+            byte_rate = np.full(granularity.shape, self._ingest_rate)
+        elif mode is SyncMode.SYNC_OFF:
+            backend = np.where(full, self._flush_rate(device_bw), self._memory_bw)
+            byte_rate = np.minimum(self._ingest_rate, backend)
+        else:
+            byte_rate = np.minimum(self._ingest_rate, device_bw)
+        # A commit charges busy time at max(fragment, 1); for positive
+        # fragments that is the same unit as the raw fragment size.
+        commit_rates = self._drain_rate(byte_rate, granularity)
+        nonpositive = fragments <= 0
+        rates = (
+            self._drain_rate(byte_rate, granularity, nonpositive)
+            if nonpositive.any() else commit_rates
+        )
+        return _Law(mix_key, n_streams.copy(), fragments.copy(), device_bw,
+                    rates, commit_rates)
+
+    def _workload(
+        self, n_streams: np.ndarray, avg_fragment_sizes: np.ndarray
+    ) -> Tuple[bytes, np.ndarray, np.ndarray]:
+        # int64 stream counts (int() truncation) and float64 sizes, so equal
+        # mixes always produce equal memo keys.
+        n_streams = np.asarray(n_streams).astype(np.int64, copy=False)
+        fragments = np.asarray(avg_fragment_sizes, dtype=np.float64)
+        if n_streams.shape[0] != self.n_servers or fragments.shape[0] != self.n_servers:
+            raise ConfigurationError("per-server arrays have the wrong length")
+        return n_streams.tobytes() + fragments.tobytes(), n_streams, fragments
+
+    # ------------------------------------------------------------------ #
+    # Vectorized queries and updates used by the model stepper
     # ------------------------------------------------------------------ #
 
     def drain_rates(
@@ -83,17 +245,9 @@ class PVFSDeployment:
         n_streams: np.ndarray,
         avg_fragment_sizes: np.ndarray,
     ) -> np.ndarray:
-        """Per-server drain bandwidth for the current workload mix."""
-        n_streams = np.asarray(n_streams)
-        avg_fragment_sizes = np.asarray(avg_fragment_sizes, dtype=np.float64)
-        if n_streams.shape[0] != self.n_servers or avg_fragment_sizes.shape[0] != self.n_servers:
-            raise ConfigurationError("per-server arrays have the wrong length")
-        rates = np.empty(self.n_servers, dtype=np.float64)
-        for i, server in enumerate(self.servers):
-            rates[i] = server.drain_rate_cached(
-                int(n_streams[i]), float(avg_fragment_sizes[i])
-            )
-        return rates
+        """Per-server drain bandwidth for the current workload mix (a
+        read-only array)."""
+        return self._law(*self._workload(n_streams, avg_fragment_sizes)).rates
 
     def commit(
         self,
@@ -102,11 +256,99 @@ class PVFSDeployment:
         n_streams: np.ndarray,
         avg_fragment_sizes: np.ndarray,
     ) -> None:
-        """Account for one step of drained bytes on every server."""
-        for i, server in enumerate(self.servers):
-            server.commit(
-                float(drained[i]), dt, int(n_streams[i]), float(avg_fragment_sizes[i])
+        """Account for one step of drained bytes on every server.
+
+        The law evaluation for the step's workload mix comes from the memo
+        the drain phase's :meth:`drain_rates` call filled.
+        """
+        if dt <= 0:
+            raise SimulationError("dt must be positive")
+        drained = np.asarray(drained, dtype=np.float64)
+        law = self._law(*self._workload(n_streams, avg_fragment_sizes))
+        live = self.live
+        self.observed_time += dt
+        np.add(self.drained_bytes, drained, out=self.drained_bytes, where=live)
+        mode = self._sync_mode
+        if mode is SyncMode.NULL_AIO:
+            return
+        if mode is SyncMode.SYNC_OFF:
+            self._commit_cache(drained, dt, law.device_bw, live)
+            # Busy time is charged at the post-commit cache state.
+            law = self._law(law.mix_key, law.n_streams, law.fragments)
+        else:
+            self._commit_device(
+                drained, dt, law.device_bw * dt, law.device_positive, live
             )
+        capacity = law.commit_rates * dt
+        # busy += dt * min(drained / capacity, 1) on non-empty steps; an empty
+        # step's share is an exact 0.0, so only non-positive capacities (which
+        # the scalar law skips) need masking.
+        share = self._scratch
+        if law.commit_positive:
+            np.divide(drained, capacity, out=share)
+            busy = live
+        else:
+            busy = (drained > 0) & (capacity > 0) & live
+            share.fill(0.0)
+            np.divide(drained, capacity, out=share, where=busy)
+        np.minimum(share, 1.0, out=share)
+        share *= dt
+        np.add(self.busy_time, share, out=self.busy_time, where=busy)
+
+    def _commit_cache(
+        self, drained: np.ndarray, dt: float, device_bw: np.ndarray, live
+    ) -> None:
+        """``WritebackCache.flush`` then ``absorb`` (non-empty steps) per lane."""
+        dirty = self.dirty_bytes
+        flush = self._flush_rate(device_bw)
+        flushed = np.minimum(dirty, flush * dt)
+        np.subtract(dirty, flushed, out=dirty, where=live)
+        np.add(self.flushed_bytes, flushed, out=self.flushed_bytes, where=live)
+        absorbing = (drained > 0) & live
+        if not np.count_nonzero(absorbing):
+            return
+        capacity = self._cache_capacity
+        full = dirty >= capacity
+        rate_limit = np.where(full, flush, self._memory_bw) * dt
+        room = np.maximum(capacity - dirty, 0.0)
+        accepted = np.minimum(drained, rate_limit)
+        np.minimum(accepted, room + flush * dt, out=accepted, where=room > 0)
+        np.minimum(dirty + accepted, capacity, out=dirty, where=absorbing)
+        np.add(self.absorbed_bytes, accepted, out=self.absorbed_bytes, where=absorbing)
+
+    def _commit_device(
+        self,
+        drained: np.ndarray,
+        dt: float,
+        capacity: np.ndarray,
+        positive: bool,
+        live,
+    ) -> None:
+        """``DeviceQueue.commit_step`` per lane.
+
+        A lane with nothing pending writes an exact 0.0 and adds exact zeros,
+        which is the scalar early return; only non-positive capacities need
+        masking.
+        """
+        pending = self.pending_bytes
+        np.add(pending, drained, out=pending, where=live)
+        if self._device.is_unlimited:
+            np.add(self.written_bytes, pending, out=self.written_bytes, where=live)
+            np.copyto(pending, 0.0, where=live)
+            return
+        written = np.minimum(pending, capacity)
+        np.subtract(pending, written, out=pending, where=live)
+        np.add(self.written_bytes, written, out=self.written_bytes, where=live)
+        share = self._scratch
+        if positive:
+            np.divide(written, capacity, out=share)
+            busy = live
+        else:
+            busy = (capacity > 0) & live
+            share.fill(0.0)
+            np.divide(written, capacity, out=share, where=busy)
+        share *= dt
+        np.add(self.device_busy_time, share, out=self.device_busy_time, where=busy)
 
     # ------------------------------------------------------------------ #
     # Reporting
@@ -114,29 +356,53 @@ class PVFSDeployment:
 
     def utilizations(self) -> np.ndarray:
         """Per-server drain-path utilization."""
-        return np.array([s.utilization() for s in self.servers], dtype=np.float64)
+        if self.observed_time == 0:
+            return np.zeros(self.n_servers, dtype=np.float64)
+        return np.minimum(self.busy_time / self.observed_time, 1.0)
 
     def device_utilizations(self) -> np.ndarray:
-        """Per-server backend-device utilization."""
-        return np.array([s.device_utilization() for s in self.servers], dtype=np.float64)
+        """Per-server backend-device utilization (only Sync ON feeds the
+        device queue; the other paths never observe it)."""
+        if self._sync_mode is not SyncMode.SYNC_ON or self.observed_time == 0:
+            return np.zeros(self.n_servers, dtype=np.float64)
+        return np.minimum(self.device_busy_time / self.observed_time, 1.0)
 
     def dirty_cache_bytes(self) -> np.ndarray:
         """Per-server dirty bytes in the write-back cache."""
-        return np.array([s.dirty_cache_bytes() for s in self.servers], dtype=np.float64)
+        return self.dirty_bytes.copy()
 
     def total_drained(self) -> float:
         """Total bytes drained by all servers."""
-        return float(sum(s.drained_bytes for s in self.servers))
+        return float(sum(self.drained_bytes.tolist()))
 
     def utilization_report(self) -> Dict[str, float]:
         """Utilization keyed by server name."""
-        return {f"server{s.server_id}": s.utilization() for s in self.servers}
+        return {
+            f"server{s}": value for s, value in enumerate(self.utilizations().tolist())
+        }
 
     def reset(self) -> None:
         """Reset every server's accounting state."""
-        for server in self.servers:
-            server.reset()
+        for array in (
+            self.drained_bytes, self.busy_time, self.dirty_bytes,
+            self.absorbed_bytes, self.flushed_bytes, self.pending_bytes,
+            self.written_bytes, self.device_busy_time,
+        ):
+            array[:] = 0.0
+        self.observed_time = 0.0
+        self._laws.clear()
 
     def describe(self) -> Tuple[str, ...]:
         """Per-server one-line descriptions."""
-        return tuple(server.describe() for server in self.servers)
+        config = self.config
+        return tuple(
+            PVFSServer(
+                server_id=s,
+                config=config.server,
+                device=config.device,
+                sync_mode=config.sync_mode,
+                stripe_size=config.stripe_size,
+                server_nic_bw=self._server_nic_bw,
+            ).describe()
+            for s in range(self.n_servers)
+        )

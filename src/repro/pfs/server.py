@@ -14,7 +14,10 @@ A server's write path has two halves:
   are discarded.
 
 :class:`PVFSServer` computes the resulting drain capacity per simulation step
-and keeps per-server accounting used by root-cause analysis.
+and keeps per-server accounting used by root-cause analysis.  It is the
+scalar reference of the laws: the simulation runs the same laws elementwise
+over every server at once (:class:`~repro.pfs.filesystem.PVFSDeployment`),
+bit for bit equal to one :class:`PVFSServer` per server.
 """
 
 from __future__ import annotations
@@ -68,10 +71,6 @@ class PVFSServer:
     drained_bytes: float = field(default=0.0, init=False)
     busy_time: float = field(default=0.0, init=False)
     observed_time: float = field(default=0.0, init=False)
-    # Optional shared drain-rate memo (see attach_rate_memo); deployments
-    # install one across their servers, standalone servers run unmemoized.
-    _rate_memo: Optional[dict] = field(default=None, init=False, repr=False)
-    _memo_keyed_on_cache: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.stripe_size <= 0:
@@ -146,34 +145,6 @@ class PVFSServer:
             return byte_rate
         return 1.0 / (1.0 / byte_rate + op_cost / unit)
 
-    def attach_rate_memo(self, memo: dict, keyed_on_cache: bool) -> None:
-        """Share a drain-rate memo across identically-resourced servers.
-
-        ``memo`` maps ``(n_streams, granularity[, cache_is_full])`` to the
-        drain rate; ``keyed_on_cache`` must be True for the Sync OFF path,
-        whose rate depends on whether the write-back cache is full (the only
-        mutable state the drain-rate law reads).
-        """
-        self._rate_memo = memo
-        self._memo_keyed_on_cache = keyed_on_cache
-
-    def drain_rate_cached(self, n_streams: int, avg_fragment_size: float) -> float:
-        """Memoized :meth:`drain_rate`; identical values, evaluated once per key."""
-        memo = self._rate_memo
-        if memo is None:
-            return self.drain_rate(n_streams, avg_fragment_size)
-        if self._memo_keyed_on_cache:
-            key = (n_streams, avg_fragment_size, self.cache.is_full)
-        else:
-            key = (n_streams, avg_fragment_size)
-        rate = memo.get(key)
-        if rate is None:
-            rate = self.drain_rate(n_streams, avg_fragment_size)
-            if len(memo) >= 4096:
-                memo.clear()
-            memo[key] = rate
-        return rate
-
     # ------------------------------------------------------------------ #
     # Per-step state updates
     # ------------------------------------------------------------------ #
@@ -201,7 +172,7 @@ class PVFSServer:
         else:
             self.device_queue.commit_step(nbytes, dt, n_streams, granularity)
         if nbytes > 0:
-            capacity = self.drain_rate_cached(n_streams, granularity) * dt
+            capacity = self.drain_rate(n_streams, granularity) * dt
             if capacity > 0:
                 self.busy_time += dt * min(nbytes / capacity, 1.0)
 

@@ -29,6 +29,9 @@ __all__ = [
     "servers_touched",
 ]
 
+#: Most stripes :func:`extents_to_server_matrix` materializes at once.
+_STRIPE_CHUNK = 1 << 16
+
 
 def server_of_stripe(stripe_index: int, servers: Sequence[int]) -> int:
     """Server storing stripe ``stripe_index`` of a file striped over ``servers``."""
@@ -115,16 +118,63 @@ def extents_to_server_matrix(
 
     Vectorizes :func:`extent_to_server_bytes` over a batch of extents (one
     per process).  Returns an array of shape ``(len(offsets), n_servers_total)``.
+    Row ``i`` is bit for bit ``extent_to_server_bytes(offsets[i], ...)``: the
+    per-stripe sizes come from the same arithmetic, and ``np.add.at`` over
+    the extents' stripes accumulates each cell in stripe order, as the
+    per-extent call does.
     """
     offsets = np.asarray(offsets, dtype=np.float64)
     lengths = np.asarray(lengths, dtype=np.float64)
     if offsets.shape != lengths.shape:
         raise ConfigurationError("offsets and lengths must have the same shape")
+    if n_servers_total <= 0:
+        raise ConfigurationError("n_servers_total must be positive")
+    servers = tuple(int(s) for s in servers)
+    if not servers:
+        raise ConfigurationError("servers must not be empty")
+    if any(s < 0 or s >= n_servers_total for s in servers):
+        raise ConfigurationError("server indices out of range")
     result = np.zeros((offsets.shape[0], n_servers_total), dtype=np.float64)
-    for i in range(offsets.shape[0]):
-        result[i] = extent_to_server_bytes(
-            float(offsets[i]), float(lengths[i]), stripe_size, servers, n_servers_total
+    rows = np.flatnonzero(lengths > 0)
+    if rows.size == 0:
+        return result
+    offset = offsets[rows]
+    length = lengths[rows]
+    if np.any(offset < 0):
+        raise ConfigurationError("offset and length must be non-negative")
+    if stripe_size <= 0:
+        raise ConfigurationError("stripe_size must be positive")
+    # stripe_span, per extent.
+    end = offset + length
+    first = np.floor_divide(offset, stripe_size).astype(np.int64)
+    last = np.maximum(np.ceil(end / stripe_size).astype(np.int64) - 1, first)
+    counts = last - first + 1
+    # Extents accumulate independently, so they can be split into groups
+    # that bound the per-stripe temporaries (an extent never splits).
+    ends = np.cumsum(counts)
+    owners = np.asarray(servers, dtype=np.int64)
+    flat = result.reshape(-1)
+    start = 0
+    while start < rows.shape[0]:
+        budget = ends[start] - counts[start] + _STRIPE_CHUNK
+        stop = max(start + 1, int(np.searchsorted(ends, budget, side="right")))
+        group = slice(start, stop)
+        n = counts[group]
+        head = np.cumsum(n) - n                  # each extent's first stripe slot
+        within = np.arange(int(n.sum()), dtype=np.int64) - np.repeat(head, n)
+        stripe_indices = np.repeat(first[group], n) + within
+        sizes = np.full(stripe_indices.shape[0], float(stripe_size), dtype=np.float64)
+        # Trim the first and last (possibly partial) stripes.
+        sizes[head] = np.minimum(
+            stripe_size - (offset[group] - first[group] * stripe_size), length[group]
         )
+        multi = n > 1
+        sizes[(head + n - 1)[multi]] = (
+            end[group][multi] - last[group][multi] * stripe_size
+        )
+        owner = owners[stripe_indices % len(servers)]
+        np.add.at(flat, np.repeat(rows[group], n) * n_servers_total + owner, sizes)
+        start = stop
     return result
 
 

@@ -312,6 +312,7 @@ class Simulator:
         until: Optional[float] = None,
         *,
         max_events: Optional[int] = None,
+        until_priority: Optional[EventPriority] = None,
     ) -> float:
         """Run until the queue is empty, ``until`` is reached, or stopped.
 
@@ -320,6 +321,12 @@ class Simulator:
         until:
             If given, stop once the next event would be strictly after
             ``until`` and advance the clock to ``until``.
+        until_priority:
+            With ``until``: events *at* ``until`` run only when their priority
+            is below this tier.  ``run(t, until_priority=NORMAL)`` executes
+            exactly what precedes a NORMAL event at ``t`` — where the model
+            drivers place a fixed-cadence step — and leaves the rest for
+            later.
         max_events:
             Safety valve; raise :class:`~repro.errors.SimulationError` if more
             than this many events execute (guards against run-away periodic
@@ -347,8 +354,16 @@ class Simulator:
                 self._settle_head()
                 if not self._heap:
                     break
-                next_time = self._heap[0][1].time
-                if until is not None and next_time > until:
+                head = self._heap[0][1]
+                next_time = head.time
+                if until is not None and (
+                    next_time > until
+                    or (
+                        next_time == until
+                        and until_priority is not None
+                        and head.priority >= until_priority
+                    )
+                ):
                     self._now = float(until)
                     break
                 if self._horizon is not None and next_time > self._horizon:

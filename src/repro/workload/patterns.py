@@ -22,7 +22,10 @@ import numpy as np
 from repro.config.workload import AccessKind, PatternSpec
 from repro.errors import ConfigurationError
 
-__all__ = ["request_offsets", "request_sizes", "pattern_extents", "total_file_size"]
+__all__ = [
+    "request_offsets", "request_sizes", "pattern_extents", "request_extents",
+    "total_file_size",
+]
 
 
 def request_sizes(pattern: PatternSpec, rank: int = 0) -> np.ndarray:
@@ -65,14 +68,35 @@ def pattern_extents(pattern: PatternSpec, op_index: int, n_procs: int) -> tuple[
             f"op_index {op_index} out of range (pattern has "
             f"{pattern.requests_per_process} operations)"
         )
+    ranks = np.arange(n_procs, dtype=np.int64)
+    return request_extents(pattern, ranks, np.full(n_procs, op_index, dtype=np.int64), n_procs)
+
+
+def request_extents(
+    pattern: PatternSpec, ranks: np.ndarray, op_indices: np.ndarray, n_procs: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Extents (offsets, lengths) of request ``op_indices[i]`` of rank ``ranks[i]``.
+
+    The elementwise form of :func:`pattern_extents`, for processes that
+    issue different operations at the same instant (the non-collective
+    mode).  Each element is the same float arithmetic as the per-operation
+    form.
+    """
+    ops = np.asarray(op_indices, dtype=np.int64)
+    n_ops = pattern.requests_per_process
+    out_of_range = (ops < 0) | (ops >= n_ops)
+    if out_of_range.any():
+        raise ConfigurationError(
+            f"op_index {int(ops[out_of_range][0])} out of range (pattern has "
+            f"{n_ops} operations)"
+        )
     req = pattern.effective_request_size
-    ranks = np.arange(n_procs, dtype=np.float64)
-    size = pattern.last_request_size if op_index == pattern.requests_per_process - 1 else req
-    lengths = np.full(n_procs, size, dtype=np.float64)
+    ranks_f = np.asarray(ranks, dtype=np.float64)
+    lengths = np.where(ops == n_ops - 1, float(pattern.last_request_size), float(req))
     if pattern.kind is AccessKind.CONTIGUOUS:
-        offsets = ranks * pattern.bytes_per_process + op_index * req
+        offsets = ranks_f * pattern.bytes_per_process + ops * req
     else:
-        offsets = (op_index * n_procs + ranks) * req
+        offsets = (ops * n_procs + ranks_f) * req
     return offsets, lengths
 
 

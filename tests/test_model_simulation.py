@@ -36,8 +36,8 @@ class TestModelState:
     def test_issue_process_operation(self, tiny_scenario):
         state = ModelState(tiny_scenario, RandomStreams(0))
         app = state.applications[0]
-        issued = state.issue_process_operation(int(app.proc_ids()[0]), 0)
-        assert issued == pytest.approx(app.spec.pattern.bytes_per_process)
+        issued = state.issue_process_operations(app, app.proc_ids()[:1], [0])
+        assert issued.tolist() == [pytest.approx(app.spec.pattern.bytes_per_process)]
 
 
 class TestEndToEnd:

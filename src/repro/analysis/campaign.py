@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from repro._version import __version__
-from repro.analysis.comparison import ClaimCheck
-from repro.config.control import SteppingPolicy
+from repro.analysis.comparison import ClaimCheck, check_experiment
+from repro.config.control import SteppingPolicy, stepping_policy
 from repro.analysis.paper import EXPERIMENT_TITLES, paper_reference_tables
 from repro.analysis.tables import rows_to_markdown
 from repro.errors import ExperimentError
@@ -49,6 +49,7 @@ __all__ = [
     "ExperimentRecord",
     "CampaignResult",
     "run_campaign",
+    "run_experiment_task",
     "campaign_to_markdown",
     "write_experiments_md",
 ]
@@ -172,6 +173,34 @@ class CampaignResult:
         )
 
 
+def run_experiment_task(payload: Dict[str, Any], seed: Optional[int]) -> Dict[str, Any]:
+    """Executor worker (task kind ``experiment``): run and grade one experiment.
+
+    Payload keys: ``experiment_id``, ``scale``, ``quick`` and optionally
+    ``stepping`` (a serialized
+    :class:`~repro.config.control.SteppingPolicy` applied as the process
+    default while the experiment runs).  Returns the
+    :meth:`ExperimentRecord.to_payload` form, so the transported/cached
+    shape and the record class cannot drift apart.
+    """
+    from repro.experiments.registry import get_experiment  # see run_campaign
+
+    policy = payload.get("stepping")
+    policy = None if policy is None else SteppingPolicy.from_dict(policy)
+    entry = get_experiment(payload["experiment_id"])
+    start = time.perf_counter()
+    with stepping_policy(policy):
+        result = entry.run(scale=payload["scale"], quick=payload["quick"])
+        checks = check_experiment(result)
+    record = ExperimentRecord(
+        experiment_id=entry.experiment_id,
+        result=result,
+        checks=checks,
+        wall_time=time.perf_counter() - start,
+    )
+    return record.to_payload()
+
+
 def run_campaign(
     scale: str = "reduced",
     quick: bool = False,
@@ -201,7 +230,10 @@ def run_campaign(
         ``records`` always keep presentation order.
     jobs:
         Worker processes to fan the experiments across (1 = in-process
-        serial execution, identical to the historical behavior).
+        serial execution).  Experiments run under the executor's strict
+        default policy: the first experiment that fails (including one hit
+        by a ``REPRO_CHAOS`` fault plan) stops the campaign with
+        :class:`~repro.errors.ExperimentError` naming it.
     cache_dir:
         When given, completed experiments are stored in (and served from) a
         content-addressed cache there, keyed by

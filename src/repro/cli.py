@@ -581,10 +581,11 @@ def build_parser() -> argparse.ArgumentParser:
              "checkpoint,analytics,smallfile,incast)",
     )
     perf_parser.add_argument(
-        "--scale", default="reduced", choices=["tiny", "reduced"],
+        "--scale", default=None, choices=["tiny", "reduced"],
         help="canonical scenario set to measure: 'tiny' (the CI smoke set) "
              "or 'reduced' (the full set, default; --campaign always runs "
-             "its matrix at tiny)",
+             "its matrix at tiny).  --explain-buckets explains the matrix "
+             "at this scale (default: tiny, as repro-io matrix)",
     )
     perf_parser.add_argument(
         "--repeats", type=_repeat_count, default=5, metavar="N",
@@ -1103,7 +1104,7 @@ def _command_perf(args: argparse.Namespace) -> int:
         from repro.scenarios.matrix import explain_matrix_buckets
 
         archetypes = args.archetypes or list(DEFAULT_CAMPAIGN_ARCHETYPES)
-        print(explain_matrix_buckets(archetypes, args.scale))
+        print(explain_matrix_buckets(archetypes, args.scale or "tiny"))
         return 0
 
     if args.campaign:
@@ -1134,7 +1135,7 @@ def _command_perf(args: argparse.Namespace) -> int:
             return 1
 
     document = run_perf(
-        scale=args.scale, repeats=args.repeats, profile=args.profile,
+        scale=args.scale or "reduced", repeats=args.repeats, profile=args.profile,
         batch_sizes=args.batch,
     )
     validate_bench_document(document)
@@ -1431,11 +1432,16 @@ def _cache_efficiency_line(run_dir) -> Optional[str]:
     if not isinstance(tasks, dict) or not tasks:
         return None
     cached = sum(1 for t in tasks.values() if t.get("origin") == "cache")
+    computed = [t for t in tasks.values() if t.get("origin") == "computed"]
+    # Batched members record zero wall and name their bucket: count each
+    # bucket's wall once.
+    bucket_walls = {
+        t["bucket"]: float(t.get("bucket_wall_s", 0.0))
+        for t in computed if "bucket" in t
+    }
     computed_wall = sum(
-        float(t.get("wall_time_s", 0.0))
-        for t in tasks.values()
-        if t.get("origin") == "computed"
-    )
+        float(t.get("wall_time_s", 0.0)) for t in computed
+    ) + sum(bucket_walls.values())
     total = len(tasks)
     return (
         f"cache efficiency: {cached}/{total} tasks cached "

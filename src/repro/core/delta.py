@@ -15,7 +15,7 @@ of :mod:`repro.core.metrics` (peak interference factor, asymmetry, flatness).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "DeltaPoint",
     "DeltaSweep",
     "run_delta_sweep",
+    "run_delta_point_task",
     "default_deltas",
     "alone_times_for",
     "jsonify",
@@ -307,6 +308,17 @@ def alone_times_for(scenario: ScenarioConfig, alone_result: RunResult) -> Dict[s
     }
 
 
+def run_delta_point_task(payload: Dict[str, object], seed: Optional[int]) -> Dict[str, object]:
+    """Executor worker (task kind ``delta-point``): simulate one Δ point.
+
+    Payload keys: ``scenario`` (a :class:`~repro.config.scenario.ScenarioConfig`)
+    and ``delta``.  Returns the serialized :class:`DeltaPoint`.
+    """
+    delta = float(payload["delta"])
+    result = simulate_scenario(payload["scenario"].with_delay(delta), seed=seed)
+    return DeltaPoint.from_run_result(delta, result).to_dict()
+
+
 def run_delta_sweep(
     scenario: ScenarioConfig,
     deltas: Sequence[float],
@@ -314,7 +326,7 @@ def run_delta_sweep(
     alone_result: Optional[RunResult] = None,
     seed: Optional[int] = None,
     label: str = "",
-    progress: Optional[Callable[[float, RunResult], None]] = None,
+    jobs: int = 1,
 ) -> DeltaSweep:
     """Run a Δ-graph sweep for a two-application scenario.
 
@@ -333,9 +345,13 @@ def run_delta_sweep(
         the Δ axis reduce point-to-point noise).
     label:
         Label stored on the resulting sweep.
-    progress:
-        Optional callback invoked as ``progress(delta, result)`` after each
-        point (used by the CLI for progress reporting).
+    jobs:
+        With ``jobs > 1`` each point is one ``delta-point`` task fanned
+        across that many worker processes by
+        :class:`~repro.runner.executor.ParallelExecutor` (useful at the
+        ``paper`` scale, where each point is an expensive simulation).
+        Every point gets the same ``seed`` either way, so the sweep equals
+        the serial one.  The baseline always runs here.
     """
     if len(scenario.applications) < 2:
         raise ExperimentError("a delta sweep needs a two-application scenario")
@@ -345,13 +361,29 @@ def run_delta_sweep(
         alone_result = simulate_scenario(alone_scenario, seed=seed)
     alone_times = alone_times_for(scenario, alone_result)
 
-    points: List[DeltaPoint] = []
-    for delta in deltas:
-        run_scenario = scenario.with_delay(float(delta))
-        result = simulate_scenario(run_scenario, seed=seed)
-        points.append(DeltaPoint.from_run_result(delta, result))
-        if progress is not None:
-            progress(float(delta), result)
+    if jobs > 1:
+        # Imported here: repro.runner depends on repro.core, not vice versa.
+        from repro.runner.executor import ParallelExecutor, TaskSpec
+
+        tasks = [
+            TaskSpec(
+                task_id=f"delta[{i}]={float(delta):+.6g}",
+                kind="delta-point",
+                payload={"scenario": scenario, "delta": float(delta)},
+                seed=seed,
+            )
+            for i, delta in enumerate(deltas)
+        ]
+        points = [
+            DeltaPoint.from_dict(p) for p in ParallelExecutor(jobs=jobs).map(tasks)
+        ]
+    else:
+        points = [
+            DeltaPoint.from_run_result(
+                delta, simulate_scenario(scenario.with_delay(float(delta)), seed=seed)
+            )
+            for delta in deltas
+        ]
 
     points.sort(key=lambda p: p.delta)
     return DeltaSweep(points=points, alone_times=alone_times, label=label or scenario.label)

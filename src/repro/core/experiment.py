@@ -97,29 +97,18 @@ class TwoApplicationExperiment:
         """Run a full Δ-graph sweep (delays default to :meth:`pick_deltas`).
 
         ``jobs > 1`` fans the individual sweep points across worker
-        processes (useful at the ``paper`` scale, where each point is an
-        expensive simulation); the result is identical to the serial sweep.
+        processes (see :func:`~repro.core.delta.run_delta_sweep`); the
+        result is identical to the serial sweep.
         """
         if deltas is None:
             deltas = self.pick_deltas(n_points=n_points)
-        if jobs > 1:
-            # Imported here: repro.runner depends on repro.core, not vice versa.
-            from repro.runner.executor import run_delta_sweep_parallel
-
-            return run_delta_sweep_parallel(
-                self.scenario,
-                deltas,
-                jobs=jobs,
-                alone_result=self.baseline(),
-                seed=self._seed,
-                label=label or self.scenario.label,
-            )
         return run_delta_sweep(
             self.scenario,
             deltas,
             alone_result=self.baseline(),
             seed=self._seed,
             label=label or self.scenario.label,
+            jobs=jobs,
         )
 
     # ------------------------------------------------------------------ #

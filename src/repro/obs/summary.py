@@ -61,15 +61,22 @@ def _campaign_wall_us(document: Dict[str, Any]) -> float:
     return float(document.get("duration_us", 0.0))
 
 
-def _task_spans(document: Dict[str, Any]) -> List[Dict[str, Any]]:
-    return [s for s in document.get("spans", []) if s["category"] == "task"]
+def _spans(document: Dict[str, Any], *categories: str) -> List[Dict[str, Any]]:
+    return [s for s in document.get("spans", []) if s["category"] in categories]
 
 
 def executor_stats(document: Dict[str, Any]) -> Dict[str, float]:
-    """Worker-utilization figures derived from task spans and counters."""
+    """Worker-utilization figures derived from executor spans and counters.
+
+    Busy time is counted once per executor work unit: the ``task`` spans of
+    scalar tasks plus the ``bucket`` spans of batched work units.  Bucket
+    members keep zero-length ``task`` spans, so ``n_tasks`` still counts
+    every member while only its bucket claims wall time.
+    """
     counters = document.get("counters", {})
-    tasks = _task_spans(document)
-    busy_us = sum(s["dur_us"] for s in tasks)
+    tasks = _spans(document, "task")
+    units = _spans(document, "task", "bucket")
+    busy_us = sum(s["dur_us"] for s in units)
     wall_us = _campaign_wall_us(document)
     jobs = float(document.get("gauges", {}).get("executor.jobs", 1.0))
     utilization = (
@@ -77,7 +84,7 @@ def executor_stats(document: Dict[str, Any]) -> Dict[str, float]:
     )
     queue_waits = [
         float(s["args"]["queue_wait_s"])
-        for s in tasks
+        for s in units
         if "queue_wait_s" in s.get("args", {})
     ]
     return {
@@ -173,8 +180,8 @@ def lake_stats(document: Dict[str, Any]) -> Dict[str, float]:
 def resilience_stats(document: Dict[str, Any]) -> Dict[str, float]:
     """Fault-tolerance counters from a supervised campaign.
 
-    All zero on an unsupervised or fault-free run — the section only
-    renders when something actually exercised a recovery path.
+    All zero on a fault-free run — the section only renders when something
+    actually exercised a recovery path.
     """
     counters = document.get("counters", {})
     return {

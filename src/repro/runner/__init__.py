@@ -1,9 +1,12 @@
 """Parallel campaign runner with a persistent, content-addressed result store.
 
-Four pieces (see ``DESIGN.md`` at the repository root):
+Six pieces (see ``DESIGN.md`` at the repository root):
 
-* :mod:`repro.runner.executor` — process-parallel task execution with
-  deterministic per-task seeding and ordered result reassembly;
+* :mod:`repro.runner.executor` — the one execution engine: in-process or
+  process-parallel task execution under a
+  :class:`~repro.runner.executor.FaultPolicy` (deadlines, retries,
+  quarantine), with deterministic per-task seeding and ordered result
+  reassembly;
 * :mod:`repro.runner.cache` — content-addressed on-disk cache keyed by a
   SHA-256 fingerprint of ``(experiment, scale, quick, overrides, version)``;
 * :mod:`repro.runner.store` — persistent run directories with verifiable
@@ -11,7 +14,7 @@ Four pieces (see ``DESIGN.md`` at the repository root):
 * :mod:`repro.runner.grid` — declarative cartesian parameter grids executed
   through the executor and persisted through the store;
 * :mod:`repro.runner.chaos` — deterministic fault injection
-  (:class:`~repro.runner.chaos.FaultPlan`) for proving the supervisor's
+  (:class:`~repro.runner.chaos.FaultPlan`) for proving the executor's
   recovery paths;
 * :mod:`repro.runner.journal` — append-only per-run progress journal for
   crash-safe, resumable campaigns.
@@ -26,7 +29,6 @@ from repro.runner.executor import (
     TaskSpec,
     derive_task_seed,
     resolve_task_kind,
-    run_delta_sweep_parallel,
 )
 from repro.runner.grid import GridResult, ParameterGrid, run_grid
 from repro.runner.journal import ProgressJournal
@@ -43,7 +45,6 @@ __all__ = [
     "fault_plan",
     "ProgressJournal",
     "derive_task_seed",
-    "run_delta_sweep_parallel",
     "ResultCache",
     "fingerprint",
     "fingerprint_payload",

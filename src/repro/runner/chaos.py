@@ -9,14 +9,17 @@ chaos runs are reproducible bit-for-bit.
 
 Activation crosses process boundaries through the ``REPRO_CHAOS`` environment
 variable (the plan's JSON form), because pool workers are fresh processes that
-never see the parent's Python state.  In-process code (tests, the serial
-executor path) can instead install a plan directly with :func:`fault_plan`.
+never see the parent's Python state.  In-process code (tests, tasks the
+executor runs in the supervisor process) can instead install a plan directly
+with :func:`fault_plan`.
 
-The harness exists to *prove the recovery paths run*: the supervised executor
-(:mod:`repro.runner.executor`) must retry crashed tasks, time out stalled
-ones, rebuild broken pools and quarantine tasks that exhaust their retries —
-and the chaos tests in ``tests/test_chaos.py`` plus the CI ``chaos-smoke``
-job assert exactly that, with byte-identical results after recovery.
+The harness exists to *prove the recovery paths run*: the executor
+(:mod:`repro.runner.executor`), which injects before every task attempt of
+every verb, must retry crashed tasks, time out stalled ones, rebuild broken
+pools and quarantine tasks that exhaust their retries — and the chaos tests
+in ``tests/test_chaos.py`` plus the CI ``chaos-smoke`` job assert exactly
+that, with byte-identical results after recovery.  :func:`run_probe_task`
+is the model-free task kind (``probe``) the executor's own tests drive.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Optional, Tuple
 
-from repro.errors import ReproError
+from repro.errors import ReproError, TaskTimeout
 
 __all__ = [
     "CHAOS_ENV_VAR",
@@ -38,6 +41,8 @@ __all__ = [
     "FaultPlan",
     "fault_plan",
     "get_fault_plan",
+    "mark_pool_worker",
+    "run_probe_task",
     "set_fault_plan",
 ]
 
@@ -65,9 +70,9 @@ class FaultSpec:
         ``""`` matches everything).
     mode:
         ``"exception"`` raises :class:`ChaosError`; ``"crash"`` kills the
-        worker process with ``os._exit`` (demoted to an exception when the
-        injection site is the parent process — chaos must never kill the
-        campaign supervisor itself); ``"stall"`` sleeps ``delay_s`` seconds
+        worker process with ``os._exit`` (demoted to an exception anywhere
+        but a pool worker — chaos must never kill the campaign supervisor
+        itself); ``"stall"`` sleeps ``delay_s`` seconds
         (pick it larger than the task timeout to exercise the deadline path);
         ``"slow"`` sleeps ``delay_s`` and then lets the task proceed.
     times:
@@ -150,22 +155,21 @@ class FaultPlan:
             return spec
         return None
 
-    def maybe_inject(
-        self, task_id: str, attempt: int = 0, *, in_worker: bool = False
-    ) -> None:
+    def maybe_inject(self, task_id: str, attempt: int = 0) -> None:
         """Inject the matching fault, if any, at the current execution site.
 
-        ``in_worker`` marks a disposable pool worker process, where a
-        ``crash`` fault may genuinely ``os._exit``.  At a parent-process
-        site (the serial executor path, the in-process batched kernel) a
-        crash is demoted to :class:`ChaosError` — killing the supervisor
-        would fail the campaign rather than exercise its recovery.
+        A ``crash`` fault calls ``os._exit`` only inside a disposable pool
+        worker process (see :func:`mark_pool_worker`).  Anywhere else —
+        a task the executor runs in-process, a bucket work unit at
+        ``--jobs 1`` — the crash is demoted to :class:`ChaosError`: killing
+        the supervisor would fail the campaign rather than exercise its
+        recovery.
         """
         spec = self.spec_for(task_id, attempt)
         if spec is None:
             return
         if spec.mode == "crash":
-            if in_worker:
+            if _IN_POOL_WORKER:
                 os._exit(CRASH_EXIT_CODE)
             raise ChaosError(
                 f"chaos: injected crash for {task_id!r} (attempt {attempt}; "
@@ -216,6 +220,35 @@ class FaultPlan:
         return cls.from_dict(data)
 
 
+def run_probe_task(payload: Dict[str, Any], seed: Optional[int]) -> Dict[str, Any]:
+    """Executor worker (task kind ``probe``): optionally sleep, then echo.
+
+    Exists for the supervision and chaos tests — a task kind with no model
+    dependencies whose wall-clock behaviour (``sleep_s``) and output
+    (``value``) are fully controlled by the payload.  With
+    ``uninterruptible`` the sleep swallows the deadline guard's
+    :class:`~repro.errors.TaskTimeout` and keeps sleeping — simulating a
+    task stuck in native code that only the parent watchdog can reclaim.
+    """
+    delay = float(payload.get("sleep_s", 0.0))
+    if delay > 0.0 and payload.get("uninterruptible"):
+        end = time.monotonic() + delay
+        while True:
+            remaining = end - time.monotonic()
+            if remaining <= 0.0:
+                break
+            try:
+                time.sleep(remaining)
+            except TaskTimeout:
+                continue
+    elif delay > 0.0:
+        time.sleep(delay)
+    return {
+        "value": payload.get("value"),
+        "seed": None if seed is None else int(seed),
+    }
+
+
 # --------------------------------------------------------------------------- #
 # Activation
 # --------------------------------------------------------------------------- #
@@ -225,6 +258,15 @@ _ACTIVE: Optional[FaultPlan] = None
 
 #: Parse-once cache for the environment route: (raw value, parsed plan).
 _ENV_CACHE: Tuple[Optional[str], Optional[FaultPlan]] = (None, None)
+
+#: True only in executor pool workers, where a ``crash`` may really exit.
+_IN_POOL_WORKER = False
+
+
+def mark_pool_worker() -> None:
+    """Pool initializer: mark this process as a disposable pool worker."""
+    global _IN_POOL_WORKER
+    _IN_POOL_WORKER = True
 
 
 def set_fault_plan(plan: Optional[FaultPlan], *, env: bool = False) -> None:

@@ -1,10 +1,12 @@
-"""Process-parallel task execution with deterministic seeding.
+"""Process-parallel, supervised task execution with deterministic seeding.
 
-The executor fans *tasks* — experiment ids for a campaign, grid points for a
-parameter grid, individual Δ-sweep points for the heavy paper-scale runs —
-across a :class:`concurrent.futures.ProcessPoolExecutor` and reassembles the
-results in submission order, so parallel runs are byte-identical to serial
-ones.
+One engine runs every task list in the repository — the paper campaign's
+experiments, grid points, Δ-sweep points, and the interference matrix's
+scalar tasks and bucket work units.  It runs tasks in-process or across a
+:class:`concurrent.futures.ProcessPoolExecutor` (``jobs`` and the task count
+choose), applies one :class:`FaultPolicy` (deadlines, retries, quarantine)
+and any active chaos plan on both routes, and reassembles results in
+submission order, so parallel runs are byte-identical to serial ones.
 
 Determinism rules:
 
@@ -15,7 +17,9 @@ Determinism rules:
 * results are returned in task order regardless of completion order;
 * workers are plain module-level functions returning JSON-serializable
   payloads (``to_dict()`` form), so the same representation feeds the result
-  cache, the run store, and cross-process transport.
+  cache, the run store, and cross-process transport.  Each worker lives
+  beside the code that builds its payload; this module only maps task kinds
+  to lazy ``"module:function"`` references.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from typing import (
     Dict,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -52,7 +55,7 @@ import numpy as np
 
 from repro.errors import ExperimentError, TaskTimeout
 from repro.obs.telemetry import get_telemetry
-from repro.runner.chaos import get_fault_plan
+from repro.runner.chaos import get_fault_plan, mark_pool_worker
 
 __all__ = [
     "TaskSpec",
@@ -63,11 +66,6 @@ __all__ = [
     "execute_task",
     "execute_cached",
     "resolve_task_kind",
-    "run_experiment_task",
-    "run_delta_point_task",
-    "run_grid_point_task",
-    "run_probe_task",
-    "run_delta_sweep_parallel",
 ]
 
 
@@ -91,9 +89,12 @@ class TaskSpec:
     ``kind`` selects the worker function; ``payload`` is its (picklable)
     argument mapping; ``seed`` is the task's deterministic RNG seed.
     ``span_category`` labels the telemetry span the executor records for the
-    task — ``"task"`` for ordinary work units; bucket work units use
-    ``"bucket"`` so per-member accounting (spans stamped by the batcher,
-    ``executor.tasks.completed``) is not double-counted.
+    task — ``"task"`` for ordinary work units, ``"bucket"`` for a bucket
+    work unit carrying several matrix members.  The executor counts
+    ``executor.tasks.completed`` and ``executor.quarantined`` for ``task``
+    units only: :func:`execute_cached` counts a bucket's members one by one
+    as it takes their payloads, and a failed bucket's members are demoted
+    to ``task`` units of their own, so nothing is counted twice.
     """
 
     task_id: str
@@ -104,123 +105,26 @@ class TaskSpec:
 
 
 # --------------------------------------------------------------------------- #
-# Worker functions (module-level so ProcessPoolExecutor can pickle them)
+# Task kinds
 # --------------------------------------------------------------------------- #
-
-
-def run_experiment_task(payload: Dict[str, Any], seed: Optional[int]) -> Dict[str, Any]:
-    """Run one registered experiment and grade it against the paper.
-
-    Payload keys: ``experiment_id``, ``scale``, ``quick`` and optionally
-    ``stepping`` (a serialized
-    :class:`~repro.config.control.SteppingPolicy` applied as the process
-    default while the experiment runs).  Returns the
-    :meth:`~repro.analysis.campaign.ExperimentRecord.to_payload` form, so
-    the transported/cached shape and the record class cannot drift apart.
-    """
-    from repro.analysis.campaign import ExperimentRecord
-    from repro.analysis.comparison import check_experiment
-    from repro.config.control import SteppingPolicy, stepping_policy
-    from repro.experiments.registry import get_experiment
-
-    policy = payload.get("stepping")
-    policy = None if policy is None else SteppingPolicy.from_dict(policy)
-    entry = get_experiment(payload["experiment_id"])
-    start = time.perf_counter()
-    with stepping_policy(policy):
-        result = entry.run(scale=payload["scale"], quick=payload["quick"])
-        checks = check_experiment(result)
-    record = ExperimentRecord(
-        experiment_id=entry.experiment_id,
-        result=result,
-        checks=checks,
-        wall_time=time.perf_counter() - start,
-    )
-    return record.to_payload()
-
-
-def run_delta_point_task(payload: Dict[str, Any], seed: Optional[int]) -> Dict[str, Any]:
-    """Simulate one Δ-graph point of a two-application scenario.
-
-    Payload keys: ``scenario`` (a :class:`~repro.config.scenario.ScenarioConfig`)
-    and ``delta``.  Returns the serialized :class:`~repro.core.delta.DeltaPoint`.
-    """
-    from repro.core.delta import DeltaPoint
-    from repro.model.simulator import simulate_scenario
-
-    scenario = payload["scenario"]
-    delta = float(payload["delta"])
-    result = simulate_scenario(scenario.with_delay(delta), seed=seed)
-    return DeltaPoint.from_run_result(delta, result).to_dict()
-
-
-def run_grid_point_task(payload: Dict[str, Any], seed: Optional[int]) -> Dict[str, Any]:
-    """Run one parameter-grid point: a full Δ-sweep of one configuration.
-
-    Payload keys: ``scale``, ``params`` (scenario keyword overrides, already
-    normalized by :mod:`repro.runner.grid`), ``n_points``.  Returns the
-    serialized sweep plus its headline summary.
-    """
-    from repro.core.delta import jsonify
-    from repro.core.experiment import TwoApplicationExperiment
-
-    params = dict(payload["params"])
-    if seed is not None:
-        params.setdefault("seed", int(seed))
-    experiment = TwoApplicationExperiment(payload["scale"], **params)
-    sweep = experiment.run_sweep(n_points=int(payload["n_points"]))
-    return {
-        "sweep": sweep.to_dict(),
-        "summary": jsonify(sweep.summary()),
-        "alone_time": float(experiment.alone_time()),
-    }
-
-
-def run_probe_task(payload: Dict[str, Any], seed: Optional[int]) -> Dict[str, Any]:
-    """Trivial diagnostic worker: optionally sleep, then echo the payload value.
-
-    Exists for the supervision and chaos tests — a task kind with no model
-    dependencies whose wall-clock behaviour (``sleep_s``) and output
-    (``value``) are fully controlled by the payload.  With
-    ``uninterruptible`` the sleep swallows the deadline guard's
-    :class:`TaskTimeout` and keeps sleeping — simulating a task stuck in
-    native code that only the parent watchdog can reclaim.
-    """
-    delay = float(payload.get("sleep_s", 0.0))
-    if delay > 0.0 and payload.get("uninterruptible"):
-        end = time.monotonic() + delay
-        while True:
-            remaining = end - time.monotonic()
-            if remaining <= 0.0:
-                break
-            try:
-                time.sleep(remaining)
-            except TaskTimeout:
-                continue
-    elif delay > 0.0:
-        time.sleep(delay)
-    return {
-        "value": payload.get("value"),
-        "seed": None if seed is None else int(seed),
-    }
 
 
 _Worker = Callable[[Dict[str, Any], Optional[int]], Dict[str, Any]]
 
-#: Task kind -> worker.  A worker is either the function itself or a lazy
-#: ``"module:function"`` reference.  Lazy references let higher layers (the
-#: scenario fleet in :mod:`repro.scenarios.matrix`) plug their own task kinds
-#: in without this module importing them at load time — crucially, the
-#: reference also resolves inside pool *worker processes*, which import this
-#: module but not necessarily the layer that registered the kind.
+#: Task kind -> lazy ``"module:function"`` reference to its worker, which
+#: lives beside the code that builds the kind's payload — so this module
+#: holds no payload format and imports no model code.  A reference also
+#: resolves inside pool *worker processes*, which import this module but not
+#: necessarily the layer that submitted the task; resolved workers replace
+#: their references.
 _TASK_KINDS: Dict[str, Union[str, _Worker]] = {
-    "experiment": run_experiment_task,
-    "delta-point": run_delta_point_task,
-    "grid-point": run_grid_point_task,
+    "experiment": "repro.analysis.campaign:run_experiment_task",
+    "delta-point": "repro.core.delta:run_delta_point_task",
+    "grid-point": "repro.runner.grid:run_grid_point_task",
     "matrix-alone": "repro.scenarios.matrix:run_matrix_alone_task",
     "matrix-pair": "repro.scenarios.matrix:run_matrix_pair_task",
     "matrix-bucket": "repro.scenarios.matrix:run_matrix_bucket_task",
-    "probe": run_probe_task,
+    "probe": "repro.runner.chaos:run_probe_task",
 }
 
 
@@ -251,29 +155,32 @@ def execute_task(task: TaskSpec) -> Dict[str, Any]:
 
 @dataclass(frozen=True)
 class FaultPolicy:
-    """How the supervised executor treats failing, slow, and stuck tasks.
+    """How the executor treats failing, slow, and stuck tasks.
 
-    ``task_timeout_s`` is the default per-task wall-clock deadline (``None``
-    disables deadlines); ``timeouts_by_kind`` overrides it per task kind.
-    ``max_retries`` bounds how many times one task is re-run after its first
-    failed attempt before it is quarantined.  Retries back off exponentially
-    from ``backoff_base_s`` (capped at ``backoff_cap_s``) with deterministic
+    ``task_timeout_s`` is the per-task wall-clock deadline (``None``
+    disables deadlines).  ``max_retries`` bounds how many times one task is
+    re-run after its first failed attempt; a task that fails once more is
+    quarantined into the caller's ``failures`` sink, or — without a sink —
+    fails the whole map.  Retries back off exponentially from
+    ``backoff_base_s`` (capped at ``backoff_cap_s``) with deterministic
     jitter derived from ``(task_id, attempt)`` — reruns of the same campaign
     wait the same amounts.  ``grace_s`` is how long the parent waits past a
     task's deadline before concluding the worker-side guard failed (a worker
     stuck in C code cannot be interrupted by a signal-raised exception) and
     tearing the pool down.
 
-    Serial caveat: with ``jobs=1`` tasks run in the supervisor process
-    itself, so the in-process SIGALRM guard is the *only* deadline
-    enforcement — there is no pool for the parent watchdog to tear down,
-    and a task stuck in C code that never returns to the interpreter hangs
-    the campaign despite ``task_timeout_s``.  Use ``jobs >= 2`` when
+    An executor built without a policy uses the strict default
+    ``FaultPolicy(max_retries=0)``: no deadline, no retry.
+
+    In-process caveat: tasks that run in the supervisor process itself
+    (``jobs=1``, or a single task) are guarded only by the in-process
+    SIGALRM deadline — there is no pool for the parent watchdog to tear
+    down, and a task stuck in C code that never returns to the interpreter
+    hangs the campaign despite ``task_timeout_s``.  Use ``jobs >= 2`` when
     stuck-in-native-code tasks are a real risk.
     """
 
     task_timeout_s: Optional[float] = None
-    timeouts_by_kind: Mapping[str, float] = field(default_factory=dict)
     max_retries: int = 2
     backoff_base_s: float = 0.05
     backoff_cap_s: float = 2.0
@@ -297,11 +204,6 @@ class FaultPolicy:
             raise ExperimentError(
                 f"grace_s must be >= 0, got {self.grace_s}"
             )
-
-    def timeout_for(self, kind: str) -> Optional[float]:
-        """The wall-clock deadline for one task kind (``None`` = unlimited)."""
-        override = self.timeouts_by_kind.get(kind)
-        return self.task_timeout_s if override is None else float(override)
 
     def backoff_s(self, task_key: str, attempt: int) -> float:
         """Delay before running ``attempt`` (1-based retry counter) of a task.
@@ -374,13 +276,9 @@ def _deadline(timeout_s: Optional[float], label: str) -> Iterator[None]:
 
 
 def _run_attempt(
-    task: TaskSpec,
-    attempt: int,
-    timeout_s: Optional[float],
-    *,
-    in_worker: bool,
+    task: TaskSpec, attempt: int, timeout_s: Optional[float]
 ) -> Dict[str, Any]:
-    """One supervised attempt: chaos injection + deadline + the task itself.
+    """One attempt: chaos injection + deadline + the task itself.
 
     The chaos check lives *inside* the deadline guard so an injected stall
     is interrupted exactly like an organic one.
@@ -388,8 +286,12 @@ def _run_attempt(
     with _deadline(timeout_s, task.task_id):
         plan = get_fault_plan()
         if plan is not None:
-            plan.maybe_inject(task.task_id, attempt, in_worker=in_worker)
+            plan.maybe_inject(task.task_id, attempt)
         return execute_task(task)
+
+
+def _failure_reason(exc: BaseException) -> str:
+    return "timeout" if isinstance(exc, TaskTimeout) else "exception"
 
 
 def _execute_task_observed(
@@ -398,7 +300,7 @@ def _execute_task_observed(
     attempt: int = 0,
     timeout_s: Optional[float] = None,
 ) -> Dict[str, Any]:
-    """Pool-side wrapper: time the task and (optionally) collect telemetry.
+    """Pool-side wrapper: time one attempt and (optionally) collect telemetry.
 
     Runs inside a worker process, where the parent's registry does not
     exist.  When ``collect`` is true a fresh worker-local
@@ -406,33 +308,25 @@ def _execute_task_observed(
     the task; its snapshot ships back with the payload and the parent merges
     it (re-anchoring span times via the wall-clock epoch) under the task's
     span.  The wall-clock ``started`` stamp lets the parent compute how long
-    the task waited in the pool queue.
-
-    Under supervision the wrapper also enforces the task's wall-clock
-    deadline and applies any active chaos plan (``attempt`` selects which
-    injections fire; workers inherit the plan through ``REPRO_CHAOS``).
+    the task waited in the pool queue.  Workers inherit any chaos plan
+    through ``REPRO_CHAOS``; ``attempt`` selects which injections fire.
     """
     from repro.obs.telemetry import NULL, Telemetry, set_telemetry
 
     started = time.time()
     t0 = time.perf_counter()
-    if not collect:
-        payload = _run_attempt(task, attempt, timeout_s, in_worker=True)
-        return {
-            "payload": payload,
-            "obs": {"started": started, "wall_s": time.perf_counter() - t0,
-                    "snapshot": None},
-        }
-    local = Telemetry(label=task.task_id)
-    set_telemetry(local)
+    local = Telemetry(label=task.task_id) if collect else None
+    if local is not None:
+        set_telemetry(local)
     try:
-        payload = _run_attempt(task, attempt, timeout_s, in_worker=True)
+        payload = _run_attempt(task, attempt, timeout_s)
     finally:
-        set_telemetry(NULL)
+        if local is not None:
+            set_telemetry(NULL)
     return {
         "payload": payload,
         "obs": {"started": started, "wall_s": time.perf_counter() - t0,
-                "snapshot": local.snapshot()},
+                "snapshot": None if local is None else local.snapshot()},
     }
 
 
@@ -442,17 +336,17 @@ def _execute_task_observed(
 
 
 class ParallelExecutor:
-    """Fan tasks across worker processes; reassemble results in task order.
+    """Run tasks under one :class:`FaultPolicy`; reassemble results in order.
 
-    ``jobs=1`` (the default) runs everything in-process with no pool, so the
-    serial path has zero multiprocessing overhead and identical semantics.
-
-    With a :class:`FaultPolicy` the executor runs *supervised*: failing
-    tasks are retried with backoff, deadline overruns are interrupted, a
-    broken pool is rebuilt and only unfinished tasks resubmitted, and tasks
-    that exhaust their retries are quarantined instead of aborting the map.
-    Without one (the default) semantics are unchanged — the first failure
-    aborts the whole map.
+    The engine has two routes, chosen by ``jobs`` and the task count:
+    ``jobs=1`` (the default) or a single task runs in-process with no pool;
+    otherwise tasks fan across a process pool.  Both routes apply the same
+    deadline, chaos and retry code.  Failing tasks are retried with backoff,
+    deadline overruns are interrupted, a broken pool is rebuilt and only
+    unfinished tasks resubmitted.  A task that exhausts its retries is
+    quarantined into the caller's ``failures`` sink; without a sink the map
+    fails fast on it.  ``fault_policy=None`` means the strict default
+    ``FaultPolicy(max_retries=0)``: the first failure ends the map.
     """
 
     def __init__(
@@ -461,7 +355,9 @@ class ParallelExecutor:
         if jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {jobs}")
         self.jobs = int(jobs)
-        self.fault_policy = fault_policy
+        self.fault_policy = (
+            FaultPolicy(max_retries=0) if fault_policy is None else fault_policy
+        )
 
     def map(
         self,
@@ -469,28 +365,25 @@ class ParallelExecutor:
         progress: Optional[Callable[[TaskSpec, Dict[str, Any]], None]] = None,
         task_records: Optional[Dict[str, Dict[str, Any]]] = None,
         failures: Optional[Dict[str, Dict[str, Any]]] = None,
-    ) -> List[Dict[str, Any]]:
+    ) -> List[Optional[Dict[str, Any]]]:
         """Execute every task; results come back in ``tasks`` order.
 
         ``progress`` is invoked as ``progress(task, result)`` as tasks
-        *complete* (completion order under parallelism).  A failing task
-        aborts the whole map: remaining futures are cancelled and the
-        worker's exception is re-raised with the task id attached.
+        *complete* (completion order under parallelism); it never fires for
+        a quarantined task.
 
         ``task_records``, when given, is filled with per-task provenance
         ``{task_id: {"wall_time_s", "queue_wait_s"}}`` (a record exists
         before that task's ``progress`` call fires).  With telemetry enabled
-        each task additionally gets a ``task`` span — and, under
-        parallelism, the worker's own telemetry snapshot merged beneath it.
-        Without telemetry and without ``task_records`` the execution path is
-        unchanged from the uninstrumented executor.
+        each task additionally gets a span of its ``span_category`` — and,
+        in the pool, the worker's own telemetry snapshot merged beneath it.
 
-        Under a :class:`FaultPolicy` the abort-on-failure contract changes:
-        quarantined tasks yield ``None`` placeholders in the returned list
-        (``progress`` never fires for them) and their
-        :meth:`TaskFailure.to_dict` records land in ``failures``.  A
-        supervised map with quarantined tasks but no ``failures`` dict to
-        report into raises, so failures can never be silently dropped.
+        A task that exhausts its retries is quarantined: its slot in the
+        returned list is ``None`` and its :meth:`TaskFailure.to_dict` record
+        lands in ``failures``.  Without a ``failures`` sink the map fails
+        fast instead: it submits no further task and raises
+        :class:`~repro.errors.ExperimentError` naming the task, chained to
+        the failure's cause — failures are never silently dropped.
         """
         tasks = list(tasks)
         if not tasks:
@@ -500,95 +393,9 @@ class ParallelExecutor:
             raise ExperimentError("task ids must be unique within one map() call")
 
         telemetry = get_telemetry()
-        observe = telemetry.enabled or task_records is not None
         if telemetry.enabled:
             telemetry.gauge("executor.jobs", float(self.jobs))
-
-        if self.fault_policy is not None:
-            return self._map_supervised(
-                tasks, telemetry, observe, progress, task_records, failures
-            )
-
-        if self.jobs == 1 or len(tasks) == 1:
-            results = []
-            for task in tasks:
-                if observe:
-                    # In-process tasks run under the ambient registry, so
-                    # simulation spans nest directly beneath the task span.
-                    start = time.perf_counter()
-                    with telemetry.span(
-                        task.task_id, category=task.span_category,
-                        track="tasks", kind=task.kind,
-                    ):
-                        result = execute_task(task)
-                    wall = time.perf_counter() - start
-                    if task.span_category == "task":
-                        telemetry.count("executor.tasks.completed")
-                    if task_records is not None:
-                        task_records[task.task_id] = {
-                            "wall_time_s": wall, "queue_wait_s": 0.0,
-                        }
-                else:
-                    result = execute_task(task)
-                results.append(result)
-                if progress is not None:
-                    progress(task, result)
-            return results
-
-        results_by_index: Dict[int, Dict[str, Any]] = {}
-        submit_epoch: Dict[int, float] = {}
-        with ProcessPoolExecutor(max_workers=min(self.jobs, len(tasks))) as pool:
-            future_to_index = {}
-            for i, task in enumerate(tasks):
-                if observe:
-                    submit_epoch[i] = time.time()
-                    future = pool.submit(
-                        _execute_task_observed, task, telemetry.enabled
-                    )
-                else:
-                    future = pool.submit(execute_task, task)
-                future_to_index[future] = i
-            pending = set(future_to_index)
-            try:
-                while pending:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        index = future_to_index[future]
-                        task = tasks[index]
-                        try:
-                            result = future.result()
-                        except Exception as exc:
-                            raise ExperimentError(
-                                f"task {task.task_id!r} failed in worker: {exc}"
-                            ) from exc
-                        if observe:
-                            result = _unwrap_observed(
-                                telemetry, task, result,
-                                submit_epoch[index], task_records,
-                            )
-                        results_by_index[index] = result
-                        if progress is not None:
-                            progress(task, result)
-            finally:
-                for future in pending:
-                    future.cancel()
-        return [results_by_index[i] for i in range(len(tasks))]
-
-    # ------------------------------------------------------------------ #
-    # Supervised execution
-    # ------------------------------------------------------------------ #
-
-    def _map_supervised(
-        self,
-        tasks: List[TaskSpec],
-        telemetry,
-        observe: bool,
-        progress,
-        task_records,
-        failures: Optional[Dict[str, Dict[str, Any]]],
-    ) -> List[Optional[Dict[str, Any]]]:
         policy = self.fault_policy
-        quarantined: Dict[str, TaskFailure] = {}
 
         def charge(task: TaskSpec, attempt: int, exc: BaseException, reason: str) -> bool:
             """Record one failed attempt; True means the task may retry."""
@@ -598,89 +405,71 @@ class ParallelExecutor:
                 if telemetry.enabled:
                     telemetry.count("executor.retries")
                 return True
-            quarantined[task.task_id] = TaskFailure(
+            if failures is None:
+                raise ExperimentError(
+                    f"task {task.task_id!r} exhausted their retries after "
+                    f"{attempt + 1} attempt(s) and no failures sink was "
+                    f"provided ({reason}: {exc})"
+                ) from exc
+            failures[task.task_id] = TaskFailure(
                 task_id=task.task_id,
                 kind=task.kind,
                 reason=reason,
                 error=str(exc),
                 attempts=attempt + 1,
-            )
-            if telemetry.enabled:
+            ).to_dict()
+            if telemetry.enabled and task.span_category == "task":
                 telemetry.count("executor.quarantined")
             return False
 
         if self.jobs == 1 or len(tasks) == 1:
-            results = self._supervised_serial(
-                tasks, telemetry, observe, progress, task_records, charge
-            )
-        else:
-            results = self._supervised_pool(
+            return self._map_in_process(
                 tasks, telemetry, progress, task_records, charge
             )
+        return self._map_pool(tasks, telemetry, progress, task_records, charge)
 
-        if quarantined:
-            if failures is None:
-                names = ", ".join(sorted(quarantined))
-                raise ExperimentError(
-                    f"{len(quarantined)} task(s) exhausted their retries "
-                    f"and no failures sink was provided: {names}"
-                )
-            for task_id, failure in quarantined.items():
-                failures[task_id] = failure.to_dict()
-        return results
-
-    def _supervised_serial(
-        self, tasks, telemetry, observe, progress, task_records, charge
+    def _map_in_process(
+        self, tasks, telemetry, progress, task_records, charge
     ) -> List[Optional[Dict[str, Any]]]:
         policy = self.fault_policy
         results: List[Optional[Dict[str, Any]]] = []
         for task in tasks:
-            timeout_s = policy.timeout_for(task.kind)
             attempt = 0
-            payload: Optional[Dict[str, Any]] = None
             while True:
                 start = time.perf_counter()
                 try:
-                    if observe:
-                        with telemetry.span(
-                            task.task_id, category=task.span_category,
-                            track="tasks", kind=task.kind,
-                        ):
-                            payload = _run_attempt(
-                                task, attempt, timeout_s, in_worker=False
-                            )
-                    else:
-                        payload = _run_attempt(
-                            task, attempt, timeout_s, in_worker=False
-                        )
+                    # In-process tasks run under the ambient registry, so
+                    # simulation spans nest directly beneath this one.
+                    with telemetry.span(
+                        task.task_id, category=task.span_category,
+                        track="tasks", kind=task.kind,
+                    ):
+                        payload = _run_attempt(task, attempt, policy.task_timeout_s)
                 except Exception as exc:
-                    reason = (
-                        "timeout" if isinstance(exc, TaskTimeout) else "exception"
-                    )
-                    if not charge(task, attempt, exc, reason):
+                    if not charge(task, attempt, exc, _failure_reason(exc)):
                         payload = None
                         break
                     attempt += 1
                     time.sleep(policy.backoff_s(task.task_id, attempt))
                     continue
-                if observe:
-                    if task.span_category == "task":
-                        telemetry.count("executor.tasks.completed")
-                    if task_records is not None:
-                        task_records[task.task_id] = {
-                            "wall_time_s": time.perf_counter() - start,
-                            "queue_wait_s": 0.0,
-                        }
+                if telemetry.enabled and task.span_category == "task":
+                    telemetry.count("executor.tasks.completed")
+                if task_records is not None:
+                    task_records[task.task_id] = {
+                        "wall_time_s": time.perf_counter() - start,
+                        "queue_wait_s": 0.0,
+                    }
                 break
             results.append(payload)
             if payload is not None and progress is not None:
                 progress(task, payload)
         return results
 
-    def _supervised_pool(
+    def _map_pool(
         self, tasks, telemetry, progress, task_records, charge
     ) -> List[Optional[Dict[str, Any]]]:
         policy = self.fault_policy
+        timeout_s = policy.task_timeout_s
         results_by_id: Dict[str, Dict[str, Any]] = {}
         # (task, attempt, ready_epoch): the run queue, with backoff encoded
         # as a not-before time so one task's backoff never stalls the rest.
@@ -727,7 +516,6 @@ class ParallelExecutor:
                     if ready > now:
                         deferred.append((task, attempt, ready))
                         continue
-                    timeout_s = policy.timeout_for(task.kind)
                     future = pool.submit(
                         _execute_task_observed, task, telemetry.enabled,
                         attempt, timeout_s,
@@ -766,11 +554,7 @@ class ParallelExecutor:
                         requeue(meta, exc, "pool-crash")
                         continue
                     except Exception as exc:
-                        reason = (
-                            "timeout" if isinstance(exc, TaskTimeout)
-                            else "exception"
-                        )
-                        requeue(meta, exc, reason)
+                        requeue(meta, exc, _failure_reason(exc))
                         continue
                     payload = _unwrap_observed(
                         telemetry, meta.task, wrapped, meta.submitted,
@@ -837,12 +621,15 @@ class ParallelExecutor:
         return [results_by_id.get(task.task_id) for task in tasks]
 
     def _new_pool(self, backlog: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=min(self.jobs, max(1, backlog)))
+        return ProcessPoolExecutor(
+            max_workers=min(self.jobs, max(1, backlog)),
+            initializer=mark_pool_worker,
+        )
 
 
 @dataclass
 class _InFlight:
-    """Parent-side bookkeeping for one submitted supervised attempt."""
+    """Parent-side bookkeeping for one submitted attempt."""
 
     task: TaskSpec
     attempt: int
@@ -910,9 +697,10 @@ def execute_cached(
     """Run tasks through the executor, served from / stored into a cache.
 
     The shared orchestration of every cached campaign (the experiment
-    campaign, the interference matrix): probe the cache per task, fan the
-    misses across the pool, store completions back.  Returns
-    ``{task_id: payload}`` for every task.
+    campaign, the interference matrix): probe the cache once for every
+    task, hand the misses to ``batch_runner`` and then to the executor,
+    store completions back.  Returns ``{task_id: payload}`` for every task
+    that completed.
 
     Parameters
     ----------
@@ -921,8 +709,9 @@ def execute_cached(
     jobs:
         Worker processes for the cache misses.
     cache:
-        A :class:`repro.runner.cache.ResultCache` (or ``None`` to disable
-        caching — fingerprints are then never computed).
+        A :class:`repro.runner.cache.ResultCache`, probed in one
+        ``get_many`` call (or ``None`` to disable caching — fingerprints are
+        then never computed).
     fingerprint_for:
         Callable giving one task's cache fingerprint; required when
         ``cache`` is given.
@@ -947,12 +736,13 @@ def execute_cached(
         responsible for stamping its own timing into ``task_records``.
         Unhandled tasks fall through to the pool unchanged.
     fault_policy:
-        Optional :class:`FaultPolicy`; with one, the pool phase runs
-        supervised (retry/timeout/quarantine) and quarantined tasks simply
-        have no entry in the returned mapping.
+        The :class:`FaultPolicy` the executor applies to the misses
+        (default: the strict ``FaultPolicy(max_retries=0)``).
     failures:
-        Required with ``fault_policy``: collects ``{task_id:
-        TaskFailure.to_dict()}`` for quarantined tasks.
+        Optional sink collecting ``{task_id: TaskFailure.to_dict()}`` for
+        quarantined tasks, which then simply have no entry in the returned
+        mapping.  Without one, the first task that exhausts its retries
+        raises :class:`~repro.errors.ExperimentError`.
     journal:
         Optional :class:`repro.runner.journal.ProgressJournal`; every
         completion (cache hit, batched, or computed) and every quarantined
@@ -971,16 +761,7 @@ def execute_cached(
         # One batched multi-probe for the whole campaign (hot-tier backed)
         # instead of one stat+read round-trip per task.
         fingerprints = {task.task_id: fingerprint_for(task) for task in tasks}
-        probe = [fingerprints[task.task_id] for task in tasks]
-        if hasattr(cache, "get_many"):
-            found = cache.get_many(probe)
-        else:  # duck-typed caches: per-task probes, same semantics
-            found = {
-                fp: payload
-                for fp in probe
-                for payload in (cache.get(fp),)
-                if payload is not None
-            }
+        found = cache.get_many([fingerprints[task.task_id] for task in tasks])
     for task in tasks:
         if cache is not None:
             fp = fingerprints[task.task_id]
@@ -1063,49 +844,3 @@ def execute_cached(
                 error=str(failure.get("error", "")),
             )
     return results
-
-
-def run_delta_sweep_parallel(
-    scenario,
-    deltas: Sequence[float],
-    *,
-    jobs: int = 1,
-    alone_result=None,
-    seed: Optional[int] = None,
-    label: str = "",
-):
-    """Parallel analogue of :func:`repro.core.delta.run_delta_sweep`.
-
-    The interference-free baseline runs in the parent (it is one simulation);
-    each Δ point becomes its own task.  With the same ``seed`` the result is
-    identical to the serial sweep — the common-random-numbers convention of
-    the Δ-graph is preserved because every point receives the same seed, as
-    in the serial path.
-    """
-    from repro.core.delta import DeltaPoint, DeltaSweep, alone_times_for
-    from repro.model.simulator import simulate_scenario
-
-    if len(scenario.applications) < 2:
-        raise ExperimentError("a delta sweep needs a two-application scenario")
-
-    if alone_result is None:
-        alone_scenario = scenario.with_applications(scenario.applications[:1])
-        alone_result = simulate_scenario(alone_scenario, seed=seed)
-    alone_times = alone_times_for(scenario, alone_result)
-
-    tasks = [
-        TaskSpec(
-            task_id=f"delta[{i}]={float(delta):+.6g}",
-            kind="delta-point",
-            payload={"scenario": scenario, "delta": float(delta)},
-            seed=seed,
-        )
-        for i, delta in enumerate(deltas)
-    ]
-    payloads = ParallelExecutor(jobs=jobs).map(tasks)
-    points = sorted(
-        (DeltaPoint.from_dict(p) for p in payloads), key=lambda p: p.delta
-    )
-    return DeltaSweep(
-        points=list(points), alone_times=alone_times, label=label or scenario.label
-    )

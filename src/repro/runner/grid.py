@@ -34,7 +34,14 @@ from repro.errors import ExperimentError
 from repro.runner.executor import ParallelExecutor, TaskSpec, derive_task_seed
 from repro.runner.store import RunStore
 
-__all__ = ["GRID_AXES", "ParameterGrid", "GridPointResult", "GridResult", "run_grid"]
+__all__ = [
+    "GRID_AXES",
+    "ParameterGrid",
+    "GridPointResult",
+    "GridResult",
+    "run_grid",
+    "run_grid_point_task",
+]
 
 
 def _scenario_kwargs(params: Mapping[str, Any]) -> Dict[str, Any]:
@@ -166,6 +173,27 @@ class GridResult:
         return rows
 
 
+def run_grid_point_task(payload: Dict[str, Any], seed: Optional[int]) -> Dict[str, Any]:
+    """Executor worker (task kind ``grid-point``): one point's full Δ-sweep.
+
+    Payload keys: ``scale``, ``params`` (``make_scenario`` keyword
+    overrides, already translated by :func:`_scenario_kwargs`),
+    ``n_points``.  Returns the serialized sweep plus its headline summary.
+    """
+    from repro.core.experiment import TwoApplicationExperiment
+
+    params = dict(payload["params"])
+    if seed is not None:
+        params.setdefault("seed", int(seed))
+    experiment = TwoApplicationExperiment(payload["scale"], **params)
+    sweep = experiment.run_sweep(n_points=int(payload["n_points"]))
+    return {
+        "sweep": sweep.to_dict(),
+        "summary": jsonify(sweep.summary()),
+        "alone_time": float(experiment.alone_time()),
+    }
+
+
 def run_grid(
     grid: ParameterGrid,
     scale: str = "reduced",
@@ -187,7 +215,10 @@ def run_grid(
     n_points:
         Δ-sweep points per grid point.
     jobs:
-        Worker processes for the executor.
+        Worker processes for the executor.  Every point runs under the
+        executor's strict default policy: the first point that fails stops
+        the grid with :class:`~repro.errors.ExperimentError` naming it,
+        after the points already completed were persisted.
     master_seed:
         Seed the per-task seeds are derived from.
     store_dir:

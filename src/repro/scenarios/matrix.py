@@ -436,7 +436,7 @@ def run_matrix_pair_task(payload: Dict[str, Any], seed: Optional[int]) -> Dict[s
 def run_matrix_bucket_task(
     payload: Dict[str, Any], seed: Optional[int]
 ) -> Dict[str, Any]:
-    """Pool work unit advancing one whole bucket through the batched kernel.
+    """Work unit advancing one whole bucket through the batched kernel.
 
     Payload keys: ``tasks`` — a list of ``{"task_id", "kind", "payload"}``
     member descriptors (the member payloads are exactly what the scalar
@@ -455,11 +455,11 @@ def run_matrix_bucket_task(
     items = payload["tasks"]
     plan = get_fault_plan()
     if plan is not None:
-        # Chaos targets member task ids; a fault on any member fails (or
-        # kills) the whole bucket, which the supervisor then demotes to
-        # scalar per-task execution.
+        # Chaos targets member task ids; a fault on any member fails (or,
+        # in a pool worker, kills) the whole bucket, which the batcher then
+        # demotes to scalar per-task execution.
         for item in items:
-            plan.maybe_inject(item["task_id"], 0, in_worker=True)
+            plan.maybe_inject(item["task_id"], 0)
     built = [_build_from_payload(item["payload"]) for item in items]
     results = run_bucket([b.scenario for b in built])
     out: Dict[str, Dict[str, Any]] = {}
@@ -480,145 +480,98 @@ def run_matrix_tasks_batched(
     Builds every pending task's scenario, groups compatible ones with
     :func:`repro.model.batch.plan_buckets` (``min_batch=1``: mixed widths
     pad together and leftovers run as width-1 buckets, so only adaptive
-    stepping falls back), and advances each group through one batched kernel
-    via :func:`repro.model.batch.run_bucket`.  With ``jobs > 1`` each bucket
-    becomes a single ``matrix-bucket`` pool work unit, so the process pool
-    runs ``jobs`` batched kernels concurrently; buckets are submitted and
-    reassembled in plan order, so the parallel route is byte-identical to
-    the serial one.  Returns payloads for the bucketed tasks only — adaptive
-    tasks are *not* claimed and fall through to the executor's scalar path
-    unchanged.  The batched kernel is bitwise-equivalent to the scalar one
-    and payload extraction is shared, so both routes transport identical
-    payloads (and therefore identical cache entries).
+    stepping falls back), and maps each bucket as one ``matrix-bucket``
+    work unit through :class:`~repro.runner.executor.ParallelExecutor` —
+    in-process at ``jobs=1``; otherwise ``jobs`` pool workers advance
+    ``jobs`` batched kernels concurrently.  Returns payloads for the bucketed
+    tasks only — adaptive tasks are *not* claimed and fall through to the
+    executor's scalar path unchanged.  The batched kernel is
+    bitwise-equivalent to the scalar one and payload extraction is shared,
+    so both routes transport identical payloads (and therefore identical
+    cache entries).
 
-    Per handled task this emits the same ``task``-category span the scalar
-    route would, tagged ``batched`` with the bucket width, and stamps
-    ``task_records`` with the bucket's wall time.
+    Accounting: the executor records one ``bucket`` span per work unit,
+    which carries the bucket's wall time.  Each member gets a zero-length
+    ``task`` span tagged ``batched`` with its bucket, and a
+    ``task_records`` entry with ``wall_time_s`` 0 that names its bucket and
+    the bucket's wall (``bucket_wall_s``), so a bucket's wall is counted
+    once, never once per member.
 
     A bucket whose kernel raises (or whose worker dies) is *demoted*: its
     members are simply not claimed here, so they fall through to the
     executor's scalar per-task path — a batching bug degrades throughput,
     never correctness.  Each demoted member counts toward the
-    ``batch.demotions`` telemetry counter.  ``fault_policy`` (the campaign's
-    :class:`~repro.runner.executor.FaultPolicy`, if any) scales the bucket
-    deadline to the widest bucket; bucket work units themselves never retry
-    — one failure means immediate demotion.
+    ``batch.demotions`` telemetry counter.  Work units get no retries and a
+    deadline of the campaign's per-task timeout (``fault_policy``, if any)
+    times the widest bucket.
     """
-    import time
-
-    from repro.model.batch import count_fallback, plan_buckets, run_bucket
-    from repro.runner.chaos import get_fault_plan
+    from repro.model.batch import count_fallback, plan_buckets
     from repro.runner.executor import FaultPolicy, ParallelExecutor
 
     supported = [t for t in pending if t.kind in _PAYLOAD_EXTRACTORS]
     if len(supported) < 2:
         return {}
-    built = [_build_from_payload(t.payload) for t in supported]
     buckets, fallback = plan_buckets(
-        [b.scenario for b in built], min_batch=1
+        [_build_from_payload(t.payload).scenario for t in supported],
+        min_batch=1,
     )
+    for _, reason in fallback:
+        count_fallback(reason)
+    if not buckets:
+        return {}
+    members: Dict[str, List[TaskSpec]] = {}
+    units: List[TaskSpec] = []
+    for k, bucket in enumerate(buckets):
+        unit_id = f"bucket[{k}]:b{len(bucket.indices)}"
+        members[unit_id] = [supported[i] for i in bucket.indices]
+        units.append(TaskSpec(
+            task_id=unit_id,
+            kind="matrix-bucket",
+            payload={"tasks": [
+                {"task_id": t.task_id, "kind": t.kind, "payload": t.payload}
+                for t in members[unit_id]
+            ]},
+            span_category="bucket",
+        ))
+    base_timeout = None if fault_policy is None else fault_policy.task_timeout_s
+    widest = max(len(bucket.indices) for bucket in buckets)
+    unit_policy = FaultPolicy(
+        task_timeout_s=None if base_timeout is None else base_timeout * widest,
+        max_retries=0,
+        grace_s=5.0 if fault_policy is None else fault_policy.grace_s,
+    )
+
     telemetry = get_telemetry()
     handled: Dict[str, Dict[str, Any]] = {}
+    unit_records: Dict[str, Dict[str, Any]] = {}
 
-    def stamp(bucket, results, started: float, wall: float) -> None:
-        for i, result in zip(bucket.indices, results):
-            task = supported[i]
-            extract = _PAYLOAD_EXTRACTORS[task.kind]
-            handled[task.task_id] = (
-                result if isinstance(result, dict) else extract(built[i], result)
-            )
+    def on_unit(unit: TaskSpec, out: Dict[str, Any]) -> None:
+        timing = unit_records[unit.task_id]
+        for task in members[unit.task_id]:
+            handled[task.task_id] = out["results"][task.task_id]
             if telemetry.enabled:
                 telemetry.add_span(
-                    task.task_id,
-                    "task",
-                    (started - telemetry.epoch) * 1e6,
-                    wall * 1e6,
+                    task.task_id, "task", telemetry.now_us(), 0.0,
                     track="tasks",
-                    args={
-                        "kind": task.kind,
-                        "batched": True,
-                        "batch": len(bucket.indices),
-                    },
+                    args={"kind": task.kind, "batched": True,
+                          "bucket": unit.task_id},
                 )
             if task_records is not None:
                 task_records[task.task_id] = {
-                    "wall_time_s": wall,
-                    "queue_wait_s": 0.0,
+                    "wall_time_s": 0.0,
+                    "queue_wait_s": timing["queue_wait_s"],
                     "batched": True,
+                    "bucket": unit.task_id,
+                    "bucket_wall_s": timing["wall_time_s"],
                 }
 
-    demoted = 0
-
-    def demote(bucket) -> None:
-        nonlocal demoted
-        demoted += len(bucket.indices)
-
-    if jobs > 1 and len(buckets) > 1:
-        bucket_specs = [
-            TaskSpec(
-                task_id=f"bucket[{k}]:b{len(bucket.indices)}",
-                kind="matrix-bucket",
-                payload={
-                    "tasks": [
-                        {
-                            "task_id": supported[i].task_id,
-                            "kind": supported[i].kind,
-                            "payload": supported[i].payload,
-                        }
-                        for i in bucket.indices
-                    ]
-                },
-                span_category="bucket",
-            )
-            for k, bucket in enumerate(buckets)
-        ]
-        # Buckets always run supervised with zero retries: a failing bucket
-        # is immediately demoted (its members rerun scalar) rather than
-        # retried as a bucket, and a worker crash cannot abort the campaign.
-        widest = max(len(bucket.indices) for bucket in buckets)
-        base_timeout = None if fault_policy is None else fault_policy.timeout_for(
-            "matrix-bucket"
-        )
-        bucket_policy = FaultPolicy(
-            task_timeout_s=(
-                None if base_timeout is None else base_timeout * widest
-            ),
-            max_retries=0,
-            grace_s=5.0 if fault_policy is None else fault_policy.grace_s,
-        )
-        bucket_failures: Dict[str, Dict[str, Any]] = {}
-        submitted = time.time()
-        outs = ParallelExecutor(jobs=jobs, fault_policy=bucket_policy).map(
-            bucket_specs, failures=bucket_failures
-        )
-        for bucket, out in zip(buckets, outs):
-            if out is None:
-                demote(bucket)
-                continue
-            results = [out["results"][supported[i].task_id] for i in bucket.indices]
-            stamp(bucket, results, submitted, float(out["wall_s"]))
-    else:
-        plan = get_fault_plan()
-        for bucket in buckets:
-            started = time.time()
-            t0 = time.perf_counter()
-            try:
-                if plan is not None:
-                    for i in bucket.indices:
-                        plan.maybe_inject(
-                            supported[i].task_id, 0, in_worker=False
-                        )
-                results = run_bucket(
-                    [built[i].scenario for i in bucket.indices], bucket.shape
-                )
-            except Exception:
-                demote(bucket)
-                continue
-            stamp(bucket, results, started, time.perf_counter() - t0)
+    failed: Dict[str, Dict[str, Any]] = {}
+    ParallelExecutor(jobs=jobs, fault_policy=unit_policy).map(
+        units, progress=on_unit, task_records=unit_records, failures=failed
+    )
+    demoted = sum(len(members[unit_id]) for unit_id in failed)
     if demoted and telemetry.enabled:
         telemetry.count("batch.demotions", demoted)
-    for _, reason in fallback:
-        count_fallback(reason)
     return handled
 
 
@@ -835,12 +788,14 @@ def run_interference_matrix(
         Optional callback ``progress(task_id, from_cache)`` per finished task.
     fault_policy:
         Optional :class:`~repro.runner.executor.FaultPolicy`.  With one the
-        campaign runs *supervised*: failing tasks retry with backoff,
+        campaign is *fault tolerant*: failing tasks retry with backoff,
         deadline overruns are interrupted, broken pools are rebuilt, and
         tasks that exhaust their retries are quarantined — the campaign
         completes and the returned matrix carries their
         :attr:`~InterferenceMatrix.failed_tasks` records (pair cells that
-        lost a run, or either alone baseline, are simply absent).
+        lost a run, or either alone baseline, are simply absent).  Without
+        one the executor's strict default applies: the first failing task
+        raises :class:`~repro.errors.ExperimentError`.
     journal:
         Optional :class:`~repro.runner.journal.ProgressJournal`; every task
         completion and quarantined failure appends one line, making an

@@ -220,7 +220,7 @@ class TestCampaignThreading:
     def test_run_experiment_task_applies_stepping(self):
         """The worker-side task honors the serialized policy and restores
         the process default afterwards."""
-        from repro.runner.executor import run_experiment_task
+        from repro.analysis.campaign import run_experiment_task
 
         payload = {
             "experiment_id": "table1",

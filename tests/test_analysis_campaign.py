@@ -36,6 +36,16 @@ class TestRunCampaign:
         with pytest.raises(ExperimentError):
             run_campaign(scale="tiny", experiments=["figure99"])
 
+    def test_fault_plan_fails_the_campaign_naming_the_experiment(self):
+        from repro.runner.chaos import ChaosError, FaultPlan, FaultSpec, fault_plan
+
+        plan = FaultPlan.of(FaultSpec(match="table1", times=99))
+        with fault_plan(plan):
+            with pytest.raises(ExperimentError, match="'table1'") as excinfo:
+                run_campaign(scale="tiny", quick=True,
+                             experiments=["table1", "figure10"])
+        assert isinstance(excinfo.value.__cause__, ChaosError)
+
     def test_progress_callback_invoked(self):
         seen = []
         run_campaign(

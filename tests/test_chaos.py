@@ -99,7 +99,7 @@ class TestInjection:
     def test_crash_demoted_to_exception_in_parent(self):
         plan = FaultPlan.of(FaultSpec(match="t", mode="crash"))
         with pytest.raises(ChaosError, match="demoted"):
-            plan.maybe_inject("t1", 0, in_worker=False)
+            plan.maybe_inject("t1", 0)
 
     def test_slow_mode_returns_after_sleep(self):
         plan = FaultPlan.of(FaultSpec(match="t", mode="slow", delay_s=0.0))

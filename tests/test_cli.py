@@ -139,6 +139,15 @@ class TestExplainBuckets:
             main(["perf", "--explain-buckets", "--archetypes", "nope,nah"])
         assert err.value.code == 2
 
+    def test_defaults_to_the_tiny_matrix(self, capsys):
+        # repro-io matrix defaults to tiny, so the default explanation must
+        # describe that plan, not the stepper bench's reduced default.
+        assert main(["perf", "--explain-buckets"]) == 0
+        default = capsys.readouterr().out
+        assert "@ tiny ->" in default
+        assert main(["perf", "--explain-buckets", "--scale", "tiny"]) == 0
+        assert capsys.readouterr().out == default
+
 
 class TestCacheMigrateCli:
     def test_migrates_flat_entries_and_reports(self, tmp_path, capsys):

@@ -107,12 +107,6 @@ class TestRunDeltaSweep:
         # The delta points are sorted ascending.
         assert list(sweep.deltas) == sorted(sweep.deltas)
 
-    def test_progress_callback(self):
-        scenario = make_scenario("tiny", device="ram", sync_mode="sync-off")
-        seen = []
-        run_delta_sweep(scenario, deltas=[0.0], progress=lambda d, r: seen.append(d))
-        assert seen == [0.0]
-
     def test_single_app_scenario_rejected(self):
         scenario = make_scenario("tiny")
         alone = scenario.with_applications(scenario.applications[:1])

@@ -11,6 +11,8 @@ their own category, never ``task`` spans).
 
 import json
 
+import pytest
+
 from repro.obs.summary import batch_stats, executor_stats
 from repro.obs.telemetry import telemetry_session
 from repro.scenarios.matrix import run_interference_matrix
@@ -49,3 +51,21 @@ class TestBucketParallelContract:
             s for s in document["spans"] if s["category"] == "bucket"
         ]
         assert bucket_spans, "jobs=2 must submit bucket work units to the pool"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_utilization_counts_each_bucket_once(self, jobs):
+        """A bucket's wall is busy time once, not once per member: the
+        members' ``task`` spans are zero-length markers under one
+        ``bucket`` span per work unit, so utilization cannot exceed 1."""
+        with telemetry_session("utilization") as telemetry:
+            run_interference_matrix(ARCHETYPES, "tiny", jobs=jobs, batch=True)
+            document = telemetry.snapshot()
+        ex = executor_stats(document)
+        assert ex["n_tasks"] == 5
+        assert 0.0 < ex["utilization"] <= 1.0
+        members = [s for s in document["spans"] if s["category"] == "task"]
+        assert all(s["dur_us"] == 0.0 for s in members)
+        buckets = [s for s in document["spans"] if s["category"] == "bucket"]
+        assert ex["busy_s"] == pytest.approx(
+            sum(s["dur_us"] for s in buckets) / 1e6
+        )

@@ -268,15 +268,34 @@ class TestPerfCli:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(["perf"])
-        assert args.scale == "reduced"
         assert args.repeats == 5
-        # The output/baseline defaults are mode-dependent (BENCH_stepper.json
-        # for the stepper bench, BENCH_campaign.json with --campaign), so
-        # argparse leaves them None and _command_perf resolves them.
+        # The scale/output/baseline defaults are mode-dependent (reduced and
+        # BENCH_stepper.json for the stepper bench, BENCH_campaign.json with
+        # --campaign, tiny for --explain-buckets), so argparse leaves them
+        # None and _command_perf resolves them.
+        assert args.scale is None
         assert args.output is None
         assert args.baseline is None
         assert not args.campaign
         assert args.min_ratio == 0.7
+
+    def test_stepper_bench_defaults_to_reduced(self, monkeypatch):
+        import repro.perf
+        from repro.cli import main
+
+        class Measured(Exception):
+            pass
+
+        seen = {}
+
+        def fake_run_perf(**kwargs):
+            seen.update(kwargs)
+            raise Measured
+
+        monkeypatch.setattr(repro.perf, "run_perf", fake_run_perf)
+        with pytest.raises(Measured):
+            main(["perf", "--no-output"])
+        assert seen["scale"] == "reduced"
 
     @pytest.mark.parametrize("argv", [
         ["perf", "--repeats", "0"],

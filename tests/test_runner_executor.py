@@ -5,12 +5,7 @@ import pytest
 from repro.config.presets import make_scenario
 from repro.core.delta import run_delta_sweep
 from repro.errors import ExperimentError
-from repro.runner.executor import (
-    ParallelExecutor,
-    TaskSpec,
-    derive_task_seed,
-    run_delta_sweep_parallel,
-)
+from repro.runner.executor import ParallelExecutor, TaskSpec, derive_task_seed
 
 
 class TestDeriveTaskSeed:
@@ -86,13 +81,13 @@ class TestParallelDeltaSweep:
     def test_matches_serial_sweep(self, scenario):
         deltas = [-0.5, 0.0, 0.5]
         serial = run_delta_sweep(scenario, deltas, seed=7)
-        parallel = run_delta_sweep_parallel(scenario, deltas, jobs=2, seed=7)
+        parallel = run_delta_sweep(scenario, deltas, jobs=2, seed=7)
         assert serial.to_dict() == parallel.to_dict()
 
     def test_needs_two_applications(self, scenario):
         alone = scenario.with_applications(scenario.applications[:1])
         with pytest.raises(ExperimentError):
-            run_delta_sweep_parallel(alone, [0.0], jobs=1)
+            run_delta_sweep(alone, [0.0], jobs=2)
 
     def test_run_sweep_jobs_matches_serial(self):
         from repro.core.experiment import TwoApplicationExperiment

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ExperimentError, TaskTimeout
 from repro.obs.telemetry import telemetry_session
+from repro.runner import executor as executor_mod
 from repro.runner.chaos import ChaosError, FaultPlan, FaultSpec, fault_plan
 from repro.runner.executor import (
     FaultPolicy,
@@ -31,13 +32,6 @@ class TestFaultPolicy:
             FaultPolicy(max_retries=-1)
         with pytest.raises(ExperimentError):
             FaultPolicy(backoff_base_s=-0.1)
-
-    def test_timeout_for_prefers_kind_override(self):
-        policy = FaultPolicy(
-            task_timeout_s=10.0, timeouts_by_kind={"probe": 2.0}
-        )
-        assert policy.timeout_for("probe") == 2.0
-        assert policy.timeout_for("experiment") == 10.0
 
     def test_backoff_is_deterministic_capped_and_growing(self):
         policy = FaultPolicy(backoff_base_s=0.1, backoff_cap_s=0.4)
@@ -218,6 +212,58 @@ class TestSupervisedPool:
         # victims were requeued for their retry before the rebuild.
         assert sizes[0] == 2
         assert sizes[1] == 2
+
+
+class TestFailFastWithoutSink:
+    """Without a failures sink the map stops at the first task that runs
+    out of retries: it raises naming that task, chained to the cause, and
+    submits no further task.  The default policy allows no retry."""
+
+    def test_in_process_stops_at_first_failure(self, monkeypatch):
+        executed = []
+        original = executor_mod.execute_task
+
+        def recording(task):
+            executed.append(task.task_id)
+            return original(task)
+
+        monkeypatch.setattr(executor_mod, "execute_task", recording)
+        plan = FaultPlan.of(FaultSpec(match="t1", times=99))
+        with fault_plan(plan):
+            with pytest.raises(
+                ExperimentError, match="'t1' exhausted their retries"
+            ) as excinfo:
+                ParallelExecutor(jobs=1).map([probe(f"t{i}") for i in range(4)])
+        assert isinstance(excinfo.value.__cause__, ChaosError)
+        assert executed == ["t0"]
+
+    def test_pool_submits_nothing_after_first_failure(self, monkeypatch):
+        submitted = []
+        original = ParallelExecutor._new_pool
+
+        def spying_new_pool(self, backlog):
+            pool = original(self, backlog)
+            submit = pool.submit
+
+            def recording_submit(fn, task, *args):
+                submitted.append(task.task_id)
+                return submit(fn, task, *args)
+
+            pool.submit = recording_submit
+            return pool
+
+        monkeypatch.setattr(ParallelExecutor, "_new_pool", spying_new_pool)
+        plan = FaultPlan.of(FaultSpec(match="t0", times=99))
+        # t0 fails at once while t1 (its window-mate) is still sleeping, so
+        # the failure is seen before any slot frees up for t2.
+        tasks = [probe("t0")] + [probe(f"t{i}", sleep_s=1.0) for i in range(1, 5)]
+        with fault_plan(plan, env=True):
+            with pytest.raises(
+                ExperimentError, match="'t0' exhausted their retries"
+            ) as excinfo:
+                ParallelExecutor(jobs=2).map(tasks)
+        assert isinstance(excinfo.value.__cause__, ChaosError)
+        assert submitted == ["t0", "t1"]
 
 
 class TestTaskTimeoutError:

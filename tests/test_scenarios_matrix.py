@@ -239,8 +239,38 @@ class TestDegradationAndResume:
                 )
             counters = telemetry.snapshot()["counters"]
         assert counters["batch.demotions"] >= 1
+        # Demotions are not quarantines: every member recovered.
+        assert counters.get("executor.quarantined", 0) == 0
         assert matrix.failed_tasks == []
         assert matrix.cell("checkpoint", "analytics") is not None
+
+    def test_crash_on_bucket_member_at_jobs1_is_demoted_in_process(
+        self, tmp_path, tiny_matrix
+    ):
+        """At ``--jobs 1`` buckets run inside the supervisor process, so a
+        chaos ``crash`` there must become an exception, not an exit: the
+        bucket is demoted, the member's scalar retry completes, and the
+        matrix comes out whole and unchanged."""
+        from repro.obs.telemetry import telemetry_session
+        from repro.runner.chaos import FaultPlan, FaultSpec, fault_plan
+        from repro.runner.executor import FaultPolicy
+
+        policy = FaultPolicy(max_retries=2, backoff_base_s=0.001,
+                             backoff_cap_s=0.002)
+        plan = FaultPlan.of(
+            FaultSpec(match="pair:checkpoint+analytics", mode="crash", times=1)
+        )
+        with telemetry_session("crash") as telemetry:
+            with fault_plan(plan):
+                matrix = run_interference_matrix(
+                    ARCHES, "tiny", jobs=1, cache_dir=str(tmp_path / "cache"),
+                    fault_policy=policy,
+                )
+            counters = telemetry.snapshot()["counters"]
+        assert counters["batch.demotions"] >= 1
+        assert counters["executor.retries"] >= 1
+        assert matrix.failed_tasks == []
+        assert matrix.to_dict() == tiny_matrix.to_dict()
 
     def test_quarantined_pair_yields_partial_matrix(self, tmp_path):
         from repro.runner.chaos import FaultPlan, FaultSpec, fault_plan

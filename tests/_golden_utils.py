@@ -1,7 +1,6 @@
 """Shared machinery of the golden-trace regression harness.
 
-A *golden* is a compact fingerprint of everything one fixed-stepping
-simulation produces: per-application phase boundaries and byte counts, step
+A *golden* is a compact fingerprint of everything one simulation produces: per-application phase boundaries and byte counts, step
 counts, component statistics, and a summary of every recorded
 :class:`~repro.sim.timeseries.TimeSeries`.  The fingerprints of every preset
 configuration and every workload archetype are stored in
@@ -11,8 +10,8 @@ drift, and ``python -m tests.regen_goldens`` re-records them after an
 
 Floats are fingerprinted at full precision (``repr`` round-trips the exact
 IEEE value), so a golden catches a single-ULP drift anywhere in the
-simulated pipeline — which is exactly the regression the fixed stepping
-policy promises never to introduce.
+simulated pipeline.  Fixed stepping promises never to introduce one; the
+adaptive cases pin the bytes of the event-driven driver the same way.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import json
 from pathlib import Path
 from typing import Callable, Dict, Tuple
 
+from repro.config.control import SteppingPolicy
 from repro.config.presets import make_scenario
 from repro.config.scenario import ScenarioConfig
 from repro.model.results import RunResult
@@ -51,6 +51,9 @@ PRESET_CASES: Dict[str, Dict[str, object]] = {
     "preset/1g-network": dict(device="hdd", sync_mode="sync-on", network="1g"),
 }
 
+#: Name prefix of the preset cases re-run under adaptive stepping.
+ADAPTIVE_PREFIX = "adaptive/"
+
 #: Archetype pairings fingerprinted in addition to every archetype alone.
 PAIR_CASES: Tuple[Tuple[str, str], ...] = (
     ("checkpoint", "analytics"),
@@ -62,12 +65,18 @@ def golden_cases() -> Dict[str, Callable[[], ScenarioConfig]]:
     """Every golden case: name -> zero-argument scenario factory.
 
     Covers the preset configurations above, every registered workload
-    archetype alone, and two representative archetype pairs — all at tiny
-    scale under the default (fixed) stepping policy.
+    archetype alone, and two representative archetype pairs, all at tiny
+    scale under the default (fixed) stepping policy; plus every preset again
+    under :meth:`SteppingPolicy.adaptive` (``adaptive/<preset>``).
     """
     cases: Dict[str, Callable[[], ScenarioConfig]] = {}
     for name, kwargs in PRESET_CASES.items():
         cases[name] = (lambda kw=kwargs: make_scenario("tiny", **kw))
+        cases[ADAPTIVE_PREFIX + name.split("/", 1)[1]] = (
+            lambda kw=kwargs: make_scenario(
+                "tiny", stepping=SteppingPolicy.adaptive(), **kw
+            )
+        )
     for archetype in archetype_names():
         cases[f"archetype/{archetype}"] = (
             lambda a=archetype: build_scenario([a], "tiny").scenario

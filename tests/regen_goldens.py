@@ -4,8 +4,8 @@ Run after an *intentional* change to the simulated pipeline::
 
     PYTHONPATH=src python -m tests.regen_goldens
 
-The script re-simulates every golden case under the default (fixed)
-stepping policy and rewrites ``tests/goldens/goldens.json``.  Review the
+The script re-simulates every golden case (fixed stepping, plus the
+``adaptive/`` preset cases) and rewrites ``tests/goldens/goldens.json``.  Review the
 resulting diff carefully — every changed fingerprint is a changed simulation
 result that the PR description must account for.
 """
@@ -28,7 +28,8 @@ def main() -> int:
     document = {
         "_comment": (
             "Golden-trace fingerprints of every preset and archetype "
-            "scenario (fixed stepping, tiny scale).  Do not edit by hand; "
+            "scenario (tiny scale; adaptive/ cases under adaptive stepping, "
+            "the rest fixed).  Do not edit by hand; "
             "regenerate with: PYTHONPATH=src python -m tests.regen_goldens"
         ),
         "cases": cases,

@@ -27,7 +27,12 @@ from repro.obs.telemetry import telemetry_session
 from repro.scenarios.archetypes import archetype_names
 from repro.scenarios.spec import ScenarioSpec, build_scenario
 
-from tests._golden_utils import golden_cases, load_goldens, metric_fingerprint
+from tests._golden_utils import (
+    ADAPTIVE_PREFIX,
+    golden_cases,
+    load_goldens,
+    metric_fingerprint,
+)
 
 ARCHETYPES = archetype_names()
 
@@ -48,7 +53,9 @@ def _alone_scenario(archetype):
 class TestGoldenEquivalenceB1:
     """A single-member batch is byte-identical to the scalar kernel."""
 
-    @pytest.mark.parametrize("name", sorted(golden_cases()))
+    @pytest.mark.parametrize("name", sorted(
+        name for name in golden_cases() if not name.startswith(ADAPTIVE_PREFIX)
+    ))
     def test_b1_matches_golden(self, name):
         factory = golden_cases()[name]
         stored = load_goldens()[name]

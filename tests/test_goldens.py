@@ -1,8 +1,9 @@
 """Golden-trace regression tests.
 
 Every preset configuration and workload archetype has a recorded
-full-precision metric fingerprint under ``tests/goldens/``.  Fixed-stepping
-runs must reproduce them byte for byte; a drifted fingerprint fails loudly
+full-precision metric fingerprint under ``tests/goldens/``, and every preset
+has one more under adaptive stepping.  Runs must reproduce them byte for
+byte; a drifted fingerprint fails loudly
 with the payload diff and the regeneration hint.
 """
 

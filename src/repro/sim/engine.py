@@ -22,6 +22,7 @@ general-purpose DES kernel.
 from __future__ import annotations
 
 import heapq
+import weakref
 from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import SchedulingError, SimulationError
@@ -70,6 +71,11 @@ class Simulator:
         self._running = False
         self._stopped = False
         self._stop_reason: Optional[str] = None
+        # Queued events report their cancellation through a hook that holds
+        # the engine weakly: a bound method would make every queued event a
+        # reference cycle through the engine, and a finished run would then
+        # stay alive until the cyclic garbage collector happens to run.
+        self._on_cancel = _cancel_hook(weakref.ref(self))
 
     # ------------------------------------------------------------------ #
     # Clock and introspection
@@ -163,7 +169,7 @@ class Simulator:
             callback=callback,
             label=label,
             payload=payload,
-            on_cancel=self._note_cancelled,
+            on_cancel=self._on_cancel,
             heap_time=time,
         )
         self._seq += 1
@@ -259,20 +265,9 @@ class Simulator:
         """
         if period <= 0:
             raise SchedulingError(f"periodic event {label!r} needs a positive period")
-
-        def _fire(sim: "Simulator") -> None:
-            if stop_when is not None and stop_when(sim):
-                return
-            callback(sim)
-            if stop_when is not None and stop_when(sim):
-                return
-            next_time = sim.now + period
-            if sim.horizon is not None and next_time > sim.horizon:
-                return
-            sim.schedule(next_time, _fire, priority=priority, label=label)
-
+        fire = _Periodic(period, callback, priority, label, stop_when)
         first = self._now + period if start is None else float(start)
-        return self.schedule(first, _fire, priority=priority, label=label)
+        return self.schedule(first, fire, priority=priority, label=label)
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -479,3 +474,49 @@ class Simulator:
             f"<Simulator t={self._now:.6f} pending={self.pending_events} "
             f"processed={self._events_processed}>"
         )
+
+
+def _cancel_hook(engine_ref: "weakref.ref[Simulator]") -> Callable[[Event], None]:
+    def _on_cancel(event: Event) -> None:
+        engine = engine_ref()
+        if engine is not None:
+            engine._note_cancelled(event)
+
+    return _on_cancel
+
+
+class _Periodic:
+    """The callback of a periodic event: fires, then schedules itself again.
+
+    An object rather than a closure, because a closure that schedules itself
+    refers to itself: a reference cycle that would keep everything the
+    callback reaches alive until the cyclic garbage collector runs.
+    """
+
+    __slots__ = ("period", "callback", "priority", "label", "stop_when")
+
+    def __init__(
+        self,
+        period: float,
+        callback: Callable[[Simulator], None],
+        priority: EventPriority,
+        label: str,
+        stop_when: Optional[Callable[[Simulator], bool]],
+    ) -> None:
+        self.period = period
+        self.callback = callback
+        self.priority = priority
+        self.label = label
+        self.stop_when = stop_when
+
+    def __call__(self, sim: Simulator) -> None:
+        stop_when = self.stop_when
+        if stop_when is not None and stop_when(sim):
+            return
+        self.callback(sim)
+        if stop_when is not None and stop_when(sim):
+            return
+        next_time = sim.now + self.period
+        if sim.horizon is not None and next_time > sim.horizon:
+            return
+        sim.schedule(next_time, self, priority=self.priority, label=self.label)

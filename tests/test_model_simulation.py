@@ -1,5 +1,8 @@
 """Integration tests of the full I/O-path model (tiny scale)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -148,3 +151,43 @@ class TestEndToEnd:
         part_if = part_result.write_time("A") / part_alone.write_time("A")
         assert part_if < shared_if
         assert part_if < 1.4
+
+
+class TestPromptRelease:
+    """A finished run is freed by reference counting alone: nothing it
+    built forms a reference cycle, so its arrays do not wait for the cyclic
+    garbage collector."""
+
+    @pytest.fixture
+    def states(self, monkeypatch):
+        """Weak references to every ModelState built, with gc disabled."""
+        refs = []
+        original = ModelState.__init__
+
+        def recording(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(ModelState, "__init__", recording)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            yield refs
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_simulate_scenario_frees_its_state(self, states):
+        result = simulate_scenario(make_scenario("tiny"))
+        assert result.n_steps > 0 and result.recorder.series_names()
+        assert len(states) == 1
+        assert states[0]() is None
+
+    def test_batch_of_one_frees_its_state(self, states):
+        from repro.model.batch import BatchSimulator
+
+        (result,) = BatchSimulator([make_scenario("tiny")]).run()
+        assert result.n_steps > 0
+        assert len(states) == 1
+        assert states[0]() is None

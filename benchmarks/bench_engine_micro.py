@@ -10,7 +10,8 @@ import numpy as np
 
 from repro import units
 from repro.config.presets import make_scenario
-from repro.model.simulator import IOPathSimulator, simulate_scenario
+from repro.model.batch import BatchSimulator
+from repro.model.simulator import simulate_scenario
 from repro.pfs.striping import extent_to_server_bytes
 from repro.sim.engine import Simulator
 from repro.sim.events import EventPriority
@@ -47,18 +48,17 @@ def test_striping_arithmetic(benchmark):
 
 
 def test_single_model_step(benchmark):
-    """One vectorized step of the reduced-scale model."""
+    """One vectorized step of the reduced-scale model, alone on the kernel."""
     scenario = make_scenario("reduced", device="hdd", sync_mode="sync-on")
-    sim_runner = IOPathSimulator(scenario)
-    from repro.sim.engine import Simulator as Engine
-
-    engine = Engine(start_time=0.0)
-    sim_runner.stepper.start_application(engine, 0)
-    sim_runner.stepper.start_application(engine, 1)
-    dt = sim_runner.step_size
+    batch = BatchSimulator([scenario])
+    member = batch.members[0]
+    engine = member.engine
+    member.sim.start_application(engine, 0)
+    member.sim.start_application(engine, 1)
+    dt = batch.dt
 
     def runner():
-        sim_runner.stepper.step(engine, dt)
+        batch.stepper.step_batch(engine.now, dt)
         engine._now += dt  # advance manually; completion is irrelevant here
         return True
 

@@ -7,8 +7,8 @@ chosen is a *policy*, independent of the model itself:
   first application start to the last completion, regardless of whether
   anything in the model can change.  Deterministic, byte-identical to the
   historical output, and the default everywhere.
-* ``adaptive`` — the stepper derives the largest safe step from the current
-  rates (:meth:`repro.model.stepper.ModelStepper.next_bound`); quiescent
+* ``adaptive`` — each run derives the largest safe step from the current
+  rates (:meth:`repro.model.simulator.IOPathSimulator.next_bound`); quiescent
   intervals (every connection stalled in RTO, buffers empty, an application
   start still far away) collapse into a single jump to the next
   state-changing instant.

@@ -5,10 +5,13 @@ devices, workloads) into one vectorized fluid/discrete-event simulation:
 
 * :mod:`repro.model.state`     — builds the vectorized per-connection and
   per-application state from a :class:`~repro.config.scenario.ScenarioConfig`,
-* :mod:`repro.model.stepper`   — the per-step update (drain → admit → window
-  dynamics → operation completion),
-* :mod:`repro.model.simulator` — :class:`IOPathSimulator`, the run loop on
-  top of the discrete-event engine,
+* :mod:`repro.model.stepper`   — the per-step update's workspace and the
+  data-plane phases every simulation shares (drain → offer → admit),
+* :mod:`repro.model.batch`     — the one stepping kernel, which advances a
+  batch of simulations per step, and its drivers (lockstep for fixed
+  stepping, event-driven for adaptive), plus bucket planning,
+* :mod:`repro.model.simulator` — :class:`IOPathSimulator`, one run's state,
+  control plane and result; it runs as a batch of one,
 * :mod:`repro.model.results`   — :class:`RunResult`, per-application write
   times plus component statistics and traces,
 * :mod:`repro.model.local`     — the single-node model used for the paper's

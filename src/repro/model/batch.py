@@ -1,18 +1,20 @@
-"""Batched lockstep stepping: advance B same-shape simulations per NumPy call.
+"""The stepping kernel and its drivers: B simulations per NumPy call.
 
-The scalar kernel (:mod:`repro.model.stepper`) is dispatch-bound at small
-scale: each phase is a handful of vectorized ops over a few hundred elements,
-so Python/NumPy call overhead dominates the step.  Every campaign this repo
-runs (interference matrices, parameter grids, seed replications) is
-embarrassingly many *independent* simulations of the same deployment shape,
-which makes the batch axis free: concatenate the per-connection, per-server
-and per-node state of B member simulations into flat arrays and run the same
-seven phases once per step over ``B * N`` elements.
+:class:`BatchedStepper` is the one stepping kernel.  Every simulation steps
+on it as a member of a batch, and a run alone
+(:func:`~repro.model.simulator.simulate_scenario`) is a batch of one.  Every
+campaign this repo runs (interference matrices, parameter grids, seed
+replications) is embarrassingly many *independent* simulations of the same
+deployment shape, which makes the batch axis free: concatenate the
+per-connection, per-server and per-node state of B member simulations into
+flat arrays and run the same seven phases once per step over ``B * N``
+elements, so the Python/NumPy call overhead that dominates a small step is
+paid once per batch.
 
 Exactness
 ---------
-The batched kernel is bit-for-bit identical to running every member alone,
-by construction rather than by tolerance:
+Every member of a batch is bit-for-bit identical to its run alone, by
+construction rather than by tolerance:
 
 * every elementwise ufunc is trivially independent per lane;
 * ``bincount`` accumulates per bin in input order, and each member's
@@ -49,19 +51,26 @@ Nothing in a step loops over members, servers or processes:
   count as full), and the running totals are stamped on each member as it
   finishes.
 
-Driver
-------
-Each member keeps its own discrete-event engine for the control plane
-(application starts, operation issues, trace sampling) — those are exact
-scalar code paths on member-local state.  The driver advances the step
-clock with the same ``t + dt`` arithmetic as the scalar driver's periodic
-step event, and before each step runs only the engines that have an event
-due by then, up to and including the CONTROL events of the step instant
-(``Simulator.run(until=t, until_priority=NORMAL)``): exactly the events
-that precede the NORMAL-priority step in a scalar run.  Event ordering
-within a step instant (CONTROL < NORMAL < OBSERVE) is therefore identical to
-the scalar run, including trace samples observing post-step state, while a
-step with no due event costs no engine call at all.
+Drivers
+-------
+Each member keeps its own discrete-event engine for its control plane
+(application starts, operation issues, trace sampling), which runs exact
+member-local code.  :class:`BatchSimulator` runs the kernel in one of two
+loops:
+
+* **lockstep** (fixed stepping, any B): the step clock advances with the
+  ``t + dt`` arithmetic of a periodic step event, first at ``t0 + dt``.
+  Before each step only the engines that have an event due by then run, up
+  to and including the CONTROL events of the step instant
+  (``Simulator.run(until=t, until_priority=NORMAL)``): exactly the events
+  that precede a NORMAL-priority step event at that instant.  Event
+  ordering within a step instant (CONTROL < NORMAL < OBSERVE) is therefore
+  that of a step event, including trace samples observing post-step state,
+  while a step with no due event costs no engine call at all;
+* **event-driven** (adaptive stepping, one member): steps are engine events
+  at the bound :meth:`~repro.model.simulator.IOPathSimulator.next_bound`
+  derives from the current rates, and control events catch the model up
+  before they mutate it, so quiescent intervals collapse into single steps.
 
 Bucketing
 ---------
@@ -70,18 +79,20 @@ resolved step, start time and horizon, and the same platform/filesystem
 configuration.  Connection counts and per-server group sizes are free to
 differ — the admission water-filling pads ragged groups into width classes
 (:class:`~repro.network.incast.ServerBuffers`), so mixed deployments batch
-together and ``batch.padded_slots`` accounts the masked waste.  Only
-adaptive stepping (no fixed lockstep cadence) and buckets smaller than
-``min_batch`` fall back to the scalar kernel.  :func:`simulate_many` is the
-front end: it plans, runs each bucket batched, runs the fallbacks scalar,
-and emits ``batch.*`` telemetry.
+together and ``batch.padded_slots`` accounts the masked waste.  A scenario
+without a partner forms a width-1 bucket, which is its run alone; only
+adaptive stepping (no fixed lockstep cadence) stays outside the buckets and
+runs alone on the event-driven loop.  :func:`simulate_many` is the front
+end: it plans, runs each bucket through :func:`run_bucket`, runs the
+adaptive scenarios alone, and emits ``batch.*`` telemetry.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -89,15 +100,16 @@ from repro.config.scenario import ScenarioConfig
 from repro.errors import SimulationError
 from repro.model.results import RunResult
 from repro.model.simulator import IOPathSimulator, simulate_scenario
-from repro.model.stepper import ModelStepper, StepContext
+from repro.model.stepper import COMPLETION_EPSILON, ModelStepper, StepContext
+from repro.model.state import APP_ACTIVE
 from repro.network.congestion import WindowState
 from repro.network.incast import ServerBuffers
 from repro.network.topology import StarTopology
 from repro.obs.telemetry import get_telemetry
+from repro.perf.counters import StepProfiler
 from repro.pfs.filesystem import PVFSDeployment
 from repro.sim.engine import Simulator
 from repro.sim.events import EventPriority
-from repro.sim.rng import RandomStreams
 
 __all__ = [
     "BatchSimulator",
@@ -185,14 +197,14 @@ def _compatible(reference: ScenarioConfig, scenario: ScenarioConfig) -> bool:
 
 
 def plan_buckets(
-    scenarios: Sequence[ScenarioConfig], *, min_batch: int = 2
+    scenarios: Sequence[ScenarioConfig],
 ) -> Tuple[List[_Bucket], List[Tuple[int, str]]]:
-    """Group ``scenarios`` into batchable buckets.
+    """Group ``scenarios`` into lockstep buckets.
 
     Returns ``(buckets, fallback)`` where every input index appears in
-    exactly one bucket's ``indices`` or once in ``fallback`` as an
-    ``(index, reason)`` pair with reason ``"adaptive"`` or ``"singleton"``
-    (bucket smaller than ``min_batch``).
+    exactly one bucket's ``indices`` (width-1 buckets included) or once in
+    ``fallback`` as an ``(index, "adaptive")`` pair: adaptive stepping has no
+    fixed cadence to lockstep, so it runs alone.
     """
     buckets: List[_Bucket] = []
     fallback: List[Tuple[int, str]] = []
@@ -207,14 +219,7 @@ def plan_buckets(
                 break
         else:
             buckets.append(_Bucket(shape=shape, reference=scenario, indices=[i]))
-    full: List[_Bucket] = []
-    for bucket in buckets:
-        if len(bucket.indices) >= max(min_batch, 1):
-            full.append(bucket)
-        else:
-            fallback.extend((i, "singleton") for i in bucket.indices)
-    fallback.sort()
-    return full, fallback
+    return buckets, fallback
 
 
 # ---------------------------------------------------------------------- #
@@ -233,7 +238,6 @@ class _BatchMember:
     node_sl: slice
     app_sl: slice
     proc_sl: slice
-    admission_rng: np.random.Generator
     live: bool = True
     n_steps: int = 0
     end_time: float = float("nan")
@@ -244,11 +248,11 @@ class _BatchMember:
 class _BatchedState:
     """Duck-typed ``ModelState`` facade over the flat batch arrays.
 
-    Carries exactly the attributes the inherited stepping phases read.  The
-    members' own ``ModelState`` objects keep running the control plane
-    (operation issue, completion, results); their hot arrays — transport,
-    buffers, backend, application lifecycle and process issue state — are
-    views into the flat storage below.
+    Carries exactly the attributes the kernel's phases read.  The members'
+    own ``ModelState`` objects keep running the control plane (operation
+    issue, completion, results); their hot arrays — transport, buffers,
+    backend, application lifecycle and process issue state — are views into
+    the flat storage below.
     """
 
     def __init__(
@@ -261,10 +265,6 @@ class _BatchedState:
         reference = members[0].sim
         scenario = reference.scenario
         self.scenario = scenario
-        #: Dummy stream source: the batched kernel never draws from it (the
-        #: burst-escape gate override draws from each member's own streams).
-        self.streams = RandomStreams(0)
-        self.recorder = None  # the batched phases never mark; members do
         self.topology = topology
         self.conn_server = conn_server
         self.conn_node = conn_node
@@ -325,22 +325,23 @@ class _BatchedState:
 
 
 class BatchedStepper(ModelStepper):
-    """The seven-phase kernel over the flat batch state.
+    """The stepping kernel: the seven phases over the flat state of B members.
 
-    Inherits the data-plane phases and the accounting unchanged (they are
-    pure array code over the facade state) and overrides the three places
-    that touch RNG streams or member-local bookkeeping: the burst-escape
-    gate, window dynamics, and completion.
+    Inherits the shared data-plane phases and adds the parts that touch a
+    member's own RNG streams or bookkeeping, each sliced per member: the
+    burst-escape gate, window dynamics and completion.
     """
 
     def __init__(self, state: _BatchedState, members: Sequence[_BatchMember]) -> None:
-        super().__init__(state)  # type: ignore[arg-type]
+        super().__init__(state)
         self._members = list(members)
         #: Member index of every flat application.
         self._app_member = [
             i for i, m in enumerate(self._members)
             for _ in range(m.app_sl.start, m.app_sl.stop)
         ]
+        self._app_independent = ~state.app_collective
+        self._any_independent = bool(self._app_independent.any())
         #: Members whose control plane changed in the last step (an
         #: operation completed, an issue was scheduled, a member finished),
         #: in member order; the driver follows up on exactly these.
@@ -354,14 +355,20 @@ class BatchedStepper(ModelStepper):
             (m.conn_sl, m.sim.state.windows._rng) for m in self._members
         )
 
-    # -- phase overrides ------------------------------------------------ #
+    # -- per-member phases ---------------------------------------------- #
 
     def _burst_escape_gate(self, ctx: StepContext) -> None:
-        """Per-member burst-escape gate.
+        """Resolve the burst-escape gate for the connections flagged in
+        ``ws.tmp_bool_a`` (the gated mask computed by :meth:`_phase_offer`).
 
-        Mirrors the scalar gate slice by slice so every member consumes
-        exactly the draws (one full-lane ``random`` per step with any gated
-        connection) a member-alone run would, from its own admission stream.
+        Every member with a gated connection draws one full-lane ``random``
+        from its own admission stream; its failed connections collapse
+        (``windows.force_timeout``) and offer nothing this step.
+
+        Reads:  ``ws.tmp_bool_a`` (gated mask), ``windows.ever_paced``.
+        Writes: ``ws.draws``, ``ws.desired`` entries of failed connections,
+                the members' window/collapse state; clobbers
+                ``tmp_conn_a``/``tmp_bool_b``.
         """
         ws = self.workspace
         transport = self._transport
@@ -374,7 +381,7 @@ class BatchedStepper(ModelStepper):
             if not gated.any():
                 continue
             draws = ws.draws[sl]
-            member.admission_rng.random(out=draws)
+            member.sim.admission_rng.random(out=draws)
             probs = ws.tmp_conn_a[sl]
             probs.fill(transport.burst_escape_probability)
             np.copyto(probs, transport.burst_reentry_probability,
@@ -396,6 +403,13 @@ class BatchedStepper(ModelStepper):
                 )
 
     def _phase_window_dynamics(self, ctx: StepContext) -> None:
+        """AIMD plus timeout collapse per connection.
+
+        Reads:  ``ctx.desired/admitted/rtt_eff/oversubscribed/loss_prone``.
+        Writes: the transport window state; each member's
+                ``collapses_per_app``; may consume each member's transport
+                draws for the paced-timeout hazard.
+        """
         state = self.state
         update = state.windows.update(
             now=ctx.now,
@@ -428,12 +442,19 @@ class BatchedStepper(ModelStepper):
                     data={"count": int(b - a)},
                 )
 
-    def _phase_completion(self, sim: Optional[Simulator]) -> None:
-        """One flat scan over every member's applications; each change runs
-        on its member's own stepper, engine and state."""
+    def _phase_completion(self, ctx: StepContext) -> None:
+        """Complete collective operations and advance per-process streams.
+
+        One flat scan over every member's applications; each change runs on
+        its member's own control plane, engine and state.
+
+        Reads:  outstanding bytes per app/process.
+        Writes: application runtime bookkeeping, :attr:`changed`; schedules
+                issue events.
+        """
         changed = self.changed
         changed.clear()
-        now = self._ctx.now
+        now = ctx.now
         scan = self._scan_completions(now)
         if scan is None:
             return
@@ -441,7 +462,7 @@ class BatchedStepper(ModelStepper):
         members = self._members
         for index in apps.tolist():
             member = members[self._app_member[index]]
-            member.sim.stepper._complete_app(
+            member.sim._complete_app(
                 index - member.app_sl.start,
                 None if ready is None else ready[member.proc_sl],
                 None if settled is None else settled[member.app_sl],
@@ -451,7 +472,58 @@ class BatchedStepper(ModelStepper):
             if not changed or changed[-1] is not member:
                 changed.append(member)
 
-    # -- the batched step ----------------------------------------------- #
+    def _scan_completions(self, now: float):
+        """Find the applications whose state changes at the end of this step.
+
+        One set of vectorized reductions over every application and process
+        replaces a Python pass over the applications.  Returns ``None`` when
+        nothing changes (the common case) or ``(apps, ready, settled)``: the
+        ascending indices of the applications to update, the per-process mask
+        of non-collective processes ready to issue their next operation, and
+        the per-application mask of non-collective applications whose every
+        process is done.  The masks read the same post-step outstanding
+        bytes the per-application checks read, and an application's update
+        only touches its own connections, so scanning all applications up
+        front decides exactly what a pass in index order would.
+
+        Reads:  outstanding bytes, ``app_phase``, process issue state.
+        Writes: nothing (clobbers ``tmp_conn_a``).
+        """
+        state = self.state
+        active = state.app_phase == APP_ACTIVE
+        if not np.count_nonzero(active):
+            return None
+        eps = COMPLETION_EPSILON
+        outstanding = np.add(
+            state.send_remaining, state.buffers.conn_bytes, out=self.workspace.tmp_conn_a
+        )
+        changed = active & state.app_collective
+        if np.count_nonzero(changed):
+            per_app = np.bincount(state.conn_app, weights=outstanding, minlength=state.n_apps)
+            changed &= per_app <= eps
+        ready = settled = None
+        independent = active & self._app_independent if self._any_independent else None
+        if independent is not None and np.count_nonzero(independent):
+            per_proc = np.bincount(
+                state.conn_proc, weights=outstanding, minlength=state.n_processes
+            )
+            idle = per_proc <= eps
+            exhausted = (state.proc_current_op + 1) >= state.proc_n_ops
+            ready = idle & ~exhausted
+            ready &= state.proc_next_issue <= now
+            ready &= independent[state.proc_app]
+            idle &= exhausted
+            settled = np.bincount(
+                state.proc_app, weights=idle, minlength=state.n_apps
+            ) == state.app_n_procs
+            settled &= independent
+            changed |= settled
+            changed[state.proc_app[ready]] = True
+        if not np.count_nonzero(changed):
+            return None
+        return np.flatnonzero(changed), ready, settled
+
+    # -- the step ------------------------------------------------------- #
 
     def step_batch(self, now: float, dt: float) -> None:
         """Advance every live member by ``dt`` at simulated time ``now``."""
@@ -469,7 +541,7 @@ class BatchedStepper(ModelStepper):
             self._phase_admission(ctx)
             self._phase_window_dynamics(ctx)
             self._phase_accounting(ctx)
-            self._phase_completion(None)
+            self._phase_completion(ctx)
             return
         with profiler.phase("workload_mix"):
             self._phase_workload_mix(ctx)
@@ -484,40 +556,46 @@ class BatchedStepper(ModelStepper):
         with profiler.phase("accounting"):
             self._phase_accounting(ctx)
         with profiler.phase("completion"):
-            self._phase_completion(None)
+            self._phase_completion(ctx)
 
 
 # ---------------------------------------------------------------------- #
-# The lockstep driver
+# The drivers
 # ---------------------------------------------------------------------- #
 
 
 class BatchSimulator:
-    """Runs B same-shape scenarios in one fixed-dt lockstep loop.
+    """Runs its members on one kernel: B same-shape fixed-step scenarios in
+    lockstep, or one adaptive scenario event-driven.
 
-    Build from *fresh* scenarios only: member state is re-pointed at the flat
-    arrays right after construction, before any event runs.
+    ``members`` are scenarios or *fresh* :class:`IOPathSimulator` objects (a
+    run alone passes itself): member state is re-pointed at the flat arrays
+    right after construction, before any event runs.
     """
 
-    def __init__(self, scenarios: Sequence[ScenarioConfig]) -> None:
-        if not scenarios:
+    def __init__(
+        self, members: Sequence[Union[ScenarioConfig, IOPathSimulator]]
+    ) -> None:
+        if not members:
             raise SimulationError("a batch needs at least one scenario")
-        sims = [IOPathSimulator(scenario) for scenario in scenarios]
+        sims = [
+            m if isinstance(m, IOPathSimulator) else IOPathSimulator(m)
+            for m in members
+        ]
         reference = sims[0]
-        if any(sim.stepping.is_adaptive for sim in sims):
+        self.adaptive = reference.stepping.is_adaptive
+        if len(sims) > 1 and any(sim.stepping.is_adaptive for sim in sims):
             raise SimulationError("adaptive stepping cannot run batched")
         self.dt = reference.step_size
         scenario = reference.scenario
-        self._t0 = min(
-            0.0, min(app.start_time for app in scenario.applications)
-        )
+        self.t0 = min(0.0, min(app.start_time for app in scenario.applications))
         self._max_time = scenario.control.max_time
         for sim in sims:
             s = sim.scenario
             t0 = min(0.0, min(app.start_time for app in s.applications))
             if (
                 sim.step_size != self.dt
-                or t0 != self._t0
+                or t0 != self.t0
                 or s.control.max_time != self._max_time
                 or s.platform != scenario.platform
                 or s.filesystem != scenario.filesystem
@@ -530,24 +608,22 @@ class BatchSimulator:
         # Lanes.
         members: List[_BatchMember] = []
         conn_off = srv_off = node_off = app_off = proc_off = 0
-        self._until = self._t0 + self._max_time
-        horizon = self._t0 + self._max_time * 2 + 1.0
+        self._until = self.t0 + self._max_time
+        horizon = self.t0 + self._max_time * 2 + 1.0
         for sim in sims:
             st = sim.state
             n_c = st.n_connections
             n_s = st.n_servers
             n_n = st.topology.n_client_nodes
-            engine = Simulator(start_time=self._t0, horizon=horizon)
             members.append(
                 _BatchMember(
                     sim=sim,
-                    engine=engine,
+                    engine=Simulator(start_time=self.t0, horizon=horizon),
                     conn_sl=slice(conn_off, conn_off + n_c),
                     srv_sl=slice(srv_off, srv_off + n_s),
                     node_sl=slice(node_off, node_off + n_n),
                     app_sl=slice(app_off, app_off + st.n_apps),
                     proc_sl=slice(proc_off, proc_off + st.n_processes),
-                    admission_rng=sim.stepper._rng,
                 )
             )
             conn_off += n_c
@@ -573,10 +649,18 @@ class BatchSimulator:
         self.state = state
         self._repoint_members()
         self.stepper = BatchedStepper(state, members)
-        self._schedule_control_plane()
+        for member in members:
+            member.sim.schedule_control_plane(member.engine, self.t0)
+            member.due = _next_event_time(member.engine)
         self._n_live = len(members)
         self._next_due = min(m.due for m in members)
         self.n_batch_steps = 0
+        #: The phase profiler of a :meth:`run` with telemetry on.
+        self.profiler: Optional[StepProfiler] = None
+        # Event-driven loop: end of the last executed step and the pending
+        # step event (None while waiting for a control kick).
+        self._last_step_end = self.t0
+        self._step_event = None
 
     # ------------------------------------------------------------------ #
 
@@ -611,46 +695,31 @@ class BatchSimulator:
             topo._server_busy = flat._server_busy[member.srv_sl]
             topo._server_transferred = flat._server_transferred[member.srv_sl]
 
-    def _schedule_control_plane(self) -> None:
-        """Schedule each member's application starts and trace sampling."""
-        t0 = self._t0
-        for member in self.members:
-            sim = member.sim
-            engine = member.engine
-            st = sim.state
-            for app in st.applications:
-                engine.schedule(
-                    app.start_time,
-                    sim._make_start_callback(app.index),
-                    priority=EventPriority.CONTROL,
-                    label=f"start.{app.name}",
-                )
-            if sim.recorder.config.records_series:
-                sample_period = sim.scenario.control.trace.series_sample_period
-                engine.schedule_periodic(
-                    sample_period,
-                    sim._sample,
-                    start=t0 + sample_period,
-                    priority=EventPriority.OBSERVE,
-                    label="trace.sample",
-                    stop_when=_make_finished_probe(st),
-                )
-            member.due = _next_event_time(engine)
-
     # ------------------------------------------------------------------ #
 
-    def _run_control_plane(self, now: float) -> None:
-        """Run every live engine with an event due by the step at ``now``:
-        the events a scalar run executes before its NORMAL-priority step."""
-        next_due = float("inf")
-        for member in self.members:
-            if not member.live:
-                continue
-            if member.due <= now:
-                member.engine.run(until=now, until_priority=EventPriority.NORMAL)
-                member.due = _next_event_time(member.engine)
-            next_due = min(next_due, member.due)
-        self._next_due = next_due
+    def run(self) -> List[RunResult]:
+        """Run every member to completion; results in member order.
+
+        With telemetry on, a :class:`StepProfiler` times the kernel phases
+        for :meth:`publish`.  The kernel never reads it, so results stay
+        byte-identical with telemetry on or off.
+        """
+        if get_telemetry().enabled and self.stepper.profiler is None:
+            self.profiler = self.stepper.profiler = StepProfiler()
+        wall_start = time.perf_counter()
+        try:
+            if self.adaptive:
+                self._run_event_driven()
+            else:
+                self._run_lockstep()
+        finally:
+            if self.profiler is not None:
+                self.stepper.profiler = None
+        wall_time = time.perf_counter() - wall_start
+        return [
+            m.sim._build_result(m.end_time, m.n_steps, wall_time)
+            for m in self.members
+        ]
 
     def _follow_up(self, member: _BatchMember, now: float) -> None:
         """After a step that changed ``member``'s control plane: retire it if
@@ -670,52 +739,196 @@ class BatchSimulator:
         member.due = _next_event_time(member.engine)
         self._next_due = min(self._next_due, member.due)
 
-    def run(self) -> List[RunResult]:
-        """Run every member to completion; results in member order."""
-        wall_start = time.perf_counter()
+    def _unfinished(self, member: _BatchMember) -> SimulationError:
+        unfinished = [
+            rt.app.name for rt in member.sim.state.app_runtime if not rt.finished
+        ]
+        return SimulationError(
+            f"simulation reached max_time={self._max_time}s with unfinished "
+            f"applications {unfinished}; check the scenario configuration"
+        )
+
+    # -- lockstep loop (fixed stepping) --------------------------------- #
+
+    def _run_lockstep(self) -> None:
         dt = self.dt
         stepper = self.stepper
-        now = self._t0
+        now = self.t0
         while self._n_live:
-            # The scalar driver's periodic step: first at t0 + dt, then
+            # A periodic step event's arithmetic: first at t0 + dt, then
             # each step dt after the last.
             now = now + dt
             if now > self._until:
-                member = next(m for m in self.members if m.live)
-                unfinished = [
-                    rt.app.name
-                    for rt in member.sim.state.app_runtime
-                    if not rt.finished
-                ]
-                raise SimulationError(
-                    f"simulation reached max_time={self._max_time}s with "
-                    f"unfinished applications {unfinished}; check the "
-                    "scenario configuration"
-                )
+                raise self._unfinished(next(m for m in self.members if m.live))
             if now >= self._next_due:
                 self._run_control_plane(now)
             stepper.step_batch(now, dt)
             self.n_batch_steps += 1
             for member in stepper.changed:
                 self._follow_up(member, now)
-        wall_time = time.perf_counter() - wall_start
-        results = []
+
+    def _run_control_plane(self, now: float) -> None:
+        """Run every live engine with an event due by the step at ``now``:
+        the events that precede a NORMAL-priority step event at ``now``."""
+        next_due = float("inf")
         for member in self.members:
-            member.sim._n_steps = member.n_steps
-            results.append(member.sim._build_result(member.end_time, wall_time))
-        return results
+            if not member.live:
+                continue
+            if member.due <= now:
+                member.engine.run(until=now, until_priority=EventPriority.NORMAL)
+                member.due = _next_event_time(member.engine)
+            next_due = min(next_due, member.due)
+        self._next_due = next_due
+
+    # -- event-driven loop (adaptive stepping, one member) -------------- #
+
+    def _run_event_driven(self) -> None:
+        """Adaptive time advance: each step schedules the next one at the
+        bound derived from the current rates; control-plane events
+        (application starts, operation issues) catch the model up over the
+        pending interval before they mutate state, so no step ever spans a
+        state change.  No step is scheduled until the first application
+        starts — the pre-start lead-in costs zero steps."""
+        member = self.members[0]
+        self.stepper.pressure_step_ref = self.dt
+        member.sim.on_control_change = self._catch_up
+        try:
+            member.engine.run(until=self._until)
+        finally:
+            member.sim.on_control_change = None
+        if member.live:
+            raise self._unfinished(member)
+
+    def _advance_to_now(self, engine: Simulator) -> bool:
+        """Step the model over ``[last step end, now]``; True when the run
+        finished (and was stopped) in the process."""
+        now = engine.now
+        dt = now - self._last_step_end
+        if dt > 0:
+            self.stepper.step_batch(now, dt)
+            self.n_batch_steps += 1
+            self._last_step_end = now
+            for member in self.stepper.changed:
+                self._follow_up(member, now)
+        if not self._n_live:
+            engine.stop("all applications finished")
+            return True
+        return False
+
+    def _adaptive_tick(self, engine: Simulator) -> None:
+        """Execute one adaptive step and schedule the next one."""
+        self._step_event = None
+        if not self._advance_to_now(engine):
+            self._schedule_next_step(engine)
+
+    def _catch_up(self, engine: Simulator) -> None:
+        """Advance the model over the pending interval up to ``engine.now``.
+
+        Invoked by control-plane callbacks (application start, operation
+        issue) *before* they mutate model state: the interval being caught up
+        therefore never spans a state change, which is what makes a single
+        large step over it exact.  The next step is re-anchored one base step
+        after the control event.
+
+        When a normal-cadence step (one base step or less) is already
+        pending, nothing needs catching up: a control event landing inside a
+        base step is exactly the granularity the fixed policy exhibits, and
+        leaving the cadence untouched keeps the adaptive trajectory on the
+        fixed one.
+        """
+        pending = self._step_event
+        if (
+            pending is not None
+            and not pending.cancelled
+            and pending.time - self._last_step_end <= self.dt * (1.0 + 1e-12)
+        ):
+            return
+        if not self._advance_to_now(engine):
+            self._schedule_step_event(engine, engine.now + self.dt)
+
+    def _schedule_next_step(self, engine: Simulator) -> None:
+        """Schedule the next step at the adaptive bound (or wait for a kick)."""
+        sim = self.members[0].sim
+        policy = sim.stepping
+        bound = sim.next_bound(engine.now, self.dt, policy.tolerance)
+        if policy.max_dt is not None:
+            bound = min(bound, policy.max_dt)
+        if not math.isfinite(bound):
+            # Nothing intrinsic pending: the next state change can only come
+            # from a scheduled control event, whose callback kicks us.
+            return
+        self._schedule_step_event(engine, engine.now + bound)
+
+    def _schedule_step_event(self, engine: Simulator, at: float) -> None:
+        """(Re)schedule the pending model-step event at time ``at``.
+
+        A pending event is moved in place (:meth:`Simulator.reschedule`), so
+        re-anchoring the step on every control change leaves no cancelled
+        corpses in the event heap and heap compactions stay rare.
+        """
+        at = max(at, engine.now)
+        event = self._step_event
+        if event is not None and not event.cancelled and event.heap_time is not None:
+            if engine.horizon is not None and at > engine.horizon:
+                event.cancel()
+                self._step_event = None
+                return
+            engine.reschedule(event, at)
+            return
+        self._step_event = None
+        if engine.horizon is not None and at > engine.horizon:
+            return
+        self._step_event = engine.schedule(
+            at,
+            self._adaptive_tick,
+            priority=EventPriority.NORMAL,
+            label="model.step",
+        )
+
+    # ------------------------------------------------------------------ #
+
+    def publish(self, telemetry, span: int, start_us: float, track: str = "main") -> None:
+        """Fold the finished run into ``telemetry``, under ``span``.
+
+        Emits one synthetic ``phase`` child span per kernel phase, sized by
+        the phase's accumulated wall time and laid end to end from
+        ``start_us`` (a flame view of where the kernel spent its time, not a
+        per-step timeline), and counts ``step.phase.*``, every member
+        engine's counters, ``sim.steps`` and the kernel's ``batch.ticks``
+        (steps of the whole batch) and ``batch.member_steps`` (steps of each
+        member until it finished, summed).
+        """
+        if self.profiler is not None:
+            cursor = start_us
+            for phase, row in self.profiler.report().items():
+                phase_us = row["ns"] / 1000.0
+                telemetry.add_span(
+                    phase,
+                    "phase",
+                    cursor,
+                    phase_us,
+                    parent=span,
+                    track=track,
+                    args={"calls": row["calls"],
+                          "ns_per_call": round(row["ns_per_call"], 1),
+                          "alloc_blocks": row["alloc_blocks"]},
+                )
+                cursor += phase_us
+                telemetry.count(f"step.phase.{phase}.ns", row["ns"])
+                telemetry.count(f"step.phase.{phase}.calls", row["calls"])
+                telemetry.observe(f"step.phase.{phase}.ns_per_call", row["ns_per_call"])
+        for member in self.members:
+            for name, value in member.engine.stats().items():
+                telemetry.count(name, value)
+        member_steps = sum(m.n_steps for m in self.members)
+        telemetry.count("sim.steps", member_steps)
+        telemetry.count("batch.ticks", self.n_batch_steps)
+        telemetry.count("batch.member_steps", member_steps)
 
 
 def _next_event_time(engine: Simulator) -> float:
     head = engine.peek_next_time()
     return float("inf") if head is None else head
-
-
-def _make_finished_probe(state):
-    def _finished(sim: Simulator) -> bool:
-        return state.all_finished()
-
-    return _finished
 
 
 # ---------------------------------------------------------------------- #
@@ -726,20 +939,16 @@ def _make_finished_probe(state):
 def run_bucket(
     scenarios: Sequence[ScenarioConfig], shape: Optional[BucketShape] = None
 ) -> List[RunResult]:
-    """Run one same-cadence group through the batched kernel, with telemetry.
+    """Run one same-cadence group through the lockstep driver, with telemetry.
 
-    Emits the per-bucket ``simulation``-track span (with synthetic ``phase``
-    child spans and ``step.phase.*`` counters from the kernel profiler, like
-    a scalar run), the ``batch.buckets`` / ``batch.member_runs`` /
-    ``batch.padded_slots`` / ``batch.group_slots`` counters, and the
-    ``batch.occupancy`` observation — the single place that accounting
-    lives, shared by :func:`simulate_many` and the executor-level batchers.
-    Observational only: the batch kernel never reads the profiler, so
-    results stay byte-identical with telemetry on or off.  ``shape`` is
-    informational (span labelling); pool workers omit it.
+    Emits the per-bucket ``simulation``-track span (with the kernel's
+    ``phase`` children and counters, as every run publishes them), the
+    ``batch.buckets`` / ``batch.member_runs`` / ``batch.padded_slots`` /
+    ``batch.group_slots`` counters, and the ``batch.occupancy`` observation —
+    the single place that accounting lives, shared by :func:`simulate_many`
+    and the executor-level batchers.  ``shape`` is informational (span
+    labelling); pool workers omit it.
     """
-    from repro.perf.counters import StepProfiler
-
     telemetry = get_telemetry()
     if shape is None:
         shape = _shape_of(scenarios[0])
@@ -753,68 +962,36 @@ def run_bucket(
         n_servers=n_servers,
     ) as bucket_span:
         batch = BatchSimulator(scenarios)
-        profiler = None
-        if telemetry.enabled and batch.stepper.profiler is None:
-            profiler = StepProfiler()
-            batch.stepper.profiler = profiler
-        try:
-            start_us = telemetry.now_us()
-            results = batch.run()
-        finally:
-            if profiler is not None:
-                batch.stepper.profiler = None
-    if profiler is not None:
-        cursor = start_us
-        for phase, row in profiler.report().items():
-            phase_us = row["ns"] / 1000.0
-            telemetry.add_span(
-                phase,
-                "phase",
-                cursor,
-                phase_us,
-                parent=bucket_span,
-                track="batch",
-                args={"calls": row["calls"],
-                      "ns_per_call": round(row["ns_per_call"], 1),
-                      "alloc_blocks": row["alloc_blocks"]},
-            )
-            cursor += phase_us
-            telemetry.count(f"step.phase.{phase}.ns", row["ns"])
-            telemetry.count(f"step.phase.{phase}.calls", row["calls"])
-            telemetry.observe(f"step.phase.{phase}.ns_per_call", row["ns_per_call"])
-    for member in batch.members:
-        for name, value in member.engine.stats().items():
-            telemetry.count(name, value)
+        start_us = telemetry.now_us()
+        results = batch.run()
+    batch.publish(telemetry, bucket_span, start_us, track="batch")
     telemetry.count("batch.buckets")
     telemetry.count("batch.member_runs", len(scenarios))
     telemetry.observe("batch.occupancy", float(len(scenarios)))
     telemetry.count("batch.padded_slots", batch.state.buffers.padded_slots)
     telemetry.count("batch.group_slots", batch.state.buffers.group_slots)
-    telemetry.count("sim.steps", sum(m.n_steps for m in batch.members))
     return results
 
 
 def count_fallback(reason: str) -> None:
-    """Record one scenario taking the scalar path instead of a bucket."""
+    """Record one scenario running alone instead of in a bucket."""
     telemetry = get_telemetry()
     telemetry.count("batch.ragged_fallbacks")
     telemetry.count(f"batch.fallback.{reason}")
 
 
-def simulate_many(
-    scenarios: Sequence[ScenarioConfig], *, min_batch: int = 2
-) -> List[RunResult]:
-    """Simulate ``scenarios``, batching same-shape groups in lockstep.
+def simulate_many(scenarios: Sequence[ScenarioConfig]) -> List[RunResult]:
+    """Simulate ``scenarios``, running same-cadence groups in lockstep.
 
     Results come back in input order and are bitwise identical to running
-    each scenario through :func:`~repro.model.simulator.simulate_scenario`
-    alone.  Adaptive/singleton scenarios take exactly that scalar path;
-    ragged and mixed-width deployments batch (padded width classes).  Emits
-    ``batch.*`` telemetry: one ``simulation``-track span plus an occupancy
-    observation per bucket, and fallback counters.
+    each scenario alone through
+    :func:`~repro.model.simulator.simulate_scenario`, which is how adaptive
+    scenarios run; ragged and mixed-width deployments batch (padded width
+    classes).  Emits ``batch.*`` telemetry: one ``simulation``-track span
+    plus an occupancy observation per bucket, and fallback counters.
     """
     scenarios = list(scenarios)
-    buckets, fallback = plan_buckets(scenarios, min_batch=min_batch)
+    buckets, fallback = plan_buckets(scenarios)
     results: List[Optional[RunResult]] = [None] * len(scenarios)
     for bucket in buckets:
         outs = run_bucket([scenarios[i] for i in bucket.indices], bucket.shape)

@@ -1,43 +1,58 @@
-"""The I/O-path simulator: run loop and result assembly.
+"""One simulation run: its state, its control plane and its result.
 
-:class:`IOPathSimulator` glues the vectorized model to the discrete-event
-engine:
+:class:`IOPathSimulator` is what the stepping kernel advances as a *member*:
+it owns one scenario's state, trace recorder and random streams, and the
+control plane that acts on them through a discrete-event engine:
 
 * an event starts each application at its configured time,
-* model steps advance the fluid model — on a fixed cadence under the
-  default (``fixed``) stepping policy, driven by a loop that runs the
-  engine's due events before each step, or as engine events at the adaptive
-  bound computed by :meth:`repro.model.stepper.ModelStepper.next_bound`
-  under the ``adaptive`` policy, which collapses quiescent intervals into a
-  single jump,
+* the completion phase of the kernel hands each finished operation back
+  here, which schedules the next issue or marks the application finished,
 * a periodic observation event samples traces,
-* the run ends when every application has finished its I/O phase.
+* :meth:`IOPathSimulator.next_bound` derives the adaptive step bound from
+  the current rates.
 
-The module-level helper :func:`simulate_scenario` is the one-call entry point
-used by the experiment framework:  ``result = simulate_scenario(scenario)``.
+:meth:`IOPathSimulator.run` runs the scenario as a batch of one on the
+kernel's driver (:class:`repro.model.batch.BatchSimulator`): the lockstep
+loop under the default (``fixed``) stepping policy, the event-driven loop
+under ``adaptive``.  The module-level helper :func:`simulate_scenario` is the
+one-call entry point used by the experiment framework:
+``result = simulate_scenario(scenario)``.
+
+Adaptive time advance
+---------------------
+:meth:`IOPathSimulator.next_bound` derives the largest safe ``dt`` from the
+current rates: during *quiescent* intervals (no connection may send, buffers
+empty) it returns the exact time to the next intrinsic state change (earliest
+RTO expiry, earliest pending per-process operation issue) so the driver can
+collapse the whole dead interval into a single step; while *active* it bounds
+the step to a ``tolerance`` fraction of the time to the next rate-regime
+change (buffer fill/empty, collective completion, transport dynamics).  The
+fixed policy never calls it.
 """
 
 from __future__ import annotations
 
-import math
-import time
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.config.scenario import ScenarioConfig
 from repro.errors import SimulationError
 from repro.model.results import ApplicationResult, ComponentStats, RunResult
-from repro.model.state import ModelState
-from repro.model.stepper import ModelStepper
+from repro.model.state import APP_ACTIVE, ModelState
+from repro.model.stepper import COMPLETION_EPSILON
 from repro.obs.telemetry import get_telemetry
-from repro.perf.counters import StepProfiler
 from repro.sim.engine import Simulator
 from repro.sim.events import EventPriority
 from repro.sim.rng import RandomStreams
 from repro.sim.tracing import TraceRecorder
 
 __all__ = ["IOPathSimulator", "simulate_scenario"]
+
+#: Safety margin (seconds) added to a quiescent jump so the landing step is
+#: unambiguously at-or-after the state-changing instant despite float
+#: round-off in ``now + bound``.
+_LANDING_EPSILON = 1.0e-9
 
 
 class IOPathSimulator:
@@ -58,14 +73,18 @@ class IOPathSimulator:
         self.streams = RandomStreams(master_seed)
         self.recorder = TraceRecorder(scenario.control.trace)
         self.state = ModelState(scenario, self.streams, recorder=self.recorder)
-        self.stepper = ModelStepper(self.state)
-        self._n_steps = 0
+        #: The burst-escape gate's draws.
+        self.admission_rng = self.streams.stream("admission")
+        #: Hook invoked by control-plane callbacks (application start,
+        #: operation issue) right before they mutate model state.  The
+        #: adaptive driver uses it to catch the model up over a pending
+        #: quiescent interval; ``None`` (fixed policy) is a no-op.
+        self.on_control_change: Optional[Callable[[Simulator], None]] = None
         self._step_size = scenario.control.resolve_step(scenario.estimate_duration())
         self._stepping = scenario.control.resolve_stepping()
-        # Adaptive-driver state: end of the last executed step and the
-        # currently pending step event (None when waiting for a control kick).
-        self._last_step_end = 0.0
-        self._step_event = None
+        self._transport = scenario.platform.network.transport
+        self._app_independent = ~self.state.app_collective
+        self._any_independent = bool(self._app_independent.any())
 
     # ------------------------------------------------------------------ #
 
@@ -80,276 +99,267 @@ class IOPathSimulator:
         return self._stepping
 
     def run(self) -> RunResult:
-        """Run the scenario to completion and return the result."""
-        scenario = self.scenario
-        state = self.state
-        start_times = [app.start_time for app in scenario.applications]
-        t0 = min(0.0, min(start_times))
-        horizon = scenario.control.max_time
-        sim = Simulator(start_time=t0, horizon=t0 + horizon * 2 + 1.0)
+        """Run the scenario to completion and return the result.
 
-        # Application starts.
-        for app in state.applications:
-            sim.schedule(
+        With telemetry on, the run emits one ``simulation`` span named after
+        the scenario, with the kernel's ``phase`` children and counters.
+        Telemetry is observational only: the kernel never reads it, so run
+        output stays byte-identical with telemetry on or off.
+        """
+        # The kernel's module builds on this one.
+        from repro.model.batch import BatchSimulator
+
+        batch = BatchSimulator([self])
+        result = batch.run()[0]
+        telemetry = get_telemetry()
+        if telemetry.enabled:
+            label = self.scenario.label or "scenario"
+            wall_us = result.wall_time * 1e6
+            start_us = telemetry.now_us() - wall_us
+            span = telemetry.add_span(
+                f"simulate:{label}",
+                "simulation",
+                start_us,
+                wall_us,
+                args={
+                    "label": label,
+                    "steps": result.n_steps,
+                    "stepping": self._stepping.mode.value,
+                    "simulated_time_s": round(result.simulated_time - batch.t0, 9),
+                },
+            )
+            batch.publish(telemetry, span, start_us)
+            telemetry.observe("sim.wall_s", result.wall_time)
+            telemetry.event(
+                "simulation_done",
+                label=label,
+                steps=result.n_steps,
+                wall_s=round(result.wall_time, 6),
+                events_processed=batch.members[0].engine.events_processed,
+            )
+        return result
+
+    # ------------------------------------------------------------------ #
+    # Control plane
+    # ------------------------------------------------------------------ #
+
+    def schedule_control_plane(self, engine: Simulator, t0: float) -> None:
+        """Schedule the application starts and trace sampling on ``engine``.
+
+        When no periodic series category records, the sampling event is not
+        scheduled at all: a disabled trace must not pay the per-sample
+        aggregate reductions (or the event churn).
+        """
+        for app in self.state.applications:
+            engine.schedule(
                 app.start_time,
                 self._make_start_callback(app.index),
                 priority=EventPriority.CONTROL,
                 label=f"start.{app.name}",
             )
-
-        # Model steps.
-        dt = self._step_size
-
-        if self._stepping.is_adaptive:
-            # Adaptive time advance: each step schedules the next one at the
-            # bound derived from the current rates; control-plane events
-            # (application starts, operation issues) catch the model up over
-            # the pending interval before they mutate state, so no step ever
-            # spans a state change.  No step is scheduled until the first
-            # application starts — the pre-start lead-in costs zero steps.
-            self._last_step_end = t0
-            self._step_event = None
-            self.stepper.pressure_step_ref = dt
-            self.stepper.on_control_change = self._adaptive_catch_up
-
-        # Trace sampling.  When no periodic series category records, the
-        # sampling event is not scheduled at all: a disabled trace must not
-        # pay the per-sample aggregate reductions (or the event churn).
         if self.recorder.config.records_series:
-            sample_period = scenario.control.trace.series_sample_period
-            sim.schedule_periodic(
+            sample_period = self.scenario.control.trace.series_sample_period
+            engine.schedule_periodic(
                 sample_period,
                 self._sample,
                 start=t0 + sample_period,
                 priority=EventPriority.OBSERVE,
                 label="trace.sample",
-                stop_when=lambda s: state.all_finished(),
+                stop_when=_finished_probe(self.state),
             )
-
-        # Telemetry is observational only: the profiler hangs off the
-        # stepper's opt-in hook and publishing happens after sim.run, so the
-        # event sequence, RNG draws and model arrays are untouched and run
-        # output stays byte-identical with telemetry on or off.
-        telemetry = get_telemetry()
-        profiler = None
-        if telemetry.enabled and self.stepper.profiler is None:
-            profiler = StepProfiler()
-            self.stepper.profiler = profiler
-
-        wall_start = time.perf_counter()
-        if self._stepping.is_adaptive:
-            end_time = sim.run(until=t0 + horizon)
-        else:
-            end_time = self._run_fixed(sim, t0 + horizon)
-        wall_time = time.perf_counter() - wall_start
-
-        if profiler is not None:
-            try:
-                self._publish_telemetry(telemetry, sim, profiler, wall_time, end_time)
-            finally:
-                self.stepper.profiler = None
-
-        if not state.all_finished():
-            unfinished = [rt.app.name for rt in state.app_runtime if not rt.finished]
-            raise SimulationError(
-                f"simulation reached max_time={horizon}s with unfinished "
-                f"applications {unfinished}; check the scenario configuration"
-            )
-        return self._build_result(end_time, wall_time)
-
-    def _run_fixed(self, sim: Simulator, until: float) -> float:
-        """Fixed cadence: one model step every ``dt``, first at ``t0 + dt``.
-
-        Steps are not engine events.  Before each step the engine runs
-        exactly what a NORMAL-priority step event at that instant would
-        follow — every earlier event plus the CONTROL events of the instant
-        — so the event order, including trace samples observing post-step
-        state, is the one a periodic step event gives, without scheduling,
-        queueing and firing an event per step.  Returns the end time.
-        """
-        dt = self._step_size
-        state = self.state
-        stepper = self.stepper
-        now = sim.now
-        while True:
-            # The periodic arithmetic: each step dt after the last.
-            now = now + dt
-            if now > until:
-                return sim.run(until=until)
-            sim.run(until=now, until_priority=EventPriority.NORMAL)
-            stepper.step(sim, dt)
-            self._n_steps += 1
-            if state.all_finished():
-                return now
-
-    # ------------------------------------------------------------------ #
-    # Telemetry publication (post-run, hot loop untouched)
-    # ------------------------------------------------------------------ #
-
-    def _publish_telemetry(
-        self,
-        telemetry,
-        sim: Simulator,
-        profiler: StepProfiler,
-        wall_time: float,
-        end_time: float,
-    ) -> None:
-        """Fold the finished run into the ambient telemetry registry.
-
-        Emits one ``simulation`` span covering the run's wall time with
-        synthetic sequential ``phase`` child spans sized by each step phase's
-        accumulated wall time (a flame view of where the stepping kernel
-        spent its time, not a per-step timeline), and publishes engine/step
-        counters.
-        """
-        label = self.scenario.label or "scenario"
-        wall_us = wall_time * 1e6
-        start_us = telemetry.now_us() - wall_us
-        sim_span = telemetry.add_span(
-            f"simulate:{label}",
-            "simulation",
-            start_us,
-            wall_us,
-            args={
-                "label": label,
-                "steps": self._n_steps,
-                "stepping": self._stepping.mode.value,
-                "simulated_time_s": round(end_time - sim.start_time, 9),
-            },
-        )
-        report = profiler.report()
-        cursor = start_us
-        for phase, row in report.items():
-            phase_us = row["ns"] / 1000.0
-            telemetry.add_span(
-                phase,
-                "phase",
-                cursor,
-                phase_us,
-                parent=sim_span,
-                args={"calls": row["calls"],
-                      "ns_per_call": round(row["ns_per_call"], 1),
-                      "alloc_blocks": row["alloc_blocks"]},
-            )
-            cursor += phase_us
-            telemetry.count(f"step.phase.{phase}.ns", row["ns"])
-            telemetry.count(f"step.phase.{phase}.calls", row["calls"])
-            telemetry.observe(f"step.phase.{phase}.ns_per_call", row["ns_per_call"])
-        telemetry.count("sim.steps", self._n_steps)
-        telemetry.observe("sim.wall_s", wall_time)
-        for name, value in sim.stats().items():
-            telemetry.count(name, value)
-        telemetry.event(
-            "simulation_done",
-            label=label,
-            steps=self._n_steps,
-            wall_s=round(wall_time, 6),
-            events_processed=sim.events_processed,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Callbacks
-    # ------------------------------------------------------------------ #
 
     def _make_start_callback(self, app_index: int):
         def _start(sim: Simulator) -> None:
-            self.stepper.start_application(sim, app_index)
+            self.start_application(sim, app_index)
 
         return _start
 
-    # ------------------------------------------------------------------ #
-    # Adaptive stepping driver
-    # ------------------------------------------------------------------ #
+    def start_application(self, sim: Simulator, app_index: int) -> None:
+        """Begin the I/O phase of one application (issue its first operation)."""
+        state = self.state
+        app = state.applications[app_index]
+        runtime = state.app_runtime[app_index]
+        if runtime.started:
+            raise SimulationError(f"application {app.name!r} started twice")
+        if self.on_control_change is not None:
+            self.on_control_change(sim)
+        state.mark_started(app_index, sim.now)
+        state.recorder.mark(sim.now, "phase", f"{app.name}.start")
+        if app.spec.pattern.collective:
+            state.issue_operation(app, 0)
+        else:
+            procs = state.app_proc_ids[app_index]
+            state.issue_process_operations(app, procs, np.zeros(procs.shape[0], dtype=np.int64))
+            state.proc_next_issue[procs] = sim.now
 
-    def _advance_to_now(self, sim: Simulator) -> bool:
-        """Step the model over ``[last step end, now]``; True when the run
-        finished (and was stopped) in the process."""
-        dt = sim.now - self._last_step_end
-        if dt > 0:
-            self.stepper.step(sim, dt)
-            self._n_steps += 1
-            self._last_step_end = sim.now
-        if self.state.all_finished():
-            sim.stop("all applications finished")
-            return True
-        return False
-
-    def _adaptive_tick(self, sim: Simulator) -> None:
-        """Execute one adaptive step and schedule the next one."""
-        self._step_event = None
-        if not self._advance_to_now(sim):
-            self._schedule_next_step(sim)
-
-    def _adaptive_catch_up(self, sim: Simulator) -> None:
-        """Advance the model over the pending interval up to ``sim.now``.
-
-        Invoked by control-plane callbacks (application start, operation
-        issue) *before* they mutate model state: the interval being caught up
-        therefore never spans a state change, which is what makes a single
-        large step over it exact.  The next step is re-anchored one base step
-        after the control event.
-
-        When a normal-cadence step (one base step or less) is already
-        pending, nothing needs catching up: a control event landing inside a
-        base step is exactly the granularity the fixed policy exhibits, and
-        leaving the cadence untouched keeps the adaptive trajectory on the
-        fixed one.
-        """
-        pending = self._step_event
-        if (
-            pending is not None
-            and not pending.cancelled
-            and pending.time - self._last_step_end <= self._step_size * (1.0 + 1e-12)
-        ):
-            return
-        if not self._advance_to_now(sim):
-            self._schedule_step_event(sim, sim.now + self._step_size)
-
-    def _schedule_next_step(self, sim: Simulator) -> None:
-        """Schedule the next step at the adaptive bound (or wait for a kick)."""
-        policy = self._stepping
-        bound = self.stepper.next_bound(sim.now, self._step_size, policy.tolerance)
-        if policy.max_dt is not None:
-            bound = min(bound, policy.max_dt)
-        if not math.isfinite(bound):
-            # Nothing intrinsic pending: the next state change can only come
-            # from a scheduled control event, whose callback kicks us.
-            return
-        self._schedule_step_event(sim, sim.now + bound)
-
-    def _schedule_step_event(self, sim: Simulator, at: float) -> None:
-        """(Re)schedule the pending model-step event at time ``at``.
-
-        A pending event is moved in place (:meth:`Simulator.reschedule`), so
-        re-anchoring the step on every control change leaves no cancelled
-        corpses in the event heap and heap compactions stay rare on adaptive
-        runs.
-        """
-        at = max(at, sim.now)
-        event = self._step_event
-        if event is not None and not event.cancelled and event.heap_time is not None:
-            if sim.horizon is not None and at > sim.horizon:
-                event.cancel()
-                self._step_event = None
+    def _complete_app(
+        self,
+        index: int,
+        ready: Optional[np.ndarray],
+        settled: Optional[np.ndarray],
+        sim: Simulator,
+        now: float,
+    ) -> None:
+        """Apply one application's end-of-step change found by the kernel's
+        completion scan (``ready``/``settled`` are this run's slices)."""
+        state = self.state
+        runtime = state.app_runtime[index]
+        app = runtime.app
+        pattern = app.spec.pattern
+        if pattern.collective:
+            if runtime.current_op < 0:
                 return
-            sim.reschedule(event, at)
+            runtime.ops_completed = runtime.current_op + 1
+            if runtime.ops_completed >= app.n_operations:
+                self._finish_app(runtime, now)
+                return
+            state.mark_waiting(index)
+            next_op = runtime.current_op + 1
+            # ``now`` is the step instant; the engine's clock may lag it.
+            sim.schedule(
+                now + float(pattern.collective_overhead),
+                self._make_issue_callback(index, next_op),
+                priority=EventPriority.CONTROL,
+                label=f"issue.{app.name}.op{next_op}",
+            )
             return
-        self._step_event = None
-        if sim.horizon is not None and at > sim.horizon:
-            return
-        self._step_event = sim.schedule(
-            at,
-            self._adaptive_tick,
-            priority=EventPriority.NORMAL,
-            label="model.step",
+        ids = state.app_proc_ids[index]
+        issuing = ids[ready[ids]]
+        if issuing.size:
+            state.issue_process_operations(app, issuing, state.proc_current_op[issuing] + 1)
+            state.proc_next_issue[issuing] = now + pattern.collective_overhead
+        if settled[index]:
+            self._finish_app(runtime, now)
+
+    def _finish_app(self, runtime, now: float) -> None:
+        self.state.mark_finished(runtime.app.index, now)
+        self.state.recorder.mark(now, "phase", f"{runtime.app.name}.end")
+
+    def _make_issue_callback(self, app_index: int, op_index: int):
+        def _issue(sim: Simulator) -> None:
+            state = self.state
+            app = state.applications[app_index]
+            runtime = state.app_runtime[app_index]
+            if runtime.finished:
+                return
+            if self.on_control_change is not None:
+                self.on_control_change(sim)
+            state.issue_operation(app, op_index)
+            state.recorder.mark(sim.now, "op", f"{app.name}.op{op_index}")
+
+        return _issue
+
+    # ------------------------------------------------------------------ #
+    # Adaptive time advance
+    # ------------------------------------------------------------------ #
+
+    def next_bound(self, now: float, base_dt: float, tolerance: float) -> float:
+        """Largest safe ``dt`` for the *next* step, derived from current rates.
+
+        Quiescent model (no connection may send — everything is stalled in
+        RTO or idle — and the server buffers are empty): a step is a pure
+        passage of time, so the bound is the exact distance to the next
+        intrinsic state change — the earliest RTO expiry or the earliest
+        pending per-process operation issue — plus a landing epsilon.
+        Returns ``inf`` when no intrinsic change is pending (the next change
+        can then only come from a scheduled control event, which the driver
+        bounds separately).
+
+        Active model: the bound is ``tolerance`` times the shortest of the
+        rate-derived horizons — time to the next buffer fill or empty at the
+        current net rates, time to the next collective completion at the
+        current drain rates, the earliest RTO expiry, and (whenever transport
+        dynamics are in play: stalled connections or half-full buffers) the
+        RTO timescale itself — but never less than ``base_dt``.  With small
+        tolerances the contended phases therefore run at exactly the fixed
+        step, and only provably-smooth intervals stretch.
+        """
+        state = self.state
+        eps = COMPLETION_EPSILON
+        outstanding = state.outstanding_per_connection()
+        busy = outstanding > eps
+        sending = state.windows.sending_allowed(now)
+        buffered = float(state.buffers.fill.sum())
+        stalls = state.windows.stall_until
+
+        if not bool(np.any(busy & sending)) and buffered <= eps:
+            candidates = []
+            if np.any(busy):
+                pending = stalls[busy]
+                pending = pending[np.isfinite(pending) & (pending > now)]
+                if pending.size:
+                    candidates.append(float(pending.min()) - now)
+            issue_wait = self._next_issue_wait(now)
+            if issue_wait is not None:
+                candidates.append(issue_wait)
+            if not candidates:
+                return float("inf")
+            return max(min(candidates), 0.0) + _LANDING_EPSILON
+
+        horizons = []
+        # Transport dynamics in play: never outrun the RTO timescale.
+        if bool(np.any(busy & ~sending)) or bool(
+            np.any(state.buffers.occupancy_fraction() >= 0.5)
+        ):
+            horizons.append(self._transport.rto)
+        # Buffer fill / empty at the current net rates.
+        drain = np.maximum(state.last_drain_rate, 1.0)
+        net = state.last_admission_rate - drain
+        free = state.buffers.free_space()
+        filling = net > 1.0
+        if np.any(filling):
+            horizons.append(float(np.min(free[filling] / net[filling])))
+        emptying = (net < -1.0) & (state.buffers.fill > eps)
+        if np.any(emptying):
+            horizons.append(float(np.min(state.buffers.fill[emptying] / -net[emptying])))
+        # Next collective completion at the current drain rates.
+        per_server_out = np.bincount(
+            state.conn_server, weights=outstanding, minlength=state.n_servers
         )
+        draining = per_server_out > eps
+        if np.any(draining):
+            horizons.append(float(np.min(per_server_out[draining] / drain[draining])))
+        # Earliest RTO expiry.
+        pending = stalls[busy & (stalls > now)] if np.any(busy) else stalls[:0]
+        pending = pending[np.isfinite(pending)]
+        if pending.size:
+            horizons.append(float(pending.min()) - now)
+        if not horizons:
+            return base_dt
+        return max(base_dt, tolerance * min(horizons))
+
+    def _next_issue_wait(self, now: float) -> Optional[float]:
+        """Time until the earliest pending per-process operation issue.
+
+        Only the non-collective mode tracks issue instants as state
+        (``proc_next_issue``); collective issues are engine events and are
+        bounded by the driver.  Returns ``None`` when no process is waiting.
+        """
+        if not self._any_independent:
+            return None
+        state = self.state
+        independent = (state.app_phase == APP_ACTIVE) & self._app_independent
+        if not np.count_nonzero(independent):
+            return None
+        waiting = independent[state.proc_app]
+        waiting &= state.outstanding_per_process() <= COMPLETION_EPSILON
+        waiting &= (state.proc_current_op + 1) < state.proc_n_ops
+        pending = state.proc_next_issue[waiting]
+        pending = pending[pending > now]
+        if not pending.size:
+            return None
+        return max(float(pending.min()) - now, 0.0)
+
+    # ------------------------------------------------------------------ #
+    # Trace sampling
+    # ------------------------------------------------------------------ #
 
     def _sample(self, sim: Simulator) -> None:
         state = self.state
         recorder = self.recorder
         now = sim.now
         config = recorder.config
-        if not config.records_series:  # pragma: no cover - run() never schedules this
+        if not config.records_series:  # pragma: no cover - never scheduled then
             return
         if config.record_progress:
             completed = state.completed_bytes_per_app()
@@ -392,7 +402,7 @@ class IOPathSimulator:
     # Result assembly
     # ------------------------------------------------------------------ #
 
-    def _build_result(self, end_time: float, wall_time: float) -> RunResult:
+    def _build_result(self, end_time: float, n_steps: int, wall_time: float) -> RunResult:
         state = self.state
         apps = {}
         for runtime in state.app_runtime:
@@ -418,10 +428,17 @@ class IOPathSimulator:
             components=components,
             recorder=self.recorder,
             simulated_time=end_time,
-            n_steps=self._n_steps,
+            n_steps=n_steps,
             wall_time=wall_time,
             label=self.scenario.label,
         )
+
+
+def _finished_probe(state: ModelState):
+    def _finished(sim: Simulator) -> bool:
+        return state.all_finished()
+
+    return _finished
 
 
 def simulate_scenario(scenario: ScenarioConfig, seed: Optional[int] = None) -> RunResult:

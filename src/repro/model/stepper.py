@@ -1,6 +1,6 @@
 """The per-step update of the I/O-path model: a phase-aware stepping kernel.
 
-Each step of length ``dt`` runs six vectorized sub-phases, in order:
+Each step of length ``dt`` runs seven vectorized sub-phases, in order:
 
 1. **Workload mix** — count active writers and average fragment sizes per
    server (they set the device interleaving penalty and the processing
@@ -15,18 +15,27 @@ Each step of length ``dt`` runs six vectorized sub-phases, in order:
    order in which established connections tend to win and newcomers may get
    nothing (the Incast race).
 5. **Window dynamics** — AIMD plus timeout collapse per connection.
-6. **Completion** — collective operations complete when every fragment of
+6. **Accounting** — link utilization and buffer pressure.
+7. **Completion** — collective operations complete when every fragment of
    every process has been drained; the next operation is issued after the
    collective overhead, and applications record their phase end time.
+
+:class:`ModelStepper` holds the kernel's step invariants, its workspace and
+the phases that are pure array code over the flat state every member
+shares: workload mix, drain, offer, admission and accounting.  The one
+concrete kernel is :class:`repro.model.batch.BatchedStepper`, which adds the
+parts that touch a member's own RNG streams and bookkeeping (the
+burst-escape gate inside the offer phase, window dynamics and completion)
+and the step itself.  A run alone is a batch of one.
 
 Phase contract
 --------------
 The phases communicate exclusively through a :class:`StepContext` (the
-intermediate arrays of the step) and the :class:`~repro.model.state.ModelState`
-(the durable arrays).  Each phase method documents what it *reads* and what it
-*writes*; a phase never mutates a context field owned by an earlier phase.
-This makes the data flow of the hot path explicit and keeps the step
-re-orderable only where the contract allows it.
+intermediate arrays of the step) and the flat state (the durable arrays).
+Each phase method documents what it *reads* and what it *writes*; a phase
+never mutates a context field owned by an earlier phase.  This makes the
+data flow of the hot path explicit and keeps the step re-orderable only
+where the contract allows it.
 
 Workspace ownership
 -------------------
@@ -48,37 +57,20 @@ phase contract to memory:
 ``tests/test_stepper_workspace.py`` asserts the first rule mechanically by
 snapshotting owned slots after their phase and diffing after every later
 phase.
-
-Adaptive time advance
----------------------
-:meth:`ModelStepper.next_bound` derives the largest safe ``dt`` from the
-current rates: during *quiescent* intervals (no connection may send, buffers
-empty) it returns the exact time to the next intrinsic state change (earliest
-RTO expiry, earliest pending per-process operation issue) so the simulator can
-collapse the whole dead interval into a single step; while *active* it bounds
-the step to a ``tolerance`` fraction of the time to the next rate-regime
-change (buffer fill/empty, collective completion, transport dynamics).  The
-fixed policy never calls it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.errors import SimulationError
-from repro.model.state import APP_ACTIVE, ModelState
-from repro.sim.engine import Simulator
-from repro.sim.events import EventPriority
+__all__ = ["COMPLETION_EPSILON", "ModelStepper", "StepContext", "StepWorkspace"]
 
-__all__ = ["ModelStepper", "StepContext", "StepWorkspace"]
-
-#: Safety margin (seconds) added to a quiescent jump so the landing step is
-#: unambiguously at-or-after the state-changing instant despite float
-#: round-off in ``now + bound``.
-_LANDING_EPSILON = 1.0e-9
+#: Outstanding bytes at or below which a connection, process or application
+#: counts as drained.
+COMPLETION_EPSILON = 1.0
 
 
 @dataclass
@@ -91,7 +83,7 @@ class StepContext:
     which the buffers return); they are valid until the next step begins.
     """
 
-    #: Step inputs (owned by :meth:`ModelStepper.step`).
+    #: Step inputs (owned by the step method).
     now: float
     dt: float
 
@@ -191,32 +183,30 @@ class StepWorkspace:
 
 
 class ModelStepper:
-    """Advances a :class:`~repro.model.state.ModelState` one step at a time."""
+    """The kernel's step invariants, workspace and shared data-plane phases.
+
+    Not a kernel on its own: :class:`repro.model.batch.BatchedStepper`
+    supplies the per-member burst-escape gate, window dynamics, completion
+    and the step.
+    """
 
     #: Phase order of one step (used by the profiler and the aliasing test).
     PHASES = ("workload_mix", "drain", "offer", "admission",
               "window_dynamics", "accounting", "completion")
 
-    def __init__(self, state: ModelState) -> None:
+    def __init__(self, state) -> None:
         self.state = state
-        self._rng = state.streams.stream("admission")
         network = state.scenario.platform.network
         self._transport = network.transport
         self._base_rtt = network.rtt
         self._node_caps = state.topology.node_capacities()
         self._server_nic = state.topology.server_capacities()
         self._client_line_rate = network.client_nic_bw
-        self._completion_epsilon = 1.0  # bytes
         #: Reference step length for time-weighted pressure accounting.
         #: ``None`` (the default, and the fixed policy) counts every step
         #: with weight 1; the adaptive driver sets it to the base step so a
         #: collapsed quiescent interval still weighs as the steps it replaced.
         self.pressure_step_ref: Optional[float] = None
-        #: Hook invoked by control-plane callbacks (operation issue) right
-        #: before they mutate model state.  The adaptive driver uses it to
-        #: catch the model up over a pending quiescent interval; ``None``
-        #: (fixed policy) is a no-op.
-        self.on_control_change: Optional[Callable[[Simulator], None]] = None
         #: Optional per-phase profiler (``repro.perf.counters.StepProfiler``
         #: or anything with a ``phase(name)`` context manager).  ``None``
         #: keeps the hot path branch-free apart from one identity check.
@@ -231,14 +221,11 @@ class ModelStepper:
         )
         self._n_servers = state.n_servers
         self._n_nodes = state.topology.n_client_nodes
-        self._n_apps = state.n_apps
-        self._app_independent = ~state.app_collective
-        self._any_independent = bool(self._app_independent.any())
         self._stripe_size = state.scenario.filesystem.stripe_size
         #: rwnd_overcommit * buffer capacity (numerator of the per-server
         #: receive-window budget).
         self._rwnd_budget = self._transport.rwnd_overcommit * state.buffers.capacity
-        self._send_floor = self._completion_epsilon * 1e-3
+        self._send_floor = COMPLETION_EPSILON * 1e-3
         self._wl_margin = 1.0 - 1e-6
         # dt-scaled capacities, refreshed only when dt changes (every step
         # under the fixed policy reuses them untouched).
@@ -256,43 +243,6 @@ class ModelStepper:
             self._cached_dt = dt
 
     # ------------------------------------------------------------------ #
-    # The step
-    # ------------------------------------------------------------------ #
-
-    def step(self, sim: Simulator, dt: float) -> None:
-        """Advance the model by ``dt`` seconds at the current simulated time."""
-        if dt <= 0:
-            raise SimulationError("dt must be positive")
-        self._refresh_dt(dt)
-        ctx = self._ctx
-        ctx.now = sim.now
-        ctx.dt = dt
-        profiler = self.profiler
-        if profiler is None:
-            self._phase_workload_mix(ctx)
-            self._phase_drain(ctx)
-            self._phase_offer(ctx)
-            self._phase_admission(ctx)
-            self._phase_window_dynamics(ctx)
-            self._phase_accounting(ctx)
-            self._phase_completion(sim)
-            return
-        with profiler.phase("workload_mix"):
-            self._phase_workload_mix(ctx)
-        with profiler.phase("drain"):
-            self._phase_drain(ctx)
-        with profiler.phase("offer"):
-            self._phase_offer(ctx)
-        with profiler.phase("admission"):
-            self._phase_admission(ctx)
-        with profiler.phase("window_dynamics"):
-            self._phase_window_dynamics(ctx)
-        with profiler.phase("accounting"):
-            self._phase_accounting(ctx)
-        with profiler.phase("completion"):
-            self._phase_completion(sim)
-
-    # ------------------------------------------------------------------ #
     # Phase 1 — workload mix
     # ------------------------------------------------------------------ #
 
@@ -308,7 +258,7 @@ class ModelStepper:
         state = self.state
         ws = self.workspace
         np.add(state.send_remaining, state.buffers.conn_bytes, out=ws.outstanding)
-        np.greater(ws.outstanding, self._completion_epsilon, out=ws.busy)
+        np.greater(ws.outstanding, COMPLETION_EPSILON, out=ws.busy)
         ws.busy_f[:] = ws.busy
         servers = state.conn_server
         # bincount with 0/1 float weights sums the same unit contributions a
@@ -477,49 +427,11 @@ class ModelStepper:
         np.logical_and(ws.tmp_bool_a, ws.active, out=ws.tmp_bool_a)
         ws.tmp_srv_bool.take(conn_server, out=ws.tmp_bool_b)
         np.logical_and(ws.tmp_bool_a, ws.tmp_bool_b, out=ws.tmp_bool_a)  # gated
-        self._burst_escape_gate(ctx)
+        self._burst_escape_gate(ctx)  # per member: draws from its own stream
 
         ctx.rtt_eff = ws.rtt_eff
         ctx.desired = ws.desired
         ctx.loss_prone = ws.loss_prone
-
-    def _burst_escape_gate(self, ctx: StepContext) -> None:
-        """Resolve the burst-escape gate for the connections flagged in
-        ``ws.tmp_bool_a`` (the gated mask computed by :meth:`_phase_offer`).
-
-        Draws survival probabilities from the admission stream, collapses the
-        failed connections (``windows.force_timeout``) and zeroes their
-        offered bytes.  Overridable hook: the batched kernel replaces it with
-        a per-member variant so every batch member consumes draws from its
-        own admission stream.
-
-        Reads:  ``ws.tmp_bool_a`` (gated mask), ``windows.ever_paced``.
-        Writes: ``ws.draws``, ``ws.desired`` entries of failed connections,
-                window/collapse state; clobbers ``tmp_conn_a``/``tmp_bool_b``.
-        """
-        state = self.state
-        ws = self.workspace
-        transport = self._transport
-        if ws.tmp_bool_a.any():
-            self._rng.random(out=ws.draws)
-            ws.tmp_conn_a.fill(transport.burst_escape_probability)
-            np.copyto(
-                ws.tmp_conn_a,
-                transport.burst_reentry_probability,
-                where=state.windows.ever_paced,
-            )
-            np.greater_equal(ws.draws, ws.tmp_conn_a, out=ws.tmp_bool_b)
-            np.logical_and(ws.tmp_bool_a, ws.tmp_bool_b, out=ws.tmp_bool_b)
-            if ws.tmp_bool_b.any():
-                failed_idx = np.flatnonzero(ws.tmp_bool_b)
-                state.windows.force_timeout(failed_idx, ctx.now)
-                ws.desired[failed_idx] = 0.0
-                state.collapses_per_app += np.bincount(
-                    state.conn_app[failed_idx], minlength=self._n_apps
-                )
-                state.recorder.mark(
-                    ctx.now, "incast", "burst-loss", data={"count": int(failed_idx.size)}
-                )
 
     # ------------------------------------------------------------------ #
     # Phase 4 — admission and drain
@@ -560,38 +472,7 @@ class ModelStepper:
         ctx.oversubscribed = oversubscribed
 
     # ------------------------------------------------------------------ #
-    # Phase 5 — window dynamics
-    # ------------------------------------------------------------------ #
-
-    def _phase_window_dynamics(self, ctx: StepContext) -> None:
-        """AIMD plus timeout collapse per connection.
-
-        Reads:  ``ctx.desired/admitted/rtt_eff/oversubscribed/loss_prone``.
-        Writes: the transport window state; ``state.collapses_per_app``;
-                may consume RNG draws for the paced-timeout hazard.
-        """
-        state = self.state
-        update = state.windows.update(
-            now=ctx.now,
-            dt=ctx.dt,
-            requested=ctx.desired,
-            admitted=ctx.admitted,
-            rtt_eff=ctx.rtt_eff,
-            oversubscribed=ctx.oversubscribed,
-            loss_prone=ctx.loss_prone,
-            collect_stats=False,
-        )
-        if update.n_collapsed:
-            collapsed_apps = np.bincount(
-                state.conn_app[update.collapsed_indices], minlength=state.n_apps
-            )
-            state.collapses_per_app += collapsed_apps
-            state.recorder.mark(
-                ctx.now, "incast", "window-collapse", data={"count": int(update.n_collapsed)}
-            )
-
-    # ------------------------------------------------------------------ #
-    # Phase 6a — physical-link and pressure accounting
+    # Phase 6 — physical-link and pressure accounting
     # ------------------------------------------------------------------ #
 
     def _phase_accounting(self, ctx: StepContext) -> None:
@@ -614,259 +495,3 @@ class ModelStepper:
         else:
             state.buffers.note_step()
         np.divide(per_server, ctx.dt, out=state.last_admission_rate)
-
-    # ------------------------------------------------------------------ #
-    # Phase 6b — operation / application completion
-    # ------------------------------------------------------------------ #
-
-    def _phase_completion(self, sim: Simulator) -> None:
-        """Complete collective operations and advance per-process streams.
-
-        Reads:  outstanding bytes per app/process.
-        Writes: application runtime bookkeeping; schedules issue events.
-        """
-        self._handle_completions(sim)
-
-    # ------------------------------------------------------------------ #
-    # Adaptive time advance
-    # ------------------------------------------------------------------ #
-
-    def next_bound(self, now: float, base_dt: float, tolerance: float) -> float:
-        """Largest safe ``dt`` for the *next* step, derived from current rates.
-
-        Quiescent model (no connection may send — everything is stalled in
-        RTO or idle — and the server buffers are empty): a step is a pure
-        passage of time, so the bound is the exact distance to the next
-        intrinsic state change — the earliest RTO expiry or the earliest
-        pending per-process operation issue — plus a landing epsilon.
-        Returns ``inf`` when no intrinsic change is pending (the next change
-        can then only come from a scheduled control event, which the driver
-        bounds separately).
-
-        Active model: the bound is ``tolerance`` times the shortest of the
-        rate-derived horizons — time to the next buffer fill or empty at the
-        current net rates, time to the next collective completion at the
-        current drain rates, the earliest RTO expiry, and (whenever transport
-        dynamics are in play: stalled connections or half-full buffers) the
-        RTO timescale itself — but never less than ``base_dt``.  With small
-        tolerances the contended phases therefore run at exactly the fixed
-        step, and only provably-smooth intervals stretch.
-        """
-        state = self.state
-        eps = self._completion_epsilon
-        outstanding = state.outstanding_per_connection()
-        busy = outstanding > eps
-        sending = state.windows.sending_allowed(now)
-        buffered = float(state.buffers.fill.sum())
-        stalls = state.windows.stall_until
-
-        if not bool(np.any(busy & sending)) and buffered <= eps:
-            candidates = []
-            if np.any(busy):
-                pending = stalls[busy]
-                pending = pending[np.isfinite(pending) & (pending > now)]
-                if pending.size:
-                    candidates.append(float(pending.min()) - now)
-            issue_wait = self._next_issue_wait(now)
-            if issue_wait is not None:
-                candidates.append(issue_wait)
-            if not candidates:
-                return float("inf")
-            return max(min(candidates), 0.0) + _LANDING_EPSILON
-
-        horizons = []
-        # Transport dynamics in play: never outrun the RTO timescale.
-        if bool(np.any(busy & ~sending)) or bool(
-            np.any(state.buffers.occupancy_fraction() >= 0.5)
-        ):
-            horizons.append(self._transport.rto)
-        # Buffer fill / empty at the current net rates.
-        drain = np.maximum(state.last_drain_rate, 1.0)
-        net = state.last_admission_rate - drain
-        free = state.buffers.free_space()
-        filling = net > 1.0
-        if np.any(filling):
-            horizons.append(float(np.min(free[filling] / net[filling])))
-        emptying = (net < -1.0) & (state.buffers.fill > eps)
-        if np.any(emptying):
-            horizons.append(float(np.min(state.buffers.fill[emptying] / -net[emptying])))
-        # Next collective completion at the current drain rates.
-        per_server_out = np.bincount(
-            state.conn_server, weights=outstanding, minlength=state.n_servers
-        )
-        draining = per_server_out > eps
-        if np.any(draining):
-            horizons.append(float(np.min(per_server_out[draining] / drain[draining])))
-        # Earliest RTO expiry.
-        pending = stalls[busy & (stalls > now)] if np.any(busy) else stalls[:0]
-        pending = pending[np.isfinite(pending)]
-        if pending.size:
-            horizons.append(float(pending.min()) - now)
-        if not horizons:
-            return base_dt
-        return max(base_dt, tolerance * min(horizons))
-
-    def _next_issue_wait(self, now: float) -> Optional[float]:
-        """Time until the earliest pending per-process operation issue.
-
-        Only the non-collective mode tracks issue instants as state
-        (``proc_next_issue``); collective issues are engine events and are
-        bounded by the driver.  Returns ``None`` when no process is waiting.
-        """
-        if not self._any_independent:
-            return None
-        state = self.state
-        independent = (state.app_phase == APP_ACTIVE) & self._app_independent
-        if not np.count_nonzero(independent):
-            return None
-        waiting = independent[state.proc_app]
-        waiting &= state.outstanding_per_process() <= self._completion_epsilon
-        waiting &= (state.proc_current_op + 1) < state.proc_n_ops
-        pending = state.proc_next_issue[waiting]
-        pending = pending[pending > now]
-        if not pending.size:
-            return None
-        return max(float(pending.min()) - now, 0.0)
-
-    # ------------------------------------------------------------------ #
-    # Completion handling
-    # ------------------------------------------------------------------ #
-
-    def _handle_completions(self, sim: Simulator) -> None:
-        now = sim.now
-        scan = self._scan_completions(now)
-        if scan is None:
-            return
-        apps, ready, settled = scan
-        for index in apps.tolist():
-            self._complete_app(index, ready, settled, sim, now)
-
-    def _scan_completions(self, now: float):
-        """Find the applications whose state changes at the end of this step.
-
-        One set of vectorized reductions over every application and process
-        replaces a Python pass over the applications.  Returns ``None`` when
-        nothing changes (the common case) or ``(apps, ready, settled)``: the
-        ascending indices of the applications to update, the per-process mask
-        of non-collective processes ready to issue their next operation, and
-        the per-application mask of non-collective applications whose every
-        process is done.  The masks read the same post-step outstanding
-        bytes the per-application checks read, and an application's update
-        only touches its own connections, so scanning all applications up
-        front decides exactly what a pass in index order would.
-
-        Reads:  outstanding bytes, ``app_phase``, process issue state.
-        Writes: nothing (clobbers ``tmp_conn_a``).
-        """
-        state = self.state
-        active = state.app_phase == APP_ACTIVE
-        if not np.count_nonzero(active):
-            return None
-        eps = self._completion_epsilon
-        outstanding = np.add(
-            state.send_remaining, state.buffers.conn_bytes, out=self.workspace.tmp_conn_a
-        )
-        changed = active & state.app_collective
-        if np.count_nonzero(changed):
-            per_app = np.bincount(state.conn_app, weights=outstanding, minlength=state.n_apps)
-            changed &= per_app <= eps
-        ready = settled = None
-        independent = active & self._app_independent if self._any_independent else None
-        if independent is not None and np.count_nonzero(independent):
-            per_proc = np.bincount(
-                state.conn_proc, weights=outstanding, minlength=state.n_processes
-            )
-            idle = per_proc <= eps
-            exhausted = (state.proc_current_op + 1) >= state.proc_n_ops
-            ready = idle & ~exhausted
-            ready &= state.proc_next_issue <= now
-            ready &= independent[state.proc_app]
-            idle &= exhausted
-            settled = np.bincount(
-                state.proc_app, weights=idle, minlength=state.n_apps
-            ) == state.app_n_procs
-            settled &= independent
-            changed |= settled
-            changed[state.proc_app[ready]] = True
-        if not np.count_nonzero(changed):
-            return None
-        return np.flatnonzero(changed), ready, settled
-
-    def _complete_app(
-        self,
-        index: int,
-        ready: Optional[np.ndarray],
-        settled: Optional[np.ndarray],
-        sim: Simulator,
-        now: float,
-    ) -> None:
-        """Apply one application's end-of-step change found by the scan."""
-        state = self.state
-        runtime = state.app_runtime[index]
-        app = runtime.app
-        pattern = app.spec.pattern
-        if pattern.collective:
-            if runtime.current_op < 0:
-                return
-            runtime.ops_completed = runtime.current_op + 1
-            if runtime.ops_completed >= app.n_operations:
-                self._finish_app(runtime, now)
-                return
-            state.mark_waiting(index)
-            next_op = runtime.current_op + 1
-            # ``now`` is the step instant (the engine clock in a scalar
-            # run), so this is the scalar schedule_after(delay).
-            sim.schedule(
-                now + float(pattern.collective_overhead),
-                self._make_issue_callback(index, next_op),
-                priority=EventPriority.CONTROL,
-                label=f"issue.{app.name}.op{next_op}",
-            )
-            return
-        ids = state.app_proc_ids[index]
-        issuing = ids[ready[ids]]
-        if issuing.size:
-            state.issue_process_operations(app, issuing, state.proc_current_op[issuing] + 1)
-            state.proc_next_issue[issuing] = now + pattern.collective_overhead
-        if settled[index]:
-            self._finish_app(runtime, now)
-
-    def _finish_app(self, runtime, now: float) -> None:
-        self.state.mark_finished(runtime.app.index, now)
-        self.state.recorder.mark(now, "phase", f"{runtime.app.name}.end")
-
-    def _make_issue_callback(self, app_index: int, op_index: int):
-        def _issue(sim: Simulator) -> None:
-            state = self.state
-            app = state.applications[app_index]
-            runtime = state.app_runtime[app_index]
-            if runtime.finished:
-                return
-            if self.on_control_change is not None:
-                self.on_control_change(sim)
-            state.issue_operation(app, op_index)
-            state.recorder.mark(sim.now, "op", f"{app.name}.op{op_index}")
-
-        return _issue
-
-    # ------------------------------------------------------------------ #
-    # Application start
-    # ------------------------------------------------------------------ #
-
-    def start_application(self, sim: Simulator, app_index: int) -> None:
-        """Begin the I/O phase of one application (issue its first operation)."""
-        state = self.state
-        app = state.applications[app_index]
-        runtime = state.app_runtime[app_index]
-        if runtime.started:
-            raise SimulationError(f"application {app.name!r} started twice")
-        if self.on_control_change is not None:
-            self.on_control_change(sim)
-        state.mark_started(app_index, sim.now)
-        state.recorder.mark(sim.now, "phase", f"{app.name}.start")
-        if app.spec.pattern.collective:
-            state.issue_operation(app, 0)
-        else:
-            procs = state.app_proc_ids[app_index]
-            state.issue_process_operations(app, procs, np.zeros(procs.shape[0], dtype=np.int64))
-            state.proc_next_issue[procs] = sim.now

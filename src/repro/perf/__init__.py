@@ -3,8 +3,8 @@
 The :mod:`repro.perf` package is the repo's perf trajectory in code form:
 
 * :mod:`repro.perf.counters` — per-phase timing/allocation counters that
-  attach to :class:`~repro.model.stepper.ModelStepper` (off by default,
-  zero-cost when detached);
+  attach to the stepping kernel (:class:`~repro.model.batch.BatchedStepper`;
+  off by default, zero-cost when detached);
 * :mod:`repro.perf.timing` — the min-of-N ``perf_counter_ns`` measurement
   primitive every benchmark shares;
 * :mod:`repro.perf.harness` — the canonical scenario set and the runner that

@@ -1,7 +1,7 @@
 """Per-phase timing and allocation counters for the stepping kernel.
 
-A :class:`StepProfiler` attaches to a
-:class:`~repro.model.stepper.ModelStepper` via its ``profiler`` attribute.
+A :class:`StepProfiler` attaches to the stepping kernel
+(:class:`~repro.model.batch.BatchedStepper`) via its ``profiler`` attribute.
 While attached, every phase of every step is wrapped in a timing/allocation
 probe; detached (the default), the stepper's hot path pays exactly one
 ``is None`` check per step, so profiling is strictly opt-in and zero-cost

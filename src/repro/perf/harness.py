@@ -1,14 +1,18 @@
 """The canonical stepping-kernel benchmark and its ``BENCH_stepper.json``.
 
-The harness measures *steps per second* of :meth:`ModelStepper.step` on a
-fixed scenario set:
+The harness measures *steps per second* of the stepping kernel
+(:meth:`~repro.model.batch.BatchedStepper.step_batch`) on a fixed scenario
+set:
 
-* ``active/*`` — the kernel alone: both applications started, the model in
-  its contended active phase, stepped a fixed number of base steps with no
-  engine or tracing overhead in the loop.  ``active/reduced-hdd-sync-on`` is
-  the canonical active-phase scenario every speedup claim refers to.
+* ``active/*`` — the kernel alone, one simulation per step (a batch of
+  one): both applications started, the model in its contended active phase,
+  stepped a fixed number of base steps with no engine or tracing overhead in
+  the loop.  ``active/reduced-hdd-sync-on`` is the canonical active-phase
+  scenario every speedup claim refers to.
 * ``e2e/*`` — a complete :func:`simulate_scenario` run (engine, tracing and
   completion handling included), normalized by its own step count.
+* ``batched/*`` (optional) — the same kernel loop as ``active``, advancing
+  ``B`` copies of the tiny scenario per step.
 
 Every number is a min-of-N wall measurement (:func:`repro.perf.timing.best_of_ns`)
 so single-CPU container noise does not leak into the committed trajectory.
@@ -100,42 +104,6 @@ def scenarios_for_scale(scale: str) -> Tuple[BenchScenario, ...]:
     raise PerfError(f"unknown perf scale {scale!r}; expected 'tiny' or 'reduced'")
 
 
-def _build_started(spec: BenchScenario):
-    """A simulator with every application started, ready for kernel stepping."""
-    from repro.config.presets import make_scenario
-    from repro.model.simulator import IOPathSimulator
-    from repro.sim.engine import Simulator
-
-    scenario = make_scenario(spec.scale, device=spec.device, sync_mode=spec.sync_mode)
-    runner = IOPathSimulator(scenario)
-    engine = Simulator(start_time=0.0)
-    for index in range(len(runner.state.applications)):
-        runner.stepper.start_application(engine, index)
-    return runner, engine
-
-
-def _measure_active(spec: BenchScenario, repeats: int) -> Dict[str, object]:
-    def setup():
-        return _build_started(spec)
-
-    def run(pair):
-        runner, engine = pair
-        dt = runner.step_size
-        stepper = runner.stepper
-        for _ in range(ACTIVE_STEPS):
-            stepper.step(engine, dt)
-            engine._now += dt  # advance manually; completion events are not measured
-
-    best_ns, _ = best_of_ns(run, repeats=repeats, setup=setup)
-    return {
-        "scale": spec.scale,
-        "kind": spec.kind,
-        "n_steps": ACTIVE_STEPS,
-        "best_ns": int(best_ns),
-        "steps_per_sec": ACTIVE_STEPS / (best_ns / 1e9),
-    }
-
-
 def _measure_e2e(spec: BenchScenario, repeats: int) -> Dict[str, object]:
     from repro.config.presets import make_scenario
     from repro.model.simulator import simulate_scenario
@@ -157,68 +125,69 @@ def _measure_e2e(spec: BenchScenario, repeats: int) -> Dict[str, object]:
     }
 
 
-def _build_started_batch(batch_size: int):
+#: The scenario the batched throughput curve steps ``B`` copies of.
+_BATCHED_SPEC = BenchScenario("batched", "tiny", "hdd", "sync-on", "batched")
+
+
+def _build_started_batch(batch_size: int, spec: BenchScenario = _BATCHED_SPEC):
     """A :class:`~repro.model.batch.BatchSimulator` of ``batch_size`` copies
-    of the canonical tiny scenario, every member's applications started."""
+    of ``spec``'s scenario, every member's applications started."""
     from repro.config.presets import make_scenario
     from repro.model.batch import BatchSimulator
 
     scenarios = [
-        make_scenario("tiny", device="hdd", sync_mode="sync-on")
+        make_scenario(spec.scale, device=spec.device, sync_mode=spec.sync_mode)
         for _ in range(batch_size)
     ]
     batch = BatchSimulator(scenarios)
     for member in batch.members:
         for index in range(len(member.sim.state.applications)):
-            member.sim.stepper.start_application(member.engine, index)
+            member.sim.start_application(member.engine, index)
     return batch
 
 
-def _measure_batched(batch_size: int, repeats: int) -> Dict[str, object]:
-    """Lockstep-kernel throughput at one batch width.
+def _step_active(batch) -> None:
+    """``ACTIVE_STEPS`` kernel steps with no engine in the loop."""
+    dt = batch.dt
+    stepper = batch.stepper
+    now = 0.0
+    for _ in range(ACTIVE_STEPS):
+        stepper.step_batch(now, dt)
+        now += dt
+        for member in batch.members:
+            member.engine._now = now  # advance by hand; issues are not measured
 
-    Mirrors :func:`_measure_active` — same scenario, same step count, no
-    engine in the loop — but advances ``batch_size`` members per
-    :meth:`~repro.model.batch.BatchedStepper.step_batch` call.
+
+def _measure_batched(
+    batch_size: int, repeats: int, spec: BenchScenario = _BATCHED_SPEC
+) -> Dict[str, object]:
+    """Kernel throughput with ``batch_size`` copies of ``spec`` per step.
+
     ``steps_per_sec`` is aggregate member-steps per second
-    (``ACTIVE_STEPS * batch_size / wall``), directly comparable to the
-    scalar ``active/tiny-hdd-sync-on`` number.
+    (``ACTIVE_STEPS * batch_size / wall``), so every width is directly
+    comparable to the B=1 ``active`` entries, which this measures too.
     """
-
-    def setup():
-        return _build_started_batch(batch_size)
-
-    def run(batch):
-        dt = batch.dt
-        stepper = batch.stepper
-        now = 0.0
-        for _ in range(ACTIVE_STEPS):
-            stepper.step_batch(now, dt)
-            now += dt
-            for member in batch.members:
-                member.engine._now = now  # manual advance, as in _measure_active
-
-    best_ns, _ = best_of_ns(run, repeats=repeats, setup=setup)
-    return {
-        "scale": "tiny",
-        "kind": "batched",
-        "batch": int(batch_size),
+    best_ns, _ = best_of_ns(
+        _step_active, repeats=repeats,
+        setup=lambda: _build_started_batch(batch_size, spec),
+    )
+    entry: Dict[str, object] = {"scale": spec.scale, "kind": spec.kind}
+    if spec.kind == "batched":
+        entry["batch"] = int(batch_size)
+    entry.update({
         "n_steps": ACTIVE_STEPS,
         "best_ns": int(best_ns),
         "steps_per_sec": ACTIVE_STEPS * batch_size / (best_ns / 1e9),
-    }
+    })
+    return entry
 
 
 def _profile_phases(spec: BenchScenario) -> Dict[str, Dict[str, float]]:
     """One instrumented (untimed) pass collecting per-phase counters."""
-    runner, engine = _build_started(spec)
+    batch = _build_started_batch(1, spec)
     profiler = StepProfiler()
-    runner.stepper.profiler = profiler
-    dt = runner.step_size
-    for _ in range(ACTIVE_STEPS):
-        runner.stepper.step(engine, dt)
-        engine._now += dt
-    runner.stepper.profiler = None
+    batch.stepper.profiler = profiler
+    _step_active(batch)
     return profiler.report()
 
 
@@ -245,7 +214,7 @@ def run_perf(
     scenarios: Dict[str, Dict[str, object]] = {}
     for spec in scenarios_for_scale(scale):
         if spec.kind == "active":
-            scenarios[spec.key] = _measure_active(spec, repeats)
+            scenarios[spec.key] = _measure_batched(1, repeats, spec)
         else:
             scenarios[spec.key] = _measure_e2e(spec, repeats)
     for batch_size in batch_sizes or ():

@@ -478,17 +478,17 @@ def run_matrix_tasks_batched(
     """Bulk route for matrix cache misses: same-cadence tasks step in lockstep.
 
     Builds every pending task's scenario, groups compatible ones with
-    :func:`repro.model.batch.plan_buckets` (``min_batch=1``: mixed widths
-    pad together and leftovers run as width-1 buckets, so only adaptive
-    stepping falls back), and maps each bucket as one ``matrix-bucket``
+    :func:`repro.model.batch.plan_buckets` (mixed widths pad together and
+    leftovers run as width-1 buckets, so only adaptive stepping falls
+    back), and maps each bucket as one ``matrix-bucket``
     work unit through :class:`~repro.runner.executor.ParallelExecutor` —
     in-process at ``jobs=1``; otherwise ``jobs`` pool workers advance
     ``jobs`` batched kernels concurrently.  Returns payloads for the bucketed
     tasks only — adaptive tasks are *not* claimed and fall through to the
-    executor's scalar path unchanged.  The batched kernel is
-    bitwise-equivalent to the scalar one and payload extraction is shared,
-    so both routes transport identical payloads (and therefore identical
-    cache entries).
+    executor's per-task path unchanged, each run alone.  A member of a
+    bucket is bitwise-equivalent to its run alone and payload extraction is
+    shared, so both routes transport identical payloads (and therefore
+    identical cache entries).
 
     Accounting: the executor records one ``bucket`` span per work unit,
     which carries the bucket's wall time.  Each member gets a zero-length
@@ -512,8 +512,7 @@ def run_matrix_tasks_batched(
     if len(supported) < 2:
         return {}
     buckets, fallback = plan_buckets(
-        [_build_from_payload(t.payload).scenario for t in supported],
-        min_batch=1,
+        [_build_from_payload(t.payload).scenario for t in supported]
     )
     for _, reason in fallback:
         count_fallback(reason)
@@ -697,7 +696,7 @@ def explain_matrix_buckets(
     """Render the bucket plan ``repro-io perf --explain-buckets`` prints.
 
     Builds exactly the task list :func:`run_interference_matrix` would run,
-    plans buckets the way the batched route does (``min_batch=1``), and
+    plans buckets the way the batched route does, and
     reports per bucket its width (members), cadence, server count and the
     set of admission-group widths that pad together — plus every task that
     falls back to the scalar path and why.
@@ -715,7 +714,7 @@ def explain_matrix_buckets(
     stepping_dict = None if stepping is None else stepping.to_dict()
     names, tasks, _ = _matrix_task_list(specs, scale, opts, stepping_dict)
     built = [_build_from_payload(t.payload) for t in tasks]
-    buckets, fallback = plan_buckets([b.scenario for b in built], min_batch=1)
+    buckets, fallback = plan_buckets([b.scenario for b in built])
 
     lines = [
         f"bucket plan: {len(tasks)} tasks over {'+'.join(names)} @ {scale} "
@@ -777,7 +776,7 @@ def run_interference_matrix(
         With ``jobs > 1`` each planned bucket becomes one pool work unit,
         so ``N`` workers advance ``N`` batched kernels concurrently — the
         two multipliers compose.  Results are bitwise identical either way;
-        disable to A/B against the scalar path.
+        disable to run every task alone, unbucketed.
     cache_dir:
         When given, every task is served from / stored into the
         content-addressed cache — a repeated matrix is a 100% cache hit.

@@ -202,7 +202,7 @@ class TestNextBound:
     def test_quiescent_before_start_is_unbounded(self):
         scenario = make_scenario("tiny")
         sim = IOPathSimulator(scenario)
-        bound = sim.stepper.next_bound(0.0, sim.step_size, 0.05)
+        bound = sim.next_bound(0.0, sim.step_size, 0.05)
         assert bound == float("inf")
 
     def test_active_bound_is_at_least_the_base_step(self):
@@ -211,7 +211,7 @@ class TestNextBound:
         result = sim.run()
         assert result.n_steps > 0
         # After the run everything drained; re-query the bound: quiescent.
-        assert sim.stepper.next_bound(result.simulated_time, sim.step_size, 0.05) == (
+        assert sim.next_bound(result.simulated_time, sim.step_size, 0.05) == (
             float("inf")
         )
 

@@ -1,11 +1,13 @@
 """Batched-kernel equivalence, bucketing properties, and telemetry neutrality.
 
-The batched lockstep kernel (:mod:`repro.model.batch`) promises *bitwise*
-equality with the scalar kernel: a B=1 batch reproduces every stored golden
-fingerprint, and every member of a B>1 batch reproduces the fingerprint of
-running it alone.  The bucketing front end must partition any scenario list
-(each scenario in exactly one bucket or the fallback), group only same-shape
-scenarios, and route ragged/adaptive/singleton scenarios to the scalar path.
+The stepping kernel (:mod:`repro.model.batch`) promises *bitwise* equality
+between a member of a batch and its run alone: a B=1 batch reproduces every
+stored fixed-step golden fingerprint, and every member of a B>1 batch
+reproduces the fingerprint of running it alone.  A run alone is itself a
+batch of one on the same driver.  The bucketing front end must partition
+any scenario list (each scenario in exactly one bucket or the fallback),
+group only same-shape scenarios, give a scenario without a partner a width-1
+bucket, and run adaptive scenarios alone.
 """
 
 import dataclasses
@@ -17,12 +19,14 @@ from hypothesis import strategies as st
 from repro import units
 from repro.config.control import SteppingMode, SteppingPolicy
 from repro.model.batch import (
+    BatchedStepper,
     BatchSimulator,
     _shape_of,
     plan_buckets,
     simulate_many,
 )
 from repro.model.simulator import simulate_scenario
+from repro.model.stepper import StepWorkspace
 from repro.obs.telemetry import telemetry_session
 from repro.scenarios.archetypes import archetype_names
 from repro.scenarios.spec import ScenarioSpec, build_scenario
@@ -51,7 +55,7 @@ def _alone_scenario(archetype):
 
 
 class TestGoldenEquivalenceB1:
-    """A single-member batch is byte-identical to the scalar kernel."""
+    """A single-member batch reproduces every fixed-step golden."""
 
     @pytest.mark.parametrize("name", sorted(
         name for name in golden_cases() if not name.startswith(ADAPTIVE_PREFIX)
@@ -64,6 +68,46 @@ class TestGoldenEquivalenceB1:
         assert digest == stored["fingerprint"], (
             f"batched B=1 fingerprint of {name} diverged from the golden"
         )
+
+
+# ---------------------------------------------------------------------- #
+# A run alone is a batch of one
+# ---------------------------------------------------------------------- #
+
+
+class TestOneKernel:
+    def _count_calls(self, monkeypatch, cls, name):
+        calls = []
+        original = getattr(cls, name)
+
+        def counting(self, *args):
+            calls.append(self)
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("stepping", ["fixed", "adaptive"])
+    def test_run_alone_steps_the_batch_kernel_with_one_member(
+        self, monkeypatch, stepping
+    ):
+        ticks = self._count_calls(monkeypatch, BatchedStepper, "step_batch")
+        scenario = build_scenario(
+            ["checkpoint"], "tiny", stepping=SteppingPolicy(mode=stepping)
+        ).scenario
+        result = simulate_scenario(scenario)
+        assert len(ticks) == result.n_steps > 0
+        assert {len(stepper._members) for stepper in ticks} == {1}
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_a_run_builds_one_workspace(self, monkeypatch, width):
+        built = self._count_calls(monkeypatch, StepWorkspace, "__init__")
+        scenarios = [_alone_scenario("checkpoint")] * width
+        if width == 1:
+            simulate_scenario(scenarios[0])
+        else:
+            BatchSimulator(scenarios).run()
+        assert len(built) == 1
 
 
 # ---------------------------------------------------------------------- #
@@ -92,7 +136,7 @@ class TestBatchVsAlone:
         assert digests == {alone_digest}
 
     def test_results_come_back_in_input_order(self):
-        # checkpoint/streaming share a shape; analytics falls back scalar.
+        # checkpoint/streaming share a shape; analytics gets its own bucket.
         names = ("checkpoint", "analytics", "streaming")
         scenarios = [_alone_scenario(a) for a in names]
         results = simulate_many(scenarios)
@@ -117,22 +161,18 @@ class TestBatchVsAlone:
 
 
 class TestBucketing:
-    @given(
-        names=st.lists(st.sampled_from(ARCHETYPES), min_size=1, max_size=6),
-        min_batch=st.integers(min_value=1, max_value=3),
-    )
+    @given(names=st.lists(st.sampled_from(ARCHETYPES), min_size=1, max_size=6))
     @settings(max_examples=25, deadline=None)
-    def test_partition(self, names, min_batch):
-        """Every scenario lands in exactly one bucket or the fallback, and
-        bucket members share a deployment shape."""
+    def test_partition(self, names):
+        """Every fixed-step scenario lands in exactly one bucket, and bucket
+        members share a deployment shape."""
         scenarios = [_alone_scenario(a) for a in names]
-        buckets, fallback = plan_buckets(scenarios, min_batch=min_batch)
-        seen = sorted(
-            [i for b in buckets for i in b.indices] + [i for i, _ in fallback]
-        )
+        buckets, fallback = plan_buckets(scenarios)
+        assert not fallback
+        seen = sorted(i for b in buckets for i in b.indices)
         assert seen == list(range(len(scenarios)))
         for bucket in buckets:
-            assert len(bucket.indices) >= min_batch
+            assert bucket.indices
             shapes = {_shape_of(scenarios[i]) for i in bucket.indices}
             assert shapes == {bucket.shape}
 
@@ -168,12 +208,12 @@ class TestBucketing:
         assert not buckets
         assert {reason for _, reason in fallback} == {"adaptive"}
 
-    def test_singletons_fall_back(self):
+    def test_singletons_form_width_one_buckets(self):
         # analytics has a different shape than checkpoint: no pairing.
         scenarios = [_alone_scenario("checkpoint"), _alone_scenario("analytics")]
         buckets, fallback = plan_buckets(scenarios)
-        assert not buckets
-        assert {reason for _, reason in fallback} == {"singleton"}
+        assert not fallback
+        assert [b.indices for b in buckets] == [[0], [1]]
 
 
 # ---------------------------------------------------------------------- #
@@ -221,13 +261,15 @@ class TestBatchTelemetry:
         assert "batch.occupancy" in snapshot["histograms"]
 
     def test_fallback_counters(self):
-        scenarios = [_alone_scenario("checkpoint"), _alone_scenario("analytics")]
+        policy = SteppingPolicy(mode=SteppingMode.ADAPTIVE)
+        adaptive = build_scenario(["checkpoint"], "tiny", stepping=policy).scenario
+        scenarios = [_alone_scenario("analytics"), adaptive]
         with telemetry_session("batch-test") as telemetry:
             simulate_many(scenarios)
             snapshot = telemetry.snapshot()
-        assert snapshot["counters"]["batch.ragged_fallbacks"] == 2
-        assert snapshot["counters"]["batch.fallback.singleton"] == 2
-        assert "batch.buckets" not in snapshot["counters"]
+        assert snapshot["counters"]["batch.ragged_fallbacks"] == 1
+        assert snapshot["counters"]["batch.fallback.adaptive"] == 1
+        assert snapshot["counters"]["batch.buckets"] == 1
 
 
 # ---------------------------------------------------------------------- #

@@ -129,11 +129,11 @@ class TestPaddedBucketsMatchScalar:
     def test_random_ragged_members_match_alone(self, subsets):
         base = build_scenario(["checkpoint"], "tiny").scenario
         scenarios = [_restricted(base, servers) for servers in subsets]
-        buckets, fallback = plan_buckets(scenarios, min_batch=1)
+        buckets, fallback = plan_buckets(scenarios)
         assert not fallback, "fixed-stepping members must never fall back"
         covered = sorted(i for b in buckets for i in b.indices)
         assert covered == list(range(len(scenarios)))
-        results = simulate_many(scenarios, min_batch=1)
+        results = simulate_many(scenarios)
         for servers, scenario, result in zip(subsets, scenarios, results):
             alone = simulate_scenario(scenario)
             assert metric_fingerprint(result)[0] == metric_fingerprint(alone)[0], (
@@ -146,7 +146,7 @@ class TestPaddedBucketsMatchScalar:
         subsets = [(0, 1, 2, 3), (0, 1), (2,)]
         scenarios = [_restricted(base, servers) for servers in subsets]
         with telemetry_session("padded-bucket") as telemetry:
-            results = simulate_many(scenarios, min_batch=1)
+            results = simulate_many(scenarios)
             counters = telemetry.snapshot()["counters"]
         assert counters["batch.buckets"] == 1
         assert counters["batch.member_runs"] == 3

@@ -178,8 +178,13 @@ class TestPromptRelease:
             if enabled:
                 gc.enable()
 
-    def test_simulate_scenario_frees_its_state(self, states):
-        result = simulate_scenario(make_scenario("tiny"))
+    @pytest.mark.parametrize("stepping", ["fixed", "adaptive"])
+    def test_simulate_scenario_frees_its_state(self, states, stepping):
+        from repro.config.control import SteppingPolicy
+
+        result = simulate_scenario(
+            make_scenario("tiny", stepping=SteppingPolicy(mode=stepping))
+        )
         assert result.n_steps > 0 and result.recorder.series_names()
         assert len(states) == 1
         assert states[0]() is None

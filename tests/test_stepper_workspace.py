@@ -11,23 +11,30 @@ import numpy as np
 import pytest
 
 from repro.config.presets import make_scenario
-from repro.model.simulator import IOPathSimulator
+from repro.model.batch import BatchSimulator
 from repro.model.stepper import ModelStepper, StepContext, StepWorkspace
-from repro.sim.engine import Simulator
 
 
-def contended_runner(n_warmup_steps: int = 40):
-    """A tiny contended simulation advanced into its active phase."""
+def step(batch, dt=None):
+    """One kernel step at the member engine's clock, then advance the clock
+    by hand (no engine events run)."""
+    dt = batch.dt if dt is None else dt
+    engine = batch.members[0].engine
+    batch.stepper.step_batch(engine.now, dt)
+    engine._now += dt
+
+
+def contended_batch(n_warmup_steps: int = 40):
+    """A tiny contended simulation alone on the kernel (a batch of one),
+    both applications started and advanced into the active phase."""
     scenario = make_scenario("tiny", device="hdd", sync_mode="sync-on")
-    runner = IOPathSimulator(scenario)
-    engine = Simulator(start_time=0.0)
-    for index in range(len(runner.state.applications)):
-        runner.stepper.start_application(engine, index)
-    dt = runner.step_size
+    batch = BatchSimulator([scenario])
+    member = batch.members[0]
+    for index in range(len(member.sim.state.applications)):
+        member.sim.start_application(member.engine, index)
     for _ in range(n_warmup_steps):
-        runner.stepper.step(engine, dt)
-        engine._now += dt
-    return runner, engine
+        step(batch)
+    return batch
 
 
 class TestOwnershipContract:
@@ -44,15 +51,15 @@ class TestOwnershipContract:
         assert tuple(StepWorkspace.PHASE_SLOTS) == ModelStepper.PHASES[:-1]
 
     def test_no_phase_writes_a_slot_owned_by_an_earlier_phase(self):
-        runner, engine = contended_runner()
-        stepper = runner.stepper
+        batch = contended_batch()
+        stepper = batch.stepper
         workspace = stepper.workspace
         state = stepper.state
         assert state.buffers.fill.sum() > 0, "warmup did not reach contention"
 
-        dt = runner.step_size
+        dt = batch.dt
         stepper._refresh_dt(dt)
-        ctx = StepContext(now=engine.now, dt=dt)
+        ctx = StepContext(now=batch.members[0].engine.now, dt=dt)
         phase_calls = {
             "workload_mix": lambda: stepper._phase_workload_mix(ctx),
             "drain": lambda: stepper._phase_drain(ctx),
@@ -60,7 +67,7 @@ class TestOwnershipContract:
             "admission": lambda: stepper._phase_admission(ctx),
             "window_dynamics": lambda: stepper._phase_window_dynamics(ctx),
             "accounting": lambda: stepper._phase_accounting(ctx),
-            "completion": lambda: stepper._phase_completion(engine),
+            "completion": lambda: stepper._phase_completion(ctx),
         }
         snapshots = {}
         completed = []
@@ -81,8 +88,7 @@ class TestOwnershipContract:
                 completed.append(phase)
 
     def test_context_fields_alias_workspace_slots(self):
-        runner, engine = contended_runner(n_warmup_steps=5)
-        stepper = runner.stepper
+        stepper = contended_batch(n_warmup_steps=5).stepper
         workspace = stepper.workspace
         ctx = stepper._ctx
         assert ctx.busy is workspace.busy
@@ -105,18 +111,14 @@ class TestAllocationFlatness:
         """
         import sys
 
-        runner, engine = contended_runner()
-        runner.recorder.config.record_marks = False
-        stepper = runner.stepper
-        dt = runner.step_size
+        batch = contended_batch()
+        batch.members[0].sim.recorder.config.record_marks = False
         for _ in range(10):  # settle caches/interned keys
-            stepper.step(engine, dt)
-            engine._now += dt
+            step(batch)
         before = sys.getallocatedblocks()
         n_steps = 50
         for _ in range(n_steps):
-            stepper.step(engine, dt)
-            engine._now += dt
+            step(batch)
         grown = sys.getallocatedblocks() - before
         assert grown < 2 * n_steps, (
             f"stepping grew {grown} live blocks over {n_steps} steps; "
@@ -124,18 +126,16 @@ class TestAllocationFlatness:
         )
 
     def test_dt_invariants_refresh_only_on_change(self):
-        runner, engine = contended_runner(n_warmup_steps=1)
-        stepper = runner.stepper
-        dt = runner.step_size
-        stepper.step(engine, dt)
-        engine._now += dt
+        batch = contended_batch(n_warmup_steps=1)
+        stepper = batch.stepper
+        dt = batch.dt
+        step(batch)
         cached = stepper._node_caps_dt
         expected = stepper._node_caps * dt
         assert np.array_equal(cached, expected)
-        stepper.step(engine, dt)
-        engine._now += dt
+        step(batch)
         assert stepper._node_caps_dt is cached  # same buffer, untouched
-        stepper.step(engine, dt * 2)
+        step(batch, dt * 2)
         assert np.array_equal(stepper._node_caps_dt, stepper._node_caps * dt * 2)
 
 
@@ -143,14 +143,12 @@ class TestProfilerHook:
     def test_profiler_collects_every_phase(self):
         from repro.perf.counters import StepProfiler
 
-        runner, engine = contended_runner(n_warmup_steps=2)
+        batch = contended_batch(n_warmup_steps=2)
         profiler = StepProfiler()
-        runner.stepper.profiler = profiler
-        dt = runner.step_size
+        batch.stepper.profiler = profiler
         for _ in range(3):
-            runner.stepper.step(engine, dt)
-            engine._now += dt
-        runner.stepper.profiler = None
+            step(batch)
+        batch.stepper.profiler = None
         report = profiler.report()
         assert set(report) == set(ModelStepper.PHASES)
         for phase, stats in report.items():
@@ -163,18 +161,16 @@ class TestProfilerHook:
 
         results = []
         for profiled in (False, True):
-            runner, engine = contended_runner(n_warmup_steps=0)
+            batch = contended_batch(n_warmup_steps=0)
             if profiled:
-                runner.stepper.profiler = StepProfiler()
-            dt = runner.step_size
+                batch.stepper.profiler = StepProfiler()
             for _ in range(30):
-                runner.stepper.step(engine, dt)
-                engine._now += dt
+                step(batch)
             results.append(
                 (
-                    runner.state.send_remaining.copy(),
-                    runner.state.windows.cwnd.copy(),
-                    runner.state.buffers.fill.copy(),
+                    batch.state.send_remaining.copy(),
+                    batch.state.windows.cwnd.copy(),
+                    batch.state.buffers.fill.copy(),
                 )
             )
         for plain, instrumented in zip(*results):

@@ -113,32 +113,29 @@ def phase_timing(document: Dict[str, Any]) -> List[Tuple[str, float, float]]:
 
 
 def batch_stats(document: Dict[str, Any]) -> Dict[str, float]:
-    """Batched-kernel routing figures: how much of the campaign ran batched.
+    """Batched-kernel figures: how full the kernel was.
 
-    ``batched_share`` is the fraction of executed (non-cached) simulations
-    that advanced inside a lockstep bucket rather than scalar; ``occupancy``
-    figures describe the bucket widths (from the ``batch.occupancy``
-    histogram).
+    ``member_steps_per_tick`` is the mean number of simulations one kernel
+    tick advanced (``batch.member_steps`` over ``batch.ticks``): 1.0 when
+    every run stepped alone, the bucket width when every bucket stayed full
+    to its end.  ``occupancy`` figures describe the bucket widths (from the
+    ``batch.occupancy`` histogram).
     """
     counters = document.get("counters", {})
     histogram = document.get("histograms", {}).get("batch.occupancy", {})
-    buckets = float(counters.get("batch.buckets", 0))
-    member_runs = float(counters.get("batch.member_runs", 0))
-    fallbacks = float(counters.get("batch.ragged_fallbacks", 0))
-    executed = float(counters.get("executor.tasks.completed", 0))
     padded = float(counters.get("batch.padded_slots", 0))
     slots = float(counters.get("batch.group_slots", 0))
-    routed = member_runs + fallbacks
+    ticks = float(counters.get("batch.ticks", 0))
+    member_steps = float(counters.get("batch.member_steps", 0))
     return {
-        "buckets": buckets,
-        "member_runs": member_runs,
-        "fallbacks": fallbacks,
+        "buckets": float(counters.get("batch.buckets", 0)),
+        "member_runs": float(counters.get("batch.member_runs", 0)),
+        "fallbacks": float(counters.get("batch.ragged_fallbacks", 0)),
         "padded_slots": padded,
         "group_slots": slots,
         "padded_waste": padded / slots if slots > 0 else 0.0,
-        "batched_share": member_runs / executed if executed > 0 else (
-            member_runs / routed if routed > 0 else 0.0
-        ),
+        "ticks": ticks,
+        "member_steps_per_tick": member_steps / ticks if ticks > 0 else 0.0,
         "mean_occupancy": (
             float(histogram.get("sum", 0)) / float(histogram["count"])
             if histogram.get("count") else 0.0
@@ -230,9 +227,12 @@ def summarize_document(
     if batch["buckets"] > 0:
         lines.append(
             f"  {batch['member_runs']:.0f} simulations in "
-            f"{batch['buckets']:.0f} lockstep buckets "
-            f"({batch['batched_share']:.1%} of executed tasks batched), "
+            f"{batch['buckets']:.0f} lockstep buckets, "
             f"{batch['fallbacks']:.0f} scalar fallbacks"
+        )
+        lines.append(
+            f"  kernel {batch['ticks']:.0f} ticks, "
+            f"{batch['member_steps_per_tick']:.2f} member-steps per tick"
         )
         lines.append(
             f"  occupancy mean {batch['mean_occupancy']:.1f} "

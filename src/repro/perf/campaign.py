@@ -4,7 +4,8 @@ Where :mod:`repro.perf.harness` measures the stepping kernel in isolation,
 this harness measures what the paper's workflows actually pay: end-to-end
 interference-matrix wall time across the jobs × batch grid, cold (every task
 simulated) and warm (every task a cache hit), with the telemetry-derived
-executor utilization, batched share, and padding waste per cell — plus the
+executor utilization, member-steps per kernel tick, and padding waste per
+cell — plus the
 batched-kernel throughput curve so the committed document gates campaign
 throughput *and* kernel throughput against one baseline.
 
@@ -12,9 +13,9 @@ Cross-machine absolute wall times are meaningless (and on a single-CPU
 container ``jobs > 1`` adds pool overhead without parallel speedup), so the
 regression gate (:func:`check_campaign_regression`) compares only the
 machine-comparable quantities: batched-kernel steps/s against the committed
-baseline, byte-identity of every cell's matrix (``identical``), and zero
-ragged fallbacks in every batched cell.  Wall times are recorded for
-trend-reading, not gated.
+baseline, byte-identity of every cell's matrix (``identical``), zero ragged
+fallbacks in every batched cell, and utilization at most 1 in every cell.
+Wall times are recorded for trend-reading, not gated.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def _run_cell(
         "warm_wall_s": float(warm_wall),
         "warm_hit_rate": float(cache_stats(warm)["hit_rate"]),
         "utilization": float(ex["utilization"]),
-        "batched_share": float(bt["batched_share"]),
+        "member_steps_per_tick": float(bt["member_steps_per_tick"]),
         "buckets": float(bt["buckets"]),
         "member_runs": float(bt["member_runs"]),
         "ragged_fallbacks": float(bt["fallbacks"]),
@@ -221,7 +222,7 @@ def validate_campaign_document(document: object) -> Dict:
         _require(isinstance(cell.get("batch"), bool), f"{path}.batch",
                  "must be a boolean")
         for field in ("cold_wall_s", "warm_wall_s", "warm_hit_rate",
-                      "utilization", "batched_share", "buckets",
+                      "utilization", "member_steps_per_tick", "buckets",
                       "member_runs", "ragged_fallbacks", "padded_slots",
                       "padded_waste"):
             value = cell.get(field)
@@ -254,11 +255,13 @@ def check_campaign_regression(
 ) -> List[str]:
     """Failure messages for the campaign gate (empty = gate green).
 
-    Three checks: the fresh document's cells must be byte-identical
+    Four checks: the fresh document's cells must be byte-identical
     (``identical``), every batched cell must report zero ragged fallbacks,
-    and every batched-kernel throughput present in both documents must stay
-    at or above ``min_ratio`` of the committed baseline.  Wall times are
-    deliberately not gated (machine-local noise).
+    no cell may report a utilization above 1 (busy time counts each work
+    unit once, so more would be an accounting bug), and every batched-kernel
+    throughput present in both documents must stay at or above
+    ``min_ratio`` of the committed baseline.  Wall times are deliberately
+    not gated (machine-local noise).
     """
     if not 0.0 < min_ratio <= 1.0:
         raise PerfError(f"min_ratio must be in (0, 1], got {min_ratio}")
@@ -275,6 +278,11 @@ def check_campaign_regression(
             failures.append(
                 f"{key}: {cell['ragged_fallbacks']:.0f} ragged fallbacks "
                 "(batched cells must report zero)"
+            )
+        if float(cell["utilization"]) > 1.0:
+            failures.append(
+                f"{key}: utilization {cell['utilization']:.2f} is above 1 "
+                "(worker busy time was counted more than once)"
             )
     base_kernel = baseline["batched_kernel"]
     for key, entry in current["batched_kernel"].items():
@@ -305,7 +313,7 @@ def format_campaign_summary(document: Dict) -> str:
         lines.append(
             f"  {key:14s} cold {cell['cold_wall_s']:7.2f}s  "
             f"warm {cell['warm_wall_s']:6.2f}s  "
-            f"batched {cell['batched_share']:6.1%}  "
+            f"{cell['member_steps_per_tick']:5.2f} steps/tick  "
             f"util {cell['utilization']:6.1%}  "
             f"fallbacks {cell['ragged_fallbacks']:.0f}"
         )

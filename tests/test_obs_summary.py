@@ -79,13 +79,16 @@ class TestDerivedStats:
         t.count("executor.tasks.completed", 14)
         t.count("batch.padded_slots", 32)
         t.count("batch.group_slots", 128)
+        t.count("batch.ticks", 400)
+        t.count("batch.member_steps", 1000)
         t.observe("batch.occupancy", 8.0)
         t.observe("batch.occupancy", 4.0)
         stats = batch_stats(t.to_document())
         assert stats["buckets"] == 2.0
         assert stats["member_runs"] == 12.0
         assert stats["fallbacks"] == 2.0
-        assert stats["batched_share"] == pytest.approx(12 / 14)
+        assert stats["ticks"] == 400.0
+        assert stats["member_steps_per_tick"] == pytest.approx(2.5)
         assert stats["mean_occupancy"] == pytest.approx(6.0)
         assert stats["max_occupancy"] == 8.0
         assert stats["padded_slots"] == 32.0
@@ -97,7 +100,7 @@ class TestDerivedStats:
 
         stats = batch_stats(Telemetry().to_document())
         assert stats["buckets"] == 0.0
-        assert stats["batched_share"] == 0.0
+        assert stats["member_steps_per_tick"] == 0.0
         assert stats["padded_waste"] == 0.0
 
 
@@ -156,7 +159,7 @@ class TestSummarizeDocument:
         report = summarize_document(t.to_document())
         assert "skipped 2 corrupt index lines (compact heals them)" in report
 
-    def test_batching_section_reports_share(self):
+    def test_batching_section_reports_kernel_fullness(self):
         t = Telemetry(label="batched")
         t.count("batch.buckets", 3)
         t.count("batch.member_runs", 13)
@@ -164,13 +167,15 @@ class TestSummarizeDocument:
         t.count("executor.tasks.completed", 14)
         t.count("batch.padded_slots", 52)
         t.count("batch.group_slots", 520)
+        t.count("batch.ticks", 800)
+        t.count("batch.member_steps", 2000)
         t.observe("batch.occupancy", 7.0)
         t.observe("batch.occupancy", 4.0)
         t.observe("batch.occupancy", 2.0)
         report = summarize_document(t.to_document())
-        assert "13 simulations in 3 lockstep buckets" in report
-        assert "92.9% of executed tasks batched" in report
-        assert "1 scalar fallbacks" in report
+        assert "13 simulations in 3 lockstep buckets, 1 scalar fallbacks" in report
+        assert "kernel 800 ticks, 2.50 member-steps per tick" in report
+        assert "of executed tasks batched" not in report
         assert "occupancy mean 4.3 max 7 scenarios/bucket" in report
         assert "padding 52/520 admission slots masked (10.0% waste)" in report
 

@@ -26,7 +26,7 @@ def _document():
         "warm_wall_s": 0.1,
         "warm_hit_rate": 1.0,
         "utilization": 0.9,
-        "batched_share": 1.0,
+        "member_steps_per_tick": 2.5,
         "buckets": 5.0,
         "member_runs": 5.0,
         "ragged_fallbacks": 0.0,
@@ -34,7 +34,7 @@ def _document():
         "padded_waste": 0.1,
         "matrix_sha256": "a" * 64,
     }
-    scalar = dict(cell, batch=False, batched_share=0.0, buckets=0.0,
+    scalar = dict(cell, batch=False, member_steps_per_tick=1.0, buckets=0.0,
                   member_runs=0.0, padded_slots=0.0, padded_waste=0.0)
     return {
         "schema": CAMPAIGN_SCHEMA_ID,
@@ -105,6 +105,15 @@ class TestRegressionGate:
         current["cells"]["jobs1-scalar"]["ragged_fallbacks"] = 5.0
         assert check_campaign_regression(current, _document()) == []
 
+    @pytest.mark.parametrize("key", ["jobs1-batched", "jobs1-scalar"])
+    def test_utilization_above_one_fails(self, key):
+        current = _document()
+        current["cells"][key]["utilization"] = 3.92
+        failures = check_campaign_regression(current, _document())
+        assert any(
+            f.startswith(f"{key}: utilization 3.92 is above 1") for f in failures
+        )
+
     def test_kernel_regression_fails(self):
         current = _document()
         key = "batched/tiny-hdd-sync-on@b8"
@@ -141,6 +150,7 @@ class TestCommittedBaseline:
         for key, cell in document["cells"].items():
             if cell["batch"]:
                 assert cell["ragged_fallbacks"] == 0, key
+            assert cell["utilization"] <= 1.0, key
 
 
 class TestSummary:

@@ -1245,8 +1245,9 @@ def _perf_campaign(args: argparse.Namespace, log) -> int:
         return 1
     log.info(
         "perf_gate", status="green",
-        detail=f"grid byte-identical, zero ragged fallbacks, no kernel "
-               f"throughput below {args.min_ratio:.0%} of {baseline_path}",
+        detail=f"grid byte-identical, zero ragged fallbacks, utilization "
+               f"at most 100%, no kernel throughput below "
+               f"{args.min_ratio:.0%} of {baseline_path}",
     )
     return 0
 

@@ -583,7 +583,7 @@ class BatchSimulator:
             for m in members
         ]
         reference = sims[0]
-        self.adaptive = reference.stepping.is_adaptive
+        self._adaptive = reference.stepping.is_adaptive
         if len(sims) > 1 and any(sim.stepping.is_adaptive for sim in sims):
             raise SimulationError("adaptive stepping cannot run batched")
         self.dt = reference.step_size
@@ -708,7 +708,7 @@ class BatchSimulator:
             self.profiler = self.stepper.profiler = StepProfiler()
         wall_start = time.perf_counter()
         try:
-            if self.adaptive:
+            if self._adaptive:
                 self._run_event_driven()
             else:
                 self._run_lockstep()

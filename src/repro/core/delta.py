@@ -23,7 +23,7 @@ from repro.config.scenario import ScenarioConfig
 from repro.core import metrics
 from repro.errors import AnalysisError, ExperimentError
 from repro.model.results import RunResult
-from repro.model.simulator import simulate_scenario
+from repro.model.simulator import IOPathSimulator, simulate_scenario
 
 __all__ = [
     "DeltaPoint",
@@ -308,15 +308,42 @@ def alone_times_for(scenario: ScenarioConfig, alone_result: RunResult) -> Dict[s
     }
 
 
+def _run_points(
+    scenario: ScenarioConfig, deltas: Sequence[float], seed: Optional[int]
+) -> List[DeltaPoint]:
+    """Simulate the points of ``scenario`` at ``deltas``.
+
+    Under fixed stepping the points run as one bucket of the lockstep
+    kernel (each on its own clock: the delay moves the resolved step and the
+    start anchor); adaptive points run alone on the event-driven loop.
+    """
+    # Imported here, as the matrix does: importing repro.core stays free of
+    # the kernel module until a sweep runs.
+    from repro.model.batch import run_bucket
+
+    points = [scenario.with_delay(delta) for delta in deltas]
+    if not points:
+        return []
+    if scenario.control.resolve_stepping().is_adaptive:
+        results = [simulate_scenario(point, seed=seed) for point in points]
+    else:
+        results = run_bucket([IOPathSimulator(point, seed=seed) for point in points])
+    return [
+        DeltaPoint.from_run_result(delta, result)
+        for delta, result in zip(deltas, results)
+    ]
+
+
 def run_delta_point_task(payload: Dict[str, object], seed: Optional[int]) -> Dict[str, object]:
-    """Executor worker (task kind ``delta-point``): simulate one Δ point.
+    """Executor worker (task kind ``delta-point``): simulate a chunk of Δ
+    points as one bucket.
 
     Payload keys: ``scenario`` (a :class:`~repro.config.scenario.ScenarioConfig`)
-    and ``delta``.  Returns the serialized :class:`DeltaPoint`.
+    and ``deltas``.  Returns ``{"points": [...]}``, the serialized
+    :class:`DeltaPoint` of every delay in order.
     """
-    delta = float(payload["delta"])
-    result = simulate_scenario(payload["scenario"].with_delay(delta), seed=seed)
-    return DeltaPoint.from_run_result(delta, result).to_dict()
+    points = _run_points(payload["scenario"], payload["deltas"], seed)
+    return {"points": [point.to_dict() for point in points]}
 
 
 def run_delta_sweep(
@@ -346,12 +373,15 @@ def run_delta_sweep(
     label:
         Label stored on the resulting sweep.
     jobs:
-        With ``jobs > 1`` each point is one ``delta-point`` task fanned
+        The points run as one bucket of the lockstep kernel (under fixed
+        stepping; adaptive points run alone).  With ``jobs > 1`` the delays
+        split into ``min(jobs, len(deltas))`` contiguous chunks, each one
+        ``delta-point`` task that runs its chunk as one bucket, fanned
         across that many worker processes by
-        :class:`~repro.runner.executor.ParallelExecutor` (useful at the
-        ``paper`` scale, where each point is an expensive simulation).
-        Every point gets the same ``seed`` either way, so the sweep equals
-        the serial one.  The baseline always runs here.
+        :class:`~repro.runner.executor.ParallelExecutor`.  Every point gets
+        the same ``seed`` either way, and a point's result does not depend
+        on its bucket, so the sweep equals the serial one.  The baseline
+        always runs here.
     """
     if len(scenario.applications) < 2:
         raise ExperimentError("a delta sweep needs a two-application scenario")
@@ -361,29 +391,29 @@ def run_delta_sweep(
         alone_result = simulate_scenario(alone_scenario, seed=seed)
     alone_times = alone_times_for(scenario, alone_result)
 
-    if jobs > 1:
+    deltas = [float(delta) for delta in deltas]
+    n_chunks = min(jobs, len(deltas))
+    if n_chunks > 1:
         # Imported here: repro.runner depends on repro.core, not vice versa.
         from repro.runner.executor import ParallelExecutor, TaskSpec
 
+        bounds = [len(deltas) * k // n_chunks for k in range(n_chunks + 1)]
         tasks = [
             TaskSpec(
-                task_id=f"delta[{i}]={float(delta):+.6g}",
+                task_id=f"delta[{start}:{stop}]",
                 kind="delta-point",
-                payload={"scenario": scenario, "delta": float(delta)},
+                payload={"scenario": scenario, "deltas": deltas[start:stop]},
                 seed=seed,
             )
-            for i, delta in enumerate(deltas)
+            for start, stop in zip(bounds, bounds[1:])
         ]
         points = [
-            DeltaPoint.from_dict(p) for p in ParallelExecutor(jobs=jobs).map(tasks)
+            DeltaPoint.from_dict(point)
+            for out in ParallelExecutor(jobs=jobs).map(tasks)
+            for point in out["points"]
         ]
     else:
-        points = [
-            DeltaPoint.from_run_result(
-                delta, simulate_scenario(scenario.with_delay(float(delta)), seed=seed)
-            )
-            for delta in deltas
-        ]
+        points = _run_points(scenario, deltas, seed)
 
     points.sort(key=lambda p: p.delta)
     return DeltaSweep(points=points, alone_times=alone_times, label=label or scenario.label)

@@ -3,11 +3,11 @@
 :class:`BatchedStepper` is the one stepping kernel.  Every simulation steps
 on it as a member of a batch, and a run alone
 (:func:`~repro.model.simulator.simulate_scenario`) is a batch of one.  Every
-campaign this repo runs (interference matrices, parameter grids, seed
-replications) is embarrassingly many *independent* simulations of the same
-deployment shape, which makes the batch axis free: concatenate the
+campaign this repo runs (interference matrices, Δ-sweeps, parameter grids,
+seed replications) is embarrassingly many *independent* simulations of one
+deployment, which makes the batch axis free: concatenate the
 per-connection, per-server and per-node state of B member simulations into
-flat arrays and run the same seven phases once per step over ``B * N``
+flat arrays and run the same seven phases once per tick over ``B * N``
 elements, so the Python/NumPy call overhead that dominates a small step is
 paid once per batch.
 
@@ -16,7 +16,11 @@ Exactness
 Every member of a batch is bit-for-bit identical to its run alone, by
 construction rather than by tolerance:
 
-* every elementwise ufunc is trivially independent per lane;
+* every elementwise ufunc is trivially independent per lane, and every use
+  of the step clock in array code is elementwise: each lane carries its own
+  member's ``now`` and ``dt`` (per-lane arrays), so it computes the bits the
+  member's scalar clock gives alone; the one transcendental of ``dt`` (the
+  paced-timeout hazard) is taken per member in Python;
 * ``bincount`` accumulates per bin in input order, and each member's
   connections occupy a contiguous flat range in their original relative
   order, so per-bin partial-sum order is unchanged;
@@ -45,28 +49,36 @@ Nothing in a step loops over members, servers or processes:
 * application lifecycle and per-process issue state are flat arrays, so the
   completion phase finds the few applications whose operation completed
   with one vectorized scan, and Python runs only for those;
-* link accounting, observed time and pressure step counts advance once
-  per step for the whole batch (a finished member's buffers hold at most
-  its completion residue, under a byte per application, so its lanes never
-  count as full), and the running totals are stamped on each member as it
-  finishes.
+* link accounting and pressure step counts advance once per step for the
+  whole batch (a finished member's buffers hold at most its completion
+  residue, under a byte per application, so its lanes never count as full),
+  observed time once per step for each member (its own steps summed in
+  order), and the running totals are stamped on each member as it finishes.
 
 Drivers
 -------
 Each member keeps its own discrete-event engine for its control plane
 (application starts, operation issues, trace sampling), which runs exact
-member-local code.  :class:`BatchSimulator` runs the kernel in one of two
+member-local code, and its own step clock: its resolved step ``dt``, its
+start anchor ``t0 = min(0, earliest start)`` and its horizon
+``t0 + max_time``.  :class:`BatchSimulator` runs the kernel in one of two
 loops:
 
-* **lockstep** (fixed stepping, any B): the step clock advances with the
-  ``t + dt`` arithmetic of a periodic step event, first at ``t0 + dt``.
-  Before each step only the engines that have an event due by then run, up
-  to and including the CONTROL events of the step instant
-  (``Simulator.run(until=t, until_priority=NORMAL)``): exactly the events
-  that precede a NORMAL-priority step event at that instant.  Event
-  ordering within a step instant (CONTROL < NORMAL < OBSERVE) is therefore
-  that of a step event, including trace samples observing post-step state,
-  while a step with no due event costs no engine call at all;
+* **lockstep** (fixed stepping, any B: a run alone, a matrix bucket, a
+  Δ-sweep bucket): members step together by *tick index*.  Each tick
+  advances every member's clock with the ``t + dt`` arithmetic of a
+  periodic step event, first at ``t0 + dt``, in one elementwise add over
+  the per-member clocks.  Before the step only the engines that have an
+  event due by their own clock run, up to and including the CONTROL events
+  of that instant (``Simulator.run(until=t, until_priority=NORMAL)``):
+  exactly the events that precede a NORMAL-priority step event there.
+  Event ordering within a step instant (CONTROL < NORMAL < OBSERVE) is
+  therefore that of a step event, including trace samples observing
+  post-step state, while a tick with no due event costs no engine call at
+  all.  A member is checked against its own horizon, retires on the tick
+  it finishes (its end time, step count, observed time and wall time are
+  stamped then), and its lanes step on as exact no-ops until the bucket
+  ends (``batch.lane_steps`` counts them);
 * **event-driven** (adaptive stepping, one member): steps are engine events
   at the bound :meth:`~repro.model.simulator.IOPathSimulator.next_bound`
   derives from the current rates, and control events catch the model up
@@ -74,17 +86,21 @@ loops:
 
 Bucketing
 ---------
-:func:`plan_buckets` groups scenarios that can share a flat state: same
-resolved step, start time and horizon, and the same platform/filesystem
-configuration.  Connection counts and per-server group sizes are free to
-differ — the admission water-filling pads ragged groups into width classes
+The kernel needs only one thing of a bucket's members: the same
+platform/filesystem configuration (they feed the stepper's constants).
+Connection counts and per-server group sizes are free to differ — the
+admission water-filling pads ragged groups into width classes
 (:class:`~repro.network.incast.ServerBuffers`), so mixed deployments batch
-together and ``batch.padded_slots`` accounts the masked waste.  A scenario
-without a partner forms a width-1 bucket, which is its run alone; only
-adaptive stepping (no fixed lockstep cadence) stays outside the buckets and
-runs alone on the event-driven loop.  :func:`simulate_many` is the front
-end: it plans, runs each bucket through :func:`run_bucket`, runs the
-adaptive scenarios alone, and emits ``batch.*`` telemetry.
+together and ``batch.padded_slots`` accounts the masked waste — and so are
+steps, start anchors and horizons.  A Δ-sweep runs its points as one
+bucket (:func:`repro.core.delta.run_delta_sweep`).  :func:`plan_buckets`,
+the matrix's grouping policy, additionally keeps scenarios of one resolved
+step, start anchor and horizon together (:class:`BucketShape`).  A
+scenario without a partner forms a width-1 bucket, which is its run alone;
+only adaptive stepping stays outside the buckets and runs alone on the
+event-driven loop.  :func:`simulate_many` is the front end: it plans, runs
+each bucket through :func:`run_bucket`, runs the adaptive scenarios alone,
+and emits ``batch.*`` telemetry.
 """
 
 from __future__ import annotations
@@ -142,10 +158,15 @@ _PROCESS_ARRAYS = ("proc_current_op", "proc_next_issue")
 
 @dataclass(frozen=True)
 class BucketShape:
-    """The lockstep cadence a batch bucket shares.
+    """The key :func:`plan_buckets` groups matrix scenarios by.
 
-    ``dt`` and ``t0`` pin the cadence; members with different resolved steps
-    or start anchors cannot share marker events.  ``n_servers`` and
+    ``dt``, ``t0`` and ``max_time`` are the matrix's grouping policy, not a
+    kernel constraint: every member steps on its own clock, so a bucket may
+    mix them (a Δ-sweep's bucket does).  Keying on them keeps the matrix's
+    buckets at their widths: a platform/filesystem-only key would make the
+    44-task tiny fleet one bucket of width 44, which on a 2-CPU machine ran
+    faster at ``--jobs 1`` but with about 10% more peak memory, and which
+    leaves a second worker idle at ``--jobs 2``.  ``n_servers`` and
     ``n_client_nodes`` are informational (the platform/filesystem equality
     check in :func:`_compatible` already pins them); connection counts and
     per-server group sizes are deliberately absent — ragged and mixed-width
@@ -167,8 +188,8 @@ class _Bucket:
 
 
 def _shape_of(scenario: ScenarioConfig) -> Optional[BucketShape]:
-    """Deployment shape of ``scenario``, or ``None`` when it cannot batch
-    (adaptive stepping has no fixed lockstep cadence)."""
+    """Bucket key of ``scenario``, or ``None`` when it cannot batch
+    (adaptive stepping has no fixed step to lockstep)."""
     control = scenario.control
     if control.resolve_stepping().is_adaptive:
         return None
@@ -199,12 +220,12 @@ def _compatible(reference: ScenarioConfig, scenario: ScenarioConfig) -> bool:
 def plan_buckets(
     scenarios: Sequence[ScenarioConfig],
 ) -> Tuple[List[_Bucket], List[Tuple[int, str]]]:
-    """Group ``scenarios`` into lockstep buckets.
+    """Group ``scenarios`` into lockstep buckets by :class:`BucketShape`.
 
     Returns ``(buckets, fallback)`` where every input index appears in
     exactly one bucket's ``indices`` (width-1 buckets included) or once in
     ``fallback`` as an ``(index, "adaptive")`` pair: adaptive stepping has no
-    fixed cadence to lockstep, so it runs alone.
+    fixed step to lockstep, so it runs alone.
     """
     buckets: List[_Bucket] = []
     fallback: List[Tuple[int, str]] = []
@@ -229,10 +250,15 @@ def plan_buckets(
 
 @dataclass
 class _BatchMember:
-    """One member simulation and its lanes in the flat state."""
+    """One member simulation, its lanes in the flat state and its clock."""
 
     sim: IOPathSimulator
+    #: Position in the batch (its entry in every per-member array).
+    index: int
     engine: Simulator
+    #: Start anchor (the clock before the first step) and horizon.
+    t0: float
+    until: float
     conn_sl: slice
     srv_sl: slice
     node_sl: slice
@@ -241,8 +267,17 @@ class _BatchMember:
     live: bool = True
     n_steps: int = 0
     end_time: float = float("nan")
+    #: Wall seconds from the start of the run to the step it finished on.
+    wall_time: float = float("nan")
     #: Time of the member engine's next event (``inf`` when none).
     due: float = float("inf")
+
+
+def _lane_members(slices: Sequence[slice]) -> np.ndarray:
+    """Member index of every lane of a flat array laid out as ``slices``."""
+    return np.repeat(
+        np.arange(len(slices)), [sl.stop - sl.start for sl in slices]
+    )
 
 
 class _BatchedState:
@@ -270,6 +305,12 @@ class _BatchedState:
         self.conn_node = conn_node
         self.n_connections = int(conn_server.shape[0])
         self.n_servers = topology.n_servers
+        self.n_members = len(members)
+        #: Member index of every connection, server, node and process lane.
+        self.conn_member = _lane_members([m.conn_sl for m in members])
+        self.server_member = _lane_members([m.srv_sl for m in members])
+        self.node_member = _lane_members([m.node_sl for m in members])
+        self.proc_member = _lane_members([m.proc_sl for m in members])
         states = [m.sim.state for m in members]
         self.n_apps = sum(st.n_apps for st in states)
         self.n_processes = sum(st.n_processes for st in states)
@@ -329,12 +370,14 @@ class BatchedStepper(ModelStepper):
 
     Inherits the shared data-plane phases and adds the parts that touch a
     member's own RNG streams or bookkeeping, each sliced per member: the
-    burst-escape gate, window dynamics and completion.
+    burst-escape gate, window dynamics and completion.  Each member steps on
+    its own clock (see :class:`~repro.model.stepper.StepContext`).
     """
 
     def __init__(self, state: _BatchedState, members: Sequence[_BatchMember]) -> None:
         super().__init__(state)
         self._members = list(members)
+        self._rng_sites: Tuple[Tuple[slice, np.random.Generator, float], ...] = ()
         #: Member index of every flat application.
         self._app_member = [
             i for i, m in enumerate(self._members)
@@ -346,13 +389,18 @@ class BatchedStepper(ModelStepper):
         #: operation completed, an issue was scheduled, a member finished),
         #: in member order; the driver follows up on exactly these.
         self.changed: List[_BatchMember] = []
-        #: Per-member RNG sites for WindowState.update: hazard draws and
-        #: collapse jitter come from each member's own transport stream,
-        #: sliced to its lanes.  Dead members never have candidates (their
-        #: connections are inactive and their post-step starvation clocks
-        #: sit below the RTO), so the site list can stay static.
+
+    def set_steps(self, dt) -> None:
+        super().set_steps(dt)
+        # Per-member RNG sites for WindowState.update: hazard draws and
+        # collapse jitter come from each member's own transport stream,
+        # sliced to its lanes, and the hazard from its own step.  Dead
+        # members never have candidates (their connections are inactive and
+        # their post-step starvation clocks sit below the RTO), so the site
+        # list stays fixed between step changes.
         self._rng_sites = tuple(
-            (m.conn_sl, m.sim.state.windows._rng) for m in self._members
+            (m.conn_sl, m.sim.state.windows._rng, step)
+            for m, step in zip(self._members, self._ctx.dt.tolist())
         )
 
     # -- per-member phases ---------------------------------------------- #
@@ -392,13 +440,14 @@ class BatchedStepper(ModelStepper):
             if failed.any():
                 local_idx = np.flatnonzero(failed)
                 mstate = member.sim.state
-                mstate.windows.force_timeout(local_idx, ctx.now)
+                now = float(ctx.now[member.index])
+                mstate.windows.force_timeout(local_idx, now)
                 ws.desired[sl][local_idx] = 0.0
                 mstate.collapses_per_app += np.bincount(
                     mstate.conn_app[local_idx], minlength=mstate.n_apps
                 )
                 mstate.recorder.mark(
-                    ctx.now, "incast", "burst-loss",
+                    now, "incast", "burst-loss",
                     data={"count": int(local_idx.size)},
                 )
 
@@ -412,8 +461,8 @@ class BatchedStepper(ModelStepper):
         """
         state = self.state
         update = state.windows.update(
-            now=ctx.now,
-            dt=ctx.dt,
+            now=ctx.now_conn,
+            dt=ctx.dt_conn,
             requested=ctx.desired,
             admitted=ctx.admitted,
             rtt_eff=ctx.rtt_eff,
@@ -438,7 +487,7 @@ class BatchedStepper(ModelStepper):
                     mstate.conn_app[local_idx], minlength=mstate.n_apps
                 )
                 mstate.recorder.mark(
-                    ctx.now, "incast", "window-collapse",
+                    float(ctx.now[member.index]), "incast", "window-collapse",
                     data={"count": int(b - a)},
                 )
 
@@ -467,12 +516,12 @@ class BatchedStepper(ModelStepper):
                 None if ready is None else ready[member.proc_sl],
                 None if settled is None else settled[member.app_sl],
                 member.engine,
-                now,
+                float(now[member.index]),
             )
             if not changed or changed[-1] is not member:
                 changed.append(member)
 
-    def _scan_completions(self, now: float):
+    def _scan_completions(self, now: np.ndarray):
         """Find the applications whose state changes at the end of this step.
 
         One set of vectorized reductions over every application and process
@@ -486,7 +535,8 @@ class BatchedStepper(ModelStepper):
         only touches its own connections, so scanning all applications up
         front decides exactly what a pass in index order would.
 
-        Reads:  outstanding bytes, ``app_phase``, process issue state.
+        Reads:  outstanding bytes, ``app_phase``, process issue state, the
+                member clocks ``now``.
         Writes: nothing (clobbers ``tmp_conn_a``).
         """
         state = self.state
@@ -510,7 +560,7 @@ class BatchedStepper(ModelStepper):
             idle = per_proc <= eps
             exhausted = (state.proc_current_op + 1) >= state.proc_n_ops
             ready = idle & ~exhausted
-            ready &= state.proc_next_issue <= now
+            ready &= state.proc_next_issue <= now.take(state.proc_member)
             ready &= independent[state.proc_app]
             idle &= exhausted
             settled = np.bincount(
@@ -525,14 +575,12 @@ class BatchedStepper(ModelStepper):
 
     # -- the step ------------------------------------------------------- #
 
-    def step_batch(self, now: float, dt: float) -> None:
-        """Advance every live member by ``dt`` at simulated time ``now``."""
-        if dt <= 0:
-            raise SimulationError("dt must be positive")
-        self._refresh_dt(dt)
+    def step_batch(self, now: np.ndarray) -> None:
+        """Advance every member by its own step (:meth:`set_steps`) to its
+        clock in ``now``: one float per member, the end of this step."""
         ctx = self._ctx
         ctx.now = now
-        ctx.dt = dt
+        now.take(self.state.conn_member, out=ctx.now_conn)
         profiler = self.profiler
         if profiler is None:
             self._phase_workload_mix(ctx)
@@ -565,12 +613,15 @@ class BatchedStepper(ModelStepper):
 
 
 class BatchSimulator:
-    """Runs its members on one kernel: B same-shape fixed-step scenarios in
-    lockstep, or one adaptive scenario event-driven.
+    """Runs its members on one kernel: B fixed-step scenarios in lockstep by
+    tick index, each on its own clock, or one adaptive scenario
+    event-driven.
 
     ``members`` are scenarios or *fresh* :class:`IOPathSimulator` objects (a
     run alone passes itself): member state is re-pointed at the flat arrays
-    right after construction, before any event runs.
+    right after construction, before any event runs.  Members must share the
+    platform and filesystem configuration; their steps, start anchors and
+    horizons are their own.
     """
 
     def __init__(
@@ -586,39 +637,30 @@ class BatchSimulator:
         self._adaptive = reference.stepping.is_adaptive
         if len(sims) > 1 and any(sim.stepping.is_adaptive for sim in sims):
             raise SimulationError("adaptive stepping cannot run batched")
-        self.dt = reference.step_size
         scenario = reference.scenario
-        self.t0 = min(0.0, min(app.start_time for app in scenario.applications))
-        self._max_time = scenario.control.max_time
-        for sim in sims:
-            s = sim.scenario
-            t0 = min(0.0, min(app.start_time for app in s.applications))
-            if (
-                sim.step_size != self.dt
-                or t0 != self.t0
-                or s.control.max_time != self._max_time
-                or s.platform != scenario.platform
-                or s.filesystem != scenario.filesystem
-            ):
-                raise SimulationError(
-                    "batch members must share step size, start anchor and "
-                    "platform/filesystem configuration"
-                )
 
         # Lanes.
         members: List[_BatchMember] = []
         conn_off = srv_off = node_off = app_off = proc_off = 0
-        self._until = self.t0 + self._max_time
-        horizon = self.t0 + self._max_time * 2 + 1.0
-        for sim in sims:
+        for index, sim in enumerate(sims):
             st = sim.state
+            s = sim.scenario
+            if s.platform != scenario.platform or s.filesystem != scenario.filesystem:
+                raise SimulationError(
+                    "batch members must share the platform/filesystem configuration"
+                )
+            t0 = min(0.0, min(app.start_time for app in s.applications))
+            max_time = s.control.max_time
             n_c = st.n_connections
             n_s = st.n_servers
             n_n = st.topology.n_client_nodes
             members.append(
                 _BatchMember(
                     sim=sim,
-                    engine=Simulator(start_time=self.t0, horizon=horizon),
+                    index=index,
+                    engine=Simulator(start_time=t0, horizon=t0 + max_time * 2 + 1.0),
+                    t0=t0,
+                    until=t0 + max_time,
                     conn_sl=slice(conn_off, conn_off + n_c),
                     srv_sl=slice(srv_off, srv_off + n_s),
                     node_sl=slice(node_off, node_off + n_n),
@@ -649,17 +691,26 @@ class BatchSimulator:
         self.state = state
         self._repoint_members()
         self.stepper = BatchedStepper(state, members)
+        #: Every member's resolved step and clock: the end of its last step
+        #: (its start anchor before the first).
+        self.steps = np.array([sim.step_size for sim in sims], dtype=np.float64)
+        self.clock = np.array([m.t0 for m in members], dtype=np.float64)
+        self.stepper.set_steps(self.steps)
         for member in members:
-            member.sim.schedule_control_plane(member.engine, self.t0)
+            member.sim.schedule_control_plane(member.engine, member.t0)
             member.due = _next_event_time(member.engine)
+        #: Per member, the clock at which the driver must look at it before
+        #: stepping: its next engine event or its horizon, whichever is
+        #: first (``inf`` once it finished).
+        self._alarm = np.array([min(m.due, m.until) for m in members])
         self._n_live = len(members)
-        self._next_due = min(m.due for m in members)
         self.n_batch_steps = 0
+        self._wall_start = 0.0
         #: The phase profiler of a :meth:`run` with telemetry on.
         self.profiler: Optional[StepProfiler] = None
         # Event-driven loop: end of the last executed step and the pending
         # step event (None while waiting for a control kick).
-        self._last_step_end = self.t0
+        self._last_step_end = members[0].t0
         self._step_event = None
 
     # ------------------------------------------------------------------ #
@@ -706,7 +757,7 @@ class BatchSimulator:
         """
         if get_telemetry().enabled and self.stepper.profiler is None:
             self.profiler = self.stepper.profiler = StepProfiler()
-        wall_start = time.perf_counter()
+        self._wall_start = time.perf_counter()
         try:
             if self._adaptive:
                 self._run_event_driven()
@@ -715,70 +766,74 @@ class BatchSimulator:
         finally:
             if self.profiler is not None:
                 self.stepper.profiler = None
-        wall_time = time.perf_counter() - wall_start
         return [
-            m.sim._build_result(m.end_time, m.n_steps, wall_time)
+            m.sim._build_result(m.end_time, m.n_steps, m.wall_time)
             for m in self.members
         ]
 
-    def _follow_up(self, member: _BatchMember, now: float) -> None:
+    def _follow_up(self, member: _BatchMember) -> None:
         """After a step that changed ``member``'s control plane: retire it if
         it finished, else note when its engine next has work."""
+        i = member.index
         if member.sim.state.all_finished():
             member.live = False
-            member.end_time = now
+            member.end_time = float(self.clock[i])
             member.n_steps = self.n_batch_steps
+            member.wall_time = time.perf_counter() - self._wall_start
+            self._alarm[i] = float("inf")
             self._n_live -= 1
             flat = self.state
             flat.deployment.live[member.srv_sl] = False
             st = member.sim.state
-            st.deployment.observed_time = flat.deployment.observed_time
-            st.topology._observed_time = flat.topology._observed_time
+            observed = float(self.stepper.observed_time[i])
+            st.deployment.observed_time = observed
+            st.topology._observed_time = observed
             st.buffers.observed_steps = flat.buffers.observed_steps
             return
         member.due = _next_event_time(member.engine)
-        self._next_due = min(self._next_due, member.due)
+        self._alarm[i] = min(member.due, member.until)
 
     def _unfinished(self, member: _BatchMember) -> SimulationError:
         unfinished = [
             rt.app.name for rt in member.sim.state.app_runtime if not rt.finished
         ]
         return SimulationError(
-            f"simulation reached max_time={self._max_time}s with unfinished "
-            f"applications {unfinished}; check the scenario configuration"
+            f"simulation reached max_time={member.sim.scenario.control.max_time}s "
+            f"with unfinished applications {unfinished}; check the scenario "
+            "configuration"
         )
 
     # -- lockstep loop (fixed stepping) --------------------------------- #
 
     def _run_lockstep(self) -> None:
-        dt = self.dt
         stepper = self.stepper
-        now = self.t0
+        clock, steps, alarm = self.clock, self.steps, self._alarm
+        ringing = np.zeros(len(self.members), dtype=bool)
         while self._n_live:
-            # A periodic step event's arithmetic: first at t0 + dt, then
-            # each step dt after the last.
-            now = now + dt
-            if now > self._until:
-                raise self._unfinished(next(m for m in self.members if m.live))
-            if now >= self._next_due:
-                self._run_control_plane(now)
-            stepper.step_batch(now, dt)
+            # Each clock advances with a periodic step event's arithmetic:
+            # first at t0 + dt, then each step dt after the last.
+            np.add(clock, steps, out=clock)
+            np.greater_equal(clock, alarm, out=ringing)
+            if ringing.any():
+                self._run_control_plane(np.flatnonzero(ringing))
+            stepper.step_batch(clock)
             self.n_batch_steps += 1
             for member in stepper.changed:
-                self._follow_up(member, now)
+                self._follow_up(member)
 
-    def _run_control_plane(self, now: float) -> None:
-        """Run every live engine with an event due by the step at ``now``:
-        the events that precede a NORMAL-priority step event at ``now``."""
-        next_due = float("inf")
-        for member in self.members:
-            if not member.live:
-                continue
+    def _run_control_plane(self, ringing: np.ndarray) -> None:
+        """For each member whose alarm rang: fail if it is past its horizon,
+        else run its engine over the events that precede a NORMAL-priority
+        step event at its clock, if any are due."""
+        for i in ringing.tolist():
+            member = self.members[i]
+            now = float(self.clock[i])
+            if now > member.until:
+                raise self._unfinished(member)
             if member.due <= now:
                 member.engine.run(until=now, until_priority=EventPriority.NORMAL)
                 member.due = _next_event_time(member.engine)
-            next_due = min(next_due, member.due)
-        self._next_due = next_due
+            self._alarm[i] = min(member.due, member.until)
 
     # -- event-driven loop (adaptive stepping, one member) -------------- #
 
@@ -790,10 +845,10 @@ class BatchSimulator:
         state change.  No step is scheduled until the first application
         starts — the pre-start lead-in costs zero steps."""
         member = self.members[0]
-        self.stepper.pressure_step_ref = self.dt
+        self.stepper.pressure_step_ref = member.sim.step_size
         member.sim.on_control_change = self._catch_up
         try:
-            member.engine.run(until=self._until)
+            member.engine.run(until=member.until)
         finally:
             member.sim.on_control_change = None
         if member.live:
@@ -805,11 +860,13 @@ class BatchSimulator:
         now = engine.now
         dt = now - self._last_step_end
         if dt > 0:
-            self.stepper.step_batch(now, dt)
+            self.clock[0] = now
+            self.stepper.set_steps((dt,))
+            self.stepper.step_batch(self.clock)
             self.n_batch_steps += 1
             self._last_step_end = now
             for member in self.stepper.changed:
-                self._follow_up(member, now)
+                self._follow_up(member)
         if not self._n_live:
             engine.stop("all applications finished")
             return True
@@ -836,21 +893,22 @@ class BatchSimulator:
         leaving the cadence untouched keeps the adaptive trajectory on the
         fixed one.
         """
+        base = self.members[0].sim.step_size
         pending = self._step_event
         if (
             pending is not None
             and not pending.cancelled
-            and pending.time - self._last_step_end <= self.dt * (1.0 + 1e-12)
+            and pending.time - self._last_step_end <= base * (1.0 + 1e-12)
         ):
             return
         if not self._advance_to_now(engine):
-            self._schedule_step_event(engine, engine.now + self.dt)
+            self._schedule_step_event(engine, engine.now + base)
 
     def _schedule_next_step(self, engine: Simulator) -> None:
         """Schedule the next step at the adaptive bound (or wait for a kick)."""
         sim = self.members[0].sim
         policy = sim.stepping
-        bound = sim.next_bound(engine.now, self.dt, policy.tolerance)
+        bound = sim.next_bound(engine.now, sim.step_size, policy.tolerance)
         if policy.max_dt is not None:
             bound = min(bound, policy.max_dt)
         if not math.isfinite(bound):
@@ -895,8 +953,10 @@ class BatchSimulator:
         ``start_us`` (a flame view of where the kernel spent its time, not a
         per-step timeline), and counts ``step.phase.*``, every member
         engine's counters, ``sim.steps`` and the kernel's ``batch.ticks``
-        (steps of the whole batch) and ``batch.member_steps`` (steps of each
-        member until it finished, summed).
+        (steps of the whole batch), ``batch.member_steps`` (steps of each
+        member until it finished, summed) and ``batch.lane_steps`` (width
+        times ticks: every member's lanes step until the batch ends, so
+        ``1 - member_steps / lane_steps`` is the dead-lane fraction).
         """
         if self.profiler is not None:
             cursor = start_us
@@ -924,6 +984,7 @@ class BatchSimulator:
         telemetry.count("sim.steps", member_steps)
         telemetry.count("batch.ticks", self.n_batch_steps)
         telemetry.count("batch.member_steps", member_steps)
+        telemetry.count("batch.lane_steps", len(self.members) * self.n_batch_steps)
 
 
 def _next_event_time(engine: Simulator) -> float:
@@ -937,37 +998,38 @@ def _next_event_time(engine: Simulator) -> float:
 
 
 def run_bucket(
-    scenarios: Sequence[ScenarioConfig], shape: Optional[BucketShape] = None
+    members: Sequence[Union[ScenarioConfig, IOPathSimulator]],
 ) -> List[RunResult]:
-    """Run one same-cadence group through the lockstep driver, with telemetry.
+    """Run one bucket through the lockstep driver, with telemetry.
 
+    ``members`` are what :class:`BatchSimulator` takes: scenarios, or fresh
+    simulators (a Δ-sweep passes its points with their seed override).
     Emits the per-bucket ``simulation``-track span (with the kernel's
     ``phase`` children and counters, as every run publishes them), the
     ``batch.buckets`` / ``batch.member_runs`` / ``batch.padded_slots`` /
     ``batch.group_slots`` counters, and the ``batch.occupancy`` observation —
-    the single place that accounting lives, shared by :func:`simulate_many`
-    and the executor-level batchers.  ``shape`` is informational (span
-    labelling); pool workers omit it.
+    the single place that accounting lives, shared by :func:`simulate_many`,
+    the executor-level batchers and the Δ-sweeps.
     """
     telemetry = get_telemetry()
-    if shape is None:
-        shape = _shape_of(scenarios[0])
-    n_servers = shape.n_servers if shape is not None else 0
-    label = f"batch:b{len(scenarios)}x{n_servers}s"
+    reference = members[0]
+    if isinstance(reference, IOPathSimulator):
+        reference = reference.scenario
+    n_servers = reference.filesystem.n_servers
     with telemetry.span(
-        label,
+        f"batch:b{len(members)}x{n_servers}s",
         category="simulation",
         track="batch",
-        members=len(scenarios),
+        members=len(members),
         n_servers=n_servers,
     ) as bucket_span:
-        batch = BatchSimulator(scenarios)
+        batch = BatchSimulator(members)
         start_us = telemetry.now_us()
         results = batch.run()
     batch.publish(telemetry, bucket_span, start_us, track="batch")
     telemetry.count("batch.buckets")
-    telemetry.count("batch.member_runs", len(scenarios))
-    telemetry.observe("batch.occupancy", float(len(scenarios)))
+    telemetry.count("batch.member_runs", len(members))
+    telemetry.observe("batch.occupancy", float(len(members)))
     telemetry.count("batch.padded_slots", batch.state.buffers.padded_slots)
     telemetry.count("batch.group_slots", batch.state.buffers.group_slots)
     return results
@@ -994,7 +1056,7 @@ def simulate_many(scenarios: Sequence[ScenarioConfig]) -> List[RunResult]:
     buckets, fallback = plan_buckets(scenarios)
     results: List[Optional[RunResult]] = [None] * len(scenarios)
     for bucket in buckets:
-        outs = run_bucket([scenarios[i] for i in bucket.indices], bucket.shape)
+        outs = run_bucket([scenarios[i] for i in bucket.indices])
         for i, result in zip(bucket.indices, outs):
             results[i] = result
     for i, reason in fallback:

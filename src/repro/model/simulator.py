@@ -125,7 +125,9 @@ class IOPathSimulator:
                     "label": label,
                     "steps": result.n_steps,
                     "stepping": self._stepping.mode.value,
-                    "simulated_time_s": round(result.simulated_time - batch.t0, 9),
+                    "simulated_time_s": round(
+                        result.simulated_time - batch.members[0].t0, 9
+                    ),
                 },
             )
             batch.publish(telemetry, span, start_us)

@@ -66,6 +66,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.errors import SimulationError
+
 __all__ = ["COMPLETION_EPSILON", "ModelStepper", "StepContext", "StepWorkspace"]
 
 #: Outstanding bytes at or below which a connection, process or application
@@ -78,14 +80,27 @@ class StepContext:
     """The explicit state contract between the sub-phases of one model step.
 
     Fields are owned by (i.e. written exactly once in) the phase noted below
-    and read-only afterwards.  ``None`` marks "not produced yet".  The array
-    fields alias :class:`StepWorkspace` slots (except the admission outputs,
-    which the buffers return); they are valid until the next step begins.
+    and read-only afterwards.  ``None`` marks "not produced yet".  The phase
+    array fields alias :class:`StepWorkspace` slots (except the admission
+    outputs, which the buffers return); they are valid until the next step
+    begins.
+
+    The step inputs are every member's own clock: a batch steps its members
+    by tick index, and each member advances by its own ``dt`` from its own
+    start anchor.  Python code (RNG hazards, marks, the control plane) reads
+    the per-member arrays; array code reads the per-lane copies, in which
+    every lane holds its member's value, so each elementwise use computes
+    the bits the member computes alone.
     """
 
-    #: Step inputs (owned by the step method).
-    now: float
-    dt: float
+    #: Step inputs.  ``now`` is owned by the step method (the driver's
+    #: member clocks at the end of this step), the steps by ``set_steps``.
+    now: np.ndarray          #: per member: clock at the end of this step
+    dt: np.ndarray           #: per member: step length
+    now_conn: np.ndarray     #: per-conn: its member's ``now``
+    dt_conn: np.ndarray      #: per-conn: its member's ``dt``
+    dt_server: np.ndarray    #: per-server: its member's ``dt``
+    dt_node: np.ndarray      #: per-node: its member's ``dt``
 
     #: Phase 1 — workload mix.
     busy: Optional[np.ndarray] = None          #: per-conn: has outstanding bytes
@@ -204,9 +219,13 @@ class ModelStepper:
         self._client_line_rate = network.client_nic_bw
         #: Reference step length for time-weighted pressure accounting.
         #: ``None`` (the default, and the fixed policy) counts every step
-        #: with weight 1; the adaptive driver sets it to the base step so a
-        #: collapsed quiescent interval still weighs as the steps it replaced.
+        #: with weight 1; the adaptive driver, which steps one member, sets it
+        #: to the base step so a collapsed quiescent interval still weighs as
+        #: the steps it replaced.
         self.pressure_step_ref: Optional[float] = None
+        #: Time each member has observed (its steps summed, in order);
+        #: stamped on the member's servers and links when it finishes.
+        self.observed_time = np.zeros(state.n_members, dtype=np.float64)
         #: Optional per-phase profiler (``repro.perf.counters.StepProfiler``
         #: or anything with a ``phase(name)`` context manager).  ``None``
         #: keeps the hot path branch-free apart from one identity check.
@@ -214,8 +233,8 @@ class ModelStepper:
 
         # ---------------- cached step invariants -------------------------
         # Everything below is constant for the lifetime of the run (or, for
-        # the dt-scaled arrays, per distinct dt); computing them here keeps
-        # them out of the per-step path.
+        # the dt-scaled arrays, until the next set_steps); computing them
+        # here keeps them out of the per-step path.
         self.workspace = StepWorkspace(
             state.n_connections, state.n_servers, state.topology.n_client_nodes
         )
@@ -227,20 +246,37 @@ class ModelStepper:
         self._rwnd_budget = self._transport.rwnd_overcommit * state.buffers.capacity
         self._send_floor = COMPLETION_EPSILON * 1e-3
         self._wl_margin = 1.0 - 1e-6
-        # dt-scaled capacities, refreshed only when dt changes (every step
-        # under the fixed policy reuses them untouched).
-        self._cached_dt: Optional[float] = None
+        # dt-scaled capacities, per lane (set by set_steps).
         self._node_caps_dt = np.empty_like(self._node_caps)
         self._server_nic_dt = np.empty_like(self._server_nic)
         # Reused per-step objects: every context field is rewritten by its
-        # owning phase each step, so recycling the container is safe.
-        self._ctx = StepContext(now=0.0, dt=0.0)
+        # owner each step, so recycling the container is safe.
+        self._ctx = StepContext(
+            now=np.zeros(state.n_members, dtype=np.float64),
+            dt=np.zeros(state.n_members, dtype=np.float64),
+            now_conn=np.zeros(state.n_connections, dtype=np.float64),
+            dt_conn=np.zeros(state.n_connections, dtype=np.float64),
+            dt_server=np.zeros(self._n_servers, dtype=np.float64),
+            dt_node=np.zeros(self._n_nodes, dtype=np.float64),
+        )
 
-    def _refresh_dt(self, dt: float) -> None:
-        if dt != self._cached_dt:
-            np.multiply(self._node_caps, dt, out=self._node_caps_dt)
-            np.multiply(self._server_nic, dt, out=self._server_nic_dt)
-            self._cached_dt = dt
+    def set_steps(self, dt) -> None:
+        """Set every member's step length (one float per member) and the
+        per-lane steps and dt-scaled capacities derived from it.
+
+        The fixed-step driver calls this once per run; the adaptive driver,
+        whose one member changes its step every step, before each step.
+        """
+        state = self.state
+        ctx = self._ctx
+        ctx.dt[:] = dt
+        if not (ctx.dt > 0).all():
+            raise SimulationError("dt must be positive")
+        ctx.dt.take(state.conn_member, out=ctx.dt_conn)
+        ctx.dt.take(state.server_member, out=ctx.dt_server)
+        ctx.dt.take(state.node_member, out=ctx.dt_node)
+        np.multiply(self._node_caps, ctx.dt_node, out=self._node_caps_dt)
+        np.multiply(self._server_nic, ctx.dt_server, out=self._server_nic_dt)
 
     # ------------------------------------------------------------------ #
     # Phase 1 — workload mix
@@ -298,7 +334,7 @@ class ModelStepper:
         # server has a zero stalled count too, so 0 / max(0, 1) is already
         # the exact 0.0 a guarded where() would select.
         # (in-place twin of WindowState.sending_allowed — keep in sync)
-        np.less_equal(state.windows.stall_until, ctx.now, out=ws.sending)
+        np.less_equal(state.windows.stall_until, ctx.now_conn, out=ws.sending)
         np.logical_not(ws.sending, out=ws.tmp_bool_a)
         np.multiply(ws.busy_f, ws.tmp_bool_a, out=ws.tmp_conn_a)
         stalled_count = np.bincount(
@@ -331,7 +367,6 @@ class ModelStepper:
         state = self.state
         ws = self.workspace
         transport = self._transport
-        dt = ctx.dt
         conn_server = state.conn_server
         conn_node = state.conn_node
 
@@ -358,7 +393,7 @@ class ModelStepper:
         # potential = sending ? effective_window / max(rtt_eff, 1e-9) * dt : 0
         np.maximum(ws.rtt_eff, 1e-9, out=ws.tmp_conn_b)
         np.divide(ws.tmp_conn_a, ws.tmp_conn_b, out=ws.potential)
-        np.multiply(ws.potential, dt, out=ws.potential)
+        np.multiply(ws.potential, ctx.dt_conn, out=ws.potential)
         np.logical_not(ws.sending, out=ws.tmp_bool_a)
         np.copyto(ws.potential, 0.0, where=ws.tmp_bool_a)
         np.minimum(ws.potential, state.send_remaining, out=ws.desired)
@@ -452,8 +487,7 @@ class ModelStepper:
         """
         state = self.state
         ws = self.workspace
-        dt = ctx.dt
-        np.multiply(ctx.drain_rate, dt, out=ws.tmp_srv_b)
+        np.multiply(ctx.drain_rate, ctx.dt_server, out=ws.tmp_srv_b)
         admitted, oversubscribed = state.buffers.admit(
             ctx.desired,
             ws.ones,
@@ -466,7 +500,9 @@ class ModelStepper:
         np.copyto(state.send_remaining, 0.0, where=ws.tmp_bool_a)
 
         drained_per_server, _drained_per_conn = state.buffers.drain(ws.tmp_srv_b)
-        state.deployment.commit(drained_per_server, dt, ctx.n_streams, ctx.avg_frag)
+        state.deployment.commit_flat(
+            drained_per_server, ctx.dt_server, ctx.n_streams, ctx.avg_frag
+        )
 
         ctx.admitted = admitted
         ctx.oversubscribed = oversubscribed
@@ -478,9 +514,9 @@ class ModelStepper:
     def _phase_accounting(self, ctx: StepContext) -> None:
         """Attribute this step's traffic to links and record buffer pressure.
 
-        Reads:  ``ctx.admitted/dt``.
+        Reads:  ``ctx.admitted``, the steps.
         Writes: per-link utilization accounting, buffer-pressure statistics,
-                ``state.last_admission_rate``.
+                :attr:`observed_time`, ``state.last_admission_rate``.
         """
         state = self.state
         per_node = np.bincount(
@@ -489,9 +525,10 @@ class ModelStepper:
         per_server = np.bincount(
             state.conn_server, weights=ctx.admitted, minlength=self._n_servers
         )
-        state.topology.record_step_flat(per_node, per_server, ctx.dt)
+        state.topology.record_step_flat(per_node, per_server, ctx.dt_node, ctx.dt_server)
+        np.add(self.observed_time, ctx.dt, out=self.observed_time)
         if self.pressure_step_ref:
-            state.buffers.note_step(weight=ctx.dt / self.pressure_step_ref)
+            state.buffers.note_step(weight=float(ctx.dt[0]) / self.pressure_step_ref)
         else:
             state.buffers.note_step()
-        np.divide(per_server, ctx.dt, out=state.last_admission_rate)
+        np.divide(per_server, ctx.dt_server, out=state.last_admission_rate)

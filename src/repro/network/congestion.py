@@ -20,7 +20,7 @@ implements one update per simulation step:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -177,22 +177,24 @@ class WindowState:
 
     def update(
         self,
-        now: float,
-        dt: float,
+        now: Union[float, np.ndarray],
+        dt: Union[float, np.ndarray],
         requested: np.ndarray,
         admitted: np.ndarray,
         rtt_eff: np.ndarray,
         oversubscribed: np.ndarray,
         loss_prone: Optional[np.ndarray] = None,
         collect_stats: bool = True,
-        rng_sites: Optional[Sequence[Tuple[slice, np.random.Generator]]] = None,
+        rng_sites: Optional[Sequence[Tuple[slice, np.random.Generator, float]]] = None,
     ) -> WindowUpdateResult:
         """Apply one step of window dynamics.
 
         Parameters
         ----------
         now, dt:
-            Current simulated time and step length.
+            Current simulated time and step length: floats, or one per
+            connection (the batched kernel's members each step on their own
+            clock, and every lane carries its member's values).
         requested:
             Bytes each connection tried to send this step (0 for idle or
             stalled connections).
@@ -221,14 +223,15 @@ class WindowState:
             ``n_increased``, ``stalled_fraction``) that only tracing and
             analysis consume; the window dynamics themselves are unchanged.
         rng_sites:
-            Random-draw ownership as ``(slice, generator)`` pairs covering
-            disjoint connection ranges.  The batched kernel passes one site
-            per batch member so each member consumes draws from *its own*
-            transport stream exactly as it would alone; the default single
-            site over all connections reproduces the scalar behaviour
-            bit-for-bit.  A site only draws when at least one of its
-            connections is a hazard candidate (resp. collapses), mirroring
-            the scalar short-circuit.
+            Random-draw ownership as ``(slice, generator, dt)`` triples
+            covering disjoint connection ranges.  The batched kernel passes
+            one site per batch member so each member consumes draws from
+            *its own* transport stream, and takes its paced-timeout hazard
+            from *its own* step (a float), exactly as it would alone; the
+            default single site over all connections, with the float ``dt``,
+            reproduces the scalar behaviour bit-for-bit.  A site only draws
+            when at least one of its connections is a hazard candidate
+            (resp. collapses), mirroring the scalar short-circuit.
         """
         t = self.transport
         requested = np.asarray(requested, dtype=np.float64)
@@ -310,15 +313,15 @@ class WindowState:
         np.logical_and(mask_a, self.paced, out=mask_d)
         np.logical_and(mask_d, mask_c, out=mask_d)  # hazard candidates
         if rng_sites is None:
-            rng_sites = ((slice(None), self._rng),)
+            rng_sites = ((slice(None), self._rng, dt),)
         if t.paced_timeout_hazard > 0.0 and mask_d.any():
-            p_step = 1.0 - (1.0 - t.paced_timeout_hazard) ** (dt / t.rto)
-            for site, rng in rng_sites:
+            for site, rng, site_dt in rng_sites:
                 if mask_d[site].any():
                     rng.random(out=self._draws[site])
-            # Sites without candidates keep stale draws; the AND with
-            # mask_d below discards them, so only drawn sites matter.
-            np.less(self._draws, p_step, out=mask_c)
+                    p_step = 1.0 - (1.0 - t.paced_timeout_hazard) ** (site_dt / t.rto)
+                    np.less(self._draws[site], p_step, out=mask_c[site])
+            # Sites without candidates keep a stale mask_c; the AND with
+            # mask_d below discards it, so only drawn sites matter.
             np.logical_and(mask_d, mask_c, out=mask_c)
             np.logical_or(timed_out, mask_c, out=timed_out)
 
@@ -332,7 +335,7 @@ class WindowState:
             # Each site jitters its own collapsed connections (idx is
             # ascending, so a site's share is one contiguous run).
             jitter = np.empty(idx.shape[0], dtype=np.float64)
-            for site, rng in rng_sites:
+            for site, rng, _ in rng_sites:
                 a = (
                     0 if site.start is None
                     else int(np.searchsorted(idx, site.start, side="left"))
@@ -343,7 +346,8 @@ class WindowState:
                 )
                 if b > a:
                     jitter[a:b] = rng.uniform(0.5, 1.5, size=b - a)
-            self.stall_until[idx] = now + t.rto * (2.0**backoff) * jitter
+            start = now[idx] if isinstance(now, np.ndarray) else now
+            self.stall_until[idx] = start + t.rto * (2.0**backoff) * jitter
             self.backoff[idx] = backoff + 1
             self.starved_time[idx] = 0.0
             self.collapse_count[idx] += 1

@@ -10,7 +10,7 @@ accounting so that assumption can be checked a posteriori.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Union
 
 import numpy as np
 
@@ -111,24 +111,28 @@ class StarTopology:
             raise SimulationError("dt must be positive")
         if np.any(per_node_bytes < 0) or np.any(per_server_bytes < 0):
             raise SimulationError("cannot record a negative number of bytes")
-        self.record_step_flat(per_node_bytes, per_server_bytes, dt)
+        self._observed_time += dt
+        self.record_step_flat(per_node_bytes, per_server_bytes, dt, dt)
 
     def record_step_flat(
         self,
         per_node_bytes: np.ndarray,
         per_server_bytes: np.ndarray,
-        dt: float,
+        node_dt: Union[float, np.ndarray],
+        server_dt: Union[float, np.ndarray],
     ) -> None:
-        """:meth:`record_step` without the input validation, for the model
-        stepper, whose per-step bincounts are well-formed by construction."""
-        self._observed_time += dt
+        """:meth:`record_step` for the model stepper: no input validation
+        (its per-step bincounts are well-formed by construction), steps that
+        may differ per link (a batch's members step on their own clocks, and
+        every link lane carries its member's step), and no observed-time
+        advance (the stepper keeps each member's observed time itself)."""
         self._record_group(
             per_node_bytes, self._node_capacity, self._node_transferred,
-            self._node_busy, self._scratch_node, self._scratch_node2, dt,
+            self._node_busy, self._scratch_node, self._scratch_node2, node_dt,
         )
         self._record_group(
             per_server_bytes, self._server_capacity, self._server_transferred,
-            self._server_busy, self._scratch_server, self._scratch_server2, dt,
+            self._server_busy, self._scratch_server, self._scratch_server2, server_dt,
         )
 
     @staticmethod
@@ -139,7 +143,7 @@ class StarTopology:
         busy: np.ndarray,
         limit: np.ndarray,
         clipped: np.ndarray,
-        dt: float,
+        dt: Union[float, np.ndarray],
     ) -> None:
         np.multiply(capacity, dt, out=limit)
         np.minimum(nbytes, limit, out=clipped)

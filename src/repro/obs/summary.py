@@ -118,8 +118,10 @@ def batch_stats(document: Dict[str, Any]) -> Dict[str, float]:
     ``member_steps_per_tick`` is the mean number of simulations one kernel
     tick advanced (``batch.member_steps`` over ``batch.ticks``): 1.0 when
     every run stepped alone, the bucket width when every bucket stayed full
-    to its end.  ``occupancy`` figures describe the bucket widths (from the
-    ``batch.occupancy`` histogram).
+    to its end.  ``dead_lane_frac`` is the share of lane steps (width times
+    ticks, ``batch.lane_steps``) spent on members that had already finished:
+    ``1 - member_steps / lane_steps``.  ``occupancy`` figures describe the
+    bucket widths (from the ``batch.occupancy`` histogram).
     """
     counters = document.get("counters", {})
     histogram = document.get("histograms", {}).get("batch.occupancy", {})
@@ -127,6 +129,7 @@ def batch_stats(document: Dict[str, Any]) -> Dict[str, float]:
     slots = float(counters.get("batch.group_slots", 0))
     ticks = float(counters.get("batch.ticks", 0))
     member_steps = float(counters.get("batch.member_steps", 0))
+    lane_steps = float(counters.get("batch.lane_steps", 0))
     return {
         "buckets": float(counters.get("batch.buckets", 0)),
         "member_runs": float(counters.get("batch.member_runs", 0)),
@@ -136,6 +139,7 @@ def batch_stats(document: Dict[str, Any]) -> Dict[str, float]:
         "padded_waste": padded / slots if slots > 0 else 0.0,
         "ticks": ticks,
         "member_steps_per_tick": member_steps / ticks if ticks > 0 else 0.0,
+        "dead_lane_frac": 1.0 - member_steps / lane_steps if lane_steps > 0 else 0.0,
         "mean_occupancy": (
             float(histogram.get("sum", 0)) / float(histogram["count"])
             if histogram.get("count") else 0.0
@@ -232,7 +236,8 @@ def summarize_document(
         )
         lines.append(
             f"  kernel {batch['ticks']:.0f} ticks, "
-            f"{batch['member_steps_per_tick']:.2f} member-steps per tick"
+            f"{batch['member_steps_per_tick']:.2f} member-steps per tick, "
+            f"{batch['dead_lane_frac']:.1%} dead lanes"
         )
         lines.append(
             f"  occupancy mean {batch['mean_occupancy']:.1f} "

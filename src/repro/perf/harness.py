@@ -31,6 +31,8 @@ import platform
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import PerfError
 from repro.perf.counters import StepProfiler
 from repro.perf.schema import BENCH_SCHEMA_V2
@@ -148,14 +150,14 @@ def _build_started_batch(batch_size: int, spec: BenchScenario = _BATCHED_SPEC):
 
 def _step_active(batch) -> None:
     """``ACTIVE_STEPS`` kernel steps with no engine in the loop."""
-    dt = batch.dt
     stepper = batch.stepper
-    now = 0.0
+    clock = batch.clock
     for _ in range(ACTIVE_STEPS):
-        stepper.step_batch(now, dt)
-        now += dt
+        np.add(clock, batch.steps, out=clock)
+        stepper.step_batch(clock)
         for member in batch.members:
-            member.engine._now = now  # advance by hand; issues are not measured
+            # Advance by hand; issues are not measured.
+            member.engine._now = float(clock[member.index])
 
 
 def _measure_batched(

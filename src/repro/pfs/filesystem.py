@@ -105,7 +105,8 @@ class PVFSDeployment:
         self.drained_bytes = np.zeros(n, dtype=np.float64)
         #: Time each server's drain path was busy.
         self.busy_time = np.zeros(n, dtype=np.float64)
-        #: Time every server has observed (each commit advances all by dt).
+        #: Time every server has observed (each :meth:`commit` advances all
+        #: by dt; the stepping kernel stamps it per member).
         self.observed_time = 0.0
         #: Write-back cache state (Sync OFF path).
         self.dirty_bytes = np.zeros(n, dtype=np.float64)
@@ -263,10 +264,26 @@ class PVFSDeployment:
         """
         if dt <= 0:
             raise SimulationError("dt must be positive")
-        drained = np.asarray(drained, dtype=np.float64)
+        self.observed_time += dt
+        self.commit_flat(
+            np.asarray(drained, dtype=np.float64), dt, n_streams, avg_fragment_sizes
+        )
+
+    def commit_flat(
+        self,
+        drained: np.ndarray,
+        dt: Union[float, np.ndarray],
+        n_streams: np.ndarray,
+        avg_fragment_sizes: np.ndarray,
+    ) -> None:
+        """:meth:`commit` for the stepping kernel, without input checks and
+        without advancing :attr:`observed_time`: ``dt`` may be one step per
+        server lane (a batch's members step on their own clocks), and the
+        kernel keeps each member's observed time itself.  Every use of
+        ``dt`` is elementwise, so a lane commits what its member alone
+        would."""
         law = self._law(*self._workload(n_streams, avg_fragment_sizes))
         live = self.live
-        self.observed_time += dt
         np.add(self.drained_bytes, drained, out=self.drained_bytes, where=live)
         mode = self._sync_mode
         if mode is SyncMode.NULL_AIO:
@@ -296,7 +313,7 @@ class PVFSDeployment:
         np.add(self.busy_time, share, out=self.busy_time, where=busy)
 
     def _commit_cache(
-        self, drained: np.ndarray, dt: float, device_bw: np.ndarray, live
+        self, drained: np.ndarray, dt, device_bw: np.ndarray, live
     ) -> None:
         """``WritebackCache.flush`` then ``absorb`` (non-empty steps) per lane."""
         dirty = self.dirty_bytes
@@ -319,7 +336,7 @@ class PVFSDeployment:
     def _commit_device(
         self,
         drained: np.ndarray,
-        dt: float,
+        dt,
         capacity: np.ndarray,
         positive: bool,
         live,

@@ -3,11 +3,13 @@
 The stepping kernel (:mod:`repro.model.batch`) promises *bitwise* equality
 between a member of a batch and its run alone: a B=1 batch reproduces every
 stored fixed-step golden fingerprint, and every member of a B>1 batch
-reproduces the fingerprint of running it alone.  A run alone is itself a
-batch of one on the same driver.  The bucketing front end must partition
-any scenario list (each scenario in exactly one bucket or the fallback),
-group only same-shape scenarios, give a scenario without a partner a width-1
-bucket, and run adaptive scenarios alone.
+reproduces the fingerprint of running it alone — also when the members'
+resolved steps, start anchors and horizons differ (each steps on its own
+clock).  A run alone is itself a batch of one on the same driver.  The
+bucketing front end must partition any scenario list (each scenario in
+exactly one bucket or the fallback), group only same-shape scenarios, give a
+scenario without a partner a width-1 bucket, and run adaptive scenarios
+alone.
 """
 
 import dataclasses
@@ -18,6 +20,8 @@ from hypothesis import strategies as st
 
 from repro import units
 from repro.config.control import SteppingMode, SteppingPolicy
+from repro.config.presets import make_scenario
+from repro.errors import SimulationError
 from repro.model.batch import (
     BatchedStepper,
     BatchSimulator,
@@ -25,7 +29,7 @@ from repro.model.batch import (
     plan_buckets,
     simulate_many,
 )
-from repro.model.simulator import simulate_scenario
+from repro.model.simulator import IOPathSimulator, simulate_scenario
 from repro.model.stepper import StepWorkspace
 from repro.obs.telemetry import telemetry_session
 from repro.scenarios.archetypes import archetype_names
@@ -153,6 +157,79 @@ class TestBatchVsAlone:
         )
         assert alone[0] == batched[0]
         assert alone[1] == batched[1]
+
+
+# ---------------------------------------------------------------------- #
+# Mixed clocks: each member has its own step, start anchor and horizon
+# ---------------------------------------------------------------------- #
+
+
+def _sweep_points(deltas):
+    """The points of a tiny Δ-sweep: its delay moves the resolved step and,
+    when negative, the start anchor."""
+    scenario = make_scenario("tiny")
+    return [scenario.with_delay(delta) for delta in deltas]
+
+
+def _with_max_time(scenario, factor):
+    control = dataclasses.replace(
+        scenario.control, max_time=scenario.control.max_time * factor
+    )
+    return dataclasses.replace(scenario, control=control)
+
+
+def _assert_each_matches_alone(members, results):
+    for member, result in zip(members, results):
+        alone = simulate_scenario(member)
+        assert metric_fingerprint(result)[0] == metric_fingerprint(alone)[0], (
+            f"member {member.label!r} diverged from its alone run"
+        )
+
+
+class TestMixedClocks:
+    def test_sweep_bucket_matches_alone(self):
+        points = _sweep_points([-0.3, 0.0, 0.2])
+        members = points + [_with_max_time(points[1], 3.0)]
+        batch = BatchSimulator(members)
+        assert len(set(batch.steps.tolist())) > 1
+        assert len({m.t0 for m in batch.members}) > 1
+        assert len({m.until for m in batch.members}) > 2
+        _assert_each_matches_alone(members, batch.run())
+
+    @given(
+        deltas=st.lists(
+            st.floats(min_value=-0.4, max_value=0.4, allow_nan=False),
+            min_size=1, max_size=3,
+        ),
+        names=st.lists(st.sampled_from(ARCHETYPES), min_size=1, max_size=2),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_mixed_clocks_match_alone(self, deltas, names):
+        members = _sweep_points(deltas) + [_alone_scenario(a) for a in names]
+        _assert_each_matches_alone(members, BatchSimulator(members).run())
+
+    def test_seed_override_holds_in_a_bucket(self):
+        points = _sweep_points([-0.2, 0.1])
+        results = BatchSimulator([IOPathSimulator(p, seed=11) for p in points]).run()
+        for point, result in zip(points, results):
+            alone = simulate_scenario(point, seed=11)
+            assert metric_fingerprint(result)[0] == metric_fingerprint(alone)[0]
+
+    @pytest.mark.parametrize("other", [
+        make_scenario("tiny", device="ssd"),
+        make_scenario("tiny", network="1g"),
+    ], ids=["filesystem", "platform"])
+    def test_deployment_mismatch_raises(self, other):
+        with pytest.raises(SimulationError, match="platform/filesystem"):
+            BatchSimulator([make_scenario("tiny"), other])
+
+    def test_member_wall_time_is_its_own(self):
+        """A member's wall time runs from the start of the run to the step it
+        finished on, not to the end of the bucket."""
+        short, long_ = make_scenario("tiny"), _alone_scenario("smallfile")
+        results = BatchSimulator([short, long_]).run()
+        assert results[0].n_steps < results[1].n_steps
+        assert 0.0 < results[0].wall_time < results[1].wall_time
 
 
 # ---------------------------------------------------------------------- #

@@ -114,6 +114,51 @@ class TestRunDeltaSweep:
             run_delta_sweep(alone, deltas=[0.0])
 
 
+def _record_kernel_widths(monkeypatch):
+    """Record ``(stepper, width)`` for every kernel tick."""
+    from repro.model.batch import BatchedStepper
+
+    ticks = []
+    original = BatchedStepper.step_batch
+
+    def recording(self, now):
+        ticks.append((self, len(self._members)))
+        return original(self, now)
+
+    monkeypatch.setattr(BatchedStepper, "step_batch", recording)
+    return ticks
+
+
+class TestSweepBatching:
+    DELTAS = [-0.3, -0.1, 0.0, 0.2]
+
+    def _alone_result(self, scenario):
+        from repro.model.simulator import simulate_scenario
+
+        return simulate_scenario(scenario.with_applications(scenario.applications[:1]))
+
+    def test_fixed_step_sweep_is_one_bucket(self, monkeypatch):
+        scenario = make_scenario("tiny")
+        alone = self._alone_result(scenario)
+        ticks = _record_kernel_widths(monkeypatch)
+        sweep = run_delta_sweep(scenario, self.DELTAS, alone_result=alone)
+        assert len({id(stepper) for stepper, _ in ticks}) == 1
+        assert {width for _, width in ticks} == {len(self.DELTAS)}
+        assert len(sweep.points) == len(self.DELTAS)
+
+    def test_adaptive_sweep_runs_points_alone(self, monkeypatch):
+        from repro.config.control import SteppingPolicy
+
+        scenario = make_scenario("tiny", stepping=SteppingPolicy(mode="adaptive"))
+        alone = self._alone_result(scenario)
+        ticks = _record_kernel_widths(monkeypatch)
+        sweep = run_delta_sweep(scenario, self.DELTAS, alone_result=alone)
+        assert len({id(stepper) for stepper, _ in ticks}) == len(self.DELTAS)
+        assert {width for _, width in ticks} == {1}
+        assert len(sweep.points) == len(self.DELTAS)
+        assert sweep.peak_interference_factor() > 1.0
+
+
 class TestTwoApplicationExperiment:
     def test_baseline_and_sweep(self):
         exp = TwoApplicationExperiment("tiny", device="hdd", sync_mode="sync-on")

@@ -81,6 +81,7 @@ class TestDerivedStats:
         t.count("batch.group_slots", 128)
         t.count("batch.ticks", 400)
         t.count("batch.member_steps", 1000)
+        t.count("batch.lane_steps", 1250)
         t.observe("batch.occupancy", 8.0)
         t.observe("batch.occupancy", 4.0)
         stats = batch_stats(t.to_document())
@@ -89,6 +90,7 @@ class TestDerivedStats:
         assert stats["fallbacks"] == 2.0
         assert stats["ticks"] == 400.0
         assert stats["member_steps_per_tick"] == pytest.approx(2.5)
+        assert stats["dead_lane_frac"] == pytest.approx(0.2)
         assert stats["mean_occupancy"] == pytest.approx(6.0)
         assert stats["max_occupancy"] == 8.0
         assert stats["padded_slots"] == 32.0
@@ -101,7 +103,33 @@ class TestDerivedStats:
         stats = batch_stats(Telemetry().to_document())
         assert stats["buckets"] == 0.0
         assert stats["member_steps_per_tick"] == 0.0
+        assert stats["dead_lane_frac"] == 0.0
         assert stats["padded_waste"] == 0.0
+
+    def test_kernel_counts_lane_steps(self):
+        """Every run publishes width x ticks as ``batch.lane_steps``: a bucket
+        whose members finish at different ticks has dead lanes, a run alone
+        none."""
+        from repro.config.presets import make_scenario
+        from repro.model.batch import run_bucket
+        from repro.model.simulator import simulate_scenario
+        from repro.obs.summary import batch_stats
+        from repro.obs.telemetry import telemetry_session
+
+        scenario = make_scenario("tiny")
+        points = [scenario.with_delay(delta) for delta in (-0.3, 0.0, 0.3)]
+        with telemetry_session("lanes") as telemetry:
+            results = run_bucket(points)
+            bucket = batch_stats(telemetry.to_document())
+        ticks = max(r.n_steps for r in results)
+        assert bucket["ticks"] == ticks
+        assert bucket["dead_lane_frac"] == pytest.approx(
+            1.0 - sum(r.n_steps for r in results) / (3 * ticks)
+        )
+        assert bucket["dead_lane_frac"] > 0.0
+        with telemetry_session("alone") as telemetry:
+            simulate_scenario(points[0])
+            assert batch_stats(telemetry.to_document())["dead_lane_frac"] == 0.0
 
 
 class TestSummarizeDocument:
@@ -172,9 +200,10 @@ class TestSummarizeDocument:
         t.observe("batch.occupancy", 7.0)
         t.observe("batch.occupancy", 4.0)
         t.observe("batch.occupancy", 2.0)
+        t.count("batch.lane_steps", 2500)
         report = summarize_document(t.to_document())
         assert "13 simulations in 3 lockstep buckets, 1 scalar fallbacks" in report
-        assert "kernel 800 ticks, 2.50 member-steps per tick" in report
+        assert "kernel 800 ticks, 2.50 member-steps per tick, 20.0% dead lanes" in report
         assert "of executed tasks batched" not in report
         assert "occupancy mean 4.3 max 7 scenarios/bucket" in report
         assert "padding 52/520 admission slots masked (10.0% waste)" in report

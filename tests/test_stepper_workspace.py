@@ -12,16 +12,16 @@ import pytest
 
 from repro.config.presets import make_scenario
 from repro.model.batch import BatchSimulator
-from repro.model.stepper import ModelStepper, StepContext, StepWorkspace
+from repro.model.stepper import ModelStepper, StepWorkspace
 
 
-def step(batch, dt=None):
-    """One kernel step at the member engine's clock, then advance the clock
-    by hand (no engine events run)."""
-    dt = batch.dt if dt is None else dt
-    engine = batch.members[0].engine
-    batch.stepper.step_batch(engine.now, dt)
-    engine._now += dt
+def step(batch):
+    """Advance the member clocks by hand and step the kernel once (no
+    engine events run)."""
+    np.add(batch.clock, batch.steps, out=batch.clock)
+    batch.stepper.step_batch(batch.clock)
+    for member in batch.members:
+        member.engine._now = float(batch.clock[member.index])
 
 
 def contended_batch(n_warmup_steps: int = 40):
@@ -57,9 +57,10 @@ class TestOwnershipContract:
         state = stepper.state
         assert state.buffers.fill.sum() > 0, "warmup did not reach contention"
 
-        dt = batch.dt
-        stepper._refresh_dt(dt)
-        ctx = StepContext(now=batch.members[0].engine.now, dt=dt)
+        np.add(batch.clock, batch.steps, out=batch.clock)
+        ctx = stepper._ctx
+        ctx.now = batch.clock
+        batch.clock.take(state.conn_member, out=ctx.now_conn)
         phase_calls = {
             "workload_mix": lambda: stepper._phase_workload_mix(ctx),
             "drain": lambda: stepper._phase_drain(ctx),
@@ -125,18 +126,30 @@ class TestAllocationFlatness:
             "the kernel should be allocation-flat in steady state"
         )
 
-    def test_dt_invariants_refresh_only_on_change(self):
-        batch = contended_batch(n_warmup_steps=1)
+    def test_dt_lanes_carry_each_members_step(self):
+        """Members with different steps: every lane holds its member's step,
+        and the dt-scaled capacities are the per-lane products."""
+        alone = make_scenario("tiny", device="hdd", sync_mode="sync-on")
+        scenarios = [alone.with_delay(0.0), alone.with_delay(2.0)]
+        batch = BatchSimulator(scenarios)
         stepper = batch.stepper
-        dt = batch.dt
-        step(batch)
-        cached = stepper._node_caps_dt
-        expected = stepper._node_caps * dt
-        assert np.array_equal(cached, expected)
-        step(batch)
-        assert stepper._node_caps_dt is cached  # same buffer, untouched
-        step(batch, dt * 2)
-        assert np.array_equal(stepper._node_caps_dt, stepper._node_caps * dt * 2)
+        ctx = stepper._ctx
+        steps = [member.sim.step_size for member in batch.members]
+        assert steps[0] != steps[1]
+        assert batch.steps.tolist() == ctx.dt.tolist() == steps
+        for member in batch.members:
+            step_size = steps[member.index]
+            assert (ctx.dt_conn[member.conn_sl] == step_size).all()
+            assert (ctx.dt_server[member.srv_sl] == step_size).all()
+            assert (ctx.dt_node[member.node_sl] == step_size).all()
+            assert np.array_equal(
+                stepper._node_caps_dt[member.node_sl],
+                stepper._node_caps[member.node_sl] * step_size,
+            )
+            assert np.array_equal(
+                stepper._server_nic_dt[member.srv_sl],
+                stepper._server_nic[member.srv_sl] * step_size,
+            )
 
 
 class TestProfilerHook:

@@ -529,8 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     matrix_parser.add_argument(
         "--no-batch", action="store_true",
-        help="disable the batched lockstep kernel for same-cadence tasks and "
-             "run every simulation scalar (results are bitwise identical "
+        help="disable the batched lockstep kernel for fixed-step tasks and "
+             "run every simulation alone (results are bitwise identical "
              "either way; with --jobs N each planned bucket is one pool "
              "work unit, so batching and workers compose)",
     )
@@ -570,9 +570,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf_parser.add_argument(
         "--explain-buckets", action="store_true",
-        help="print the bucket plan of the matrix over --archetypes "
-             "(bucket widths, cadences, padded group-width sets, per-task "
-             "fallback reasons) and exit without measuring",
+        help="print the --jobs 1 bucket plan of the matrix over "
+             "--archetypes (per bucket: width, connection lanes, member "
+             "steps, padded group-width sets; per-task fallback reasons) "
+             "and exit without measuring",
     )
     perf_parser.add_argument(
         "--archetypes", type=_archetype_list, default=None,

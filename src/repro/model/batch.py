@@ -8,8 +8,10 @@ seed replications) is embarrassingly many *independent* simulations of one
 deployment, which makes the batch axis free: concatenate the
 per-connection, per-server and per-node state of B member simulations into
 flat arrays and run the same seven phases once per tick over ``B * N``
-elements, so the Python/NumPy call overhead that dominates a small step is
-paid once per batch.
+elements, so the Python/NumPy call overhead that dominates a narrow step is
+paid once per tick.  Past a few thousand lanes per-lane work dominates
+instead, which is why :func:`plan_buckets` splits wide groups under a lane
+budget.
 
 Exactness
 ---------
@@ -32,12 +34,12 @@ construction rather than by tolerance:
   each member's own admission stream, and ``WindowState.update`` receives
   ``rng_sites`` so hazard draws and collapse jitter come from each member's
   own transport stream, gated and sized exactly as a member-alone run;
-* a finished member steps on as an exact no-op (zero outstanding bytes means
-  zero offers, zero admissions, no window motion — the post-step invariant
-  ``starved_time < rto`` rules out late timeouts), so no per-lane masking is
-  needed; only the backend commits of a finished member's servers are
-  masked off (``PVFSDeployment.live``), and its observed time and pressure
-  step count stop at the totals of its last step.
+* only live members step: a member retires on the tick it finishes, and at
+  the end of that tick the flat state is rebuilt from the live members
+  alone (*compaction*).  The rebuild concatenates each live member's current
+  arrays in member order, so its lanes stay contiguous and in order and
+  every rule above holds in the new generation; clocks and RNG streams are
+  per member, so they carry over untouched.
 
 Flat control plane
 ------------------
@@ -50,10 +52,9 @@ Nothing in a step loops over members, servers or processes:
   completion phase finds the few applications whose operation completed
   with one vectorized scan, and Python runs only for those;
 * link accounting and pressure step counts advance once per step for the
-  whole batch (a finished member's buffers hold at most its completion
-  residue, under a byte per application, so its lanes never count as full),
-  observed time once per step for each member (its own steps summed in
-  order), and the running totals are stamped on each member as it finishes.
+  whole batch, observed time once per step for each member (its own steps
+  summed in order); the running totals are stamped on a member when it
+  retires and carried over through each compaction.
 
 Drivers
 -------
@@ -75,10 +76,11 @@ loops:
   Event ordering within a step instant (CONTROL < NORMAL < OBSERVE) is
   therefore that of a step event, including trace samples observing
   post-step state, while a tick with no due event costs no engine call at
-  all.  A member is checked against its own horizon, retires on the tick
-  it finishes (its end time, step count, observed time and wall time are
-  stamped then), and its lanes step on as exact no-ops until the bucket
-  ends (``batch.lane_steps`` counts them);
+  all.  A member is checked against its own horizon and retires on the
+  tick it finishes: its result is built then, its arrays are detached from
+  the flat state (it keeps copies of its own lanes), and the survivors are
+  compacted, so ``batch.lane_steps`` (lanes stepped) equals
+  ``batch.member_steps``;
 * **event-driven** (adaptive stepping, one member): steps are engine events
   at the bound :meth:`~repro.model.simulator.IOPathSimulator.next_bound`
   derives from the current rates, and control events catch the model up
@@ -94,13 +96,14 @@ admission water-filling pads ragged groups into width classes
 together and ``batch.padded_slots`` accounts the masked waste — and so are
 steps, start anchors and horizons.  A Δ-sweep runs its points as one
 bucket (:func:`repro.core.delta.run_delta_sweep`).  :func:`plan_buckets`,
-the matrix's grouping policy, additionally keeps scenarios of one resolved
-step, start anchor and horizon together (:class:`BucketShape`).  A
-scenario without a partner forms a width-1 bucket, which is its run alone;
-only adaptive stepping stays outside the buckets and runs alone on the
-event-driven loop.  :func:`simulate_many` is the front end: it plans, runs
-each bucket through :func:`run_bucket`, runs the adaptive scenarios alone,
-and emits ``batch.*`` telemetry.
+the matrix's grouping policy, groups scenarios by platform and filesystem
+alone and splits each group into chunks under a lane budget
+(:data:`_BUCKET_LANES`), at least one per worker; a scenario without a
+partner forms a width-1 bucket, which is its run alone.  Only adaptive
+stepping stays outside the buckets and runs alone on the event-driven
+loop.  :func:`simulate_many` is the front end: it plans, runs each bucket
+through :func:`run_bucket`, runs the adaptive scenarios alone, and emits
+``batch.*`` telemetry.
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -130,116 +133,111 @@ from repro.sim.events import EventPriority
 __all__ = [
     "BatchSimulator",
     "BatchedStepper",
-    "BucketShape",
     "count_fallback",
+    "group_widths",
     "plan_buckets",
     "run_bucket",
     "simulate_many",
 ]
 
-#: Member arrays re-pointed at flat slices (state stays bitwise equal because
-#: both sides are freshly constructed with identical initial values).
-_WINDOW_ARRAYS = (
-    "cwnd", "stall_until", "backoff", "starved_time", "last_delivery",
-    "collapse_count", "delivered_bytes", "paced", "ever_paced",
-)
-_BUFFER_SERVER_ARRAYS = ("fill", "total_admitted", "total_drained", "full_steps")
-_DEPLOYMENT_ARRAYS = (
-    "drained_bytes", "busy_time", "dirty_bytes", "absorbed_bytes",
-    "flushed_bytes", "pending_bytes", "written_bytes", "device_busy_time",
-)
-_PROCESS_ARRAYS = ("proc_current_op", "proc_next_issue")
+#: Connection lanes per planned bucket.  :func:`plan_buckets` splits a
+#: platform/filesystem group into ``ceil(lanes / _BUCKET_LANES)`` chunks (at
+#: least one per worker).  Measured on the 44-task tiny fleet matrix (4,800
+#: lanes, 2-CPU machine): ticks, not lanes, are what narrow buckets pay for
+#: (about 160 µs per tick plus 11 µs per member-tick), so two chunks of
+#: about 2,400 lanes run in 0.46 of the wall of the old 20-bucket plan.  A
+#: single 44-wide bucket runs in 0.83 of the two chunks' wall (it pays for
+#: its longest member's ticks once, not once per chunk), but per-lane work
+#: dominates a tick past about 4k lanes (a tiny member costs 26.6 µs per
+#: member-tick at 4,096 lanes and still 24.3 µs at 16,384) while memory
+#: grows with the width: peak RSS rose 3.6% over the old plan for two
+#: chunks and 8.8% for one bucket, close to the benchmark's 10% bound.
+_BUCKET_LANES = 4096
 
 
 # ---------------------------------------------------------------------- #
-# Shape bucketing
+# Bucket planning
 # ---------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class BucketShape:
-    """The key :func:`plan_buckets` groups matrix scenarios by.
-
-    ``dt``, ``t0`` and ``max_time`` are the matrix's grouping policy, not a
-    kernel constraint: every member steps on its own clock, so a bucket may
-    mix them (a Δ-sweep's bucket does).  Keying on them keeps the matrix's
-    buckets at their widths: a platform/filesystem-only key would make the
-    44-task tiny fleet one bucket of width 44, which on a 2-CPU machine ran
-    faster at ``--jobs 1`` but with about 10% more peak memory, and which
-    leaves a second worker idle at ``--jobs 2``.  ``n_servers`` and
-    ``n_client_nodes`` are informational (the platform/filesystem equality
-    check in :func:`_compatible` already pins them); connection counts and
-    per-server group sizes are deliberately absent — ragged and mixed-width
-    members pad into one bucket.
-    """
-
-    n_servers: int
-    n_client_nodes: int
-    dt: float
-    t0: float
-    max_time: float
 
 
 @dataclass
 class _Bucket:
-    shape: BucketShape
-    reference: ScenarioConfig
-    indices: List[int] = field(default_factory=list)
+    indices: List[int]
 
 
-def _shape_of(scenario: ScenarioConfig) -> Optional[BucketShape]:
-    """Bucket key of ``scenario``, or ``None`` when it cannot batch
-    (adaptive stepping has no fixed step to lockstep)."""
-    control = scenario.control
-    if control.resolve_stepping().is_adaptive:
-        return None
-    dt = control.resolve_step(scenario.estimate_duration())
-    t0 = min(0.0, min(app.start_time for app in scenario.applications))
-    return BucketShape(
-        n_servers=scenario.filesystem.n_servers,
-        n_client_nodes=scenario.platform.n_client_nodes,
-        dt=float(dt),
-        t0=float(t0),
-        max_time=float(control.max_time),
-    )
+def group_widths(scenario: ScenarioConfig) -> List[int]:
+    """Per-server connection-group widths (zero-width servers dropped).
 
-
-def _compatible(reference: ScenarioConfig, scenario: ScenarioConfig) -> bool:
-    """True when two same-shape scenarios can share one flat batch state.
-
-    Platform and filesystem configs (frozen dataclasses) must compare equal —
-    they feed the stepper's cached constants.  Seeds, workloads and trace
-    configs are member-local and free to differ.
+    Mirrors the connection layout :class:`repro.model.state.ModelState`
+    builds (every process of an application opens one connection to each of
+    its target servers) without paying for state construction.
     """
-    return (
-        scenario.platform == reference.platform
-        and scenario.filesystem == reference.filesystem
-    )
+    widths = [0] * scenario.filesystem.n_servers
+    for app in scenario.applications:
+        for server in scenario.app_servers(app):
+            widths[server] += app.n_processes
+    return [w for w in widths if w > 0]
+
+
+def _connection_lanes(scenario: ScenarioConfig) -> int:
+    """Connection lanes ``scenario`` occupies in the flat state."""
+    return sum(group_widths(scenario))
+
+
+def _estimated_steps(scenario: ScenarioConfig) -> float:
+    """A fixed-step scenario's estimated member steps: its estimated
+    duration over its resolved step."""
+    duration = scenario.estimate_duration()
+    return duration / scenario.control.resolve_step(duration)
+
+
+def _balanced_chunks(
+    indices: Sequence[int], weights: Sequence[float], n_chunks: int
+) -> List[List[int]]:
+    """Split ``indices`` into ``n_chunks`` non-empty chunks of similar total
+    weight: heaviest first, each to the lightest chunk so far (an empty one
+    while any is left).  Indices keep input order within a chunk, and chunks
+    are ordered by their first index."""
+    chunks: List[List[int]] = [[] for _ in range(n_chunks)]
+    totals = [0.0] * n_chunks
+    for k in sorted(range(len(indices)), key=lambda k: (-weights[k], k)):
+        c = min(range(n_chunks), key=lambda c: (totals[c], len(chunks[c]), c))
+        chunks[c].append(indices[k])
+        totals[c] += weights[k]
+    return sorted((sorted(chunk) for chunk in chunks), key=lambda chunk: chunk[0])
 
 
 def plan_buckets(
     scenarios: Sequence[ScenarioConfig],
+    jobs: int = 1,
 ) -> Tuple[List[_Bucket], List[Tuple[int, str]]]:
-    """Group ``scenarios`` into lockstep buckets by :class:`BucketShape`.
+    """Group ``scenarios`` into lockstep buckets by platform and filesystem.
 
-    Returns ``(buckets, fallback)`` where every input index appears in
-    exactly one bucket's ``indices`` (width-1 buckets included) or once in
-    ``fallback`` as an ``(index, "adaptive")`` pair: adaptive stepping has no
-    fixed step to lockstep, so it runs alone.
+    Each group of fixed-step scenarios sharing a platform and filesystem
+    configuration splits into ``min(n, max(jobs, ceil(lanes /
+    _BUCKET_LANES)))`` chunks, ``n`` being its scenarios and ``lanes`` their
+    connection lanes, balanced by estimated member steps.  Returns
+    ``(buckets, fallback)`` where every input index appears in exactly one
+    bucket's ``indices`` (width-1 buckets included) or once in ``fallback``
+    as an ``(index, "adaptive")`` pair: adaptive stepping has no fixed step
+    to lockstep, so it runs alone.  The plan is a pure function of its
+    inputs.
     """
-    buckets: List[_Bucket] = []
+    groups: Dict[Tuple[object, object], List[int]] = {}
     fallback: List[Tuple[int, str]] = []
     for i, scenario in enumerate(scenarios):
-        shape = _shape_of(scenario)
-        if shape is None:
+        if scenario.control.resolve_stepping().is_adaptive:
             fallback.append((i, "adaptive"))
-            continue
-        for bucket in buckets:
-            if bucket.shape == shape and _compatible(bucket.reference, scenario):
-                bucket.indices.append(i)
-                break
         else:
-            buckets.append(_Bucket(shape=shape, reference=scenario, indices=[i]))
+            groups.setdefault((scenario.platform, scenario.filesystem), []).append(i)
+    buckets: List[_Bucket] = []
+    for indices in groups.values():
+        lanes = sum(_connection_lanes(scenarios[i]) for i in indices)
+        n_chunks = min(len(indices), max(1, jobs, math.ceil(lanes / _BUCKET_LANES)))
+        weights = [_estimated_steps(scenarios[i]) for i in indices]
+        buckets.extend(
+            _Bucket(chunk) for chunk in _balanced_chunks(indices, weights, n_chunks)
+        )
     return buckets, fallback
 
 
@@ -248,29 +246,74 @@ def plan_buckets(
 # ---------------------------------------------------------------------- #
 
 
+#: The member arrays that are lanes of the flat state: ``(owner, lanes,
+#: names)``, where ``owner`` names the attribute holding them (``None``: the
+#: state itself) and ``lanes`` the slice kind that indexes them.  A member's
+#: ``ModelState`` and the flat :class:`_BatchedState` lay them out alike, so
+#: this one table builds the flat state, re-points the members at it and
+#: detaches a retired member from it.
+_LANE_ARRAYS = (
+    ("windows", "conn", (
+        "cwnd", "stall_until", "backoff", "starved_time", "last_delivery",
+        "collapse_count", "delivered_bytes", "paced", "ever_paced",
+    )),
+    ("buffers", "conn", ("conn_bytes",)),
+    ("buffers", "srv", ("fill", "total_admitted", "total_drained", "full_steps")),
+    ("deployment", "srv", (
+        "drained_bytes", "busy_time", "dirty_bytes", "absorbed_bytes",
+        "flushed_bytes", "pending_bytes", "written_bytes", "device_busy_time",
+    )),
+    ("topology", "node", ("_node_busy", "_node_transferred")),
+    ("topology", "srv", ("_server_busy", "_server_transferred")),
+    (None, "conn", ("send_remaining", "frag_size")),
+    (None, "srv", ("last_drain_rate", "last_admission_rate")),
+    (None, "app", ("app_phase",)),
+    (None, "proc", ("proc_current_op", "proc_next_issue")),
+)
+
+
+def _lane_owner(state, owner: Optional[str]):
+    return state if owner is None else getattr(state, owner)
+
+
 @dataclass
 class _BatchMember:
-    """One member simulation, its lanes in the flat state and its clock."""
+    """One member simulation, its lanes in the flat state and its clock.
+
+    ``index`` and the lane slices locate the member in the current
+    generation of the flat state; :class:`_BatchedState` assigns them, and
+    each compaction renumbers the survivors.
+    """
 
     sim: IOPathSimulator
-    #: Position in the batch (its entry in every per-member array).
-    index: int
     engine: Simulator
     #: Start anchor (the clock before the first step) and horizon.
     t0: float
     until: float
-    conn_sl: slice
-    srv_sl: slice
-    node_sl: slice
-    app_sl: slice
-    proc_sl: slice
-    live: bool = True
-    n_steps: int = 0
-    end_time: float = float("nan")
-    #: Wall seconds from the start of the run to the step it finished on.
-    wall_time: float = float("nan")
+    #: Position in the batch (its entry in every per-member array).
+    index: int = 0
+    conn_sl: slice = field(default_factory=lambda: slice(0))
+    srv_sl: slice = field(default_factory=lambda: slice(0))
+    node_sl: slice = field(default_factory=lambda: slice(0))
+    app_sl: slice = field(default_factory=lambda: slice(0))
+    proc_sl: slice = field(default_factory=lambda: slice(0))
     #: Time of the member engine's next event (``inf`` when none).
     due: float = float("inf")
+    #: Built on the tick the member finished (``None`` while it runs).
+    result: Optional[RunResult] = None
+
+    @property
+    def live(self) -> bool:
+        return self.result is None
+
+    def detach(self) -> None:
+        """Give the member copies of its own lanes, so it holds no
+        reference to any flat state."""
+        state = self.sim.state
+        for owner, _, names in _LANE_ARRAYS:
+            holder = _lane_owner(state, owner)
+            for name in names:
+                setattr(holder, name, getattr(holder, name).copy())
 
 
 def _lane_members(slices: Sequence[slice]) -> np.ndarray:
@@ -285,79 +328,91 @@ class _BatchedState:
 
     Carries exactly the attributes the kernel's phases read.  The members'
     own ``ModelState`` objects keep running the control plane (operation
-    issue, completion, results); their hot arrays — transport, buffers,
-    backend, application lifecycle and process issue state — are views into
-    the flat storage below.
+    issue, completion, results); their hot arrays (``_LANE_ARRAYS``:
+    transport, buffers, backend, links, application lifecycle and process
+    issue state) are views into the flat storage below.
+
+    The one constructor of the flat state, for a batch's first generation
+    and for each compaction alike: it lays ``members`` out back to back in
+    member order (assigning each its index and lane slices), builds every
+    flat array by concatenating the members' *current* arrays, and
+    re-points each member at its slices.  The pressure step count comes from
+    the members too: every live member has stepped on every tick, so they
+    share it, and the driver stamps it on them before a compaction.
     """
 
-    def __init__(
-        self,
-        members: Sequence[_BatchMember],
-        topology: StarTopology,
-        conn_server: np.ndarray,
-        conn_node: np.ndarray,
-    ) -> None:
-        reference = members[0].sim
-        scenario = reference.scenario
+    def __init__(self, members: Sequence[_BatchMember]) -> None:
+        states = [m.sim.state for m in members]
+        conn = srv = node = app = proc = 0
+        for index, (member, st) in enumerate(zip(members, states)):
+            member.index = index
+            member.conn_sl = slice(conn, conn + st.n_connections)
+            member.srv_sl = slice(srv, srv + st.n_servers)
+            member.node_sl = slice(node, node + st.topology.n_client_nodes)
+            member.app_sl = slice(app, app + st.n_apps)
+            member.proc_sl = slice(proc, proc + st.n_processes)
+            conn, srv, node = member.conn_sl.stop, member.srv_sl.stop, member.node_sl.stop
+            app, proc = member.app_sl.stop, member.proc_sl.stop
+        scenario = members[0].sim.scenario
+        platform = scenario.platform
         self.scenario = scenario
-        self.topology = topology
-        self.conn_server = conn_server
-        self.conn_node = conn_node
-        self.n_connections = int(conn_server.shape[0])
-        self.n_servers = topology.n_servers
         self.n_members = len(members)
+        self.n_connections = conn
+        self.n_servers = srv
+        self.n_apps = app
+        self.n_processes = proc
+        # Members share the platform, so per-link capacities repeat.
+        self.topology = StarTopology(
+            n_client_nodes=node, n_servers=srv, network=platform.network,
+        )
         #: Member index of every connection, server, node and process lane.
         self.conn_member = _lane_members([m.conn_sl for m in members])
         self.server_member = _lane_members([m.srv_sl for m in members])
         self.node_member = _lane_members([m.node_sl for m in members])
         self.proc_member = _lane_members([m.proc_sl for m in members])
-        states = [m.sim.state for m in members]
-        self.n_apps = sum(st.n_apps for st in states)
-        self.n_processes = sum(st.n_processes for st in states)
-        #: All members' servers as one deployment (same configuration, so
-        #: the same laws); a member's lanes stop committing when it finishes.
-        self.deployment = PVFSDeployment(
-            scenario.filesystem,
-            server_nic_bw=scenario.platform.network.server_nic_bw,
-            n_servers=self.n_servers,
-        )
-        self.deployment.live = np.ones(self.n_servers, dtype=bool)
-        transport = scenario.platform.network.transport
-        #: Flat transport/buffer state.  Freshly constructed flat arrays have
-        #: the same initial values as each member's own fresh arrays, so
-        #: re-pointing members at slices preserves bitwise state.  The flat
-        #: WindowState's rng is a dummy: update() receives rng_sites and
-        #: force_timeout is only ever called on member WindowState objects.
-        self.windows = WindowState(
-            self.n_connections, transport, rng=np.random.default_rng(0)
-        )
-        self.buffers = ServerBuffers(
-            n_servers=self.n_servers,
-            capacity_bytes=scenario.filesystem.server.buffer_bytes,
-            conn_server=conn_server,
-        )
-        self.send_remaining = np.zeros(self.n_connections, dtype=np.float64)
-        self.frag_size = np.zeros(self.n_connections, dtype=np.float64)
-        self.last_drain_rate = np.full(
-            self.n_servers, scenario.filesystem.server.ingest_bw, dtype=np.float64
-        )
-        self.last_admission_rate = np.zeros(self.n_servers, dtype=np.float64)
-        # Flat control-plane state, with application and process indices
-        # offset into one global numbering.
-        app_offsets = [m.app_sl.start for m in members]
-        proc_offsets = [m.proc_sl.start for m in members]
+        # Flat index maps, with server, node, application and process
+        # indices offset into one global numbering.
+        self.conn_server = np.concatenate(
+            [st.conn_server + m.srv_sl.start for m, st in zip(members, states)])
+        self.conn_node = np.concatenate(
+            [st.conn_node + m.node_sl.start for m, st in zip(members, states)])
         self.conn_app = np.concatenate(
-            [st.conn_app + off for st, off in zip(states, app_offsets)])
+            [st.conn_app + m.app_sl.start for m, st in zip(members, states)])
         self.conn_proc = np.concatenate(
-            [st.conn_proc + off for st, off in zip(states, proc_offsets)])
+            [st.conn_proc + m.proc_sl.start for m, st in zip(members, states)])
         self.proc_app = np.concatenate(
-            [st.proc_app + off for st, off in zip(states, app_offsets)])
-        self.app_phase = np.concatenate([st.app_phase for st in states])
+            [st.proc_app + m.app_sl.start for m, st in zip(members, states)])
         self.app_collective = np.concatenate([st.app_collective for st in states])
         self.app_n_procs = np.concatenate([st.app_n_procs for st in states])
         self.proc_n_ops = np.concatenate([st.proc_n_ops for st in states])
-        self.proc_current_op = np.concatenate([st.proc_current_op for st in states])
-        self.proc_next_issue = np.concatenate([st.proc_next_issue for st in states])
+        #: All members' servers as one deployment (same configuration, so
+        #: the same laws).
+        self.deployment = PVFSDeployment(
+            scenario.filesystem,
+            server_nic_bw=platform.network.server_nic_bw,
+            n_servers=srv,
+        )
+        # The flat WindowState's rng is a dummy: update() receives rng_sites
+        # and force_timeout is only ever called on member WindowState objects.
+        self.windows = WindowState(
+            conn, platform.network.transport, rng=np.random.default_rng(0)
+        )
+        self.buffers = ServerBuffers(
+            n_servers=srv,
+            capacity_bytes=scenario.filesystem.server.buffer_bytes,
+            conn_server=self.conn_server,
+        )
+        self.buffers.observed_steps = states[0].buffers.observed_steps
+        for owner, kind, names in _LANE_ARRAYS:
+            holder = _lane_owner(self, owner)
+            for name in names:
+                flat = np.concatenate(
+                    [getattr(_lane_owner(st, owner), name) for st in states]
+                )
+                setattr(holder, name, flat)
+                for member, st in zip(members, states):
+                    lanes = getattr(member, f"{kind}_sl")
+                    setattr(_lane_owner(st, owner), name, flat[lanes])
 
 
 # ---------------------------------------------------------------------- #
@@ -377,6 +432,9 @@ class BatchedStepper(ModelStepper):
     def __init__(self, state: _BatchedState, members: Sequence[_BatchMember]) -> None:
         super().__init__(state)
         self._members = list(members)
+        # Carried over from the members: zero when fresh, stamped by the
+        # driver before a compaction.
+        self.observed_time[:] = [m.sim.state.deployment.observed_time for m in members]
         self._rng_sites: Tuple[Tuple[slice, np.random.Generator, float], ...] = ()
         #: Member index of every flat application.
         self._app_member = [
@@ -394,10 +452,9 @@ class BatchedStepper(ModelStepper):
         super().set_steps(dt)
         # Per-member RNG sites for WindowState.update: hazard draws and
         # collapse jitter come from each member's own transport stream,
-        # sliced to its lanes, and the hazard from its own step.  Dead
-        # members never have candidates (their connections are inactive and
-        # their post-step starvation clocks sit below the RTO), so the site
-        # list stays fixed between step changes.
+        # sliced to its lanes, and the hazard from its own step.  Every
+        # member of a generation is live, so the site list stays fixed
+        # between step changes.
         self._rng_sites = tuple(
             (m.conn_sl, m.sim.state.windows._rng, step)
             for m, step in zip(self._members, self._ctx.dt.tolist())
@@ -618,10 +675,12 @@ class BatchSimulator:
     event-driven.
 
     ``members`` are scenarios or *fresh* :class:`IOPathSimulator` objects (a
-    run alone passes itself): member state is re-pointed at the flat arrays
-    right after construction, before any event runs.  Members must share the
-    platform and filesystem configuration; their steps, start anchors and
-    horizons are their own.
+    run alone passes itself): their control plane is scheduled from their
+    start anchors.  Members must share the platform and filesystem
+    configuration; their steps, start anchors and horizons are their own.
+    :attr:`members` lists every member in input order; the current
+    generation of the flat state (:attr:`state`, :attr:`stepper`) holds the
+    live ones.
     """
 
     def __init__(
@@ -638,12 +697,8 @@ class BatchSimulator:
         if len(sims) > 1 and any(sim.stepping.is_adaptive for sim in sims):
             raise SimulationError("adaptive stepping cannot run batched")
         scenario = reference.scenario
-
-        # Lanes.
-        members: List[_BatchMember] = []
-        conn_off = srv_off = node_off = app_off = proc_off = 0
-        for index, sim in enumerate(sims):
-            st = sim.state
+        self.members: List[_BatchMember] = []
+        for sim in sims:
             s = sim.scenario
             if s.platform != scenario.platform or s.filesystem != scenario.filesystem:
                 raise SimulationError(
@@ -651,100 +706,75 @@ class BatchSimulator:
                 )
             t0 = min(0.0, min(app.start_time for app in s.applications))
             max_time = s.control.max_time
-            n_c = st.n_connections
-            n_s = st.n_servers
-            n_n = st.topology.n_client_nodes
-            members.append(
-                _BatchMember(
-                    sim=sim,
-                    index=index,
-                    engine=Simulator(start_time=t0, horizon=t0 + max_time * 2 + 1.0),
-                    t0=t0,
-                    until=t0 + max_time,
-                    conn_sl=slice(conn_off, conn_off + n_c),
-                    srv_sl=slice(srv_off, srv_off + n_s),
-                    node_sl=slice(node_off, node_off + n_n),
-                    app_sl=slice(app_off, app_off + st.n_apps),
-                    proc_sl=slice(proc_off, proc_off + st.n_processes),
-                )
-            )
-            conn_off += n_c
-            srv_off += n_s
-            node_off += n_n
-            app_off += st.n_apps
-            proc_off += st.n_processes
-        self.members = members
-
-        # Flat index maps and facade state.
-        conn_server = np.concatenate(
-            [m.sim.state.conn_server + m.srv_sl.start for m in members]
-        )
-        conn_node = np.concatenate(
-            [m.sim.state.conn_node + m.node_sl.start for m in members]
-        )
-        # Members share the platform, so per-link capacities repeat.
-        topology = StarTopology(
-            n_client_nodes=node_off, n_servers=srv_off,
-            network=scenario.platform.network,
-        )
-        state = _BatchedState(members, topology, conn_server, conn_node)
-        self.state = state
-        self._repoint_members()
-        self.stepper = BatchedStepper(state, members)
-        #: Every member's resolved step and clock: the end of its last step
-        #: (its start anchor before the first).
-        self.steps = np.array([sim.step_size for sim in sims], dtype=np.float64)
-        self.clock = np.array([m.t0 for m in members], dtype=np.float64)
-        self.stepper.set_steps(self.steps)
-        for member in members:
+            self.members.append(_BatchMember(
+                sim=sim,
+                engine=Simulator(start_time=t0, horizon=t0 + max_time * 2 + 1.0),
+                t0=t0,
+                until=t0 + max_time,
+            ))
+        self._build(self.members)
+        #: Padding of the bucket as planned (its first generation).
+        self.padded_slots = self.state.buffers.padded_slots
+        self.group_slots = self.state.buffers.group_slots
+        #: Every live member's clock: the end of its last step (its start
+        #: anchor before the first).
+        self.clock = np.array([m.t0 for m in self.members], dtype=np.float64)
+        for member in self.members:
             member.sim.schedule_control_plane(member.engine, member.t0)
             member.due = _next_event_time(member.engine)
-        #: Per member, the clock at which the driver must look at it before
-        #: stepping: its next engine event or its horizon, whichever is
-        #: first (``inf`` once it finished).
-        self._alarm = np.array([min(m.due, m.until) for m in members])
-        self._n_live = len(members)
+        #: Per live member, the clock at which the driver must look at it
+        #: before stepping: its next engine event or its horizon, whichever
+        #: is first (``inf`` once it finished).
+        self._alarm = np.array([min(m.due, m.until) for m in self.members])
+        self._n_live = len(self.members)
         self.n_batch_steps = 0
+        #: Lanes stepped: the live width summed over the ticks.
+        self.n_lane_steps = 0
         self._wall_start = 0.0
         #: The phase profiler of a :meth:`run` with telemetry on.
         self.profiler: Optional[StepProfiler] = None
         # Event-driven loop: end of the last executed step and the pending
         # step event (None while waiting for a control kick).
-        self._last_step_end = members[0].t0
+        self._last_step_end = self.members[0].t0
         self._step_event = None
 
-    # ------------------------------------------------------------------ #
+    def _build(self, members: Sequence[_BatchMember]) -> None:
+        """Build a generation of the flat state and its kernel over
+        ``members`` (see :class:`_BatchedState`)."""
+        self._live = list(members)
+        self.state = _BatchedState(self._live)
+        self.stepper = BatchedStepper(self.state, self._live)
+        #: Every live member's resolved step.
+        self.steps = np.array([m.sim.step_size for m in self._live], dtype=np.float64)
+        self.stepper.set_steps(self.steps)
 
-    def _repoint_members(self) -> None:
-        """Point every member's hot arrays at its lanes of the flat state.
+    def _stamp(self, member: _BatchMember) -> None:
+        """Write the batch's running totals for ``member`` onto its own
+        state: its observed time and the pressure step count."""
+        st = member.sim.state
+        observed = float(self.stepper.observed_time[member.index])
+        st.deployment.observed_time = observed
+        st.topology._observed_time = observed
+        st.buffers.observed_steps = self.state.buffers.observed_steps
 
-        Both sides are freshly constructed (identical initial values), so
-        this changes storage, not state.  Member-local state — collapse
-        statistics, application runtimes — stays where it is; observed
-        times and step counts are stamped when the member finishes.
+    def _compact(self) -> None:
+        """Rebuild the flat state from the live members only.
+
+        Their lanes become contiguous in member order and their indices are
+        renumbered; clocks, steps, alarms, observed times, the pressure step
+        count and the profiler carry over.  The previous generation is
+        freed as soon as the members are re-pointed.
         """
-        state = self.state
-        for member in self.members:
-            st = member.sim.state
-            for name in _WINDOW_ARRAYS:
-                setattr(st.windows, name, getattr(state.windows, name)[member.conn_sl])
-            for name in _BUFFER_SERVER_ARRAYS:
-                setattr(st.buffers, name, getattr(state.buffers, name)[member.srv_sl])
-            for name in _DEPLOYMENT_ARRAYS:
-                setattr(st.deployment, name, getattr(state.deployment, name)[member.srv_sl])
-            for name in _PROCESS_ARRAYS:
-                setattr(st, name, getattr(state, name)[member.proc_sl])
-            st.app_phase = state.app_phase[member.app_sl]
-            st.buffers.conn_bytes = state.buffers.conn_bytes[member.conn_sl]
-            st.send_remaining = state.send_remaining[member.conn_sl]
-            st.frag_size = state.frag_size[member.conn_sl]
-            st.last_drain_rate = state.last_drain_rate[member.srv_sl]
-            st.last_admission_rate = state.last_admission_rate[member.srv_sl]
-            topo, flat = st.topology, state.topology
-            topo._node_busy = flat._node_busy[member.node_sl]
-            topo._node_transferred = flat._node_transferred[member.node_sl]
-            topo._server_busy = flat._server_busy[member.srv_sl]
-            topo._server_transferred = flat._server_transferred[member.srv_sl]
+        keep = [m.index for m in self._live if m.live]
+        live = [self._live[i] for i in keep]
+        for member in live:
+            self._stamp(member)
+        profiler = self.stepper.profiler
+        self.clock = self.clock[keep]
+        self._alarm = self._alarm[keep]
+        self.state = self.stepper = None
+        self._build(live)
+        self.stepper.profiler = profiler
 
     # ------------------------------------------------------------------ #
 
@@ -766,29 +796,22 @@ class BatchSimulator:
         finally:
             if self.profiler is not None:
                 self.stepper.profiler = None
-        return [
-            m.sim._build_result(m.end_time, m.n_steps, m.wall_time)
-            for m in self.members
-        ]
+        return [m.result for m in self.members]
 
     def _follow_up(self, member: _BatchMember) -> None:
         """After a step that changed ``member``'s control plane: retire it if
-        it finished, else note when its engine next has work."""
+        it finished (build its result and detach it), else note when its
+        engine next has work."""
         i = member.index
         if member.sim.state.all_finished():
-            member.live = False
-            member.end_time = float(self.clock[i])
-            member.n_steps = self.n_batch_steps
-            member.wall_time = time.perf_counter() - self._wall_start
+            wall_time = time.perf_counter() - self._wall_start
+            self._stamp(member)
+            member.result = member.sim._build_result(
+                float(self.clock[i]), self.n_batch_steps, wall_time
+            )
+            member.detach()
             self._alarm[i] = float("inf")
             self._n_live -= 1
-            flat = self.state
-            flat.deployment.live[member.srv_sl] = False
-            st = member.sim.state
-            observed = float(self.stepper.observed_time[i])
-            st.deployment.observed_time = observed
-            st.topology._observed_time = observed
-            st.buffers.observed_steps = flat.buffers.observed_steps
             return
         member.due = _next_event_time(member.engine)
         self._alarm[i] = min(member.due, member.until)
@@ -806,10 +829,20 @@ class BatchSimulator:
     # -- lockstep loop (fixed stepping) --------------------------------- #
 
     def _run_lockstep(self) -> None:
-        stepper = self.stepper
-        clock, steps, alarm = self.clock, self.steps, self._alarm
-        ringing = np.zeros(len(self.members), dtype=bool)
-        while self._n_live:
+        """Run generations until every member finished, compacting the
+        survivors after each tick on which a member retired."""
+        while True:
+            self._run_generation()
+            if not self._n_live:
+                return
+            self._compact()
+
+    def _run_generation(self) -> None:
+        """Tick the current generation until one of its members retires."""
+        stepper, clock, steps, alarm = self.stepper, self.clock, self.steps, self._alarm
+        width = len(self._live)
+        ringing = np.zeros(width, dtype=bool)
+        while self._n_live == width:
             # Each clock advances with a periodic step event's arithmetic:
             # first at t0 + dt, then each step dt after the last.
             np.add(clock, steps, out=clock)
@@ -818,15 +851,16 @@ class BatchSimulator:
                 self._run_control_plane(np.flatnonzero(ringing))
             stepper.step_batch(clock)
             self.n_batch_steps += 1
+            self.n_lane_steps += width
             for member in stepper.changed:
                 self._follow_up(member)
 
     def _run_control_plane(self, ringing: np.ndarray) -> None:
-        """For each member whose alarm rang: fail if it is past its horizon,
-        else run its engine over the events that precede a NORMAL-priority
-        step event at its clock, if any are due."""
+        """For each live member whose alarm rang: fail if it is past its
+        horizon, else run its engine over the events that precede a
+        NORMAL-priority step event at its clock, if any are due."""
         for i in ringing.tolist():
-            member = self.members[i]
+            member = self._live[i]
             now = float(self.clock[i])
             if now > member.until:
                 raise self._unfinished(member)
@@ -864,6 +898,7 @@ class BatchSimulator:
             self.stepper.set_steps((dt,))
             self.stepper.step_batch(self.clock)
             self.n_batch_steps += 1
+            self.n_lane_steps += 1
             self._last_step_end = now
             for member in self.stepper.changed:
                 self._follow_up(member)
@@ -954,9 +989,9 @@ class BatchSimulator:
         per-step timeline), and counts ``step.phase.*``, every member
         engine's counters, ``sim.steps`` and the kernel's ``batch.ticks``
         (steps of the whole batch), ``batch.member_steps`` (steps of each
-        member until it finished, summed) and ``batch.lane_steps`` (width
-        times ticks: every member's lanes step until the batch ends, so
-        ``1 - member_steps / lane_steps`` is the dead-lane fraction).
+        member until it finished, summed) and ``batch.lane_steps`` (the
+        live width summed over the ticks; compaction keeps finished members
+        out of the kernel, so it equals ``batch.member_steps``).
         """
         if self.profiler is not None:
             cursor = start_us
@@ -980,11 +1015,11 @@ class BatchSimulator:
         for member in self.members:
             for name, value in member.engine.stats().items():
                 telemetry.count(name, value)
-        member_steps = sum(m.n_steps for m in self.members)
+        member_steps = sum(m.result.n_steps for m in self.members)
         telemetry.count("sim.steps", member_steps)
         telemetry.count("batch.ticks", self.n_batch_steps)
         telemetry.count("batch.member_steps", member_steps)
-        telemetry.count("batch.lane_steps", len(self.members) * self.n_batch_steps)
+        telemetry.count("batch.lane_steps", self.n_lane_steps)
 
 
 def _next_event_time(engine: Simulator) -> float:
@@ -1030,8 +1065,8 @@ def run_bucket(
     telemetry.count("batch.buckets")
     telemetry.count("batch.member_runs", len(members))
     telemetry.observe("batch.occupancy", float(len(members)))
-    telemetry.count("batch.padded_slots", batch.state.buffers.padded_slots)
-    telemetry.count("batch.group_slots", batch.state.buffers.group_slots)
+    telemetry.count("batch.padded_slots", batch.padded_slots)
+    telemetry.count("batch.group_slots", batch.group_slots)
     return results
 
 
@@ -1043,7 +1078,8 @@ def count_fallback(reason: str) -> None:
 
 
 def simulate_many(scenarios: Sequence[ScenarioConfig]) -> List[RunResult]:
-    """Simulate ``scenarios``, running same-cadence groups in lockstep.
+    """Simulate ``scenarios``, running each planned bucket in lockstep
+    (:func:`plan_buckets` at one worker).
 
     Results come back in input order and are bitwise identical to running
     each scenario alone through

@@ -116,9 +116,6 @@ class PVFSDeployment:
         self.pending_bytes = np.zeros(n, dtype=np.float64)
         self.written_bytes = np.zeros(n, dtype=np.float64)
         self.device_busy_time = np.zeros(n, dtype=np.float64)
-        #: Lanes whose commits count: ``True`` (all), or a boolean mask the
-        #: batched kernel clears for the servers of finished members.
-        self.live: Union[bool, np.ndarray] = True
         self._laws: Dict[bytes, _Law] = {}
         self._scratch = np.zeros(n, dtype=np.float64)
 
@@ -283,19 +280,16 @@ class PVFSDeployment:
         ``dt`` is elementwise, so a lane commits what its member alone
         would."""
         law = self._law(*self._workload(n_streams, avg_fragment_sizes))
-        live = self.live
-        np.add(self.drained_bytes, drained, out=self.drained_bytes, where=live)
+        self.drained_bytes += drained
         mode = self._sync_mode
         if mode is SyncMode.NULL_AIO:
             return
         if mode is SyncMode.SYNC_OFF:
-            self._commit_cache(drained, dt, law.device_bw, live)
+            self._commit_cache(drained, dt, law.device_bw)
             # Busy time is charged at the post-commit cache state.
             law = self._law(law.mix_key, law.n_streams, law.fragments)
         else:
-            self._commit_device(
-                drained, dt, law.device_bw * dt, law.device_positive, live
-            )
+            self._commit_device(drained, dt, law.device_bw * dt, law.device_positive)
         capacity = law.commit_rates * dt
         # busy += dt * min(drained / capacity, 1) on non-empty steps; an empty
         # step's share is an exact 0.0, so only non-positive capacities (which
@@ -303,25 +297,23 @@ class PVFSDeployment:
         share = self._scratch
         if law.commit_positive:
             np.divide(drained, capacity, out=share)
-            busy = live
+            busy = True
         else:
-            busy = (drained > 0) & (capacity > 0) & live
+            busy = (drained > 0) & (capacity > 0)
             share.fill(0.0)
             np.divide(drained, capacity, out=share, where=busy)
         np.minimum(share, 1.0, out=share)
         share *= dt
         np.add(self.busy_time, share, out=self.busy_time, where=busy)
 
-    def _commit_cache(
-        self, drained: np.ndarray, dt, device_bw: np.ndarray, live
-    ) -> None:
+    def _commit_cache(self, drained: np.ndarray, dt, device_bw: np.ndarray) -> None:
         """``WritebackCache.flush`` then ``absorb`` (non-empty steps) per lane."""
         dirty = self.dirty_bytes
         flush = self._flush_rate(device_bw)
         flushed = np.minimum(dirty, flush * dt)
-        np.subtract(dirty, flushed, out=dirty, where=live)
-        np.add(self.flushed_bytes, flushed, out=self.flushed_bytes, where=live)
-        absorbing = (drained > 0) & live
+        dirty -= flushed
+        self.flushed_bytes += flushed
+        absorbing = drained > 0
         if not np.count_nonzero(absorbing):
             return
         capacity = self._cache_capacity
@@ -339,7 +331,6 @@ class PVFSDeployment:
         dt,
         capacity: np.ndarray,
         positive: bool,
-        live,
     ) -> None:
         """``DeviceQueue.commit_step`` per lane.
 
@@ -348,20 +339,20 @@ class PVFSDeployment:
         masking.
         """
         pending = self.pending_bytes
-        np.add(pending, drained, out=pending, where=live)
+        pending += drained
         if self._device.is_unlimited:
-            np.add(self.written_bytes, pending, out=self.written_bytes, where=live)
-            np.copyto(pending, 0.0, where=live)
+            self.written_bytes += pending
+            pending.fill(0.0)
             return
         written = np.minimum(pending, capacity)
-        np.subtract(pending, written, out=pending, where=live)
-        np.add(self.written_bytes, written, out=self.written_bytes, where=live)
+        pending -= written
+        self.written_bytes += written
         share = self._scratch
         if positive:
             np.divide(written, capacity, out=share)
-            busy = live
+            busy = True
         else:
-            busy = (capacity > 0) & live
+            busy = capacity > 0
             share.fill(0.0)
             np.divide(written, capacity, out=share, where=busy)
         share *= dt

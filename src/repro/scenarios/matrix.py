@@ -475,12 +475,14 @@ def run_matrix_tasks_batched(
     jobs: int = 1,
     fault_policy=None,
 ) -> Dict[str, Dict[str, Any]]:
-    """Bulk route for matrix cache misses: same-cadence tasks step in lockstep.
+    """Bulk route for matrix cache misses: tasks of one deployment step in
+    lockstep.
 
-    Builds every pending task's scenario, groups compatible ones with
-    :func:`repro.model.batch.plan_buckets` (mixed widths pad together and
-    leftovers run as width-1 buckets, so only adaptive stepping falls
-    back), and maps each bucket as one ``matrix-bucket``
+    Builds every pending task's scenario, plans buckets with
+    :func:`repro.model.batch.plan_buckets` (one platform/filesystem group
+    splits into at least ``jobs`` chunks under the lane budget; mixed widths
+    pad together and leftovers run as width-1 buckets, so only adaptive
+    stepping falls back), and maps each bucket as one ``matrix-bucket``
     work unit through :class:`~repro.runner.executor.ParallelExecutor` —
     in-process at ``jobs=1``; otherwise ``jobs`` pool workers advance
     ``jobs`` batched kernels concurrently.  Returns payloads for the bucketed
@@ -512,7 +514,7 @@ def run_matrix_tasks_batched(
     if len(supported) < 2:
         return {}
     buckets, fallback = plan_buckets(
-        [_build_from_payload(t.payload).scenario for t in supported]
+        [_build_from_payload(t.payload).scenario for t in supported], jobs=jobs
     )
     for _, reason in fallback:
         count_fallback(reason)
@@ -671,21 +673,6 @@ def _matrix_task_list(
     return names, tasks, pair_ids
 
 
-def _scenario_group_widths(scenario) -> List[int]:
-    """Per-server connection-group widths (zero-width servers dropped).
-
-    Mirrors the connection layout :class:`repro.model.state.SimulationState`
-    builds (every process of an application opens one connection to each of
-    its target servers) without paying for state construction.
-    """
-    widths = [0] * scenario.filesystem.n_servers
-    for app in scenario.applications:
-        procs = app.n_nodes * app.procs_per_node
-        for server in scenario.app_servers(app):
-            widths[server] += procs
-    return [w for w in widths if w > 0]
-
-
 def explain_matrix_buckets(
     archetypes: Sequence[Union[str, ScenarioSpec]],
     scale: str = "tiny",
@@ -696,12 +683,13 @@ def explain_matrix_buckets(
     """Render the bucket plan ``repro-io perf --explain-buckets`` prints.
 
     Builds exactly the task list :func:`run_interference_matrix` would run,
-    plans buckets the way the batched route does, and
-    reports per bucket its width (members), cadence, server count and the
-    set of admission-group widths that pad together — plus every task that
-    falls back to the scalar path and why.
+    plans buckets the way the batched route does at ``--jobs 1``, and
+    reports per bucket its width (members), connection lanes, the set of
+    its members' resolved steps, its server count and the set of
+    admission-group widths that pad together — plus every task that falls
+    back to the scalar path and why.
     """
-    from repro.model.batch import plan_buckets
+    from repro.model.batch import group_widths, plan_buckets
 
     specs = [ScenarioSpec.coerce(a) for a in archetypes]
     if len(specs) < 2:
@@ -721,15 +709,18 @@ def explain_matrix_buckets(
         f"-> {len(buckets)} buckets, {len(fallback)} scalar fallbacks"
     ]
     for k, bucket in enumerate(buckets):
-        shape = bucket.shape
-        widths = sorted({
-            w for i in bucket.indices
-            for w in _scenario_group_widths(built[i].scenario)
+        scenarios = [built[i].scenario for i in bucket.indices]
+        groups = [group_widths(s) for s in scenarios]
+        widths = sorted({w for group in groups for w in group})
+        steps = sorted({
+            s.control.resolve_step(s.estimate_duration()) for s in scenarios
         })
         padded = "padded" if len(widths) > 1 else "uniform"
         lines.append(
             f"  bucket[{k}]  B={len(bucket.indices)}  "
-            f"dt={shape.dt:.6g}s  n_servers={shape.n_servers}  "
+            f"lanes={sum(map(sum, groups))}  "
+            f"steps={{{','.join(f'{dt:.6g}' for dt in steps)}}}s  "
+            f"n_servers={scenarios[0].filesystem.n_servers}  "
             f"group_widths={{{','.join(str(w) for w in widths)}}} ({padded})"
         )
         lines.append(
@@ -771,11 +762,12 @@ def run_interference_matrix(
         Worker processes for the executor (alone and pair runs are
         independent tasks).
     batch:
-        Route same-cadence cache misses through the batched lockstep kernel
+        Route fixed-step cache misses through the batched lockstep kernel
         (:mod:`repro.model.batch`) instead of one simulation per task.
         With ``jobs > 1`` each planned bucket becomes one pool work unit,
-        so ``N`` workers advance ``N`` batched kernels concurrently — the
-        two multipliers compose.  Results are bitwise identical either way;
+        and a deployment's tasks split into at least ``jobs`` buckets, so
+        ``N`` workers advance ``N`` batched kernels concurrently — the two
+        multipliers compose.  Results are bitwise identical either way;
         disable to run every task alone, unbucketed.
     cache_dir:
         When given, every task is served from / stored into the

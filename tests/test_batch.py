@@ -5,15 +5,22 @@ between a member of a batch and its run alone: a B=1 batch reproduces every
 stored fixed-step golden fingerprint, and every member of a B>1 batch
 reproduces the fingerprint of running it alone — also when the members'
 resolved steps, start anchors and horizons differ (each steps on its own
-clock).  A run alone is itself a batch of one on the same driver.  The
-bucketing front end must partition any scenario list (each scenario in
-exactly one bucket or the fallback), group only same-shape scenarios, give a
-scenario without a partner a width-1 bucket, and run adaptive scenarios
-alone.
+clock), and when members finish on different ticks and the kernel compacts
+the survivors.  A run alone is itself a batch of one on the same driver.
+The bucketing front end must partition any scenario list (each scenario in
+exactly one bucket or the fallback), group only scenarios of one platform
+and filesystem, split each group into the chunks its lane budget and the
+worker count ask for, keep input order within a bucket, give a scenario
+without a partner a width-1 bucket, and run adaptive scenarios alone.
 """
 
 import dataclasses
+import gc
+import math
+import unittest.mock as mock
+import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,9 +30,12 @@ from repro.config.control import SteppingMode, SteppingPolicy
 from repro.config.presets import make_scenario
 from repro.errors import SimulationError
 from repro.model.batch import (
+    _BUCKET_LANES,
+    _LANE_ARRAYS,
     BatchedStepper,
     BatchSimulator,
-    _shape_of,
+    _connection_lanes,
+    _lane_owner,
     plan_buckets,
     simulate_many,
 )
@@ -140,7 +150,6 @@ class TestBatchVsAlone:
         assert digests == {alone_digest}
 
     def test_results_come_back_in_input_order(self):
-        # checkpoint/streaming share a shape; analytics gets its own bucket.
         names = ("checkpoint", "analytics", "streaming")
         scenarios = [_alone_scenario(a) for a in names]
         results = simulate_many(scenarios)
@@ -186,6 +195,31 @@ def _assert_each_matches_alone(members, results):
         )
 
 
+def _run_recording_widths(members):
+    """Run ``members`` as one batch: its results and the kernel width of
+    every tick."""
+    widths = []
+    step_batch = BatchedStepper.step_batch
+
+    def recording(self, now):
+        widths.append(len(self._members))
+        return step_batch(self, now)
+
+    with mock.patch.object(BatchedStepper, "step_batch", recording):
+        results = BatchSimulator(members).run()
+    return results, widths
+
+
+def _assert_compacted(results, widths):
+    """Only live members step: tick ``t`` is as wide as the number of
+    members still running at it, so the width falls after every tick on
+    which a member retired."""
+    steps = [r.n_steps for r in results]
+    assert widths == [
+        sum(n >= tick for n in steps) for tick in range(1, max(steps) + 1)
+    ]
+
+
 class TestMixedClocks:
     def test_sweep_bucket_matches_alone(self):
         points = _sweep_points([-0.3, 0.0, 0.2])
@@ -206,7 +240,20 @@ class TestMixedClocks:
     @settings(max_examples=6, deadline=None)
     def test_mixed_clocks_match_alone(self, deltas, names):
         members = _sweep_points(deltas) + [_alone_scenario(a) for a in names]
-        _assert_each_matches_alone(members, BatchSimulator(members).run())
+        results, widths = _run_recording_widths(members)
+        _assert_compacted(results, widths)
+        _assert_each_matches_alone(members, results)
+
+    def test_finished_members_compact_out_of_the_kernel(self):
+        members = _sweep_points([-0.3, 0.2]) + [
+            _alone_scenario(a) for a in ("smallfile", "analytics")
+        ]
+        results, widths = _run_recording_widths(members)
+        assert len({r.n_steps for r in results}) == len(members)
+        assert widths[0] == len(members) and widths[-1] == 1
+        assert len(set(widths)) == len(members)
+        _assert_compacted(results, widths)
+        _assert_each_matches_alone(members, results)
 
     def test_seed_override_holds_in_a_bucket(self):
         points = _sweep_points([-0.2, 0.1])
@@ -233,25 +280,152 @@ class TestMixedClocks:
 
 
 # ---------------------------------------------------------------------- #
+# Compaction frees what it leaves behind
+# ---------------------------------------------------------------------- #
+
+
+def _lane_arrays(state):
+    """Every array of ``state`` that is a lane of the flat state."""
+    return [
+        getattr(_lane_owner(state, owner), name)
+        for owner, _, names in _LANE_ARRAYS for name in names
+    ]
+
+
+class TestCompactionRelease:
+    """In the style of ``TestPromptRelease``: with the cyclic garbage
+    collector off, a compaction leaves no retired member tied to a flat
+    state and frees the previous generation by reference counting alone."""
+
+    @pytest.fixture
+    def generations(self, monkeypatch):
+        """Per compaction: (previous state freed, previous stepper freed,
+        retired arrays sharing memory with the flat state before, after)."""
+        records = []
+        compact = BatchSimulator._compact
+
+        def shared(batch):
+            flat = _lane_arrays(batch.state)
+            return sum(
+                np.shares_memory(array, lane)
+                for member in batch.members if not member.live
+                for array in _lane_arrays(member.sim.state)
+                for lane in flat
+            )
+
+        def checking(batch):
+            before = shared(batch)
+            state, stepper = weakref.ref(batch.state), weakref.ref(batch.stepper)
+            compact(batch)
+            records.append((state() is None, stepper() is None, before, shared(batch)))
+
+        monkeypatch.setattr(BatchSimulator, "_compact", checking)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            yield records
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_compaction_detaches_and_frees(self, generations):
+        members = _sweep_points([-0.3, 0.0, 0.2])
+        results = BatchSimulator(members).run()
+        assert len({r.n_steps for r in results}) == len(members)
+        assert len(generations) == len(members) - 1
+        for state_freed, stepper_freed, before, after in generations:
+            assert state_freed and stepper_freed
+            assert before == after == 0
+
+
+# ---------------------------------------------------------------------- #
 # Bucketing properties
 # ---------------------------------------------------------------------- #
 
 
+def _planning_pool():
+    """Scenarios for the planner: two scales (the reduced alone runs are wide
+    enough for the lane budget to split a group), three deployments and both
+    stepping modes."""
+    adaptive = SteppingPolicy(mode=SteppingMode.ADAPTIVE)
+    pool = [build_scenario([a], scale).scenario
+            for a in ARCHETYPES for scale in ("tiny", "reduced")]
+    pool += [make_scenario(scale, **kwargs)
+             for scale in ("tiny", "reduced")
+             for kwargs in ({}, {"device": "ssd"}, {"network": "1g"})]
+    pool += [build_scenario([a], "tiny", stepping=adaptive).scenario
+             for a in ("checkpoint", "analytics")]
+    return pool
+
+
+PLANNING_POOL = _planning_pool()
+
+
+def _fleet_scenarios():
+    """The scenarios of the 8-archetype tiny fleet matrix, in task order."""
+    from repro.scenarios.matrix import (
+        _build_from_payload, _matrix_task_list, _normalize_options,
+    )
+
+    specs = [ScenarioSpec.coerce(a) for a in ARCHETYPES]
+    _, tasks, _ = _matrix_task_list(specs, "tiny", _normalize_options({}), None)
+    return [_build_from_payload(task.payload).scenario for task in tasks]
+
+
 class TestBucketing:
-    @given(names=st.lists(st.sampled_from(ARCHETYPES), min_size=1, max_size=6))
-    @settings(max_examples=25, deadline=None)
-    def test_partition(self, names):
-        """Every fixed-step scenario lands in exactly one bucket, and bucket
-        members share a deployment shape."""
-        scenarios = [_alone_scenario(a) for a in names]
-        buckets, fallback = plan_buckets(scenarios)
-        assert not fallback
+    @given(
+        picks=st.lists(st.integers(0, len(PLANNING_POOL) - 1), min_size=1, max_size=14),
+        jobs=st.integers(1, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_partition(self, picks, jobs):
+        """Every index lands in exactly one bucket or the fallback, buckets
+        share a deployment and keep input order, each group splits into the
+        chunks its lanes and workers ask for, and the plan is deterministic."""
+        scenarios = [PLANNING_POOL[k] for k in picks]
+        buckets, fallback = plan_buckets(scenarios, jobs=jobs)
+        adaptive = [
+            i for i, s in enumerate(scenarios)
+            if s.control.resolve_stepping().is_adaptive
+        ]
+        # Every index lands in exactly one bucket or once in the fallback.
+        assert fallback == [(i, "adaptive") for i in adaptive]
         seen = sorted(i for b in buckets for i in b.indices)
-        assert seen == list(range(len(scenarios)))
+        assert sorted(seen + adaptive) == list(range(len(scenarios)))
+        groups = {}
+        for i, s in enumerate(scenarios):
+            if i not in adaptive:
+                groups.setdefault((s.platform, s.filesystem), []).append(i)
+        per_group = {key: 0 for key in groups}
         for bucket in buckets:
-            assert bucket.indices
-            shapes = {_shape_of(scenarios[i]) for i in bucket.indices}
-            assert shapes == {bucket.shape}
+            # Members keep input order and share platform and filesystem.
+            assert bucket.indices and bucket.indices == sorted(bucket.indices)
+            keys = {(scenarios[i].platform, scenarios[i].filesystem)
+                    for i in bucket.indices}
+            assert len(keys) == 1
+            per_group[keys.pop()] += 1
+        # Chunks per group: at least one per worker and per lane budget.
+        for key, indices in groups.items():
+            lanes = sum(_connection_lanes(scenarios[i]) for i in indices)
+            assert per_group[key] == min(
+                len(indices), max(jobs, math.ceil(lanes / _BUCKET_LANES))
+            )
+        # The same input gives the same plan.
+        again, again_fallback = plan_buckets(list(scenarios), jobs=jobs)
+        assert [b.indices for b in again] == [b.indices for b in buckets]
+        assert again_fallback == fallback
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fleet_matrix_plans_two_buckets(self, jobs):
+        """The 44 tasks of the 8-archetype tiny fleet share one deployment
+        and 4,800 lanes: two balanced chunks at one worker or two."""
+        scenarios = _fleet_scenarios()
+        assert len(scenarios) == 44
+        assert sum(map(_connection_lanes, scenarios)) == 4800
+        buckets, fallback = plan_buckets(scenarios, jobs=jobs)
+        assert not fallback
+        assert [len(b.indices) for b in buckets] == [22, 22]
 
     def test_ragged_specs_bucket_together(self):
         scenario = _alone_scenario("checkpoint")
@@ -260,14 +434,13 @@ class TestBucketing:
             scenario,
             applications=(dataclasses.replace(app, target_servers=(0, 1)),),
         )
-        assert _shape_of(ragged) is not None
         buckets, fallback = plan_buckets([ragged, ragged])
         assert not fallback
         assert [b.indices for b in buckets] == [[0, 1]]
 
     def test_mixed_width_specs_share_a_bucket(self):
-        """Different connection counts / group sizes no longer split buckets
-        as long as the lockstep cadence and platform/filesystem match."""
+        """Different connection counts / group sizes do not split buckets
+        as long as the platform/filesystem match."""
         scenario = _alone_scenario("checkpoint")
         app = scenario.applications[0]
         ragged = dataclasses.replace(
@@ -286,11 +459,14 @@ class TestBucketing:
         assert {reason for _, reason in fallback} == {"adaptive"}
 
     def test_singletons_form_width_one_buckets(self):
-        # analytics has a different shape than checkpoint: no pairing.
-        scenarios = [_alone_scenario("checkpoint"), _alone_scenario("analytics")]
+        # checkpoint and analytics share a deployment; the SSD copy of
+        # checkpoint has no partner.
+        checkpoint = _alone_scenario("checkpoint")
+        ssd = checkpoint.with_filesystem(make_scenario("tiny", device="ssd").filesystem)
+        scenarios = [checkpoint, ssd, _alone_scenario("analytics")]
         buckets, fallback = plan_buckets(scenarios)
         assert not fallback
-        assert [b.indices for b in buckets] == [[0], [1]]
+        assert [b.indices for b in buckets] == [[0, 2], [1]]
 
 
 # ---------------------------------------------------------------------- #
@@ -438,8 +614,8 @@ class TestMatrixBatching:
         scalar = run_interference_matrix(self.ARCH, "tiny", batch=False)
         dump = lambda m: json.dumps(m.to_dict(), indent=2, sort_keys=True)
         assert dump(batched) == dump(scalar)
-        # All 5 runs (2 alone + 3 pairs) share one lockstep cadence and pad
-        # their mixed widths into a single bucket.
+        # All 5 runs (2 alone + 3 pairs) share one platform and filesystem
+        # and pad their mixed widths into a single bucket.
         assert snapshot["counters"]["batch.buckets"] == 1
         assert snapshot["counters"]["batch.member_runs"] == 5
         assert snapshot["counters"]["executor.tasks.completed"] == 5

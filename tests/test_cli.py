@@ -120,13 +120,24 @@ class TestExplainBuckets:
         ]) == 0
         out = capsys.readouterr().out
         assert "bucket plan: 5 tasks over checkpoint+analytics" in out
-        assert "0 scalar fallbacks" in out
+        assert "-> 1 buckets, 0 scalar fallbacks" in out
+        # 2 alone runs (64 + 32 lanes) and 3 pairs (128 + 96 + 64 lanes).
+        assert "B=5  lanes=384  steps={" in out
         assert "group_widths=" in out
         assert "alone:checkpoint" in out
 
+    def test_fleet_plans_two_lane_budget_chunks(self, capsys):
+        assert main([
+            "perf", "--explain-buckets", "--scale", "tiny", "--archetypes",
+            "analytics,checkpoint,incast,mixed,randomread,smallfile,staggered,streaming",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "44 tasks" in out and "-> 2 buckets, 0 scalar fallbacks" in out
+        assert out.count("B=22  lanes=") == 2
+
     def test_padded_buckets_are_labelled(self, capsys):
-        # smallfile (w32) and analytics (w8) share a cadence: mixed widths
-        # pad into one bucket rather than falling back.
+        # smallfile (w32) and analytics (w8) share a deployment: mixed
+        # widths pad into one bucket rather than falling back.
         assert main([
             "perf", "--explain-buckets", "--scale", "tiny",
             "--archetypes", "analytics,smallfile,incast",

@@ -114,19 +114,26 @@ class TestRunDeltaSweep:
             run_delta_sweep(alone, deltas=[0.0])
 
 
-def _record_kernel_widths(monkeypatch):
-    """Record ``(stepper, width)`` for every kernel tick."""
-    from repro.model.batch import BatchedStepper
+def _record_kernel_runs(monkeypatch):
+    """Record every kernel run (a ``BatchSimulator.run`` call) as the list of
+    its ticks' widths: compaction builds a new kernel per generation, so a
+    run, not a stepper, is the unit."""
+    from repro.model.batch import BatchedStepper, BatchSimulator
 
-    ticks = []
-    original = BatchedStepper.step_batch
+    runs = []
+    run, step_batch = BatchSimulator.run, BatchedStepper.step_batch
 
-    def recording(self, now):
-        ticks.append((self, len(self._members)))
-        return original(self, now)
+    def recording_run(self):
+        runs.append([])
+        return run(self)
 
-    monkeypatch.setattr(BatchedStepper, "step_batch", recording)
-    return ticks
+    def recording_step(self, now):
+        runs[-1].append(len(self._members))
+        return step_batch(self, now)
+
+    monkeypatch.setattr(BatchSimulator, "run", recording_run)
+    monkeypatch.setattr(BatchedStepper, "step_batch", recording_step)
+    return runs
 
 
 class TestSweepBatching:
@@ -140,10 +147,12 @@ class TestSweepBatching:
     def test_fixed_step_sweep_is_one_bucket(self, monkeypatch):
         scenario = make_scenario("tiny")
         alone = self._alone_result(scenario)
-        ticks = _record_kernel_widths(monkeypatch)
+        runs = _record_kernel_runs(monkeypatch)
         sweep = run_delta_sweep(scenario, self.DELTAS, alone_result=alone)
-        assert len({id(stepper) for stepper, _ in ticks}) == 1
-        assert {width for _, width in ticks} == {len(self.DELTAS)}
+        assert len(runs) == 1
+        (widths,) = runs
+        assert widths[0] == len(self.DELTAS)
+        assert widths == sorted(widths, reverse=True)
         assert len(sweep.points) == len(self.DELTAS)
 
     def test_adaptive_sweep_runs_points_alone(self, monkeypatch):
@@ -151,10 +160,10 @@ class TestSweepBatching:
 
         scenario = make_scenario("tiny", stepping=SteppingPolicy(mode="adaptive"))
         alone = self._alone_result(scenario)
-        ticks = _record_kernel_widths(monkeypatch)
+        runs = _record_kernel_runs(monkeypatch)
         sweep = run_delta_sweep(scenario, self.DELTAS, alone_result=alone)
-        assert len({id(stepper) for stepper, _ in ticks}) == len(self.DELTAS)
-        assert {width for _, width in ticks} == {1}
+        assert len(runs) == len(self.DELTAS)
+        assert {width for widths in runs for width in widths} == {1}
         assert len(sweep.points) == len(self.DELTAS)
         assert sweep.peak_interference_factor() > 1.0
 

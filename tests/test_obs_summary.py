@@ -107,9 +107,10 @@ class TestDerivedStats:
         assert stats["padded_waste"] == 0.0
 
     def test_kernel_counts_lane_steps(self):
-        """Every run publishes width x ticks as ``batch.lane_steps``: a bucket
-        whose members finish at different ticks has dead lanes, a run alone
-        none."""
+        """Every run publishes the lanes it stepped as ``batch.lane_steps``.
+        Finished members are compacted out of the kernel, so a bucket whose
+        members finish at different ticks steps exactly its member steps:
+        no dead lanes, as alone."""
         from repro.config.presets import make_scenario
         from repro.model.batch import run_bucket
         from repro.model.simulator import simulate_scenario
@@ -120,13 +121,14 @@ class TestDerivedStats:
         points = [scenario.with_delay(delta) for delta in (-0.3, 0.0, 0.3)]
         with telemetry_session("lanes") as telemetry:
             results = run_bucket(points)
-            bucket = batch_stats(telemetry.to_document())
-        ticks = max(r.n_steps for r in results)
-        assert bucket["ticks"] == ticks
-        assert bucket["dead_lane_frac"] == pytest.approx(
-            1.0 - sum(r.n_steps for r in results) / (3 * ticks)
-        )
-        assert bucket["dead_lane_frac"] > 0.0
+            document = telemetry.to_document()
+        steps = [r.n_steps for r in results]
+        assert len(set(steps)) > 1
+        counters = document["counters"]
+        assert counters["batch.lane_steps"] == counters["batch.member_steps"] == sum(steps)
+        bucket = batch_stats(document)
+        assert bucket["ticks"] == max(steps)
+        assert bucket["dead_lane_frac"] == 0.0
         with telemetry_session("alone") as telemetry:
             simulate_scenario(points[0])
             assert batch_stats(telemetry.to_document())["dead_lane_frac"] == 0.0

@@ -102,19 +102,3 @@ class TestCommitLaw:
             for server, nbytes, k, g in zip(servers, drained, n, frag):
                 server.commit(nbytes, dt, k, g)
         assert_lanes_equal(deployment, servers)
-
-    @pytest.mark.parametrize("mode", list(SyncMode))
-    def test_dead_lanes_are_frozen(self, mode):
-        deployment, _ = make_pair(mode, "hdd", 1.0 * units.MiB)
-        n = np.array([4, 4, 4])
-        frag = np.full(3, 1.0 * units.MiB)
-        deployment.commit(np.full(3, 4e6), 0.01, n, frag)
-        frozen = {name: getattr(deployment, name)[1]
-                  for name in ("drained_bytes", "busy_time", "dirty_bytes",
-                               "flushed_bytes", "pending_bytes", "written_bytes")}
-        deployment.live = np.array([True, False, True])
-        for _ in range(5):
-            deployment.commit(np.full(3, 4e6), 0.01, n, frag)
-        for name, value in frozen.items():
-            assert getattr(deployment, name)[1] == value, name
-        assert deployment.drained_bytes[0] > frozen["drained_bytes"]

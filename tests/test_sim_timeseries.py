@@ -33,6 +33,20 @@ class TestConstruction:
         assert len(ts) == 1000
         assert ts.values[-1] == 1998.0
 
+    def test_growth_keeps_every_sample(self):
+        """Appends across several doublings of the initial capacity, and a
+        bulk extend past the current one, keep every sample in order."""
+        from repro.sim.timeseries import _INITIAL_CAPACITY
+
+        n = _INITIAL_CAPACITY * 8 + 1
+        ts = TimeSeries()
+        for i in range(n):
+            ts.append(float(i), float(-i))
+            assert ts.times.tolist() == [float(k) for k in range(i + 1)]
+        ts.extend(np.arange(n, 3 * n, dtype=np.float64), np.zeros(2 * n))
+        assert ts.times.tolist() == [float(k) for k in range(3 * n)]
+        assert ts.values.tolist() == [float(-k) for k in range(n)] + [0.0] * (2 * n)
+
     def test_from_arrays_roundtrip(self):
         ts = make_series()
         clone = TimeSeries.from_arrays(ts.times, ts.values, name="clone")

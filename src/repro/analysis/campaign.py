@@ -19,12 +19,31 @@ or from the command line::
 
     repro-io campaign --scale reduced --jobs 4 --output EXPERIMENTS.md
 
-Experiments fan out across worker processes (:mod:`repro.runner.executor`)
-and every result is persisted in a content-addressed cache
+Every result is persisted in a content-addressed cache
 (:mod:`repro.runner.cache`) when ``cache_dir`` is given, so a repeated or
 resumed campaign only re-runs what changed.  The rendered markdown is
 deterministic by default (timing lines are opt-in), so a parallel campaign
 produces byte-identical output to a serial one.
+
+The joint plan
+--------------
+Every experiment that simulates is a staged computation
+(:func:`repro.experiments.base.staged`): round 1 holds the runs that depend
+on nothing (sweep baselines, traced runs), round 2 the runs derived from
+them (Δ-points at delays set by the alone times, figure11's contended run).
+At ``jobs=1`` the campaign gathers its pending experiments into one staged
+computation (:func:`repro.core.delta.gather`), so it runs as two rounds.
+Each round is one :func:`repro.model.batch.simulate_many` call, which drops
+repeated ``(scenario, seed)`` requests — several figures measure the same
+reference configuration — and runs the distinct ones in lockstep buckets
+planned by platform and filesystem.  Records of experiments run together
+share the joint run's wall time (:attr:`ExperimentRecord.wall_time`).  A
+joint run targeted by a fault plan, or one that raises, is declined, and
+the executor runs each experiment alone, so a failure names its
+experiment.  With ``jobs > 1`` experiments fan out across worker processes
+(:mod:`repro.runner.executor`); each worker runs its experiment's own
+sweeps in the same two rounds, and repeats across workers are simulated
+again.
 """
 
 from __future__ import annotations
@@ -39,7 +58,10 @@ from repro.config.control import SteppingPolicy, stepping_policy
 from repro.analysis.paper import EXPERIMENT_TITLES, paper_reference_tables
 from repro.analysis.tables import rows_to_markdown
 from repro.errors import ExperimentError
+from repro.obs.log import get_logger
+from repro.obs.telemetry import get_telemetry
 from repro.runner.cache import ResultCache, fingerprint
+from repro.runner.chaos import get_fault_plan
 from repro.runner.executor import TaskSpec, execute_cached
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
@@ -50,6 +72,7 @@ __all__ = [
     "CampaignResult",
     "run_campaign",
     "run_experiment_task",
+    "run_joint_experiments",
     "campaign_to_markdown",
     "write_experiments_md",
 ]
@@ -57,7 +80,12 @@ __all__ = [
 
 @dataclass
 class ExperimentRecord:
-    """One experiment's outcome within a campaign."""
+    """One experiment's outcome within a campaign.
+
+    ``wall_time`` is the wall time of the run that computed the record.
+    Experiments simulated together in one joint run (``joint``) all carry
+    that run's wall time: it is their shared cost, not this experiment's.
+    """
 
     experiment_id: str
     result: ExperimentResult
@@ -65,6 +93,7 @@ class ExperimentRecord:
     wall_time: float
     error: Optional[str] = None
     from_cache: bool = False
+    joint: bool = False
 
     @property
     def n_claims(self) -> int:
@@ -82,13 +111,17 @@ class ExperimentRecord:
         return EXPERIMENT_TITLES.get(self.experiment_id, self.result.title)
 
     def to_payload(self) -> Dict[str, object]:
-        """JSON-serializable representation (what the runner cache stores)."""
-        return {
+        """JSON-serializable representation (what the runner cache stores);
+        a joint record also carries ``"joint": true``."""
+        payload: Dict[str, object] = {
             "experiment_id": self.experiment_id,
             "result": self.result.to_dict(),
             "checks": [check.to_dict() for check in self.checks],
             "wall_time": float(self.wall_time),
         }
+        if self.joint:
+            payload["joint"] = True
+        return payload
 
     @classmethod
     def from_payload(
@@ -103,7 +136,13 @@ class ExperimentRecord:
             checks=[ClaimCheck.from_dict(c) for c in payload["checks"]],
             wall_time=float(payload["wall_time"]),
             from_cache=from_cache,
+            joint=bool(payload.get("joint", False)),
         )
+
+    @property
+    def runtime(self) -> str:
+        """The wall time as reports print it: ``joint 9.3`` when shared."""
+        return f"{'joint ' if self.joint else ''}{self.wall_time:.1f}"
 
 
 @dataclass
@@ -159,7 +198,7 @@ class CampaignResult:
                 "claims agreeing": f"{rec.n_agreeing}/{rec.n_claims}",
             }
             if include_timing:
-                row["runtime (s)"] = round(rec.wall_time, 1)
+                row["runtime (s)"] = rec.runtime
             rows.append(row)
         return rows
 
@@ -201,6 +240,66 @@ def run_experiment_task(payload: Dict[str, Any], seed: Optional[int]) -> Dict[st
     return record.to_payload()
 
 
+def run_joint_experiments(
+    pending: Sequence[TaskSpec], policy: Optional[SteppingPolicy]
+) -> Dict[str, Dict[str, Any]]:
+    """Batch runner of a ``jobs=1`` campaign: simulate the pending staged
+    experiments together, two rounds in all.
+
+    Gathers every pending experiment whose entry is staged into one staged
+    computation and drives it under ``policy``; each round is one
+    :func:`~repro.model.batch.simulate_many` call, so a request that several
+    experiments make is simulated once.  Returns the
+    :meth:`ExperimentRecord.to_payload` form of each, every record carrying
+    the joint run's wall time.  Declines (returns ``{}``) when fewer than
+    two pending experiments are staged, when a fault plan targets any of
+    them, or when the joint run raises: the executor then runs each
+    experiment alone, so a failure names its experiment.
+    """
+    from repro.core.delta import gather, run_staged
+    from repro.experiments.registry import get_experiment
+
+    entries = [(task, get_experiment(task.payload["experiment_id"])) for task in pending]
+    entries = [(task, entry) for task, entry in entries if hasattr(entry.runner, "stages")]
+    plan = get_fault_plan()
+    targeted = plan is not None and any(
+        spec.match in task.task_id for spec in plan.faults for task, _ in entries
+    )
+    if len(entries) < 2 or targeted:
+        return {}
+    telemetry = get_telemetry()
+    start = time.perf_counter()
+    try:
+        with telemetry.span(f"joint:{len(entries)}", category="bucket", track="tasks",
+                            experiments=len(entries)), stepping_policy(policy):
+            results = run_staged(gather(
+                entry.runner.stages(scale=task.payload["scale"], quick=task.payload["quick"])
+                for task, entry in entries
+            ))
+            checks = [check_experiment(result) for result in results]
+    except Exception as exc:
+        # Each experiment then runs alone, where a failure names it.
+        get_logger().warn("joint_run_declined", experiments=len(entries), error=repr(exc))
+        return {}
+    wall_time = time.perf_counter() - start
+    if telemetry.enabled:
+        # Zero-length member spans, as a matrix bucket's members get: the
+        # joint span alone claims the wall time.
+        for task, _ in entries:
+            telemetry.add_span(task.task_id, "task", telemetry.now_us(), 0.0,
+                               track="tasks", args={"kind": task.kind, "joint": True})
+    return {
+        task.task_id: ExperimentRecord(
+            experiment_id=entry.experiment_id,
+            result=result,
+            checks=check,
+            wall_time=wall_time,
+            joint=True,
+        ).to_payload()
+        for (task, entry), result, check in zip(entries, results, checks)
+    }
+
+
 def run_campaign(
     scale: str = "reduced",
     quick: bool = False,
@@ -229,11 +328,13 @@ def run_campaign(
         Under ``jobs > 1`` it fires in completion order; the campaign's
         ``records`` always keep presentation order.
     jobs:
-        Worker processes to fan the experiments across (1 = in-process
-        serial execution).  Experiments run under the executor's strict
-        default policy: the first experiment that fails (including one hit
-        by a ``REPRO_CHAOS`` fault plan) stops the campaign with
-        :class:`~repro.errors.ExperimentError` naming it.
+        Worker processes to fan the experiments across.  At 1 the pending
+        staged experiments run together in-process
+        (:func:`run_joint_experiments`), the rest one by one.  Experiments
+        run under the executor's strict default policy: the first
+        experiment that fails (including one hit by a ``REPRO_CHAOS`` fault
+        plan) stops the campaign with :class:`~repro.errors.ExperimentError`
+        naming it.
     cache_dir:
         When given, completed experiments are stored in (and served from) a
         content-addressed cache there, keyed by
@@ -297,6 +398,10 @@ def run_campaign(
                                        "quick": quick, "overrides": overrides,
                                        "version": __version__},
         progress=on_result,
+        batch_runner=(
+            (lambda pending: run_joint_experiments(pending, stepping))
+            if jobs == 1 else None
+        ),
     )
 
     campaign.records = [records[experiment_id] for experiment_id in ids]
@@ -362,7 +467,7 @@ def campaign_to_markdown(campaign: CampaignResult, include_timing: bool = False)
         result = record.result
         lines.append(f"## {record.title}")
         lines.append("")
-        runtime = f"; runtime {record.wall_time:.1f} s" if include_timing else ""
+        runtime = f"; runtime {record.runtime} s" if include_timing else ""
         lines.append(f"*Paper reference: {result.paper_reference}{runtime}.*")
         lines.append("")
 

@@ -412,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_parser.add_argument(
         "--timing", action="store_true",
         help="include wall-time lines in the report (makes the output "
-             "non-deterministic across runs)",
+             "non-deterministic across runs); experiments simulated together "
+             "show their shared time as 'joint'",
     )
     campaign_parser.add_argument(
         "--telemetry-dir", metavar="DIR", default=None,
@@ -883,7 +884,7 @@ def _command_campaign(args: argparse.Namespace, parser: argparse.ArgumentParser)
         cache_dir = DEFAULT_CACHE_DIR
 
     def progress(experiment_id: str, record) -> None:
-        origin = "cached" if record.from_cache else f"{record.wall_time:.1f}s"
+        origin = "cached" if record.from_cache else f"{record.runtime}s"
         log.info(
             "campaign", experiment=experiment_id,
             agree=f"{record.n_agreeing}/{record.n_claims}", origin=origin,

@@ -10,12 +10,32 @@ timeline.
 :func:`run_delta_sweep` executes such a sweep against the simulator and
 returns a :class:`DeltaSweep`, which carries the raw points plus the metrics
 of :mod:`repro.core.metrics` (peak interference factor, asymmetry, flatness).
+
+Staged computations
+-------------------
+A sweep's delays depend on its baseline's alone time, so its simulations
+come in two stages: first the alone run, then the points.  A *staged
+computation* is a generator that yields one round of requests at a time —
+a list of ``(scenario, seed)`` pairs — and is sent their
+:class:`~repro.model.results.RunResult` objects in the same order; its
+return value is its result.  :func:`delta_stages` is a sweep in that form,
+:func:`gather` runs several staged computations side by side (each round
+merges every member's requests), and :func:`run_staged` drives one, each
+round one :func:`~repro.model.batch.simulate_many` call, which runs each
+distinct request once in planned lockstep buckets.  The paper campaign
+gathers every experiment's sweeps this way, so all its baselines run in
+one round and all its points in the next.
+
+The points run untraced: a :class:`DeltaPoint` reads only write times,
+throughputs, window collapses and simulated time, none of which comes from
+the trace recorder, while a round may hold hundreds of point results at
+once, whose recorded marks and series would dominate its memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, Generator, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,17 +43,40 @@ from repro.config.scenario import ScenarioConfig
 from repro.core import metrics
 from repro.errors import AnalysisError, ExperimentError
 from repro.model.results import RunResult
-from repro.model.simulator import IOPathSimulator, simulate_scenario
+from repro.sim.tracing import TraceConfig
 
 __all__ = [
     "DeltaPoint",
     "DeltaSweep",
+    "Request",
+    "Staged",
+    "alone_stage",
+    "delta_points",
+    "delta_stages",
+    "gather",
+    "run_staged",
     "run_delta_sweep",
     "run_delta_point_task",
     "default_deltas",
     "alone_times_for",
     "jsonify",
 ]
+
+#: One simulation request: a scenario and its seed override (``None``: the
+#: scenario's own seed).
+Request = Tuple[ScenarioConfig, Optional[int]]
+
+#: A staged computation: yields each round's requests, is sent their results
+#: in the same order, and returns its result.
+Staged = Generator[List[Request], List[RunResult], Any]
+
+#: The trace configuration of a Δ-point: it records nothing.
+_UNTRACED = TraceConfig(
+    record_windows=False,
+    record_progress=False,
+    record_server_state=False,
+    record_marks=False,
+)
 
 
 def jsonify(value):
@@ -308,42 +351,126 @@ def alone_times_for(scenario: ScenarioConfig, alone_result: RunResult) -> Dict[s
     }
 
 
-def _run_points(
-    scenario: ScenarioConfig, deltas: Sequence[float], seed: Optional[int]
-) -> List[DeltaPoint]:
-    """Simulate the points of ``scenario`` at ``deltas``.
+def gather(stages: Iterable[Staged]) -> Staged:
+    """Run staged computations side by side; returns their results in order.
 
-    Under fixed stepping the points run as one bucket of the lockstep
-    kernel (each on its own clock: the delay moves the resolved step and the
-    start anchor); adaptive points run alone on the event-driven loop.
+    Each round yields the concatenation of every live member's requests and
+    sends each member its own slice of the results.  A member that returns
+    leaves the next rounds (members with fewer rounds finish early), and an
+    exception in a member propagates.
     """
-    # Imported here, as the matrix does: importing repro.core stays free of
-    # the kernel module until a sweep runs.
-    from repro.model.batch import run_bucket
+    results: List[Any] = []
+    live: List[Tuple[int, Staged, List[Request]]] = []
 
-    points = [scenario.with_delay(delta) for delta in deltas]
-    if not points:
-        return []
-    if scenario.control.resolve_stepping().is_adaptive:
-        results = [simulate_scenario(point, seed=seed) for point in points]
-    else:
-        results = run_bucket([IOPathSimulator(point, seed=seed) for point in points])
-    return [
+    def advance(i: int, stage: Staged, sent: Optional[List[RunResult]]) -> None:
+        try:
+            requests = stage.send(sent)
+        except StopIteration as stop:
+            results[i] = stop.value
+        else:
+            live.append((i, stage, list(requests)))
+
+    for stage in stages:
+        results.append(None)
+        advance(len(results) - 1, stage, None)
+    while live:
+        outs = yield [request for _, _, requests in live for request in requests]
+        current = live[:]
+        live.clear()
+        start = 0
+        for i, stage, requests in current:
+            advance(i, stage, outs[start:start + len(requests)])
+            start += len(requests)
+    return results
+
+
+def run_staged(stage: Staged) -> Any:
+    """Drive one staged computation to its result: each round is one
+    :func:`~repro.model.batch.simulate_many` call."""
+    # Imported here, as the matrix does: importing repro.core stays free of
+    # the kernel module until a round runs.
+    from repro.model.batch import simulate_many
+
+    sent: Optional[List[RunResult]] = None
+    while True:
+        try:
+            requests = stage.send(sent)
+        except StopIteration as stop:
+            return stop.value
+        sent = simulate_many(
+            [scenario for scenario, _ in requests], [seed for _, seed in requests]
+        )
+
+
+def alone_stage(scenario: ScenarioConfig, seed: Optional[int]) -> Staged:
+    """One round: the interference-free run of ``scenario``'s first
+    application.  Returns its result."""
+    (result,) = yield [(scenario.with_applications(scenario.applications[:1]), seed)]
+    return result
+
+
+def delta_points(scenario: ScenarioConfig, deltas: Sequence[float]) -> List[ScenarioConfig]:
+    """The untraced point scenarios of a sweep of ``scenario`` at ``deltas``."""
+    untraced = scenario.with_control(replace(scenario.control, trace=_UNTRACED))
+    return [untraced.with_delay(float(delta)) for delta in deltas]
+
+
+def _sweep(
+    scenario: ScenarioConfig,
+    points: List[DeltaPoint],
+    alone_result: RunResult,
+    label: str,
+) -> DeltaSweep:
+    points.sort(key=lambda p: p.delta)
+    return DeltaSweep(
+        points=points,
+        alone_times=alone_times_for(scenario, alone_result),
+        label=label or scenario.label,
+    )
+
+
+def delta_stages(
+    scenario: ScenarioConfig,
+    deltas: Sequence[float],
+    *,
+    alone_result: Optional[RunResult] = None,
+    seed: Optional[int] = None,
+    label: str = "",
+) -> Staged:
+    """A Δ-graph sweep as a staged computation (see :func:`run_delta_sweep`
+    for the parameters): round 1 is the alone run, skipped when
+    ``alone_result`` is given; round 2 is the points, untraced, every one
+    with ``seed``.  Returns the :class:`DeltaSweep`."""
+    if len(scenario.applications) < 2:
+        raise ExperimentError("a delta sweep needs a two-application scenario")
+    if alone_result is None:
+        alone_result = yield from alone_stage(scenario, seed)
+    deltas = [float(delta) for delta in deltas]
+    results = yield [(point, seed) for point in delta_points(scenario, deltas)]
+    points = [
         DeltaPoint.from_run_result(delta, result)
         for delta, result in zip(deltas, results)
     ]
+    return _sweep(scenario, points, alone_result, label)
 
 
 def run_delta_point_task(payload: Dict[str, object], seed: Optional[int]) -> Dict[str, object]:
     """Executor worker (task kind ``delta-point``): simulate a chunk of Δ
-    points as one bucket.
+    points through :func:`~repro.model.batch.simulate_many`.
 
     Payload keys: ``scenario`` (a :class:`~repro.config.scenario.ScenarioConfig`)
     and ``deltas``.  Returns ``{"points": [...]}``, the serialized
     :class:`DeltaPoint` of every delay in order.
     """
-    points = _run_points(payload["scenario"], payload["deltas"], seed)
-    return {"points": [point.to_dict() for point in points]}
+    from repro.model.batch import simulate_many
+
+    deltas = payload["deltas"]
+    points = delta_points(payload["scenario"], deltas)
+    results = simulate_many(points, [seed] * len(points))
+    return {"points": [
+        DeltaPoint.from_run_result(delta, result).to_dict()
+        for delta, result in zip(deltas, results)
+    ]}
 
 
 def run_delta_sweep(
@@ -373,47 +500,43 @@ def run_delta_sweep(
     label:
         Label stored on the resulting sweep.
     jobs:
-        The points run as one bucket of the lockstep kernel (under fixed
-        stepping; adaptive points run alone).  With ``jobs > 1`` the delays
-        split into ``min(jobs, len(deltas))`` contiguous chunks, each one
-        ``delta-point`` task that runs its chunk as one bucket, fanned
-        across that many worker processes by
+        At ``jobs=1`` the sweep is :func:`run_staged` over
+        :func:`delta_stages`: the points run as planned lockstep buckets
+        (adaptive points run alone).  With ``jobs > 1`` the delays split
+        into ``min(jobs, len(deltas))`` contiguous chunks, each one
+        ``delta-point`` task, fanned across that many worker processes by
         :class:`~repro.runner.executor.ParallelExecutor`.  Every point gets
         the same ``seed`` either way, and a point's result does not depend
         on its bucket, so the sweep equals the serial one.  The baseline
         always runs here.
     """
-    if len(scenario.applications) < 2:
-        raise ExperimentError("a delta sweep needs a two-application scenario")
-
-    if alone_result is None:
-        alone_scenario = scenario.with_applications(scenario.applications[:1])
-        alone_result = simulate_scenario(alone_scenario, seed=seed)
-    alone_times = alone_times_for(scenario, alone_result)
-
     deltas = [float(delta) for delta in deltas]
     n_chunks = min(jobs, len(deltas))
-    if n_chunks > 1:
-        # Imported here: repro.runner depends on repro.core, not vice versa.
-        from repro.runner.executor import ParallelExecutor, TaskSpec
+    if n_chunks <= 1:
+        return run_staged(delta_stages(
+            scenario, deltas, alone_result=alone_result, seed=seed, label=label
+        ))
+    if len(scenario.applications) < 2:
+        raise ExperimentError("a delta sweep needs a two-application scenario")
+    if alone_result is None:
+        alone_result = run_staged(alone_stage(scenario, seed))
 
-        bounds = [len(deltas) * k // n_chunks for k in range(n_chunks + 1)]
-        tasks = [
-            TaskSpec(
-                task_id=f"delta[{start}:{stop}]",
-                kind="delta-point",
-                payload={"scenario": scenario, "deltas": deltas[start:stop]},
-                seed=seed,
-            )
-            for start, stop in zip(bounds, bounds[1:])
-        ]
-        points = [
-            DeltaPoint.from_dict(point)
-            for out in ParallelExecutor(jobs=jobs).map(tasks)
-            for point in out["points"]
-        ]
-    else:
-        points = _run_points(scenario, deltas, seed)
+    # Imported here: repro.runner depends on repro.core, not vice versa.
+    from repro.runner.executor import ParallelExecutor, TaskSpec
 
-    points.sort(key=lambda p: p.delta)
-    return DeltaSweep(points=points, alone_times=alone_times, label=label or scenario.label)
+    bounds = [len(deltas) * k // n_chunks for k in range(n_chunks + 1)]
+    tasks = [
+        TaskSpec(
+            task_id=f"delta[{start}:{stop}]",
+            kind="delta-point",
+            payload={"scenario": scenario, "deltas": deltas[start:stop]},
+            seed=seed,
+        )
+        for start, stop in zip(bounds, bounds[1:])
+    ]
+    points = [
+        DeltaPoint.from_dict(point)
+        for out in ParallelExecutor(jobs=jobs).map(tasks)
+        for point in out["points"]
+    ]
+    return _sweep(scenario, points, alone_result, label)

@@ -10,6 +10,13 @@ paper-style experiment reads:
     exp = TwoApplicationExperiment("reduced", device="hdd", sync_mode="sync-on")
     sweep = exp.run_sweep()
     print(sweep.peak_interference_factor(), sweep.asymmetry_index())
+
+:meth:`TwoApplicationExperiment.sweep_stages` is the same sweep as a staged
+computation (:mod:`repro.core.delta`): a baseline round, then the points at
+delays picked from the baseline's alone time.  An experiment that runs
+several sweeps gathers them (:func:`~repro.core.delta.gather`), so all its
+baselines run in one round and all its points in the next, and the paper
+campaign gathers every experiment's sweeps the same way.
 """
 
 from __future__ import annotations
@@ -18,7 +25,15 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.config.presets import make_scenario
 from repro.config.scenario import ScenarioConfig
-from repro.core.delta import DeltaSweep, default_deltas, run_delta_sweep
+from repro.core.delta import (
+    DeltaSweep,
+    Staged,
+    alone_stage,
+    default_deltas,
+    delta_stages,
+    run_delta_sweep,
+    run_staged,
+)
 from repro.errors import ExperimentError
 from repro.model.results import RunResult
 from repro.model.simulator import simulate_scenario
@@ -87,6 +102,24 @@ class TwoApplicationExperiment:
         """Delays spanning the interference window of this configuration."""
         return default_deltas(self.alone_time(), n_points=n_points)
 
+    def sweep_stages(
+        self,
+        deltas: Optional[Sequence[float]] = None,
+        n_points: int = 9,
+        label: str = "",
+    ) -> Staged:
+        """:meth:`run_sweep` as a staged computation: a baseline round
+        (skipped when the baseline is already cached here), then the points
+        of :func:`~repro.core.delta.delta_stages`.  Returns the sweep."""
+        if self._alone_result is None:
+            self._alone_result = yield from alone_stage(self.scenario, self._seed)
+        if deltas is None:
+            deltas = self.pick_deltas(n_points=n_points)
+        return (yield from delta_stages(
+            self.scenario, deltas, alone_result=self._alone_result, seed=self._seed,
+            label=label,
+        ))
+
     def run_sweep(
         self,
         deltas: Optional[Sequence[float]] = None,
@@ -96,10 +129,13 @@ class TwoApplicationExperiment:
     ) -> DeltaSweep:
         """Run a full Δ-graph sweep (delays default to :meth:`pick_deltas`).
 
-        ``jobs > 1`` fans the individual sweep points across worker
-        processes (see :func:`~repro.core.delta.run_delta_sweep`); the
-        result is identical to the serial sweep.
+        At ``jobs=1`` this drives :meth:`sweep_stages`.  ``jobs > 1`` fans
+        the individual sweep points across worker processes (see
+        :func:`~repro.core.delta.run_delta_sweep`); the result is identical
+        to the serial sweep.
         """
+        if jobs <= 1:
+            return run_staged(self.sweep_stages(deltas, n_points=n_points, label=label))
         if deltas is None:
             deltas = self.pick_deltas(n_points=n_points)
         return run_delta_sweep(

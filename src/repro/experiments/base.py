@@ -5,19 +5,25 @@ returns an :class:`ExperimentResult`: a set of named tables (lists of flat
 row dictionaries), named Δ-graph sweeps, headline metrics, and a plain-text
 report.  Benchmarks print the report; tests assert on the metrics; the CLI
 can export the tables as CSV.
+
+An experiment that simulates is written as a staged computation
+(:mod:`repro.core.delta`) and decorated with :func:`staged`, which keeps
+``run`` returning its result and exposes the generator function as
+``run.stages`` for the campaign to gather with other experiments.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.analysis.tables import rows_to_csv
-from repro.core.delta import DeltaSweep, jsonify
+from repro.core.delta import DeltaSweep, Staged, jsonify, run_staged
 from repro.core.reporting import format_delta_sweep, format_summary, format_table
 from repro.errors import AnalysisError
 
-__all__ = ["ExperimentResult"]
+__all__ = ["ExperimentResult", "staged"]
 
 
 @dataclass
@@ -157,3 +163,19 @@ class ExperimentResult:
 def optional_int(value: Optional[int], default: int) -> int:
     """Small helper for experiment modules with optional point counts."""
     return default if value is None else int(value)
+
+
+def staged(stages: Callable[..., Staged]) -> Callable[..., "ExperimentResult"]:
+    """Make an experiment's ``run`` from its staged generator function.
+
+    The returned function takes the generator function's arguments and
+    drives it alone (:func:`~repro.core.delta.run_staged`) to its
+    :class:`ExperimentResult`; ``run.stages`` is the generator function.
+    """
+
+    @functools.wraps(stages)
+    def run(*args, **kwargs) -> ExperimentResult:
+        return run_staged(stages(*args, **kwargs))
+
+    run.stages = stages  # type: ignore[attr-defined]
+    return run

@@ -17,8 +17,7 @@ import numpy as np
 from repro.analysis.traces import window_statistics
 from repro.config.presets import make_scenario, make_single_app_scenario
 from repro.core.flowcontrol import diagnose_flow_control
-from repro.experiments.base import ExperimentResult
-from repro.model.simulator import simulate_scenario
+from repro.experiments.base import ExperimentResult, staged
 from repro.sim.tracing import TraceConfig
 
 __all__ = ["run"]
@@ -41,6 +40,7 @@ def _traced_scenario(scale: str, alone: bool, sample_period: float):
     )
 
 
+@staged
 def run(
     scale: str = "reduced",
     quick: bool = False,
@@ -54,10 +54,10 @@ def run(
         paper_reference="Figure 10 (a)-(b)",
     )
 
-    alone_result = simulate_scenario(_traced_scenario(scale, alone=True, sample_period=period))
-    contended_result = simulate_scenario(
-        _traced_scenario(scale, alone=False, sample_period=period)
-    )
+    alone_result, contended_result = yield [
+        (_traced_scenario(scale, alone=True, sample_period=period), None),
+        (_traced_scenario(scale, alone=False, sample_period=period), None),
+    ]
 
     rows = []
     for label, run_result in (("alone", alone_result), ("interfering", contended_result)):

@@ -13,13 +13,13 @@ from typing import Optional
 
 from repro.analysis.traces import progress_slowdown_point, window_statistics
 from repro.config.presets import make_scenario
-from repro.experiments.base import ExperimentResult
-from repro.model.simulator import simulate_scenario
+from repro.experiments.base import ExperimentResult, staged
 from repro.sim.tracing import TraceConfig
 
 __all__ = ["run"]
 
 
+@staged
 def run(
     scale: str = "reduced",
     quick: bool = False,
@@ -46,9 +46,9 @@ def run(
     # The paper uses dt = 10 s with a ~35 s alone time; scale the delay to
     # roughly a third of this preset's interference window.
     if delay is None:
-        alone = simulate_scenario(scenario.with_applications(scenario.applications[:1]))
+        (alone,) = yield [(scenario.with_applications(scenario.applications[:1]), None)]
         delay = 0.35 * alone.write_time(scenario.applications[0].name)
-    run_result = simulate_scenario(scenario.with_delay(float(delay)))
+    (run_result,) = yield [(scenario.with_delay(float(delay)), None)]
 
     rows = []
     for app in sorted(run_result.applications):

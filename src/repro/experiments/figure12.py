@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.core.delta import gather
 from repro.core.experiment import TwoApplicationExperiment
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, staged
 
 __all__ = ["run"]
 
 
+@staged
 def run(
     scale: str = "reduced",
     quick: bool = False,
@@ -41,17 +43,23 @@ def run(
         title="Appearance of Incast as the number of clients grows",
         paper_reference="Figure 12",
     )
-    rows = []
-    for procs in values:
-        exp = TwoApplicationExperiment(
+    exps = [
+        TwoApplicationExperiment(
             scale,
             device="hdd",
             sync_mode="sync-on",
             pattern="contiguous",
             procs_per_node=procs,
         )
-        total_clients = sum(app.n_processes for app in exp.scenario.applications)
-        sweep = exp.run_sweep(n_points=points, label=f"{total_clients} clients")
+        for procs in values
+    ]
+    clients = [sum(app.n_processes for app in exp.scenario.applications) for exp in exps]
+    sweeps = yield from gather(
+        exp.sweep_stages(n_points=points, label=f"{total_clients} clients")
+        for exp, total_clients in zip(exps, clients)
+    )
+    rows = []
+    for procs, exp, total_clients, sweep in zip(values, exps, clients, sweeps):
         result.add_sweep(f"clients_{total_clients}", sweep)
         rows.append(
             {

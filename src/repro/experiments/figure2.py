@@ -17,12 +17,14 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.config.filesystem import SyncMode
+from repro.core.delta import gather
 from repro.core.experiment import TwoApplicationExperiment
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, staged
 
 __all__ = ["run"]
 
 
+@staged
 def run(
     scale: str = "reduced",
     quick: bool = False,
@@ -38,40 +40,37 @@ def run(
         title="Contiguous pattern: influence of the backend device",
         paper_reference="Figure 2 (a)-(d)",
     )
-    summary_rows = []
-    for sync in (SyncMode.SYNC_ON, SyncMode.SYNC_OFF):
-        for device in devices:
-            exp = TwoApplicationExperiment(
-                scale, device=device, sync_mode=sync, pattern="contiguous"
-            )
-            sweep = exp.run_sweep(n_points=points, label=f"{device}/{sync.value}")
-            name = f"{device}.{sync.value}"
-            result.add_sweep(name, sweep)
-            summary_rows.append(
-                {
-                    "device": device,
-                    "sync": sync.label,
-                    "alone_s": round(exp.alone_time(), 2),
-                    "peak_IF": round(sweep.peak_interference_factor(), 2),
-                    "asymmetry": round(sweep.asymmetry_index(), 3),
-                    "collapses": sweep.total_collapses(),
-                }
-            )
+    # (sweep name, table device, table sync, sweep label, experiment)
+    configs = [
+        (f"{device}.{sync.value}", device, sync.label, f"{device}/{sync.value}",
+         TwoApplicationExperiment(scale, device=device, sync_mode=sync,
+                                  pattern="contiguous"))
+        for sync in (SyncMode.SYNC_ON, SyncMode.SYNC_OFF)
+        for device in devices
+    ]
     # The null-aio method only makes sense with sync OFF semantics.
-    exp = TwoApplicationExperiment(scale, device="hdd", sync_mode=SyncMode.NULL_AIO,
-                                   pattern="contiguous")
-    sweep = exp.run_sweep(n_points=points, label="null-aio")
-    result.add_sweep("null-aio", sweep)
-    summary_rows.append(
-        {
-            "device": "null-aio",
-            "sync": "Null-aio",
-            "alone_s": round(exp.alone_time(), 2),
-            "peak_IF": round(sweep.peak_interference_factor(), 2),
-            "asymmetry": round(sweep.asymmetry_index(), 3),
-            "collapses": sweep.total_collapses(),
-        }
+    configs.append(
+        ("null-aio", "null-aio", "Null-aio", "null-aio",
+         TwoApplicationExperiment(scale, device="hdd", sync_mode=SyncMode.NULL_AIO,
+                                  pattern="contiguous"))
     )
+    sweeps = yield from gather(
+        exp.sweep_stages(n_points=points, label=label)
+        for _, _, _, label, exp in configs
+    )
+    summary_rows = []
+    for (name, device, sync, _, exp), sweep in zip(configs, sweeps):
+        result.add_sweep(name, sweep)
+        summary_rows.append(
+            {
+                "device": device,
+                "sync": sync,
+                "alone_s": round(exp.alone_time(), 2),
+                "peak_IF": round(sweep.peak_interference_factor(), 2),
+                "asymmetry": round(sweep.asymmetry_index(), 3),
+                "collapses": sweep.total_collapses(),
+            }
+        )
     result.add_table("figure2_summary", summary_rows)
     result.add_note(
         "Expected shape: every real backend peaks near a 2x slowdown; the "

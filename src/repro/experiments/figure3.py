@@ -12,12 +12,14 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.config.filesystem import SyncMode
+from repro.core.delta import gather
 from repro.core.experiment import TwoApplicationExperiment
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, staged
 
 __all__ = ["run"]
 
 
+@staged
 def run(
     scale: str = "reduced",
     quick: bool = False,
@@ -33,23 +35,29 @@ def run(
         title="Strided pattern: influence of the backend device",
         paper_reference="Figure 3 (a)-(f)",
     )
+    configs = [
+        (device, sync, TwoApplicationExperiment(
+            scale, device=device, sync_mode=sync, pattern="strided"
+        ))
+        for sync in (SyncMode.SYNC_ON, SyncMode.SYNC_OFF)
+        for device in devices
+    ]
+    sweeps = yield from gather(
+        exp.sweep_stages(n_points=points, label=f"strided/{device}/{sync.value}")
+        for device, sync, exp in configs
+    )
     rows = []
-    for sync in (SyncMode.SYNC_ON, SyncMode.SYNC_OFF):
-        for device in devices:
-            exp = TwoApplicationExperiment(
-                scale, device=device, sync_mode=sync, pattern="strided"
-            )
-            sweep = exp.run_sweep(n_points=points, label=f"strided/{device}/{sync.value}")
-            result.add_sweep(f"{device}.{sync.value}", sweep)
-            rows.append(
-                {
-                    "device": device,
-                    "sync": sync.label,
-                    "alone_s": round(exp.alone_time(), 2),
-                    "peak_IF": round(sweep.peak_interference_factor(), 2),
-                    "asymmetry": round(sweep.asymmetry_index(), 3),
-                }
-            )
+    for (device, sync, exp), sweep in zip(configs, sweeps):
+        result.add_sweep(f"{device}.{sync.value}", sweep)
+        rows.append(
+            {
+                "device": device,
+                "sync": sync.label,
+                "alone_s": round(exp.alone_time(), 2),
+                "peak_IF": round(sweep.peak_interference_factor(), 2),
+                "asymmetry": round(sweep.asymmetry_index(), 3),
+            }
+        )
     result.add_table("figure3_summary", rows)
     result.add_note(
         "Expected shape: with sync ON the HDD write time is an order of "

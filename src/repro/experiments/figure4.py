@@ -11,13 +11,15 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.delta import gather
 from repro.core.experiment import TwoApplicationExperiment
 from repro.core.scenarios import dedicated_writer_scenario
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, staged
 
 __all__ = ["run"]
 
 
+@staged
 def run(
     scale: str = "reduced",
     quick: bool = False,
@@ -33,13 +35,14 @@ def run(
 
     base = TwoApplicationExperiment(scale, device="hdd", sync_mode="sync-on",
                                     pattern="contiguous")
-    sweep_all = base.run_sweep(n_points=points, label="all cores write")
-    result.add_sweep("all_cores", sweep_all)
-
     dedicated = TwoApplicationExperiment(
         scenario=dedicated_writer_scenario(base.scenario)
     )
-    sweep_one = dedicated.run_sweep(n_points=points, label="1 writer per node")
+    sweep_all, sweep_one = yield from gather([
+        base.sweep_stages(n_points=points, label="all cores write"),
+        dedicated.sweep_stages(n_points=points, label="1 writer per node"),
+    ])
+    result.add_sweep("all_cores", sweep_all)
     result.add_sweep("one_writer_per_node", sweep_one)
 
     rows = [

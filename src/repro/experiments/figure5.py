@@ -13,12 +13,14 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.config.filesystem import SyncMode
+from repro.core.delta import gather
 from repro.core.experiment import TwoApplicationExperiment
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, staged
 
 __all__ = ["run"]
 
 
+@staged
 def run(
     scale: str = "reduced",
     quick: bool = False,
@@ -31,27 +33,33 @@ def run(
         title="Influence of the network bandwidth (10G vs 1G Ethernet)",
         paper_reference="Figure 5 (a)-(b)",
     )
+    configs = [
+        (network, sync, TwoApplicationExperiment(
+            scale, device="hdd", sync_mode=sync, pattern="contiguous", network=network
+        ))
+        for sync in (SyncMode.SYNC_ON, SyncMode.SYNC_OFF)
+        for network in ("10g", "1g")
+    ]
+    sweeps = yield from gather(
+        exp.sweep_stages(n_points=points, label=f"{network}/{sync.value}")
+        for network, sync, exp in configs
+    )
     rows = []
-    for sync in (SyncMode.SYNC_ON, SyncMode.SYNC_OFF):
-        for network in ("10g", "1g"):
-            exp = TwoApplicationExperiment(
-                scale, device="hdd", sync_mode=sync, pattern="contiguous", network=network
-            )
-            sweep = exp.run_sweep(n_points=points, label=f"{network}/{sync.value}")
-            result.add_sweep(f"{network}.{sync.value}", sweep)
-            rows.append(
-                {
-                    "network": network,
-                    "sync": sync.label,
-                    "alone_s": round(exp.alone_time(), 2),
-                    "peak_write_time_s": round(float(max(
-                        sweep.write_times(app).max() for app in sweep.applications
-                    )), 2),
-                    "peak_IF": round(sweep.peak_interference_factor(), 2),
-                    "asymmetry": round(sweep.asymmetry_index(), 3),
-                    "flat": sweep.is_flat(0.35),
-                }
-            )
+    for (network, sync, exp), sweep in zip(configs, sweeps):
+        result.add_sweep(f"{network}.{sync.value}", sweep)
+        rows.append(
+            {
+                "network": network,
+                "sync": sync.label,
+                "alone_s": round(exp.alone_time(), 2),
+                "peak_write_time_s": round(float(max(
+                    sweep.write_times(app).max() for app in sweep.applications
+                )), 2),
+                "peak_IF": round(sweep.peak_interference_factor(), 2),
+                "asymmetry": round(sweep.asymmetry_index(), 3),
+                "flat": sweep.is_flat(0.35),
+            }
+        )
     result.add_table("figure5_summary", rows)
     result.add_note(
         "Expected shape: with sync ON the peak write times of 10G and 1G are "

@@ -13,8 +13,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro import units
+from repro.core.delta import gather
 from repro.core.experiment import TwoApplicationExperiment
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, staged
 
 __all__ = ["run", "PAPER_TABLE2"]
 
@@ -22,6 +23,7 @@ __all__ = ["run", "PAPER_TABLE2"]
 PAPER_TABLE2 = {4: 2.22, 8: 2.28, 12: 2.07, 24: 2.00}
 
 
+@staged
 def run(
     scale: str = "reduced",
     quick: bool = False,
@@ -37,27 +39,31 @@ def run(
         title="Influence of the number of storage servers",
         paper_reference="Figure 6 (a)-(b) and Table II",
     )
-    scaling_rows = []
-    table2_rows = []
-    for n_servers in counts:
-        # The paper reduces the per-client volume on the smallest deployment
-        # because of its lower capacity; mirror that.
-        volume = 16 * units.MiB if (n_servers <= 4 and scale != "paper") else None
-        # Use enough client nodes that even the largest deployment stays
-        # server-bound, as on the paper's 60-node testbed.
-        nodes = None
-        if scale == "reduced" and n_servers >= 24:
-            nodes = 24
-        exp = TwoApplicationExperiment(
+    exps = [
+        TwoApplicationExperiment(
             scale,
             device="hdd",
             sync_mode="sync-off",
             pattern="contiguous",
             n_servers=n_servers,
-            bytes_per_process=volume,
-            nodes_per_app=nodes,
+            # The paper reduces the per-client volume on the smallest
+            # deployment because of its lower capacity; mirror that.
+            bytes_per_process=(
+                16 * units.MiB if (n_servers <= 4 and scale != "paper") else None
+            ),
+            # Use enough client nodes that even the largest deployment stays
+            # server-bound, as on the paper's 60-node testbed.
+            nodes_per_app=24 if (scale == "reduced" and n_servers >= 24) else None,
         )
-        sweep = exp.run_sweep(n_points=points, label=f"{n_servers} servers")
+        for n_servers in counts
+    ]
+    sweeps = yield from gather(
+        exp.sweep_stages(n_points=points, label=f"{n_servers} servers")
+        for n_servers, exp in zip(counts, exps)
+    )
+    scaling_rows = []
+    table2_rows = []
+    for n_servers, exp, sweep in zip(counts, exps, sweeps):
         result.add_sweep(f"servers_{n_servers}", sweep)
 
         first = exp.scenario.applications[0].name

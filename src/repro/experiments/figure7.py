@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.core.delta import gather
 from repro.core.experiment import TwoApplicationExperiment
 from repro.core.scenarios import partitioned_servers_scenario
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, staged
 
 __all__ = ["run"]
 
 
+@staged
 def run(
     scale: str = "reduced",
     quick: bool = False,
@@ -31,18 +33,25 @@ def run(
         title="Influence of the targeted storage servers (12 shared vs 6+6)",
         paper_reference="Figure 7 (a)-(b)",
     )
-    rows = []
+    pairs = []
     for device in devices:
         shared = TwoApplicationExperiment(
             scale, device=device, sync_mode="sync-on", pattern="contiguous"
         )
-        shared_sweep = shared.run_sweep(n_points=points, label=f"{device}/shared")
-        result.add_sweep(f"{device}.shared", shared_sweep)
-
         partitioned = TwoApplicationExperiment(
             scenario=partitioned_servers_scenario(shared.scenario)
         )
-        part_sweep = partitioned.run_sweep(n_points=points, label=f"{device}/partitioned")
+        pairs.append((device, shared, partitioned))
+    sweeps = yield from gather(
+        gather([
+            shared.sweep_stages(n_points=points, label=f"{device}/shared"),
+            partitioned.sweep_stages(n_points=points, label=f"{device}/partitioned"),
+        ])
+        for device, shared, partitioned in pairs
+    )
+    rows = []
+    for (device, shared, partitioned), (shared_sweep, part_sweep) in zip(pairs, sweeps):
+        result.add_sweep(f"{device}.shared", shared_sweep)
         result.add_sweep(f"{device}.partitioned", part_sweep)
 
         shared_peak_time = float(

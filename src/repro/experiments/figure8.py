@@ -14,13 +14,15 @@ from typing import Optional, Sequence
 
 from repro import units
 from repro.config.filesystem import SyncMode
+from repro.core.delta import gather
 from repro.core.experiment import TwoApplicationExperiment
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, staged
 from repro.pfs.striping import servers_touched
 
 __all__ = ["run"]
 
 
+@staged
 def run(
     scale: str = "reduced",
     quick: bool = False,
@@ -41,34 +43,40 @@ def run(
         title="Influence of the stripe size (strided pattern)",
         paper_reference="Figure 8 (a)-(b)",
     )
+    configs = [
+        (stripe, sync, TwoApplicationExperiment(
+            scale,
+            device="hdd",
+            sync_mode=sync,
+            pattern="strided",
+            request_size=request_size,
+            stripe_size=stripe,
+        ))
+        for sync in (SyncMode.SYNC_ON, SyncMode.SYNC_OFF)
+        for stripe in stripes
+    ]
+    sweeps = yield from gather(
+        exp.sweep_stages(
+            n_points=points, label=f"stripe {units.bytes_to_human(stripe)}/{sync.value}"
+        )
+        for stripe, sync, exp in configs
+    )
     rows = []
-    for sync in (SyncMode.SYNC_ON, SyncMode.SYNC_OFF):
-        for stripe in stripes:
-            exp = TwoApplicationExperiment(
-                scale,
-                device="hdd",
-                sync_mode=sync,
-                pattern="strided",
-                request_size=request_size,
-                stripe_size=stripe,
-            )
-            sweep = exp.run_sweep(
-                n_points=points, label=f"stripe {units.bytes_to_human(stripe)}/{sync.value}"
-            )
-            key = f"stripe_{int(stripe // units.KiB)}k.{sync.value}"
-            result.add_sweep(key, sweep)
-            n_servers_per_request = len(
-                servers_touched(0.0, request_size, stripe, exp.scenario.filesystem.all_servers)
-            )
-            rows.append(
-                {
-                    "sync": sync.label,
-                    "stripe": units.bytes_to_human(stripe),
-                    "servers_per_request": n_servers_per_request,
-                    "alone_s": round(exp.alone_time(), 2),
-                    "peak_IF": round(sweep.peak_interference_factor(), 2),
-                }
-            )
+    for (stripe, sync, exp), sweep in zip(configs, sweeps):
+        key = f"stripe_{int(stripe // units.KiB)}k.{sync.value}"
+        result.add_sweep(key, sweep)
+        n_servers_per_request = len(
+            servers_touched(0.0, request_size, stripe, exp.scenario.filesystem.all_servers)
+        )
+        rows.append(
+            {
+                "sync": sync.label,
+                "stripe": units.bytes_to_human(stripe),
+                "servers_per_request": n_servers_per_request,
+                "alone_s": round(exp.alone_time(), 2),
+                "peak_IF": round(sweep.peak_interference_factor(), 2),
+            }
+        )
     result.add_table("figure8_summary", rows)
     result.add_note(
         "Expected shape: larger stripes are faster for both sync modes; with "

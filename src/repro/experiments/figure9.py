@@ -14,13 +14,15 @@ from typing import Optional, Sequence
 
 from repro import units
 from repro.config.filesystem import SyncMode
+from repro.core.delta import gather
 from repro.core.experiment import TwoApplicationExperiment
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, staged
 from repro.pfs.striping import servers_touched
 
 __all__ = ["run"]
 
 
+@staged
 def run(
     scale: str = "reduced",
     quick: bool = False,
@@ -41,35 +43,41 @@ def run(
         title="Influence of the request size (strided pattern)",
         paper_reference="Figure 9 (a)-(b)",
     )
+    configs = [
+        (request, sync, TwoApplicationExperiment(
+            scale,
+            device="hdd",
+            sync_mode=sync,
+            pattern="strided",
+            request_size=request,
+            stripe_size=stripe,
+        ))
+        for sync in (SyncMode.SYNC_ON, SyncMode.SYNC_OFF)
+        for request in sizes
+    ]
+    sweeps = yield from gather(
+        exp.sweep_stages(
+            n_points=points,
+            label=f"request {units.bytes_to_human(request)}/{sync.value}",
+        )
+        for request, sync, exp in configs
+    )
     rows = []
-    for sync in (SyncMode.SYNC_ON, SyncMode.SYNC_OFF):
-        for request in sizes:
-            exp = TwoApplicationExperiment(
-                scale,
-                device="hdd",
-                sync_mode=sync,
-                pattern="strided",
-                request_size=request,
-                stripe_size=stripe,
-            )
-            sweep = exp.run_sweep(
-                n_points=points,
-                label=f"request {units.bytes_to_human(request)}/{sync.value}",
-            )
-            key = f"request_{int(request // units.KiB)}k.{sync.value}"
-            result.add_sweep(key, sweep)
-            rows.append(
-                {
-                    "sync": sync.label,
-                    "request": units.bytes_to_human(request),
-                    "servers_per_request": len(
-                        servers_touched(0.0, request, stripe,
-                                        exp.scenario.filesystem.all_servers)
-                    ),
-                    "alone_s": round(exp.alone_time(), 2),
-                    "peak_IF": round(sweep.peak_interference_factor(), 2),
-                }
-            )
+    for (request, sync, exp), sweep in zip(configs, sweeps):
+        key = f"request_{int(request // units.KiB)}k.{sync.value}"
+        result.add_sweep(key, sweep)
+        rows.append(
+            {
+                "sync": sync.label,
+                "request": units.bytes_to_human(request),
+                "servers_per_request": len(
+                    servers_touched(0.0, request, stripe,
+                                    exp.scenario.filesystem.all_servers)
+                ),
+                "alone_s": round(exp.alone_time(), 2),
+                "peak_IF": round(sweep.peak_interference_factor(), 2),
+            }
+        )
     result.add_table("figure9_summary", rows)
     result.add_note(
         "Expected shape: small requests involve fewer servers and show less "

@@ -66,7 +66,7 @@ start anchor ``t0 = min(0, earliest start)`` and its horizon
 loops:
 
 * **lockstep** (fixed stepping, any B: a run alone, a matrix bucket, a
-  Δ-sweep bucket): members step together by *tick index*.  Each tick
+  bucket of a staged round): members step together by *tick index*.  Each tick
   advances every member's clock with the ``t + dt`` arithmetic of a
   periodic step event, first at ``t0 + dt``, in one elementwise add over
   the per-member clocks.  Before the step only the engines that have an
@@ -94,16 +94,18 @@ Connection counts and per-server group sizes are free to differ — the
 admission water-filling pads ragged groups into width classes
 (:class:`~repro.network.incast.ServerBuffers`), so mixed deployments batch
 together and ``batch.padded_slots`` accounts the masked waste — and so are
-steps, start anchors and horizons.  A Δ-sweep runs its points as one
-bucket (:func:`repro.core.delta.run_delta_sweep`).  :func:`plan_buckets`,
-the matrix's grouping policy, groups scenarios by platform and filesystem
-alone and splits each group into chunks under a lane budget
-(:data:`_BUCKET_LANES`), at least one per worker; a scenario without a
-partner forms a width-1 bucket, which is its run alone.  Only adaptive
-stepping stays outside the buckets and runs alone on the event-driven
-loop.  :func:`simulate_many` is the front end: it plans, runs each bucket
+steps, start anchors and horizons.  :func:`plan_buckets`, the one
+grouping policy, groups scenarios by platform and filesystem alone and
+splits each group into chunks under a lane budget (:data:`_BUCKET_LANES`),
+at least one per worker; a scenario without a partner forms a width-1
+bucket, which is its run alone.  Only adaptive stepping stays outside the
+buckets and runs alone on the event-driven loop.  :func:`simulate_many` is
+the front end of every staged computation (:mod:`repro.core.delta`: a
+Δ-sweep, an experiment, a whole campaign round): it drops repeated
+``(scenario, seed)`` requests, plans the distinct ones, runs each bucket
 through :func:`run_bucket`, runs the adaptive scenarios alone, and emits
-``batch.*`` telemetry.
+``batch.*`` telemetry.  The matrix plans its own buckets with
+:func:`plan_buckets` and runs them as executor work units.
 """
 
 from __future__ import annotations
@@ -1038,13 +1040,13 @@ def run_bucket(
     """Run one bucket through the lockstep driver, with telemetry.
 
     ``members`` are what :class:`BatchSimulator` takes: scenarios, or fresh
-    simulators (a Δ-sweep passes its points with their seed override).
+    simulators (:func:`simulate_many` passes each request's seed this way).
     Emits the per-bucket ``simulation``-track span (with the kernel's
     ``phase`` children and counters, as every run publishes them), the
     ``batch.buckets`` / ``batch.member_runs`` / ``batch.padded_slots`` /
     ``batch.group_slots`` counters, and the ``batch.occupancy`` observation —
-    the single place that accounting lives, shared by :func:`simulate_many`,
-    the executor-level batchers and the Δ-sweeps.
+    the single place that accounting lives, shared by :func:`simulate_many`
+    and the executor-level batchers.
     """
     telemetry = get_telemetry()
     reference = members[0]
@@ -1077,25 +1079,48 @@ def count_fallback(reason: str) -> None:
     telemetry.count(f"batch.fallback.{reason}")
 
 
-def simulate_many(scenarios: Sequence[ScenarioConfig]) -> List[RunResult]:
-    """Simulate ``scenarios``, running each planned bucket in lockstep
-    (:func:`plan_buckets` at one worker).
+def simulate_many(
+    scenarios: Sequence[ScenarioConfig],
+    seeds: Optional[Sequence[Optional[int]]] = None,
+) -> List[RunResult]:
+    """Simulate each distinct ``(scenario, seed)`` request once, running the
+    planned buckets in lockstep (:func:`plan_buckets` at one worker).
 
-    Results come back in input order and are bitwise identical to running
-    each scenario alone through
-    :func:`~repro.model.simulator.simulate_scenario`, which is how adaptive
-    scenarios run; ragged and mixed-width deployments batch (padded width
-    classes).  Emits ``batch.*`` telemetry: one ``simulation``-track span
-    plus an occupancy observation per bucket, and fallback counters.
+    ``seeds`` are per-request seed overrides (``None``: the scenario's own
+    seed, which is what an omitted ``seeds`` means for every request).  A
+    request equal to an earlier one — scenarios compare and hash by value,
+    and a seed of ``None`` equals the scenario's own — is not simulated
+    again: it shares that request's :class:`RunResult`.  Results come back
+    in input order and are bitwise identical to running each request alone
+    through :func:`~repro.model.simulator.simulate_scenario`, which is how
+    adaptive scenarios run; ragged and mixed-width deployments batch
+    (padded width classes).  Emits ``batch.*`` telemetry: ``batch.requests``
+    and ``batch.repeats`` (requests served by an equal request's result),
+    one ``simulation``-track span plus an occupancy observation per bucket,
+    and fallback counters.
     """
     scenarios = list(scenarios)
-    buckets, fallback = plan_buckets(scenarios)
-    results: List[Optional[RunResult]] = [None] * len(scenarios)
+    seeds = [None] * len(scenarios) if seeds is None else list(seeds)
+    if len(seeds) != len(scenarios):
+        raise SimulationError("simulate_many needs one seed per scenario")
+    index: Dict[Tuple[ScenarioConfig, int], int] = {}
+    slots = [
+        index.setdefault(
+            (scenario, scenario.control.seed if seed is None else int(seed)), len(index)
+        )
+        for scenario, seed in zip(scenarios, seeds)
+    ]
+    distinct = list(index)
+    telemetry = get_telemetry()
+    telemetry.count("batch.requests", len(slots))
+    telemetry.count("batch.repeats", len(slots) - len(distinct))
+    buckets, fallback = plan_buckets([scenario for scenario, _ in distinct])
+    results: List[Optional[RunResult]] = [None] * len(distinct)
     for bucket in buckets:
-        outs = run_bucket([scenarios[i] for i in bucket.indices])
+        outs = run_bucket([IOPathSimulator(*distinct[i]) for i in bucket.indices])
         for i, result in zip(bucket.indices, outs):
             results[i] = result
     for i, reason in fallback:
         count_fallback(reason)
-        results[i] = simulate_scenario(scenarios[i])
-    return results  # type: ignore[return-value]
+        results[i] = simulate_scenario(*distinct[i])
+    return [results[k] for k in slots]  # type: ignore[misc]

@@ -121,7 +121,9 @@ def batch_stats(document: Dict[str, Any]) -> Dict[str, float]:
     to its end.  ``dead_lane_frac`` is the share of lane steps (width times
     ticks, ``batch.lane_steps``) spent on members that had already finished:
     ``1 - member_steps / lane_steps``.  ``occupancy`` figures describe the
-    bucket widths (from the ``batch.occupancy`` histogram).
+    bucket widths (from the ``batch.occupancy`` histogram).  ``requests``
+    counts the runs :func:`~repro.model.batch.simulate_many` was asked for,
+    ``repeats`` those served by an equal request's result.
     """
     counters = document.get("counters", {})
     histogram = document.get("histograms", {}).get("batch.occupancy", {})
@@ -134,6 +136,8 @@ def batch_stats(document: Dict[str, Any]) -> Dict[str, float]:
         "buckets": float(counters.get("batch.buckets", 0)),
         "member_runs": float(counters.get("batch.member_runs", 0)),
         "fallbacks": float(counters.get("batch.ragged_fallbacks", 0)),
+        "requests": float(counters.get("batch.requests", 0)),
+        "repeats": float(counters.get("batch.repeats", 0)),
         "padded_slots": padded,
         "group_slots": slots,
         "padded_waste": padded / slots if slots > 0 else 0.0,
@@ -234,6 +238,11 @@ def summarize_document(
             f"{batch['buckets']:.0f} lockstep buckets, "
             f"{batch['fallbacks']:.0f} scalar fallbacks"
         )
+        if batch["requests"] > 0:
+            lines.append(
+                f"  {batch['requests']:.0f} requests, {batch['repeats']:.0f} "
+                "repeats served by an equal request's result"
+            )
         lines.append(
             f"  kernel {batch['ticks']:.0f} ticks, "
             f"{batch['member_steps_per_tick']:.2f} member-steps per tick, "

@@ -30,9 +30,11 @@ class TraceMark:
     data: Optional[dict] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class TraceConfig:
     """Which trace categories a run should record.
+
+    Frozen, like every part of a scenario, so equal scenarios hash equal.
 
     Attributes
     ----------

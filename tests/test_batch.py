@@ -526,6 +526,68 @@ class TestBatchTelemetry:
 
 
 # ---------------------------------------------------------------------- #
+# Requests: seeds and repeats
+# ---------------------------------------------------------------------- #
+
+
+class TestSimulateManyRequests:
+    def test_a_repeat_is_simulated_once_and_shares_its_result(self):
+        a, b = _alone_scenario("checkpoint"), _alone_scenario("analytics")
+        members = []
+        run = BatchSimulator.run
+
+        def counting_run(self):
+            members.extend(m.sim.scenario for m in self.members)
+            return run(self)
+
+        with mock.patch.object(BatchSimulator, "run", counting_run), \
+                telemetry_session("repeats") as telemetry:
+            # A seed of None is the scenario's own seed, so all three a's
+            # are one request.
+            results = simulate_many([a, b, a, a], [None, None, a.control.seed, None])
+            counters = telemetry.snapshot()["counters"]
+        assert sorted(map(str, (m.label for m in members))) == sorted([a.label, b.label])
+        assert len(members) == 2
+        assert results[0] is results[2] is results[3]
+        assert results[1] is not results[0]
+        assert counters["batch.requests"] == 4
+        assert counters["batch.repeats"] == 2
+        assert counters["batch.member_runs"] == 2
+
+    def test_seeds_match_running_alone(self):
+        scenario = make_scenario("tiny")
+        seeds = [7, 11, 7]
+        results = simulate_many([scenario] * 3, seeds)
+        assert results[0] is results[2]
+        for seed, result in zip(seeds, results):
+            alone = simulate_scenario(scenario, seed=seed)
+            assert metric_fingerprint(result)[0] == metric_fingerprint(alone)[0]
+
+    def test_input_order_is_kept_across_repeats(self):
+        names = ("streaming", "checkpoint", "analytics", "checkpoint", "streaming")
+        results = simulate_many([_alone_scenario(a) for a in names])
+        for name, result in zip(names, results):
+            assert name in result.scenario.applications[0].name
+
+    def test_adaptive_requests_still_run_alone(self):
+        policy = SteppingPolicy(mode=SteppingMode.ADAPTIVE)
+        adaptive = build_scenario(["checkpoint"], "tiny", stepping=policy).scenario
+        fixed = _alone_scenario("analytics")
+        with telemetry_session("adaptive") as telemetry:
+            results = simulate_many([adaptive, fixed, adaptive])
+            counters = telemetry.snapshot()["counters"]
+        assert counters["batch.fallback.adaptive"] == 1
+        assert counters["batch.buckets"] == 1
+        assert results[0] is results[2]
+        alone = simulate_scenario(adaptive)
+        assert metric_fingerprint(results[0])[0] == metric_fingerprint(alone)[0]
+
+    def test_one_seed_per_scenario(self):
+        with pytest.raises(SimulationError, match="one seed per scenario"):
+            simulate_many([make_scenario("tiny")], [1, 2])
+
+
+# ---------------------------------------------------------------------- #
 # Executor and matrix wiring
 # ---------------------------------------------------------------------- #
 

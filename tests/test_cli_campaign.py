@@ -80,6 +80,28 @@ class TestCampaignTelemetry:
         assert campaign["name"] == "campaign:tiny"
         assert (tel / "telemetry_events.jsonl").is_file()
 
+    def test_joint_run_reports_shared_time_and_repeats(self, tmp_path, capsys):
+        """figure10 and figure11 run together; both trace the same alone run,
+        which is simulated once."""
+        import json
+
+        tel = tmp_path / "tel"
+        rc = main(["campaign", "--scale", "tiny", "--quick",
+                   "--only", "figure10", "figure11",
+                   "--output", str(tmp_path / "r.md"), "--telemetry-dir", str(tel)])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert 'event=campaign experiment=figure10 agree=1/1 origin="joint ' in err
+        assert 'event=campaign experiment=figure11 agree=1/1 origin="joint ' in err
+        document = json.loads((tel / "telemetry.json").read_text(encoding="utf-8"))
+        assert document["counters"]["batch.requests"] == 4
+        assert document["counters"]["batch.repeats"] == 1
+        assert document["counters"]["batch.member_runs"] == 3
+        joint = [s for s in document["spans"] if s["category"] == "bucket"]
+        assert [s["name"] for s in joint] == ["joint:2"]
+        assert main(["obs", "summary", str(tel)]) == 0
+        assert "4 requests, 1 repeats" in capsys.readouterr().out
+
     def test_without_flag_no_telemetry_files(self, tmp_path, capsys):
         rc = main(["campaign", "--scale", "tiny", "--quick", "--only", "table1",
                    "--output", str(tmp_path / "r.md")])

@@ -241,6 +241,16 @@ class TestScenarioConfig:
         assert scenario.applications[1].start_time == 2.5
         assert scenario.applications[0].start_time == 0.0
 
+    def test_equal_scenarios_hash_equal(self):
+        """Every part of a scenario is frozen, so it hashes by value: equal
+        requests are found by a dict lookup."""
+        a, b = make_scenario("tiny"), make_scenario("tiny")
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b, a.with_delay(0.0)}) == 1
+        delayed = a.with_delay(0.25)
+        assert delayed != a
+        assert delayed == b.with_delay(0.25) and hash(delayed) == hash(b.with_delay(0.25))
+
     def test_application_lookup(self):
         scenario = make_scenario("tiny")
         assert scenario.application("A").name == "A"

@@ -1,11 +1,23 @@
 """Tests for Δ-graph sweeps and the two-application experiment wrapper."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config.presets import make_scenario
-from repro.core.delta import DeltaPoint, DeltaSweep, default_deltas, run_delta_sweep
+from repro.core.delta import (
+    DeltaPoint,
+    DeltaSweep,
+    default_deltas,
+    delta_points,
+    delta_stages,
+    gather,
+    run_delta_sweep,
+    run_staged,
+)
 from repro.core.experiment import TwoApplicationExperiment
 from repro.errors import AnalysisError, ExperimentError
+from repro.model.simulator import simulate_scenario
 
 
 def make_synthetic_sweep():
@@ -168,6 +180,102 @@ class TestSweepBatching:
         assert sweep.peak_interference_factor() > 1.0
 
 
+def _echo(rounds):
+    """A staged computation that yields ``rounds`` and returns what it was
+    sent for each."""
+    sent = []
+    for requests in rounds:
+        sent.append((yield list(requests)))
+    return sent
+
+
+def _drive(stage):
+    """Drive ``stage`` with a fake simulator answering ``r`` with ``"=r"``;
+    returns ``(rounds, result)``."""
+    rounds, sent = [], None
+    while True:
+        try:
+            requests = stage.send(sent)
+        except StopIteration as stop:
+            return rounds, stop.value
+        rounds.append(requests)
+        sent = [f"={request}" for request in requests]
+
+
+class TestStaged:
+    def test_gather_merges_rounds_and_routes_results_in_order(self):
+        rounds, results = _drive(gather([
+            _echo([["a1", "a2"], ["a3"]]),
+            _echo([["b1"]]),
+            _echo([["c1"], ["c2", "c3"], ["c4"]]),
+        ]))
+        assert rounds == [["a1", "a2", "b1", "c1"], ["a3", "c2", "c3"], ["c4"]]
+        assert results == [
+            [["=a1", "=a2"], ["=a3"]],
+            [["=b1"]],
+            [["=c1"], ["=c2", "=c3"], ["=c4"]],
+        ]
+
+    def test_zero_round_computations_return_at_once(self):
+        assert _drive(gather([])) == ([], [])
+        assert _drive(gather([_echo([]), _echo([])])) == ([], [[], []])
+
+    def test_nested_gather(self):
+        rounds, results = _drive(gather([
+            gather([_echo([["a1"]]), _echo([["b1"], ["b2"]])]),
+            _echo([["c1"]]),
+        ]))
+        assert rounds == [["a1", "b1", "c1"], ["b2"]]
+        assert results == [[[["=a1"]], [["=b1"], ["=b2"]]], [["=c1"]]]
+
+    def test_an_exception_in_a_member_propagates(self):
+        def failing():
+            yield ["x"]
+            raise ValueError("boom")
+
+        with pytest.raises(ValueError, match="boom"):
+            _drive(gather([_echo([["a1"], ["a2"]]), failing()]))
+
+    def test_run_staged_makes_one_simulate_many_call_per_round(self, monkeypatch):
+        from repro.model import batch
+
+        calls = []
+        simulate_many = batch.simulate_many
+
+        def recording(scenarios, seeds=None):
+            calls.append(len(scenarios))
+            return simulate_many(scenarios, seeds)
+
+        monkeypatch.setattr(batch, "simulate_many", recording)
+        scenario = make_scenario("tiny")
+        sweep = run_staged(delta_stages(scenario, [-0.2, 0.0, 0.2], seed=5))
+        assert calls == [1, 3]
+        assert sweep == run_delta_sweep(scenario, [-0.2, 0.0, 0.2], seed=5)
+
+
+class TestUntracedPoints:
+    @given(
+        delta=st.floats(-0.5, 0.5, allow_nan=False),
+        device=st.sampled_from(["hdd", "ssd", "ram"]),
+        sync_mode=st.sampled_from(["sync-on", "sync-off"]),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_untraced_point_equals_traced(self, delta, device, sync_mode):
+        """A Δ-point reads nothing the recorder holds, so recording nothing
+        leaves it unchanged."""
+        scenario = make_scenario("tiny", device=device, sync_mode=sync_mode)
+        (point,) = delta_points(scenario, [delta])
+        trace = point.control.trace
+        assert not (trace.records_series or trace.record_marks)
+        untraced = simulate_scenario(point)
+        assert not untraced.recorder.marks and not untraced.recorder.series_names()
+        traced = simulate_scenario(scenario.with_delay(delta))
+        assert traced.recorder.marks
+        assert DeltaPoint.from_run_result(delta, untraced) == (
+            DeltaPoint.from_run_result(delta, traced)
+        )
+
+
 class TestTwoApplicationExperiment:
     def test_baseline_and_sweep(self):
         exp = TwoApplicationExperiment("tiny", device="hdd", sync_mode="sync-on")
@@ -180,6 +288,24 @@ class TestTwoApplicationExperiment:
         metrics = exp.headline_metrics(deltas=[0.0])
         assert "peak_interference_factor" in metrics
         assert "alone_time" in metrics
+
+    def test_sweep_stages_skip_a_cached_baseline(self, monkeypatch):
+        from repro.model import batch
+
+        calls = []
+        simulate_many = batch.simulate_many
+
+        def recording(scenarios, seeds=None):
+            calls.append(len(scenarios))
+            return simulate_many(scenarios, seeds)
+
+        monkeypatch.setattr(batch, "simulate_many", recording)
+        exp = TwoApplicationExperiment("tiny")
+        first = exp.run_sweep(n_points=3)
+        assert calls == [1, 3]
+        again = run_staged(exp.sweep_stages(n_points=3))
+        assert calls == [1, 3, 3]
+        assert again == first
 
     def test_describe(self):
         exp = TwoApplicationExperiment("tiny")

@@ -82,10 +82,13 @@ class TestDerivedStats:
         t.count("batch.ticks", 400)
         t.count("batch.member_steps", 1000)
         t.count("batch.lane_steps", 1250)
+        t.count("batch.requests", 15)
+        t.count("batch.repeats", 3)
         t.observe("batch.occupancy", 8.0)
         t.observe("batch.occupancy", 4.0)
         stats = batch_stats(t.to_document())
         assert stats["buckets"] == 2.0
+        assert stats["requests"] == 15.0 and stats["repeats"] == 3.0
         assert stats["member_runs"] == 12.0
         assert stats["fallbacks"] == 2.0
         assert stats["ticks"] == 400.0
@@ -142,6 +145,19 @@ class TestSummarizeDocument:
         assert "2/4 hits (50.0%)" in report
         assert "drain" in report and "offer" in report
         assert "engine.events.processed" in report
+
+    def test_batching_reports_requests_and_repeats(self):
+        t = Telemetry(label="repeats")
+        t.count("batch.buckets", 2)
+        t.count("batch.member_runs", 7)
+        t.count("batch.requests", 9)
+        t.count("batch.repeats", 2)
+        report = summarize_document(t.to_document())
+        assert "7 simulations in 2 lockstep buckets" in report
+        assert "9 requests, 2 repeats served by an equal request's result" in report
+        plain = Telemetry(label="plain")
+        plain.count("batch.buckets", 1)
+        assert "requests" not in summarize_document(plain.to_document())
 
     def test_empty_document_reports_placeholders(self):
         report = summarize_document(Telemetry().to_document())

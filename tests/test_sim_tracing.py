@@ -1,5 +1,7 @@
 """Tests for the trace recorder."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import AnalysisError
@@ -15,6 +17,13 @@ class TestTraceConfig:
     def test_minimal_and_full(self):
         assert not TraceConfig.minimal().record_server_state
         assert TraceConfig.full().record_windows
+
+    def test_frozen(self):
+        cfg = TraceConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.record_marks = False
+        assert hash(cfg) == hash(TraceConfig())
+        assert dataclasses.replace(cfg, record_marks=False) != cfg
 
     def test_validation(self):
         with pytest.raises(AnalysisError):

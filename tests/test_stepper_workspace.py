@@ -7,6 +7,8 @@ live contended model, snapshotting each phase's owned slots as it completes
 and diffing them after every subsequent phase.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -113,7 +115,8 @@ class TestAllocationFlatness:
         import sys
 
         batch = contended_batch()
-        batch.members[0].sim.recorder.config.record_marks = False
+        recorder = batch.members[0].sim.recorder
+        recorder.config = dataclasses.replace(recorder.config, record_marks=False)
         for _ in range(10):  # settle caches/interned keys
             step(batch)
         before = sys.getallocatedblocks()

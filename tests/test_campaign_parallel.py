@@ -126,6 +126,20 @@ class TestJointCampaign:
         )
         assert campaign_to_markdown(joint) == campaign_to_markdown(per_experiment)
 
+    def test_joint_run_applies_the_campaign_stepping_policy(self):
+        from repro.config.control import SteppingPolicy
+
+        ids = ["figure10", "figure11"]
+        adaptive = SteppingPolicy.adaptive()
+        joint = run_campaign(scale="tiny", quick=True, experiments=ids, stepping=adaptive)
+        assert all(record.joint for record in joint.records)
+        per_experiment = run_campaign(
+            scale="tiny", quick=True, experiments=ids, stepping=adaptive, jobs=2
+        )
+        fixed = run_campaign(scale="tiny", quick=True, experiments=ids)
+        assert campaign_to_markdown(joint) == campaign_to_markdown(per_experiment)
+        assert campaign_to_markdown(joint) != campaign_to_markdown(fixed)
+
     def test_a_configuration_reports_the_same_numbers_in_every_figure(self):
         """The default HDD sync-on configuration is figure2's hdd.sync-on,
         figure4's all-cores, figure5's 10G sync-on and figure7's HDD shared

@@ -573,8 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--explain-buckets", action="store_true",
         help="print the --jobs 1 bucket plan of the matrix over "
              "--archetypes (per bucket: width, connection lanes, member "
-             "steps, padded group-width sets; per-task fallback reasons) "
-             "and exit without measuring",
+             "steps, padded group-width sets) and exit without measuring",
     )
     perf_parser.add_argument(
         "--archetypes", type=_archetype_list, default=None,
@@ -1247,9 +1246,8 @@ def _perf_campaign(args: argparse.Namespace, log) -> int:
         return 1
     log.info(
         "perf_gate", status="green",
-        detail=f"grid byte-identical, zero ragged fallbacks, utilization "
-               f"at most 100%, no kernel throughput below "
-               f"{args.min_ratio:.0%} of {baseline_path}",
+        detail=f"grid byte-identical, utilization at most 100%, no kernel "
+               f"throughput below {args.min_ratio:.0%} of {baseline_path}",
     )
     return 0
 

@@ -501,8 +501,8 @@ def run_delta_sweep(
         Label stored on the resulting sweep.
     jobs:
         At ``jobs=1`` the sweep is :func:`run_staged` over
-        :func:`delta_stages`: the points run as planned lockstep buckets
-        (adaptive points run alone).  With ``jobs > 1`` the delays split
+        :func:`delta_stages`: the points run as planned lockstep buckets,
+        under either stepping policy.  With ``jobs > 1`` the delays split
         into ``min(jobs, len(deltas))`` contiguous chunks, each one
         ``delta-point`` task, fanned across that many worker processes by
         :class:`~repro.runner.executor.ParallelExecutor`.  Every point gets

@@ -8,8 +8,8 @@ devices, workloads) into one vectorized fluid/discrete-event simulation:
 * :mod:`repro.model.stepper`   — the per-step update's workspace and the
   data-plane phases every simulation shares (drain → offer → admit),
 * :mod:`repro.model.batch`     — the one stepping kernel, which advances a
-  batch of simulations per step, and its drivers (lockstep for fixed
-  stepping, event-driven for adaptive), plus bucket planning,
+  batch of simulations per step, and its one lockstep driver (fixed and
+  adaptive stepping alike), plus bucket planning,
 * :mod:`repro.model.simulator` — :class:`IOPathSimulator`, one run's state,
   control plane and result; it runs as a batch of one,
 * :mod:`repro.model.results`   — :class:`RunResult`, per-application write

@@ -51,40 +51,46 @@ Nothing in a step loops over members, servers or processes:
 * application lifecycle and per-process issue state are flat arrays, so the
   completion phase finds the few applications whose operation completed
   with one vectorized scan, and Python runs only for those;
-* link accounting and pressure step counts advance once per step for the
-  whole batch, observed time once per step for each member (its own steps
-  summed in order); the running totals are stamped on a member when it
-  retires and carried over through each compaction.
+* link accounting and pressure statistics advance once per step for the
+  whole batch (each server weighing its own member's step), observed time
+  once per step for each member (its own steps summed in order); the
+  running observed time is stamped on a member when it retires and carried
+  over through each compaction.
 
-Drivers
--------
+Driver
+------
 Each member keeps its own discrete-event engine for its control plane
 (application starts, operation issues, trace sampling), which runs exact
 member-local code, and its own step clock: its resolved step ``dt``, its
 start anchor ``t0 = min(0, earliest start)`` and its horizon
-``t0 + max_time``.  :class:`BatchSimulator` runs the kernel in one of two
-loops:
+``t0 + max_time``.  :class:`BatchSimulator` runs every member on one
+lockstep loop: members step together by *tick index*, each tick advancing
+every live member by its own step.
 
-* **lockstep** (fixed stepping, any B: a run alone, a matrix bucket, a
-  bucket of a staged round): members step together by *tick index*.  Each tick
-  advances every member's clock with the ``t + dt`` arithmetic of a
-  periodic step event, first at ``t0 + dt``, in one elementwise add over
-  the per-member clocks.  Before the step only the engines that have an
-  event due by their own clock run, up to and including the CONTROL events
-  of that instant (``Simulator.run(until=t, until_priority=NORMAL)``):
+* A **fixed-step** member advances its clock with the ``t + dt`` arithmetic
+  of a periodic step event, first at ``t0 + dt``, in one elementwise add
+  over the per-member clocks.  Before the step only the engines that have
+  an event due by their own clock run, up to and including the CONTROL
+  events of that instant (``Simulator.run(until=t, until_priority=NORMAL)``):
   exactly the events that precede a NORMAL-priority step event there.
   Event ordering within a step instant (CONTROL < NORMAL < OBSERVE) is
   therefore that of a step event, including trace samples observing
   post-step state, while a tick with no due event costs no engine call at
-  all.  A member is checked against its own horizon and retires on the
-  tick it finishes: its result is built then, its arrays are detached from
-  the flat state (it keeps copies of its own lanes), and the survivors are
-  compacted, so ``batch.lane_steps`` (lanes stepped) equals
-  ``batch.member_steps``;
-* **event-driven** (adaptive stepping, one member): steps are engine events
-  at the bound :meth:`~repro.model.simulator.IOPathSimulator.next_bound`
-  derives from the current rates, and control events catch the model up
-  before they mutate it, so quiescent intervals collapse into single steps.
+  all.
+* An **adaptive** member picks its own step end every tick.  Its pending
+  step ends where :meth:`~repro.model.simulator.IOPathSimulator.next_bound`
+  puts it from the current rates, so quiescent intervals collapse into
+  single steps; before the tick its engine runs the events that precede a
+  NORMAL-priority event at that end, and a control event that would land
+  inside a longer-than-base step ends the step at its own time instead
+  (a *catch-up*), so no step spans a state change.  A generation holding an
+  adaptive member sets the kernel's steps before each tick; a generation of
+  fixed members sets them once.
+
+A member is checked against its own horizon and retires on the tick it
+finishes: its result is built then, its arrays are detached from the flat
+state (it keeps copies of its own lanes), and the survivors are compacted,
+so ``batch.lane_steps`` (lanes stepped) equals ``batch.member_steps``.
 
 Bucketing
 ---------
@@ -94,18 +100,17 @@ Connection counts and per-server group sizes are free to differ — the
 admission water-filling pads ragged groups into width classes
 (:class:`~repro.network.incast.ServerBuffers`), so mixed deployments batch
 together and ``batch.padded_slots`` accounts the masked waste — and so are
-steps, start anchors and horizons.  :func:`plan_buckets`, the one
-grouping policy, groups scenarios by platform and filesystem alone and
-splits each group into chunks under a lane budget (:data:`_BUCKET_LANES`),
-at least one per worker; a scenario without a partner forms a width-1
-bucket, which is its run alone.  Only adaptive stepping stays outside the
-buckets and runs alone on the event-driven loop.  :func:`simulate_many` is
-the front end of every staged computation (:mod:`repro.core.delta`: a
-Δ-sweep, an experiment, a whole campaign round): it drops repeated
-``(scenario, seed)`` requests, plans the distinct ones, runs each bucket
-through :func:`run_bucket`, runs the adaptive scenarios alone, and emits
-``batch.*`` telemetry.  The matrix plans its own buckets with
-:func:`plan_buckets` and runs them as executor work units.
+steps, stepping policies, start anchors and horizons.  :func:`plan_buckets`,
+the one grouping policy, groups scenarios by platform and filesystem alone
+and splits each group into chunks under a lane budget
+(:data:`_BUCKET_LANES`), at least one per worker; a scenario without a
+partner forms a width-1 bucket, which is its run alone.
+:func:`simulate_many` is the front end of every staged computation
+(:mod:`repro.core.delta`: a Δ-sweep, an experiment, a whole campaign
+round): it drops repeated ``(scenario, seed)`` requests, plans the distinct
+ones, runs each bucket through :func:`run_bucket` and emits ``batch.*``
+telemetry.  The matrix plans its own buckets with :func:`plan_buckets` and
+runs them as executor work units.
 """
 
 from __future__ import annotations
@@ -120,7 +125,7 @@ import numpy as np
 from repro.config.scenario import ScenarioConfig
 from repro.errors import SimulationError
 from repro.model.results import RunResult
-from repro.model.simulator import IOPathSimulator, simulate_scenario
+from repro.model.simulator import IOPathSimulator
 from repro.model.stepper import COMPLETION_EPSILON, ModelStepper, StepContext
 from repro.model.state import APP_ACTIVE
 from repro.network.congestion import WindowState
@@ -135,7 +140,6 @@ from repro.sim.events import EventPriority
 __all__ = [
     "BatchSimulator",
     "BatchedStepper",
-    "count_fallback",
     "group_widths",
     "plan_buckets",
     "run_bucket",
@@ -187,8 +191,8 @@ def _connection_lanes(scenario: ScenarioConfig) -> int:
 
 
 def _estimated_steps(scenario: ScenarioConfig) -> float:
-    """A fixed-step scenario's estimated member steps: its estimated
-    duration over its resolved step."""
+    """A scenario's estimated member steps: its estimated duration over its
+    resolved (base) step."""
     duration = scenario.estimate_duration()
     return duration / scenario.control.resolve_step(duration)
 
@@ -215,23 +219,18 @@ def plan_buckets(
 ) -> Tuple[List[_Bucket], List[Tuple[int, str]]]:
     """Group ``scenarios`` into lockstep buckets by platform and filesystem.
 
-    Each group of fixed-step scenarios sharing a platform and filesystem
-    configuration splits into ``min(n, max(jobs, ceil(lanes /
-    _BUCKET_LANES)))`` chunks, ``n`` being its scenarios and ``lanes`` their
-    connection lanes, balanced by estimated member steps.  Returns
-    ``(buckets, fallback)`` where every input index appears in exactly one
-    bucket's ``indices`` (width-1 buckets included) or once in ``fallback``
-    as an ``(index, "adaptive")`` pair: adaptive stepping has no fixed step
-    to lockstep, so it runs alone.  The plan is a pure function of its
-    inputs.
+    Each group of scenarios sharing a platform and filesystem configuration
+    (fixed and adaptive stepping alike) splits into ``min(n, max(jobs,
+    ceil(lanes / _BUCKET_LANES)))`` chunks, ``n`` being its scenarios and
+    ``lanes`` their connection lanes, balanced by estimated member steps.
+    Returns ``(buckets, fallback)``: every input index appears in exactly
+    one bucket's ``indices`` (width-1 buckets included), and ``fallback`` is
+    always empty (every scenario runs in a bucket; the pair's shape is kept
+    for callers that unpack it).  The plan is a pure function of its inputs.
     """
     groups: Dict[Tuple[object, object], List[int]] = {}
-    fallback: List[Tuple[int, str]] = []
     for i, scenario in enumerate(scenarios):
-        if scenario.control.resolve_stepping().is_adaptive:
-            fallback.append((i, "adaptive"))
-        else:
-            groups.setdefault((scenario.platform, scenario.filesystem), []).append(i)
+        groups.setdefault((scenario.platform, scenario.filesystem), []).append(i)
     buckets: List[_Bucket] = []
     for indices in groups.values():
         lanes = sum(_connection_lanes(scenarios[i]) for i in indices)
@@ -240,7 +239,7 @@ def plan_buckets(
         buckets.extend(
             _Bucket(chunk) for chunk in _balanced_chunks(indices, weights, n_chunks)
         )
-    return buckets, fallback
+    return buckets, []
 
 
 # ---------------------------------------------------------------------- #
@@ -260,7 +259,9 @@ _LANE_ARRAYS = (
         "collapse_count", "delivered_bytes", "paced", "ever_paced",
     )),
     ("buffers", "conn", ("conn_bytes",)),
-    ("buffers", "srv", ("fill", "total_admitted", "total_drained", "full_steps")),
+    ("buffers", "srv", (
+        "fill", "total_admitted", "total_drained", "full_steps", "observed_steps",
+    )),
     ("deployment", "srv", (
         "drained_bytes", "busy_time", "dirty_bytes", "absorbed_bytes",
         "flushed_bytes", "pending_bytes", "written_bytes", "device_busy_time",
@@ -292,6 +293,8 @@ class _BatchMember:
     #: Start anchor (the clock before the first step) and horizon.
     t0: float
     until: float
+    #: Adaptive stepping: the member picks its own step end every tick.
+    adaptive: bool = False
     #: Position in the batch (its entry in every per-member array).
     index: int = 0
     conn_sl: slice = field(default_factory=lambda: slice(0))
@@ -301,6 +304,11 @@ class _BatchMember:
     proc_sl: slice = field(default_factory=lambda: slice(0))
     #: Time of the member engine's next event (``inf`` when none).
     due: float = float("inf")
+    #: Adaptive members: the end of the pending step (``inf`` while the
+    #: adaptive bound is infinite), and whether this tick's step ends at a
+    #: control event instead (a catch-up).
+    next_step: float = float("inf")
+    catching_up: bool = False
     #: Built on the tick the member finished (``None`` while it runs).
     result: Optional[RunResult] = None
 
@@ -338,9 +346,7 @@ class _BatchedState:
     and for each compaction alike: it lays ``members`` out back to back in
     member order (assigning each its index and lane slices), builds every
     flat array by concatenating the members' *current* arrays, and
-    re-points each member at its slices.  The pressure step count comes from
-    the members too: every live member has stepped on every tick, so they
-    share it, and the driver stamps it on them before a compaction.
+    re-points each member at its slices.
     """
 
     def __init__(self, members: Sequence[_BatchMember]) -> None:
@@ -404,7 +410,6 @@ class _BatchedState:
             capacity_bytes=scenario.filesystem.server.buffer_bytes,
             conn_server=self.conn_server,
         )
-        self.buffers.observed_steps = states[0].buffers.observed_steps
         for owner, kind, names in _LANE_ARRAYS:
             holder = _lane_owner(self, owner)
             for name in names:
@@ -438,6 +443,10 @@ class BatchedStepper(ModelStepper):
         # driver before a compaction.
         self.observed_time[:] = [m.sim.state.deployment.observed_time for m in members]
         self._rng_sites: Tuple[Tuple[slice, np.random.Generator, float], ...] = ()
+        #: Every server's member's base (resolved) step.
+        self._base_server = np.array(
+            [m.sim.step_size for m in members], dtype=np.float64
+        ).take(state.server_member)
         #: Member index of every flat application.
         self._app_member = [
             i for i, m in enumerate(self._members)
@@ -452,6 +461,9 @@ class BatchedStepper(ModelStepper):
 
     def set_steps(self, dt) -> None:
         super().set_steps(dt)
+        # A step weighs dt / base in the pressure statistics: exactly 1.0 for
+        # a fixed step, the base steps it replaced for an adaptive one.
+        np.divide(self._ctx.dt_server, self._base_server, out=self._step_weight)
         # Per-member RNG sites for WindowState.update: hazard draws and
         # collapse jitter come from each member's own transport stream,
         # sliced to its lanes, and the hazard from its own step.  Every
@@ -667,22 +679,21 @@ class BatchedStepper(ModelStepper):
 
 
 # ---------------------------------------------------------------------- #
-# The drivers
+# The driver
 # ---------------------------------------------------------------------- #
 
 
 class BatchSimulator:
-    """Runs its members on one kernel: B fixed-step scenarios in lockstep by
-    tick index, each on its own clock, or one adaptive scenario
-    event-driven.
+    """Runs its members on one kernel, in lockstep by tick index, each on
+    its own clock and under its own stepping policy.
 
     ``members`` are scenarios or *fresh* :class:`IOPathSimulator` objects (a
     run alone passes itself): their control plane is scheduled from their
     start anchors.  Members must share the platform and filesystem
-    configuration; their steps, start anchors and horizons are their own.
-    :attr:`members` lists every member in input order; the current
-    generation of the flat state (:attr:`state`, :attr:`stepper`) holds the
-    live ones.
+    configuration; their steps, stepping policies, start anchors and
+    horizons are their own.  :attr:`members` lists every member in input
+    order; the current generation of the flat state (:attr:`state`,
+    :attr:`stepper`) holds the live ones.
     """
 
     def __init__(
@@ -694,11 +705,7 @@ class BatchSimulator:
             m if isinstance(m, IOPathSimulator) else IOPathSimulator(m)
             for m in members
         ]
-        reference = sims[0]
-        self._adaptive = reference.stepping.is_adaptive
-        if len(sims) > 1 and any(sim.stepping.is_adaptive for sim in sims):
-            raise SimulationError("adaptive stepping cannot run batched")
-        scenario = reference.scenario
+        scenario = sims[0].scenario
         self.members: List[_BatchMember] = []
         for sim in sims:
             s = sim.scenario
@@ -713,6 +720,7 @@ class BatchSimulator:
                 engine=Simulator(start_time=t0, horizon=t0 + max_time * 2 + 1.0),
                 t0=t0,
                 until=t0 + max_time,
+                adaptive=sim.stepping.is_adaptive,
             ))
         self._build(self.members)
         #: Padding of the bucket as planned (its first generation).
@@ -723,11 +731,13 @@ class BatchSimulator:
         self.clock = np.array([m.t0 for m in self.members], dtype=np.float64)
         for member in self.members:
             member.sim.schedule_control_plane(member.engine, member.t0)
-            member.due = _next_event_time(member.engine)
-        #: Per live member, the clock at which the driver must look at it
-        #: before stepping: its next engine event or its horizon, whichever
-        #: is first (``inf`` once it finished).
-        self._alarm = np.array([min(m.due, m.until) for m in self.members])
+        #: Per live fixed-step member, the clock at which the driver must
+        #: look at it before stepping: its next engine event or its horizon,
+        #: whichever is first (``inf`` once it finished, and for adaptive
+        #: members, which look at their engines every tick).
+        self._alarm = np.full(len(self.members), float("inf"))
+        for member in self.members:
+            self._set_alarm(member)
         self._n_live = len(self.members)
         self.n_batch_steps = 0
         #: Lanes stepped: the live width summed over the ticks.
@@ -735,10 +745,6 @@ class BatchSimulator:
         self._wall_start = 0.0
         #: The phase profiler of a :meth:`run` with telemetry on.
         self.profiler: Optional[StepProfiler] = None
-        # Event-driven loop: end of the last executed step and the pending
-        # step event (None while waiting for a control kick).
-        self._last_step_end = self.members[0].t0
-        self._step_event = None
 
     def _build(self, members: Sequence[_BatchMember]) -> None:
         """Build a generation of the flat state and its kernel over
@@ -746,26 +752,26 @@ class BatchSimulator:
         self._live = list(members)
         self.state = _BatchedState(self._live)
         self.stepper = BatchedStepper(self.state, self._live)
-        #: Every live member's resolved step.
+        #: Every live member's step: its resolved step, or for an adaptive
+        #: member the step of the current tick.
         self.steps = np.array([m.sim.step_size for m in self._live], dtype=np.float64)
         self.stepper.set_steps(self.steps)
 
     def _stamp(self, member: _BatchMember) -> None:
-        """Write the batch's running totals for ``member`` onto its own
-        state: its observed time and the pressure step count."""
+        """Write the batch's running observed time for ``member`` onto its
+        own servers and links."""
         st = member.sim.state
         observed = float(self.stepper.observed_time[member.index])
         st.deployment.observed_time = observed
         st.topology._observed_time = observed
-        st.buffers.observed_steps = self.state.buffers.observed_steps
 
     def _compact(self) -> None:
         """Rebuild the flat state from the live members only.
 
         Their lanes become contiguous in member order and their indices are
-        renumbered; clocks, steps, alarms, observed times, the pressure step
-        count and the profiler carry over.  The previous generation is
-        freed as soon as the members are re-pointed.
+        renumbered; clocks, alarms, observed times, pressure statistics and
+        the profiler carry over.  The previous generation is freed as soon
+        as the members are re-pointed.
         """
         keep = [m.index for m in self._live if m.live]
         live = [self._live[i] for i in keep]
@@ -783,22 +789,30 @@ class BatchSimulator:
     def run(self) -> List[RunResult]:
         """Run every member to completion; results in member order.
 
-        With telemetry on, a :class:`StepProfiler` times the kernel phases
-        for :meth:`publish`.  The kernel never reads it, so results stay
+        Runs generations until every member finished, compacting the
+        survivors after each tick on which a member retired.  With telemetry
+        on, a :class:`StepProfiler` times the kernel phases for
+        :meth:`publish`.  The kernel never reads it, so results stay
         byte-identical with telemetry on or off.
         """
         if get_telemetry().enabled and self.stepper.profiler is None:
             self.profiler = self.stepper.profiler = StepProfiler()
         self._wall_start = time.perf_counter()
         try:
-            if self._adaptive:
-                self._run_event_driven()
-            else:
-                self._run_lockstep()
+            while True:
+                self._run_generation()
+                if not self._n_live:
+                    break
+                self._compact()
         finally:
             if self.profiler is not None:
                 self.stepper.profiler = None
         return [m.result for m in self.members]
+
+    def _set_alarm(self, member: _BatchMember) -> None:
+        if not member.adaptive:
+            member.due = _next_event_time(member.engine)
+            self._alarm[member.index] = min(member.due, member.until)
 
     def _follow_up(self, member: _BatchMember) -> None:
         """After a step that changed ``member``'s control plane: retire it if
@@ -815,8 +829,7 @@ class BatchSimulator:
             self._alarm[i] = float("inf")
             self._n_live -= 1
             return
-        member.due = _next_event_time(member.engine)
-        self._alarm[i] = min(member.due, member.until)
+        self._set_alarm(member)
 
     def _unfinished(self, member: _BatchMember) -> SimulationError:
         unfinished = [
@@ -828,26 +841,25 @@ class BatchSimulator:
             "configuration"
         )
 
-    # -- lockstep loop (fixed stepping) --------------------------------- #
-
-    def _run_lockstep(self) -> None:
-        """Run generations until every member finished, compacting the
-        survivors after each tick on which a member retired."""
-        while True:
-            self._run_generation()
-            if not self._n_live:
-                return
-            self._compact()
-
     def _run_generation(self) -> None:
         """Tick the current generation until one of its members retires."""
         stepper, clock, steps, alarm = self.stepper, self.clock, self.steps, self._alarm
         width = len(self._live)
+        adaptive = [m for m in self._live if m.adaptive]
+        ends: List[float] = []
         ringing = np.zeros(width, dtype=bool)
         while self._n_live == width:
-            # Each clock advances with a periodic step event's arithmetic:
-            # first at t0 + dt, then each step dt after the last.
+            if adaptive:
+                ends = [self._adaptive_step_end(m) for m in adaptive]
+                for member, end in zip(adaptive, ends):
+                    steps[member.index] = end - clock[member.index]
+                stepper.set_steps(steps)
+            # Each fixed clock advances with a periodic step event's
+            # arithmetic: first at t0 + dt, then each step dt after the last.
+            # An adaptive clock is assigned its step end.
             np.add(clock, steps, out=clock)
+            for member, end in zip(adaptive, ends):
+                clock[member.index] = end
             np.greater_equal(clock, alarm, out=ringing)
             if ringing.any():
                 self._run_control_plane(np.flatnonzero(ringing))
@@ -856,10 +868,13 @@ class BatchSimulator:
             self.n_lane_steps += width
             for member in stepper.changed:
                 self._follow_up(member)
+            for member in adaptive:
+                if member.live:
+                    self._bound_next_step(member)
 
     def _run_control_plane(self, ringing: np.ndarray) -> None:
-        """For each live member whose alarm rang: fail if it is past its
-        horizon, else run its engine over the events that precede a
+        """For each live fixed-step member whose alarm rang: fail if it is
+        past its horizon, else run its engine over the events that precede a
         NORMAL-priority step event at its clock, if any are due."""
         for i in ringing.tolist():
             member = self._live[i]
@@ -871,114 +886,60 @@ class BatchSimulator:
                 member.due = _next_event_time(member.engine)
             self._alarm[i] = min(member.due, member.until)
 
-    # -- event-driven loop (adaptive stepping, one member) -------------- #
+    def _adaptive_step_end(self, member: _BatchMember) -> float:
+        """Run an adaptive member's engine up to this tick's step and return
+        the step's end.
 
-    def _run_event_driven(self) -> None:
-        """Adaptive time advance: each step schedules the next one at the
-        bound derived from the current rates; control-plane events
-        (application starts, operation issues) catch the model up over the
-        pending interval before they mutate state, so no step ever spans a
-        state change.  No step is scheduled until the first application
-        starts — the pre-start lead-in costs zero steps."""
-        member = self.members[0]
-        self.stepper.pressure_step_ref = member.sim.step_size
-        member.sim.on_control_change = self._catch_up
-        try:
-            member.engine.run(until=member.until)
-        finally:
-            member.sim.on_control_change = None
-        if member.live:
-            raise self._unfinished(member)
-
-    def _advance_to_now(self, engine: Simulator) -> bool:
-        """Step the model over ``[last step end, now]``; True when the run
-        finished (and was stopped) in the process."""
-        now = engine.now
-        dt = now - self._last_step_end
-        if dt > 0:
-            self.clock[0] = now
-            self.stepper.set_steps((dt,))
-            self.stepper.step_batch(self.clock)
-            self.n_batch_steps += 1
-            self.n_lane_steps += 1
-            self._last_step_end = now
-            for member in self.stepper.changed:
-                self._follow_up(member)
-        if not self._n_live:
-            engine.stop("all applications finished")
-            return True
-        return False
-
-    def _adaptive_tick(self, engine: Simulator) -> None:
-        """Execute one adaptive step and schedule the next one."""
-        self._step_event = None
-        if not self._advance_to_now(engine):
-            self._schedule_next_step(engine)
-
-    def _catch_up(self, engine: Simulator) -> None:
-        """Advance the model over the pending interval up to ``engine.now``.
-
-        Invoked by control-plane callbacks (application start, operation
-        issue) *before* they mutate model state: the interval being caught up
-        therefore never spans a state change, which is what makes a single
-        large step over it exact.  The next step is re-anchored one base step
-        after the control event.
-
-        When a normal-cadence step (one base step or less) is already
-        pending, nothing needs catching up: a control event landing inside a
-        base step is exactly the granularity the fixed policy exhibits, and
-        leaving the cadence untouched keeps the adaptive trajectory on the
-        fixed one.
+        Runs the events that precede a NORMAL-priority event at the pending
+        step end, as :meth:`_run_control_plane` does for a fixed member.
+        While the pending step is longer than a base step, the first control
+        event (an application start or an operation issue) ends that scan:
+        one at the member's clock re-anchors the pending step a base step
+        after it and runs; a later one ends this tick's step at its own time
+        (a catch-up) and runs on the next tick, after the step.  So no step
+        spans a state change, while a control event inside a base-length
+        step lands inside it, the granularity the fixed policy has.  Fails if
+        the step would end past the member's horizon.
         """
-        base = self.members[0].sim.step_size
-        pending = self._step_event
-        if (
-            pending is not None
-            and not pending.cancelled
-            and pending.time - self._last_step_end <= base * (1.0 + 1e-12)
-        ):
-            return
-        if not self._advance_to_now(engine):
-            self._schedule_step_event(engine, engine.now + base)
+        engine = member.engine
+        now = float(self.clock[member.index])
+        base = member.sim.step_size
+        member.catching_up = False
+        while True:
+            head = engine.peek_next()
+            if head is None or head.time > min(member.next_step, member.until) or (
+                head.time == member.next_step and head.priority >= EventPriority.NORMAL
+            ):
+                break
+            if (
+                head.priority == EventPriority.CONTROL
+                and member.next_step - now > base * (1.0 + 1e-12)
+            ):
+                if head.time > now:
+                    member.catching_up = True
+                    break
+                member.next_step = head.time + base
+            engine.step()
+        end = head.time if member.catching_up else member.next_step
+        if end > member.until:
+            raise self._unfinished(member)
+        return end
 
-    def _schedule_next_step(self, engine: Simulator) -> None:
-        """Schedule the next step at the adaptive bound (or wait for a kick)."""
-        sim = self.members[0].sim
+    def _bound_next_step(self, member: _BatchMember) -> None:
+        """Place an adaptive member's next step end after the step it took:
+        a base step after a catch-up, else at the adaptive bound derived from
+        the post-step rates (capped by ``max_dt``; ``inf`` while unbounded,
+        so the next control event ends the step)."""
+        sim = member.sim
+        end = float(self.clock[member.index])
+        if member.catching_up:
+            member.next_step = end + sim.step_size
+            return
         policy = sim.stepping
-        bound = sim.next_bound(engine.now, sim.step_size, policy.tolerance)
+        bound = sim.next_bound(end, sim.step_size, policy.tolerance)
         if policy.max_dt is not None:
             bound = min(bound, policy.max_dt)
-        if not math.isfinite(bound):
-            # Nothing intrinsic pending: the next state change can only come
-            # from a scheduled control event, whose callback kicks us.
-            return
-        self._schedule_step_event(engine, engine.now + bound)
-
-    def _schedule_step_event(self, engine: Simulator, at: float) -> None:
-        """(Re)schedule the pending model-step event at time ``at``.
-
-        A pending event is moved in place (:meth:`Simulator.reschedule`), so
-        re-anchoring the step on every control change leaves no cancelled
-        corpses in the event heap and heap compactions stay rare.
-        """
-        at = max(at, engine.now)
-        event = self._step_event
-        if event is not None and not event.cancelled and event.heap_time is not None:
-            if engine.horizon is not None and at > engine.horizon:
-                event.cancel()
-                self._step_event = None
-                return
-            engine.reschedule(event, at)
-            return
-        self._step_event = None
-        if engine.horizon is not None and at > engine.horizon:
-            return
-        self._step_event = engine.schedule(
-            at,
-            self._adaptive_tick,
-            priority=EventPriority.NORMAL,
-            label="model.step",
-        )
+        member.next_step = end + bound
 
     # ------------------------------------------------------------------ #
 
@@ -1025,8 +986,8 @@ class BatchSimulator:
 
 
 def _next_event_time(engine: Simulator) -> float:
-    head = engine.peek_next_time()
-    return float("inf") if head is None else head
+    head = engine.peek_next()
+    return float("inf") if head is None else head.time
 
 
 # ---------------------------------------------------------------------- #
@@ -1037,7 +998,7 @@ def _next_event_time(engine: Simulator) -> float:
 def run_bucket(
     members: Sequence[Union[ScenarioConfig, IOPathSimulator]],
 ) -> List[RunResult]:
-    """Run one bucket through the lockstep driver, with telemetry.
+    """Run one bucket through the driver, with telemetry.
 
     ``members`` are what :class:`BatchSimulator` takes: scenarios, or fresh
     simulators (:func:`simulate_many` passes each request's seed this way).
@@ -1072,13 +1033,6 @@ def run_bucket(
     return results
 
 
-def count_fallback(reason: str) -> None:
-    """Record one scenario running alone instead of in a bucket."""
-    telemetry = get_telemetry()
-    telemetry.count("batch.ragged_fallbacks")
-    telemetry.count(f"batch.fallback.{reason}")
-
-
 def simulate_many(
     scenarios: Sequence[ScenarioConfig],
     seeds: Optional[Sequence[Optional[int]]] = None,
@@ -1092,12 +1046,12 @@ def simulate_many(
     and a seed of ``None`` equals the scenario's own — is not simulated
     again: it shares that request's :class:`RunResult`.  Results come back
     in input order and are bitwise identical to running each request alone
-    through :func:`~repro.model.simulator.simulate_scenario`, which is how
-    adaptive scenarios run; ragged and mixed-width deployments batch
-    (padded width classes).  Emits ``batch.*`` telemetry: ``batch.requests``
+    through :func:`~repro.model.simulator.simulate_scenario`; ragged and
+    mixed-width deployments batch (padded width classes), and so do fixed
+    and adaptive stepping.  Emits ``batch.*`` telemetry: ``batch.requests``
     and ``batch.repeats`` (requests served by an equal request's result),
-    one ``simulation``-track span plus an occupancy observation per bucket,
-    and fallback counters.
+    and one ``simulation``-track span plus an occupancy observation per
+    bucket.
     """
     scenarios = list(scenarios)
     seeds = [None] * len(scenarios) if seeds is None else list(seeds)
@@ -1114,13 +1068,10 @@ def simulate_many(
     telemetry = get_telemetry()
     telemetry.count("batch.requests", len(slots))
     telemetry.count("batch.repeats", len(slots) - len(distinct))
-    buckets, fallback = plan_buckets([scenario for scenario, _ in distinct])
+    buckets, _ = plan_buckets([scenario for scenario, _ in distinct])
     results: List[Optional[RunResult]] = [None] * len(distinct)
     for bucket in buckets:
         outs = run_bucket([IOPathSimulator(*distinct[i]) for i in bucket.indices])
         for i, result in zip(bucket.indices, outs):
             results[i] = result
-    for i, reason in fallback:
-        count_fallback(reason)
-        results[i] = simulate_scenario(*distinct[i])
     return [results[k] for k in slots]  # type: ignore[misc]

@@ -12,10 +12,9 @@ control plane that acts on them through a discrete-event engine:
   the current rates.
 
 :meth:`IOPathSimulator.run` runs the scenario as a batch of one on the
-kernel's driver (:class:`repro.model.batch.BatchSimulator`): the lockstep
-loop under the default (``fixed``) stepping policy, the event-driven loop
-under ``adaptive``.  The module-level helper :func:`simulate_scenario` is the
-one-call entry point used by the experiment framework:
+kernel's one driver (:class:`repro.model.batch.BatchSimulator`), under
+either stepping policy.  The module-level helper :func:`simulate_scenario`
+is the one-call entry point used by the experiment framework:
 ``result = simulate_scenario(scenario)``.
 
 Adaptive time advance
@@ -32,7 +31,7 @@ fixed policy never calls it.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -75,11 +74,6 @@ class IOPathSimulator:
         self.state = ModelState(scenario, self.streams, recorder=self.recorder)
         #: The burst-escape gate's draws.
         self.admission_rng = self.streams.stream("admission")
-        #: Hook invoked by control-plane callbacks (application start,
-        #: operation issue) right before they mutate model state.  The
-        #: adaptive driver uses it to catch the model up over a pending
-        #: quiescent interval; ``None`` (fixed policy) is a no-op.
-        self.on_control_change: Optional[Callable[[Simulator], None]] = None
         self._step_size = scenario.control.resolve_step(scenario.estimate_duration())
         self._stepping = scenario.control.resolve_stepping()
         self._transport = scenario.platform.network.transport
@@ -183,8 +177,6 @@ class IOPathSimulator:
         runtime = state.app_runtime[app_index]
         if runtime.started:
             raise SimulationError(f"application {app.name!r} started twice")
-        if self.on_control_change is not None:
-            self.on_control_change(sim)
         state.mark_started(app_index, sim.now)
         state.recorder.mark(sim.now, "phase", f"{app.name}.start")
         if app.spec.pattern.collective:
@@ -244,8 +236,6 @@ class IOPathSimulator:
             runtime = state.app_runtime[app_index]
             if runtime.finished:
                 return
-            if self.on_control_change is not None:
-                self.on_control_change(sim)
             state.issue_operation(app, op_index)
             state.recorder.mark(sim.now, "op", f"{app.name}.op{op_index}")
 

@@ -217,12 +217,6 @@ class ModelStepper:
         self._node_caps = state.topology.node_capacities()
         self._server_nic = state.topology.server_capacities()
         self._client_line_rate = network.client_nic_bw
-        #: Reference step length for time-weighted pressure accounting.
-        #: ``None`` (the default, and the fixed policy) counts every step
-        #: with weight 1; the adaptive driver, which steps one member, sets it
-        #: to the base step so a collapsed quiescent interval still weighs as
-        #: the steps it replaced.
-        self.pressure_step_ref: Optional[float] = None
         #: Time each member has observed (its steps summed, in order);
         #: stamped on the member's servers and links when it finishes.
         self.observed_time = np.zeros(state.n_members, dtype=np.float64)
@@ -249,6 +243,10 @@ class ModelStepper:
         # dt-scaled capacities, per lane (set by set_steps).
         self._node_caps_dt = np.empty_like(self._node_caps)
         self._server_nic_dt = np.empty_like(self._server_nic)
+        #: Per server: the weight of this step in the pressure statistics,
+        #: its member's ``dt`` over its base step (set by the kernel's
+        #: ``set_steps``).
+        self._step_weight = np.ones(self._n_servers, dtype=np.float64)
         # Reused per-step objects: every context field is rewritten by its
         # owner each step, so recycling the container is safe.
         self._ctx = StepContext(
@@ -264,8 +262,9 @@ class ModelStepper:
         """Set every member's step length (one float per member) and the
         per-lane steps and dt-scaled capacities derived from it.
 
-        The fixed-step driver calls this once per run; the adaptive driver,
-        whose one member changes its step every step, before each step.
+        The driver calls this once per generation of fixed-step members, and
+        before every tick of a generation that holds an adaptive member,
+        whose step changes from tick to tick.
         """
         state = self.state
         ctx = self._ctx
@@ -527,8 +526,5 @@ class ModelStepper:
         )
         state.topology.record_step_flat(per_node, per_server, ctx.dt_node, ctx.dt_server)
         np.add(self.observed_time, ctx.dt, out=self.observed_time)
-        if self.pressure_step_ref:
-            state.buffers.note_step(weight=float(ctx.dt[0]) / self.pressure_step_ref)
-        else:
-            state.buffers.note_step()
+        state.buffers.note_step(weight=self._step_weight)
         np.divide(per_server, ctx.dt_server, out=state.last_admission_rate)

@@ -129,13 +129,14 @@ class ServerBuffers:
         self.total_admitted = np.zeros(self.n_servers, dtype=np.float64)
         #: Cumulative bytes drained per server.
         self.total_drained = np.zeros(self.n_servers, dtype=np.float64)
-        #: Step weight each server spent with a (nearly) full buffer.  Under
-        #: the fixed stepping policy every step weighs 1 and these are plain
-        #: step counts; the adaptive policy weighs a collapsed quiescent jump
-        #: as the number of base steps it replaced, keeping the pressure
-        #: fraction time-weighted and therefore comparable across policies.
+        #: Step weight each server observed, and the part of it spent with a
+        #: (nearly) full buffer.  Under the fixed stepping policy every step
+        #: weighs 1 and these are plain step counts; the adaptive policy
+        #: weighs a collapsed quiescent jump as the number of base steps it
+        #: replaced, keeping the pressure fraction time-weighted and
+        #: therefore comparable across policies.
         self.full_steps = np.zeros(self.n_servers, dtype=np.float64)
-        self.observed_steps = 0.0
+        self.observed_steps = np.zeros(self.n_servers, dtype=np.float64)
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -164,10 +165,12 @@ class ServerBuffers:
         return self.fill / drain_rate
 
     def pressure_fraction(self) -> np.ndarray:
-        """Fraction of observed steps each server spent with a full buffer."""
-        if self.observed_steps == 0:
-            return np.zeros(self.n_servers, dtype=np.float64)
-        return self.full_steps / float(self.observed_steps)
+        """Fraction of observed steps each server spent with a full buffer
+        (0 for a server that observed none)."""
+        fraction = np.zeros(self.n_servers, dtype=np.float64)
+        observed = self.observed_steps
+        np.divide(self.full_steps, observed, out=fraction, where=observed != 0)
+        return fraction
 
     # ------------------------------------------------------------------ #
     # Admission
@@ -399,13 +402,14 @@ class ServerBuffers:
         self.total_drained += drained_per_server
         return drained_per_server, drained_per_conn
 
-    def note_step(self, full_threshold: float = 0.95, weight: float = 1.0) -> None:
+    def note_step(self, full_threshold: float = 0.95, weight=1.0) -> None:
         """Record occupancy statistics for one step (for root-cause analysis).
 
         A server counts as full when its occupancy reaches ``full_threshold``
         (a fraction in (0, 1]).  ``weight`` is the step's worth in base-step
-        units (1 under the fixed policy; ``dt / base_dt`` for an adaptive
-        jump).
+        units, a scalar or one per server: ``dt / base_dt``, which is exactly
+        1 for a fixed step (the kernel's servers each weigh their own
+        member's step).
         """
         self.observed_steps += weight
         occupancy = self._scratch_fraction
@@ -421,4 +425,4 @@ class ServerBuffers:
         self.total_admitted[:] = 0.0
         self.total_drained[:] = 0.0
         self.full_steps[:] = 0.0
-        self.observed_steps = 0.0
+        self.observed_steps[:] = 0.0

@@ -135,7 +135,6 @@ def batch_stats(document: Dict[str, Any]) -> Dict[str, float]:
     return {
         "buckets": float(counters.get("batch.buckets", 0)),
         "member_runs": float(counters.get("batch.member_runs", 0)),
-        "fallbacks": float(counters.get("batch.ragged_fallbacks", 0)),
         "requests": float(counters.get("batch.requests", 0)),
         "repeats": float(counters.get("batch.repeats", 0)),
         "padded_slots": padded,
@@ -235,8 +234,7 @@ def summarize_document(
     if batch["buckets"] > 0:
         lines.append(
             f"  {batch['member_runs']:.0f} simulations in "
-            f"{batch['buckets']:.0f} lockstep buckets, "
-            f"{batch['fallbacks']:.0f} scalar fallbacks"
+            f"{batch['buckets']:.0f} lockstep buckets"
         )
         if batch["requests"] > 0:
             lines.append(

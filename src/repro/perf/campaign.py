@@ -13,8 +13,8 @@ Cross-machine absolute wall times are meaningless (and on a single-CPU
 container ``jobs > 1`` adds pool overhead without parallel speedup), so the
 regression gate (:func:`check_campaign_regression`) compares only the
 machine-comparable quantities: batched-kernel steps/s against the committed
-baseline, byte-identity of every cell's matrix (``identical``), zero ragged
-fallbacks in every batched cell, and utilization at most 1 in every cell.
+baseline, byte-identity of every cell's matrix (``identical``), and
+utilization at most 1 in every cell.
 Wall times are recorded for trend-reading, not gated.
 """
 
@@ -113,7 +113,6 @@ def _run_cell(
         "member_steps_per_tick": float(bt["member_steps_per_tick"]),
         "buckets": float(bt["buckets"]),
         "member_runs": float(bt["member_runs"]),
-        "ragged_fallbacks": float(bt["fallbacks"]),
         "padded_slots": float(bt["padded_slots"]),
         "padded_waste": float(bt["padded_waste"]),
         "matrix_sha256": _matrix_sha256(matrix),
@@ -223,8 +222,7 @@ def validate_campaign_document(document: object) -> Dict:
                  "must be a boolean")
         for field in ("cold_wall_s", "warm_wall_s", "warm_hit_rate",
                       "utilization", "member_steps_per_tick", "buckets",
-                      "member_runs", "ragged_fallbacks", "padded_slots",
-                      "padded_waste"):
+                      "member_runs", "padded_slots", "padded_waste"):
             value = cell.get(field)
             _require(isinstance(value, (int, float)) and value >= 0,
                      f"{path}.{field}", "must be a non-negative number")
@@ -255,13 +253,12 @@ def check_campaign_regression(
 ) -> List[str]:
     """Failure messages for the campaign gate (empty = gate green).
 
-    Four checks: the fresh document's cells must be byte-identical
-    (``identical``), every batched cell must report zero ragged fallbacks,
-    no cell may report a utilization above 1 (busy time counts each work
-    unit once, so more would be an accounting bug), and every batched-kernel
-    throughput present in both documents must stay at or above
-    ``min_ratio`` of the committed baseline.  Wall times are deliberately
-    not gated (machine-local noise).
+    Three checks: the fresh document's cells must be byte-identical
+    (``identical``), no cell may report a utilization above 1 (busy time
+    counts each work unit once, so more would be an accounting bug), and
+    every batched-kernel throughput present in both documents must stay at
+    or above ``min_ratio`` of the committed baseline.  Wall times are
+    deliberately not gated (machine-local noise).
     """
     if not 0.0 < min_ratio <= 1.0:
         raise PerfError(f"min_ratio must be in (0, 1], got {min_ratio}")
@@ -274,11 +271,6 @@ def check_campaign_regression(
             "byte-identical matrices"
         )
     for key, cell in current["cells"].items():
-        if cell.get("batch") and float(cell.get("ragged_fallbacks", 0)) != 0:
-            failures.append(
-                f"{key}: {cell['ragged_fallbacks']:.0f} ragged fallbacks "
-                "(batched cells must report zero)"
-            )
         if float(cell["utilization"]) > 1.0:
             failures.append(
                 f"{key}: utilization {cell['utilization']:.2f} is above 1 "
@@ -314,8 +306,7 @@ def format_campaign_summary(document: Dict) -> str:
             f"  {key:14s} cold {cell['cold_wall_s']:7.2f}s  "
             f"warm {cell['warm_wall_s']:6.2f}s  "
             f"{cell['member_steps_per_tick']:5.2f} steps/tick  "
-            f"util {cell['utilization']:6.1%}  "
-            f"fallbacks {cell['ragged_fallbacks']:.0f}"
+            f"util {cell['utilization']:6.1%}"
         )
     speedup = document.get("speedup", {})
     for key in sorted(document["batched_kernel"]):

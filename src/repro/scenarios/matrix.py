@@ -481,16 +481,14 @@ def run_matrix_tasks_batched(
     Builds every pending task's scenario, plans buckets with
     :func:`repro.model.batch.plan_buckets` (one platform/filesystem group
     splits into at least ``jobs`` chunks under the lane budget; mixed widths
-    pad together and leftovers run as width-1 buckets, so only adaptive
-    stepping falls back), and maps each bucket as one ``matrix-bucket``
-    work unit through :class:`~repro.runner.executor.ParallelExecutor` —
-    in-process at ``jobs=1``; otherwise ``jobs`` pool workers advance
-    ``jobs`` batched kernels concurrently.  Returns payloads for the bucketed
-    tasks only — adaptive tasks are *not* claimed and fall through to the
-    executor's per-task path unchanged, each run alone.  A member of a
+    and stepping policies pad together and leftovers run as width-1
+    buckets), and maps each bucket as one ``matrix-bucket`` work unit
+    through :class:`~repro.runner.executor.ParallelExecutor` — in-process at
+    ``jobs=1``; otherwise ``jobs`` pool workers advance ``jobs`` batched
+    kernels concurrently.  Every task it plans is claimed.  A member of a
     bucket is bitwise-equivalent to its run alone and payload extraction is
-    shared, so both routes transport identical payloads (and therefore
-    identical cache entries).
+    shared, so the batched and per-task routes transport identical payloads
+    (and therefore identical cache entries).
 
     Accounting: the executor records one ``bucket`` span per work unit,
     which carries the bucket's wall time.  Each member gets a zero-length
@@ -507,19 +505,15 @@ def run_matrix_tasks_batched(
     deadline of the campaign's per-task timeout (``fault_policy``, if any)
     times the widest bucket.
     """
-    from repro.model.batch import count_fallback, plan_buckets
+    from repro.model.batch import plan_buckets
     from repro.runner.executor import FaultPolicy, ParallelExecutor
 
     supported = [t for t in pending if t.kind in _PAYLOAD_EXTRACTORS]
     if len(supported) < 2:
         return {}
-    buckets, fallback = plan_buckets(
+    buckets, _ = plan_buckets(
         [_build_from_payload(t.payload).scenario for t in supported], jobs=jobs
     )
-    for _, reason in fallback:
-        count_fallback(reason)
-    if not buckets:
-        return {}
     members: Dict[str, List[TaskSpec]] = {}
     units: List[TaskSpec] = []
     for k, bucket in enumerate(buckets):
@@ -686,8 +680,7 @@ def explain_matrix_buckets(
     plans buckets the way the batched route does at ``--jobs 1``, and
     reports per bucket its width (members), connection lanes, the set of
     its members' resolved steps, its server count and the set of
-    admission-group widths that pad together — plus every task that falls
-    back to the scalar path and why.
+    admission-group widths that pad together.
     """
     from repro.model.batch import group_widths, plan_buckets
 
@@ -702,11 +695,11 @@ def explain_matrix_buckets(
     stepping_dict = None if stepping is None else stepping.to_dict()
     names, tasks, _ = _matrix_task_list(specs, scale, opts, stepping_dict)
     built = [_build_from_payload(t.payload) for t in tasks]
-    buckets, fallback = plan_buckets([b.scenario for b in built])
+    buckets, _ = plan_buckets([b.scenario for b in built])
 
     lines = [
         f"bucket plan: {len(tasks)} tasks over {'+'.join(names)} @ {scale} "
-        f"-> {len(buckets)} buckets, {len(fallback)} scalar fallbacks"
+        f"-> {len(buckets)} buckets"
     ]
     for k, bucket in enumerate(buckets):
         scenarios = [built[i].scenario for i in bucket.indices]
@@ -727,10 +720,6 @@ def explain_matrix_buckets(
             "    members: "
             + ", ".join(tasks[i].task_id for i in bucket.indices)
         )
-    if fallback:
-        lines.append("fallbacks (scalar path):")
-        for i, reason in fallback:
-            lines.append(f"  {tasks[i].task_id}: {reason}")
     return "\n".join(lines)
 
 
@@ -762,7 +751,7 @@ def run_interference_matrix(
         Worker processes for the executor (alone and pair runs are
         independent tasks).
     batch:
-        Route fixed-step cache misses through the batched lockstep kernel
+        Route cache misses through the batched lockstep kernel
         (:mod:`repro.model.batch`) instead of one simulation per task.
         With ``jobs > 1`` each planned bucket becomes one pool work unit,
         and a deployment's tasks split into at least ``jobs`` buckets, so

@@ -15,7 +15,7 @@ sequence: ties are broken by an insertion counter, and callbacks are never
 compared or hashed for ordering.
 
 The I/O-path model (:mod:`repro.model`) uses the engine for application phase
-starts, periodic model steps, and trace sampling; unit tests exercise it as a
+starts, operation issues and trace sampling; unit tests exercise it as a
 general-purpose DES kernel.
 """
 
@@ -58,15 +58,13 @@ class Simulator:
         self._heap: list[tuple[tuple[float, int, int], Event]] = []
         self._seq = 0
         self._n_cancelled = 0
-        self._n_stale = 0
         self._events_processed = 0
-        # Monotonic lifetime totals, unlike _n_cancelled/_n_stale which are
-        # live heap-bookkeeping and get decremented as corpses are dropped.
+        # Monotonic lifetime totals, unlike _n_cancelled which is live
+        # heap-bookkeeping and gets decremented as corpses are dropped.
         # Plain int increments so the hot path carries no telemetry calls;
         # stats() publishes them into the telemetry registry post-run.
         self._stat_scheduled = 0
         self._stat_cancelled = 0
-        self._stat_rescheduled = 0
         self._stat_compactions = 0
         self._running = False
         self._stopped = False
@@ -104,12 +102,11 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of scheduled, not-yet-fired, not-cancelled events."""
-        return len(self._heap) - self._n_cancelled - self._n_stale
+        return len(self._heap) - self._n_cancelled
 
     @property
     def heap_size(self) -> int:
-        """Number of heap entries, including cancelled-but-not-popped ones
-        and stale duplicates left behind by in-place reschedules."""
+        """Number of heap entries, including cancelled-but-not-popped ones."""
         return len(self._heap)
 
     @property
@@ -122,12 +119,13 @@ class Simulator:
         """Reason given to :meth:`stop`, if the run was stopped early."""
         return self._stop_reason
 
-    def peek_next_time(self) -> Optional[float]:
-        """Return the time of the next live event, or ``None`` if empty."""
+    def peek_next(self) -> Optional[Event]:
+        """Return the next live event without running it, or ``None`` if
+        the queue is empty."""
         self._settle_head()
         if not self._heap:
             return None
-        return self._heap[0][1].time
+        return self._heap[0][1]
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -170,59 +168,10 @@ class Simulator:
             label=label,
             payload=payload,
             on_cancel=self._on_cancel,
-            heap_time=time,
         )
         self._seq += 1
         self._stat_scheduled += 1
         heapq.heappush(self._heap, (event.sort_key(), event))
-        return event
-
-    def reschedule(self, event: Event, time: float) -> Event:
-        """Move a pending ``event`` to a new absolute ``time`` in place.
-
-        Unlike ``event.cancel()`` plus a fresh :meth:`schedule`, rescheduling
-        leaves no cancelled corpse behind, so drivers that re-anchor the same
-        event on every control change (the adaptive stepping driver) no
-        longer grow the heap or trigger compactions:
-
-        * moving *later* (the common case) is O(1) now — the heap entry is
-          re-keyed lazily when it surfaces at the heap head;
-        * moving *earlier* pushes one new entry and leaves a stale duplicate
-          that is dropped, uncounted, when it surfaces.
-
-        The event keeps its insertion sequence number, so ties at the same
-        (time, priority) resolve deterministically across runs.
-
-        Raises
-        ------
-        SchedulingError
-            If ``time`` is in the past or beyond the horizon, or the event
-            has already fired or been cancelled.
-        """
-        time = float(time)
-        if event.cancelled or event.heap_time is None:
-            raise SchedulingError(
-                f"cannot reschedule event {event.label!r}: already fired or cancelled"
-            )
-        if time < self._now:
-            raise SchedulingError(
-                f"cannot reschedule event {event.label!r} to t={time:.6f}: "
-                f"clock is already at t={self._now:.6f}"
-            )
-        if self._horizon is not None and time > self._horizon:
-            raise SchedulingError(
-                f"cannot reschedule event {event.label!r} to t={time:.6f}: "
-                f"beyond horizon t={self._horizon:.6f}"
-            )
-        self._stat_rescheduled += 1
-        if time >= event.heap_time:
-            # Lazy re-key: fix up when the old entry reaches the heap head.
-            event.time = time
-        else:
-            event.time = time
-            event.heap_time = time
-            self._n_stale += 1  # the old entry becomes a stale duplicate
-            heapq.heappush(self._heap, (event.sort_key(), event))
         return event
 
     def schedule_after(
@@ -289,10 +238,8 @@ class Simulator:
             return False
         _, event = heapq.heappop(self._heap)
         # The event is out of the heap; a late cancel() must not count
-        # toward the cancelled-but-heaped total, and a reschedule() of the
-        # fired event must fall back to a fresh schedule().
+        # toward the cancelled-but-heaped total.
         event.on_cancel = None
-        event.heap_time = None
         if event.time < self._now:  # pragma: no cover - heap invariant guard
             raise SimulationError(
                 f"event {event!r} would move the clock backwards from {self._now}"
@@ -390,10 +337,9 @@ class Simulator:
         """Account for one cancellation; compact when dead entries dominate.
 
         Cancelled events stay in the heap until popped, so a workload that
-        keeps rescheduling (e.g. the adaptive stepping driver re-anchoring
-        its step event on every control change) would otherwise grow the
-        heap with corpses.  Rebuilding once more than half the entries are
-        dead keeps the amortized cost per cancellation O(log n).
+        keeps cancelling events would otherwise grow the heap with corpses.
+        Rebuilding once more than half the entries are dead keeps the
+        amortized cost per cancellation O(log n).
         """
         self._n_cancelled += 1
         self._stat_cancelled += 1
@@ -404,48 +350,21 @@ class Simulator:
             self.drain_cancelled()
 
     def _settle_head(self) -> None:
-        """Bring a live, correctly-keyed event to the heap head.
-
-        Drops stale duplicates (from earlier-reschedules) and cancelled
-        entries, and lazily re-keys events that were rescheduled to a later
-        time than their heap entry.
-        """
+        """Bring a live event to the heap head, dropping cancelled entries."""
         heap = self._heap
-        while heap:
-            key, event = heap[0]
-            entry_time = key[0]
-            if event.heap_time != entry_time:
-                # Stale duplicate left behind by an in-place reschedule
-                # (includes entries of already-fired events, heap_time None).
-                heapq.heappop(heap)
-                self._n_stale -= 1
-                continue
-            if event.cancelled:
-                heapq.heappop(heap)
-                self._n_cancelled -= 1
-                continue
-            if event.time > entry_time:
-                # Lazily retimed to a later instant: re-key in place.
-                heapq.heappop(heap)
-                event.heap_time = event.time
-                heapq.heappush(heap, (event.sort_key(), event))
-                continue
-            return
+        while heap and heap[0][1].cancelled:
+            heapq.heappop(heap)
+            self._n_cancelled -= 1
 
     def drain_cancelled(self) -> int:
-        """Remove all cancelled and stale entries from the heap; return how
-        many entries were removed."""
+        """Remove all cancelled entries from the heap; return how many
+        entries were removed."""
         self._stat_compactions += 1
         before = len(self._heap)
-        live = [
-            (key, ev)
-            for key, ev in self._heap
-            if not ev.cancelled and ev.heap_time == key[0]
-        ]
+        live = [(key, ev) for key, ev in self._heap if not ev.cancelled]
         heapq.heapify(live)
         self._heap = live
         self._n_cancelled = 0
-        self._n_stale = 0
         return before - len(self._heap)
 
     def stats(self) -> dict:
@@ -459,14 +378,13 @@ class Simulator:
             "engine.events.scheduled": self._stat_scheduled,
             "engine.events.processed": self._events_processed,
             "engine.events.cancelled": self._stat_cancelled,
-            "engine.events.rescheduled": self._stat_rescheduled,
             "engine.heap.compactions": self._stat_compactions,
         }
 
     def iter_pending(self) -> Iterable[Event]:
         """Yield pending (non-cancelled) events in no particular order."""
-        for key, event in self._heap:
-            if not event.cancelled and event.heap_time == key[0]:
+        for _, event in self._heap:
+            if not event.cancelled:
                 yield event
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -70,13 +70,6 @@ class Event:
     on_cancel: Optional[Callable[["Event"], None]] = field(
         default=None, compare=False, repr=False
     )
-    #: Key time of the event's live heap entry, maintained by the engine.
-    #: ``None`` once the event has fired (or before it is scheduled).  When an
-    #: event is rescheduled in place to a *later* time, ``time`` moves ahead
-    #: of ``heap_time`` and the engine lazily re-keys the entry when it
-    #: surfaces; an entry whose key time differs from ``heap_time`` is a stale
-    #: duplicate left behind by an *earlier* reschedule and is dropped.
-    heap_time: Optional[float] = field(default=None, compare=False, repr=False)
 
     def sort_key(self) -> tuple[float, int, int]:
         """Return the total ordering key used by the event heap."""

@@ -5,13 +5,14 @@ between a member of a batch and its run alone: a B=1 batch reproduces every
 stored fixed-step golden fingerprint, and every member of a B>1 batch
 reproduces the fingerprint of running it alone — also when the members'
 resolved steps, start anchors and horizons differ (each steps on its own
-clock), and when members finish on different ticks and the kernel compacts
-the survivors.  A run alone is itself a batch of one on the same driver.
-The bucketing front end must partition any scenario list (each scenario in
-exactly one bucket or the fallback), group only scenarios of one platform
-and filesystem, split each group into the chunks its lane budget and the
-worker count ask for, keep input order within a bucket, give a scenario
-without a partner a width-1 bucket, and run adaptive scenarios alone.
+clock), when fixed and adaptive stepping share a bucket, and when members
+finish on different ticks and the kernel compacts the survivors.  A run
+alone is itself a batch of one on the same driver.  The bucketing front end
+must partition any scenario list (each scenario in exactly one bucket),
+group only scenarios of one platform and filesystem, whatever their stepping
+policy, split each group into the chunks its lane budget and the worker
+count ask for, keep input order within a bucket, and give a scenario
+without a partner a width-1 bucket.
 """
 
 import dataclasses
@@ -280,6 +281,60 @@ class TestMixedClocks:
 
 
 # ---------------------------------------------------------------------- #
+# Fixed and adaptive stepping share a bucket
+# ---------------------------------------------------------------------- #
+
+
+class TestMixedStepping:
+    """An adaptive member picks its own step end every tick on the lockstep
+    loop, so it runs in a bucket with fixed-step members of its deployment
+    and still matches its run alone."""
+
+    @given(
+        device=st.sampled_from(["hdd", "ssd"]),
+        sync_mode=st.sampled_from(["sync-on", "sync-off"]),
+        members=st.lists(
+            st.tuples(
+                st.sampled_from(["contiguous", "strided"]),
+                st.floats(min_value=-3.0, max_value=6.0, allow_nan=False),
+            ),
+            min_size=2, max_size=4,
+        ),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_mixed_bucket_matches_alone(self, device, sync_mode, members):
+        # Members alternate adaptive and fixed, so each bucket has both.
+        scenarios = [
+            make_scenario(
+                "tiny", device=device, sync_mode=sync_mode, pattern=pattern,
+                delay=delay,
+                stepping=SteppingPolicy.adaptive() if k % 2 == 0 else None,
+            )
+            for k, (pattern, delay) in enumerate(members)
+        ]
+        results, widths = _run_recording_widths(scenarios)
+        assert widths[0] == len(scenarios)
+        _assert_compacted(results, widths)
+        _assert_each_matches_alone(scenarios, results)
+
+    def test_adaptive_member_takes_fewer_steps(self):
+        """In a bucket, the adaptive member of a widely spaced pair still
+        collapses its quiescent stretch: fewer steps than its fixed twin."""
+        fixed = make_scenario("tiny", delay=5.0)
+        adaptive = make_scenario("tiny", delay=5.0, stepping=SteppingPolicy.adaptive())
+        results = BatchSimulator([fixed, adaptive]).run()
+        assert results[1].n_steps < results[0].n_steps
+        _assert_each_matches_alone([fixed, adaptive], results)
+
+    def test_unfinished_adaptive_member_raises(self):
+        scenario = make_scenario("tiny", stepping=SteppingPolicy.adaptive())
+        # The run takes under a second of simulated time.
+        short = _with_max_time(scenario, 0.1 / scenario.control.max_time)
+        with pytest.raises(SimulationError, match="reached max_time=0.1s"):
+            BatchSimulator([make_scenario("tiny"), short]).run()
+
+
+# ---------------------------------------------------------------------- #
 # Compaction frees what it leaves behind
 # ---------------------------------------------------------------------- #
 
@@ -380,23 +435,19 @@ class TestBucketing:
     )
     @settings(max_examples=40, deadline=None)
     def test_partition(self, picks, jobs):
-        """Every index lands in exactly one bucket or the fallback, buckets
-        share a deployment and keep input order, each group splits into the
-        chunks its lanes and workers ask for, and the plan is deterministic."""
+        """Every index lands in exactly one bucket and the fallback is empty,
+        buckets share a deployment and keep input order, each group splits
+        into the chunks its lanes and workers ask for, and the plan is
+        deterministic."""
         scenarios = [PLANNING_POOL[k] for k in picks]
         buckets, fallback = plan_buckets(scenarios, jobs=jobs)
-        adaptive = [
-            i for i, s in enumerate(scenarios)
-            if s.control.resolve_stepping().is_adaptive
-        ]
-        # Every index lands in exactly one bucket or once in the fallback.
-        assert fallback == [(i, "adaptive") for i in adaptive]
+        # Every index, fixed or adaptive, lands in exactly one bucket.
+        assert fallback == []
         seen = sorted(i for b in buckets for i in b.indices)
-        assert sorted(seen + adaptive) == list(range(len(scenarios)))
+        assert seen == list(range(len(scenarios)))
         groups = {}
         for i, s in enumerate(scenarios):
-            if i not in adaptive:
-                groups.setdefault((s.platform, s.filesystem), []).append(i)
+            groups.setdefault((s.platform, s.filesystem), []).append(i)
         per_group = {key: 0 for key in groups}
         for bucket in buckets:
             # Members keep input order and share platform and filesystem.
@@ -451,12 +502,14 @@ class TestBucketing:
         assert not fallback
         assert [b.indices for b in buckets] == [[0, 1]]
 
-    def test_adaptive_stepping_falls_back(self):
+    def test_adaptive_stepping_buckets_with_its_deployment(self):
         policy = SteppingPolicy(mode=SteppingMode.ADAPTIVE)
-        scenario = build_scenario(["checkpoint"], "tiny", stepping=policy).scenario
-        buckets, fallback = plan_buckets([scenario, scenario])
-        assert not buckets
-        assert {reason for _, reason in fallback} == {"adaptive"}
+        adaptive = build_scenario(["checkpoint"], "tiny", stepping=policy).scenario
+        fixed = _alone_scenario("analytics")
+        ssd = adaptive.with_filesystem(make_scenario("tiny", device="ssd").filesystem)
+        buckets, fallback = plan_buckets([adaptive, fixed, ssd, adaptive])
+        assert not fallback
+        assert [b.indices for b in buckets] == [[0, 1, 3], [2]]
 
     def test_singletons_form_width_one_buckets(self):
         # checkpoint and analytics share a deployment; the SSD copy of
@@ -513,17 +566,6 @@ class TestBatchTelemetry:
         assert snapshot["counters"]["batch.member_runs"] == 2
         assert "batch.occupancy" in snapshot["histograms"]
 
-    def test_fallback_counters(self):
-        policy = SteppingPolicy(mode=SteppingMode.ADAPTIVE)
-        adaptive = build_scenario(["checkpoint"], "tiny", stepping=policy).scenario
-        scenarios = [_alone_scenario("analytics"), adaptive]
-        with telemetry_session("batch-test") as telemetry:
-            simulate_many(scenarios)
-            snapshot = telemetry.snapshot()
-        assert snapshot["counters"]["batch.ragged_fallbacks"] == 1
-        assert snapshot["counters"]["batch.fallback.adaptive"] == 1
-        assert snapshot["counters"]["batch.buckets"] == 1
-
 
 # ---------------------------------------------------------------------- #
 # Requests: seeds and repeats
@@ -569,18 +611,20 @@ class TestSimulateManyRequests:
         for name, result in zip(names, results):
             assert name in result.scenario.applications[0].name
 
-    def test_adaptive_requests_still_run_alone(self):
+    def test_adaptive_requests_run_in_buckets(self):
         policy = SteppingPolicy(mode=SteppingMode.ADAPTIVE)
         adaptive = build_scenario(["checkpoint"], "tiny", stepping=policy).scenario
         fixed = _alone_scenario("analytics")
         with telemetry_session("adaptive") as telemetry:
             results = simulate_many([adaptive, fixed, adaptive])
             counters = telemetry.snapshot()["counters"]
-        assert counters["batch.fallback.adaptive"] == 1
         assert counters["batch.buckets"] == 1
+        assert counters["batch.member_runs"] == 2
+        assert not any(name.startswith("batch.fallback") for name in counters)
         assert results[0] is results[2]
-        alone = simulate_scenario(adaptive)
-        assert metric_fingerprint(results[0])[0] == metric_fingerprint(alone)[0]
+        for scenario, result in zip((adaptive, fixed), results):
+            alone = simulate_scenario(scenario)
+            assert metric_fingerprint(result)[0] == metric_fingerprint(alone)[0]
 
     def test_one_seed_per_scenario(self):
         with pytest.raises(SimulationError, match="one seed per scenario"):

@@ -120,7 +120,7 @@ class TestExplainBuckets:
         ]) == 0
         out = capsys.readouterr().out
         assert "bucket plan: 5 tasks over checkpoint+analytics" in out
-        assert "-> 1 buckets, 0 scalar fallbacks" in out
+        assert "@ tiny -> 1 buckets\n" in out
         # 2 alone runs (64 + 32 lanes) and 3 pairs (128 + 96 + 64 lanes).
         assert "B=5  lanes=384  steps={" in out
         assert "group_widths=" in out
@@ -132,7 +132,7 @@ class TestExplainBuckets:
             "analytics,checkpoint,incast,mixed,randomread,smallfile,staggered,streaming",
         ]) == 0
         out = capsys.readouterr().out
-        assert "44 tasks" in out and "-> 2 buckets, 0 scalar fallbacks" in out
+        assert "44 tasks" in out and "@ tiny -> 2 buckets\n" in out
         assert out.count("B=22  lanes=") == 2
 
     def test_padded_buckets_are_labelled(self, capsys):

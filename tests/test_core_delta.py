@@ -167,15 +167,17 @@ class TestSweepBatching:
         assert widths == sorted(widths, reverse=True)
         assert len(sweep.points) == len(self.DELTAS)
 
-    def test_adaptive_sweep_runs_points_alone(self, monkeypatch):
+    def test_adaptive_sweep_is_one_bucket(self, monkeypatch):
         from repro.config.control import SteppingPolicy
 
         scenario = make_scenario("tiny", stepping=SteppingPolicy(mode="adaptive"))
         alone = self._alone_result(scenario)
         runs = _record_kernel_runs(monkeypatch)
         sweep = run_delta_sweep(scenario, self.DELTAS, alone_result=alone)
-        assert len(runs) == len(self.DELTAS)
-        assert {width for widths in runs for width in widths} == {1}
+        assert len(runs) == 1
+        (widths,) = runs
+        assert widths[0] == len(self.DELTAS)
+        assert widths == sorted(widths, reverse=True)
         assert len(sweep.points) == len(self.DELTAS)
         assert sweep.peak_interference_factor() > 1.0
 

@@ -46,7 +46,6 @@ class TestBucketParallelContract:
         assert ex["executed"] == 5
         assert ex["n_tasks"] == 5
         assert bt["member_runs"] == 5
-        assert bt["fallbacks"] == 0
         bucket_spans = [
             s for s in document["spans"] if s["category"] == "bucket"
         ]

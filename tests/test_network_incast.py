@@ -125,9 +125,10 @@ class TestStatistics:
         buffers = make_buffers()
         buffers.admit(np.full(6, 10.0), np.ones(6))
         buffers.note_step()
+        assert buffers.observed_steps.tolist() == [1.0, 1.0]
         buffers.reset()
         assert np.allclose(buffers.fill, 0.0)
-        assert buffers.observed_steps == 0
+        assert buffers.observed_steps.tolist() == [0.0, 0.0]
         assert np.allclose(buffers.total_admitted, 0.0)
 
 

@@ -30,8 +30,7 @@ class TestEngineCounters:
         assert stats["engine.events.processed"] >= 1
         assert set(stats) == {
             "engine.events.scheduled", "engine.events.processed",
-            "engine.events.cancelled", "engine.events.rescheduled",
-            "engine.heap.compactions",
+            "engine.events.cancelled", "engine.heap.compactions",
         }
 
     def test_simulation_publishes_counters_and_spans(self):

@@ -75,7 +75,6 @@ class TestDerivedStats:
         t = Telemetry(label="batched")
         t.count("batch.buckets", 2)
         t.count("batch.member_runs", 12)
-        t.count("batch.ragged_fallbacks", 2)
         t.count("executor.tasks.completed", 14)
         t.count("batch.padded_slots", 32)
         t.count("batch.group_slots", 128)
@@ -90,7 +89,7 @@ class TestDerivedStats:
         assert stats["buckets"] == 2.0
         assert stats["requests"] == 15.0 and stats["repeats"] == 3.0
         assert stats["member_runs"] == 12.0
-        assert stats["fallbacks"] == 2.0
+        assert "fallbacks" not in stats
         assert stats["ticks"] == 400.0
         assert stats["member_steps_per_tick"] == pytest.approx(2.5)
         assert stats["dead_lane_frac"] == pytest.approx(0.2)
@@ -209,7 +208,6 @@ class TestSummarizeDocument:
         t = Telemetry(label="batched")
         t.count("batch.buckets", 3)
         t.count("batch.member_runs", 13)
-        t.count("batch.ragged_fallbacks", 1)
         t.count("executor.tasks.completed", 14)
         t.count("batch.padded_slots", 52)
         t.count("batch.group_slots", 520)
@@ -220,7 +218,8 @@ class TestSummarizeDocument:
         t.observe("batch.occupancy", 2.0)
         t.count("batch.lane_steps", 2500)
         report = summarize_document(t.to_document())
-        assert "13 simulations in 3 lockstep buckets, 1 scalar fallbacks" in report
+        assert "13 simulations in 3 lockstep buckets\n" in report
+        assert "fallback" not in report
         assert "kernel 800 ticks, 2.50 member-steps per tick, 20.0% dead lanes" in report
         assert "of executed tasks batched" not in report
         assert "occupancy mean 4.3 max 7 scenarios/bucket" in report

@@ -29,7 +29,6 @@ def _document():
         "member_steps_per_tick": 2.5,
         "buckets": 5.0,
         "member_runs": 5.0,
-        "ragged_fallbacks": 0.0,
         "padded_slots": 10.0,
         "padded_waste": 0.1,
         "matrix_sha256": "a" * 64,
@@ -94,17 +93,6 @@ class TestRegressionGate:
         failures = check_campaign_regression(current, _document())
         assert any("byte-identical" in f for f in failures)
 
-    def test_batched_fallbacks_fail(self):
-        current = _document()
-        current["cells"]["jobs1-batched"]["ragged_fallbacks"] = 2.0
-        failures = check_campaign_regression(current, _document())
-        assert any("ragged fallbacks" in f for f in failures)
-
-    def test_scalar_cell_fallbacks_are_not_gated(self):
-        current = _document()
-        current["cells"]["jobs1-scalar"]["ragged_fallbacks"] = 5.0
-        assert check_campaign_regression(current, _document()) == []
-
     @pytest.mark.parametrize("key", ["jobs1-batched", "jobs1-scalar"])
     def test_utilization_above_one_fails(self, key):
         current = _document()
@@ -148,8 +136,6 @@ class TestCommittedBaseline:
         validate_campaign_document(document)
         assert document["identical"] is True
         for key, cell in document["cells"].items():
-            if cell["batch"]:
-                assert cell["ragged_fallbacks"] == 0, key
             assert cell["utilization"] <= 1.0, key
 
 
@@ -172,7 +158,6 @@ class TestCampaignBenchSmoke:
         validate_campaign_document(document)
         assert document["identical"] is True
         batched = document["cells"]["jobs1-batched"]
-        assert batched["ragged_fallbacks"] == 0
         assert batched["warm_hit_rate"] == 1.0
         # A fresh measurement must pass the gate against itself.
         assert check_campaign_regression(document, document) == []

@@ -171,11 +171,16 @@ class TestExecution:
         sim.run()
         assert sim.events_processed == 39
 
-    def test_peek_next_time(self):
+    def test_peek_next(self):
         sim = Simulator()
-        assert sim.peek_next_time() is None
-        sim.schedule(3.0, lambda s: None)
-        assert sim.peek_next_time() == 3.0
+        assert sim.peek_next() is None
+        late = sim.schedule(3.0, lambda s: None, label="late")
+        early = sim.schedule(1.0, lambda s: None, label="early")
+        assert sim.peek_next() is early
+        # Peeking runs nothing and skips a cancelled head.
+        assert sim.events_processed == 0 and sim.now == 0.0
+        early.cancel()
+        assert sim.peek_next() is late
 
 
 class TestPeriodic:

@@ -121,6 +121,17 @@ class TestStatistics:
         pressure = buffers.pressure_fraction()
         assert pressure[0] == pytest.approx(0.5)
 
+    def test_per_server_step_weights(self):
+        """Each server weighs a step by its own ``dt / base``: server 0 took
+        one base step, server 1 a step worth three, with its buffer full."""
+        buffers = make_buffers(capacity=100.0)
+        buffers.admit(np.array([0.0, 0.0, 0.0, 100.0, 0.0, 0.0]), np.ones(6))
+        buffers.note_step(weight=np.array([1.0, 3.0]))
+        assert buffers.observed_steps.tolist() == [1.0, 3.0]
+        assert buffers.full_steps.tolist() == [0.0, 3.0]
+        buffers.note_step(weight=np.array([1.0, 1.0]))
+        assert buffers.pressure_fraction().tolist() == [0.0, 1.0]
+
     def test_reset(self):
         buffers = make_buffers()
         buffers.admit(np.full(6, 10.0), np.ones(6))

@@ -1,9 +1,12 @@
 """Tests for the discrete-event engine."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.engine import Simulator
+from repro.sim.engine import _COMPACTION_MIN_SIZE, Simulator
 from repro.sim.events import EventPriority
 
 
@@ -181,6 +184,123 @@ class TestExecution:
         assert sim.events_processed == 0 and sim.now == 0.0
         early.cancel()
         assert sim.peek_next() is late
+
+    def test_peek_next_drops_cancelled_entries_at_the_head(self):
+        sim = Simulator()
+        events = [sim.schedule(float(i + 1), lambda s: None) for i in range(3)]
+        events[0].cancel()
+        events[1].cancel()
+        assert sim.heap_size == 3
+        assert sim.peek_next() is events[2]
+        assert sim.heap_size == 1
+        assert sim.pending_events == 1
+
+    def test_iter_pending_skips_cancelled_events(self):
+        sim = Simulator()
+        for label in ("a", "b", "c"):
+            event = sim.schedule(1.0, lambda s: None, label=label)
+            if label == "b":
+                event.cancel()
+        assert sorted(e.label for e in sim.iter_pending()) == ["a", "c"]
+
+    def test_schedule_at_the_horizon_runs(self):
+        sim = Simulator(horizon=10.0)
+        seen = []
+        sim.schedule(10.0, lambda s: seen.append(s.now))
+        sim.run()
+        assert seen == [10.0]
+
+    def test_cancel_from_a_callback_at_the_same_instant(self):
+        """A CONTROL event can cancel a NORMAL one due at the same time:
+        the cancelled event never runs."""
+        sim = Simulator()
+        seen = []
+        normal = sim.schedule(1.0, lambda s: seen.append("normal"))
+        sim.schedule(1.0, lambda s: normal.cancel(), priority=EventPriority.CONTROL)
+        sim.schedule(2.0, lambda s: seen.append("later"))
+        sim.run()
+        assert seen == ["later"]
+        assert sim.events_processed == 2
+
+    def test_stats_are_lifetime_totals(self):
+        """Compaction drops cancelled entries but not their count."""
+        sim = Simulator()
+        events = [sim.schedule(float(i + 1), lambda s: None) for i in range(4)]
+        events[0].cancel()
+        events[1].cancel()
+        assert sim.drain_cancelled() == 2
+        sim.run()
+        assert sim.stats() == {
+            "engine.events.scheduled": 4,
+            "engine.events.processed": 2,
+            "engine.events.cancelled": 2,
+            "engine.heap.compactions": 1,
+        }
+
+    def test_queued_events_do_not_keep_the_engine_alive(self):
+        """Dropping an engine frees it at once, queued and periodic events
+        included, without the cyclic garbage collector."""
+        sim = Simulator()
+        sim.schedule(1.0, lambda s: None)
+        sim.schedule(2.0, lambda s: None).cancel()
+        sim.schedule_periodic(0.5, lambda s: None)
+        sim.run(until=1.2)
+        ref = weakref.ref(sim)
+        gc.disable()
+        try:
+            del sim
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+class TestRetiming:
+    """Moving a pending event is a cancel and a new schedule."""
+
+    @staticmethod
+    def _retime(sim, event, time):
+        event.cancel()
+        return sim.schedule(time, event.callback, priority=event.priority,
+                            label=event.label)
+
+    @pytest.mark.parametrize("new_time", [0.5, 5.0])
+    def test_fires_once_at_the_new_time(self, new_time):
+        sim = Simulator()
+        seen = []
+        event = sim.schedule(2.0, lambda s: seen.append(s.now))
+        self._retime(sim, event, new_time)
+        assert sim.pending_events == 1
+        sim.run()
+        assert seen == [new_time]
+        assert sim.events_processed == 1
+        assert sim.pending_events == 0 and sim.heap_size == 0
+
+    def test_retimed_event_takes_a_new_sequence_number(self):
+        """Ties at one (time, priority) go by insertion, and a retimed event
+        is inserted anew: it runs after one scheduled before the retime."""
+        sim = Simulator()
+        seen = []
+        first = sim.schedule(1.0, lambda s: seen.append("first"))
+        sim.schedule(3.0, lambda s: seen.append("second"))
+        self._retime(sim, first, 3.0)
+        sim.run()
+        assert seen == ["second", "first"]
+
+    def test_repeated_retimes_keep_the_heap_bounded(self):
+        """Each retime leaves a cancelled entry behind; compaction keeps
+        the heap from growing with them."""
+        sim = Simulator()
+        event = sim.schedule(1.0, lambda s: None)
+        largest = 0
+        for offset in range(2, 1002):
+            event = self._retime(sim, event, float(offset))
+            largest = max(largest, sim.heap_size)
+        assert largest <= _COMPACTION_MIN_SIZE
+        assert sim.pending_events == 1
+        assert sim.stats()["engine.events.cancelled"] == 1000
+        assert sim.stats()["engine.heap.compactions"] > 0
+        sim.run()
+        assert sim.now == 1001.0 and sim.events_processed == 1
 
 
 class TestPeriodic:

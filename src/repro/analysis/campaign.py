@@ -36,7 +36,9 @@ computation (:func:`repro.core.delta.gather`), so it runs as two rounds.
 Each round is one :func:`repro.model.batch.simulate_many` call, which drops
 repeated ``(scenario, seed)`` requests — several figures measure the same
 reference configuration — and runs the distinct ones in lockstep buckets
-planned by platform and filesystem.  Records of experiments run together
+planned by transport and server configuration: every run of a round
+shares them, so each round is one bucket, a queue that refills its live
+lanes as runs finish.  Records of experiments run together
 share the joint run's wall time (:attr:`ExperimentRecord.wall_time`).  A
 joint run targeted by a fault plan, or one that raises, is declined, and
 the executor runs each experiment alone, so a failure names its

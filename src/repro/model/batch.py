@@ -4,14 +4,13 @@
 on it as a member of a batch, and a run alone
 (:func:`~repro.model.simulator.simulate_scenario`) is a batch of one.  Every
 campaign this repo runs (interference matrices, Δ-sweeps, parameter grids,
-seed replications) is embarrassingly many *independent* simulations of one
-deployment, which makes the batch axis free: concatenate the
-per-connection, per-server and per-node state of B member simulations into
-flat arrays and run the same seven phases once per tick over ``B * N``
-elements, so the Python/NumPy call overhead that dominates a narrow step is
-paid once per tick.  Past a few thousand lanes per-lane work dominates
-instead, which is why :func:`plan_buckets` splits wide groups under a lane
-budget.
+seed replications) is embarrassingly many *independent* simulations, which
+makes the batch axis free: concatenate the per-connection, per-server and
+per-node state of B member simulations into flat arrays and run the same
+seven phases once per tick over ``B * N`` elements, so the Python/NumPy call
+overhead that dominates a narrow step is paid once per tick.  Past a few
+thousand lanes per-lane work dominates instead, which is why a bucket keeps
+its live lanes under a budget (:data:`_BUCKET_LANES`) and queues the rest.
 
 Exactness
 ---------
@@ -23,6 +22,12 @@ construction rather than by tolerance:
   member's ``now`` and ``dt`` (per-lane arrays), so it computes the bits the
   member's scalar clock gives alone; the one transcendental of ``dt`` (the
   paced-timeout hazard) is taken per member in Python;
+* so does every constant in which members may differ (RTT, client line
+  rate, node injection and server NIC rates, stripe size, the device's law
+  and the sync mode): each lane holds its member's value and the array code
+  applies it in the scalar law's operation order, so an elementwise op on
+  equal doubles gives the scalar's bits; the server laws run once per run
+  of one sync mode, each generation laying its members out by sync mode;
 * ``bincount`` accumulates per bin in input order, and each member's
   connections occupy a contiguous flat range in their original relative
   order, so per-bin partial-sum order is unchanged;
@@ -36,10 +41,12 @@ construction rather than by tolerance:
   own transport stream, gated and sized exactly as a member-alone run;
 * only live members step: a member retires on the tick it finishes, and at
   the end of that tick the flat state is rebuilt from the live members
-  alone (*compaction*).  The rebuild concatenates each live member's current
-  arrays in member order, so its lanes stay contiguous and in order and
-  every rule above holds in the new generation; clocks and RNG streams are
-  per member, so they carry over untouched.
+  and the queued runs that now fit (*compaction*).  The rebuild
+  concatenates each member's current arrays, so its lanes stay contiguous
+  and in order and every rule above holds in the new generation; clocks
+  and RNG streams are per member, so they carry over untouched, and since
+  every reduction stays within one member, neither the layout order nor
+  the tick a member joins on changes its result.
 
 Flat control plane
 ------------------
@@ -92,19 +99,32 @@ finishes: its result is built then, its arrays are detached from the flat
 state (it keeps copies of its own lanes), and the survivors are compacted,
 so ``batch.lane_steps`` (lanes stepped) equals ``batch.member_steps``.
 
+A bucket is a first-in-first-out queue.  :class:`BatchSimulator` admits
+runs in input order while the live members' connection lanes fit its
+budget (always one into an empty bucket), building each run's simulator and
+engine when it admits it, and at every compaction admits the next runs that
+fit into the lanes the retired ones freed (a *refill*).  A member's step
+count and wall time start on the tick it joins.  Under a budget a finished
+run keeps only its result and its engine's counters, so a long queue holds
+only its live runs' state.
+
 Bucketing
 ---------
-The kernel needs only one thing of a bucket's members: the same
-platform/filesystem configuration (they feed the stepper's constants).
-Connection counts and per-server group sizes are free to differ — the
+The kernel needs only two things of a bucket's members: the same
+transport and the same server configuration (:func:`_bucket_key`: they set
+the window dynamics, the buffer capacity and the server laws' shared
+terms).  Everything else is per lane: device, sync mode, stripe size,
+server and client counts, NIC rates, RTT and node injection rate.
+Connection counts and per-server group sizes are free to differ too — the
 admission water-filling pads ragged groups into width classes
-(:class:`~repro.network.incast.ServerBuffers`), so mixed deployments batch
-together and ``batch.padded_slots`` accounts the masked waste — and so are
-steps, stepping policies, start anchors and horizons.  :func:`plan_buckets`,
-the one grouping policy, groups scenarios by platform and filesystem alone
-and splits each group into chunks under a lane budget
-(:data:`_BUCKET_LANES`), at least one per worker; a scenario without a
-partner forms a width-1 bucket, which is its run alone.
+(:class:`~repro.network.incast.ServerBuffers`), and ``batch.padded_slots``
+accounts the masked waste — and so are steps, stepping policies, start
+anchors and horizons.  :func:`plan_buckets`, the one grouping policy,
+groups scenarios by that key and splits each group into one chunk per
+worker; a scenario without a partner forms a width-1 bucket, which is its
+run alone.  The lane budget is the queue's, not the planner's: at one
+worker a paper campaign round and the fleet matrix each run as one
+refilled bucket, which pays for its longest run's ticks once.
 :func:`simulate_many` is the front end of every staged computation
 (:mod:`repro.core.delta`: a Δ-sweep, an experiment, a whole campaign
 round): it drops repeated ``(scenario, seed)`` requests, plans the distinct
@@ -115,13 +135,14 @@ runs them as executor work units.
 
 from __future__ import annotations
 
-import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.config.filesystem import SyncMode
 from repro.config.scenario import ScenarioConfig
 from repro.errors import SimulationError
 from repro.model.results import RunResult
@@ -146,18 +167,17 @@ __all__ = [
     "simulate_many",
 ]
 
-#: Connection lanes per planned bucket.  :func:`plan_buckets` splits a
-#: platform/filesystem group into ``ceil(lanes / _BUCKET_LANES)`` chunks (at
-#: least one per worker).  Measured on the 44-task tiny fleet matrix (4,800
-#: lanes, 2-CPU machine): ticks, not lanes, are what narrow buckets pay for
-#: (about 160 µs per tick plus 11 µs per member-tick), so two chunks of
-#: about 2,400 lanes run in 0.46 of the wall of the old 20-bucket plan.  A
-#: single 44-wide bucket runs in 0.83 of the two chunks' wall (it pays for
-#: its longest member's ticks once, not once per chunk), but per-lane work
-#: dominates a tick past about 4k lanes (a tiny member costs 26.6 µs per
-#: member-tick at 4,096 lanes and still 24.3 µs at 16,384) while memory
-#: grows with the width: peak RSS rose 3.6% over the old plan for two
-#: chunks and 8.8% for one bucket, close to the benchmark's 10% bound.
+#: Live connection lanes of a bucket :func:`run_bucket` runs.  The bucket is
+#: a queue: it admits runs in input order while their lanes fit, and admits
+#: the next ones into the lanes that finished runs free.  Measured on the
+#: 44-task tiny fleet matrix (4,800 lanes, 2-CPU machine): ticks, not lanes,
+#: are what narrow buckets pay for (about 150 µs per tick plus 11 µs per
+#: member-tick), but per-lane work dominates a tick past about 4k lanes (a
+#: tiny member costs 26.6 µs per member-tick at 4,096 lanes and still
+#: 24.3 µs at 16,384) while memory grows with the width: one 44-wide bucket
+#: read 8.8% more peak RSS than two chunks of about 2,400 lanes, close to the
+#: benchmark's 10% bound.  A refilled bucket pays for its longest run's ticks
+#: once at a bounded width.
 _BUCKET_LANES = 4096
 
 
@@ -169,6 +189,13 @@ _BUCKET_LANES = 4096
 @dataclass
 class _Bucket:
     indices: List[int]
+
+
+def _bucket_key(scenario: ScenarioConfig) -> Tuple[object, object]:
+    """What the members of one bucket must share: the transport and the
+    server configuration.  Every other platform and filesystem value is a
+    per-lane constant of the kernel."""
+    return scenario.platform.network.transport, scenario.filesystem.server
 
 
 def group_widths(scenario: ScenarioConfig) -> List[int]:
@@ -217,24 +244,28 @@ def plan_buckets(
     scenarios: Sequence[ScenarioConfig],
     jobs: int = 1,
 ) -> Tuple[List[_Bucket], List[Tuple[int, str]]]:
-    """Group ``scenarios`` into lockstep buckets by platform and filesystem.
+    """Group ``scenarios`` into lockstep buckets by transport and server
+    configuration (:func:`_bucket_key`).
 
-    Each group of scenarios sharing a platform and filesystem configuration
-    (fixed and adaptive stepping alike) splits into ``min(n, max(jobs,
-    ceil(lanes / _BUCKET_LANES)))`` chunks, ``n`` being its scenarios and
-    ``lanes`` their connection lanes, balanced by estimated member steps.
-    Returns ``(buckets, fallback)``: every input index appears in exactly
-    one bucket's ``indices`` (width-1 buckets included), and ``fallback`` is
+    Each group (fixed and adaptive stepping, and every device, sync mode,
+    network and stripe size alike) splits into ``min(n, jobs)`` chunks,
+    ``n`` being its scenarios, balanced by estimated member steps; at one
+    worker a group is one bucket.  The lane budget is not the planner's: a
+    bucket runs as a queue under it (:func:`run_bucket`).  Returns
+    ``(buckets, fallback)``: every input index appears in exactly one
+    bucket's ``indices`` (width-1 buckets included), and ``fallback`` is
     always empty (every scenario runs in a bucket; the pair's shape is kept
     for callers that unpack it).  The plan is a pure function of its inputs.
     """
     groups: Dict[Tuple[object, object], List[int]] = {}
     for i, scenario in enumerate(scenarios):
-        groups.setdefault((scenario.platform, scenario.filesystem), []).append(i)
+        groups.setdefault(_bucket_key(scenario), []).append(i)
     buckets: List[_Bucket] = []
     for indices in groups.values():
-        lanes = sum(_connection_lanes(scenarios[i]) for i in indices)
-        n_chunks = min(len(indices), max(1, jobs, math.ceil(lanes / _BUCKET_LANES)))
+        n_chunks = min(len(indices), max(1, jobs))
+        if n_chunks == 1:
+            buckets.append(_Bucket(indices))
+            continue
         weights = [_estimated_steps(scenarios[i]) for i in indices]
         buckets.extend(
             _Bucket(chunk) for chunk in _balanced_chunks(indices, weights, n_chunks)
@@ -279,22 +310,43 @@ def _lane_owner(state, owner: Optional[str]):
     return state if owner is None else getattr(state, owner)
 
 
+#: The order in which a generation lays out its members' sync modes, so
+#: that each mode is one run of server lanes.
+_MODE_RANK = {mode: rank for rank, mode in enumerate(SyncMode)}
+
+#: What :class:`BatchSimulator` takes as a member: a scenario, a fresh
+#: simulator, or a ``(scenario, seed)`` request (``None``: its own seed).
+Member = Union[ScenarioConfig, IOPathSimulator, Tuple[ScenarioConfig, Optional[int]]]
+
+
 @dataclass
 class _BatchMember:
     """One member simulation, its lanes in the flat state and its clock.
 
-    ``index`` and the lane slices locate the member in the current
-    generation of the flat state; :class:`_BatchedState` assigns them, and
-    each compaction renumbers the survivors.
+    A queued member holds its request; its simulator and engine are built
+    when the driver admits it.  ``index`` and the lane slices locate the
+    member in the current generation of the flat state;
+    :class:`_BatchedState` assigns them, and each compaction renumbers the
+    survivors.
     """
 
-    sim: IOPathSimulator
-    engine: Simulator
+    scenario: ScenarioConfig
+    seed: Optional[int]
+    #: Connection lanes the member occupies.
+    lanes: int
     #: Start anchor (the clock before the first step) and horizon.
     t0: float
     until: float
+    sim: Optional[IOPathSimulator] = None
+    engine: Optional[Simulator] = None
     #: Adaptive stepping: the member picks its own step end every tick.
     adaptive: bool = False
+    #: The batch tick after which the member joined, and the wall clock then.
+    joined: int = 0
+    wall_start: float = 0.0
+    #: The member's clock and alarm, carried across a compaction.
+    clock: float = 0.0
+    alarm: float = float("inf")
     #: Position in the batch (its entry in every per-member array).
     index: int = 0
     conn_sl: slice = field(default_factory=lambda: slice(0))
@@ -309,8 +361,10 @@ class _BatchMember:
     #: control event instead (a catch-up).
     next_step: float = float("inf")
     catching_up: bool = False
-    #: Built on the tick the member finished (``None`` while it runs).
+    #: Built on the tick the member finished (``None`` while it runs), with
+    #: its engine's counters.
     result: Optional[RunResult] = None
+    stats: Dict[str, int] = field(default_factory=dict)
 
     @property
     def live(self) -> bool:
@@ -324,6 +378,19 @@ class _BatchMember:
             holder = _lane_owner(state, owner)
             for name in names:
                 setattr(holder, name, getattr(holder, name).copy())
+
+
+def _request(
+    member: Member,
+) -> Tuple[ScenarioConfig, Optional[int], Optional[IOPathSimulator]]:
+    """A member as ``(scenario, seed, simulator)``; the simulator is
+    ``None`` unless the caller built it."""
+    if isinstance(member, IOPathSimulator):
+        return member.scenario, None, member
+    if isinstance(member, ScenarioConfig):
+        return member, None, None
+    scenario, seed = member
+    return scenario, seed, None
 
 
 def _lane_members(slices: Sequence[slice]) -> np.ndarray:
@@ -340,7 +407,11 @@ class _BatchedState:
     own ``ModelState`` objects keep running the control plane (operation
     issue, completion, results); their hot arrays (``_LANE_ARRAYS``:
     transport, buffers, backend, links, application lifecycle and process
-    issue state) are views into the flat storage below.
+    issue state) are views into the flat storage below.  The constants in
+    which members may differ are per lane: each connection's RTT and client
+    line rate, each server's stripe size, each link's capacity
+    (:meth:`StarTopology.stacked`) and each server's law constants and sync
+    mode (:meth:`PVFSDeployment.stacked`).
 
     The one constructor of the flat state, for a batch's first generation
     and for each compaction alike: it lays ``members`` out back to back in
@@ -361,18 +432,22 @@ class _BatchedState:
             member.proc_sl = slice(proc, proc + st.n_processes)
             conn, srv, node = member.conn_sl.stop, member.srv_sl.stop, member.node_sl.stop
             app, proc = member.app_sl.stop, member.proc_sl.stop
-        scenario = members[0].sim.scenario
-        platform = scenario.platform
-        self.scenario = scenario
+        # Members share the transport and server configuration.
+        self.scenario = scenario = members[0].scenario
         self.n_members = len(members)
         self.n_connections = conn
         self.n_servers = srv
         self.n_apps = app
         self.n_processes = proc
-        # Members share the platform, so per-link capacities repeat.
-        self.topology = StarTopology(
-            n_client_nodes=node, n_servers=srv, network=platform.network,
+        networks = [m.scenario.platform.network for m in members]
+        conn_counts = [st.n_connections for st in states]
+        self.conn_rtt = np.repeat([n.rtt for n in networks], conn_counts)
+        self.conn_line_rate = np.repeat([n.client_nic_bw for n in networks], conn_counts)
+        self.server_stripe = np.repeat(
+            [m.scenario.filesystem.stripe_size for m in members],
+            [st.n_servers for st in states],
         )
+        self.topology = StarTopology.stacked([st.topology for st in states])
         #: Member index of every connection, server, node and process lane.
         self.conn_member = _lane_members([m.conn_sl for m in members])
         self.server_member = _lane_members([m.srv_sl for m in members])
@@ -393,17 +468,12 @@ class _BatchedState:
         self.app_collective = np.concatenate([st.app_collective for st in states])
         self.app_n_procs = np.concatenate([st.app_n_procs for st in states])
         self.proc_n_ops = np.concatenate([st.proc_n_ops for st in states])
-        #: All members' servers as one deployment (same configuration, so
-        #: the same laws).
-        self.deployment = PVFSDeployment(
-            scenario.filesystem,
-            server_nic_bw=platform.network.server_nic_bw,
-            n_servers=srv,
-        )
+        #: All members' servers as one deployment.
+        self.deployment = PVFSDeployment.stacked([st.deployment for st in states])
         # The flat WindowState's rng is a dummy: update() receives rng_sites
         # and force_timeout is only ever called on member WindowState objects.
         self.windows = WindowState(
-            conn, platform.network.transport, rng=np.random.default_rng(0)
+            conn, scenario.platform.network.transport, rng=np.random.default_rng(0)
         )
         self.buffers = ServerBuffers(
             n_servers=srv,
@@ -412,14 +482,13 @@ class _BatchedState:
         )
         for owner, kind, names in _LANE_ARRAYS:
             holder = _lane_owner(self, owner)
+            owners = [_lane_owner(st, owner) for st in states]
+            slices = [getattr(m, f"{kind}_sl") for m in members]
             for name in names:
-                flat = np.concatenate(
-                    [getattr(_lane_owner(st, owner), name) for st in states]
-                )
+                flat = np.concatenate([getattr(o, name) for o in owners])
                 setattr(holder, name, flat)
-                for member, st in zip(members, states):
-                    lanes = getattr(member, f"{kind}_sl")
-                    setattr(_lane_owner(st, owner), name, flat[lanes])
+                for o, lanes in zip(owners, slices):
+                    setattr(o, name, flat[lanes])
 
 
 # ---------------------------------------------------------------------- #
@@ -687,71 +756,108 @@ class BatchSimulator:
     """Runs its members on one kernel, in lockstep by tick index, each on
     its own clock and under its own stepping policy.
 
-    ``members`` are scenarios or *fresh* :class:`IOPathSimulator` objects (a
-    run alone passes itself): their control plane is scheduled from their
-    start anchors.  Members must share the platform and filesystem
-    configuration; their steps, stepping policies, start anchors and
-    horizons are their own.  :attr:`members` lists every member in input
-    order; the current generation of the flat state (:attr:`state`,
-    :attr:`stepper`) holds the live ones.
+    ``members`` are scenarios, *fresh* :class:`IOPathSimulator` objects (a
+    run alone passes itself) or ``(scenario, seed)`` requests.  They must
+    share the transport and server configuration (:func:`_bucket_key`);
+    their devices, sync modes, networks, stripe sizes, server counts, steps,
+    stepping policies, start anchors and horizons are their own.
+
+    The batch is a first-in-first-out queue.  It admits members in input
+    order while their connection lanes fit ``lanes`` (``None``: no budget,
+    every member at once), always one into an empty batch, and at each
+    compaction admits the next ones that fit into the lanes that retired
+    members freed (a *refill*).  It builds a member's simulator when it
+    admits it and schedules its control plane from its start anchor; a
+    member's step count and wall time start when it joins.  With a budget
+    the batch keeps nothing of a finished member but its result and its
+    engine's counters (:attr:`_BatchMember.stats`), so a long queue holds
+    only its live members' state.  :attr:`members` lists every member in
+    input order; the current generation of the flat state (:attr:`state`,
+    :attr:`stepper`) holds the live ones, laid out by sync mode.
     """
 
-    def __init__(
-        self, members: Sequence[Union[ScenarioConfig, IOPathSimulator]]
-    ) -> None:
+    def __init__(self, members: Sequence[Member], lanes: Optional[int] = None) -> None:
         if not members:
             raise SimulationError("a batch needs at least one scenario")
-        sims = [
-            m if isinstance(m, IOPathSimulator) else IOPathSimulator(m)
-            for m in members
-        ]
-        scenario = sims[0].scenario
+        requests = [_request(item) for item in members]
+        key = _bucket_key(requests[0][0])
         self.members: List[_BatchMember] = []
-        for sim in sims:
-            s = sim.scenario
-            if s.platform != scenario.platform or s.filesystem != scenario.filesystem:
+        for scenario, seed, sim in requests:
+            if _bucket_key(scenario) != key:
                 raise SimulationError(
-                    "batch members must share the platform/filesystem configuration"
+                    "batch members must share the transport and server configuration"
                 )
-            t0 = min(0.0, min(app.start_time for app in s.applications))
-            max_time = s.control.max_time
+            t0 = min(0.0, min(app.start_time for app in scenario.applications))
             self.members.append(_BatchMember(
-                sim=sim,
-                engine=Simulator(start_time=t0, horizon=t0 + max_time * 2 + 1.0),
-                t0=t0,
-                until=t0 + max_time,
-                adaptive=sim.stepping.is_adaptive,
+                scenario=scenario, seed=seed, sim=sim,
+                lanes=_connection_lanes(scenario),
+                t0=t0, until=t0 + scenario.control.max_time,
             ))
-        self._build(self.members)
-        #: Padding of the bucket as planned (its first generation).
-        self.padded_slots = self.state.buffers.padded_slots
-        self.group_slots = self.state.buffers.group_slots
+        self._lanes = lanes
+        self._queue = deque(self.members)
+        self._live_lanes = 0
+        self.n_batch_steps = 0
+        #: Lanes stepped: the live width summed over the ticks.
+        self.n_lane_steps = 0
+        #: Padding of the admission groups, summed over the generations.
+        self.padded_slots = self.group_slots = 0
+        self._build(self._admit())
+        #: The phase profiler of a :meth:`run` with telemetry on.
+        self.profiler: Optional[StepProfiler] = None
+
+    def _admit(self) -> List[_BatchMember]:
+        """Admit queued members in input order while their lanes fit the
+        budget (always one into an empty batch): build each one's simulator
+        and engine, schedule its control plane and set its clock and alarm.
+        """
+        admitted: List[_BatchMember] = []
+        queue, budget = self._queue, self._lanes
+        while queue:
+            if budget is not None and self._live_lanes and (
+                self._live_lanes + queue[0].lanes > budget
+            ):
+                break
+            member = queue.popleft()
+            if member.sim is None:
+                member.sim = IOPathSimulator(member.scenario, member.seed)
+            sim = member.sim
+            member.adaptive = sim.stepping.is_adaptive
+            member.engine = Simulator(
+                start_time=member.t0,
+                horizon=member.t0 + member.scenario.control.max_time * 2 + 1.0,
+            )
+            sim.schedule_control_plane(member.engine, member.t0)
+            member.joined = self.n_batch_steps
+            member.wall_start = time.perf_counter()
+            member.clock = member.t0
+            if not member.adaptive:
+                member.due = _next_event_time(member.engine)
+                member.alarm = min(member.due, member.until)
+            self._live_lanes += member.lanes
+            admitted.append(member)
+        return admitted
+
+    def _build(self, members: Sequence[_BatchMember]) -> None:
+        """Build a generation of the flat state and its kernel over
+        ``members``, laid out by sync mode (see :class:`_BatchedState`).
+        Member order never changes a result: every reduction of the kernel
+        stays within one member."""
+        self._live = sorted(
+            members, key=lambda m: _MODE_RANK[m.scenario.filesystem.sync_mode]
+        )
+        self._n_live = len(self._live)
+        self.state = _BatchedState(self._live)
+        self.stepper = BatchedStepper(self.state, self._live)
+        self.padded_slots += self.state.buffers.padded_slots
+        self.group_slots += self.state.buffers.group_slots
         #: Every live member's clock: the end of its last step (its start
         #: anchor before the first).
-        self.clock = np.array([m.t0 for m in self.members], dtype=np.float64)
-        for member in self.members:
-            member.sim.schedule_control_plane(member.engine, member.t0)
+        self.clock = np.array([m.clock for m in self._live], dtype=np.float64)
         #: Per live fixed-step member, the clock at which the driver must
         #: look at it before stepping: its next engine event or its horizon,
         #: whichever is first (``inf`` once it finished, and for adaptive
         #: members, which look at their engines every tick).
-        self._alarm = np.full(len(self.members), float("inf"))
-        for member in self.members:
-            self._set_alarm(member)
-        self._n_live = len(self.members)
-        self.n_batch_steps = 0
-        #: Lanes stepped: the live width summed over the ticks.
-        self.n_lane_steps = 0
-        self._wall_start = 0.0
-        #: The phase profiler of a :meth:`run` with telemetry on.
-        self.profiler: Optional[StepProfiler] = None
-
-    def _build(self, members: Sequence[_BatchMember]) -> None:
-        """Build a generation of the flat state and its kernel over
-        ``members`` (see :class:`_BatchedState`)."""
-        self._live = list(members)
-        self.state = _BatchedState(self._live)
-        self.stepper = BatchedStepper(self.state, self._live)
+        self._alarm = np.array([m.alarm for m in self._live], dtype=np.float64)
         #: Every live member's step: its resolved step, or for an adaptive
         #: member the step of the current tick.
         self.steps = np.array([m.sim.step_size for m in self._live], dtype=np.float64)
@@ -766,42 +872,44 @@ class BatchSimulator:
         st.topology._observed_time = observed
 
     def _compact(self) -> None:
-        """Rebuild the flat state from the live members only.
+        """Rebuild the flat state from the live members and the queued ones
+        that now fit.
 
-        Their lanes become contiguous in member order and their indices are
-        renumbered; clocks, alarms, observed times, pressure statistics and
-        the profiler carry over.  The previous generation is freed as soon
-        as the members are re-pointed.
+        Lanes become contiguous per member and indices are renumbered;
+        clocks, alarms, observed times, pressure statistics and the profiler
+        carry over.  The previous generation is freed as soon as the
+        members are re-pointed.
         """
-        keep = [m.index for m in self._live if m.live]
-        live = [self._live[i] for i in keep]
+        live = [m for m in self._live if m.live]
         for member in live:
             self._stamp(member)
+            member.clock = float(self.clock[member.index])
+            member.alarm = float(self._alarm[member.index])
         profiler = self.stepper.profiler
-        self.clock = self.clock[keep]
-        self._alarm = self._alarm[keep]
         self.state = self.stepper = None
-        self._build(live)
+        self._build(live + self._admit())
         self.stepper.profiler = profiler
 
     # ------------------------------------------------------------------ #
 
     def run(self) -> List[RunResult]:
-        """Run every member to completion; results in member order.
+        """Run every member to completion; results in input order.
 
         Runs generations until every member finished, compacting the
-        survivors after each tick on which a member retired.  With telemetry
-        on, a :class:`StepProfiler` times the kernel phases for
-        :meth:`publish`.  The kernel never reads it, so results stay
+        survivors (and refilling) after each tick on which a member retired.
+        With telemetry on, a :class:`StepProfiler` times the kernel phases
+        for :meth:`publish`.  The kernel never reads it, so results stay
         byte-identical with telemetry on or off.
         """
         if get_telemetry().enabled and self.stepper.profiler is None:
             self.profiler = self.stepper.profiler = StepProfiler()
-        self._wall_start = time.perf_counter()
+        start = time.perf_counter()
+        for member in self._live:
+            member.wall_start = start
         try:
             while True:
                 self._run_generation()
-                if not self._n_live:
+                if not self._n_live and not self._queue:
                     break
                 self._compact()
         finally:
@@ -816,18 +924,22 @@ class BatchSimulator:
 
     def _follow_up(self, member: _BatchMember) -> None:
         """After a step that changed ``member``'s control plane: retire it if
-        it finished (build its result and detach it), else note when its
-        engine next has work."""
+        it finished (build its result and detach it; with a budget, drop its
+        simulator and engine), else note when its engine next has work."""
         i = member.index
         if member.sim.state.all_finished():
-            wall_time = time.perf_counter() - self._wall_start
+            wall_time = time.perf_counter() - member.wall_start
             self._stamp(member)
             member.result = member.sim._build_result(
-                float(self.clock[i]), self.n_batch_steps, wall_time
+                float(self.clock[i]), self.n_batch_steps - member.joined, wall_time
             )
+            member.stats = member.engine.stats()
             member.detach()
+            if self._lanes is not None:
+                member.sim = member.engine = None
             self._alarm[i] = float("inf")
             self._n_live -= 1
+            self._live_lanes -= member.lanes
             return
         self._set_alarm(member)
 
@@ -976,7 +1088,7 @@ class BatchSimulator:
                 telemetry.count(f"step.phase.{phase}.calls", row["calls"])
                 telemetry.observe(f"step.phase.{phase}.ns_per_call", row["ns_per_call"])
         for member in self.members:
-            for name, value in member.engine.stats().items():
+            for name, value in member.stats.items():
                 telemetry.count(name, value)
         member_steps = sum(m.result.n_steps for m in self.members)
         telemetry.count("sim.steps", member_steps)
@@ -995,39 +1107,39 @@ def _next_event_time(engine: Simulator) -> float:
 # ---------------------------------------------------------------------- #
 
 
-def run_bucket(
-    members: Sequence[Union[ScenarioConfig, IOPathSimulator]],
-) -> List[RunResult]:
-    """Run one bucket through the driver, with telemetry.
+def run_bucket(members: Sequence[Member]) -> List[RunResult]:
+    """Run one bucket through the driver as a queue under the lane budget
+    (:data:`_BUCKET_LANES`), with telemetry.
 
-    ``members`` are what :class:`BatchSimulator` takes: scenarios, or fresh
-    simulators (:func:`simulate_many` passes each request's seed this way).
-    Emits the per-bucket ``simulation``-track span (with the kernel's
-    ``phase`` children and counters, as every run publishes them), the
-    ``batch.buckets`` / ``batch.member_runs`` / ``batch.padded_slots`` /
-    ``batch.group_slots`` counters, and the ``batch.occupancy`` observation —
+    ``members`` are what :class:`BatchSimulator` takes: scenarios, fresh
+    simulators or ``(scenario, seed)`` requests (what :func:`simulate_many`
+    passes).  Emits the per-bucket ``simulation``-track span (named after
+    the bucket's members and connection lanes against the live budget, with
+    the kernel's ``phase`` children and counters, as every run publishes
+    them), the ``batch.buckets`` / ``batch.member_runs`` /
+    ``batch.padded_slots`` / ``batch.group_slots`` counters, and the
+    ``batch.occupancy`` observation (the bucket's member steps per tick) —
     the single place that accounting lives, shared by :func:`simulate_many`
     and the executor-level batchers.
     """
     telemetry = get_telemetry()
-    reference = members[0]
-    if isinstance(reference, IOPathSimulator):
-        reference = reference.scenario
-    n_servers = reference.filesystem.n_servers
+    lanes = sum(_connection_lanes(_request(m)[0]) for m in members)
     with telemetry.span(
-        f"batch:b{len(members)}x{n_servers}s",
+        f"batch:b{len(members)}x{lanes}/{_BUCKET_LANES}l",
         category="simulation",
         track="batch",
         members=len(members),
-        n_servers=n_servers,
+        lanes=lanes,
+        lane_budget=_BUCKET_LANES,
     ) as bucket_span:
-        batch = BatchSimulator(members)
+        batch = BatchSimulator(members, lanes=_BUCKET_LANES)
         start_us = telemetry.now_us()
         results = batch.run()
     batch.publish(telemetry, bucket_span, start_us, track="batch")
     telemetry.count("batch.buckets")
     telemetry.count("batch.member_runs", len(members))
-    telemetry.observe("batch.occupancy", float(len(members)))
+    member_steps = sum(r.n_steps for r in results)
+    telemetry.observe("batch.occupancy", member_steps / max(batch.n_batch_steps, 1))
     telemetry.count("batch.padded_slots", batch.padded_slots)
     telemetry.count("batch.group_slots", batch.group_slots)
     return results
@@ -1038,20 +1150,23 @@ def simulate_many(
     seeds: Optional[Sequence[Optional[int]]] = None,
 ) -> List[RunResult]:
     """Simulate each distinct ``(scenario, seed)`` request once, running the
-    planned buckets in lockstep (:func:`plan_buckets` at one worker).
+    planned buckets (:func:`plan_buckets` at one worker: one bucket per
+    transport and server configuration) through :func:`run_bucket`.
 
     ``seeds`` are per-request seed overrides (``None``: the scenario's own
     seed, which is what an omitted ``seeds`` means for every request).  A
     request equal to an earlier one — scenarios compare and hash by value,
     and a seed of ``None`` equals the scenario's own — is not simulated
-    again: it shares that request's :class:`RunResult`.  Results come back
-    in input order and are bitwise identical to running each request alone
-    through :func:`~repro.model.simulator.simulate_scenario`; ragged and
-    mixed-width deployments batch (padded width classes), and so do fixed
-    and adaptive stepping.  Emits ``batch.*`` telemetry: ``batch.requests``
-    and ``batch.repeats`` (requests served by an equal request's result),
-    and one ``simulation``-track span plus an occupancy observation per
-    bucket.
+    again: it shares that request's :class:`RunResult`.  Each bucket gets
+    its distinct requests as ``(scenario, seed)`` pairs and builds each
+    simulator only when it admits the request.  Results come back in input
+    order and are bitwise identical to running each request alone through
+    :func:`~repro.model.simulator.simulate_scenario`, whatever the devices,
+    sync modes, networks, stripe sizes and server counts that share a
+    bucket, its padded width classes and its mix of fixed and adaptive
+    stepping.  Emits ``batch.*`` telemetry: ``batch.requests`` and
+    ``batch.repeats`` (requests served by an equal request's result), and
+    one ``simulation``-track span plus an occupancy observation per bucket.
     """
     scenarios = list(scenarios)
     seeds = [None] * len(scenarios) if seeds is None else list(seeds)
@@ -1071,7 +1186,7 @@ def simulate_many(
     buckets, _ = plan_buckets([scenario for scenario, _ in distinct])
     results: List[Optional[RunResult]] = [None] * len(distinct)
     for bucket in buckets:
-        outs = run_bucket([IOPathSimulator(*distinct[i]) for i in bucket.indices])
+        outs = run_bucket([distinct[i] for i in bucket.indices])
         for i, result in zip(bucket.indices, outs):
             results[i] = result
     return [results[k] for k in slots]  # type: ignore[misc]

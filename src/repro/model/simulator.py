@@ -131,7 +131,7 @@ class IOPathSimulator:
                 label=label,
                 steps=result.n_steps,
                 wall_s=round(result.wall_time, 6),
-                events_processed=batch.members[0].engine.events_processed,
+                events_processed=batch.members[0].stats["engine.events.processed"],
             )
         return result
 

@@ -211,12 +211,12 @@ class ModelStepper:
 
     def __init__(self, state) -> None:
         self.state = state
-        network = state.scenario.platform.network
-        self._transport = network.transport
-        self._base_rtt = network.rtt
+        self._transport = state.scenario.platform.network.transport
+        # Per-lane constants: each lane holds its member's platform values.
+        self._base_rtt = state.conn_rtt
         self._node_caps = state.topology.node_capacities()
         self._server_nic = state.topology.server_capacities()
-        self._client_line_rate = network.client_nic_bw
+        self._client_line_rate = state.conn_line_rate
         #: Time each member has observed (its steps summed, in order);
         #: stamped on the member's servers and links when it finishes.
         self.observed_time = np.zeros(state.n_members, dtype=np.float64)
@@ -234,7 +234,7 @@ class ModelStepper:
         )
         self._n_servers = state.n_servers
         self._n_nodes = state.topology.n_client_nodes
-        self._stripe_size = state.scenario.filesystem.stripe_size
+        self._stripe_size = state.server_stripe
         #: rwnd_overcommit * buffer capacity (numerator of the per-server
         #: receive-window budget).
         self._rwnd_budget = self._transport.rwnd_overcommit * state.buffers.capacity

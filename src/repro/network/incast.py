@@ -58,33 +58,29 @@ class ServerBuffers:
         ):
             raise SimulationError("conn_server contains out-of-range server indices")
         n_conns = self.conn_server.shape[0]
-        #: Step-invariant per-server connection groups (ascending connection
-        #: indices, exactly the order a boolean ``conn_server == s`` mask
-        #: yields), computed once so the admission path never rescans the
-        #: mapping array.
-        self._server_conn_ids = [
-            np.flatnonzero(self.conn_server == s) for s in range(self.n_servers)
-        ]
-        # The groups stack into one padded (n_servers, K) index matrix, K
-        # being the widest group: short rows are padded by repeating their
-        # last real connection index (the pad slots are gathered but never
-        # read — every reduction slices the row to its true width) and the
+        # Step-invariant per-server connection groups, computed once so the
+        # admission path never rescans the mapping array: one stable sort
+        # lists each server's connections in ascending index order (exactly
+        # the order a boolean ``conn_server == s`` mask yields).  The groups
+        # stack into one padded (n_servers, K) index matrix, K being the
+        # widest group: short rows are padded by repeating their last real
+        # connection index (the pad slots are gathered but never read —
+        # every reduction slices the row to its true width) and the
         # admission water-filling runs as row-wise 2D ops per *width class*
         # instead of a per-server loop.  Slicing each class to its width
         # preserves NumPy's pairwise-summation tree, so a ragged or batched
         # deployment admits bit-for-bit what each group would admit alone.
-        widths = np.array(
-            [ids.shape[0] for ids in self._server_conn_ids], dtype=np.int64
-        )
-        self._group_widths = widths
+        order = np.argsort(self.conn_server, kind="stable")
+        widths = np.bincount(self.conn_server, minlength=self.n_servers)
         max_width = int(widths.max()) if n_conns else 0
         if max_width > 0:
-            matrix = np.zeros((self.n_servers, max_width), dtype=np.int64)
-            for s, ids in enumerate(self._server_conn_ids):
-                w = ids.shape[0]
-                if w:
-                    matrix[s, :w] = ids
-                    matrix[s, w:] = ids[-1]
+            starts = np.cumsum(widths) - widths
+            last = np.zeros(self.n_servers, dtype=np.int64)
+            filled = widths > 0
+            last[filled] = order[(starts + widths - 1)[filled]]
+            matrix = np.repeat(last[:, None], max_width, axis=1)
+            rows = self.conn_server[order]
+            matrix[rows, np.arange(n_conns) - starts[rows]] = order
             self._group_matrix: Optional[np.ndarray] = matrix
             self._group_flat = matrix.reshape(-1)
             self._demands_2d = np.empty(matrix.shape, dtype=np.float64)

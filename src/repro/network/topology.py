@@ -10,7 +10,7 @@ accounting so that assumption can be checked a posteriori.
 
 from __future__ import annotations
 
-from typing import Dict, List, Union
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
@@ -53,12 +53,30 @@ class StarTopology:
         # capacities (construction-time validation, report labels): their own
         # per-object counters are NOT fed by record_step — read utilization
         # through this class's report methods, never through the objects.
-        self._node_capacity = np.array(
-            [nic.effective_bw for nic in self.client_nics], dtype=np.float64
+        self._init_links(
+            np.array([nic.effective_bw for nic in self.client_nics], dtype=np.float64),
+            np.array([link.capacity for link in self.server_downlinks], dtype=np.float64),
         )
-        self._server_capacity = np.array(
-            [link.capacity for link in self.server_downlinks], dtype=np.float64
+
+    @classmethod
+    def stacked(cls, topologies: Sequence["StarTopology"]) -> "StarTopology":
+        """The links of ``topologies`` back to back, as one flat topology for
+        the stepping kernel: per-link capacities and accounting arrays only,
+        with no NIC or link objects (so no report labels), each link keeping
+        its own topology's capacity."""
+        flat = cls.__new__(cls)
+        flat.network = None
+        flat.client_nics, flat.server_downlinks = [], []
+        flat._init_links(
+            np.concatenate([t._node_capacity for t in topologies]),
+            np.concatenate([t._server_capacity for t in topologies]),
         )
+        return flat
+
+    def _init_links(self, node_capacity: np.ndarray, server_capacity: np.ndarray) -> None:
+        n_client_nodes, n_servers = node_capacity.shape[0], server_capacity.shape[0]
+        self._node_capacity = node_capacity
+        self._server_capacity = server_capacity
         self._node_busy = np.zeros(n_client_nodes, dtype=np.float64)
         self._node_transferred = np.zeros(n_client_nodes, dtype=np.float64)
         self._server_busy = np.zeros(n_servers, dtype=np.float64)
@@ -74,20 +92,20 @@ class StarTopology:
     @property
     def n_client_nodes(self) -> int:
         """Number of compute nodes in the topology."""
-        return len(self.client_nics)
+        return self._node_capacity.shape[0]
 
     @property
     def n_servers(self) -> int:
         """Number of storage servers in the topology."""
-        return len(self.server_downlinks)
+        return self._server_capacity.shape[0]
 
     def node_capacities(self) -> np.ndarray:
         """Per-node usable injection bandwidth (bytes/s)."""
-        return np.array([nic.effective_bw for nic in self.client_nics], dtype=np.float64)
+        return self._node_capacity.copy()
 
     def server_capacities(self) -> np.ndarray:
         """Per-server downlink bandwidth (bytes/s)."""
-        return np.array([link.capacity for link in self.server_downlinks], dtype=np.float64)
+        return self._server_capacity.copy()
 
     def record_step(
         self,

@@ -121,7 +121,9 @@ def batch_stats(document: Dict[str, Any]) -> Dict[str, float]:
     to its end.  ``dead_lane_frac`` is the share of lane steps (width times
     ticks, ``batch.lane_steps``) spent on members that had already finished:
     ``1 - member_steps / lane_steps``.  ``occupancy`` figures describe the
-    bucket widths (from the ``batch.occupancy`` histogram).  ``requests``
+    buckets' member steps per tick (from the ``batch.occupancy`` histogram,
+    one observation per bucket): a refilled bucket holds many more runs
+    than it steps at once.  ``requests``
     counts the runs :func:`~repro.model.batch.simulate_many` was asked for,
     ``repeats`` those served by an equal request's result.
     """
@@ -248,7 +250,7 @@ def summarize_document(
         )
         lines.append(
             f"  occupancy mean {batch['mean_occupancy']:.1f} "
-            f"max {batch['max_occupancy']:.0f} scenarios/bucket"
+            f"max {batch['max_occupancy']:.0f} runs/tick per bucket"
         )
         lines.append(
             f"  padding {batch['padded_slots']:.0f}/{batch['group_slots']:.0f} "

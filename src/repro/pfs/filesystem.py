@@ -8,11 +8,14 @@ NumPy expression per law instead of one Python call per server.  Every
 elementwise operation is the IEEE operation the scalar law performs, in the
 same order, so each lane is bit for bit what a :class:`PVFSServer` would hold
 after the same sequence of steps (``tests/test_pfs_flat.py`` pins this).
+The law's constants are per lane too, so the stepping kernel stacks the
+servers of deployments that differ in device, sync mode, stripe size, server
+count and NIC rate into one (:meth:`PVFSDeployment.stacked`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,9 +27,14 @@ from repro.pfs.server import FLOW_BUFFER_BYTES, PVFSServer
 __all__ = ["PVFSDeployment"]
 
 #: Distinct workload mixes remembered per deployment before the memo resets.
-#: On the tiny fleet matrix and the tiny paper campaign about 98% of law
-#: lookups hit this memo (a single last-mix slot would catch about 94%).
+#: Measured share of law lookups this memo serves: 87.1% on the tiny fleet
+#: matrix and 78.8% on the tiny paper campaign, whose buckets stack servers
+#: of every device and sync mode of a round (90.5% and 94.6% when a bucket
+#: held one platform/filesystem configuration).
 _LAW_MEMO_SIZE = 64
+
+#: A sync mode's backend path, as one run of server lanes.
+_Runs = Tuple[Tuple[SyncMode, slice], ...]
 
 
 class _Law:
@@ -57,7 +65,19 @@ class _Law:
 
 
 class PVFSDeployment:
-    """All servers of one file-system deployment.
+    """All servers of one file-system deployment, or of several stacked.
+
+    The law's static terms are per server lane: ingest rate (the server NIC
+    for null-aio, else the lesser of ingest and NIC), processing-unit cap
+    (``max(stripe size, flow buffer)``), and the device's write bandwidth,
+    positioning cost and granule cap.  Lanes also fall into runs of one sync
+    mode, each taking its own backend path: the write-back cache (Sync OFF),
+    the device queue (Sync ON) or nothing beyond the drained bytes
+    (null-aio).  One configuration fills every lane with its constants and
+    is one run, so a deployment alone and a stacked one share the one law
+    path; the remaining terms (per-fragment cost, page cache, memory and
+    flush bandwidth) come from the server configuration, which stacked
+    deployments share.
 
     Parameters
     ----------
@@ -66,41 +86,87 @@ class PVFSDeployment:
     server_nic_bw:
         Downlink bandwidth of each server (bytes/s), taken from the network
         configuration of the scenario.
-    n_servers:
-        Number of server lanes; defaults to ``config.n_servers``.  The
-        batched kernel stacks the servers of several same-configuration
-        deployments into one wider deployment.
     """
 
-    def __init__(
-        self,
-        config: FileSystemConfig,
-        server_nic_bw: float,
-        n_servers: Optional[int] = None,
-    ) -> None:
+    def __init__(self, config: FileSystemConfig, server_nic_bw: float) -> None:
         if server_nic_bw <= 0:
             raise ConfigurationError("server_nic_bw must be positive")
         self.config = config
-        self.n_servers = config.n_servers if n_servers is None else int(n_servers)
-        server = config.server
-        self._sync_mode = config.sync_mode
-        self._device = config.device
         self._server_nic_bw = server_nic_bw
+        n = config.n_servers
+        server, device = config.server, config.device
         # Static terms of the laws (PVFSServer.ingest_rate/processing_unit).
         # The scalar law's "byte_rate == inf -> NIC rate" fallback is a no-op
         # here: byte_rate <= ingest rate <= NIC rate, so inf implies NIC inf.
-        self._ingest_rate = (
+        ingest_rate = (
             server_nic_bw
             if config.sync_mode is SyncMode.NULL_AIO
             else min(server.ingest_bw, server_nic_bw)
         )
-        self._unit_cap = max(config.stripe_size, FLOW_BUFFER_BYTES)
+        self._init_lanes(
+            server,
+            ((config.sync_mode, slice(0, n)),),
+            ingest_rate=np.full(n, ingest_rate),
+            unit_cap=np.full(n, max(config.stripe_size, FLOW_BUFFER_BYTES)),
+            write_bw=np.full(n, device.write_bw),
+            positioning_cost=np.full(n, device.positioning_cost),
+            granule_cap=np.full(n, device.interleave_granule_cap),
+        )
+
+    @classmethod
+    def stacked(cls, deployments: Sequence["PVFSDeployment"]) -> "PVFSDeployment":
+        """The server lanes of ``deployments`` back to back, with their law
+        constants, as one deployment for the stepping kernel.
+
+        Deployments must share the server configuration.  Adjacent runs of
+        one sync mode merge, so deployments ordered by sync mode make at
+        most one run per mode.  The accounting state starts at zero (the
+        kernel fills it with its members' arrays).
+        """
+        runs = []
+        offset = 0
+        for deployment in deployments:
+            for mode, lanes in deployment._runs:
+                start, stop = lanes.start + offset, lanes.stop + offset
+                if runs and runs[-1][0] is mode:
+                    start = runs.pop()[1].start
+                runs.append((mode, slice(start, stop)))
+            offset += deployment.n_servers
+        flat = cls.__new__(cls)
+        flat.config = None
+        flat._init_lanes(
+            deployments[0]._server,
+            tuple(runs),
+            **{name: np.concatenate([getattr(d, f"_{name}") for d in deployments])
+               for name in ("ingest_rate", "unit_cap", "write_bw",
+                            "positioning_cost", "granule_cap")},
+        )
+        return flat
+
+    def _init_lanes(self, server, runs: _Runs, **constants: np.ndarray) -> None:
+        self._server = server
+        self._runs = runs
+        for name, values in constants.items():
+            setattr(self, f"_{name}", values)
+        n = self.n_servers = self._ingest_rate.shape[0]
         self._op_cost = server.fragment_op_cost
         self._cache_capacity = server.page_cache_bytes
         self._memory_bw = server.memory_bw
         self._flush_fraction = server.flush_bw_fraction
+        #: The null-aio pseudo device's lanes (infinite write bandwidth).
+        self._unlimited = self._write_bw == np.inf
+        self._any_unlimited = bool(self._unlimited.any())
+        #: The write bandwidth in the positioning penalty, zero on unlimited
+        #: lanes: their penalty is an exact 0.0, not ``0 * inf`` (NaN).
+        self._penalty_bw = np.where(self._unlimited, 0.0, self._write_bw)
+        self._has_cache = any(mode is SyncMode.SYNC_OFF for mode, _ in runs)
+        #: Lanes that charge busy time: all (``True``), none (``None``) or a
+        #: mask; null-aio lanes do not, as the scalar law returns early.
+        null = np.zeros(n, dtype=bool)
+        for mode, lanes in runs:
+            null[lanes] = mode is SyncMode.NULL_AIO
+        self._charged = None if null.all() else True if not null.any() else ~null
 
-        n = self.n_servers
         #: Bytes drained from the receive buffer, per server.
         self.drained_bytes = np.zeros(n, dtype=np.float64)
         #: Time each server's drain path was busy.
@@ -140,21 +206,21 @@ class PVFSDeployment:
         """``DeviceSpec.effective_write_bw`` per lane (``granularity >= 1``).
 
         A single stream has switch fraction ``1 - 1/1 = 0``, which zeroes the
-        penalty exactly as the scalar law's special case does.
+        penalty exactly as the scalar law's special case does.  An unlimited
+        device's lanes take no penalty, so they read ``inf / 1.0``, the scalar
+        law's early return.
         """
-        device = self._device
-        if device.is_unlimited:
-            return np.full(granularity.shape, np.inf)
         switch = 1.0 - 1.0 / np.maximum(n_streams, 1)
-        granule = np.minimum(granularity, device.interleave_granule_cap)
-        penalty = switch * device.positioning_cost * device.write_bw / granule
-        return device.write_bw / (1.0 + penalty)
+        granule = np.minimum(granularity, self._granule_cap)
+        penalty = switch * self._positioning_cost * self._penalty_bw / granule
+        return self._write_bw / (1.0 + penalty)
 
-    def _flush_rate(self, device_bw: np.ndarray) -> Union[float, np.ndarray]:
-        """``WritebackCache.flush_rate`` per lane."""
-        if self._device.is_unlimited:
-            return self._memory_bw
-        return device_bw * self._flush_fraction
+    def _flush_rate(self, device_bw: np.ndarray, lanes: slice) -> np.ndarray:
+        """``WritebackCache.flush_rate`` per lane of ``lanes``."""
+        flush = device_bw * self._flush_fraction
+        if self._any_unlimited:
+            np.copyto(flush, self._memory_bw, where=self._unlimited[lanes])
+        return flush
 
     def _drain_rate(
         self,
@@ -184,7 +250,7 @@ class PVFSDeployment:
         """
         key = mix_key
         full = None
-        if self._sync_mode is SyncMode.SYNC_OFF:
+        if self._has_cache:
             full = self.dirty_bytes >= self._cache_capacity
             key = mix_key + full.tobytes()
         law = self._laws.get(key)
@@ -204,14 +270,18 @@ class PVFSDeployment:
     ) -> "_Law":
         granularity = np.maximum(fragments, 1.0)
         device_bw = self._device_bw(n_streams, granularity)
-        mode = self._sync_mode
-        if mode is SyncMode.NULL_AIO:
-            byte_rate = np.full(granularity.shape, self._ingest_rate)
-        elif mode is SyncMode.SYNC_OFF:
-            backend = np.where(full, self._flush_rate(device_bw), self._memory_bw)
-            byte_rate = np.minimum(self._ingest_rate, backend)
-        else:
-            byte_rate = np.minimum(self._ingest_rate, device_bw)
+        byte_rate = np.empty_like(granularity)
+        for mode, lanes in self._runs:
+            ingest = self._ingest_rate[lanes]
+            if mode is SyncMode.NULL_AIO:
+                byte_rate[lanes] = ingest
+            elif mode is SyncMode.SYNC_OFF:
+                backend = np.where(
+                    full[lanes], self._flush_rate(device_bw[lanes], lanes), self._memory_bw
+                )
+                np.minimum(ingest, backend, out=byte_rate[lanes])
+            else:
+                np.minimum(ingest, device_bw[lanes], out=byte_rate[lanes])
         # A commit charges busy time at max(fragment, 1); for positive
         # fragments that is the same unit as the raw fragment size.
         commit_rates = self._drain_rate(byte_rate, granularity)
@@ -263,56 +333,64 @@ class PVFSDeployment:
             raise SimulationError("dt must be positive")
         self.observed_time += dt
         self.commit_flat(
-            np.asarray(drained, dtype=np.float64), dt, n_streams, avg_fragment_sizes
+            np.asarray(drained, dtype=np.float64), np.full(self.n_servers, dt),
+            n_streams, avg_fragment_sizes,
         )
 
     def commit_flat(
         self,
         drained: np.ndarray,
-        dt: Union[float, np.ndarray],
+        dt: np.ndarray,
         n_streams: np.ndarray,
         avg_fragment_sizes: np.ndarray,
     ) -> None:
         """:meth:`commit` for the stepping kernel, without input checks and
-        without advancing :attr:`observed_time`: ``dt`` may be one step per
+        without advancing :attr:`observed_time`: ``dt`` is one step per
         server lane (a batch's members step on their own clocks), and the
         kernel keeps each member's observed time itself.  Every use of
         ``dt`` is elementwise, so a lane commits what its member alone
         would."""
         law = self._law(*self._workload(n_streams, avg_fragment_sizes))
         self.drained_bytes += drained
-        mode = self._sync_mode
-        if mode is SyncMode.NULL_AIO:
+        for mode, lanes in self._runs:
+            if mode is SyncMode.SYNC_OFF:
+                self._commit_cache(lanes, drained[lanes], dt[lanes], law.device_bw[lanes])
+            elif mode is SyncMode.SYNC_ON:
+                step = dt[lanes]
+                self._commit_device(lanes, drained[lanes], step,
+                                    law.device_bw[lanes] * step, law.device_positive)
+        charged = self._charged
+        if charged is None:
             return
-        if mode is SyncMode.SYNC_OFF:
-            self._commit_cache(drained, dt, law.device_bw)
+        if self._has_cache:
             # Busy time is charged at the post-commit cache state.
             law = self._law(law.mix_key, law.n_streams, law.fragments)
-        else:
-            self._commit_device(drained, dt, law.device_bw * dt, law.device_positive)
         capacity = law.commit_rates * dt
         # busy += dt * min(drained / capacity, 1) on non-empty steps; an empty
         # step's share is an exact 0.0, so only non-positive capacities (which
-        # the scalar law skips) need masking.
+        # the scalar law skips) and null-aio lanes need masking.
         share = self._scratch
         if law.commit_positive:
             np.divide(drained, capacity, out=share)
-            busy = True
+            busy = charged
         else:
-            busy = (drained > 0) & (capacity > 0)
+            busy = (drained > 0) & (capacity > 0) & charged
             share.fill(0.0)
             np.divide(drained, capacity, out=share, where=busy)
         np.minimum(share, 1.0, out=share)
         share *= dt
         np.add(self.busy_time, share, out=self.busy_time, where=busy)
 
-    def _commit_cache(self, drained: np.ndarray, dt, device_bw: np.ndarray) -> None:
-        """``WritebackCache.flush`` then ``absorb`` (non-empty steps) per lane."""
-        dirty = self.dirty_bytes
-        flush = self._flush_rate(device_bw)
+    def _commit_cache(self, lanes: slice, drained: np.ndarray, dt: np.ndarray,
+                      device_bw: np.ndarray) -> None:
+        """``WritebackCache.flush`` then ``absorb`` (non-empty steps) per lane
+        of ``lanes``."""
+        dirty = self.dirty_bytes[lanes]
+        flush = self._flush_rate(device_bw, lanes)
         flushed = np.minimum(dirty, flush * dt)
         dirty -= flushed
-        self.flushed_bytes += flushed
+        total = self.flushed_bytes[lanes]
+        total += flushed
         absorbing = drained > 0
         if not np.count_nonzero(absorbing):
             return
@@ -323,31 +401,32 @@ class PVFSDeployment:
         accepted = np.minimum(drained, rate_limit)
         np.minimum(accepted, room + flush * dt, out=accepted, where=room > 0)
         np.minimum(dirty + accepted, capacity, out=dirty, where=absorbing)
-        np.add(self.absorbed_bytes, accepted, out=self.absorbed_bytes, where=absorbing)
+        absorbed = self.absorbed_bytes[lanes]
+        np.add(absorbed, accepted, out=absorbed, where=absorbing)
 
     def _commit_device(
         self,
+        lanes: slice,
         drained: np.ndarray,
-        dt,
+        dt: np.ndarray,
         capacity: np.ndarray,
         positive: bool,
     ) -> None:
-        """``DeviceQueue.commit_step`` per lane.
+        """``DeviceQueue.commit_step`` per lane of ``lanes``.
 
         A lane with nothing pending writes an exact 0.0 and adds exact zeros,
-        which is the scalar early return; only non-positive capacities need
-        masking.
+        which is the scalar early return, and an unlimited device's lane
+        (infinite capacity) writes everything pending and charges an exact
+        0.0, which is the scalar null-aio shortcut; only non-positive
+        capacities need masking.
         """
-        pending = self.pending_bytes
+        pending = self.pending_bytes[lanes]
         pending += drained
-        if self._device.is_unlimited:
-            self.written_bytes += pending
-            pending.fill(0.0)
-            return
         written = np.minimum(pending, capacity)
         pending -= written
-        self.written_bytes += written
-        share = self._scratch
+        total = self.written_bytes[lanes]
+        total += written
+        share = self._scratch[lanes]
         if positive:
             np.divide(written, capacity, out=share)
             busy = True
@@ -356,7 +435,8 @@ class PVFSDeployment:
             share.fill(0.0)
             np.divide(written, capacity, out=share, where=busy)
         share *= dt
-        np.add(self.device_busy_time, share, out=self.device_busy_time, where=busy)
+        device_busy = self.device_busy_time[lanes]
+        np.add(device_busy, share, out=device_busy, where=busy)
 
     # ------------------------------------------------------------------ #
     # Reporting
@@ -371,9 +451,14 @@ class PVFSDeployment:
     def device_utilizations(self) -> np.ndarray:
         """Per-server backend-device utilization (only Sync ON feeds the
         device queue; the other paths never observe it)."""
-        if self._sync_mode is not SyncMode.SYNC_ON or self.observed_time == 0:
-            return np.zeros(self.n_servers, dtype=np.float64)
-        return np.minimum(self.device_busy_time / self.observed_time, 1.0)
+        utilization = np.zeros(self.n_servers, dtype=np.float64)
+        if self.observed_time != 0:
+            for mode, lanes in self._runs:
+                if mode is SyncMode.SYNC_ON:
+                    utilization[lanes] = np.minimum(
+                        self.device_busy_time[lanes] / self.observed_time, 1.0
+                    )
+        return utilization
 
     def dirty_cache_bytes(self) -> np.ndarray:
         """Per-server dirty bytes in the write-back cache."""

@@ -479,10 +479,11 @@ def run_matrix_tasks_batched(
     lockstep.
 
     Builds every pending task's scenario, plans buckets with
-    :func:`repro.model.batch.plan_buckets` (one platform/filesystem group
-    splits into at least ``jobs`` chunks under the lane budget; mixed widths
-    and stepping policies pad together and leftovers run as width-1
-    buckets), and maps each bucket as one ``matrix-bucket`` work unit
+    :func:`repro.model.batch.plan_buckets` (each group of one transport and
+    server configuration splits into ``jobs`` chunks, each run as a queue
+    under the lane budget; mixed deployments, widths and stepping policies
+    share a bucket and leftovers run as width-1 buckets), and maps each
+    bucket as one ``matrix-bucket`` work unit
     through :class:`~repro.runner.executor.ParallelExecutor` — in-process at
     ``jobs=1``; otherwise ``jobs`` pool workers advance ``jobs`` batched
     kernels concurrently.  Every task it plans is claimed.  A member of a
@@ -679,10 +680,11 @@ def explain_matrix_buckets(
     Builds exactly the task list :func:`run_interference_matrix` would run,
     plans buckets the way the batched route does at ``--jobs 1``, and
     reports per bucket its width (members), connection lanes, the set of
-    its members' resolved steps, its server count and the set of
+    its members' resolved steps, the live-lane budget it runs under (a
+    bucket wider than the budget refills as its runs finish) and the set of
     admission-group widths that pad together.
     """
-    from repro.model.batch import group_widths, plan_buckets
+    from repro.model.batch import _BUCKET_LANES, group_widths, plan_buckets
 
     specs = [ScenarioSpec.coerce(a) for a in archetypes]
     if len(specs) < 2:
@@ -709,11 +711,13 @@ def explain_matrix_buckets(
             s.control.resolve_step(s.estimate_duration()) for s in scenarios
         })
         padded = "padded" if len(widths) > 1 else "uniform"
+        lanes = sum(map(sum, groups))
+        refill = " (refills)" if lanes > _BUCKET_LANES else ""
         lines.append(
             f"  bucket[{k}]  B={len(bucket.indices)}  "
-            f"lanes={sum(map(sum, groups))}  "
+            f"lanes={lanes}  "
             f"steps={{{','.join(f'{dt:.6g}' for dt in steps)}}}s  "
-            f"n_servers={scenarios[0].filesystem.n_servers}  "
+            f"live<={_BUCKET_LANES}{refill}  "
             f"group_widths={{{','.join(str(w) for w in widths)}}} ({padded})"
         )
         lines.append(

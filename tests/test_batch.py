@@ -9,15 +9,14 @@ clock), when fixed and adaptive stepping share a bucket, and when members
 finish on different ticks and the kernel compacts the survivors.  A run
 alone is itself a batch of one on the same driver.  The bucketing front end
 must partition any scenario list (each scenario in exactly one bucket),
-group only scenarios of one platform and filesystem, whatever their stepping
-policy, split each group into the chunks its lane budget and the worker
-count ask for, keep input order within a bucket, and give a scenario
+group only scenarios of one transport and server configuration, whatever
+their device, network, stripe size or stepping policy, split each group into
+one chunk per worker, keep input order within a bucket, and give a scenario
 without a partner a width-1 bucket.
 """
 
 import dataclasses
 import gc
-import math
 import unittest.mock as mock
 import weakref
 
@@ -31,10 +30,10 @@ from repro.config.control import SteppingMode, SteppingPolicy
 from repro.config.presets import make_scenario
 from repro.errors import SimulationError
 from repro.model.batch import (
-    _BUCKET_LANES,
     _LANE_ARRAYS,
     BatchedStepper,
     BatchSimulator,
+    _bucket_key,
     _connection_lanes,
     _lane_owner,
     plan_buckets,
@@ -267,9 +266,11 @@ class TestMixedClocks:
         make_scenario("tiny", device="ssd"),
         make_scenario("tiny", network="1g"),
     ], ids=["filesystem", "platform"])
-    def test_deployment_mismatch_raises(self, other):
-        with pytest.raises(SimulationError, match="platform/filesystem"):
-            BatchSimulator([make_scenario("tiny"), other])
+    def test_mixed_deployment_matches_alone(self, other):
+        """A member of another device or network shares the bucket: its
+        lanes carry its own constants, so it steps as it would alone."""
+        members = [make_scenario("tiny"), other]
+        _assert_each_matches_alone(members, BatchSimulator(members).run())
 
     def test_member_wall_time_is_its_own(self):
         """A member's wall time runs from the start of the run to the step it
@@ -417,6 +418,15 @@ def _planning_pool():
 PLANNING_POOL = _planning_pool()
 
 
+def _with_buffer(scenario):
+    """``scenario`` with half its server buffer: another server
+    configuration, hence another bucket."""
+    fs = scenario.filesystem
+    return scenario.with_filesystem(
+        fs.with_server_config(fs.server.with_buffer(fs.server.buffer_bytes / 2))
+    )
+
+
 def _fleet_scenarios():
     """The scenarios of the 8-archetype tiny fleet matrix, in task order."""
     from repro.scenarios.matrix import (
@@ -436,8 +446,8 @@ class TestBucketing:
     @settings(max_examples=40, deadline=None)
     def test_partition(self, picks, jobs):
         """Every index lands in exactly one bucket and the fallback is empty,
-        buckets share a deployment and keep input order, each group splits
-        into the chunks its lanes and workers ask for, and the plan is
+        buckets share a transport and server configuration and keep input
+        order, each group splits into one chunk per worker, and the plan is
         deterministic."""
         scenarios = [PLANNING_POOL[k] for k in picks]
         buckets, fallback = plan_buckets(scenarios, jobs=jobs)
@@ -447,36 +457,34 @@ class TestBucketing:
         assert seen == list(range(len(scenarios)))
         groups = {}
         for i, s in enumerate(scenarios):
-            groups.setdefault((s.platform, s.filesystem), []).append(i)
+            groups.setdefault(_bucket_key(s), []).append(i)
         per_group = {key: 0 for key in groups}
         for bucket in buckets:
-            # Members keep input order and share platform and filesystem.
+            # Members keep input order and share transport and server
+            # configuration, whatever their device, network or stripe.
             assert bucket.indices and bucket.indices == sorted(bucket.indices)
-            keys = {(scenarios[i].platform, scenarios[i].filesystem)
-                    for i in bucket.indices}
+            keys = {_bucket_key(scenarios[i]) for i in bucket.indices}
             assert len(keys) == 1
             per_group[keys.pop()] += 1
-        # Chunks per group: at least one per worker and per lane budget.
+        # Chunks per group: one per worker (the lane budget is the queue's).
         for key, indices in groups.items():
-            lanes = sum(_connection_lanes(scenarios[i]) for i in indices)
-            assert per_group[key] == min(
-                len(indices), max(jobs, math.ceil(lanes / _BUCKET_LANES))
-            )
+            assert per_group[key] == min(len(indices), jobs)
         # The same input gives the same plan.
         again, again_fallback = plan_buckets(list(scenarios), jobs=jobs)
         assert [b.indices for b in again] == [b.indices for b in buckets]
         assert again_fallback == fallback
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_fleet_matrix_plans_two_buckets(self, jobs):
+    def test_fleet_matrix_plans_a_bucket_per_worker(self, jobs):
         """The 44 tasks of the 8-archetype tiny fleet share one deployment
-        and 4,800 lanes: two balanced chunks at one worker or two."""
+        and 4,800 lanes: one bucket at one worker (a queue under the lane
+        budget), two balanced chunks at two."""
         scenarios = _fleet_scenarios()
         assert len(scenarios) == 44
         assert sum(map(_connection_lanes, scenarios)) == 4800
         buckets, fallback = plan_buckets(scenarios, jobs=jobs)
         assert not fallback
-        assert [len(b.indices) for b in buckets] == [22, 22]
+        assert [len(b.indices) for b in buckets] == {1: [44], 2: [22, 22]}[jobs]
 
     def test_ragged_specs_bucket_together(self):
         scenario = _alone_scenario("checkpoint")
@@ -507,19 +515,23 @@ class TestBucketing:
         adaptive = build_scenario(["checkpoint"], "tiny", stepping=policy).scenario
         fixed = _alone_scenario("analytics")
         ssd = adaptive.with_filesystem(make_scenario("tiny", device="ssd").filesystem)
-        buckets, fallback = plan_buckets([adaptive, fixed, ssd, adaptive])
+        buckets, fallback = plan_buckets(
+            [adaptive, fixed, ssd, _with_buffer(adaptive), adaptive]
+        )
         assert not fallback
-        assert [b.indices for b in buckets] == [[0, 1, 3], [2]]
+        assert [b.indices for b in buckets] == [[0, 1, 2, 4], [3]]
 
     def test_singletons_form_width_one_buckets(self):
-        # checkpoint and analytics share a deployment; the SSD copy of
-        # checkpoint has no partner.
+        # checkpoint, its SSD copy and analytics share the transport and
+        # server configuration; the copy with a smaller server buffer has
+        # no partner.
         checkpoint = _alone_scenario("checkpoint")
         ssd = checkpoint.with_filesystem(make_scenario("tiny", device="ssd").filesystem)
-        scenarios = [checkpoint, ssd, _alone_scenario("analytics")]
+        scenarios = [checkpoint, _with_buffer(checkpoint), ssd,
+                     _alone_scenario("analytics")]
         buckets, fallback = plan_buckets(scenarios)
         assert not fallback
-        assert [b.indices for b in buckets] == [[0, 2], [1]]
+        assert [b.indices for b in buckets] == [[0, 2, 3], [1]]
 
 
 # ---------------------------------------------------------------------- #

@@ -103,7 +103,8 @@ class TestJointCampaign:
         run_bucket = batch.run_bucket
 
         def recording(members):
-            simulated.update((m.scenario, m.streams.master_seed) for m in members)
+            # simulate_many passes (scenario, seed) requests, seeds resolved.
+            simulated.update((scenario, seed) for scenario, seed in members)
             return run_bucket(members)
 
         monkeypatch.setattr(batch, "run_bucket", recording)

@@ -126,14 +126,17 @@ class TestExplainBuckets:
         assert "group_widths=" in out
         assert "alone:checkpoint" in out
 
-    def test_fleet_plans_two_lane_budget_chunks(self, capsys):
+    def test_fleet_plans_one_refilled_bucket(self, capsys):
+        # 4,800 lanes of one deployment: one bucket, whose live lanes stay
+        # under the budget while it refills as runs finish.
         assert main([
             "perf", "--explain-buckets", "--scale", "tiny", "--archetypes",
             "analytics,checkpoint,incast,mixed,randomread,smallfile,staggered,streaming",
         ]) == 0
         out = capsys.readouterr().out
-        assert "44 tasks" in out and "@ tiny -> 2 buckets\n" in out
-        assert out.count("B=22  lanes=") == 2
+        assert "44 tasks" in out and "@ tiny -> 1 buckets\n" in out
+        assert out.count("B=44  lanes=4800  ") == 1
+        assert "live<=4096 (refills)" in out
 
     def test_padded_buckets_are_labelled(self, capsys):
         # smallfile (w32) and analytics (w8) share a deployment: mixed

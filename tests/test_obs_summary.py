@@ -222,7 +222,7 @@ class TestSummarizeDocument:
         assert "fallback" not in report
         assert "kernel 800 ticks, 2.50 member-steps per tick, 20.0% dead lanes" in report
         assert "of executed tasks batched" not in report
-        assert "occupancy mean 4.3 max 7 scenarios/bucket" in report
+        assert "occupancy mean 4.3 max 7 runs/tick per bucket" in report
         assert "padding 52/520 admission slots masked (10.0% waste)" in report
 
 

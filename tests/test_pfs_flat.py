@@ -102,3 +102,66 @@ class TestCommitLaw:
             for server, nbytes, k, g in zip(servers, drained, n, frag):
                 server.commit(nbytes, dt, k, g)
         assert_lanes_equal(deployment, servers)
+
+
+# ---------------------------------------------------------------------- #
+# Stacked deployments of mixed configurations
+# ---------------------------------------------------------------------- #
+
+STATE = ("drained_bytes", "busy_time", "dirty_bytes", "absorbed_bytes",
+         "flushed_bytes", "pending_bytes", "written_bytes", "device_busy_time")
+
+configs = st.tuples(
+    modes, devices,
+    st.sampled_from([64.0 * units.KiB, 128.0 * units.KiB, 1.0 * units.MiB]),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([NIC_BW, 1.25e8]),
+)
+
+
+class TestStackedDeployment:
+    """A stack of deployments that differ in sync mode, device, stripe size,
+    server count and NIC rate (sharing the server configuration) equals each
+    deployment alone, lane for lane, over a random step sequence."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(parts=st.lists(configs, min_size=1, max_size=4),
+           cache=st.sampled_from([1.0 * units.MiB, 96.0 * units.GiB]),
+           data=st.data())
+    def test_stacked_equals_each_alone(self, parts, cache, data):
+        server = ServerConfig(page_cache_bytes=cache)
+        alone = [
+            PVFSDeployment(
+                FileSystemConfig(n_servers=n, stripe_size=stripe, sync_mode=mode,
+                                 device=device_by_name(device), server=server),
+                server_nic_bw=nic,
+            )
+            for mode, device, stripe, n, nic in parts
+        ]
+        stacked = PVFSDeployment.stacked(alone)
+        bounds = np.cumsum([0] + [d.n_servers for d in alone])
+        lanes = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        width = int(bounds[-1])
+        assert stacked.n_servers == width
+        # Adjacent deployments of one sync mode merge into one run of lanes.
+        changes = sum(a[0] is not b[0] for a, b in zip(parts, parts[1:]))
+        assert len(stacked._runs) == changes + 1
+        for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+            drained = np.array(data.draw(st.lists(
+                st.floats(min_value=0.0, max_value=5e7, allow_nan=False),
+                min_size=width, max_size=width)))
+            n = np.array(data.draw(st.lists(streams, min_size=width, max_size=width)))
+            frag = np.array(data.draw(st.lists(fragments, min_size=width, max_size=width)))
+            dt = np.repeat(
+                data.draw(st.lists(st.sampled_from([1e-4, 2.5e-4, 1e-3, 0.01]),
+                                   min_size=len(alone), max_size=len(alone))),
+                [d.n_servers for d in alone],
+            )
+            rates = stacked.drain_rates(n, frag)
+            stacked.commit_flat(drained, dt, n, frag)
+            for deployment, sl in zip(alone, lanes):
+                assert deployment.drain_rates(n[sl], frag[sl]).tolist() == rates[sl].tolist()
+                deployment.commit_flat(drained[sl], dt[sl], n[sl], frag[sl])
+        for deployment, sl in zip(alone, lanes):
+            for name in STATE:
+                assert getattr(stacked, name)[sl].tolist() == getattr(deployment, name).tolist(), name

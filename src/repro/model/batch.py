@@ -869,7 +869,7 @@ class BatchSimulator:
         st = member.sim.state
         observed = float(self.stepper.observed_time[member.index])
         st.deployment.observed_time = observed
-        st.topology._observed_time = observed
+        st.topology.observed_time = observed
 
     def _compact(self) -> None:
         """Rebuild the flat state from the live members and the queued ones

@@ -369,8 +369,8 @@ class ModelStepper:
         conn_server = state.conn_server
         conn_node = state.conn_node
 
-        # Effective RTT: base RTT plus queueing delay at the server
-        # (in-place twin of ServerBuffers.queueing_delay — keep in sync).
+        # Effective RTT: base RTT plus queueing delay at the server (its
+        # buffered bytes over its drain rate, floored at 1e-9 bytes/s).
         np.maximum(state.last_drain_rate, 1e-9, out=ws.tmp_srv_a)
         np.divide(state.buffers.fill, ws.tmp_srv_a, out=ws.tmp_srv_a)
         ws.tmp_srv_a.take(conn_server, out=ws.rtt_eff)
@@ -396,7 +396,8 @@ class ModelStepper:
         np.logical_not(ws.sending, out=ws.tmp_bool_a)
         np.copyto(ws.potential, 0.0, where=ws.tmp_bool_a)
         np.minimum(ws.potential, state.send_remaining, out=ws.desired)
-        # Per-node injection cap (cap_by_group inlined onto the workspace).
+        # Per-node injection cap: an over-capacity node scales each of its
+        # connections' demands by the same factor, capacity / total.
         totals = np.bincount(conn_node, weights=ws.desired, minlength=self._n_nodes)
         np.maximum(totals, 1e-300, out=ws.tmp_node_a)
         np.greater(totals, self._node_caps_dt, out=ws.tmp_node_mask)
@@ -492,7 +493,6 @@ class ModelStepper:
             ws.ones,
             extra_capacity=ws.tmp_srv_b,
             max_admission=self._server_nic_dt,
-            rng=None,
         )
         state.send_remaining -= admitted
         np.less(state.send_remaining, self._send_floor, out=ws.tmp_bool_a)

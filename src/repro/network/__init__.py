@@ -1,40 +1,26 @@
 """Network substrate.
 
-Vectorized building blocks for the I/O-path model:
+Flat per-lane building blocks for the I/O-path model:
 
-* :mod:`repro.network.allocation` — bandwidth-sharing primitives (capped
-  proportional shares, per-group capacity scaling, weighted admission under
-  oversubscription),
 * :mod:`repro.network.congestion` — the TCP-like per-connection congestion
   window state and its update rule (AIMD + timeout collapse),
-* :mod:`repro.network.incast`     — the per-server receive buffer and the
-  admission model whose breakdown is the Incast problem,
-* :mod:`repro.network.link`, :mod:`repro.network.nic`,
-  :mod:`repro.network.topology` — object-level descriptions of the physical
-  network used for accounting and root-cause reporting.
+* :mod:`repro.network.incast`     — the per-server receive buffers and the
+  proportional admission whose breakdown is the Incast problem,
+* :mod:`repro.network.topology`   — the star topology's per-link capacities
+  and busy-time accounting (NIC and server-downlink utilization),
+* :mod:`repro.network.allocation` — :func:`proportional_share`, the scalar
+  water-filling oracle the tests hold the stacked admission to.
 """
 
-from repro.network.allocation import (
-    admission_order_keys,
-    allocate_greedy_in_order,
-    cap_by_group,
-    proportional_share,
-)
+from repro.network.allocation import proportional_share
 from repro.network.congestion import WindowState, WindowUpdateResult
 from repro.network.incast import ServerBuffers
-from repro.network.link import Link
-from repro.network.nic import NIC
 from repro.network.topology import StarTopology
 
 __all__ = [
     "proportional_share",
-    "cap_by_group",
-    "admission_order_keys",
-    "allocate_greedy_in_order",
     "WindowState",
     "WindowUpdateResult",
     "ServerBuffers",
-    "Link",
-    "NIC",
     "StarTopology",
 ]

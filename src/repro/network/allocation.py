@@ -1,18 +1,10 @@
-"""Vectorized bandwidth-allocation primitives.
+"""The per-server water-filling oracle.
 
-These are pure functions over NumPy arrays; the model stepper composes them
-every simulation step.  They implement three sharing disciplines:
-
-* :func:`proportional_share` — divide a capacity among demands in proportion
-  to weights, never giving anyone more than they asked for (water-filling of
-  the excess);
-* :func:`cap_by_group` — scale per-entity demands down so that each group's
-  total respects that group's capacity (used for per-node NIC caps);
-* :func:`admission_order_keys` + :func:`allocate_greedy_in_order` — the
-  stochastic "winner" admission used at oversubscribed server buffers: a
-  weighted random order is drawn and capacity is granted greedily, so that
-  under heavy oversubscription some connections receive nothing at all in a
-  step — the seed of timeout collapse (Incast).
+:func:`proportional_share` divides a capacity among demands in proportion to
+weights, never giving anyone more than it asked for (water-filling of the
+excess).  It is the scalar reference of the admission water-filling that
+:class:`~repro.network.incast.ServerBuffers` runs stacked across servers:
+the tests check the flat admission against it, server by server, bit for bit.
 """
 
 from __future__ import annotations
@@ -21,12 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = [
-    "proportional_share",
-    "cap_by_group",
-    "admission_order_keys",
-    "allocate_greedy_in_order",
-]
+__all__ = ["proportional_share"]
 
 
 def proportional_share(
@@ -95,132 +82,3 @@ def proportional_share(
         remaining_capacity -= float(take.sum())
         unsatisfied = (demands - alloc) > 1e-9
     return alloc
-
-
-def cap_by_group(
-    demands: np.ndarray,
-    group_ids: np.ndarray,
-    group_capacities: np.ndarray,
-) -> np.ndarray:
-    """Scale demands so that each group's total stays within its capacity.
-
-    Every member of an over-subscribed group is scaled by the same factor
-    (proportional fairness within the group); groups under their capacity are
-    untouched.
-
-    Parameters
-    ----------
-    demands:
-        Per-entity demands.
-    group_ids:
-        Integer group index of each entity (0-based, dense).
-    group_capacities:
-        Capacity of each group, indexed by group id.
-    """
-    demands = np.asarray(demands, dtype=np.float64)
-    group_ids = np.asarray(group_ids)
-    group_capacities = np.asarray(group_capacities, dtype=np.float64)
-    if demands.shape != group_ids.shape:
-        raise ValueError("demands and group_ids must have the same shape")
-    if demands.size == 0:
-        return demands.copy()
-    n_groups = group_capacities.shape[0]
-    totals = np.bincount(group_ids, weights=demands, minlength=n_groups)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # The quotient overflows to inf for near-zero totals (long adaptive
-        # steps make capacity * dt huge); such groups are under capacity and
-        # np.where discards the quotient there, so the overflow is benign.
-        factors = np.where(totals > group_capacities, group_capacities / np.maximum(totals, 1e-300), 1.0)
-    factors = np.clip(factors, 0.0, 1.0)
-    return demands * factors[group_ids]
-
-
-def admission_order_keys(
-    weights: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw keys whose ascending order is a weighted random permutation.
-
-    Uses the exponential-race trick: ``key = Exp(1) / weight``; sorting by
-    the key gives each entity a probability of coming first proportional to
-    its weight.  Entities with higher weights (established connections) tend
-    to be admitted earlier when capacity is scarce.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    if np.any(weights <= 0):
-        raise ValueError("weights must be positive")
-    draws = rng.exponential(1.0, size=weights.shape)
-    return draws / weights
-
-
-def allocate_greedy_in_order(
-    demands: np.ndarray,
-    order_keys: np.ndarray,
-    group_ids: np.ndarray,
-    group_capacities: np.ndarray,
-) -> np.ndarray:
-    """Admit demands greedily in key order within each group.
-
-    Entities are sorted by ``order_keys`` (ascending) within their group and
-    each takes ``min(demand, remaining group capacity)``; later entities of
-    an exhausted group receive nothing.  This models a drop-tail buffer where
-    whoever's burst arrives first wins the free space.
-
-    Returns
-    -------
-    numpy.ndarray
-        Per-entity admitted amounts.
-    """
-    demands = np.asarray(demands, dtype=np.float64)
-    order_keys = np.asarray(order_keys, dtype=np.float64)
-    group_ids = np.asarray(group_ids)
-    group_capacities = np.asarray(group_capacities, dtype=np.float64)
-    if not (demands.shape == order_keys.shape == group_ids.shape):
-        raise ValueError("demands, order_keys and group_ids must have the same shape")
-    n = demands.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.float64)
-
-    # Sort by (group, key) so each group's entities are contiguous in order.
-    sorter = np.lexsort((order_keys, group_ids))
-    sorted_groups = group_ids[sorter]
-    sorted_demands = demands[sorter]
-
-    # Cumulative demand within each group, exclusive of the current entity.
-    cumulative = np.cumsum(sorted_demands)
-    group_start_mask = np.ones(n, dtype=bool)
-    group_start_mask[1:] = sorted_groups[1:] != sorted_groups[:-1]
-    group_start_indices = np.flatnonzero(group_start_mask)
-    # Offset of the cumulative sum at the start of each group.
-    offsets = np.zeros(n, dtype=np.float64)
-    start_cumulative = np.where(group_start_indices > 0, cumulative[group_start_indices - 1], 0.0)
-    offsets[group_start_indices] = start_cumulative
-    offsets = np.maximum.accumulate(offsets)
-    before_me = cumulative - sorted_demands - offsets
-
-    caps = group_capacities[sorted_groups]
-    admitted_sorted = np.clip(caps - before_me, 0.0, sorted_demands)
-
-    admitted = np.zeros(n, dtype=np.float64)
-    admitted[sorter] = admitted_sorted
-    return admitted
-
-
-def split_capacity(total: float, weights: np.ndarray) -> np.ndarray:
-    """Split ``total`` proportionally to ``weights`` (no demand caps).
-
-    Small helper used by reporting code; kept here so the allocation
-    behaviours live in one module.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    s = weights.sum()
-    if s <= 0:
-        return np.zeros_like(weights)
-    return total * weights / s
-
-
-def group_totals(values: np.ndarray, group_ids: np.ndarray, n_groups: int) -> np.ndarray:
-    """Sum ``values`` per group id (thin wrapper around ``np.bincount``)."""
-    values = np.asarray(values, dtype=np.float64)
-    group_ids = np.asarray(group_ids)
-    return np.bincount(group_ids, weights=values, minlength=n_groups)

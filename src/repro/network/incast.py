@@ -2,15 +2,17 @@
 
 Each storage server has a bounded staging buffer between the network and the
 backend.  Clients push data into it (admission) and the backend drains it.
-When the backend is slow the buffer is persistently full; admission becomes a
-race for the little space freed each instant, which established connections
-tend to win — the flow-control breakdown the paper identifies as the root of
-unfair interference.
+When the backend is slow the buffer is persistently full; admission then
+shares out the little space freed each instant in proportion to what each
+connection offers, so established connections with wide windows keep most of
+it — the flow-control breakdown the paper identifies as the root of unfair
+interference.
 
 :class:`ServerBuffers` owns the per-server occupancy and the per-connection
 "bytes currently in the buffer" accounting, and implements:
 
-* :meth:`admit` — weighted, possibly starving admission of offered bytes,
+* :meth:`admit` — proportional admission of offered bytes, one water-filling
+  per server over the free space plus the bytes drained in the step,
 * :meth:`drain` — removal of drained bytes with per-connection attribution,
 * occupancy/pressure queries used for effective-RTT and root-cause analysis.
 """
@@ -22,7 +24,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.network.allocation import admission_order_keys, allocate_greedy_in_order
 
 __all__ = ["ServerBuffers"]
 
@@ -151,15 +152,6 @@ class ServerBuffers:
         """Buffer occupancy per server in [0, 1]."""
         return np.clip(self.fill / self.capacity, 0.0, 1.0)
 
-    def queueing_delay(self, drain_rate: np.ndarray) -> np.ndarray:
-        """Expected time for a newly admitted byte to reach the backend.
-
-        ``drain_rate`` is the per-server drain bandwidth (bytes/s); servers
-        with an (almost) idle backend report zero delay.
-        """
-        drain_rate = np.maximum(np.asarray(drain_rate, dtype=np.float64), 1e-9)
-        return self.fill / drain_rate
-
     def pressure_fraction(self) -> np.ndarray:
         """Fraction of observed steps each server spent with a full buffer
         (0 for a server that observed none)."""
@@ -178,7 +170,6 @@ class ServerBuffers:
         weights: np.ndarray,
         extra_capacity: Optional[np.ndarray] = None,
         max_admission: Optional[np.ndarray] = None,
-        rng: Optional[np.random.Generator] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Admit offered bytes into the buffers.
 
@@ -195,10 +186,6 @@ class ServerBuffers:
         max_admission:
             Optional per-server cap on the bytes admitted this step (e.g. the
             server NIC capacity for the step).
-        rng:
-            Random generator for the weighted admission order.  If ``None``,
-            admission falls back to purely proportional sharing (used by
-            deterministic unit tests).
 
         Returns
         -------
@@ -225,13 +212,7 @@ class ServerBuffers:
             self.conn_server, weights=offered, minlength=self.n_servers
         )
         oversub_server = offered_per_server > capacity + 1e-9
-
-        if rng is None:
-            admitted = self._admit_proportional(offered, weights, capacity, offered_per_server)
-        else:
-            keys = admission_order_keys(np.asarray(weights, dtype=np.float64), rng)
-            admitted = allocate_greedy_in_order(offered, keys, self.conn_server, capacity)
-
+        admitted = self._admit_proportional(offered, weights, capacity)
         self.conn_bytes += admitted
         admitted_per_server = np.bincount(
             self.conn_server, weights=admitted, minlength=self.n_servers
@@ -246,7 +227,6 @@ class ServerBuffers:
         offered: np.ndarray,
         weights: np.ndarray,
         capacity: np.ndarray,
-        offered_per_server: np.ndarray,
     ) -> np.ndarray:
         """Deterministic proportional admission, one water-filling per server.
 
@@ -413,12 +393,3 @@ class ServerBuffers:
         full = self._scratch_full
         np.greater_equal(occupancy, full_threshold, out=full)
         np.add(self.full_steps, weight, out=self.full_steps, where=full)
-
-    def reset(self) -> None:
-        """Clear all state (buffers and statistics)."""
-        self.fill[:] = 0.0
-        self.conn_bytes[:] = 0.0
-        self.total_admitted[:] = 0.0
-        self.total_drained[:] = 0.0
-        self.full_steps[:] = 0.0
-        self.observed_steps[:] = 0.0

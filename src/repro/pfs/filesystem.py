@@ -1,13 +1,13 @@
-"""A PVFS deployment: the set of servers plus striping configuration.
+"""A PVFS deployment: the servers of one file system, as flat per-server lanes.
 
 :class:`PVFSDeployment` holds the state of every server of one deployment in
-flat per-server arrays and runs the server laws of
-:class:`~repro.pfs.server.PVFSServer` (drain capacity, backend commit,
-write-back cache, device queue) elementwise over all of them at once: one
-NumPy expression per law instead of one Python call per server.  Every
-elementwise operation is the IEEE operation the scalar law performs, in the
-same order, so each lane is bit for bit what a :class:`PVFSServer` would hold
-after the same sequence of steps (``tests/test_pfs_flat.py`` pins this).
+flat per-server arrays and runs the server laws (drain capacity, backend
+commit, write-back cache, device queue) elementwise over all of them at once:
+one NumPy expression per law instead of one Python call per server.  The
+scalar :class:`~repro.pfs.server.PVFSServer` is the oracle of these laws:
+every elementwise operation is the IEEE operation it performs, in the same
+order, so each lane is bit for bit what a :class:`PVFSServer` would hold after
+the same sequence of steps (``tests/test_pfs_flat.py`` pins this).
 The law's constants are per lane too, so the stepping kernel stacks the
 servers of deployments that differ in device, sync mode, stripe size, server
 count and NIC rate into one (:meth:`PVFSDeployment.stacked`).
@@ -20,9 +20,8 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config.filesystem import FileSystemConfig, SyncMode
-from repro.errors import ConfigurationError, SimulationError
-from repro.pfs.client import PVFSClient
-from repro.pfs.server import FLOW_BUFFER_BYTES, PVFSServer
+from repro.errors import ConfigurationError
+from repro.pfs.server import FLOW_BUFFER_BYTES
 
 __all__ = ["PVFSDeployment"]
 
@@ -91,8 +90,6 @@ class PVFSDeployment:
     def __init__(self, config: FileSystemConfig, server_nic_bw: float) -> None:
         if server_nic_bw <= 0:
             raise ConfigurationError("server_nic_bw must be positive")
-        self.config = config
-        self._server_nic_bw = server_nic_bw
         n = config.n_servers
         server, device = config.server, config.device
         # Static terms of the laws (PVFSServer.ingest_rate/processing_unit).
@@ -133,7 +130,6 @@ class PVFSDeployment:
                 runs.append((mode, slice(start, stop)))
             offset += deployment.n_servers
         flat = cls.__new__(cls)
-        flat.config = None
         flat._init_lanes(
             deployments[0]._server,
             tuple(runs),
@@ -171,8 +167,8 @@ class PVFSDeployment:
         self.drained_bytes = np.zeros(n, dtype=np.float64)
         #: Time each server's drain path was busy.
         self.busy_time = np.zeros(n, dtype=np.float64)
-        #: Time every server has observed (each :meth:`commit` advances all
-        #: by dt; the stepping kernel stamps it per member).
+        #: Time every server has observed (the stepping kernel stamps it per
+        #: member).
         self.observed_time = 0.0
         #: Write-back cache state (Sync OFF path).
         self.dirty_bytes = np.zeros(n, dtype=np.float64)
@@ -184,19 +180,6 @@ class PVFSDeployment:
         self.device_busy_time = np.zeros(n, dtype=np.float64)
         self._laws: Dict[bytes, _Law] = {}
         self._scratch = np.zeros(n, dtype=np.float64)
-
-    # ------------------------------------------------------------------ #
-
-    def make_client(self, app: str, rank: int, servers: Sequence[int] | None = None) -> PVFSClient:
-        """Create a client handle for one application process."""
-        targets = tuple(servers) if servers is not None else self.config.all_servers
-        return PVFSClient(
-            app=app,
-            rank=rank,
-            stripe_size=self.config.stripe_size,
-            servers=targets,
-            n_servers_total=self.n_servers,
-        )
 
     # ------------------------------------------------------------------ #
     # The server laws, elementwise
@@ -317,26 +300,6 @@ class PVFSDeployment:
         read-only array)."""
         return self._law(*self._workload(n_streams, avg_fragment_sizes)).rates
 
-    def commit(
-        self,
-        drained: np.ndarray,
-        dt: float,
-        n_streams: np.ndarray,
-        avg_fragment_sizes: np.ndarray,
-    ) -> None:
-        """Account for one step of drained bytes on every server.
-
-        The law evaluation for the step's workload mix comes from the memo
-        the drain phase's :meth:`drain_rates` call filled.
-        """
-        if dt <= 0:
-            raise SimulationError("dt must be positive")
-        self.observed_time += dt
-        self.commit_flat(
-            np.asarray(drained, dtype=np.float64), np.full(self.n_servers, dt),
-            n_streams, avg_fragment_sizes,
-        )
-
     def commit_flat(
         self,
         drained: np.ndarray,
@@ -344,12 +307,15 @@ class PVFSDeployment:
         n_streams: np.ndarray,
         avg_fragment_sizes: np.ndarray,
     ) -> None:
-        """:meth:`commit` for the stepping kernel, without input checks and
-        without advancing :attr:`observed_time`: ``dt`` is one step per
-        server lane (a batch's members step on their own clocks), and the
-        kernel keeps each member's observed time itself.  Every use of
-        ``dt`` is elementwise, so a lane commits what its member alone
-        would."""
+        """Account for one step of drained bytes on every server.
+
+        There are no input checks, and :attr:`observed_time` does not
+        advance: ``dt`` is one step per server lane (a batch's members step
+        on their own clocks), and the stepping kernel keeps each member's
+        observed time itself.  Every use of ``dt`` is elementwise, so a lane
+        commits what its member alone would.  The law evaluation for the
+        step's workload mix comes from the memo the drain phase's
+        :meth:`drain_rates` call filled."""
         law = self._law(*self._workload(n_streams, avg_fragment_sizes))
         self.drained_bytes += drained
         for mode, lanes in self._runs:
@@ -459,43 +425,3 @@ class PVFSDeployment:
                         self.device_busy_time[lanes] / self.observed_time, 1.0
                     )
         return utilization
-
-    def dirty_cache_bytes(self) -> np.ndarray:
-        """Per-server dirty bytes in the write-back cache."""
-        return self.dirty_bytes.copy()
-
-    def total_drained(self) -> float:
-        """Total bytes drained by all servers."""
-        return float(sum(self.drained_bytes.tolist()))
-
-    def utilization_report(self) -> Dict[str, float]:
-        """Utilization keyed by server name."""
-        return {
-            f"server{s}": value for s, value in enumerate(self.utilizations().tolist())
-        }
-
-    def reset(self) -> None:
-        """Reset every server's accounting state."""
-        for array in (
-            self.drained_bytes, self.busy_time, self.dirty_bytes,
-            self.absorbed_bytes, self.flushed_bytes, self.pending_bytes,
-            self.written_bytes, self.device_busy_time,
-        ):
-            array[:] = 0.0
-        self.observed_time = 0.0
-        self._laws.clear()
-
-    def describe(self) -> Tuple[str, ...]:
-        """Per-server one-line descriptions."""
-        config = self.config
-        return tuple(
-            PVFSServer(
-                server_id=s,
-                config=config.server,
-                device=config.device,
-                sync_mode=config.sync_mode,
-                stripe_size=config.stripe_size,
-                server_nic_bw=self._server_nic_bw,
-            ).describe()
-            for s in range(self.n_servers)
-        )

@@ -22,7 +22,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "server_of_stripe",
     "stripe_span",
     "extent_to_server_bytes",
     "extents_to_server_matrix",
@@ -31,13 +30,6 @@ __all__ = [
 
 #: Most stripes :func:`extents_to_server_matrix` materializes at once.
 _STRIPE_CHUNK = 1 << 16
-
-
-def server_of_stripe(stripe_index: int, servers: Sequence[int]) -> int:
-    """Server storing stripe ``stripe_index`` of a file striped over ``servers``."""
-    if not servers:
-        raise ConfigurationError("servers must not be empty")
-    return int(servers[int(stripe_index) % len(servers)])
 
 
 def stripe_span(offset: float, length: float, stripe_size: float) -> Tuple[int, int]:

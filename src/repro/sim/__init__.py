@@ -3,9 +3,9 @@
 This subpackage contains the generic machinery that the I/O-path model in
 :mod:`repro.model` is built on:
 
-* :mod:`repro.sim.engine` — the event heap and simulation clock,
+* :mod:`repro.sim.engine` — the event heap and simulation clock (a run's
+  control plane: application starts, next issues, trace sampling),
 * :mod:`repro.sim.events` — event records and priorities,
-* :mod:`repro.sim.process` — lightweight generator-based simulation processes,
 * :mod:`repro.sim.rng` — reproducible, named random streams,
 * :mod:`repro.sim.timeseries` — compact time-series storage,
 * :mod:`repro.sim.tracing` — trace recording for post-hoc analysis.
@@ -16,7 +16,6 @@ general-purpose DES kernel with deterministic ordering guarantees.
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventPriority
-from repro.sim.process import SimProcess, Timeout
 from repro.sim.rng import RandomStreams
 from repro.sim.timeseries import TimeSeries
 from repro.sim.tracing import TraceRecorder
@@ -25,8 +24,6 @@ __all__ = [
     "Simulator",
     "Event",
     "EventPriority",
-    "SimProcess",
-    "Timeout",
     "RandomStreams",
     "TimeSeries",
     "TraceRecorder",

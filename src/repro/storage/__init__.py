@@ -11,8 +11,12 @@ interference are:
   pay a positioning cost per access).
 
 :class:`repro.storage.device.DeviceSpec` captures these parameters and
-implements the effective-bandwidth law; :mod:`repro.storage.writeback`
-implements the sync-OFF page-cache path.
+implements the effective-bandwidth law.  :mod:`repro.storage.writeback` (the
+sync-OFF page cache) and :mod:`repro.storage.queueing` (the sync-ON device
+queue) are scalar, one object per server: with
+:class:`~repro.pfs.server.PVFSServer` they are the oracle of the flat
+per-server laws in :class:`~repro.pfs.filesystem.PVFSDeployment`, which runs
+both paths for every server of a deployment at once.
 """
 
 from repro.storage.device import DeviceKind, DeviceSpec

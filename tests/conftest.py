@@ -7,7 +7,6 @@ needs to *read* results.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.config.presets import make_scenario, make_single_app_scenario
@@ -49,12 +48,6 @@ def tiny_traced_result():
         "tiny", device="hdd", sync_mode="sync-on", delay=0.1, trace=trace
     )
     return simulate_scenario(scenario)
-
-
-@pytest.fixture()
-def rng():
-    """A deterministic NumPy generator for unit tests."""
-    return np.random.default_rng(12345)
 
 
 @pytest.fixture()

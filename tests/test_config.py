@@ -87,10 +87,9 @@ class TestNetworkConfig:
         assert net.name == "slow"
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            NetworkConfig(client_nic_bw=0)
-        with pytest.raises(ConfigurationError):
-            NetworkConfig(rtt=0)
+        for field in ("client_nic_bw", "server_nic_bw", "node_injection_bw", "rtt"):
+            with pytest.raises(ConfigurationError):
+                NetworkConfig(**{field: 0})
 
 
 class TestServerAndPlatform:

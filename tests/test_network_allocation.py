@@ -1,16 +1,9 @@
-"""Tests for the bandwidth-allocation primitives."""
+"""Tests for the per-server water-filling oracle."""
 
 import numpy as np
 import pytest
 
-from repro.network.allocation import (
-    admission_order_keys,
-    allocate_greedy_in_order,
-    cap_by_group,
-    group_totals,
-    proportional_share,
-    split_capacity,
-)
+from repro.network.allocation import proportional_share
 
 
 class TestProportionalShare:
@@ -50,76 +43,3 @@ class TestProportionalShare:
             proportional_share(np.array([1.0]), 1.0, weights=np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             proportional_share(np.array([1.0]), 1.0, weights=np.array([0.0]))
-
-
-class TestCapByGroup:
-    def test_groups_are_scaled_independently(self):
-        demands = np.array([10.0, 10.0, 1.0, 1.0])
-        groups = np.array([0, 0, 1, 1])
-        capped = cap_by_group(demands, groups, np.array([10.0, 10.0]))
-        assert capped[:2].sum() == pytest.approx(10.0)
-        assert np.allclose(capped[2:], [1.0, 1.0])
-
-    def test_no_scaling_when_under_capacity(self):
-        demands = np.array([1.0, 2.0])
-        capped = cap_by_group(demands, np.array([0, 0]), np.array([10.0]))
-        assert np.allclose(capped, demands)
-
-    def test_empty(self):
-        assert cap_by_group(np.array([]), np.array([], dtype=int), np.array([1.0])).size == 0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            cap_by_group(np.array([1.0]), np.array([0, 1]), np.array([1.0, 1.0]))
-
-
-class TestGreedyAllocation:
-    def test_order_keys_prefer_heavy_weights(self, rng):
-        weights = np.array([10.0] * 50 + [1.0] * 50)
-        keys = admission_order_keys(weights, rng)
-        heavy_rank = np.argsort(keys)[:50]
-        # Most of the first 50 slots should belong to the heavy-weight half.
-        assert np.sum(heavy_rank < 50) > 35
-
-    def test_order_keys_reject_nonpositive_weights(self, rng):
-        with pytest.raises(ValueError):
-            admission_order_keys(np.array([1.0, 0.0]), rng)
-
-    def test_greedy_respects_capacity_per_group(self):
-        demands = np.array([5.0, 5.0, 5.0, 5.0])
-        keys = np.array([0.1, 0.2, 0.3, 0.4])
-        groups = np.array([0, 0, 1, 1])
-        admitted = allocate_greedy_in_order(demands, keys, groups, np.array([7.0, 100.0]))
-        assert admitted[0] == pytest.approx(5.0)
-        assert admitted[1] == pytest.approx(2.0)
-        assert np.allclose(admitted[2:], 5.0)
-
-    def test_greedy_starves_latecomers(self):
-        demands = np.array([10.0, 10.0, 10.0])
-        keys = np.array([0.0, 1.0, 2.0])
-        groups = np.zeros(3, dtype=int)
-        admitted = allocate_greedy_in_order(demands, keys, groups, np.array([10.0]))
-        assert admitted.tolist() == [10.0, 0.0, 0.0]
-
-    def test_greedy_empty(self):
-        out = allocate_greedy_in_order(
-            np.array([]), np.array([]), np.array([], dtype=int), np.array([1.0])
-        )
-        assert out.size == 0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            allocate_greedy_in_order(
-                np.array([1.0]), np.array([1.0, 2.0]), np.array([0]), np.array([1.0])
-            )
-
-
-class TestSmallHelpers:
-    def test_split_capacity(self):
-        out = split_capacity(10.0, np.array([1.0, 3.0]))
-        assert np.allclose(out, [2.5, 7.5])
-        assert split_capacity(10.0, np.array([0.0, 0.0])).sum() == 0.0
-
-    def test_group_totals(self):
-        totals = group_totals(np.array([1.0, 2.0, 3.0]), np.array([0, 1, 1]), 3)
-        assert totals.tolist() == [1.0, 5.0, 0.0]

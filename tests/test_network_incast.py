@@ -60,15 +60,6 @@ class TestAdmission:
         )
         assert admitted[:3].sum() == pytest.approx(300.0)
 
-    def test_greedy_mode_with_rng(self, rng):
-        buffers = make_buffers(capacity=250.0)
-        offered = np.full(6, 200.0)
-        admitted, oversub = buffers.admit(offered, np.ones(6), rng=rng)
-        # Per server: capacity 250 < offered 600, so someone gets starved.
-        per_server = np.array([admitted[:3].sum(), admitted[3:].sum()])
-        assert np.allclose(per_server, 250.0)
-        assert (admitted == 0).sum() >= 2
-
     def test_wrong_length_rejected(self):
         buffers = make_buffers()
         with pytest.raises(SimulationError):
@@ -104,13 +95,6 @@ class TestDrain:
         with pytest.raises(SimulationError):
             buffers.drain(np.array([1.0]))
 
-    def test_queueing_delay(self):
-        buffers = make_buffers()
-        buffers.admit(np.full(6, 100.0), np.ones(6))
-        delay = buffers.queueing_delay(np.array([100.0, 200.0]))
-        assert delay[0] == pytest.approx(3.0)
-        assert delay[1] == pytest.approx(1.5)
-
 
 class TestStatistics:
     def test_pressure_fraction(self):
@@ -131,16 +115,6 @@ class TestStatistics:
         assert buffers.full_steps.tolist() == [0.0, 3.0]
         buffers.note_step(weight=np.array([1.0, 1.0]))
         assert buffers.pressure_fraction().tolist() == [0.0, 1.0]
-
-    def test_reset(self):
-        buffers = make_buffers()
-        buffers.admit(np.full(6, 10.0), np.ones(6))
-        buffers.note_step()
-        assert buffers.observed_steps.tolist() == [1.0, 1.0]
-        buffers.reset()
-        assert np.allclose(buffers.fill, 0.0)
-        assert buffers.observed_steps.tolist() == [0.0, 0.0]
-        assert np.allclose(buffers.total_admitted, 0.0)
 
 
 class TestProportionalAdmissionPaths:

@@ -1,62 +1,12 @@
-"""Tests for links, NICs and the star topology."""
+"""Tests for the star topology's per-link capacities and accounting."""
 
 import numpy as np
 import pytest
 
 from repro import units
 from repro.config.network import NetworkConfig
-from repro.errors import ConfigurationError, SimulationError
-from repro.network.link import Link
-from repro.network.nic import NIC
+from repro.errors import ConfigurationError
 from repro.network.topology import StarTopology
-
-
-class TestLink:
-    def test_utilization_accounting(self):
-        link = Link("test", capacity=100.0)
-        link.record(50.0, dt=1.0)
-        link.record(100.0, dt=1.0)
-        assert link.utilization() == pytest.approx(0.75)
-        assert link.mean_throughput() == pytest.approx(75.0)
-        assert link.transferred_bytes == 150.0
-
-    def test_capacity_enforced(self):
-        link = Link("test", capacity=100.0)
-        with pytest.raises(SimulationError):
-            link.record(150.0, dt=1.0)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            Link("bad", capacity=0.0)
-        link = Link("test", capacity=10.0)
-        with pytest.raises(SimulationError):
-            link.record(-1.0, dt=1.0)
-        with pytest.raises(SimulationError):
-            link.max_bytes(0.0)
-
-    def test_reset(self):
-        link = Link("test", capacity=10.0)
-        link.record(5.0, 1.0)
-        link.reset()
-        assert link.utilization() == 0.0
-        assert link.transferred_bytes == 0.0
-
-
-class TestNIC:
-    def test_effective_bw_is_min(self):
-        nic = NIC(node_id=0, line_rate=1.25e9, injection_bw=220 * units.MiB)
-        assert nic.effective_bw == 220 * units.MiB
-        nic_slow = NIC(node_id=1, line_rate=125e6, injection_bw=220 * units.MiB)
-        assert nic_slow.effective_bw == 125e6
-
-    def test_record_and_utilization(self):
-        nic = NIC(node_id=0, line_rate=100.0, injection_bw=100.0)
-        nic.record(50.0, dt=1.0)
-        assert nic.utilization() == pytest.approx(0.5)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            NIC(node_id=0, line_rate=0.0, injection_bw=1.0)
 
 
 class TestStarTopology:
@@ -69,22 +19,51 @@ class TestStarTopology:
         assert topo.server_capacities().shape == (2,)
         assert np.all(topo.node_capacities() > 0)
 
-    def test_record_step_and_report(self):
-        topo = self.make()
-        per_node = np.array([1e6, 2e6, 0.0])
-        per_server = np.array([1.5e6, 1.5e6])
-        topo.record_step(per_node, per_server, dt=0.1)
-        report = topo.utilization_report()
-        assert len(report) == 5
-        assert topo.max_client_utilization() > 0
-        assert topo.max_server_utilization() > 0
+    def test_node_capacity_is_min_of_nic_and_injection(self):
+        fast_nic = NetworkConfig(client_nic_bw=1.25e9, node_injection_bw=220 * units.MiB)
+        slow_nic = NetworkConfig(client_nic_bw=125e6, node_injection_bw=220 * units.MiB)
+        assert StarTopology(2, 1, fast_nic).node_capacities().tolist() == [220 * units.MiB] * 2
+        assert StarTopology(2, 1, slow_nic).node_capacities().tolist() == [125e6] * 2
+        assert StarTopology(2, 3, slow_nic).server_capacities().tolist() == [
+            slow_nic.server_nic_bw
+        ] * 3
 
-    def test_record_wrong_shape(self):
-        topo = self.make()
-        with pytest.raises(ConfigurationError):
-            topo.record_step(np.zeros(2), np.zeros(2), dt=0.1)
-        with pytest.raises(ConfigurationError):
-            topo.record_step(np.zeros(3), np.zeros(3), dt=0.1)
+    def test_int_rates_give_float_capacities(self):
+        network = NetworkConfig(client_nic_bw=10**9, server_nic_bw=10**9,
+                                node_injection_bw=220 * units.MiB)
+        topo = StarTopology(2, 2, network)
+        assert topo.node_capacities().dtype == np.float64
+        assert topo.server_capacities().dtype == np.float64
+
+    def test_record_step_flat_and_max_utilization(self):
+        network = NetworkConfig(client_nic_bw=100.0, node_injection_bw=100.0,
+                                server_nic_bw=200.0)
+        topo = StarTopology(n_client_nodes=3, n_servers=2, network=network)
+        assert topo.max_client_utilization() == 0.0
+        # Node 0 sends half its step capacity, node 1 more than all of it
+        # (clamped to 1); per-link steps may differ.
+        topo.record_step_flat(
+            np.array([5.0, 30.0, 0.0]), np.array([20.0, 0.0]),
+            np.array([0.1, 0.2, 0.1]), 0.1,
+        )
+        topo.observed_time = 0.2
+        assert topo.max_client_utilization() == pytest.approx(1.0)
+        assert topo.max_server_utilization() == pytest.approx(0.5)
+
+    def test_stacked_keeps_each_topology_capacities(self):
+        ten_g = StarTopology(2, 3, NetworkConfig())
+        one_g = StarTopology(
+            1, 2, NetworkConfig(client_nic_bw=125e6, server_nic_bw=125e6)
+        )
+        flat = StarTopology.stacked([ten_g, one_g])
+        assert flat.n_client_nodes == 3 and flat.n_servers == 5
+        assert flat.node_capacities().tolist() == (
+            ten_g.node_capacities().tolist() + one_g.node_capacities().tolist()
+        )
+        assert flat.server_capacities().tolist() == (
+            ten_g.server_capacities().tolist() + one_g.server_capacities().tolist()
+        )
+        assert flat.observed_time == 0.0
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -1,4 +1,4 @@
-"""Tests for the PVFS client, server, request records and deployment."""
+"""Tests for the scalar PVFS server and the flat deployment."""
 
 import numpy as np
 import pytest
@@ -7,76 +7,12 @@ from repro import units
 from repro.config.filesystem import FileSystemConfig, SyncMode
 from repro.config.server import ServerConfig
 from repro.errors import ConfigurationError
-from repro.pfs.client import PVFSClient
 from repro.pfs.filesystem import PVFSDeployment
-from repro.pfs.request import Fragment, WriteRequest
 from repro.pfs.server import FLOW_BUFFER_BYTES, PVFSServer
 from repro.storage import device_by_name
 
 KIB = units.KiB
 MIB = units.MiB
-
-
-class TestRequestRecords:
-    def test_fragment_validation(self):
-        with pytest.raises(ConfigurationError):
-            Fragment(request_id=0, server=0, nbytes=0, n_stripe_pieces=1)
-        with pytest.raises(ConfigurationError):
-            Fragment(request_id=0, server=0, nbytes=10, n_stripe_pieces=0)
-
-    def test_request_consistency(self):
-        frags = (
-            Fragment(0, 0, 128 * KIB, 2),
-            Fragment(0, 1, 128 * KIB, 2),
-        )
-        req = WriteRequest(0, "A", 3, offset=0, nbytes=256 * KIB, fragments=frags)
-        assert req.is_consistent()
-        assert req.n_servers_touched == 2
-        assert req.bytes_by_server == {0: 128 * KIB, 1: 128 * KIB}
-
-    def test_request_validation(self):
-        with pytest.raises(ConfigurationError):
-            WriteRequest(0, "A", -1, offset=0, nbytes=10)
-        with pytest.raises(ConfigurationError):
-            WriteRequest(0, "A", 0, offset=-1, nbytes=10)
-
-
-class TestClient:
-    def make_client(self, stripe=64 * KIB, servers=(0, 1, 2, 3), total=4):
-        return PVFSClient("A", rank=0, stripe_size=stripe, servers=servers, n_servers_total=total)
-
-    def test_build_request_fragments(self):
-        client = self.make_client()
-        req = client.build_request(offset=0, nbytes=256 * KIB)
-        assert req.is_consistent()
-        assert req.n_servers_touched == 4
-
-    def test_submit_and_complete(self):
-        client = self.make_client()
-        req = client.submit(0, 128 * KIB)
-        assert len(client.outstanding) == 1
-        client.complete(req.request_id)
-        assert len(client.outstanding) == 0
-        assert len(client.completed) == 1
-        with pytest.raises(KeyError):
-            client.complete(req.request_id)
-
-    def test_servers_touched_by(self):
-        client = self.make_client()
-        assert client.servers_touched_by(0, 64 * KIB) == (0,)
-        assert client.servers_touched_by(64 * KIB, 64 * KIB) == (1,)
-        assert len(client.servers_touched_by(0, 256 * KIB)) == 4
-
-    def test_stripes_touched_by(self):
-        client = self.make_client()
-        assert client.stripes_touched_by(0, 256 * KIB) == 4
-        assert client.stripes_touched_by(10, 10) == 1
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            PVFSClient("A", rank=-1, stripe_size=64, servers=(0,), n_servers_total=1)
-        with pytest.raises(ConfigurationError):
-            PVFSClient("A", rank=0, stripe_size=0, servers=(0,), n_servers_total=1)
 
 
 def make_server(sync_mode=SyncMode.SYNC_ON, device="hdd", **server_kwargs):
@@ -144,10 +80,12 @@ class TestDeployment:
         )
         return PVFSDeployment(fs, server_nic_bw=1.25e9)
 
-    def test_servers_created(self):
+    def test_server_lanes_created(self):
         dep = self.make_deployment()
         assert dep.n_servers == 3
-        assert len(dep.describe()) == 3
+        for array in (dep.drained_bytes, dep.busy_time, dep.dirty_bytes,
+                      dep.pending_bytes, dep.device_busy_time):
+            assert array.tolist() == [0.0, 0.0, 0.0]
 
     def test_drain_rates_vectorized(self):
         dep = self.make_deployment()
@@ -155,22 +93,17 @@ class TestDeployment:
         assert rates.shape == (3,)
         assert rates[0] >= rates[1] >= rates[2]
 
-    def test_commit_and_reports(self):
+    def test_commit_flat_and_utilizations(self):
         dep = self.make_deployment()
-        dep.commit(np.array([1e6, 2e6, 0.0]), 0.1, np.array([4, 4, 4]), np.full(3, 1 * MIB))
-        assert dep.total_drained() == pytest.approx(3e6)
-        assert dep.utilizations().shape == (3,)
-        assert len(dep.utilization_report()) == 3
-        dep.reset()
-        assert dep.total_drained() == 0.0
-
-    def test_make_client(self):
-        dep = self.make_deployment()
-        client = dep.make_client("A", 5)
-        assert client.rank == 5
-        assert client.servers == (0, 1, 2)
-        restricted = dep.make_client("B", 0, servers=(1,))
-        assert restricted.servers == (1,)
+        assert dep.utilizations().tolist() == [0.0, 0.0, 0.0]
+        dep.commit_flat(np.array([1e6, 2e6, 0.0]), np.full(3, 0.1),
+                        np.array([4, 4, 4]), np.full(3, 1 * MIB))
+        dep.observed_time = 0.1
+        assert dep.drained_bytes.tolist() == [1e6, 2e6, 0.0]
+        utilization = dep.utilizations()
+        assert utilization.shape == (3,)
+        assert 0.0 < utilization[0] < utilization[1] <= 1.0
+        assert utilization[2] == 0.0
 
     def test_wrong_shapes_rejected(self):
         dep = self.make_deployment()

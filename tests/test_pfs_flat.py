@@ -93,12 +93,15 @@ class TestCommitLaw:
            steps=st.lists(step, min_size=1, max_size=12))
     def test_commit_sequences_match_scalar_servers(self, mode, device, cache, steps):
         """Steps with and without a drain_rates call (which fills the law
-        memo) before the commit, as the stepper runs them."""
+        memo) before the commit, as the stepper runs them; like the stepper,
+        the test advances the deployment's observed time itself."""
         deployment, servers = make_pair(mode, device, cache)
         for drained, dt, n, frag, paired in steps:
             if paired:
                 deployment.drain_rates(np.array(n), np.array(frag))
-            deployment.commit(np.array(drained), dt, np.array(n), np.array(frag))
+            deployment.commit_flat(np.array(drained), np.full(N_SERVERS, dt),
+                                   np.array(n), np.array(frag))
+            deployment.observed_time += dt
             for server, nbytes, k, g in zip(servers, drained, n, frag):
                 server.commit(nbytes, dt, k, g)
         assert_lanes_equal(deployment, servers)

@@ -8,7 +8,6 @@ from repro.errors import ConfigurationError
 from repro.pfs.striping import (
     extent_to_server_bytes,
     extents_to_server_matrix,
-    server_of_stripe,
     servers_touched,
     stripe_span,
 )
@@ -17,19 +16,6 @@ KIB = units.KiB
 
 
 class TestStripeMath:
-    def test_server_of_stripe_round_robin(self):
-        servers = (0, 1, 2, 3)
-        assert [server_of_stripe(k, servers) for k in range(6)] == [0, 1, 2, 3, 0, 1]
-
-    def test_server_of_stripe_subset(self):
-        servers = (5, 7)
-        assert server_of_stripe(0, servers) == 5
-        assert server_of_stripe(3, servers) == 7
-
-    def test_server_of_stripe_empty(self):
-        with pytest.raises(ConfigurationError):
-            server_of_stripe(0, ())
-
     def test_stripe_span(self):
         assert stripe_span(0, 64 * KIB, 64 * KIB) == (0, 0)
         assert stripe_span(0, 64 * KIB + 1, 64 * KIB) == (0, 1)

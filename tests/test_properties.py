@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro import units
 from repro.core import metrics
-from repro.network.allocation import allocate_greedy_in_order, cap_by_group, proportional_share
+from repro.network.allocation import proportional_share
 from repro.pfs.striping import extent_to_server_bytes, servers_touched
 from repro.sim.timeseries import TimeSeries
 from repro.storage.hdd import hdd_7200rpm
@@ -32,41 +32,6 @@ def test_proportional_share_conserves_and_caps(demands, capacity):
     assert alloc.sum() <= min(capacity, demands.sum()) * (1 + 1e-6) + 1e-6
     if demands.sum() <= capacity:
         assert np.allclose(alloc, demands)
-
-
-@given(
-    demands=demands_strategy,
-    capacity=st.floats(min_value=0.0, max_value=1e8),
-    seed=st.integers(min_value=0, max_value=2**31),
-)
-@settings(max_examples=60, deadline=None)
-def test_greedy_allocation_conserves_and_caps(demands, capacity, seed):
-    demands = np.asarray(demands)
-    rng = np.random.default_rng(seed)
-    keys = rng.random(demands.shape[0])
-    groups = np.zeros(demands.shape[0], dtype=int)
-    admitted = allocate_greedy_in_order(demands, keys, groups, np.array([capacity]))
-    assert np.all(admitted >= -1e-9)
-    assert np.all(admitted <= demands + 1e-6)
-    assert admitted.sum() <= min(capacity, demands.sum()) * (1 + 1e-6) + 1e-6
-
-
-@given(
-    demands=demands_strategy,
-    n_groups=st.integers(min_value=1, max_value=5),
-    capacity=st.floats(min_value=1.0, max_value=1e8),
-    seed=st.integers(min_value=0, max_value=2**31),
-)
-@settings(max_examples=60, deadline=None)
-def test_cap_by_group_respects_group_capacities(demands, n_groups, capacity, seed):
-    demands = np.asarray(demands)
-    rng = np.random.default_rng(seed)
-    groups = rng.integers(0, n_groups, size=demands.shape[0])
-    capacities = np.full(n_groups, capacity)
-    capped = cap_by_group(demands, groups, capacities)
-    assert np.all(capped <= demands + 1e-9)
-    for g in range(n_groups):
-        assert capped[groups == g].sum() <= capacity * (1 + 1e-9) + 1e-9
 
 
 # --------------------------------------------------------------------------- #

@@ -530,8 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     matrix_parser.add_argument(
         "--no-batch", action="store_true",
-        help="disable the batched lockstep kernel for fixed-step tasks and "
-             "run every simulation alone (results are bitwise identical "
+        help="disable the batched lockstep kernel and run every simulation "
+             "alone, fixed-step and adaptive (results are bitwise identical "
              "either way; with --jobs N each planned bucket is one pool "
              "work unit, so batching and workers compose)",
     )
@@ -572,8 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
     perf_parser.add_argument(
         "--explain-buckets", action="store_true",
         help="print the --jobs 1 bucket plan of the matrix over "
-             "--archetypes (per bucket: width, connection lanes, member "
-             "steps, padded group-width sets) and exit without measuring",
+             "--archetypes (per bucket: width, connection lanes, the "
+             "members' resolved step sizes, the live-lane budget, padded "
+             "group-width sets) and exit without measuring",
     )
     perf_parser.add_argument(
         "--archetypes", type=_archetype_list, default=None,

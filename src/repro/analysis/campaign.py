@@ -31,21 +31,22 @@ Every experiment that simulates is a staged computation
 (:func:`repro.experiments.base.staged`): round 1 holds the runs that depend
 on nothing (sweep baselines, traced runs), round 2 the runs derived from
 them (Δ-points at delays set by the alone times, figure11's contended run).
-At ``jobs=1`` the campaign gathers its pending experiments into one staged
-computation (:func:`repro.core.delta.gather`), so it runs as two rounds.
-Each round is one :func:`repro.model.batch.simulate_many` call, which drops
-repeated ``(scenario, seed)`` requests — several figures measure the same
-reference configuration — and runs the distinct ones in lockstep buckets
-planned by transport and server configuration: every run of a round
-shares them, so each round is one bucket, a queue that refills its live
-lanes as runs finish.  Records of experiments run together
+At every ``jobs`` the campaign gathers its pending experiments into one
+staged computation (:func:`repro.core.delta.gather`), so it runs as two
+rounds.  Each round is one :func:`repro.model.batch.simulate_many` call,
+which drops repeated ``(scenario, seed)`` requests — several figures
+measure the same reference configuration — and runs the distinct ones in
+lockstep buckets planned by transport and server configuration: every run
+of a round shares them, so at ``jobs=1`` each round is one bucket, a queue
+that refills its live lanes as runs finish.  With ``jobs > 1`` each round
+splits into up to ``jobs`` buckets, each one ``bucket`` work unit of the
+executor (:mod:`repro.runner.executor`) on its own worker process, so each
+distinct run is still simulated once.  Records of experiments run together
 share the joint run's wall time (:attr:`ExperimentRecord.wall_time`).  A
 joint run targeted by a fault plan, or one that raises, is declined, and
-the executor runs each experiment alone, so a failure names its
-experiment.  With ``jobs > 1`` experiments fan out across worker processes
-(:mod:`repro.runner.executor`); each worker runs its experiment's own
-sweeps in the same two rounds, and repeats across workers are simulated
-again.
+the executor runs each experiment alone as an ``experiment`` task, so a
+failure names its experiment; so do experiments that are not staged
+(``table1``).
 """
 
 from __future__ import annotations
@@ -243,15 +244,16 @@ def run_experiment_task(payload: Dict[str, Any], seed: Optional[int]) -> Dict[st
 
 
 def run_joint_experiments(
-    pending: Sequence[TaskSpec], policy: Optional[SteppingPolicy]
+    pending: Sequence[TaskSpec], policy: Optional[SteppingPolicy], jobs: int = 1
 ) -> Dict[str, Dict[str, Any]]:
-    """Batch runner of a ``jobs=1`` campaign: simulate the pending staged
-    experiments together, two rounds in all.
+    """Batch runner of a campaign: simulate the pending staged experiments
+    together, two rounds in all.
 
     Gathers every pending experiment whose entry is staged into one staged
     computation and drives it under ``policy``; each round is one
-    :func:`~repro.model.batch.simulate_many` call, so a request that several
-    experiments make is simulated once.  Returns the
+    :func:`~repro.model.batch.simulate_many` call across ``jobs`` worker
+    processes, so a request that several experiments make is simulated
+    once.  Returns the
     :meth:`ExperimentRecord.to_payload` form of each, every record carrying
     the joint run's wall time.  Declines (returns ``{}``) when fewer than
     two pending experiments are staged, when a fault plan targets any of
@@ -277,7 +279,7 @@ def run_joint_experiments(
             results = run_staged(gather(
                 entry.runner.stages(scale=task.payload["scale"], quick=task.payload["quick"])
                 for task, entry in entries
-            ))
+            ), jobs=jobs)
             checks = [check_experiment(result) for result in results]
     except Exception as exc:
         # Each experiment then runs alone, where a failure names it.
@@ -327,16 +329,19 @@ def run_campaign(
     progress:
         Optional callback invoked as ``progress(experiment_id, record)`` after
         each experiment completes (used by the CLI to stream status lines).
-        Under ``jobs > 1`` it fires in completion order; the campaign's
-        ``records`` always keep presentation order.
+        Experiments run together fire together once their joint run is
+        done; the rest fire in completion order, which under ``jobs > 1``
+        need not be presentation order.  The campaign's ``records`` always
+        keep presentation order.
     jobs:
-        Worker processes to fan the experiments across.  At 1 the pending
-        staged experiments run together in-process
-        (:func:`run_joint_experiments`), the rest one by one.  Experiments
-        run under the executor's strict default policy: the first
-        experiment that fails (including one hit by a ``REPRO_CHAOS`` fault
-        plan) stops the campaign with :class:`~repro.errors.ExperimentError`
-        naming it.
+        Worker processes.  The pending staged experiments run together
+        (:func:`run_joint_experiments`), each round's buckets spread across
+        ``jobs`` workers; the rest (and every experiment of a declined
+        joint run) run as one ``experiment`` task each, across ``jobs``
+        workers.  Experiments run under the executor's strict default
+        policy: the first experiment that fails (including one hit by a
+        ``REPRO_CHAOS`` fault plan) stops the campaign with
+        :class:`~repro.errors.ExperimentError` naming it.
     cache_dir:
         When given, completed experiments are stored in (and served from) a
         content-addressed cache there, keyed by
@@ -346,8 +351,10 @@ def run_campaign(
         Optional :class:`~repro.config.control.SteppingPolicy` applied to
         every simulation of the campaign (the experiments build their
         scenarios internally, so the policy travels as the process-wide
-        default — set in each worker).  Non-default policies are part of the
-        cache fingerprint, so fixed and adaptive results never mix.
+        default — set by each ``experiment`` task, and inherited by the
+        pool workers a joint run forks inside it).  Non-default policies
+        are part of the cache fingerprint, so fixed and adaptive results
+        never mix.
     """
     # Imported here (not at module level) so that `import repro.analysis`
     # does not drag every experiment module in — and so that the experiment
@@ -400,10 +407,7 @@ def run_campaign(
                                        "quick": quick, "overrides": overrides,
                                        "version": __version__},
         progress=on_result,
-        batch_runner=(
-            (lambda pending: run_joint_experiments(pending, stepping))
-            if jobs == 1 else None
-        ),
+        batch_runner=lambda pending: run_joint_experiments(pending, stepping, jobs),
     )
 
     campaign.records = [records[experiment_id] for experiment_id in ids]

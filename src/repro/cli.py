@@ -79,7 +79,7 @@ from repro.analysis.asciiplot import plot_delta_sweep
 from repro.analysis.tables import sweep_to_csv
 from repro.core.experiment import TwoApplicationExperiment
 from repro.core.reporting import format_delta_sweep
-from repro.errors import UsageError
+from repro.errors import ExperimentError, UsageError
 from repro.experiments.registry import get_experiment, list_experiments
 from repro.obs.log import configure_logging, get_logger
 
@@ -200,6 +200,19 @@ def validate_archetypes(value: str):
     return names
 
 
+def validate_grid_axis(value: str) -> str:
+    """``--axis``: one ``NAME=V1[,V2...]`` grid axis, as
+    :meth:`~repro.runner.grid.ParameterGrid.from_specs` parses it: a known
+    axis name and at least one value, none repeated."""
+    from repro.runner.grid import ParameterGrid
+
+    try:
+        ParameterGrid.from_specs([value])
+    except ExperimentError as exc:
+        raise UsageError(f"--axis {value!r}: {exc}") from None
+    return value
+
+
 def validate_min_ratio(value: str) -> float:
     """``--min-ratio``: a float in (0, 1]."""
     try:
@@ -279,6 +292,7 @@ _sweep_points = _cli_type(validate_sweep_points)
 _positive_int = _cli_type(validate_jobs)
 _step_tolerance = _cli_type(validate_step_tolerance)
 _archetype_list = _cli_type(validate_archetypes)
+_grid_axis = _cli_type(validate_grid_axis)
 _task_timeout = _cli_type(validate_task_timeout)
 _max_retries = _cli_type(validate_max_retries)
 _min_ratio = _cli_type(validate_min_ratio)
@@ -371,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--jobs", type=_positive_int, default=1, metavar="N",
-        help="simulate sweep points across N worker processes",
+        help="spread the sweep's planned buckets (the baseline, then the "
+             "delta points) across N worker processes",
     )
     sweep_parser.add_argument("--partition-servers", action="store_true")
     sweep_parser.add_argument("--plot", action="store_true", help="also print an ASCII plot")
@@ -397,7 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_parser.add_argument(
         "--jobs", type=_positive_int, default=1, metavar="N",
-        help="run experiments across N worker processes (default: 1, serial)",
+        help="spread each round of the joint plan (every staged "
+             "experiment's runs, each distinct run once) across N worker "
+             "processes (default: 1, in-process)",
     )
     campaign_parser.add_argument(
         "--cache-dir", metavar="DIR", default=None,
@@ -428,10 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
              "directory per point",
     )
     grid_parser.add_argument(
-        "--axis", action="append", metavar="NAME=V1,V2", default=None,
-        help="grid axis (repeatable); axes: device, sync, pattern, network, "
-             "stripe_kib, request_kib.  Default grid: device=hdd,ssd x "
-             "sync=sync-on,sync-off x pattern=contiguous,strided",
+        "--axis", action="append", type=_grid_axis, metavar="NAME=V1,V2",
+        default=None,
+        help="grid axis (repeatable, each axis once); axes: device, sync, "
+             "pattern, network, stripe_kib, request_kib.  Default grid: "
+             "device=hdd,ssd x sync=sync-on,sync-off x "
+             "pattern=contiguous,strided",
     )
     grid_parser.add_argument("--scale", default="reduced", choices=["tiny", "reduced", "paper"])
     grid_parser.add_argument(
@@ -440,10 +459,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     grid_parser.add_argument(
         "--jobs", type=_positive_int, default=1, metavar="N",
-        help="run grid points across N worker processes",
+        help="spread each round's buckets (every point's baseline, then "
+             "every point's delta points) across N worker processes",
     )
     grid_parser.add_argument(
-        "--seed", type=int, default=0, help="master seed for per-task seeds"
+        "--seed", type=int, default=0,
+        help="master seed each grid point's seed is derived from",
     )
     grid_parser.add_argument(
         "--store", metavar="DIR", default="runs",
@@ -926,13 +947,16 @@ def _command_campaign(args: argparse.Namespace, parser: argparse.ArgumentParser)
     return 0
 
 
-def _command_grid(args: argparse.Namespace) -> int:
+def _command_grid(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     # Imported lazily: keeps `repro-io list` style commands import-light.
     from repro.analysis.tables import rows_to_csv, rows_to_markdown
     from repro.runner.grid import ParameterGrid, run_grid
 
     if args.axis:
-        grid = ParameterGrid.from_specs(args.axis)
+        try:
+            grid = ParameterGrid.from_specs(args.axis)
+        except ExperimentError as exc:  # each spec is valid: an axis repeats
+            parser.error(f"--axis: {exc}")
     else:
         grid = ParameterGrid({
             "device": ["hdd", "ssd"],
@@ -1524,7 +1548,7 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.command == "campaign":
         return _command_campaign(args, parser)
     if args.command == "grid":
-        return _command_grid(args)
+        return _command_grid(args, parser)
     if args.command == "matrix":
         return _command_matrix(args, parser)
     if args.command == "verify":

@@ -22,9 +22,10 @@ return value is its result.  :func:`delta_stages` is a sweep in that form,
 :func:`gather` runs several staged computations side by side (each round
 merges every member's requests), and :func:`run_staged` drives one, each
 round one :func:`~repro.model.batch.simulate_many` call, which runs each
-distinct request once in planned lockstep buckets.  The paper campaign
-gathers every experiment's sweeps this way, so all its baselines run in
-one round and all its points in the next.
+distinct request once in planned lockstep buckets, in-process or spread
+across worker processes as ``bucket`` work units.  The paper campaign and
+the parameter grid gather every sweep this way, so all their baselines run
+in one round and all their points in the next.
 
 The points run untraced: a :class:`DeltaPoint` reads only write times,
 throughputs, window collapses and simulated time, none of which comes from
@@ -56,7 +57,6 @@ __all__ = [
     "gather",
     "run_staged",
     "run_delta_sweep",
-    "run_delta_point_task",
     "default_deltas",
     "alone_times_for",
     "jsonify",
@@ -384,9 +384,10 @@ def gather(stages: Iterable[Staged]) -> Staged:
     return results
 
 
-def run_staged(stage: Staged) -> Any:
+def run_staged(stage: Staged, jobs: int = 1) -> Any:
     """Drive one staged computation to its result: each round is one
-    :func:`~repro.model.batch.simulate_many` call."""
+    :func:`~repro.model.batch.simulate_many` call across ``jobs`` worker
+    processes."""
     # Imported here, as the matrix does: importing repro.core stays free of
     # the kernel module until a round runs.
     from repro.model.batch import simulate_many
@@ -398,7 +399,8 @@ def run_staged(stage: Staged) -> Any:
         except StopIteration as stop:
             return stop.value
         sent = simulate_many(
-            [scenario for scenario, _ in requests], [seed for _, seed in requests]
+            [scenario for scenario, _ in requests], [seed for _, seed in requests],
+            jobs=jobs,
         )
 
 
@@ -413,20 +415,6 @@ def delta_points(scenario: ScenarioConfig, deltas: Sequence[float]) -> List[Scen
     """The untraced point scenarios of a sweep of ``scenario`` at ``deltas``."""
     untraced = scenario.with_control(replace(scenario.control, trace=_UNTRACED))
     return [untraced.with_delay(float(delta)) for delta in deltas]
-
-
-def _sweep(
-    scenario: ScenarioConfig,
-    points: List[DeltaPoint],
-    alone_result: RunResult,
-    label: str,
-) -> DeltaSweep:
-    points.sort(key=lambda p: p.delta)
-    return DeltaSweep(
-        points=points,
-        alone_times=alone_times_for(scenario, alone_result),
-        label=label or scenario.label,
-    )
 
 
 def delta_stages(
@@ -451,26 +439,11 @@ def delta_stages(
         DeltaPoint.from_run_result(delta, result)
         for delta, result in zip(deltas, results)
     ]
-    return _sweep(scenario, points, alone_result, label)
-
-
-def run_delta_point_task(payload: Dict[str, object], seed: Optional[int]) -> Dict[str, object]:
-    """Executor worker (task kind ``delta-point``): simulate a chunk of Δ
-    points through :func:`~repro.model.batch.simulate_many`.
-
-    Payload keys: ``scenario`` (a :class:`~repro.config.scenario.ScenarioConfig`)
-    and ``deltas``.  Returns ``{"points": [...]}``, the serialized
-    :class:`DeltaPoint` of every delay in order.
-    """
-    from repro.model.batch import simulate_many
-
-    deltas = payload["deltas"]
-    points = delta_points(payload["scenario"], deltas)
-    results = simulate_many(points, [seed] * len(points))
-    return {"points": [
-        DeltaPoint.from_run_result(delta, result).to_dict()
-        for delta, result in zip(deltas, results)
-    ]}
+    return DeltaSweep(
+        points=sorted(points, key=lambda p: p.delta),
+        alone_times=alone_times_for(scenario, alone_result),
+        label=label or scenario.label,
+    )
 
 
 def run_delta_sweep(
@@ -500,43 +473,14 @@ def run_delta_sweep(
     label:
         Label stored on the resulting sweep.
     jobs:
-        At ``jobs=1`` the sweep is :func:`run_staged` over
-        :func:`delta_stages`: the points run as planned lockstep buckets,
-        under either stepping policy.  With ``jobs > 1`` the delays split
-        into ``min(jobs, len(deltas))`` contiguous chunks, each one
-        ``delta-point`` task, fanned across that many worker processes by
-        :class:`~repro.runner.executor.ParallelExecutor`.  Every point gets
-        the same ``seed`` either way, and a point's result does not depend
-        on its bucket, so the sweep equals the serial one.  The baseline
-        always runs here.
+        Worker processes.  The sweep is :func:`run_staged` over
+        :func:`delta_stages` at every ``jobs``: the baseline round, then the
+        points round, each run in planned lockstep buckets, under either
+        stepping policy; with ``jobs > 1`` each round's buckets are spread
+        across that many workers.  Every point gets the same ``seed``, and a
+        point's result does not depend on its bucket or worker, so the
+        sweep is the same at every ``jobs``.
     """
-    deltas = [float(delta) for delta in deltas]
-    n_chunks = min(jobs, len(deltas))
-    if n_chunks <= 1:
-        return run_staged(delta_stages(
-            scenario, deltas, alone_result=alone_result, seed=seed, label=label
-        ))
-    if len(scenario.applications) < 2:
-        raise ExperimentError("a delta sweep needs a two-application scenario")
-    if alone_result is None:
-        alone_result = run_staged(alone_stage(scenario, seed))
-
-    # Imported here: repro.runner depends on repro.core, not vice versa.
-    from repro.runner.executor import ParallelExecutor, TaskSpec
-
-    bounds = [len(deltas) * k // n_chunks for k in range(n_chunks + 1)]
-    tasks = [
-        TaskSpec(
-            task_id=f"delta[{start}:{stop}]",
-            kind="delta-point",
-            payload={"scenario": scenario, "deltas": deltas[start:stop]},
-            seed=seed,
-        )
-        for start, stop in zip(bounds, bounds[1:])
-    ]
-    points = [
-        DeltaPoint.from_dict(point)
-        for out in ParallelExecutor(jobs=jobs).map(tasks)
-        for point in out["points"]
-    ]
-    return _sweep(scenario, points, alone_result, label)
+    return run_staged(delta_stages(
+        scenario, deltas, alone_result=alone_result, seed=seed, label=label
+    ), jobs=jobs)

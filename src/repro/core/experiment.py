@@ -31,7 +31,6 @@ from repro.core.delta import (
     alone_stage,
     default_deltas,
     delta_stages,
-    run_delta_sweep,
     run_staged,
 )
 from repro.errors import ExperimentError
@@ -129,22 +128,13 @@ class TwoApplicationExperiment:
     ) -> DeltaSweep:
         """Run a full Δ-graph sweep (delays default to :meth:`pick_deltas`).
 
-        At ``jobs=1`` this drives :meth:`sweep_stages`.  ``jobs > 1`` fans
-        the individual sweep points across worker processes (see
-        :func:`~repro.core.delta.run_delta_sweep`); the result is identical
+        Drives :meth:`sweep_stages`; with ``jobs > 1`` each round's buckets
+        are spread across that many worker processes
+        (:func:`~repro.core.delta.run_staged`), and the result is identical
         to the serial sweep.
         """
-        if jobs <= 1:
-            return run_staged(self.sweep_stages(deltas, n_points=n_points, label=label))
-        if deltas is None:
-            deltas = self.pick_deltas(n_points=n_points)
-        return run_delta_sweep(
-            self.scenario,
-            deltas,
-            alone_result=self.baseline(),
-            seed=self._seed,
-            label=label or self.scenario.label,
-            jobs=jobs,
+        return run_staged(
+            self.sweep_stages(deltas, n_points=n_points, label=label), jobs=jobs
         )
 
     # ------------------------------------------------------------------ #

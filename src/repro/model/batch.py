@@ -126,11 +126,14 @@ run alone.  The lane budget is the queue's, not the planner's: at one
 worker a paper campaign round and the fleet matrix each run as one
 refilled bucket, which pays for its longest run's ticks once.
 :func:`simulate_many` is the front end of every staged computation
-(:mod:`repro.core.delta`: a Δ-sweep, an experiment, a whole campaign
-round): it drops repeated ``(scenario, seed)`` requests, plans the distinct
-ones, runs each bucket through :func:`run_bucket` and emits ``batch.*``
-telemetry.  The matrix plans its own buckets with :func:`plan_buckets` and
-runs them as executor work units.
+(:mod:`repro.core.delta`: a Δ-sweep, an experiment, a grid, a whole
+campaign round): it drops repeated ``(scenario, seed)`` requests, plans the
+distinct ones, runs each bucket through :func:`run_bucket` and emits
+``batch.*`` telemetry.  Across ``jobs`` worker processes each planned
+bucket is one executor work unit of kind ``bucket``
+(:func:`bucket_units`, :func:`run_bucket_task`): the one route by which
+any verb runs simulations in a pool.  The matrix maps the same units,
+labelled with its task ids.
 """
 
 from __future__ import annotations
@@ -138,7 +141,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -161,9 +164,11 @@ from repro.sim.events import EventPriority
 __all__ = [
     "BatchSimulator",
     "BatchedStepper",
+    "bucket_units",
     "group_widths",
     "plan_buckets",
     "run_bucket",
+    "run_bucket_task",
     "simulate_many",
 ]
 
@@ -944,13 +949,15 @@ class BatchSimulator:
         self._set_alarm(member)
 
     def _unfinished(self, member: _BatchMember) -> SimulationError:
-        unfinished = [
-            rt.app.name for rt in member.sim.state.app_runtime if not rt.finished
-        ]
+        """The error of a member that reached its horizon unfinished, naming
+        its scenario and seed: a bucket may hold many experiments' runs."""
+        sim = member.sim
+        unfinished = [rt.app.name for rt in sim.state.app_runtime if not rt.finished]
         return SimulationError(
-            f"simulation reached max_time={member.sim.scenario.control.max_time}s "
-            f"with unfinished applications {unfinished}; check the scenario "
-            "configuration"
+            f"simulation {sim.scenario.label or '(unnamed)'!r} "
+            f"(seed {sim.streams.master_seed}) "
+            f"reached max_time={sim.scenario.control.max_time}s with unfinished "
+            f"applications {unfinished}; check the scenario configuration"
         )
 
     def _run_generation(self) -> None:
@@ -1145,28 +1152,81 @@ def run_bucket(members: Sequence[Member]) -> List[RunResult]:
     return results
 
 
+def run_bucket_task(payload: Dict[str, Any], seed: Optional[int]) -> Dict[str, Any]:
+    """Executor worker (task kind ``bucket``): run one planned bucket.
+
+    Payload keys: ``requests``, the bucket's ``(scenario, seed)`` pairs in
+    plan order, and optionally ``labels``, one task id per member.  An
+    active chaos plan targets the labels: a fault on any member fails (or,
+    in a pool worker, kills) the whole unit.  ``seed`` is unused; every
+    request carries its own.  Returns ``{"results": [RunResult, ...],
+    "wall_s": ...}``, the results in request order.
+    """
+    from repro.runner.chaos import get_fault_plan
+
+    start = time.perf_counter()
+    plan = get_fault_plan()
+    if plan is not None:
+        for label in payload.get("labels", ()):
+            plan.maybe_inject(label, 0)
+    results = run_bucket(payload["requests"])
+    return {"results": results, "wall_s": time.perf_counter() - start}
+
+
+def bucket_units(
+    requests: Sequence[Tuple[ScenarioConfig, Optional[int]]],
+    jobs: int,
+    labels: Optional[Sequence[str]] = None,
+) -> Tuple[List[_Bucket], List[Any]]:
+    """Plan ``requests`` for ``jobs`` workers (:func:`plan_buckets`) and make
+    each bucket one executor work unit of kind ``bucket``
+    (:func:`run_bucket_task`), labelled with its members' ``labels`` when
+    given.  Returns ``(buckets, units)``, in plan order."""
+    from repro.runner.executor import TaskSpec
+
+    buckets, _ = plan_buckets([scenario for scenario, _ in requests], jobs=jobs)
+    units = []
+    for k, bucket in enumerate(buckets):
+        payload: Dict[str, Any] = {"requests": [requests[i] for i in bucket.indices]}
+        if labels is not None:
+            payload["labels"] = [labels[i] for i in bucket.indices]
+        units.append(TaskSpec(
+            f"bucket[{k}]:b{len(bucket.indices)}", "bucket", payload,
+            span_category="bucket",
+        ))
+    return buckets, units
+
+
 def simulate_many(
     scenarios: Sequence[ScenarioConfig],
     seeds: Optional[Sequence[Optional[int]]] = None,
+    *,
+    jobs: int = 1,
 ) -> List[RunResult]:
-    """Simulate each distinct ``(scenario, seed)`` request once, running the
-    planned buckets (:func:`plan_buckets` at one worker: one bucket per
-    transport and server configuration) through :func:`run_bucket`.
+    """Simulate each distinct ``(scenario, seed)`` request once in planned
+    buckets (:func:`plan_buckets`), across ``jobs`` worker processes.
 
     ``seeds`` are per-request seed overrides (``None``: the scenario's own
     seed, which is what an omitted ``seeds`` means for every request).  A
     request equal to an earlier one — scenarios compare and hash by value,
     and a seed of ``None`` equals the scenario's own — is not simulated
-    again: it shares that request's :class:`RunResult`.  Each bucket gets
-    its distinct requests as ``(scenario, seed)`` pairs and builds each
-    simulator only when it admits the request.  Results come back in input
-    order and are bitwise identical to running each request alone through
-    :func:`~repro.model.simulator.simulate_scenario`, whatever the devices,
-    sync modes, networks, stripe sizes and server counts that share a
-    bucket, its padded width classes and its mix of fixed and adaptive
-    stepping.  Emits ``batch.*`` telemetry: ``batch.requests`` and
-    ``batch.repeats`` (requests served by an equal request's result), and
-    one ``simulation``-track span plus an occupancy observation per bucket.
+    again: it shares that request's :class:`RunResult`.  At ``jobs=1`` each
+    bucket (one per transport and server configuration) runs here through
+    :func:`run_bucket`; with ``jobs > 1`` each configuration splits into up
+    to ``jobs`` buckets, mapped as ``bucket`` work units
+    (:func:`bucket_units`) through
+    :class:`~repro.runner.executor.ParallelExecutor` under its strict
+    default policy, so a failing run fails the call, naming its unit.
+    Each bucket gets its distinct requests as ``(scenario, seed)`` pairs
+    and builds each simulator only when it admits the request.  Results
+    come back in input order and are bitwise identical to running each
+    request alone through :func:`~repro.model.simulator.simulate_scenario`,
+    whatever the devices, sync modes, networks, stripe sizes and server
+    counts that share a bucket, its padded width classes, its mix of fixed
+    and adaptive stepping and the worker that ran it.  Emits ``batch.*``
+    telemetry: ``batch.requests`` and ``batch.repeats`` (requests served by
+    an equal request's result), and one ``simulation``-track span plus an
+    occupancy observation per bucket.
     """
     scenarios = list(scenarios)
     seeds = [None] * len(scenarios) if seeds is None else list(seeds)
@@ -1183,10 +1243,15 @@ def simulate_many(
     telemetry = get_telemetry()
     telemetry.count("batch.requests", len(slots))
     telemetry.count("batch.repeats", len(slots) - len(distinct))
-    buckets, _ = plan_buckets([scenario for scenario, _ in distinct])
+    buckets, units = bucket_units(distinct, jobs)
+    if jobs > 1:
+        from repro.runner.executor import ParallelExecutor
+
+        outs = [out["results"] for out in ParallelExecutor(jobs=jobs).map(units)]
+    else:
+        outs = [run_bucket(unit.payload["requests"]) for unit in units]
     results: List[Optional[RunResult]] = [None] * len(distinct)
-    for bucket in buckets:
-        outs = run_bucket([distinct[i] for i in bucket.indices])
-        for i, result in zip(bucket.indices, outs):
+    for bucket, out in zip(buckets, outs):
+        for i, result in zip(bucket.indices, out):
             results[i] = result
     return [results[k] for k in slots]  # type: ignore[misc]

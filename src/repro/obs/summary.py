@@ -71,12 +71,15 @@ def executor_stats(document: Dict[str, Any]) -> Dict[str, float]:
     Busy time is counted once per executor work unit: the ``task`` spans of
     scalar tasks plus the ``bucket`` spans of batched work units.  Bucket
     members keep zero-length ``task`` spans, so ``n_tasks`` still counts
-    every member while only its bucket claims wall time.
+    every member while only its bucket claims wall time.  A span that
+    encloses units (a joint campaign run whose rounds map bucket units) is
+    not counted itself: its units claim its busy time.
     """
     counters = document.get("counters", {})
     tasks = _spans(document, "task")
     units = _spans(document, "task", "bucket")
-    busy_us = sum(s["dur_us"] for s in units)
+    enclosing = {s["parent"] for s in units}
+    busy_us = sum(s["dur_us"] for s in units if s["id"] not in enclosing)
     wall_us = _campaign_wall_us(document)
     jobs = float(document.get("gauges", {}).get("executor.jobs", 1.0))
     utilization = (

@@ -1,25 +1,32 @@
 """Process-parallel, supervised task execution with deterministic seeding.
 
-One engine runs every task list in the repository — the paper campaign's
-experiments, grid points, Δ-sweep points, and the interference matrix's
-scalar tasks and bucket work units.  It runs tasks in-process or across a
-:class:`concurrent.futures.ProcessPoolExecutor` (``jobs`` and the task count
-choose), applies one :class:`FaultPolicy` (deadlines, retries, quarantine)
-and any active chaos plan on both routes, and reassembles results in
-submission order, so parallel runs are byte-identical to serial ones.
+One engine runs every task list in the repository.  ``bucket`` work
+units, one planned lockstep bucket each
+(:func:`repro.model.batch.bucket_units`), are how every verb spreads
+simulations across worker processes; ``experiment``, ``matrix-alone`` and
+``matrix-pair`` are the scalar and fallback routes, and ``probe`` serves
+the chaos harness.  The engine runs tasks in-process or across a
+:class:`concurrent.futures.ProcessPoolExecutor` (``jobs`` and the task
+count choose), applies one :class:`FaultPolicy` (deadlines, retries,
+quarantine) and any active chaos plan on both routes, and reassembles
+results in submission order, so parallel runs are byte-identical to
+serial ones.
 
 Determinism rules:
 
-* every task carries its own seed, derived from ``(master_seed, task_id)``
-  through the same :class:`numpy.random.SeedSequence` construction as
+* every task carries its own seed (a ``bucket`` unit: every run its own),
+  derived from ``(master_seed, task_id)`` through the same
+  :class:`numpy.random.SeedSequence` construction as
   :class:`repro.sim.rng.RandomStreams` — which worker executes a task never
   affects its result;
 * results are returned in task order regardless of completion order;
-* workers are plain module-level functions returning JSON-serializable
-  payloads (``to_dict()`` form), so the same representation feeds the result
-  cache, the run store, and cross-process transport.  Each worker lives
-  beside the code that builds its payload; this module only maps task kinds
-  to lazy ``"module:function"`` references.
+* workers are plain module-level functions returning picklable payloads.
+  The kinds whose payloads are cached return them JSON-serializable
+  (``to_dict()`` form), so the same representation feeds the result cache,
+  the run store, and cross-process transport; a ``bucket`` unit returns its
+  runs' results, from which the caller extracts what it keeps.  Each worker
+  lives beside the code that builds its payload; this module only maps
+  task kinds to lazy ``"module:function"`` references.
 """
 
 from __future__ import annotations
@@ -90,11 +97,12 @@ class TaskSpec:
     argument mapping; ``seed`` is the task's deterministic RNG seed.
     ``span_category`` labels the telemetry span the executor records for the
     task — ``"task"`` for ordinary work units, ``"bucket"`` for a bucket
-    work unit carrying several matrix members.  The executor counts
-    ``executor.tasks.completed`` and ``executor.quarantined`` for ``task``
-    units only: :func:`execute_cached` counts a bucket's members one by one
-    as it takes their payloads, and a failed bucket's members are demoted
-    to ``task`` units of their own, so nothing is counted twice.
+    work unit carrying several runs (:func:`repro.model.batch.bucket_units`).
+    The executor counts ``executor.tasks.completed`` and
+    ``executor.quarantined`` for ``task`` units only: :func:`execute_cached`
+    counts a matrix bucket's members one by one as it takes their payloads,
+    and a failed bucket's members are demoted to ``task`` units of their
+    own, so nothing is counted twice.
     """
 
     task_id: str
@@ -118,12 +126,10 @@ _Worker = Callable[[Dict[str, Any], Optional[int]], Dict[str, Any]]
 #: necessarily the layer that submitted the task; resolved workers replace
 #: their references.
 _TASK_KINDS: Dict[str, Union[str, _Worker]] = {
+    "bucket": "repro.model.batch:run_bucket_task",
     "experiment": "repro.analysis.campaign:run_experiment_task",
-    "delta-point": "repro.core.delta:run_delta_point_task",
-    "grid-point": "repro.runner.grid:run_grid_point_task",
     "matrix-alone": "repro.scenarios.matrix:run_matrix_alone_task",
     "matrix-pair": "repro.scenarios.matrix:run_matrix_pair_task",
-    "matrix-bucket": "repro.scenarios.matrix:run_matrix_bucket_task",
     "probe": "repro.runner.chaos:run_probe_task",
 }
 

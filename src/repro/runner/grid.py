@@ -16,22 +16,26 @@ one-off ``repro-io sweep`` into batch scenario exploration:
     result = run_grid(grid, scale="tiny", jobs=4, store_dir="runs/")
     print(result.to_rows())
 
-Each grid point runs a full Δ-graph sweep (in parallel via
-:mod:`repro.runner.executor`), gets a deterministic per-task seed, and — when
-a store directory is given — is persisted as a run directory with a
-verifiable ``manifest.json`` (:mod:`repro.runner.store`).
+Each grid point runs a full Δ-graph sweep with a deterministic seed derived
+from its point id.  The sweeps run together as one staged computation
+(:mod:`repro.core.delta`): every point's baseline in one round, every
+Δ-point in the next, each round's buckets spread across the worker
+processes.  When a store directory is given, each point is then persisted
+as a run directory with a verifiable ``manifest.json``
+(:mod:`repro.runner.store`).
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import units
 from repro.core.delta import DeltaSweep, jsonify
 from repro.errors import ExperimentError
-from repro.runner.executor import ParallelExecutor, TaskSpec, derive_task_seed
+from repro.runner.executor import derive_task_seed
 from repro.runner.store import RunStore
 
 __all__ = [
@@ -40,7 +44,6 @@ __all__ = [
     "GridPointResult",
     "GridResult",
     "run_grid",
-    "run_grid_point_task",
 ]
 
 
@@ -86,6 +89,8 @@ class ParameterGrid:
                 )
             if not values:
                 raise ExperimentError(f"grid axis {axis!r} has no values")
+            if len(set(values)) != len(values):
+                raise ExperimentError(f"grid axis {axis!r} repeats values: {list(values)}")
 
     @classmethod
     def from_specs(cls, specs: Sequence[str]) -> "ParameterGrid":
@@ -97,10 +102,13 @@ class ParameterGrid:
                     f"bad axis spec {spec!r}; expected NAME=VALUE[,VALUE...]"
                 )
             name, _, raw = spec.partition("=")
+            name = name.strip()
             values = [v.strip() for v in raw.split(",") if v.strip()]
             if not values:
                 raise ExperimentError(f"axis spec {spec!r} lists no values")
-            axes[name.strip()] = values
+            if name in axes:
+                raise ExperimentError(f"axis {name!r} is given more than once")
+            axes[name] = values
         return cls(axes)
 
     def __len__(self) -> int:
@@ -173,27 +181,6 @@ class GridResult:
         return rows
 
 
-def run_grid_point_task(payload: Dict[str, Any], seed: Optional[int]) -> Dict[str, Any]:
-    """Executor worker (task kind ``grid-point``): one point's full Δ-sweep.
-
-    Payload keys: ``scale``, ``params`` (``make_scenario`` keyword
-    overrides, already translated by :func:`_scenario_kwargs`),
-    ``n_points``.  Returns the serialized sweep plus its headline summary.
-    """
-    from repro.core.experiment import TwoApplicationExperiment
-
-    params = dict(payload["params"])
-    if seed is not None:
-        params.setdefault("seed", int(seed))
-    experiment = TwoApplicationExperiment(payload["scale"], **params)
-    sweep = experiment.run_sweep(n_points=int(payload["n_points"]))
-    return {
-        "sweep": sweep.to_dict(),
-        "summary": jsonify(sweep.summary()),
-        "alone_time": float(experiment.alone_time()),
-    }
-
-
 def run_grid(
     grid: ParameterGrid,
     scale: str = "reduced",
@@ -204,7 +191,7 @@ def run_grid(
     store_dir: Optional[str] = None,
     progress: Optional[Callable[[str, GridPointResult], None]] = None,
 ) -> GridResult:
-    """Execute every grid point (parallel across points) and persist runs.
+    """Run every grid point's Δ-sweep, then persist and report each point.
 
     Parameters
     ----------
@@ -215,75 +202,56 @@ def run_grid(
     n_points:
         Δ-sweep points per grid point.
     jobs:
-        Worker processes for the executor.  Every point runs under the
-        executor's strict default policy: the first point that fails stops
-        the grid with :class:`~repro.errors.ExperimentError` naming it,
-        after the points already completed were persisted.
+        Worker processes.  The points' sweeps run as one staged computation
+        (:func:`~repro.core.delta.gather`): every baseline in one round,
+        every Δ-point in the next, each round's buckets spread across
+        ``jobs`` workers.  A run that fails stops the grid with its error
+        before any point is persisted.
     master_seed:
-        Seed the per-task seeds are derived from.
+        Seed each point's seed is derived from (with its point id).
     store_dir:
         When given, each point is persisted as a run directory (manifest +
         sweep/summary artifacts) under this root.
     progress:
-        Optional callback ``progress(point_id, result)`` per completed point.
+        Optional callback ``progress(point_id, result)`` per point, in grid
+        order, once every sweep has run.
     """
     from repro.analysis.tables import rows_to_csv  # local: avoids import cycle
+    from repro.core.delta import gather, run_staged
+    from repro.core.experiment import TwoApplicationExperiment
 
-    point_params = grid.points()
-    params_by_id: Dict[str, Dict[str, Any]] = {}
-    tasks = []
-    for params in point_params:
+    points = []
+    for params in grid.points():
         point_id = ParameterGrid.point_id(params)
-        params_by_id[point_id] = params
-        tasks.append(
-            TaskSpec(
-                task_id=point_id,
-                kind="grid-point",
-                payload={
-                    "scale": scale,
-                    "params": _scenario_kwargs(params),
-                    "n_points": n_points,
-                },
-                seed=derive_task_seed(master_seed, point_id),
-            )
-        )
+        seed = derive_task_seed(master_seed, point_id)
+        experiment = TwoApplicationExperiment(scale, seed=seed, **_scenario_kwargs(params))
+        points.append((point_id, params, seed, experiment))
+    sweeps = run_staged(
+        gather(exp.sweep_stages(n_points=n_points) for *_, exp in points), jobs=jobs
+    )
 
     store = RunStore(store_dir) if store_dir else None
     result = GridResult(scale=scale, store_root=str(store.root) if store else None)
-    by_id: Dict[str, GridPointResult] = {}
-
-    def on_done(task: TaskSpec, payload: Dict[str, Any]) -> None:
-        params = params_by_id[task.task_id]
-        sweep = DeltaSweep.from_dict(payload["sweep"])
+    for (point_id, params, seed, _), sweep in zip(points, sweeps):
+        summary = jsonify(sweep.summary())
         point = GridPointResult(
-            point_id=task.task_id,
-            params=dict(params),
-            seed=int(task.seed),
-            sweep=sweep,
-            summary={k: float(v) for k, v in payload["summary"].items()},
+            point_id=point_id, params=dict(params), seed=seed, sweep=sweep, summary=summary,
         )
         if store is not None:
-            import json
-
             run_path = store.write_run(
-                task.task_id,
-                seed=point.seed,
+                point_id,
+                seed=seed,
                 config=jsonify(
                     {"scale": scale, "n_points": n_points, "params": dict(params)}
                 ),
                 artifacts={
-                    "sweep.json": json.dumps(payload["sweep"], indent=2, sort_keys=True),
-                    "summary.json": json.dumps(
-                        payload["summary"], indent=2, sort_keys=True
-                    ),
+                    "sweep.json": json.dumps(sweep.to_dict(), indent=2, sort_keys=True),
+                    "summary.json": json.dumps(summary, indent=2, sort_keys=True),
                     "sweep.csv": rows_to_csv(sweep.rows()),
                 },
             )
             point.run_dir = str(run_path)
-        by_id[task.task_id] = point
+        result.points.append(point)
         if progress is not None:
-            progress(task.task_id, point)
-
-    ParallelExecutor(jobs=jobs).map(tasks, progress=on_done)
-    result.points = [by_id[t.task_id] for t in tasks]
+            progress(point_id, point)
     return result

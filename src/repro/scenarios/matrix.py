@@ -433,41 +433,6 @@ def run_matrix_pair_task(payload: Dict[str, Any], seed: Optional[int]) -> Dict[s
     return _pair_payload_from_result(built, result)
 
 
-def run_matrix_bucket_task(
-    payload: Dict[str, Any], seed: Optional[int]
-) -> Dict[str, Any]:
-    """Work unit advancing one whole bucket through the batched kernel.
-
-    Payload keys: ``tasks`` — a list of ``{"task_id", "kind", "payload"}``
-    member descriptors (the member payloads are exactly what the scalar
-    ``matrix-alone``/``matrix-pair`` workers receive).  Returns
-    ``{"results": {task_id: member payload}, "wall_s": ...}``; the parent
-    feeds each member payload through the same cache-store/provenance path a
-    scalar completion takes.  ``seed`` is unused — matrix members keep their
-    scenarios' deterministic seeds.
-    """
-    import time
-
-    from repro.model.batch import run_bucket
-    from repro.runner.chaos import get_fault_plan
-
-    t0 = time.perf_counter()
-    items = payload["tasks"]
-    plan = get_fault_plan()
-    if plan is not None:
-        # Chaos targets member task ids; a fault on any member fails (or,
-        # in a pool worker, kills) the whole bucket, which the batcher then
-        # demotes to scalar per-task execution.
-        for item in items:
-            plan.maybe_inject(item["task_id"], 0)
-    built = [_build_from_payload(item["payload"]) for item in items]
-    results = run_bucket([b.scenario for b in built])
-    out: Dict[str, Dict[str, Any]] = {}
-    for item, b, result in zip(items, built, results):
-        out[item["task_id"]] = _PAYLOAD_EXTRACTORS[item["kind"]](b, result)
-    return {"results": out, "wall_s": time.perf_counter() - t0}
-
-
 def run_matrix_tasks_batched(
     pending: Sequence[TaskSpec],
     task_records: Optional[Dict[str, Dict[str, Any]]] = None,
@@ -479,17 +444,19 @@ def run_matrix_tasks_batched(
     lockstep.
 
     Builds every pending task's scenario, plans buckets with
-    :func:`repro.model.batch.plan_buckets` (each group of one transport and
+    :func:`repro.model.batch.bucket_units` (each group of one transport and
     server configuration splits into ``jobs`` chunks, each run as a queue
     under the lane budget; mixed deployments, widths and stepping policies
     share a bucket and leftovers run as width-1 buckets), and maps each
-    bucket as one ``matrix-bucket`` work unit
+    bucket as one ``bucket`` work unit, labelled with its members' task ids,
     through :class:`~repro.runner.executor.ParallelExecutor` — in-process at
     ``jobs=1``; otherwise ``jobs`` pool workers advance ``jobs`` batched
     kernels concurrently.  Every task it plans is claimed.  A member of a
     bucket is bitwise-equivalent to its run alone and payload extraction is
-    shared, so the batched and per-task routes transport identical payloads
-    (and therefore identical cache entries).
+    shared (:data:`_PAYLOAD_EXTRACTORS`, applied here to each returned
+    :class:`~repro.model.results.RunResult`), so the batched and per-task
+    routes transport identical payloads (and therefore identical cache
+    entries).
 
     Accounting: the executor records one ``bucket`` span per work unit,
     which carries the bucket's wall time.  Each member gets a zero-length
@@ -498,37 +465,29 @@ def run_matrix_tasks_batched(
     the bucket's wall (``bucket_wall_s``), so a bucket's wall is counted
     once, never once per member.
 
-    A bucket whose kernel raises (or whose worker dies) is *demoted*: its
-    members are simply not claimed here, so they fall through to the
-    executor's scalar per-task path — a batching bug degrades throughput,
-    never correctness.  Each demoted member counts toward the
-    ``batch.demotions`` telemetry counter.  Work units get no retries and a
-    deadline of the campaign's per-task timeout (``fault_policy``, if any)
-    times the widest bucket.
+    A bucket whose kernel raises (or whose worker dies, or whose member a
+    chaos plan targets) is *demoted*: its members are simply not claimed
+    here, so they fall through to the executor's scalar per-task path — a
+    batching bug degrades throughput, never correctness.  Each demoted
+    member counts toward the ``batch.demotions`` telemetry counter.  Work
+    units get no retries and a deadline of the campaign's per-task timeout
+    (``fault_policy``, if any) times the widest bucket.
     """
-    from repro.model.batch import plan_buckets
+    from repro.model.batch import bucket_units
     from repro.runner.executor import FaultPolicy, ParallelExecutor
 
     supported = [t for t in pending if t.kind in _PAYLOAD_EXTRACTORS]
     if len(supported) < 2:
         return {}
-    buckets, _ = plan_buckets(
-        [_build_from_payload(t.payload).scenario for t in supported], jobs=jobs
+    built = [_build_from_payload(t.payload) for t in supported]
+    buckets, units = bucket_units(
+        [(b.scenario, None) for b in built], jobs,
+        labels=[t.task_id for t in supported],
     )
-    members: Dict[str, List[TaskSpec]] = {}
-    units: List[TaskSpec] = []
-    for k, bucket in enumerate(buckets):
-        unit_id = f"bucket[{k}]:b{len(bucket.indices)}"
-        members[unit_id] = [supported[i] for i in bucket.indices]
-        units.append(TaskSpec(
-            task_id=unit_id,
-            kind="matrix-bucket",
-            payload={"tasks": [
-                {"task_id": t.task_id, "kind": t.kind, "payload": t.payload}
-                for t in members[unit_id]
-            ]},
-            span_category="bucket",
-        ))
+    members = {
+        unit.task_id: [(supported[i], built[i]) for i in bucket.indices]
+        for bucket, unit in zip(buckets, units)
+    }
     base_timeout = None if fault_policy is None else fault_policy.task_timeout_s
     widest = max(len(bucket.indices) for bucket in buckets)
     unit_policy = FaultPolicy(
@@ -543,8 +502,11 @@ def run_matrix_tasks_batched(
 
     def on_unit(unit: TaskSpec, out: Dict[str, Any]) -> None:
         timing = unit_records[unit.task_id]
-        for task in members[unit.task_id]:
-            handled[task.task_id] = out["results"][task.task_id]
+        # The executor keeps every output until the map returns: keep only
+        # the extracted payloads, not the runs.
+        results = out.pop("results")
+        for (task, b), result in zip(members[unit.task_id], results):
+            handled[task.task_id] = _PAYLOAD_EXTRACTORS[task.kind](b, result)
             if telemetry.enabled:
                 telemetry.add_span(
                     task.task_id, "task", telemetry.now_us(), 0.0,

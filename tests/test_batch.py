@@ -327,6 +327,17 @@ class TestMixedStepping:
         assert results[1].n_steps < results[0].n_steps
         _assert_each_matches_alone([fixed, adaptive], results)
 
+    def test_an_unfinished_member_names_its_scenario_and_seed(self):
+        """A bucket may hold many experiments' runs: the error of the one
+        that reached its horizon names its scenario and seed."""
+        scenario = make_scenario("tiny")
+        short = _with_max_time(scenario, 0.1 / scenario.control.max_time)
+        with pytest.raises(SimulationError) as excinfo:
+            BatchSimulator([(scenario, 3), (short, 5)]).run()
+        message = str(excinfo.value)
+        assert f"simulation {short.label!r} (seed 5) reached max_time=0.1s" in message
+        assert "unfinished applications ['A', 'B']" in message
+
     def test_unfinished_adaptive_member_raises(self):
         scenario = make_scenario("tiny", stepping=SteppingPolicy.adaptive())
         # The run takes under a second of simulated time.
@@ -641,6 +652,26 @@ class TestSimulateManyRequests:
     def test_one_seed_per_scenario(self):
         with pytest.raises(SimulationError, match="one seed per scenario"):
             simulate_many([make_scenario("tiny")], [1, 2])
+
+    def test_two_workers_equal_one(self):
+        """At ``jobs=2`` the distinct requests run as bucket work units on
+        two workers: the same results, repeats shared, and the counters
+        merged from the workers read what one process counts."""
+        a, b = _alone_scenario("checkpoint"), _alone_scenario("analytics")
+        scenarios, seeds = [a, b, a, b, a], [None, None, a.control.seed, 7, 7]
+        runs = {}
+        for jobs in (1, 2):
+            with telemetry_session(f"jobs{jobs}") as telemetry:
+                results = simulate_many(scenarios, seeds, jobs=jobs)
+                runs[jobs] = results, telemetry.snapshot()["counters"]
+        (one, serial), (two, parallel) = runs[1], runs[2]
+        assert [metric_fingerprint(r) for r in two] == [metric_fingerprint(r) for r in one]
+        assert two[0] is two[2]
+        for name in ("batch.requests", "batch.repeats", "batch.member_runs",
+                     "batch.member_steps"):
+            assert parallel[name] == serial[name], name
+        assert serial["batch.repeats"] == 1 and serial["batch.member_runs"] == 4
+        assert (serial["batch.buckets"], parallel["batch.buckets"]) == (1, 2)
 
 
 # ---------------------------------------------------------------------- #

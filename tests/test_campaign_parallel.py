@@ -1,8 +1,8 @@
 """Tests for the parallel, joint and cached campaign paths.
 
 Uses the three cheapest experiments (table1, figure10, figure11) so the
-campaign runs in well under a second per pass; at ``jobs=1`` figure10 and
-figure11 run together as one joint run.
+campaign runs in well under a second per pass; at every ``jobs`` figure10
+and figure11 run together as one joint run.
 """
 
 from collections import Counter
@@ -10,13 +10,27 @@ from collections import Counter
 import pytest
 
 from repro.analysis.campaign import (
+    CampaignResult,
     ExperimentRecord,
     campaign_to_markdown,
     run_campaign,
 )
 from repro.errors import ExperimentError
+from repro.obs.summary import executor_stats
+from repro.obs.telemetry import telemetry_session
 
 CHEAP_IDS = ["table1", "figure10", "figure11"]
+
+
+def _per_experiment(ids, **kwargs):
+    """The campaign of ``ids`` run one experiment at a time: the joint
+    runner declines a lone experiment, so no record is joint."""
+    records = [
+        run_campaign(scale="tiny", quick=True, experiments=[e], **kwargs).records[0]
+        for e in ids
+    ]
+    assert not any(record.joint for record in records)
+    return CampaignResult(scale="tiny", records=records)
 
 
 @pytest.fixture(scope="module")
@@ -89,8 +103,8 @@ class TestCachedCampaign:
 
 
 class TestJointCampaign:
-    """At ``jobs=1`` the staged experiments run together in two rounds, each
-    distinct simulation once."""
+    """At every ``jobs`` the staged experiments run together in two rounds,
+    each distinct simulation once."""
 
     IDS = ["figure4", "figure7", "figure10", "figure11"]
 
@@ -122,9 +136,7 @@ class TestJointCampaign:
         points = delta_points(shared.scenario, shared.pick_deltas(n_points=5))
         assert all((s, seed) in simulated for s in [alone, *points])
 
-        per_experiment = run_campaign(
-            scale="tiny", quick=True, experiments=self.IDS, jobs=2
-        )
+        per_experiment = _per_experiment(self.IDS)
         assert campaign_to_markdown(joint) == campaign_to_markdown(per_experiment)
 
     def test_joint_run_applies_the_campaign_stepping_policy(self):
@@ -134,9 +146,7 @@ class TestJointCampaign:
         adaptive = SteppingPolicy.adaptive()
         joint = run_campaign(scale="tiny", quick=True, experiments=ids, stepping=adaptive)
         assert all(record.joint for record in joint.records)
-        per_experiment = run_campaign(
-            scale="tiny", quick=True, experiments=ids, stepping=adaptive, jobs=2
-        )
+        per_experiment = _per_experiment(ids, stepping=adaptive)
         fixed = run_campaign(scale="tiny", quick=True, experiments=ids)
         assert campaign_to_markdown(joint) == campaign_to_markdown(per_experiment)
         assert campaign_to_markdown(joint) != campaign_to_markdown(fixed)
@@ -174,8 +184,30 @@ class TestJointCampaign:
         text = campaign_to_markdown(serial_campaign, include_timing=True)
         assert f"runtime joint {joint[0].wall_time:.1f} s" in text
         parallel = run_campaign(scale="tiny", quick=True, experiments=CHEAP_IDS, jobs=2)
-        assert not any(r.joint for r in parallel.records)
-        assert len({r.wall_time for r in parallel.records}) == len(CHEAP_IDS)
+        assert [r.joint for r in parallel.records] == [False, True, True]
+        assert len({r.wall_time for r in parallel.records if r.joint}) == 1
+
+    def test_two_workers_simulate_each_distinct_run_once(self):
+        """At ``jobs=2`` the joint plan's rounds spread over two workers as
+        bucket units: the same runs as at ``jobs=1``, none simulated twice,
+        and the joint span that encloses the units is not busy time of its
+        own."""
+        documents = {}
+        for jobs in (1, 2):
+            with telemetry_session(f"campaign-jobs{jobs}") as telemetry:
+                with telemetry.span("campaign:tiny", category="campaign"):
+                    campaign = run_campaign(
+                        scale="tiny", quick=True, experiments=self.IDS, jobs=jobs
+                    )
+                documents[jobs] = telemetry.snapshot()
+            assert all(record.joint for record in campaign.records)
+        serial, parallel = (documents[jobs]["counters"] for jobs in (1, 2))
+        assert parallel["batch.member_runs"] == serial["batch.member_runs"]
+        assert parallel["batch.repeats"] == serial["batch.repeats"] > 0
+        assert parallel["batch.buckets"] > serial["batch.buckets"]
+        stats = executor_stats(documents[2])
+        assert stats["jobs"] == 2.0
+        assert 0.0 < stats["utilization"] <= 1.0
 
     def test_joint_flag_survives_the_cache(self, tmp_path):
         cache_dir = str(tmp_path / "cache")

@@ -97,8 +97,23 @@ class TestGridCli:
         assert captured.out.startswith("device,")
 
     def test_grid_rejects_bad_axis(self):
-        with pytest.raises(Exception):
+        with pytest.raises(SystemExit) as excinfo:
             main(["grid", "--axis", "warp=9", "--scale", "tiny", "--no-store"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("axes, message", [
+        (["flux=1"], "unknown grid axis 'flux'"),
+        (["device=ram", "device=ssd"], "axis 'device' is given more than once"),
+        (["device=ram,ram"], "grid axis 'device' repeats values"),
+    ], ids=["unknown-name", "repeated-axis", "repeated-value"])
+    def test_grid_axis_is_a_usage_error(self, axes, message, capsys):
+        argv = ["grid", "--scale", "tiny", "--points", "3", "--no-store"]
+        for axis in axes:
+            argv += ["--axis", axis]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestVerifyCli:

@@ -244,9 +244,9 @@ class TestStaged:
         calls = []
         simulate_many = batch.simulate_many
 
-        def recording(scenarios, seeds=None):
+        def recording(scenarios, seeds=None, **kwargs):
             calls.append(len(scenarios))
-            return simulate_many(scenarios, seeds)
+            return simulate_many(scenarios, seeds, **kwargs)
 
         monkeypatch.setattr(batch, "simulate_many", recording)
         scenario = make_scenario("tiny")
@@ -297,9 +297,9 @@ class TestTwoApplicationExperiment:
         calls = []
         simulate_many = batch.simulate_many
 
-        def recording(scenarios, seeds=None):
+        def recording(scenarios, seeds=None, **kwargs):
             calls.append(len(scenarios))
-            return simulate_many(scenarios, seeds)
+            return simulate_many(scenarios, seeds, **kwargs)
 
         monkeypatch.setattr(batch, "simulate_many", recording)
         exp = TwoApplicationExperiment("tiny")

@@ -1,8 +1,8 @@
 """Bucket-granular parallel dispatch: the executor contract.
 
 With ``jobs > 1`` the matrix submits each planned bucket as a single pool
-work unit (kind ``matrix-bucket``), so N workers advance N batched kernels
-concurrently.  The contract: the parallel batched route is byte-identical
+work unit (kind ``bucket``, labelled with its members' task ids), so N
+workers advance N batched kernels concurrently.  The contract: the parallel batched route is byte-identical
 to the serial batched route and to the scalar route, buckets are submitted
 and reassembled in plan order, and the telemetry that crosses the process
 boundary counts every member exactly once (bucket work units are spans of

@@ -50,6 +50,21 @@ class TestDerivedStats:
         assert stats["utilization"] == pytest.approx(0.7)
         assert stats["max_queue_wait_s"] == pytest.approx(0.5)
 
+    def test_a_unit_that_encloses_units_is_not_counted_twice(self):
+        """A joint campaign run (a ``bucket`` span) whose rounds map bucket
+        units: only the units it encloses are busy time."""
+        t = Telemetry(label="joint")
+        campaign = t.add_span("campaign:tiny", "campaign", 0.0, 10e6)
+        joint = t.add_span("joint:2", "bucket", 1e6, 8e6, parent=campaign,
+                           track="tasks")
+        for k, start in enumerate((1e6, 1.5e6)):
+            t.add_span(f"bucket[{k}]:b9", "bucket", start, 6e6, parent=joint,
+                       track="tasks", args={"queue_wait_s": 0.0})
+        t.gauge("executor.jobs", 2.0)
+        stats = executor_stats(t.to_document(run_id="joint"))
+        assert stats["busy_s"] == pytest.approx(12.0)
+        assert stats["utilization"] == pytest.approx(0.6)
+
     def test_executor_stats_without_spans(self):
         stats = executor_stats(Telemetry().to_document())
         assert stats["n_tasks"] == 0.0

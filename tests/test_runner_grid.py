@@ -1,5 +1,7 @@
 """Tests for declarative parameter grids and their execution."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -29,6 +31,14 @@ class TestParameterGrid:
         grid = ParameterGrid.from_specs(["device=hdd,ssd", "stripe_kib=64,256"])
         assert len(grid) == 4
         assert grid.axes["stripe_kib"] == ["64", "256"]
+
+    def test_rejects_repeated_values(self):
+        with pytest.raises(ExperimentError, match="repeats values"):
+            ParameterGrid({"device": ["ram", "ram"]})
+
+    def test_from_specs_rejects_a_repeated_axis(self):
+        with pytest.raises(ExperimentError, match="more than once"):
+            ParameterGrid.from_specs(["device=ram", "device=ssd"])
 
     def test_from_specs_rejects_malformed(self):
         with pytest.raises(ExperimentError):
@@ -103,6 +113,36 @@ class TestRunGrid:
         assert result.point("hdd_sync-on").params["device"] == "hdd"
         with pytest.raises(ExperimentError):
             result.point("nope")
+
+    def test_two_workers_equal_one(self, executed, tmp_path, monkeypatch):
+        """The whole grid is one staged computation: two ``simulate_many``
+        rounds (every baseline, then every point), whose buckets spread
+        over the workers without changing a sweep, a summary or a stored
+        artifact."""
+        from repro.model import batch
+
+        result, _ = executed
+        rounds = []
+        simulate_many = batch.simulate_many
+
+        def recording(scenarios, seeds=None, **kwargs):
+            rounds.append((len(scenarios), kwargs.get("jobs")))
+            return simulate_many(scenarios, seeds, **kwargs)
+
+        monkeypatch.setattr(batch, "simulate_many", recording)
+        serial = run_grid(
+            ParameterGrid({"device": ["hdd", "ram"], "sync": ["sync-on", "sync-off"]}),
+            scale="tiny", n_points=3, jobs=1, store_dir=str(tmp_path),
+        )
+        assert rounds == [(4, 1), (12, 1)]
+        for one, two in zip(serial.points, result.points):
+            assert (one.point_id, one.seed) == (two.point_id, two.seed)
+            assert one.sweep == two.sweep
+            assert one.summary == two.summary
+            for name in ("sweep.json", "summary.json", "sweep.csv"):
+                assert (Path(one.run_dir) / name).read_bytes() == (
+                    Path(two.run_dir) / name
+                ).read_bytes()
 
     def test_no_store_means_no_run_dirs(self):
         result = run_grid(

@@ -1,10 +1,12 @@
 """Benchmark: serial vs parallel campaign wall time at the tiny scale.
 
 Records both times (and the resulting speedup) under
-``benchmarks/results/campaign_parallel.txt`` so future PRs can track how
-much the ``--jobs`` fan-out buys on the runner's hardware.  On a
-single-core box the speedup is ~1.0 by construction; the byte-identical
-output invariant is what the test asserts either way.
+``benchmarks/results/campaign_parallel.txt`` so future changes can track
+how much ``--jobs`` buys on the runner's hardware: the campaign runs the
+same joint plan at every ``--jobs``, and with ``--jobs 4`` each round's
+buckets spread across four worker processes.  On a single-core box the
+speedup is ~1.0 by construction; the byte-identical output invariant is
+what the test asserts either way.
 """
 
 import time

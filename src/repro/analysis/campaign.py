@@ -41,12 +41,13 @@ of a round shares them, so at ``jobs=1`` each round is one bucket, a queue
 that refills its live lanes as runs finish.  With ``jobs > 1`` each round
 splits into up to ``jobs`` buckets, each one ``bucket`` work unit of the
 executor (:mod:`repro.runner.executor`) on its own worker process, so each
-distinct run is still simulated once.  Records of experiments run together
-share the joint run's wall time (:attr:`ExperimentRecord.wall_time`).  A
-joint run targeted by a fault plan, or one that raises, is declined, and
-the executor runs each experiment alone as an ``experiment`` task, so a
-failure names its experiment; so do experiments that are not staged
-(``table1``).
+distinct run is still simulated once; a lone pending experiment runs the
+same way.  Records of experiments run together share the joint run's wall
+time (:attr:`ExperimentRecord.wall_time`).  Experiments that are not
+staged (``table1``) run after the joint run, in-process.  A fault plan
+that targets a pending experiment, or a run that raises, stops the
+campaign with an error that names the experiments concerned
+(:func:`run_experiments`).
 """
 
 from __future__ import annotations
@@ -61,10 +62,9 @@ from repro.config.control import SteppingPolicy, stepping_policy
 from repro.analysis.paper import EXPERIMENT_TITLES, paper_reference_tables
 from repro.analysis.tables import rows_to_markdown
 from repro.errors import ExperimentError
-from repro.obs.log import get_logger
 from repro.obs.telemetry import get_telemetry
 from repro.runner.cache import ResultCache, fingerprint
-from repro.runner.chaos import get_fault_plan
+from repro.runner.chaos import ChaosError, get_fault_plan
 from repro.runner.executor import TaskSpec, execute_cached
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
@@ -74,8 +74,7 @@ __all__ = [
     "ExperimentRecord",
     "CampaignResult",
     "run_campaign",
-    "run_experiment_task",
-    "run_joint_experiments",
+    "run_experiments",
     "campaign_to_markdown",
     "write_experiments_md",
 ]
@@ -215,93 +214,94 @@ class CampaignResult:
         )
 
 
-def run_experiment_task(payload: Dict[str, Any], seed: Optional[int]) -> Dict[str, Any]:
-    """Executor worker (task kind ``experiment``): run and grade one experiment.
-
-    Payload keys: ``experiment_id``, ``scale``, ``quick`` and optionally
-    ``stepping`` (a serialized
-    :class:`~repro.config.control.SteppingPolicy` applied as the process
-    default while the experiment runs).  Returns the
-    :meth:`ExperimentRecord.to_payload` form, so the transported/cached
-    shape and the record class cannot drift apart.
-    """
-    from repro.experiments.registry import get_experiment  # see run_campaign
-
-    policy = payload.get("stepping")
-    policy = None if policy is None else SteppingPolicy.from_dict(policy)
-    entry = get_experiment(payload["experiment_id"])
-    start = time.perf_counter()
-    with stepping_policy(policy):
-        result = entry.run(scale=payload["scale"], quick=payload["quick"])
-        checks = check_experiment(result)
-    record = ExperimentRecord(
-        experiment_id=entry.experiment_id,
-        result=result,
-        checks=checks,
-        wall_time=time.perf_counter() - start,
-    )
-    return record.to_payload()
+def _failed(tasks: Sequence[TaskSpec], exc: BaseException) -> ExperimentError:
+    """The error that stops a campaign: it names the experiments that were
+    running (chain it to ``exc``)."""
+    names = ", ".join(repr(task.task_id) for task in tasks)
+    plural = "s" if len(tasks) > 1 else ""
+    return ExperimentError(f"experiment{plural} {names} failed: {exc}")
 
 
-def run_joint_experiments(
-    pending: Sequence[TaskSpec], policy: Optional[SteppingPolicy], jobs: int = 1
-) -> Dict[str, Dict[str, Any]]:
-    """Batch runner of a campaign: simulate the pending staged experiments
-    together, two rounds in all.
+def run_experiments(
+    pending: Sequence[TaskSpec],
+    on_done: Callable[[TaskSpec, Dict[str, Any]], None],
+    policy: Optional[SteppingPolicy],
+    jobs: int = 1,
+) -> None:
+    """Runner of a campaign's cache misses (:func:`execute_cached`): run and
+    grade every pending experiment under ``policy``.
 
-    Gathers every pending experiment whose entry is staged into one staged
-    computation and drives it under ``policy``; each round is one
-    :func:`~repro.model.batch.simulate_many` call across ``jobs`` worker
-    processes, so a request that several experiments make is simulated
-    once.  Returns the
-    :meth:`ExperimentRecord.to_payload` form of each, every record carrying
-    the joint run's wall time.  Declines (returns ``{}``) when fewer than
-    two pending experiments are staged, when a fault plan targets any of
-    them, or when the joint run raises: the executor then runs each
-    experiment alone, so a failure names its experiment.
+    An active fault plan is injected first, on each pending experiment id
+    (attempt 0): an injected fault stops the campaign with an
+    :class:`~repro.errors.ExperimentError` that names the experiment.  The
+    staged experiments then run together as one staged computation
+    (:func:`~repro.core.delta.gather`), even when only one is pending; each
+    round is one :func:`~repro.model.batch.simulate_many` call across
+    ``jobs`` worker processes, so a request that several experiments make is
+    simulated once.  Their records all carry that run's wall time, and are
+    ``joint`` when more than one experiment ran together.  An experiment
+    that is not staged (``table1``) runs afterwards, in-process.  A run that
+    raises stops the campaign with an ``ExperimentError`` that names its
+    experiments.  Each record is reported through ``on_done`` in its
+    :meth:`ExperimentRecord.to_payload` form.
     """
     from repro.core.delta import gather, run_staged
     from repro.experiments.registry import get_experiment
 
-    entries = [(task, get_experiment(task.payload["experiment_id"])) for task in pending]
-    entries = [(task, entry) for task, entry in entries if hasattr(entry.runner, "stages")]
     plan = get_fault_plan()
-    targeted = plan is not None and any(
-        spec.match in task.task_id for spec in plan.faults for task, _ in entries
-    )
-    if len(entries) < 2 or targeted:
-        return {}
+    if plan is not None:
+        for task in pending:
+            try:
+                plan.maybe_inject(task.task_id, 0)
+            except ChaosError as exc:
+                raise _failed([task], exc) from exc
+    staged, rest = [], []
+    for task in pending:
+        entry = get_experiment(task.payload["experiment_id"])
+        (staged if hasattr(entry.runner, "stages") else rest).append((task, entry))
     telemetry = get_telemetry()
-    start = time.perf_counter()
-    try:
-        with telemetry.span(f"joint:{len(entries)}", category="bucket", track="tasks",
-                            experiments=len(entries)), stepping_policy(policy):
-            results = run_staged(gather(
-                entry.runner.stages(scale=task.payload["scale"], quick=task.payload["quick"])
-                for task, entry in entries
-            ), jobs=jobs)
-            checks = [check_experiment(result) for result in results]
-    except Exception as exc:
-        # Each experiment then runs alone, where a failure names it.
-        get_logger().warn("joint_run_declined", experiments=len(entries), error=repr(exc))
-        return {}
-    wall_time = time.perf_counter() - start
-    if telemetry.enabled:
-        # Zero-length member spans, as a matrix bucket's members get: the
-        # joint span alone claims the wall time.
-        for task, _ in entries:
-            telemetry.add_span(task.task_id, "task", telemetry.now_us(), 0.0,
-                               track="tasks", args={"kind": task.kind, "joint": True})
-    return {
-        task.task_id: ExperimentRecord(
+
+    def done(task: TaskSpec, entry, result, checks, wall_time: float, joint: bool) -> None:
+        if telemetry.enabled:
+            telemetry.count("executor.tasks.completed")
+        on_done(task, ExperimentRecord(
             experiment_id=entry.experiment_id,
             result=result,
-            checks=check,
+            checks=checks,
             wall_time=wall_time,
-            joint=True,
-        ).to_payload()
-        for (task, entry), result, check in zip(entries, results, checks)
-    }
+            joint=joint,
+        ).to_payload())
+
+    if staged:
+        start = time.perf_counter()
+        try:
+            with telemetry.span(f"joint:{len(staged)}", category="bucket", track="tasks",
+                                experiments=len(staged)), stepping_policy(policy):
+                results = run_staged(gather(
+                    entry.runner.stages(scale=task.payload["scale"], quick=task.payload["quick"])
+                    for task, entry in staged
+                ), jobs=jobs)
+                checks = [check_experiment(result) for result in results]
+        except Exception as exc:
+            raise _failed([task for task, _ in staged], exc) from exc
+        wall_time = time.perf_counter() - start
+        for (task, entry), result, check in zip(staged, results, checks):
+            if telemetry.enabled:
+                # Zero-length member spans, as a matrix bucket's members
+                # get: the joint span alone claims the wall time.
+                telemetry.add_span(task.task_id, "task", telemetry.now_us(), 0.0,
+                                   track="tasks", args={"kind": task.kind, "joint": True})
+            done(task, entry, result, check, wall_time, len(staged) > 1)
+    for task, entry in rest:
+        start = time.perf_counter()
+        try:
+            with telemetry.span(task.task_id, category="task", track="tasks",
+                                kind=task.kind), stepping_policy(policy):
+                result = entry.run(scale=task.payload["scale"], quick=task.payload["quick"])
+                checks = check_experiment(result)
+        except Exception as exc:
+            raise _failed([task], exc) from exc
+        done(task, entry, result, checks, time.perf_counter() - start, False)
 
 
 def run_campaign(
@@ -335,13 +335,12 @@ def run_campaign(
         keep presentation order.
     jobs:
         Worker processes.  The pending staged experiments run together
-        (:func:`run_joint_experiments`), each round's buckets spread across
-        ``jobs`` workers; the rest (and every experiment of a declined
-        joint run) run as one ``experiment`` task each, across ``jobs``
-        workers.  Experiments run under the executor's strict default
-        policy: the first experiment that fails (including one hit by a
+        (:func:`run_experiments`), each round's buckets spread across
+        ``jobs`` workers; ``table1``, which is not staged, runs after them
+        in-process.  The first failure (including one injected by a
         ``REPRO_CHAOS`` fault plan) stops the campaign with
-        :class:`~repro.errors.ExperimentError` naming it.
+        :class:`~repro.errors.ExperimentError` naming the experiments that
+        were running.
     cache_dir:
         When given, completed experiments are stored in (and served from) a
         content-addressed cache there, keyed by
@@ -351,8 +350,8 @@ def run_campaign(
         Optional :class:`~repro.config.control.SteppingPolicy` applied to
         every simulation of the campaign (the experiments build their
         scenarios internally, so the policy travels as the process-wide
-        default — set by each ``experiment`` task, and inherited by the
-        pool workers a joint run forks inside it).  Non-default policies
+        default — set around every run, and inherited by the pool workers
+        a staged run forks inside it).  Non-default policies
         are part of the cache fingerprint, so fixed and adaptive results
         never mix.
     """
@@ -382,8 +381,7 @@ def run_campaign(
         TaskSpec(
             task_id=experiment_id,
             kind="experiment",
-            payload={"experiment_id": experiment_id, "scale": scale, "quick": quick,
-                     "stepping": stepping_dict},
+            payload={"experiment_id": experiment_id, "scale": scale, "quick": quick},
         )
         for experiment_id in ids
     ]
@@ -398,7 +396,7 @@ def run_campaign(
 
     execute_cached(
         tasks,
-        jobs=jobs,
+        lambda pending, on_done: run_experiments(pending, on_done, stepping, jobs),
         cache=cache,
         fingerprint_for=lambda task: fingerprint(
             task.task_id, scale, quick, overrides=overrides
@@ -407,7 +405,6 @@ def run_campaign(
                                        "quick": quick, "overrides": overrides,
                                        "version": __version__},
         progress=on_result,
-        batch_runner=lambda pending: run_joint_experiments(pending, stepping, jobs),
     )
 
     campaign.records = [records[experiment_id] for experiment_id in ids]

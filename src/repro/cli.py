@@ -551,10 +551,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     matrix_parser.add_argument(
         "--no-batch", action="store_true",
-        help="disable the batched lockstep kernel and run every simulation "
-             "alone, fixed-step and adaptive (results are bitwise identical "
-             "either way; with --jobs N each planned bucket is one pool "
-             "work unit, so batching and workers compose)",
+        help="run every simulation, fixed-step and adaptive, as a width-1 "
+             "bucket of its own instead of in lockstep buckets of many runs "
+             "(results are bitwise identical either way; with --jobs N each "
+             "bucket is one pool work unit, so batching and workers compose)",
     )
     matrix_parser.add_argument(
         "--task-timeout", type=_task_timeout, default=None, metavar="SECONDS",
@@ -821,7 +821,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     reproduce_parser.add_argument(
         "--no-batch", action="store_true",
-        help="disable the batched lockstep kernel during re-execution",
+        help="re-execute every simulation as a width-1 bucket of its own "
+             "instead of in lockstep buckets of many runs",
     )
 
     return parser

@@ -44,7 +44,7 @@ from repro.config.scenario import ScenarioConfig
 from repro.core import metrics
 from repro.errors import AnalysisError, ExperimentError
 from repro.model.results import RunResult
-from repro.sim.tracing import TraceConfig
+from repro.sim.tracing import UNTRACED
 
 __all__ = [
     "DeltaPoint",
@@ -69,14 +69,6 @@ Request = Tuple[ScenarioConfig, Optional[int]]
 #: A staged computation: yields each round's requests, is sent their results
 #: in the same order, and returns its result.
 Staged = Generator[List[Request], List[RunResult], Any]
-
-#: The trace configuration of a Δ-point: it records nothing.
-_UNTRACED = TraceConfig(
-    record_windows=False,
-    record_progress=False,
-    record_server_state=False,
-    record_marks=False,
-)
 
 
 def jsonify(value):
@@ -413,7 +405,7 @@ def alone_stage(scenario: ScenarioConfig, seed: Optional[int]) -> Staged:
 
 def delta_points(scenario: ScenarioConfig, deltas: Sequence[float]) -> List[ScenarioConfig]:
     """The untraced point scenarios of a sweep of ``scenario`` at ``deltas``."""
-    untraced = scenario.with_control(replace(scenario.control, trace=_UNTRACED))
+    untraced = scenario.with_control(replace(scenario.control, trace=UNTRACED))
     return [untraced.with_delay(float(delta)) for delta in deltas]
 
 

@@ -35,7 +35,6 @@ from repro.core.delta import (
 )
 from repro.errors import ExperimentError
 from repro.model.results import RunResult
-from repro.model.simulator import simulate_scenario
 
 __all__ = ["TwoApplicationExperiment"]
 
@@ -80,8 +79,7 @@ class TwoApplicationExperiment:
     def baseline(self, force: bool = False) -> RunResult:
         """Interference-free run of the first application (cached)."""
         if self._alone_result is None or force:
-            alone = self.scenario.with_applications(self.scenario.applications[:1])
-            self._alone_result = simulate_scenario(alone, seed=self._seed)
+            self._alone_result = run_staged(alone_stage(self.scenario, self._seed))
         return self._alone_result
 
     def alone_time(self) -> float:
@@ -91,7 +89,12 @@ class TwoApplicationExperiment:
 
     def run_point(self, delay: float) -> RunResult:
         """Run both applications with the given start delay."""
-        return simulate_scenario(self.scenario.with_delay(float(delay)), seed=self._seed)
+        # Imported here, as run_staged does: importing repro.core stays free
+        # of the kernel module until a run is simulated.
+        from repro.model.batch import simulate_many
+
+        (result,) = simulate_many([self.scenario.with_delay(float(delay))], [self._seed])
+        return result
 
     # ------------------------------------------------------------------ #
     # Sweeps

@@ -15,9 +15,15 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.config.scenario import ScenarioConfig
-from repro.core.delta import DeltaSweep, run_delta_sweep, default_deltas
+from repro.core.delta import (
+    Staged,
+    alone_stage,
+    default_deltas,
+    delta_stages,
+    gather,
+    run_staged,
+)
 from repro.errors import ExperimentError
-from repro.model.simulator import simulate_scenario
 
 __all__ = ["Mitigation", "MitigationOutcome", "evaluate_mitigation"]
 
@@ -83,13 +89,14 @@ class MitigationOutcome:
         }
 
 
-def _sweep(scenario: ScenarioConfig, deltas: Optional[Sequence[float]]) -> DeltaSweep:
-    alone = scenario.with_applications(scenario.applications[:1])
-    alone_result = simulate_scenario(alone)
+def _sweep_stages(scenario: ScenarioConfig, deltas: Optional[Sequence[float]]) -> Staged:
+    """One configuration's sweep as a staged computation: its alone run,
+    then its points (by default 5, picked from the alone time)."""
+    alone_result = yield from alone_stage(scenario, None)
     first = scenario.applications[0].name
     if deltas is None:
         deltas = default_deltas(alone_result.write_time(first), n_points=5)
-    return run_delta_sweep(scenario, deltas, alone_result=alone_result)
+    return (yield from delta_stages(scenario, deltas, alone_result=alone_result))
 
 
 def evaluate_mitigation(
@@ -102,12 +109,15 @@ def evaluate_mitigation(
     Both the baseline and the mitigated configuration get their own
     interference-free baseline and Δ sweep (delays are chosen per
     configuration since the mitigation may change the interference window).
+    The two sweeps run side by side (:func:`~repro.core.delta.gather`): both
+    alone runs in one round, then both sets of points.
     """
     if len(scenario.applications) < 2:
         raise ExperimentError("mitigation evaluation needs a two-application scenario")
-    baseline_sweep = _sweep(scenario, deltas)
     mitigated_scenario = mitigation.apply(scenario)
-    mitigated_sweep = _sweep(mitigated_scenario, deltas)
+    baseline_sweep, mitigated_sweep = run_staged(gather(
+        _sweep_stages(config, deltas) for config in (scenario, mitigated_scenario)
+    ))
     first = scenario.applications[0].name
     return MitigationOutcome(
         name=mitigation.name,

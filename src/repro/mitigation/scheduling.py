@@ -29,9 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config.scenario import ScenarioConfig
-from repro.core.delta import default_deltas
+from repro.core.delta import Staged, alone_stage, default_deltas, run_staged
 from repro.errors import ExperimentError
-from repro.model.simulator import simulate_scenario
 
 __all__ = [
     "CoordinationPoint",
@@ -194,33 +193,45 @@ def evaluate_coordination(
     """
     if len(scenario.applications) < 2:
         raise ExperimentError("coordination evaluation needs two applications")
-    first = scenario.applications[0].name
+    return run_staged(_coordination_stages(scenario, deltas, n_points, slack, seed, label))
 
-    alone_scenario = scenario.with_applications(scenario.applications[:1])
-    alone_result = simulate_scenario(alone_scenario, seed=seed)
+
+def _coordination_stages(
+    scenario: ScenarioConfig, deltas: Optional[Sequence[float]], n_points: int,
+    slack: float, seed: Optional[int], label: str,
+) -> Staged:
+    """:func:`evaluate_coordination` as a staged computation: the alone run,
+    then every interfering and coordinated run in one round."""
+    first = scenario.applications[0].name
+    alone_result = yield from alone_stage(scenario, seed)
     alone_times = {
         app.name: alone_result.write_time(first) for app in scenario.applications
     }
     if deltas is None:
         deltas = default_deltas(alone_times[first], n_points=n_points)
+    deltas = [float(delta) for delta in deltas]
 
-    points: List[CoordinationPoint] = []
-    for delta in deltas:
-        interfering = simulate_scenario(scenario.with_delay(float(delta)), seed=seed)
-
-        starts = coordinated_start_times(scenario, float(delta), alone_times, slack=slack)
+    schedules = [
+        coordinated_start_times(scenario, delta, alone_times, slack=slack)
+        for delta in deltas
+    ]
+    runs = []
+    for delta, starts in zip(deltas, schedules):
         serialized_apps = [
             app.with_start_time(starts[app.name]) for app in scenario.applications
         ]
-        coordinated = simulate_scenario(
-            scenario.with_applications(serialized_apps), seed=seed
-        )
+        runs += [scenario.with_delay(delta), scenario.with_applications(serialized_apps)]
+    results = yield [(run, seed) for run in runs]
 
+    points: List[CoordinationPoint] = []
+    for delta, starts, interfering, coordinated in zip(
+        deltas, schedules, results[0::2], results[1::2]
+    ):
         requested_start = {app.name: 0.0 for app in scenario.applications}
-        requested_start[scenario.applications[1].name] = float(delta)
+        requested_start[scenario.applications[1].name] = delta
         points.append(
             CoordinationPoint(
-                delta=float(delta),
+                delta=delta,
                 interfering_write_times={
                     name: result.write_time for name, result in interfering.applications.items()
                 },

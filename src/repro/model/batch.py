@@ -1152,15 +1152,15 @@ def run_bucket(members: Sequence[Member]) -> List[RunResult]:
     return results
 
 
-def run_bucket_task(payload: Dict[str, Any], seed: Optional[int]) -> Dict[str, Any]:
+def run_bucket_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Executor worker (task kind ``bucket``): run one planned bucket.
 
     Payload keys: ``requests``, the bucket's ``(scenario, seed)`` pairs in
-    plan order, and optionally ``labels``, one task id per member.  An
-    active chaos plan targets the labels: a fault on any member fails (or,
-    in a pool worker, kills) the whole unit.  ``seed`` is unused; every
-    request carries its own.  Returns ``{"results": [RunResult, ...],
-    "wall_s": ...}``, the results in request order.
+    plan order, each carrying its own seed, and optionally ``labels``, one
+    task id per member.  An active chaos plan targets the labels: a fault
+    on any member fails (or, in a pool worker, kills) the whole unit.
+    Returns ``{"results": [RunResult, ...], "wall_s": ...}``, the results
+    in request order.
     """
     from repro.runner.chaos import get_fault_plan
 

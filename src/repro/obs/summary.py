@@ -69,7 +69,8 @@ def executor_stats(document: Dict[str, Any]) -> Dict[str, float]:
     """Worker-utilization figures derived from executor spans and counters.
 
     Busy time is counted once per executor work unit: the ``task`` spans of
-    scalar tasks plus the ``bucket`` spans of batched work units.  Bucket
+    units that are one task each (a matrix run alone, the campaign's
+    ``table1``) plus the ``bucket`` spans of batched work units.  Bucket
     members keep zero-length ``task`` spans, so ``n_tasks`` still counts
     every member while only its bucket claims wall time.  A span that
     encloses units (a joint campaign run whose rounds map bucket units) is
@@ -300,7 +301,7 @@ def summarize_document(
         if resilience["demotions"]:
             lines.append(
                 f"  {resilience['demotions']:.0f} bucket members demoted "
-                "to scalar execution"
+                "to width-1 buckets"
             )
 
     lake = lake_stats(document)

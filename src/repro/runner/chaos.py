@@ -220,7 +220,7 @@ class FaultPlan:
         return cls.from_dict(data)
 
 
-def run_probe_task(payload: Dict[str, Any], seed: Optional[int]) -> Dict[str, Any]:
+def run_probe_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Executor worker (task kind ``probe``): optionally sleep, then echo.
 
     Exists for the supervision and chaos tests — a task kind with no model
@@ -243,10 +243,7 @@ def run_probe_task(payload: Dict[str, Any], seed: Optional[int]) -> Dict[str, An
                 continue
     elif delay > 0.0:
         time.sleep(delay)
-    return {
-        "value": payload.get("value"),
-        "seed": None if seed is None else int(seed),
-    }
+    return {"value": payload.get("value")}
 
 
 # --------------------------------------------------------------------------- #

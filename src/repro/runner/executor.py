@@ -1,32 +1,31 @@
-"""Process-parallel, supervised task execution with deterministic seeding.
+"""Process-parallel, supervised task execution with deterministic results.
 
-One engine runs every task list in the repository.  ``bucket`` work
-units, one planned lockstep bucket each
-(:func:`repro.model.batch.bucket_units`), are how every verb spreads
-simulations across worker processes; ``experiment``, ``matrix-alone`` and
-``matrix-pair`` are the scalar and fallback routes, and ``probe`` serves
-the chaos harness.  The engine runs tasks in-process or across a
-:class:`concurrent.futures.ProcessPoolExecutor` (``jobs`` and the task
-count choose), applies one :class:`FaultPolicy` (deadlines, retries,
-quarantine) and any active chaos plan on both routes, and reassembles
-results in submission order, so parallel runs are byte-identical to
-serial ones.
+One engine runs every task list in the repository.  ``bucket`` work units,
+one planned lockstep bucket each (:func:`repro.model.batch.bucket_units`),
+are the one route by which any simulation reaches the kernel through the
+executor, and ``probe`` serves the chaos harness.  The engine runs tasks
+in-process or across a :class:`concurrent.futures.ProcessPoolExecutor`
+(``jobs`` and the task count choose), applies one :class:`FaultPolicy`
+(deadlines, retries, quarantine) and any active chaos plan on both routes,
+and reassembles results in submission order, so parallel runs are
+byte-identical to serial ones.
 
 Determinism rules:
 
-* every task carries its own seed (a ``bucket`` unit: every run its own),
-  derived from ``(master_seed, task_id)`` through the same
-  :class:`numpy.random.SeedSequence` construction as
-  :class:`repro.sim.rng.RandomStreams` — which worker executes a task never
-  affects its result;
+* every simulation request a unit carries holds its own seed, so which
+  worker executes a unit never affects its result (:func:`derive_task_seed`
+  derives a seed from ``(master_seed, task_id)`` for callers, such as the
+  parameter grid, that name their runs);
 * results are returned in task order regardless of completion order;
-* workers are plain module-level functions returning picklable payloads.
-  The kinds whose payloads are cached return them JSON-serializable
-  (``to_dict()`` form), so the same representation feeds the result cache,
-  the run store, and cross-process transport; a ``bucket`` unit returns its
-  runs' results, from which the caller extracts what it keeps.  Each worker
-  lives beside the code that builds its payload; this module only maps
-  task kinds to lazy ``"module:function"`` references.
+* workers are plain module-level functions of the payload alone, returning
+  picklable outputs: a ``bucket`` unit returns its runs' results, from which
+  the caller extracts what it keeps.  Each worker lives beside the code that
+  builds its payload; this module only maps task kinds to lazy
+  ``"module:function"`` references.
+
+:func:`execute_cached` is the cache around a caller's runner: it probes the
+result cache, hands every miss to the runner, and stores, journals and
+reports each result as the runner completes it.
 """
 
 from __future__ import annotations
@@ -94,21 +93,20 @@ class TaskSpec:
     """One unit of work for the executor.
 
     ``kind`` selects the worker function; ``payload`` is its (picklable)
-    argument mapping; ``seed`` is the task's deterministic RNG seed.
-    ``span_category`` labels the telemetry span the executor records for the
-    task — ``"task"`` for ordinary work units, ``"bucket"`` for a bucket
-    work unit carrying several runs (:func:`repro.model.batch.bucket_units`).
-    The executor counts ``executor.tasks.completed`` and
-    ``executor.quarantined`` for ``task`` units only: :func:`execute_cached`
-    counts a matrix bucket's members one by one as it takes their payloads,
-    and a failed bucket's members are demoted to ``task`` units of their
-    own, so nothing is counted twice.
+    argument mapping, and all the worker gets.  ``span_category`` labels the
+    telemetry span the executor records for the task — ``"task"`` for a
+    unit that is one task of its caller (a matrix run alone), ``"bucket"``
+    for a bucket work unit carrying several runs
+    (:func:`repro.model.batch.bucket_units`).  The executor counts
+    ``executor.tasks.completed`` and ``executor.quarantined`` for ``task``
+    units only: a runner counts the members of a bucket one by one as it
+    takes their payloads, and a failed bucket's members are demoted to
+    ``task`` units of their own, so nothing is counted twice.
     """
 
     task_id: str
     kind: str
     payload: Dict[str, Any] = field(default_factory=dict)
-    seed: Optional[int] = None
     span_category: str = "task"
 
 
@@ -117,7 +115,7 @@ class TaskSpec:
 # --------------------------------------------------------------------------- #
 
 
-_Worker = Callable[[Dict[str, Any], Optional[int]], Dict[str, Any]]
+_Worker = Callable[[Dict[str, Any]], Dict[str, Any]]
 
 #: Task kind -> lazy ``"module:function"`` reference to its worker, which
 #: lives beside the code that builds the kind's payload — so this module
@@ -127,9 +125,6 @@ _Worker = Callable[[Dict[str, Any], Optional[int]], Dict[str, Any]]
 #: their references.
 _TASK_KINDS: Dict[str, Union[str, _Worker]] = {
     "bucket": "repro.model.batch:run_bucket_task",
-    "experiment": "repro.analysis.campaign:run_experiment_task",
-    "matrix-alone": "repro.scenarios.matrix:run_matrix_alone_task",
-    "matrix-pair": "repro.scenarios.matrix:run_matrix_pair_task",
     "probe": "repro.runner.chaos:run_probe_task",
 }
 
@@ -151,7 +146,7 @@ def resolve_task_kind(kind: str) -> _Worker:
 
 def execute_task(task: TaskSpec) -> Dict[str, Any]:
     """Dispatch one task to its worker function (runs inside the pool)."""
-    return resolve_task_kind(task.kind)(task.payload, task.seed)
+    return resolve_task_kind(task.kind)(task.payload)
 
 
 # --------------------------------------------------------------------------- #
@@ -622,8 +617,13 @@ class ParallelExecutor:
                     for meta in survivors:
                         waiting.append((meta.task, meta.attempt, 0.0))
                     pool = rebuild_pool(pool, terminate=True)
-        finally:
+        except BaseException:
             pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        # Every task has finished, so the workers are idle: join them, so
+        # that none outlives the map and a caller's RUSAGE_CHILDREN counts
+        # their CPU time and memory.
+        pool.shutdown(wait=True)
         return [results_by_id.get(task.task_id) for task in tasks]
 
     def _new_pool(self, backlog: int) -> ProcessPoolExecutor:
@@ -686,34 +686,36 @@ def _unwrap_observed(
 
 def execute_cached(
     tasks: Sequence[TaskSpec],
+    run: Callable[
+        [List[TaskSpec], Callable[[TaskSpec, Dict[str, Any]], None]], None
+    ],
     *,
-    jobs: int = 1,
     cache=None,
     fingerprint_for: Optional[Callable[[TaskSpec], str]] = None,
     key_material_for: Optional[Callable[[TaskSpec], Dict[str, Any]]] = None,
     progress: Optional[Callable[[TaskSpec, Dict[str, Any], bool], None]] = None,
     task_records: Optional[Dict[str, Dict[str, Any]]] = None,
-    batch_runner: Optional[
-        Callable[[List[TaskSpec]], Optional[Dict[str, Dict[str, Any]]]]
-    ] = None,
-    fault_policy: Optional[FaultPolicy] = None,
     failures: Optional[Dict[str, Dict[str, Any]]] = None,
     journal=None,
 ) -> Dict[str, Dict[str, Any]]:
-    """Run tasks through the executor, served from / stored into a cache.
+    """Serve tasks from a cache and hand every miss to ``run``.
 
     The shared orchestration of every cached campaign (the experiment
     campaign, the interference matrix): probe the cache once for every
-    task, hand the misses to ``batch_runner`` and then to the executor,
-    store completions back.  Returns ``{task_id: payload}`` for every task
-    that completed.
+    task, call ``run`` once with the misses, and store, journal and report
+    each result as the runner completes it.  Returns ``{task_id: payload}``
+    for every task that completed.
 
     Parameters
     ----------
     tasks:
         The full task list (hits and misses alike).
-    jobs:
-        Worker processes for the cache misses.
+    run:
+        The caller's runner, ``run(pending, on_done)``: it runs every task of
+        ``pending`` (the misses, in task order) and calls
+        ``on_done(task, payload)`` as each one completes.  It is not called
+        when every task is a hit.  A task the runner quarantines into
+        ``failures`` simply never completes.
     cache:
         A :class:`repro.runner.cache.ResultCache`, probed in one
         ``get_many`` call (or ``None`` to disable caching — fingerprints are
@@ -726,34 +728,22 @@ def execute_cached(
         beside one task's payload.
     progress:
         Optional callback ``progress(task, payload, from_cache)``: cache
-        hits fire first (in task order), then completions (in completion
-        order under parallelism).
+        hits fire first (in task order), then completions (in the order the
+        runner reports them).
     task_records:
         Optional dict filled with per-task provenance
         ``{task_id: {"origin": "cache"|"computed", "wall_time_s",
         "queue_wait_s", "fingerprint"?}}`` — the material for the
-        manifest's task table and the cache-efficiency report.
-    batch_runner:
-        Optional bulk path for cache misses, tried before the pool.  Called
-        once with the full miss list; returns ``{task_id: payload}`` for
-        whatever subset it chose to run together (``None`` or ``{}`` to
-        decline).  Handled tasks skip the pool but flow through the same
-        caching/progress/provenance path as pool completions; the runner is
-        responsible for stamping its own timing into ``task_records``.
-        Unhandled tasks fall through to the pool unchanged.
-    fault_policy:
-        The :class:`FaultPolicy` the executor applies to the misses
-        (default: the strict ``FaultPolicy(max_retries=0)``).
+        manifest's task table and the cache-efficiency report.  The runner
+        stamps a computed task's timing before it reports the task.
     failures:
-        Optional sink collecting ``{task_id: TaskFailure.to_dict()}`` for
-        quarantined tasks, which then simply have no entry in the returned
-        mapping.  Without one, the first task that exhausts its retries
-        raises :class:`~repro.errors.ExperimentError`.
+        The sink in which the runner quarantines ``{task_id:
+        TaskFailure.to_dict()}`` records; each is journaled once the runner
+        returns.
     journal:
         Optional :class:`repro.runner.journal.ProgressJournal`; every
-        completion (cache hit, batched, or computed) and every quarantined
-        failure appends one state line, making the campaign resumable after
-        a kill.
+        completion (cache hit or computed) and every quarantined failure
+        appends one state line, making the campaign resumable after a kill.
     """
     if cache is not None and fingerprint_for is None:
         raise ExperimentError("execute_cached needs fingerprint_for with a cache")
@@ -803,8 +793,8 @@ def execute_cached(
                 ),
             )
         if task_records is not None:
-            # The executor recorded timing before this callback fired;
-            # stamp the provenance on top.
+            # The runner recorded timing before this callback fired; stamp
+            # the provenance on top.
             record = task_records.setdefault(
                 task.task_id, {"wall_time_s": 0.0, "queue_wait_s": 0.0}
             )
@@ -821,26 +811,8 @@ def execute_cached(
         if progress is not None:
             progress(task, payload, False)
 
-    if pending and batch_runner is not None:
-        batched = batch_runner(list(pending)) or {}
-        if batched:
-            still_pending = []
-            for task in pending:
-                if task.task_id in batched:
-                    if telemetry.enabled:
-                        telemetry.count("executor.tasks.completed")
-                    on_done(task, batched[task.task_id])
-                else:
-                    still_pending.append(task)
-            pending = still_pending
-
     if pending:
-        ParallelExecutor(jobs=jobs, fault_policy=fault_policy).map(
-            pending,
-            progress=on_done,
-            task_records=task_records,
-            failures=failures,
-        )
+        run(pending, on_done)
     if journal is not None and failures:
         for task_id, failure in failures.items():
             journal.record(

@@ -1,12 +1,16 @@
 """The interference-matrix campaign: all pairs of workload archetypes.
 
 For N specs the campaign runs N *alone* simulations plus N·(N+1)/2
-*pair* simulations (unordered pairs including the self-pair), fanned across
-worker processes by :class:`repro.runner.executor.ParallelExecutor` and
-served from the content-addressed result cache on repeats.  From those runs
-it fills the full NxN ordered matrix: cell ``(a, b)`` is the slowdown of
-``a`` co-running with ``b``, read from the unordered pair run (the mirror
-cell reads the other side of the same run).
+*pair* simulations (unordered pairs including the self-pair), served from
+the content-addressed result cache on repeats.  The misses run as
+``bucket`` work units (:func:`run_matrix_tasks`): lockstep buckets of many
+runs, and width-1 units for the runs of a demoted bucket, under
+``--no-batch`` and for a lone miss, mapped by
+:class:`repro.runner.executor.ParallelExecutor` in-process or across
+worker processes.  From those runs it fills the full NxN ordered matrix:
+cell ``(a, b)`` is the slowdown of ``a`` co-running with ``b``, read from
+the unordered pair run (the mirror cell reads the other side of the same
+run).
 
 Everything the campaign produces is deterministic — per-task seeds derive
 from the spec identities, reports carry no timestamps, and the stored
@@ -33,6 +37,7 @@ from repro.obs.telemetry import get_telemetry
 from repro.runner.cache import ResultCache, fingerprint_payload
 from repro.runner.executor import TaskSpec, execute_cached
 from repro.scenarios.spec import BuiltScenario, ScenarioSpec, build_scenario
+from repro.sim.tracing import UNTRACED
 
 __all__ = [
     "PairCell",
@@ -41,9 +46,7 @@ __all__ = [
     "matrix_artifacts",
     "rerun_matrix_document",
     "run_interference_matrix",
-    "run_matrix_alone_task",
-    "run_matrix_pair_task",
-    "run_matrix_tasks_batched",
+    "run_matrix_tasks",
     "matrix_fingerprint",
     "matrix_run_id",
     "store_matrix",
@@ -338,7 +341,7 @@ class InterferenceMatrix:
 
 
 # --------------------------------------------------------------------------- #
-# Worker tasks (module-level; referenced lazily from the executor registry)
+# The runner of cache misses
 # --------------------------------------------------------------------------- #
 
 
@@ -349,6 +352,8 @@ def _phase_time(result, names: Sequence[str]) -> float:
 
 
 def _build_from_payload(payload: Dict[str, Any]) -> BuiltScenario:
+    """The task's scenario, untraced: what the matrix keeps of a run (its
+    payload and root-cause attribution) reads no trace recorder."""
     specs = [ScenarioSpec.from_dict(s) for s in payload["specs"]]
     options = payload["options"]
     stepping = payload.get("stepping")
@@ -365,11 +370,12 @@ def _build_from_payload(payload: Dict[str, Any]) -> BuiltScenario:
         delay=float(options["delay"]),
         seed=options.get("seed"),
         stepping=policy,
+        trace=UNTRACED,
     )
 
 
 def _alone_payload_from_result(built: BuiltScenario, result) -> Dict[str, Any]:
-    """The transported payload of one alone run (shared by both kernels)."""
+    """The cached payload of one alone run."""
     return {
         "phase_time": float(_phase_time(result, built.groups[0])),
         "simulated_time": float(result.simulated_time),
@@ -379,7 +385,7 @@ def _alone_payload_from_result(built: BuiltScenario, result) -> Dict[str, Any]:
 
 
 def _pair_payload_from_result(built: BuiltScenario, result) -> Dict[str, Any]:
-    """The transported payload of one pair run (shared by both kernels)."""
+    """The cached payload of one pair run."""
     apps = list(result.applications.values())
     makespan = max(a.end_time for a in apps) - min(a.start_time for a in apps)
     root_cause, scores = attribute_pair(result)
@@ -395,142 +401,135 @@ def _pair_payload_from_result(built: BuiltScenario, result) -> Dict[str, Any]:
     }
 
 
-#: Task kind -> payload extraction from the finished RunResult.  Shared by
-#: the scalar workers below and the batched route, so the two paths cannot
-#: drift apart in what they transport.
+#: Task kind -> payload extraction from the finished RunResult.  A task's
+#: kind also namespaces its cache entries.
 _PAYLOAD_EXTRACTORS: Dict[str, Callable[[BuiltScenario, Any], Dict[str, Any]]] = {
     "matrix-alone": _alone_payload_from_result,
     "matrix-pair": _pair_payload_from_result,
 }
 
 
-def run_matrix_alone_task(payload: Dict[str, Any], seed: Optional[int]) -> Dict[str, Any]:
-    """Simulate one spec alone; returns its baseline phase time.
-
-    Payload keys: ``specs`` (a one-element list of serialized
-    :class:`~repro.scenarios.spec.ScenarioSpec`), ``scale``, ``options``,
-    ``stepping``.  ``seed`` is unused — matrix runs keep the scenario's
-    deterministic seed so alone and pair runs share random streams (the
-    common-random-numbers convention of the Δ-graph).
-    """
-    from repro.model.simulator import simulate_scenario
-
-    built = _build_from_payload(payload)
-    result = simulate_scenario(built.scenario)
-    return _alone_payload_from_result(built, result)
-
-
-def run_matrix_pair_task(payload: Dict[str, Any], seed: Optional[int]) -> Dict[str, Any]:
-    """Simulate one unordered pair on a shared deployment.
-
-    Payload is the two-spec analogue of :func:`run_matrix_alone_task`.
-    Returns per-slot phase times plus the root-cause attribution of the run.
-    """
-    from repro.model.simulator import simulate_scenario
-
-    built = _build_from_payload(payload)
-    result = simulate_scenario(built.scenario)
-    return _pair_payload_from_result(built, result)
-
-
-def run_matrix_tasks_batched(
+def run_matrix_tasks(
     pending: Sequence[TaskSpec],
-    task_records: Optional[Dict[str, Dict[str, Any]]] = None,
+    on_done: Callable[[TaskSpec, Dict[str, Any]], None],
+    task_records: Optional[Dict[str, Dict[str, Any]]],
     *,
     jobs: int = 1,
+    batch: bool = True,
     fault_policy=None,
-) -> Dict[str, Dict[str, Any]]:
-    """Bulk route for matrix cache misses: tasks of one deployment step in
-    lockstep.
+    failures: Optional[Dict[str, Dict[str, Any]]] = None,
+) -> None:
+    """Runner of the matrix's cache misses (:func:`execute_cached`): every
+    run is a ``bucket`` work unit.
 
-    Builds every pending task's scenario, plans buckets with
-    :func:`repro.model.batch.bucket_units` (each group of one transport and
-    server configuration splits into ``jobs`` chunks, each run as a queue
-    under the lane budget; mixed deployments, widths and stepping policies
-    share a bucket and leftovers run as width-1 buckets), and maps each
-    bucket as one ``bucket`` work unit, labelled with its members' task ids,
-    through :class:`~repro.runner.executor.ParallelExecutor` — in-process at
+    Builds every pending task's scenario.  With ``batch`` and at least two
+    misses it first plans buckets with :func:`repro.model.batch.bucket_units`
+    (each group of one transport and server configuration splits into
+    ``jobs`` chunks, each run as a queue under the lane budget; mixed
+    deployments, widths and stepping policies share a bucket) and maps each
+    bucket as one unit, labelled with its members' task ids, through
+    :class:`~repro.runner.executor.ParallelExecutor` — in-process at
     ``jobs=1``; otherwise ``jobs`` pool workers advance ``jobs`` batched
-    kernels concurrently.  Every task it plans is claimed.  A member of a
-    bucket is bitwise-equivalent to its run alone and payload extraction is
-    shared (:data:`_PAYLOAD_EXTRACTORS`, applied here to each returned
-    :class:`~repro.model.results.RunResult`), so the batched and per-task
-    routes transport identical payloads (and therefore identical cache
-    entries).
-
-    Accounting: the executor records one ``bucket`` span per work unit,
-    which carries the bucket's wall time.  Each member gets a zero-length
-    ``task`` span tagged ``batched`` with its bucket, and a
-    ``task_records`` entry with ``wall_time_s`` 0 that names its bucket and
-    the bucket's wall (``bucket_wall_s``), so a bucket's wall is counted
-    once, never once per member.
+    kernels concurrently.  These units get no retries and a deadline of the
+    campaign's per-task timeout (``fault_policy``, if any) times the widest
+    bucket.  As each unit completes, each member's payload is extracted
+    from its :class:`~repro.model.results.RunResult`
+    (:data:`_PAYLOAD_EXTRACTORS`) and reported through ``on_done``.
 
     A bucket whose kernel raises (or whose worker dies, or whose member a
-    chaos plan targets) is *demoted*: its members are simply not claimed
-    here, so they fall through to the executor's scalar per-task path — a
-    batching bug degrades throughput, never correctness.  Each demoted
-    member counts toward the ``batch.demotions`` telemetry counter.  Work
-    units get no retries and a deadline of the campaign's per-task timeout
-    (``fault_policy``, if any) times the widest bucket.
+    chaos plan targets) is *demoted*: its members run alone afterwards, in
+    task order, each as a width-1 unit — a batching bug degrades
+    throughput, never correctness (``batch.demotions`` counts the members).
+    So does every task under ``batch=False``, and a lone miss.  A width-1
+    unit is named after its task id and carries no labels, so the executor
+    injects chaos faults, retries it and quarantines it into ``failures``
+    under ``fault_policy`` as a task of its own; a quarantine record keeps
+    the task's matrix kind.  A member of a bucket is bitwise-equivalent to
+    its run alone, so every route yields identical payloads (and therefore
+    identical cache entries).
+
+    Accounting: the executor records one ``bucket`` span per bucket unit,
+    which carries the bucket's wall time, and one ``task`` span per width-1
+    unit.  Each bucket member gets a zero-length ``task`` span tagged
+    ``batched`` with its bucket, a ``task_records`` entry with
+    ``wall_time_s`` 0 that names its bucket and the bucket's wall
+    (``bucket_wall_s``), and one ``executor.tasks.completed`` count, so a
+    bucket's wall is counted once, never once per member.
     """
     from repro.model.batch import bucket_units
     from repro.runner.executor import FaultPolicy, ParallelExecutor
 
-    supported = [t for t in pending if t.kind in _PAYLOAD_EXTRACTORS]
-    if len(supported) < 2:
-        return {}
-    built = [_build_from_payload(t.payload) for t in supported]
-    buckets, units = bucket_units(
-        [(b.scenario, None) for b in built], jobs,
-        labels=[t.task_id for t in supported],
-    )
-    members = {
-        unit.task_id: [(supported[i], built[i]) for i in bucket.indices]
-        for bucket, unit in zip(buckets, units)
-    }
-    base_timeout = None if fault_policy is None else fault_policy.task_timeout_s
-    widest = max(len(bucket.indices) for bucket in buckets)
-    unit_policy = FaultPolicy(
-        task_timeout_s=None if base_timeout is None else base_timeout * widest,
-        max_retries=0,
-        grace_s=5.0 if fault_policy is None else fault_policy.grace_s,
-    )
-
+    built = {task.task_id: _build_from_payload(task.payload) for task in pending}
     telemetry = get_telemetry()
-    handled: Dict[str, Dict[str, Any]] = {}
-    unit_records: Dict[str, Dict[str, Any]] = {}
+    alone = list(pending)
+    if batch and len(pending) >= 2:
+        buckets, units = bucket_units(
+            [(built[task.task_id].scenario, None) for task in pending], jobs,
+            labels=[task.task_id for task in pending],
+        )
+        members = {
+            unit.task_id: [pending[i] for i in bucket.indices]
+            for bucket, unit in zip(buckets, units)
+        }
+        base_timeout = None if fault_policy is None else fault_policy.task_timeout_s
+        widest = max(len(bucket.indices) for bucket in buckets)
+        unit_policy = FaultPolicy(
+            task_timeout_s=None if base_timeout is None else base_timeout * widest,
+            max_retries=0,
+            grace_s=5.0 if fault_policy is None else fault_policy.grace_s,
+        )
+        unit_records: Dict[str, Dict[str, Any]] = {}
 
-    def on_unit(unit: TaskSpec, out: Dict[str, Any]) -> None:
-        timing = unit_records[unit.task_id]
-        # The executor keeps every output until the map returns: keep only
-        # the extracted payloads, not the runs.
-        results = out.pop("results")
-        for (task, b), result in zip(members[unit.task_id], results):
-            handled[task.task_id] = _PAYLOAD_EXTRACTORS[task.kind](b, result)
-            if telemetry.enabled:
-                telemetry.add_span(
-                    task.task_id, "task", telemetry.now_us(), 0.0,
-                    track="tasks",
-                    args={"kind": task.kind, "batched": True,
-                          "bucket": unit.task_id},
-                )
-            if task_records is not None:
-                task_records[task.task_id] = {
-                    "wall_time_s": 0.0,
-                    "queue_wait_s": timing["queue_wait_s"],
-                    "batched": True,
-                    "bucket": unit.task_id,
-                    "bucket_wall_s": timing["wall_time_s"],
-                }
+        def on_unit(unit: TaskSpec, out: Dict[str, Any]) -> None:
+            timing = unit_records[unit.task_id]
+            # The executor keeps every output until the map returns: keep
+            # none of the runs.
+            for task, result in zip(members[unit.task_id], out.pop("results")):
+                payload = _PAYLOAD_EXTRACTORS[task.kind](built[task.task_id], result)
+                if telemetry.enabled:
+                    telemetry.add_span(
+                        task.task_id, "task", telemetry.now_us(), 0.0,
+                        track="tasks",
+                        args={"kind": task.kind, "batched": True,
+                              "bucket": unit.task_id},
+                    )
+                    telemetry.count("executor.tasks.completed")
+                if task_records is not None:
+                    task_records[task.task_id] = {
+                        "wall_time_s": 0.0,
+                        "queue_wait_s": timing["queue_wait_s"],
+                        "batched": True,
+                        "bucket": unit.task_id,
+                        "bucket_wall_s": timing["wall_time_s"],
+                    }
+                on_done(task, payload)
 
-    failed: Dict[str, Dict[str, Any]] = {}
-    ParallelExecutor(jobs=jobs, fault_policy=unit_policy).map(
-        units, progress=on_unit, task_records=unit_records, failures=failed
+        failed: Dict[str, Dict[str, Any]] = {}
+        ParallelExecutor(jobs=jobs, fault_policy=unit_policy).map(
+            units, progress=on_unit, task_records=unit_records, failures=failed
+        )
+        demoted = {task.task_id for unit_id in failed for task in members[unit_id]}
+        if demoted and telemetry.enabled:
+            telemetry.count("batch.demotions", len(demoted))
+        alone = [task for task in pending if task.task_id in demoted]
+
+    by_id = {task.task_id: task for task in alone}
+
+    def on_alone(unit: TaskSpec, out: Dict[str, Any]) -> None:
+        task = by_id[unit.task_id]
+        (result,) = out.pop("results")
+        on_done(task, _PAYLOAD_EXTRACTORS[task.kind](built[task.task_id], result))
+
+    ParallelExecutor(jobs=jobs, fault_policy=fault_policy).map(
+        [
+            TaskSpec(task.task_id, "bucket",
+                     {"requests": [(built[task.task_id].scenario, None)]})
+            for task in alone
+        ],
+        progress=on_alone, task_records=task_records, failures=failures,
     )
-    demoted = sum(len(members[unit_id]) for unit_id in failed)
-    if demoted and telemetry.enabled:
-        telemetry.count("batch.demotions", demoted)
-    return handled
+    for task_id, failure in (failures or {}).items():
+        failure["kind"] = by_id[task_id].kind
 
 
 # --------------------------------------------------------------------------- #
@@ -717,13 +716,13 @@ def run_interference_matrix(
         Worker processes for the executor (alone and pair runs are
         independent tasks).
     batch:
-        Route cache misses through the batched lockstep kernel
-        (:mod:`repro.model.batch`) instead of one simulation per task.
-        With ``jobs > 1`` each planned bucket becomes one pool work unit,
-        and a deployment's tasks split into at least ``jobs`` buckets, so
-        ``N`` workers advance ``N`` batched kernels concurrently — the two
-        multipliers compose.  Results are bitwise identical either way;
-        disable to run every task alone, unbucketed.
+        Run cache misses in lockstep buckets of many runs
+        (:mod:`repro.model.batch`).  With ``jobs > 1`` each planned bucket
+        becomes one pool work unit, and a deployment's tasks split into at
+        least ``jobs`` buckets, so ``N`` workers advance ``N`` batched
+        kernels concurrently — the two multipliers compose.  Disable to run
+        every task as a width-1 bucket of its own, on the same route;
+        results are bitwise identical either way.
     cache_dir:
         When given, every task is served from / stored into the
         content-addressed cache — a repeated matrix is a 100% cache hit.
@@ -793,16 +792,16 @@ def run_interference_matrix(
         {} if telemetry.enabled else None
     )
 
-    batch_runner = None
-    if batch:
-        def batch_runner(pending):
-            return run_matrix_tasks_batched(
-                pending, task_records, jobs=jobs, fault_policy=fault_policy
-            )
-
     failures: Optional[Dict[str, Dict[str, Any]]] = (
         {} if fault_policy is not None else None
     )
+
+    def run(pending: List[TaskSpec], on_done) -> None:
+        run_matrix_tasks(
+            pending, on_done, task_records, jobs=jobs, batch=batch,
+            fault_policy=fault_policy, failures=failures,
+        )
+
     with telemetry.span(
         f"matrix:{scale}",
         category="campaign",
@@ -812,14 +811,12 @@ def run_interference_matrix(
     ):
         results = execute_cached(
             tasks,
-            jobs=jobs,
+            run,
             cache=cache,
             fingerprint_for=fingerprint_for,
             key_material_for=key_material_for,
             progress=on_result,
             task_records=task_records,
-            batch_runner=batch_runner,
-            fault_policy=fault_policy,
             failures=failures,
             journal=journal,
         )

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.errors import AnalysisError
 from repro.sim.timeseries import TimeSeries
 
-__all__ = ["TraceMark", "TraceRecorder", "TraceConfig"]
+__all__ = ["TraceMark", "TraceRecorder", "TraceConfig", "UNTRACED"]
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,16 @@ class TraceConfig:
             record_marks=True,
             window_connection_limit=8,
         )
+
+
+#: The trace configuration of a run whose caller keeps only its totals (a
+#: Δ-point, a matrix run): it records nothing.
+UNTRACED = TraceConfig(
+    record_windows=False,
+    record_progress=False,
+    record_server_state=False,
+    record_marks=False,
+)
 
 
 class TraceRecorder:

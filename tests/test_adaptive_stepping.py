@@ -217,21 +217,17 @@ class TestNextBound:
 
 
 class TestCampaignThreading:
-    def test_run_experiment_task_applies_stepping(self):
-        """The worker-side task honors the serialized policy and restores
-        the process default afterwards."""
-        from repro.analysis.campaign import run_experiment_task
+    def test_a_one_experiment_campaign_restores_the_stepping_default(self):
+        """A campaign honors its policy and restores the process default
+        afterwards."""
+        from repro.analysis.campaign import run_campaign
 
-        payload = {
-            "experiment_id": "table1",
-            "scale": "tiny",
-            "quick": True,
-            "stepping": ADAPTIVE.to_dict(),
-        }
         before = default_stepping_policy()
-        result = run_experiment_task(payload, seed=None)
+        campaign = run_campaign(
+            scale="tiny", quick=True, experiments=["table1"], stepping=ADAPTIVE
+        )
         assert default_stepping_policy() == before
-        assert result["experiment_id"] == "table1"
+        assert campaign.records[0].experiment_id == "table1"
 
     def test_fingerprints_separate_policies(self):
         from repro.runner.cache import fingerprint

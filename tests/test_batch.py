@@ -42,6 +42,7 @@ from repro.model.batch import (
 from repro.model.simulator import IOPathSimulator, simulate_scenario
 from repro.model.stepper import StepWorkspace
 from repro.obs.telemetry import telemetry_session
+from repro.runner.executor import TaskSpec
 from repro.scenarios.archetypes import archetype_names
 from repro.scenarios.spec import ScenarioSpec, build_scenario
 
@@ -679,78 +680,93 @@ class TestSimulateManyRequests:
 # ---------------------------------------------------------------------- #
 
 
-class TestExecutorBatchRunner:
-    def _tasks(self, monkeypatch, log):
-        from repro.runner import executor
+class TestExecutorRunner:
+    """``execute_cached`` deals only with the cache: it hands every miss to
+    its caller's runner and stores each result as the runner reports it."""
 
-        def worker(payload, seed):
-            log.append(payload["n"])
-            return {"n": payload["n"], "via": "scalar"}
+    TASKS = [TaskSpec(f"t{n}", "probe", {"n": n}) for n in range(4)]
 
-        monkeypatch.setitem(executor._TASK_KINDS, "test-batch", worker)
-        return [
-            executor.TaskSpec(f"t{n}", "test-batch", {"n": n}) for n in range(4)
-        ]
+    @staticmethod
+    def fingerprint_for(task):
+        return f"fp-{task.task_id}"
 
-    def test_claimed_tasks_skip_the_pool(self, monkeypatch):
-        from repro.runner.executor import execute_cached
-
-        scalar_log = []
-        tasks = self._tasks(monkeypatch, scalar_log)
-
-        def batch_runner(pending):
-            # Claim the even tasks; the executor must run only the rest.
-            return {
-                t.task_id: {"n": t.payload["n"], "via": "batched"}
-                for t in pending
-                if t.payload["n"] % 2 == 0
-            }
-
-        results = execute_cached(tasks, batch_runner=batch_runner)
-        assert {k: v["via"] for k, v in results.items()} == {
-            "t0": "batched", "t1": "scalar", "t2": "batched", "t3": "scalar",
-        }
-        assert scalar_log == [1, 3]
-
-    def test_declining_runner_changes_nothing(self, monkeypatch):
-        from repro.runner.executor import execute_cached
-
-        scalar_log = []
-        tasks = self._tasks(monkeypatch, scalar_log)
-        results = execute_cached(tasks, batch_runner=lambda pending: None)
-        assert scalar_log == [0, 1, 2, 3]
-        assert all(v["via"] == "scalar" for v in results.values())
-
-    def test_batched_payloads_are_cached(self, monkeypatch, tmp_path):
+    def test_the_runner_receives_exactly_the_misses(self, tmp_path):
         from repro.runner.cache import ResultCache
         from repro.runner.executor import execute_cached
 
-        scalar_log = []
-        tasks = self._tasks(monkeypatch, scalar_log)
+        cache = ResultCache(str(tmp_path))
+        cache.put("fp-t1", {"n": 1, "via": "cache"})
+        cache.put("fp-t3", {"n": 3, "via": "cache"})
+        calls = []
+
+        def run(pending, on_done):
+            calls.append([t.task_id for t in pending])
+            for task in pending:
+                on_done(task, {"n": task.payload["n"], "via": "runner"})
+
+        results = execute_cached(
+            self.TASKS, run, cache=cache, fingerprint_for=self.fingerprint_for
+        )
+        assert calls == [["t0", "t2"]]
+        assert {k: v["via"] for k, v in results.items()} == {
+            "t0": "runner", "t1": "cache", "t2": "runner", "t3": "cache",
+        }
+
+    def test_runner_payloads_are_cached(self, tmp_path):
+        from repro.runner.cache import ResultCache
+        from repro.runner.executor import execute_cached
+
         cache = ResultCache(str(tmp_path))
         calls = []
 
-        def batch_runner(pending):
+        def run(pending, on_done):
             calls.append([t.task_id for t in pending])
-            return {t.task_id: {"n": t.payload["n"], "via": "batched"} for t in pending}
+            for task in reversed(pending):  # any completion order
+                on_done(task, {"n": task.payload["n"]})
 
-        fingerprint_for = lambda task: f"fp-{task.task_id}"
         cold = execute_cached(
-            tasks, cache=cache, fingerprint_for=fingerprint_for,
-            batch_runner=batch_runner,
+            self.TASKS, run, cache=cache, fingerprint_for=self.fingerprint_for
         )
         warm = execute_cached(
-            tasks, cache=cache, fingerprint_for=fingerprint_for,
-            batch_runner=batch_runner,
+            self.TASKS, run, cache=cache, fingerprint_for=self.fingerprint_for
         )
         assert warm == cold
-        assert scalar_log == []
         # The warm pass is a 100% cache hit: the runner never fires again.
         assert calls == [["t0", "t1", "t2", "t3"]]
+
+    def test_failures_the_runner_quarantines_are_journaled(self, tmp_path):
+        from repro.runner.executor import TaskFailure, execute_cached
+        from repro.runner.journal import ProgressJournal
+
+        journal = ProgressJournal(tmp_path / "progress.jsonl")
+        failures = {}
+
+        def run(pending, on_done):
+            for task in pending:
+                if task.task_id == "t2":
+                    failures["t2"] = TaskFailure(
+                        "t2", "probe", "exception", "poisoned", 3
+                    ).to_dict()
+                else:
+                    on_done(task, {"n": task.payload["n"]})
+
+        results = execute_cached(
+            self.TASKS, run, failures=failures, journal=journal
+        )
+        assert sorted(results) == ["t0", "t1", "t3"]
+        state = journal.load()
+        assert {k: v["status"] for k, v in state.items()} == {
+            "t0": "completed", "t1": "completed", "t2": "failed",
+            "t3": "completed",
+        }
+        assert state["t2"]["attempt"] == 3
+        assert state["t2"]["error"] == "poisoned"
 
 
 class TestMatrixBatching:
     ARCH = ["smallfile", "incast"]
+    #: A cheaper pair of archetypes for the width-1 tests.
+    CHEAP = ["checkpoint", "analytics"]
 
     def test_batched_matrix_matches_scalar(self):
         import json
@@ -774,37 +790,64 @@ class TestMatrixBatching:
         assert len(batched_tasks) == 5
 
     def test_jobs_gt_one_keeps_batching(self):
-        """The batch runner is wired for every jobs value and forwards the
-        jobs count so buckets fan out as pool work units."""
+        """The runner is wired for every jobs value and receives the jobs
+        count, so buckets fan out as pool work units, and the supervision
+        options."""
+        from repro.runner.executor import FaultPolicy
         from repro.scenarios import matrix as matrix_mod
 
         seen = {}
 
-        def spy(pending, task_records=None, *, jobs=1,
-                fault_policy=None):  # pragma: no cover
-            seen["jobs"] = jobs
-            seen["fault_policy"] = fault_policy
-            return {}
+        def spy(pending, on_done, task_records, *, jobs, batch, fault_policy,
+                failures):
+            seen.update(jobs=jobs, batch=batch, fault_policy=fault_policy,
+                        pending=len(pending))
 
         import unittest.mock as mock
 
-        with mock.patch.object(
-            matrix_mod, "run_matrix_tasks_batched", spy
-        ), mock.patch.object(matrix_mod, "execute_cached") as fake:
-            fake.return_value = {}
-            try:
-                matrix_mod.run_interference_matrix(self.ARCH, "tiny", jobs=2)
-            except Exception:
-                pass  # assembly fails on empty results; wiring already seen
-            runner = fake.call_args.kwargs["batch_runner"]
-            assert runner is not None
-            runner([])
-            assert seen["jobs"] == 2
+        policy = FaultPolicy(max_retries=1)
+        with mock.patch.object(matrix_mod, "run_matrix_tasks", spy):
+            matrix = matrix_mod.run_interference_matrix(
+                self.ARCH, "tiny", jobs=2, fault_policy=policy
+            )
+        assert seen == {"jobs": 2, "batch": True, "fault_policy": policy,
+                        "pending": 5}
+        assert matrix.cells == {}
 
-    def test_batcher_declines_small_or_foreign_task_lists(self):
-        from repro.runner.executor import TaskSpec
-        from repro.scenarios.matrix import run_matrix_tasks_batched
+    def test_no_batch_runs_every_task_as_a_width1_unit(self):
+        from repro.scenarios.matrix import run_interference_matrix
 
-        assert run_matrix_tasks_batched([]) == {}
-        foreign = [TaskSpec("x", "experiment", {}), TaskSpec("y", "experiment", {})]
-        assert run_matrix_tasks_batched(foreign) == {}
+        with telemetry_session("no-batch") as telemetry:
+            matrix = run_interference_matrix(self.CHEAP, "tiny", batch=False)
+            document = telemetry.to_document()
+        counters = document["counters"]
+        assert counters["batch.buckets"] == counters["batch.member_runs"] == 5
+        assert counters["executor.tasks.completed"] == 5
+        assert "batch.demotions" not in counters
+        # Each unit is named after its task and keeps span category task.
+        task_spans = [s for s in document["spans"] if s["category"] == "task"]
+        assert sorted(s["name"] for s in task_spans) == sorted(matrix.task_records)
+        assert all(s["dur_us"] > 0 for s in task_spans)
+
+    def test_a_lone_miss_runs_as_a_width1_unit(self):
+        """A lone miss is a width-1 unit, whose payload equals the one the
+        task gets as a member of a bucket."""
+        from repro.scenarios.matrix import (
+            _matrix_task_list,
+            _normalize_options,
+            run_matrix_tasks,
+        )
+        from repro.scenarios.spec import ScenarioSpec
+
+        specs = [ScenarioSpec.coerce(a) for a in self.CHEAP]
+        _, tasks, _ = _matrix_task_list(specs, "tiny", _normalize_options({}), None)
+        batched, lone = {}, {}
+        run_matrix_tasks(tasks, lambda t, payload: batched.update({t.task_id: payload}), None)
+        with telemetry_session("lone") as telemetry:
+            run_matrix_tasks(
+                tasks[3:4], lambda t, payload: lone.update({t.task_id: payload}), None
+            )
+            counters = telemetry.snapshot()["counters"]
+        assert counters["batch.buckets"] == counters["batch.member_runs"] == 1
+        assert counters["executor.tasks.completed"] == 1
+        assert lone == {tasks[3].task_id: batched[tasks[3].task_id]}

@@ -22,14 +22,18 @@ from repro.obs.telemetry import telemetry_session
 CHEAP_IDS = ["table1", "figure10", "figure11"]
 
 
-def _per_experiment(ids, **kwargs):
-    """The campaign of ``ids`` run one experiment at a time: the joint
-    runner declines a lone experiment, so no record is joint."""
-    records = [
-        run_campaign(scale="tiny", quick=True, experiments=[e], **kwargs).records[0]
-        for e in ids
-    ]
-    assert not any(record.joint for record in records)
+def _per_experiment(ids, stepping=None):
+    """The campaign of ``ids`` run one experiment at a time, each through
+    its own ``run`` under the campaign's stepping policy."""
+    from repro.analysis.comparison import check_experiment
+    from repro.config.control import stepping_policy
+    from repro.experiments.registry import get_experiment
+
+    records = []
+    with stepping_policy(stepping):
+        for e in ids:
+            result = get_experiment(e).run(scale="tiny", quick=True)
+            records.append(ExperimentRecord(e, result, check_experiment(result), 0.0))
     return CampaignResult(scale="tiny", records=records)
 
 
@@ -227,19 +231,37 @@ class TestJointCampaign:
                              experiments=["figure10", "figure11"])
         assert isinstance(excinfo.value.__cause__, ChaosError)
 
-    def test_a_failing_joint_run_falls_back_per_experiment(
-        self, monkeypatch, capsys, serial_campaign
-    ):
+    def test_a_failing_joint_run_names_its_experiments(self, monkeypatch):
         from repro.core import delta
 
         def failing_gather(stages):
             raise RuntimeError("joint run failed")
 
         monkeypatch.setattr(delta, "gather", failing_gather)
-        campaign = run_campaign(scale="tiny", quick=True, experiments=CHEAP_IDS)
-        assert not any(r.joint for r in campaign.records)
-        assert campaign_to_markdown(campaign) == campaign_to_markdown(serial_campaign)
-        assert "event=joint_run_declined experiments=2" in capsys.readouterr().err
+        with pytest.raises(
+            ExperimentError,
+            match="experiments 'figure10', 'figure11' failed: joint run failed",
+        ) as excinfo:
+            run_campaign(scale="tiny", quick=True, experiments=CHEAP_IDS)
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
+
+    def test_a_lone_staged_experiment_spreads_over_the_workers(self):
+        """A lone staged experiment runs its rounds through the staged
+        runner at every ``jobs``: more buckets at ``jobs=2``, the same
+        report."""
+        documents, reports = {}, {}
+        for jobs in (1, 2):
+            with telemetry_session(f"lone-jobs{jobs}") as telemetry:
+                campaign = run_campaign(
+                    scale="tiny", quick=True, experiments=["figure2"], jobs=jobs
+                )
+                documents[jobs] = telemetry.snapshot()["counters"]
+            assert not campaign.records[0].joint
+            reports[jobs] = campaign_to_markdown(campaign)
+        assert reports[2] == reports[1]
+        assert documents[2]["batch.buckets"] > documents[1]["batch.buckets"]
+        assert documents[2]["batch.member_runs"] == documents[1]["batch.member_runs"]
+        assert documents[1]["executor.tasks.completed"] == 1
 
 
 class TestRecordPayloadRoundTrip:

@@ -3,7 +3,7 @@
 With ``jobs > 1`` the matrix submits each planned bucket as a single pool
 work unit (kind ``bucket``, labelled with its members' task ids), so N
 workers advance N batched kernels concurrently.  The contract: the parallel batched route is byte-identical
-to the serial batched route and to the scalar route, buckets are submitted
+to the serial batched route and to width-1 units (``batch=False``), buckets are submitted
 and reassembled in plan order, and the telemetry that crosses the process
 boundary counts every member exactly once (bucket work units are spans of
 their own category, never ``task`` spans).

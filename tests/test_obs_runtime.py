@@ -12,10 +12,18 @@ from repro.runner.executor import ParallelExecutor, TaskSpec, execute_cached
 from repro.runner.store import load_manifest
 from repro.scenarios.matrix import run_interference_matrix, store_matrix
 
-TASKS = [
-    TaskSpec("t1", "experiment",
-             {"experiment_id": "table1", "scale": "tiny", "quick": True}),
-]
+def _unit(task_id, device="hdd"):
+    """A width-1 ``bucket`` work unit of one tiny run (a ``task`` unit, as
+    the matrix maps a run alone)."""
+    from repro.config.presets import make_scenario
+
+    return TaskSpec(
+        task_id, "bucket",
+        {"requests": [(make_scenario("tiny", device=device), None)]},
+    )
+
+
+TASKS = [_unit("t1")]
 
 
 class TestEngineCounters:
@@ -72,7 +80,12 @@ class TestExecutorTelemetry:
         assert doc["gauges"]["executor.jobs"] == 1.0
         task_span = next(s for s in doc["spans"] if s["category"] == "task")
         assert task_span["name"] == "t1"
-        assert task_span["args"]["kind"] == "experiment"
+        assert task_span["args"]["kind"] == "bucket"
+        # The unit's run nests directly beneath its span, in-process.
+        assert any(
+            s["category"] == "simulation" and s["parent"] == task_span["id"]
+            for s in doc["spans"]
+        )
         validate_telemetry_document(doc)
 
     def test_serial_map_fills_task_records_without_telemetry(self):
@@ -82,11 +95,7 @@ class TestExecutorTelemetry:
         assert records["t1"]["queue_wait_s"] == 0.0
 
     def test_parallel_map_merges_worker_snapshots(self):
-        tasks = [
-            TaskSpec(e, "experiment",
-                     {"experiment_id": e, "scale": "tiny", "quick": True})
-            for e in ("table1", "figure10")
-        ]
+        tasks = [_unit("hdd"), _unit("ram", device="ram")]
         records = {}
         with telemetry_session("exec") as session:
             ParallelExecutor(jobs=2).map(tasks, task_records=records)
@@ -94,7 +103,7 @@ class TestExecutorTelemetry:
         validate_telemetry_document(doc)
         assert doc["counters"]["executor.tasks.completed"] == 2
         task_spans = [s for s in doc["spans"] if s["category"] == "task"]
-        assert {s["name"] for s in task_spans} == {"table1", "figure10"}
+        assert {s["name"] for s in task_spans} == {"hdd", "ram"}
         # worker-side simulation activity merged under the task spans
         worker_spans = [s for s in doc["spans"] if s["track"] == "workers"]
         assert worker_spans
@@ -108,7 +117,7 @@ class TestExecutorTelemetry:
 
     def test_disabled_telemetry_map_is_unobserved(self):
         results = ParallelExecutor(jobs=1).map(TASKS)
-        assert results[0]["experiment_id"] == "table1"
+        assert results[0]["results"][0].n_steps > 0
 
 
 class TestCacheTelemetry:
@@ -130,19 +139,34 @@ class TestCacheTelemetry:
     def test_execute_cached_records_provenance(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         fingerprint_for = lambda task: f"fp-{task.task_id}"
+        calls = []
+
+        def runner(records):
+            # Maps the misses and caches what it keeps of each run; the
+            # executor stamps the timing before the payload is reported.
+            def run(pending, on_done):
+                calls.append([task.task_id for task in pending])
+                ParallelExecutor(jobs=1).map(
+                    pending, task_records=records,
+                    progress=lambda task, out: on_done(
+                        task, {"n_steps": out["results"][0].n_steps}
+                    ),
+                )
+            return run
 
         cold = {}
-        execute_cached(TASKS, cache=cache, fingerprint_for=fingerprint_for,
-                       task_records=cold)
+        execute_cached(TASKS, runner(cold), cache=cache,
+                       fingerprint_for=fingerprint_for, task_records=cold)
         assert cold["t1"]["origin"] == "computed"
         assert cold["t1"]["fingerprint"] == "fp-t1"
         assert cold["t1"]["wall_time_s"] > 0
 
         warm = {}
         with telemetry_session("warm") as session:
-            execute_cached(TASKS, cache=cache, fingerprint_for=fingerprint_for,
-                           task_records=warm)
+            execute_cached(TASKS, runner(warm), cache=cache,
+                           fingerprint_for=fingerprint_for, task_records=warm)
             doc = session.to_document()
+        assert calls == [["t1"]]
         assert warm["t1"]["origin"] == "cache"
         assert warm["t1"]["wall_time_s"] == 0.0
         assert doc["counters"]["executor.tasks.cached"] == 1

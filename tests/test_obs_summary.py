@@ -206,7 +206,7 @@ class TestSummarizeDocument:
         report = summarize_document(t.to_document())
         assert "resilience" in report
         assert "5 retries, 1 timeouts, 1 quarantined, 2 pool rebuilds" in report
-        assert "3 bucket members demoted to scalar execution" in report
+        assert "3 bucket members demoted to width-1 buckets" in report
 
     def test_resilience_section_absent_on_fault_free_runs(self):
         report = summarize_document(Telemetry().to_document())

@@ -23,7 +23,22 @@ class TestDeriveTaskSeed:
         assert 0 <= seed < 2 ** 63
 
 
+def _unit(task_id, *scenarios, **kwargs):
+    """A ``bucket`` work unit running ``scenarios`` on their own seeds."""
+    return TaskSpec(
+        task_id, "bucket", {"requests": [(s, None) for s in scenarios]}, **kwargs
+    )
+
+
 class TestParallelExecutor:
+    @pytest.fixture(scope="class")
+    def scenarios(self):
+        return {
+            "hdd": make_scenario("tiny"),
+            "ram": make_scenario("tiny", device="ram"),
+            "ssd": make_scenario("tiny", device="ssd", sync_mode="sync-off"),
+        }
+
     def test_rejects_bad_jobs(self):
         with pytest.raises(ExperimentError):
             ParallelExecutor(jobs=0)
@@ -31,46 +46,76 @@ class TestParallelExecutor:
     def test_empty_map(self):
         assert ParallelExecutor(jobs=2).map([]) == []
 
+    def test_task_kinds_are_the_bucket_unit_and_the_probe(self):
+        from repro.runner.executor import _TASK_KINDS
+
+        assert set(_TASK_KINDS) == {"bucket", "probe"}
+
     def test_rejects_duplicate_task_ids(self):
-        tasks = [
-            TaskSpec("same", "experiment", {"experiment_id": "table1",
-                                            "scale": "tiny", "quick": True})
-            for _ in range(2)
-        ]
-        with pytest.raises(ExperimentError):
+        tasks = [TaskSpec("same", "probe", {"value": n}) for n in range(2)]
+        with pytest.raises(ExperimentError, match="unique"):
             ParallelExecutor(jobs=1).map(tasks)
 
     def test_unknown_kind_fails_loudly(self):
         with pytest.raises(ExperimentError):
             ParallelExecutor(jobs=1).map([TaskSpec("t", "no-such-kind")])
 
-    def test_serial_experiment_task(self):
-        tasks = [TaskSpec("table1", "experiment",
-                          {"experiment_id": "table1", "scale": "tiny", "quick": True})]
+    def test_serial_bucket_unit(self, scenarios):
+        from repro.model.simulator import simulate_scenario
+
+        members = [scenarios["hdd"], scenarios["ram"]]
         seen = []
         results = ParallelExecutor(jobs=1).map(
-            tasks, progress=lambda task, result: seen.append(task.task_id)
+            [_unit("u", *members)],
+            progress=lambda task, result: seen.append(task.task_id),
         )
-        assert seen == ["table1"]
-        assert results[0]["experiment_id"] == "table1"
-        assert results[0]["result"]["tables"]["table1"]
-        assert results[0]["checks"]
+        assert seen == ["u"]
+        assert results[0]["wall_s"] > 0
+        runs = results[0]["results"]
+        assert [run.scenario for run in runs] == members
+        for member, run in zip(members, runs):
+            alone = simulate_scenario(member)
+            assert run.n_steps == alone.n_steps
+            assert run.applications == alone.applications
 
-    def test_parallel_results_keep_task_order(self):
-        # figure11 is slower than table1; order must follow submission anyway.
-        ids = ["figure11", "table1", "figure10"]
-        tasks = [
-            TaskSpec(e, "experiment", {"experiment_id": e, "scale": "tiny", "quick": True})
-            for e in ids
+    def test_parallel_results_keep_task_order(self, scenarios):
+        # The HDD run is the slowest; order must follow submission anyway.
+        ids = ["hdd", "ram", "ssd"]
+        results = ParallelExecutor(jobs=2).map(
+            [_unit(i, scenarios[i]) for i in ids]
+        )
+        assert [r["results"][0].scenario for r in results] == [
+            scenarios[i] for i in ids
         ]
-        results = ParallelExecutor(jobs=2).map(tasks)
-        assert [r["experiment_id"] for r in results] == ids
 
-    def test_worker_failure_propagates_with_task_id(self):
-        tasks = [TaskSpec("boom", "experiment",
-                          {"experiment_id": "figure99", "scale": "tiny", "quick": True})]
-        with pytest.raises(ExperimentError, match="boom|figure99"):
+    def test_worker_failure_propagates_with_task_id(self, scenarios):
+        """The kernel raises inside a pool worker: the map fails naming the
+        unit, chained to the worker's error."""
+        import dataclasses
+
+        from repro.errors import SimulationError
+
+        hdd = scenarios["hdd"]
+        short = dataclasses.replace(
+            hdd, control=dataclasses.replace(hdd.control, max_time=0.1)
+        )
+        tasks = [_unit("fine", scenarios["ram"]), _unit("boom", short)]
+        with pytest.raises(ExperimentError, match="'boom'") as excinfo:
             ParallelExecutor(jobs=2).map(tasks)
+        assert isinstance(excinfo.value.__cause__, SimulationError)
+        assert "reached max_time=0.1s" in str(excinfo.value.__cause__)
+
+    def test_no_worker_outlives_the_map(self):
+        """A caller's RUSAGE_CHILDREN counts the workers only once they are
+        joined.  (A failed map leaves its workers to be reaped later, so
+        count only the children this map started.)"""
+        import multiprocessing
+
+        before = set(multiprocessing.active_children())
+        tasks = [TaskSpec(f"p{n}", "probe", {"value": n}) for n in range(4)]
+        results = ParallelExecutor(jobs=2).map(tasks)
+        assert [r["value"] for r in results] == [0, 1, 2, 3]
+        assert set(multiprocessing.active_children()) <= before
 
 
 class TestParallelDeltaSweep:

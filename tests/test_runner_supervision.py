@@ -20,7 +20,7 @@ from repro.runner.journal import JOURNAL_NAME, ProgressJournal
 def probe(task_id, value=0, sleep_s=0.0):
     return TaskSpec(
         task_id=task_id, kind="probe",
-        payload={"value": value, "sleep_s": sleep_s}, seed=1,
+        payload={"value": value, "sleep_s": sleep_s},
     )
 
 
@@ -197,7 +197,7 @@ class TestSupervisedPool:
         def hang(task_id):
             return TaskSpec(
                 task_id=task_id, kind="probe",
-                payload={"sleep_s": 30.0, "uninterruptible": True}, seed=1,
+                payload={"sleep_s": 30.0, "uninterruptible": True},
             )
 
         failures = {}

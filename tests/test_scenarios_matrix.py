@@ -215,10 +215,11 @@ class TestDegradationAndResume:
         assert a != matrix_run_id(ARCHES, "reduced", device="hdd")
 
     def test_transient_bucket_fault_demotes_to_scalar(self, tmp_path):
-        """A failing bucket degrades its members to scalar execution.
+        """A failing bucket degrades its members to runs alone (width-1
+        units).
 
         The fault fires once per member on attempt 0 (the bucket pass);
-        the demoted scalar attempt re-injects, and the scalar retry then
+        the demoted member's first attempt re-injects, and its retry then
         completes — so the matrix comes out whole, with the demotion and
         retries visible in the counters and no quarantined tasks.
         """
@@ -249,7 +250,7 @@ class TestDegradationAndResume:
     ):
         """At ``--jobs 1`` buckets run inside the supervisor process, so a
         chaos ``crash`` there must become an exception, not an exit: the
-        bucket is demoted, the member's scalar retry completes, and the
+        bucket is demoted, the member's retry alone completes, and the
         matrix comes out whole and unchanged."""
         from repro.obs.telemetry import telemetry_session
         from repro.runner.chaos import FaultPlan, FaultSpec, fault_plan
@@ -298,6 +299,79 @@ class TestDegradationAndResume:
         report = matrix_report_markdown(matrix)
         assert "Failed tasks (quarantined)" in report
         assert "—" in matrix_heatmap_markdown(matrix)
+
+    def test_a_quarantine_record_keeps_the_matrix_kind(self, tmp_path):
+        """Runs alone are ``bucket`` units, but a quarantined task is
+        recorded under its matrix kind, as in ``matrix.json``."""
+        from repro.runner.chaos import FaultPlan, FaultSpec, fault_plan
+        from repro.runner.executor import FaultPolicy
+
+        policy = FaultPolicy(max_retries=0)
+        plan = FaultPlan.of(
+            FaultSpec(match="pair:checkpoint+analytics", times=99),
+            FaultSpec(match="alone:analytics", times=99),
+        )
+        with fault_plan(plan):
+            matrix = run_interference_matrix(ARCHES, "tiny", fault_policy=policy)
+        assert {f["task_id"]: f["kind"] for f in matrix.failed_tasks} == {
+            "alone:analytics": "matrix-alone",
+            "pair:checkpoint+analytics": "matrix-pair",
+        }
+        assert all(f["attempts"] == 1 for f in matrix.failed_tasks)
+
+    def test_demoted_members_run_in_task_order(self, monkeypatch):
+        """Both buckets of a two-worker plan fail; their members then run
+        alone in task order, not in the order their buckets failed."""
+        from repro.runner import executor
+        from repro.runner.chaos import FaultPlan, FaultSpec, fault_plan
+        from repro.runner.executor import FaultPolicy
+
+        submitted = []
+        original = executor.ParallelExecutor.map
+
+        def recording(self, tasks, *args, **kwargs):
+            submitted.append([task.task_id for task in tasks])
+            return original(self, tasks, *args, **kwargs)
+
+        monkeypatch.setattr(executor.ParallelExecutor, "map", recording)
+        policy = FaultPolicy(max_retries=1, backoff_base_s=0.001,
+                             backoff_cap_s=0.002)
+        with fault_plan(FaultPlan.of(FaultSpec(match="", times=1)), env=True):
+            matrix = run_interference_matrix(
+                ARCHES, "tiny", jobs=2, fault_policy=policy
+            )
+        units, alone = submitted
+        assert len(units) == 2
+        assert alone == [
+            "alone:checkpoint", "alone:analytics", "pair:checkpoint+checkpoint",
+            "pair:checkpoint+analytics", "pair:analytics+analytics",
+        ]
+        assert matrix.failed_tasks == []
+        assert len(matrix.cells) == 3
+
+    def test_every_matrix_run_records_no_trace(self, monkeypatch):
+        """What the matrix keeps of a run reads no trace recorder, so its
+        runs record nothing, batched or alone."""
+        from repro.model import batch
+        from repro.sim.tracing import UNTRACED
+
+        runs = []
+        run_bucket = batch.run_bucket
+
+        def recording(members):
+            results = run_bucket(members)
+            runs.extend(results)
+            return results
+
+        monkeypatch.setattr(batch, "run_bucket", recording)
+        batched = run_interference_matrix(ARCHES, "tiny")
+        alone = run_interference_matrix(ARCHES, "tiny", batch=False)
+        assert batched.to_dict() == alone.to_dict()
+        assert len(runs) == 10
+        for run in runs:
+            assert run.scenario.control.trace == UNTRACED
+            assert run.recorder.series_names() == []
+            assert run.recorder.marks == ()
 
     def test_failed_tasks_round_trip_and_stay_absent_when_clean(self, tiny_matrix):
         document = tiny_matrix.to_dict()

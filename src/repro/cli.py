@@ -39,12 +39,11 @@ a warm-cache repeat is a 100% cache hit with byte-identical outputs)::
     repro-io matrix --archetypes checkpoint,analytics --jobs 2
 
 Measure stepping-kernel throughput on the canonical scenario set and refresh
-``BENCH_stepper.json`` (add ``--check`` to gate against the committed
-baseline, ``--max-overhead`` to additionally bound telemetry-disabled
-overhead)::
+``BENCH_stepper.json`` (add ``--check`` to gate ratios measured in the same
+run: the batched kernel against B=1, telemetry on against off)::
 
     repro-io perf --scale reduced --output BENCH_stepper.json
-    repro-io perf --scale tiny --check --baseline BENCH_stepper.json
+    repro-io perf --scale tiny --batch 8 --check --output /tmp/BENCH_stepper.json
 
 Capture a run timeline while the matrix executes, then inspect it::
 
@@ -213,30 +212,6 @@ def validate_grid_axis(value: str) -> str:
     return value
 
 
-def validate_min_ratio(value: str) -> float:
-    """``--min-ratio``: a float in (0, 1]."""
-    try:
-        ratio = float(value)
-    except ValueError:
-        raise UsageError(f"--min-ratio expects a number, got {value!r}") from None
-    if not 0.0 < ratio <= 1.0:
-        raise UsageError(f"--min-ratio must be in (0, 1], got {ratio}")
-    return ratio
-
-
-def validate_max_overhead(value: str) -> float:
-    """``--max-overhead``: a float in [0, 1)."""
-    try:
-        fraction = float(value)
-    except ValueError:
-        raise UsageError(
-            f"--max-overhead expects a number, got {value!r}"
-        ) from None
-    if not 0.0 <= fraction < 1.0:
-        raise UsageError(f"--max-overhead must be in [0, 1), got {fraction}")
-    return fraction
-
-
 def validate_repeats(value: str) -> int:
     """``--repeats``: a strictly positive repeat count."""
     try:
@@ -295,9 +270,7 @@ _archetype_list = _cli_type(validate_archetypes)
 _grid_axis = _cli_type(validate_grid_axis)
 _task_timeout = _cli_type(validate_task_timeout)
 _max_retries = _cli_type(validate_max_retries)
-_min_ratio = _cli_type(validate_min_ratio)
 _repeat_count = _cli_type(validate_repeats)
-_max_overhead = _cli_type(validate_max_overhead)
 _batch_size = _cli_type(validate_batch_size)
 _row_limit = _cli_type(validate_limit)
 _where_filter = _cli_type(_validate_where)
@@ -580,15 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf_parser = sub.add_parser(
         "perf",
-        help="measure stepping-kernel or campaign throughput and write the "
-             "schema'd bench document (BENCH_stepper.json / "
-             "BENCH_campaign.json)",
-    )
-    perf_parser.add_argument(
-        "--campaign", action="store_true",
-        help="measure the campaign grid instead of the stepper scenarios: "
-             "cold+warm matrix wall over jobs x batch cells plus the "
-             "batched-kernel curve; writes/gates BENCH_campaign.json",
+        help="measure stepping-kernel throughput and write the schema'd "
+             "bench document (BENCH_stepper.json)",
     )
     perf_parser.add_argument(
         "--explain-buckets", action="store_true",
@@ -598,17 +564,17 @@ def build_parser() -> argparse.ArgumentParser:
              "group-width sets) and exit without measuring",
     )
     perf_parser.add_argument(
-        "--archetypes", type=_archetype_list, default=None,
+        "--archetypes", type=_archetype_list,
+        default="checkpoint,analytics,smallfile,incast",
         metavar="NAME,NAME[,...]",
-        help="archetype set for --campaign / --explain-buckets (default: "
-             "checkpoint,analytics,smallfile,incast)",
+        help="archetype set for --explain-buckets (default: %(default)s)",
     )
     perf_parser.add_argument(
         "--scale", default=None, choices=["tiny", "reduced"],
         help="canonical scenario set to measure: 'tiny' (the CI smoke set) "
-             "or 'reduced' (the full set, default; --campaign always runs "
-             "its matrix at tiny).  --explain-buckets explains the matrix "
-             "at this scale (default: tiny, as repro-io matrix)",
+             "or 'reduced' (the full set, default).  --explain-buckets "
+             "explains the matrix at this scale (default: tiny, as "
+             "repro-io matrix)",
     )
     perf_parser.add_argument(
         "--repeats", type=_repeat_count, default=5, metavar="N",
@@ -616,9 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: 5)",
     )
     perf_parser.add_argument(
-        "--output", metavar="PATH", default=None,
-        help="write the schema'd bench document here (default: "
-             "BENCH_campaign.json with --campaign, else BENCH_stepper.json)",
+        "--output", metavar="PATH", default="BENCH_stepper.json",
+        help="write the schema'd bench document here (default: %(default)s)",
     )
     perf_parser.add_argument(
         "--no-output", action="store_true",
@@ -638,25 +603,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf_parser.add_argument(
         "--check", action="store_true",
-        help="compare the fresh measurement against --baseline and exit "
-             "non-zero on a regression",
-    )
-    perf_parser.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help="committed baseline document for --check (default: "
-             "BENCH_campaign.json with --campaign, else BENCH_stepper.json)",
-    )
-    perf_parser.add_argument(
-        "--min-ratio", type=_min_ratio, default=0.7, metavar="FRAC",
-        help="allowed fraction of baseline throughput before --check fails "
-             "(default: 0.7, i.e. a >30%% regression fails)",
-    )
-    perf_parser.add_argument(
-        "--max-overhead", type=_max_overhead, default=None, metavar="FRAC",
-        help="with --check, additionally fail when throughput falls more "
-             "than FRAC below the baseline (e.g. 0.02 asserts the "
-             "telemetry-disabled overhead stays within 2%%); off by default "
-             "because it is a much tighter gate than --min-ratio",
+        help="gate ratios of the fresh document's own entries and exit 1 "
+             "below a floor: every --batch width >= 8 against B=1, and the "
+             "tiny end-to-end run with telemetry against without (needs a "
+             "--batch width >= 8)",
     )
 
     obs_parser = sub.add_parser(
@@ -1113,53 +1063,26 @@ def _command_matrix(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 def _command_perf(args: argparse.Namespace) -> int:
     # Imported lazily: the perf harness pulls in the model stack.
     import json
-    import os
 
-    from repro.errors import PerfError
-    from repro.perf import (
-        check_overhead,
-        check_regression,
-        run_perf,
-        validate_bench_document,
-    )
-    from repro.perf.compare import format_summary
+    from repro.perf import check_ratios, format_summary, run_perf, validate_bench_document
+    from repro.perf.harness import BATCH_FLOOR_WIDTH
 
     log = get_logger()
 
     if args.explain_buckets:
-        from repro.perf.campaign import DEFAULT_CAMPAIGN_ARCHETYPES
         from repro.scenarios.matrix import explain_matrix_buckets
 
-        archetypes = args.archetypes or list(DEFAULT_CAMPAIGN_ARCHETYPES)
-        print(explain_matrix_buckets(archetypes, args.scale or "tiny"))
+        print(explain_matrix_buckets(args.archetypes, args.scale or "tiny"))
         return 0
 
-    if args.campaign:
-        return _perf_campaign(args, log)
-
-    # The stepper bench: resolve the mode-dependent default paths.
-    output = args.output or "BENCH_stepper.json"
-    baseline_path = args.baseline or "BENCH_stepper.json"
-    if args.max_overhead is not None and not args.check:
-        log.error("perf_usage", error="--max-overhead requires --check")
+    # Fail before the measurement, not after it.
+    if args.check and not any(width >= BATCH_FLOOR_WIDTH for width in args.batch or ()):
+        log.error(
+            "perf_usage",
+            error=f"--check needs a batched width to gate: pass --batch B "
+                  f"with B >= {BATCH_FLOOR_WIDTH}",
+        )
         return 2
-
-    # Load the baseline *before* measuring or writing anything: a gate run
-    # must never overwrite its own reference (the default --output and
-    # --baseline are the same committed file) and a missing/corrupt baseline
-    # should fail before the expensive measurement.
-    baseline = None
-    if args.check:
-        try:
-            with open(baseline_path, "r", encoding="utf-8") as handle:
-                baseline = json.load(handle)
-            validate_bench_document(baseline)
-        except FileNotFoundError:
-            log.error("perf_fail", error=f"baseline {baseline_path} not found")
-            return 1
-        except (PerfError, json.JSONDecodeError) as exc:
-            log.error("perf_fail", error=str(exc))
-            return 1
 
     document = run_perf(
         scale=args.scale or "reduced", repeats=args.repeats, profile=args.profile,
@@ -1169,112 +1092,21 @@ def _command_perf(args: argparse.Namespace) -> int:
     text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     if args.no_output:
         print(text, end="")
-    elif args.check and os.path.realpath(output) == os.path.realpath(baseline_path):
-        log.info(
-            "perf_skip_write",
-            reason=f"not overwriting the baseline {baseline_path} during a "
-                   "--check run; pass a different --output to keep the "
-                   "measurement",
-        )
     else:
-        with open(output, "w", encoding="utf-8") as handle:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
-        log.info("perf_written", path=output)
+        log.info("perf_written", path=args.output)
     print(format_summary(document), file=sys.stderr)
 
     if not args.check:
         return 0
-    try:
-        failures = check_regression(document, baseline, min_ratio=args.min_ratio)
-        if args.max_overhead is not None:
-            failures += check_overhead(document, baseline, args.max_overhead)
-    except PerfError as exc:
-        log.error("perf_fail", error=str(exc))
-        return 1
+    failures = check_ratios(document)
+    for failure in failures:
+        log.error("perf_regression", detail=failure)
     if failures:
-        for failure in failures:
-            log.error("perf_regression", detail=failure)
         return 1
-    gate = f"no scenario below {args.min_ratio:.0%} of {baseline_path}"
-    if args.max_overhead is not None:
-        gate += f"; overhead within {args.max_overhead:.1%}"
-    log.info("perf_gate", status="green", detail=gate)
-    return 0
-
-
-def _perf_campaign(args: argparse.Namespace, log) -> int:
-    """The ``repro-io perf --campaign`` mode: measure, write, optionally gate."""
-    import json
-    import os
-
-    from repro.errors import PerfError
-    from repro.perf.campaign import (
-        DEFAULT_CAMPAIGN_ARCHETYPES,
-        check_campaign_regression,
-        format_campaign_summary,
-        run_campaign_bench,
-        validate_campaign_document,
-    )
-
-    if args.max_overhead is not None:
-        log.error(
-            "perf_usage",
-            error="--max-overhead applies to the stepper bench only",
-        )
-        return 2
-    output = args.output or "BENCH_campaign.json"
-    baseline_path = args.baseline or "BENCH_campaign.json"
-
-    baseline = None
-    if args.check:
-        try:
-            with open(baseline_path, "r", encoding="utf-8") as handle:
-                baseline = json.load(handle)
-            validate_campaign_document(baseline)
-        except FileNotFoundError:
-            log.error("perf_fail", error=f"baseline {baseline_path} not found")
-            return 1
-        except (PerfError, json.JSONDecodeError) as exc:
-            log.error("perf_fail", error=str(exc))
-            return 1
-
-    archetypes = args.archetypes or list(DEFAULT_CAMPAIGN_ARCHETYPES)
-    document = run_campaign_bench(archetypes=archetypes, repeats=args.repeats)
-    validate_campaign_document(document)
-    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
-    if args.no_output:
-        print(text, end="")
-    elif args.check and os.path.realpath(output) == os.path.realpath(baseline_path):
-        log.info(
-            "perf_skip_write",
-            reason=f"not overwriting the baseline {baseline_path} during a "
-                   "--check run; pass a different --output to keep the "
-                   "measurement",
-        )
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        log.info("perf_written", path=output)
-    print(format_campaign_summary(document), file=sys.stderr)
-
-    if not args.check:
-        return 0
-    try:
-        failures = check_campaign_regression(
-            document, baseline, min_ratio=args.min_ratio
-        )
-    except PerfError as exc:
-        log.error("perf_fail", error=str(exc))
-        return 1
-    if failures:
-        for failure in failures:
-            log.error("perf_regression", detail=failure)
-        return 1
-    log.info(
-        "perf_gate", status="green",
-        detail=f"grid byte-identical, utilization at most 100%, no kernel "
-               f"throughput below {args.min_ratio:.0%} of {baseline_path}",
-    )
+    log.info("perf_gate", status="green",
+             detail="batched and telemetry ratios at or above their floors")
     return 0
 
 

@@ -67,11 +67,11 @@ class AnalysisError(ReproError, ValueError):
 
 
 class PerfError(ReproError, ValueError):
-    """A malformed benchmark document or a failed perf-regression check.
+    """A malformed benchmark document or one the ratio gate cannot judge.
 
-    Raised by :mod:`repro.perf` when a ``BENCH_*.json`` document does not
-    match its schema or when a measured throughput falls below the committed
-    baseline by more than the allowed margin.
+    Raised by :mod:`repro.perf` when a ``BENCH_stepper.json`` document does
+    not match its schema, or when it lacks the entries a ratio of
+    :func:`repro.perf.harness.check_ratios` divides.
     """
 
 

@@ -11,6 +11,8 @@ set:
   scenario every speedup claim refers to.
 * ``e2e/*`` — a complete :func:`simulate_scenario` run (engine, tracing and
   completion handling included), normalized by its own step count.
+  ``e2e/tiny-hdd-sync-on@telemetry`` is the same run inside a telemetry
+  session.
 * ``batched/*`` (optional) — the same kernel loop as ``active``, advancing
   ``B`` copies of the tiny scenario per step.
 
@@ -18,37 +20,40 @@ Every number is a min-of-N wall measurement (:func:`repro.perf.timing.best_of_ns
 so single-CPU container noise does not leak into the committed trajectory.
 The emitted document embeds a fixed *reference* — the same measurements taken
 on the seed kernel right before the StepWorkspace rewrite, on the same
-container class — and the per-scenario speedup against it.  Cross-machine
-comparisons of absolute numbers are meaningless; the regression gate
-(:mod:`repro.perf.compare`) therefore compares like with like: a fresh
-measurement against the committed document from the same environment, with a
-generous margin.
+container class — and the per-scenario speedup against it.  Absolute numbers
+are only comparable on one machine, so the gate (:func:`check_ratios`)
+compares entries of one document with each other: the batched kernel
+against B=1, and the run with telemetry against the same run without.
 """
 
 from __future__ import annotations
 
 import platform
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import PerfError
 from repro.perf.counters import StepProfiler
-from repro.perf.schema import BENCH_SCHEMA_V2
+from repro.perf.schema import BENCH_SCHEMA_ID
 from repro.perf.timing import best_of_ns
 
 __all__ = [
+    "BATCH_FLOOR",
+    "BATCH_FLOOR_WIDTH",
     "BENCH_SCHEMA_ID",
     "BenchScenario",
     "CANONICAL_SCENARIOS",
     "DEFAULT_BATCH_SIZES",
     "REFERENCE_BASELINE",
+    "TELEMETRY_FLOOR",
+    "TELEMETRY_SUFFIX",
+    "check_ratios",
+    "format_summary",
     "run_perf",
     "scenarios_for_scale",
 ]
-
-BENCH_SCHEMA_ID = BENCH_SCHEMA_V2
 
 #: Batch widths measured when ``repro-io perf`` runs with ``--batch`` and no
 #: explicit sizes: the committed batched throughput curve.
@@ -58,6 +63,29 @@ DEFAULT_BATCH_SIZES: Tuple[int, ...] = (1, 8, 32, 128)
 #: the ~220 steps the reduced contended scenario needs to complete, so the
 #: model stays in its active phase for the whole measurement.
 ACTIVE_STEPS = 150
+
+#: The narrowest batched width :data:`BATCH_FLOOR` gates; ``perf --check``
+#: needs at least one measured width this wide.
+BATCH_FLOOR_WIDTH = 8
+
+#: Lowest allowed ratio of a batched entry at width >= BATCH_FLOOR_WIDTH to
+#: ``active/tiny-hdd-sync-on`` (B=1) of the same run.  b8 / B=1 read
+#: 4.89-5.25 (median 4.97) in 20 runs of ``perf --scale tiny --repeats 5
+#: --batch 8`` on a 2-CPU container, 4.46-6.42 there on a slower day, and
+#: 3.65 in the committed document, which another machine measured.
+BATCH_FLOOR = 2.5
+
+#: Lowest allowed ratio of ``e2e/tiny-hdd-sync-on@telemetry`` to
+#: ``e2e/tiny-hdd-sync-on`` of the same run: what a telemetry session may
+#: cost the tiny end-to-end run.  It read 0.71-0.74 (median 0.73) in the
+#: same 20 runs, and 0.78-0.86 there on a slower day.
+TELEMETRY_FLOOR = 0.6
+
+#: Suffix of the key of an ``e2e`` entry measured inside a telemetry session.
+TELEMETRY_SUFFIX = "@telemetry"
+
+#: The B=1 kernel entry every batched width is gated against.
+_KERNEL_KEY = "active/tiny-hdd-sync-on"
 
 
 @dataclass(frozen=True)
@@ -202,13 +230,17 @@ def run_perf(
 ) -> Dict[str, object]:
     """Measure the canonical scenario set; return the bench document.
 
-    ``batch_sizes`` adds one ``batched/tiny-hdd-sync-on@b{B}`` entry per
-    width: the lockstep kernel advancing ``B`` copies of the tiny scenario
-    per step (always measured at tiny scale, whatever ``scale`` is).
+    Every ``e2e`` entry is measured twice, the second time inside a
+    telemetry session under its key plus ``@telemetry``.  ``batch_sizes``
+    adds one ``batched/tiny-hdd-sync-on@b{B}`` entry per width: the
+    lockstep kernel advancing ``B`` copies of the tiny scenario per step
+    (always measured at tiny scale, whatever ``scale`` is).
 
     The document validates against :func:`repro.perf.schema.validate_bench_document`
     and is what ``repro-io perf`` writes to ``BENCH_stepper.json``.
     """
+    from repro.obs.telemetry import telemetry_session
+
     if repeats < 1:
         raise PerfError("repeats must be >= 1")
     if reference is None:
@@ -219,6 +251,8 @@ def run_perf(
             scenarios[spec.key] = _measure_batched(1, repeats, spec)
         else:
             scenarios[spec.key] = _measure_e2e(spec, repeats)
+            with telemetry_session("perf"):
+                scenarios[spec.key + TELEMETRY_SUFFIX] = _measure_e2e(spec, repeats)
     for batch_size in batch_sizes or ():
         if batch_size < 1:
             raise PerfError(f"batch sizes must be >= 1, got {batch_size}")
@@ -253,3 +287,55 @@ def run_perf(
             ),
         }
     return document
+
+
+def check_ratios(document: Dict) -> List[str]:
+    """Gate a bench document on ratios of its own entries; return one
+    failure per pair below its floor (empty = gate green).
+
+    Every batched entry at width >= :data:`BATCH_FLOOR_WIDTH` must reach
+    :data:`BATCH_FLOOR` times the B=1 kernel, and every ``@telemetry`` entry
+    :data:`TELEMETRY_FLOOR` times its twin without telemetry.  Both numbers
+    of a pair come from one run on one machine, so the gate holds wherever
+    the document was measured.  A document missing either kind of pair
+    raises :class:`~repro.errors.PerfError`: the gate never passes while
+    gating nothing.
+    """
+    scenarios = document["scenarios"]
+    batched = [
+        (key, _KERNEL_KEY, BATCH_FLOOR)
+        for key, entry in scenarios.items()
+        if entry["kind"] == "batched" and entry["batch"] >= BATCH_FLOOR_WIDTH
+    ]
+    telemetry = [
+        (key, key[: -len(TELEMETRY_SUFFIX)], TELEMETRY_FLOOR)
+        for key in scenarios
+        if key.endswith(TELEMETRY_SUFFIX)
+    ]
+    if not batched:
+        raise PerfError(f"no batched entry of width >= {BATCH_FLOOR_WIDTH} to gate")
+    if not telemetry:
+        raise PerfError(f"no {TELEMETRY_SUFFIX} entry to gate")
+    failures: List[str] = []
+    for key, base, floor in batched + telemetry:
+        if base not in scenarios:
+            raise PerfError(f"{key} has no {base} entry to compare with")
+        ratio = float(scenarios[key]["steps_per_sec"]) / float(
+            scenarios[base]["steps_per_sec"]
+        )
+        if ratio < floor:
+            failures.append(f"{key} / {base} = {ratio:.2f}, below the floor {floor}")
+    return failures
+
+
+def format_summary(document: Dict) -> str:
+    """Human-readable one-line-per-scenario summary of a bench document."""
+    lines = []
+    speedup = document.get("speedup", {})
+    for key in sorted(document["scenarios"]):
+        entry = document["scenarios"][key]
+        line = f"{key:32s} {float(entry['steps_per_sec']):10.0f} steps/s"
+        if key in speedup:
+            line += f"   {float(speedup[key]):.2f}x vs reference"
+        lines.append(line)
+    return "\n".join(lines)

@@ -3,39 +3,27 @@
 Plain-Python structural validation (the container deliberately carries no
 ``jsonschema`` dependency): every violation raises
 :class:`~repro.errors.PerfError` naming the offending path, so a malformed
-committed baseline fails the CI gate loudly instead of comparing garbage.
+document fails loudly instead of being compared as garbage.
 
-Two schema versions exist:
-
-* ``v1`` — scalar entries only (``active`` / ``e2e``).
-* ``v2`` — adds the ``batched`` kind: lockstep-kernel measurements that
-  advance ``batch`` same-shape scenarios per step.  Batched entries carry a
-  mandatory ``batch`` width and their ``steps_per_sec`` is *aggregate*
-  member-steps per second (``n_steps * batch / wall``), so it compares
-  directly against a scalar entry's per-scenario throughput.
-
-By default a document validates against whichever version its ``schema``
-field declares; pass ``schema_id`` to require one exact version.
+Scenario entries are of kind ``active``, ``e2e`` or ``batched``.  Batched
+entries are lockstep-kernel measurements that advance ``batch`` same-shape
+scenarios per step: they carry a mandatory ``batch`` width and their
+``steps_per_sec`` is *aggregate* member-steps per second
+(``n_steps * batch / wall``), so it compares directly against a scalar
+entry's per-scenario throughput.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import PerfError
 
-__all__ = ["BENCH_SCHEMA_V1", "BENCH_SCHEMA_V2", "validate_bench_document"]
+__all__ = ["BENCH_SCHEMA_ID", "validate_bench_document"]
 
-BENCH_SCHEMA_V1 = "repro-io/bench-stepper/v1"
-BENCH_SCHEMA_V2 = "repro-io/bench-stepper/v2"
+BENCH_SCHEMA_ID = "repro-io/bench-stepper/v2"
 
-#: Scenario kinds allowed per schema version.
-_KINDS_BY_SCHEMA = {
-    BENCH_SCHEMA_V1: ("active", "e2e"),
-    BENCH_SCHEMA_V2: ("active", "e2e", "batched"),
-}
-
-_KINDS = _KINDS_BY_SCHEMA[BENCH_SCHEMA_V2]
+_KINDS = ("active", "e2e", "batched")
 
 
 def _require(condition: bool, path: str, message: str) -> None:
@@ -43,11 +31,11 @@ def _require(condition: bool, path: str, message: str) -> None:
         raise PerfError(f"invalid bench document at {path}: {message}")
 
 
-def _validate_scenario(path: str, entry: object, kinds: tuple) -> None:
+def _validate_scenario(path: str, entry: object) -> None:
     _require(isinstance(entry, dict), path, "scenario entry must be an object")
     assert isinstance(entry, dict)
     _require(isinstance(entry.get("scale"), str), f"{path}.scale", "must be a string")
-    _require(entry.get("kind") in kinds, f"{path}.kind", f"must be one of {kinds}")
+    _require(entry.get("kind") in _KINDS, f"{path}.kind", f"must be one of {_KINDS}")
     n_steps = entry.get("n_steps")
     _require(isinstance(n_steps, int) and n_steps > 0, f"{path}.n_steps",
              "must be a positive integer")
@@ -63,27 +51,12 @@ def _validate_scenario(path: str, entry: object, kinds: tuple) -> None:
                  "must be an integer >= 1 on a batched entry")
 
 
-def validate_bench_document(
-    document: object, schema_id: Optional[str] = None
-) -> Dict:
-    """Validate ``document``; return it (typed as a dict) when well-formed.
-
-    ``schema_id=None`` (the default) accepts any known schema version,
-    validating against the version the document itself declares; an explicit
-    ``schema_id`` requires that exact version.
-    """
+def validate_bench_document(document: object) -> Dict:
+    """Validate ``document``; return it (typed as a dict) when well-formed."""
     _require(isinstance(document, dict), "$", "document must be a JSON object")
     assert isinstance(document, dict)
-    declared = document.get("schema")
-    if schema_id is None:
-        _require(declared in _KINDS_BY_SCHEMA, "$.schema",
-                 f"must be one of {sorted(_KINDS_BY_SCHEMA)}, got {declared!r}")
-    else:
-        _require(schema_id in _KINDS_BY_SCHEMA, "$.schema",
-                 f"unknown schema id {schema_id!r}")
-        _require(declared == schema_id, "$.schema",
-                 f"must be {schema_id!r}, got {declared!r}")
-    kinds = _KINDS_BY_SCHEMA[declared]
+    _require(document.get("schema") == BENCH_SCHEMA_ID, "$.schema",
+             f"must be {BENCH_SCHEMA_ID!r}, got {document.get('schema')!r}")
     _require(isinstance(document.get("python"), str), "$.python", "must be a string")
     repeats = document.get("repeats")
     _require(isinstance(repeats, int) and repeats >= 1, "$.repeats",
@@ -93,7 +66,7 @@ def validate_bench_document(
              "must be a non-empty object")
     assert isinstance(scenarios, dict)
     for key, entry in scenarios.items():
-        _validate_scenario(f"$.scenarios[{key!r}]", entry, kinds)
+        _validate_scenario(f"$.scenarios[{key!r}]", entry)
 
     reference = document.get("reference")
     if reference is not None:

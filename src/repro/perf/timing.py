@@ -2,7 +2,7 @@
 
 A single timed round on a busy single-CPU container is dominated by scheduler
 noise; the *minimum* over a few repeats converges on the undisturbed cost and
-is what every benchmark in this repo reports and what the CI regression gate
+is what every benchmark in this repo reports and what the CI ratio gate
 compares.
 """
 

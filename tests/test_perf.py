@@ -8,14 +8,21 @@ import pytest
 from repro.cli import main
 from repro.errors import PerfError
 from repro.perf import (
+    BENCH_SCHEMA_ID,
     best_of_ns,
-    check_regression,
+    check_ratios,
+    format_summary,
     run_perf,
     scenarios_for_scale,
     validate_bench_document,
 )
-from repro.perf.compare import format_summary
-from repro.perf.harness import CANONICAL_SCENARIOS, REFERENCE_BASELINE
+from repro.perf.harness import (
+    BATCH_FLOOR,
+    CANONICAL_SCENARIOS,
+    REFERENCE_BASELINE,
+    TELEMETRY_FLOOR,
+    TELEMETRY_SUFFIX,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_PATH = REPO_ROOT / "BENCH_stepper.json"
@@ -57,7 +64,11 @@ class TestHarness:
         document = run_perf(scale="tiny", repeats=1)
         validate_bench_document(document)
         keys = set(document["scenarios"])
-        assert keys == {spec.key for spec in scenarios_for_scale("tiny")}
+        tiny = {spec.key for spec in scenarios_for_scale("tiny")}
+        assert keys == tiny | {"e2e/tiny-hdd-sync-on" + TELEMETRY_SUFFIX}
+        twin = document["scenarios"]["e2e/tiny-hdd-sync-on" + TELEMETRY_SUFFIX]
+        assert twin["kind"] == "e2e"
+        assert twin["n_steps"] == document["scenarios"]["e2e/tiny-hdd-sync-on"]["n_steps"]
         for key in keys & set(REFERENCE_BASELINE["scenarios"]):
             assert key in document["speedup"]
         assert "steps/s" in format_summary(document)
@@ -77,7 +88,7 @@ class TestHarness:
 class TestSchema:
     def good_document(self):
         return {
-            "schema": "repro-io/bench-stepper/v1",
+            "schema": "repro-io/bench-stepper/v2",
             "python": "3.11.7",
             "scale": "tiny",
             "repeats": 3,
@@ -98,13 +109,23 @@ class TestSchema:
 
     @pytest.mark.parametrize("mutate, fragment", [
         (lambda d: d.update(schema="nope"), "$.schema"),
+        (lambda d: d.update(schema="repro-io/bench-stepper/v1"), "$.schema"),
         (lambda d: d.pop("python"), "$.python"),
         (lambda d: d.update(repeats=0), "$.repeats"),
         (lambda d: d.update(scenarios={}), "$.scenarios"),
+        (lambda d: d["scenarios"].update({"active/x": 3}), "$.scenarios['active/x']"),
+        (lambda d: d["scenarios"]["active/x"].update(scale=1), ".scale"),
         (lambda d: d["scenarios"]["active/x"].update(kind="weird"), ".kind"),
         (lambda d: d["scenarios"]["active/x"].update(n_steps=0), ".n_steps"),
+        (lambda d: d["scenarios"]["active/x"].update(best_ns=0), ".best_ns"),
         (lambda d: d["scenarios"]["active/x"].update(steps_per_sec=-1), ".steps_per_sec"),
+        (lambda d: d.update(reference=[]), "$.reference"),
         (lambda d: d["reference"].pop("label"), "$.reference.label"),
+        (lambda d: d["reference"].update(scenarios=[]), "$.reference.scenarios"),
+        (lambda d: d["reference"]["scenarios"]["active/x"].update(steps_per_sec=0),
+         "$.reference.scenarios['active/x'].steps_per_sec"),
+        (lambda d: d.update(speedup=[]), "$.speedup"),
+        (lambda d: d["speedup"].update({"active/x": 0}), "$.speedup['active/x']"),
         (lambda d: d.update(speedup={"missing/key": 1.0}), "$.speedup"),
     ])
     def test_violations_name_the_offending_path(self, mutate, fragment):
@@ -113,41 +134,6 @@ class TestSchema:
         with pytest.raises(PerfError) as err:
             validate_bench_document(document)
         assert fragment in str(err.value)
-
-
-class TestCompare:
-    def document(self, steps_per_sec):
-        return {
-            "schema": "repro-io/bench-stepper/v1",
-            "python": "3.11.7",
-            "repeats": 3,
-            "scenarios": {
-                "active/x": {
-                    "scale": "tiny", "kind": "active", "n_steps": 10,
-                    "best_ns": 1000, "steps_per_sec": steps_per_sec,
-                },
-            },
-        }
-
-    def test_green_when_within_margin(self):
-        assert check_regression(self.document(80.0), self.document(100.0)) == []
-
-    def test_fails_on_regression_beyond_margin(self):
-        failures = check_regression(self.document(60.0), self.document(100.0))
-        assert len(failures) == 1
-        assert "active/x" in failures[0]
-
-    def test_only_shared_scenarios_compared(self):
-        current = self.document(10.0)
-        baseline = self.document(100.0)
-        baseline["scenarios"] = {
-            "active/other": baseline["scenarios"]["active/x"],
-        }
-        assert check_regression(current, baseline) == []
-
-    def test_rejects_bad_ratio(self):
-        with pytest.raises(PerfError):
-            check_regression(self.document(1.0), self.document(1.0), min_ratio=0.0)
 
 
 class TestSchemaV2:
@@ -173,18 +159,6 @@ class TestSchemaV2:
 
     def test_valid_v2_document_passes(self):
         validate_bench_document(self.batched_document())
-
-    def test_explicit_schema_id_pins_the_version(self):
-        document = self.batched_document()
-        validate_bench_document(document, "repro-io/bench-stepper/v2")
-        with pytest.raises(PerfError, match=r"\$\.schema"):
-            validate_bench_document(document, "repro-io/bench-stepper/v1")
-
-    def test_batched_kind_is_not_valid_v1(self):
-        document = self.batched_document()
-        document["schema"] = "repro-io/bench-stepper/v1"
-        with pytest.raises(PerfError, match=r"\.kind"):
-            validate_bench_document(document)
 
     def test_batched_entry_requires_batch_width(self):
         document = self.batched_document()
@@ -231,7 +205,8 @@ class TestCommittedBaseline:
 
     def test_committed_document_is_schema_valid(self):
         document = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
-        validate_bench_document(document, "repro-io/bench-stepper/v2")
+        validate_bench_document(document)
+        assert document["schema"] == BENCH_SCHEMA_ID
 
     def test_committed_document_records_the_kernel_speedup(self):
         """The tentpole claim: >= 1.8x steps/sec on the canonical
@@ -269,15 +244,13 @@ class TestPerfCli:
 
         args = build_parser().parse_args(["perf"])
         assert args.repeats == 5
-        # The scale/output/baseline defaults are mode-dependent (reduced and
-        # BENCH_stepper.json for the stepper bench, BENCH_campaign.json with
-        # --campaign, tiny for --explain-buckets), so argparse leaves them
-        # None and _command_perf resolves them.
+        # The scale default depends on the mode (reduced for the stepper
+        # bench, tiny for --explain-buckets), so argparse leaves it None
+        # and _command_perf resolves it.
         assert args.scale is None
-        assert args.output is None
-        assert args.baseline is None
-        assert not args.campaign
-        assert args.min_ratio == 0.7
+        assert args.output == "BENCH_stepper.json"
+        assert args.archetypes == ["checkpoint", "analytics", "smallfile", "incast"]
+        assert not args.check
 
     def test_stepper_bench_defaults_to_reduced(self, monkeypatch):
         import repro.perf
@@ -300,57 +273,121 @@ class TestPerfCli:
     @pytest.mark.parametrize("argv", [
         ["perf", "--repeats", "0"],
         ["perf", "--repeats", "many"],
-        ["perf", "--min-ratio", "0"],
-        ["perf", "--min-ratio", "1.5"],
         ["perf", "--scale", "paper"],
+        # The cross-machine gates are gone, not silently ignored.
+        ["perf", "--campaign"],
+        ["perf", "--check", "--baseline", "BENCH_stepper.json"],
+        ["perf", "--check", "--min-ratio", "0.7"],
+        ["perf", "--check", "--max-overhead", "0.02"],
     ])
     def test_bad_arguments_exit_2(self, argv):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
 
-    def test_writes_and_checks_against_itself(self, tmp_path, capsys):
+    def test_writes_the_document(self, tmp_path):
         output = tmp_path / "BENCH_stepper.json"
         assert main([
             "perf", "--scale", "tiny", "--repeats", "1",
             "--output", str(output),
         ]) == 0
-        document = json.loads(output.read_text(encoding="utf-8"))
-        validate_bench_document(document)
-        # A fresh measurement against its own file must pass the gate.
-        assert main([
-            "perf", "--scale", "tiny", "--repeats", "1",
-            "--output", str(tmp_path / "fresh.json"),
-            "--check", "--baseline", str(output), "--min-ratio", "0.1",
-        ]) == 0
-        assert "event=perf_gate status=green" in capsys.readouterr().err
-
-    def test_check_fails_on_regression(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        document = run_perf(scale="tiny", repeats=1)
-        for entry in document["scenarios"].values():
-            entry["steps_per_sec"] = float(entry["steps_per_sec"]) * 1e6
-        baseline.write_text(json.dumps(document) + "\n", encoding="utf-8")
-        assert main([
-            "perf", "--scale", "tiny", "--repeats", "1",
-            "--output", str(tmp_path / "fresh.json"),
-            "--check", "--baseline", str(baseline),
-        ]) == 1
-        assert "event=perf_regression" in capsys.readouterr().err
-
-    def test_check_fails_when_baseline_missing(self, tmp_path, capsys):
-        assert main([
-            "perf", "--scale", "tiny", "--repeats", "1",
-            "--output", str(tmp_path / "fresh.json"),
-            "--check", "--baseline", str(tmp_path / "absent.json"),
-        ]) == 1
-        assert "not found" in capsys.readouterr().err
+        validate_bench_document(json.loads(output.read_text(encoding="utf-8")))
 
     def test_no_output_prints_document(self, capsys):
         assert main(["perf", "--scale", "tiny", "--repeats", "1", "--no-output"]) == 0
         out = capsys.readouterr().out
         document = json.loads(out)
         validate_bench_document(document)
+
+
+def ratio_document(b8=4.0, telemetry=0.8):
+    """A bench document whose b8 / B=1 ratio is ``b8`` and whose tiny
+    end-to-end run keeps ``telemetry`` of its throughput with telemetry on."""
+
+    def entry(kind, steps_per_sec, **extra):
+        return {"scale": "tiny", "kind": kind, "n_steps": 150, "best_ns": 1000,
+                "steps_per_sec": float(steps_per_sec), **extra}
+
+    return {
+        "schema": BENCH_SCHEMA_ID,
+        "python": "3.11.7",
+        "repeats": 5,
+        "scenarios": {
+            "active/tiny-hdd-sync-on": entry("active", 1000.0),
+            "batched/tiny-hdd-sync-on@b8": entry("batched", 1000.0 * b8, batch=8),
+            "e2e/tiny-hdd-sync-on": entry("e2e", 900.0),
+            "e2e/tiny-hdd-sync-on@telemetry": entry("e2e", 900.0 * telemetry),
+        },
+    }
+
+
+class TestRatioGate:
+    """``perf --check``: ratios of entries measured in one run."""
+
+    def test_passes_at_both_floors(self):
+        assert check_ratios(ratio_document(BATCH_FLOOR, TELEMETRY_FLOOR)) == []
+
+    @pytest.mark.parametrize("b8, telemetry, pair", [
+        (BATCH_FLOOR - 0.01, TELEMETRY_FLOOR,
+         "batched/tiny-hdd-sync-on@b8 / active/tiny-hdd-sync-on = 2.49"),
+        (BATCH_FLOOR, TELEMETRY_FLOOR - 0.01,
+         "e2e/tiny-hdd-sync-on@telemetry / e2e/tiny-hdd-sync-on = 0.59"),
+    ], ids=["batched", "telemetry"])
+    def test_each_floor_fails_naming_its_pair_and_ratio(self, b8, telemetry, pair):
+        (failure,) = check_ratios(ratio_document(b8, telemetry))
+        assert failure.startswith(pair)
+
+    @pytest.mark.parametrize("width, gated", [
+        (1, False), (4, False), (8, True), (32, True), (128, True),
+    ])
+    def test_every_width_from_8_is_gated(self, width, gated):
+        document = ratio_document()
+        document["scenarios"][f"batched/tiny-hdd-sync-on@b{width}"] = dict(
+            document["scenarios"]["batched/tiny-hdd-sync-on@b8"],
+            batch=width, steps_per_sec=1000.0 * (BATCH_FLOOR - 0.5),
+        )
+        assert len(check_ratios(document)) == int(gated)
+
+    @pytest.mark.parametrize("missing, message", [
+        ("batched/tiny-hdd-sync-on@b8", "to gate"),
+        ("e2e/tiny-hdd-sync-on@telemetry", "to gate"),
+        ("active/tiny-hdd-sync-on", "no active/tiny-hdd-sync-on entry"),
+        ("e2e/tiny-hdd-sync-on", "no e2e/tiny-hdd-sync-on entry"),
+    ])
+    def test_a_document_without_a_gated_pair_raises(self, missing, message):
+        document = ratio_document()
+        del document["scenarios"][missing]
+        with pytest.raises(PerfError, match=message):
+            check_ratios(document)
+
+    @pytest.mark.parametrize("b8, telemetry, code", [
+        (4.0, 0.8, 0), (2.0, 0.8, 1), (4.0, 0.5, 1),
+    ])
+    def test_cli_exit_codes(self, monkeypatch, capsys, b8, telemetry, code):
+        import repro.perf
+
+        monkeypatch.setattr(
+            repro.perf, "run_perf", lambda **kwargs: ratio_document(b8, telemetry)
+        )
+        assert main(["perf", "--batch", "8", "--check", "--no-output"]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert "event=perf_regression" in err and "below the floor" in err
+        else:
+            assert "event=perf_gate status=green" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["perf", "--check"], ["perf", "--check", "--batch", "1", "--batch", "4"],
+    ])
+    def test_check_without_a_wide_batch_is_a_usage_error(self, monkeypatch, capsys, argv):
+        import repro.perf
+
+        def measure(**kwargs):
+            raise AssertionError("a usage error must not measure")
+
+        monkeypatch.setattr(repro.perf, "run_perf", measure)
+        assert main(argv) == 2
+        assert "event=perf_usage" in capsys.readouterr().err
 
 
 class TestProfilerReset:
@@ -364,127 +401,3 @@ class TestProfilerReset:
         profiler.reset()
         assert profiler.phases == ()
         assert profiler.report() == {}
-
-
-class TestPerfCliMalformedBaseline:
-    def test_check_fails_on_malformed_baseline(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text('{"schema": "wrong"}', encoding="utf-8")
-        assert main([
-            "perf", "--scale", "tiny", "--repeats", "1",
-            "--output", str(tmp_path / "fresh.json"),
-            "--check", "--baseline", str(baseline),
-        ]) == 1
-        assert "event=perf_fail" in capsys.readouterr().err
-
-
-class TestPerfCliBaselineProtection:
-    def test_check_does_not_overwrite_the_baseline(self, tmp_path, capsys):
-        """The default --output and --baseline are the same committed file; a
-        --check run must compare against the original content, not clobber it
-        and compare the fresh run with itself."""
-        baseline = tmp_path / "BENCH_stepper.json"
-        document = run_perf(scale="tiny", repeats=1)
-        original = json.dumps(document, indent=2, sort_keys=True) + "\n"
-        baseline.write_text(original, encoding="utf-8")
-        assert main([
-            "perf", "--scale", "tiny", "--repeats", "1",
-            "--output", str(baseline),
-            "--check", "--baseline", str(baseline), "--min-ratio", "0.1",
-        ]) == 0
-        assert baseline.read_text(encoding="utf-8") == original
-        assert "not overwriting" in capsys.readouterr().err
-
-
-class TestCheckOverhead:
-    """The telemetry-overhead gate (perf --check --max-overhead)."""
-
-    @staticmethod
-    def bench(steps_per_sec):
-        return {
-            "schema": "repro-io/bench-stepper/v1",
-            "python": "3.11",
-            "repeats": 1,
-            "scenarios": {
-                "tiny/active": {
-                    "scale": "tiny", "kind": "active", "n_steps": 100,
-                    "best_ns": 1000, "steps_per_sec": float(steps_per_sec),
-                },
-            },
-        }
-
-    def test_within_bound_passes(self):
-        from repro.perf import check_overhead
-
-        assert check_overhead(self.bench(99.0), self.bench(100.0), 0.02) == []
-
-    def test_beyond_bound_fails_with_percentages(self):
-        from repro.perf import check_overhead
-
-        failures = check_overhead(self.bench(90.0), self.bench(100.0), 0.02)
-        assert len(failures) == 1
-        assert "tiny/active" in failures[0]
-        assert "10.0%" in failures[0]
-        assert "2.0%" in failures[0]
-
-    def test_faster_than_baseline_passes(self):
-        from repro.perf import check_overhead
-
-        assert check_overhead(self.bench(120.0), self.bench(100.0), 0.0) == []
-
-    def test_only_shared_scenarios_gate(self):
-        from repro.perf import check_overhead
-
-        current = self.bench(50.0)
-        current["scenarios"]["other/active"] = current["scenarios"].pop(
-            "tiny/active"
-        )
-        assert check_overhead(current, self.bench(100.0), 0.02) == []
-
-    def test_rejects_bad_bound(self):
-        from repro.perf import check_overhead
-
-        for bound in (-0.1, 1.0, 2.0):
-            with pytest.raises(PerfError, match="max_overhead"):
-                check_overhead(self.bench(1.0), self.bench(1.0), bound)
-
-    def test_cli_requires_check_with_max_overhead(self, capsys):
-        assert main(["perf", "--scale", "tiny", "--repeats", "1",
-                     "--no-output", "--max-overhead", "0.02"]) == 2
-        assert "requires --check" in capsys.readouterr().err
-
-    def test_cli_rejects_out_of_range_max_overhead(self):
-        with pytest.raises(SystemExit):
-            main(["perf", "--check", "--max-overhead", "1.5"])
-
-    def test_cli_gate_with_overhead_bound(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        document = run_perf(scale="tiny", repeats=1)
-        # A generous bound against a self-measured baseline must pass...
-        for entry in document["scenarios"].values():
-            entry["steps_per_sec"] = float(entry["steps_per_sec"]) * 0.5
-        baseline.write_text(json.dumps(document) + "\n", encoding="utf-8")
-        assert main([
-            "perf", "--scale", "tiny", "--repeats", "1",
-            "--output", str(tmp_path / "fresh.json"),
-            "--check", "--baseline", str(baseline),
-            "--min-ratio", "0.1", "--max-overhead", "0.99",
-        ]) == 0
-        err = capsys.readouterr().err
-        assert "event=perf_gate status=green" in err
-        assert "overhead" in err
-
-    def test_cli_gate_fails_beyond_overhead_bound(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        document = run_perf(scale="tiny", repeats=1)
-        # ...and an impossible baseline must trip the overhead gate.
-        for entry in document["scenarios"].values():
-            entry["steps_per_sec"] = float(entry["steps_per_sec"]) * 1e6
-        baseline.write_text(json.dumps(document) + "\n", encoding="utf-8")
-        assert main([
-            "perf", "--scale", "tiny", "--repeats", "1",
-            "--output", str(tmp_path / "fresh.json"),
-            "--check", "--baseline", str(baseline),
-            "--min-ratio", "0.0000001", "--max-overhead", "0.5",
-        ]) == 1
-        assert "event=perf_regression" in capsys.readouterr().err

@@ -65,6 +65,14 @@ PRESET_SCENARIOS = [
     dict(device="hdd", sync_mode="null-aio"),
 ]
 
+#: A quiescent-heavy Δ-sweep of the tiny HDD Sync ON scenario: delays of -12,
+#: -6, 0, 6 and 12 times its alone write time (0.36036 s).  Like the wide Δ
+#: axes of the paper's sweeps, most of each non-zero point is a dead lead-in.
+QUIESCENT_SWEEP = [
+    dict(device="hdd", sync_mode="sync-on", delay=factor * 0.36036)
+    for factor in (-12.0, -6.0, 0.0, 6.0, 12.0)
+]
+
 
 class TestSteppingPolicy:
     def test_fixed_is_the_default_everywhere(self):
@@ -137,10 +145,9 @@ class TestFixedModeIsSeedBehavior:
 
 
 class TestAdaptiveTolerance:
-    @pytest.mark.parametrize("idx", range(len(PRESET_SCENARIOS)))
-    def test_matches_fixed_within_tolerance(self, idx):
+    @pytest.mark.parametrize("kwargs", PRESET_SCENARIOS + QUIESCENT_SWEEP)
+    def test_matches_fixed_within_tolerance(self, kwargs):
         """Property: adaptive write times track fixed ones within tolerance."""
-        kwargs = PRESET_SCENARIOS[idx]
         fixed = simulate_scenario(make_scenario("tiny", **kwargs))
         policy = SteppingPolicy.adaptive(tolerance=0.05)
         adaptive = simulate_scenario(
@@ -155,9 +162,12 @@ class TestAdaptiveTolerance:
             assert got == pytest.approx(expected, rel=policy.tolerance)
         assert adaptive.n_steps <= fixed.n_steps
 
-    def test_quiescent_lead_in_collapses(self):
+    @pytest.mark.parametrize("kwargs", [
+        dict(device="hdd", sync_mode="sync-on", delay=5.0),
+        *(point for point in QUIESCENT_SWEEP if point["delay"]),
+    ])
+    def test_quiescent_lead_in_collapses(self, kwargs):
         """A long dead interval costs O(1) steps instead of O(interval/dt)."""
-        kwargs = dict(device="hdd", sync_mode="sync-on", delay=5.0)
         fixed = simulate_scenario(make_scenario("tiny", **kwargs))
         adaptive = simulate_scenario(
             make_scenario("tiny", stepping=ADAPTIVE, **kwargs)

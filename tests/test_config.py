@@ -284,7 +284,9 @@ class TestScenarioConfig:
     def test_simulation_control(self):
         control = SimulationControl()
         assert control.resolve_step(100.0) <= control.max_step
+        assert control.min_step <= control.resolve_step(10.0) <= control.max_step
         assert control.resolve_step(0.001) == control.min_step
+        assert control.resolve_step(0.0) == control.min_step
         assert SimulationControl(step=0.01).resolve_step(1e9) == 0.01
         with pytest.raises(ConfigurationError):
             SimulationControl(step=0)

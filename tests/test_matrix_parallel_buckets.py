@@ -32,8 +32,10 @@ class TestBucketParallelContract:
         serial_batched = _matrix_dict(jobs=1, batch=True)
         serial_scalar = _matrix_dict(jobs=1, batch=False)
         parallel_batched = _matrix_dict(jobs=2, batch=True)
+        parallel_scalar = _matrix_dict(jobs=2, batch=False)
         assert parallel_batched == serial_batched
         assert parallel_batched == serial_scalar
+        assert parallel_scalar == serial_scalar
 
     def test_jobs2_counts_every_member_exactly_once(self):
         with telemetry_session("bucket-parallel") as telemetry:
@@ -51,20 +53,21 @@ class TestBucketParallelContract:
         ]
         assert bucket_spans, "jobs=2 must submit bucket work units to the pool"
 
+    @pytest.mark.parametrize("batch", [True, False])
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_utilization_counts_each_bucket_once(self, jobs):
+    def test_utilization_counts_each_bucket_once(self, jobs, batch):
         """A bucket's wall is busy time once, not once per member: the
         members' ``task`` spans are zero-length markers under one
-        ``bucket`` span per work unit, so utilization cannot exceed 1."""
+        ``bucket`` span per work unit, so utilization cannot exceed 1.
+        Without batching each task is a width-1 unit whose own ``task``
+        span carries its wall."""
         with telemetry_session("utilization") as telemetry:
-            run_interference_matrix(ARCHETYPES, "tiny", jobs=jobs, batch=True)
+            run_interference_matrix(ARCHETYPES, "tiny", jobs=jobs, batch=batch)
             document = telemetry.snapshot()
         ex = executor_stats(document)
         assert ex["n_tasks"] == 5
         assert 0.0 < ex["utilization"] <= 1.0
-        members = [s for s in document["spans"] if s["category"] == "task"]
-        assert all(s["dur_us"] == 0.0 for s in members)
-        buckets = [s for s in document["spans"] if s["category"] == "bucket"]
-        assert ex["busy_s"] == pytest.approx(
-            sum(s["dur_us"] for s in buckets) / 1e6
-        )
+        spans = [s for s in document["spans"] if s["category"] in ("task", "bucket")]
+        if batch:
+            assert all(s["dur_us"] == 0.0 for s in spans if s["category"] == "task")
+        assert ex["busy_s"] == pytest.approx(sum(s["dur_us"] for s in spans) / 1e6)

@@ -11,8 +11,9 @@ designed to reproduce and that do not require the reduced/paper scale:
   an application runs alone,
 * interference disappears when the bursts no longer overlap (large |dt|).
 
-The full figure-by-figure reproduction at the reduced scale is exercised by
-the benchmark harness (see ``benchmarks/`` and EXPERIMENTS.md).
+The figure-by-figure shapes at the reduced scale are asserted by
+``tests/reduced_shapes.py``, which tier-1 does not collect and CI runs by
+path; ``repro-io campaign --scale reduced`` reports every claim's verdict.
 """
 
 import pytest

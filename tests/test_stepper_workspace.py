@@ -26,10 +26,10 @@ def step(batch):
         member.engine._now = float(batch.clock[member.index])
 
 
-def contended_batch(n_warmup_steps: int = 40):
-    """A tiny contended simulation alone on the kernel (a batch of one),
-    both applications started and advanced into the active phase."""
-    scenario = make_scenario("tiny", device="hdd", sync_mode="sync-on")
+def contended_batch(n_warmup_steps: int = 40, scale: str = "tiny"):
+    """A contended simulation alone on the kernel (a batch of one), both
+    applications started and advanced into the active phase."""
+    scenario = make_scenario(scale, device="hdd", sync_mode="sync-on")
     batch = BatchSimulator([scenario])
     member = batch.members[0]
     for index in range(len(member.sim.state.applications)):
@@ -104,7 +104,8 @@ class TestOwnershipContract:
 
 
 class TestAllocationFlatness:
-    def test_steady_state_steps_do_not_grow_live_blocks(self):
+    @pytest.mark.parametrize("scale", ["tiny", "reduced"])
+    def test_steady_state_steps_do_not_grow_live_blocks(self, scale):
         """The workspace kernel must not accumulate live allocations.
 
         ``sys.getallocatedblocks`` counts live CPython blocks: per-step
@@ -114,7 +115,7 @@ class TestAllocationFlatness:
         """
         import sys
 
-        batch = contended_batch()
+        batch = contended_batch(scale=scale)
         recorder = batch.members[0].sim.recorder
         recorder.config = dataclasses.replace(recorder.config, record_marks=False)
         for _ in range(10):  # settle caches/interned keys

@@ -1,8 +1,37 @@
 """Tests for the command-line interface."""
 
+import importlib
+from pathlib import Path
+
 import pytest
 
+from repro import __version__
 from repro.cli import build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+class TestConsoleScript:
+    def test_pyproject_declares_the_package_and_its_command(self):
+        """``pip install -e .`` installs ``repro-io``: ``pyproject.toml``
+        names the package, reads its version from ``repro._version`` and
+        points the ``repro-io`` command at :func:`repro.cli.main`."""
+        try:
+            import tomllib
+        except ModuleNotFoundError:  # Python < 3.11, where pytest needs tomli
+            import tomli as tomllib
+
+        with open(REPO_ROOT / "pyproject.toml", "rb") as handle:
+            config = tomllib.load(handle)
+        project = config["project"]
+        assert project["name"] == "repro-io"
+        assert project["dependencies"] == ["numpy"]
+        module, _, name = project["scripts"]["repro-io"].partition(":")
+        assert getattr(importlib.import_module(module), name) is main
+        setuptools = config["tool"]["setuptools"]
+        assert setuptools["packages"]["find"]["where"] == ["src"]
+        module, _, name = setuptools["dynamic"]["version"]["attr"].rpartition(".")
+        assert getattr(importlib.import_module(module), name) == __version__
 
 
 class TestParser:

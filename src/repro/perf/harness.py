@@ -16,8 +16,9 @@ set:
 * ``batched/*`` (optional) — the same kernel loop as ``active``, advancing
   ``B`` copies of the tiny scenario per step.
 
-Every number is a min-of-N wall measurement (:func:`repro.perf.timing.best_of_ns`)
-so single-CPU container noise does not leak into the committed trajectory.
+Every number is the fastest of N rounds, each round timing every entry once
+(:func:`repro.perf.timing.best_of_ns`), so container noise does not leak
+into the committed trajectory and slows both entries of a ratio alike.
 The emitted document embeds a fixed *reference* — the same measurements taken
 on the seed kernel right before the StepWorkspace rewrite, on the same
 container class — and the per-scenario speedup against it.  Absolute numbers
@@ -28,9 +29,10 @@ against B=1, and the run with telemetry against the same run without.
 
 from __future__ import annotations
 
+import functools
 import platform
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,15 +72,16 @@ BATCH_FLOOR_WIDTH = 8
 
 #: Lowest allowed ratio of a batched entry at width >= BATCH_FLOOR_WIDTH to
 #: ``active/tiny-hdd-sync-on`` (B=1) of the same run.  b8 / B=1 read
-#: 4.89-5.25 (median 4.97) in 20 runs of ``perf --scale tiny --repeats 5
-#: --batch 8`` on a 2-CPU container, 4.46-6.42 there on a slower day, and
-#: 3.65 in the committed document, which another machine measured.
+#: 3.62-6.76 (median 4.88) in 30 runs of ``perf --scale tiny --repeats 5
+#: --batch 8`` on a loaded 2-CPU container, whose B=1 read 2,664-5,129
+#: steps/s meanwhile, and 3.65 in the committed document, which another
+#: machine measured.
 BATCH_FLOOR = 2.5
 
 #: Lowest allowed ratio of ``e2e/tiny-hdd-sync-on@telemetry`` to
 #: ``e2e/tiny-hdd-sync-on`` of the same run: what a telemetry session may
-#: cost the tiny end-to-end run.  It read 0.71-0.74 (median 0.73) in the
-#: same 20 runs, and 0.78-0.86 there on a slower day.
+#: cost the tiny end-to-end run.  It read 0.65-0.90 (median 0.76) in the
+#: same 30 runs.
 TELEMETRY_FLOOR = 0.6
 
 #: Suffix of the key of an ``e2e`` entry measured inside a telemetry session.
@@ -134,7 +137,8 @@ def scenarios_for_scale(scale: str) -> Tuple[BenchScenario, ...]:
     raise PerfError(f"unknown perf scale {scale!r}; expected 'tiny' or 'reduced'")
 
 
-def _measure_e2e(spec: BenchScenario, repeats: int) -> Dict[str, object]:
+def _measure_e2e(spec: BenchScenario) -> Dict[str, object]:
+    """One timed :func:`simulate_scenario` run of ``spec``'s scenario."""
     from repro.config.presets import make_scenario
     from repro.model.simulator import simulate_scenario
 
@@ -144,7 +148,7 @@ def _measure_e2e(spec: BenchScenario, repeats: int) -> Dict[str, object]:
     def run(scenario):
         return simulate_scenario(scenario)
 
-    best_ns, result = best_of_ns(run, repeats=repeats, setup=setup)
+    best_ns, result = best_of_ns(run, repeats=1, setup=setup)
     n_steps = int(result.n_steps)
     return {
         "scale": spec.scale,
@@ -189,16 +193,17 @@ def _step_active(batch) -> None:
 
 
 def _measure_batched(
-    batch_size: int, repeats: int, spec: BenchScenario = _BATCHED_SPEC
+    batch_size: int, spec: BenchScenario = _BATCHED_SPEC
 ) -> Dict[str, object]:
-    """Kernel throughput with ``batch_size`` copies of ``spec`` per step.
+    """One timed pass of the kernel with ``batch_size`` copies of ``spec``
+    per step.
 
     ``steps_per_sec`` is aggregate member-steps per second
     (``ACTIVE_STEPS * batch_size / wall``), so every width is directly
     comparable to the B=1 ``active`` entries, which this measures too.
     """
     best_ns, _ = best_of_ns(
-        _step_active, repeats=repeats,
+        _step_active, repeats=1,
         setup=lambda: _build_started_batch(batch_size, spec),
     )
     entry: Dict[str, object] = {"scale": spec.scale, "kind": spec.kind}
@@ -245,19 +250,35 @@ def run_perf(
         raise PerfError("repeats must be >= 1")
     if reference is None:
         reference = REFERENCE_BASELINE
-    scenarios: Dict[str, Dict[str, object]] = {}
+
+    def with_telemetry(spec: BenchScenario) -> Dict[str, object]:
+        with telemetry_session("perf"):
+            return _measure_e2e(spec)
+
+    measures: Dict[str, Callable[[], Dict[str, object]]] = {}
     for spec in scenarios_for_scale(scale):
         if spec.kind == "active":
-            scenarios[spec.key] = _measure_batched(1, repeats, spec)
+            measures[spec.key] = functools.partial(_measure_batched, 1, spec)
         else:
-            scenarios[spec.key] = _measure_e2e(spec, repeats)
-            with telemetry_session("perf"):
-                scenarios[spec.key + TELEMETRY_SUFFIX] = _measure_e2e(spec, repeats)
+            measures[spec.key] = functools.partial(_measure_e2e, spec)
+            measures[spec.key + TELEMETRY_SUFFIX] = functools.partial(with_telemetry, spec)
     for batch_size in batch_sizes or ():
         if batch_size < 1:
             raise PerfError(f"batch sizes must be >= 1, got {batch_size}")
         key = f"batched/tiny-hdd-sync-on@b{int(batch_size)}"
-        scenarios[key] = _measure_batched(int(batch_size), repeats)
+        measures[key] = functools.partial(_measure_batched, int(batch_size))
+    # Each round times every entry once, and each entry keeps its fastest
+    # round.  Interleaved, a busy machine slows all entries of a round
+    # alike, so the ratios check_ratios gates hold on it: timed one entry
+    # after another, the telemetry ratio read 0.47-0.88 in 15 runs on a
+    # loaded 2-CPU container, interleaved 0.67-0.98 in 15 runs alternating
+    # with those.
+    scenarios: Dict[str, Dict[str, object]] = {}
+    for _ in range(repeats):
+        for key, measure in measures.items():
+            entry = measure()
+            if key not in scenarios or entry["best_ns"] < scenarios[key]["best_ns"]:
+                scenarios[key] = entry
 
     speedup: Dict[str, float] = {}
     ref_scenarios = reference.get("scenarios", {}) if reference else {}

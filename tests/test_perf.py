@@ -84,6 +84,33 @@ class TestHarness:
         with pytest.raises(PerfError):
             run_perf(scale="tiny", repeats=0)
 
+    def test_rounds_interleave_the_entries_and_keep_each_fastest(self, monkeypatch):
+        """Each round times every entry once, so a busy spell slows both
+        sides of a gated ratio alike; each entry keeps its fastest round."""
+        import repro.perf.harness as harness
+        from repro.obs.telemetry import get_telemetry
+
+        rounds = {"active": [3, 1, 2], "e2e": [2, 3, 1], "telemetry": [1, 2, 3]}
+        calls = []
+
+        def timed(label):
+            calls.append(label)
+            best_ns = rounds[label][sum(1 for c in calls if c == label) - 1]
+            return {"scale": "tiny", "kind": "active", "n_steps": 10,
+                    "best_ns": best_ns, "steps_per_sec": 10 / best_ns}
+
+        monkeypatch.setattr(harness, "_measure_batched", lambda *args: timed("active"))
+        monkeypatch.setattr(harness, "_measure_e2e", lambda spec: timed(
+            "telemetry" if get_telemetry().enabled else "e2e"
+        ))
+        document = run_perf(scale="tiny", repeats=3)
+        assert calls == ["active", "e2e", "telemetry"] * 3
+        assert {key: entry["best_ns"] for key, entry in document["scenarios"].items()} == {
+            "active/tiny-hdd-sync-on": 1,
+            "e2e/tiny-hdd-sync-on": 1,
+            "e2e/tiny-hdd-sync-on" + TELEMETRY_SUFFIX: 1,
+        }
+
 
 class TestSchema:
     def good_document(self):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
-from repro import units
 from repro.core.delta import DeltaSweep
 
 __all__ = [
@@ -113,8 +112,3 @@ def format_comparison(
     for label, row in rows.items():
         table_rows.append([label] + [row.get(col, float("nan")) for col in columns])
     return format_table(headers, table_rows, title=title)
-
-
-def human_bytes(value: float) -> str:
-    """Convenience re-export of :func:`repro.units.bytes_to_human`."""
-    return units.bytes_to_human(value)

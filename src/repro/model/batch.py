@@ -38,7 +38,9 @@ construction rather than by tolerance:
 * RNG draw order is preserved per member: the burst-escape gate draws from
   each member's own admission stream, and ``WindowState.update`` receives
   ``rng_sites`` so hazard draws and collapse jitter come from each member's
-  own transport stream, gated and sized exactly as a member-alone run;
+  own transport stream, gated and sized exactly as a member-alone run (one
+  reduction over the members' lane starts finds the members that draw, so
+  no per-member loop visits a member without work);
 * only live members step: a member retires on the tick it finishes, and at
   the end of that tick the flat state is rebuilt from the live members
   and the queued runs that now fit (*compaction*).  The rebuild
@@ -58,6 +60,10 @@ Nothing in a step loops over members, servers or processes:
 * application lifecycle and per-process issue state are flat arrays, so the
   completion phase finds the few applications whose operation completed
   with one vectorized scan, and Python runs only for those;
+* each distinct (layout, operation) pair is striped once per bucket: the
+  bucket's :data:`~repro.model.state.OperationTable` serves every member,
+  so an issue is a row lookup plus one indexed add, and a layout's rows go
+  once no live or queued member uses it;
 * link accounting and pressure statistics advance once per step for the
   whole batch (each server weighing its own member's step), observed time
   once per step for each member (its own steps summed in order); the
@@ -66,33 +72,33 @@ Nothing in a step loops over members, servers or processes:
 
 Driver
 ------
-Each member keeps its own discrete-event engine for its control plane
-(application starts, operation issues, trace sampling), which runs exact
-member-local code, and its own step clock: its resolved step ``dt``, its
-start anchor ``t0 = min(0, earliest start)`` and its horizon
-``t0 + max_time``.  :class:`BatchSimulator` runs every member on one
-lockstep loop: members step together by *tick index*, each tick advancing
-every live member by its own step.
+A member's control plane is data (:mod:`repro.model.simulator`): each
+application's start and next collective issue time and the next trace-sample
+time.  It has its own step clock too: its resolved step ``dt``, its start
+anchor ``t0 = min(0, earliest start)`` and its horizon ``t0 + max_time``.
+:class:`BatchSimulator` runs every member on one lockstep loop: members step
+together by *tick index*, each tick advancing every live member by its own
+step.
 
 * A **fixed-step** member advances its clock with the ``t + dt`` arithmetic
   of a periodic step event, first at ``t0 + dt``, in one elementwise add
-  over the per-member clocks.  Before the step only the engines that have
-  an event due by their own clock run, up to and including the CONTROL
-  events of that instant (``Simulator.run(until=t, until_priority=NORMAL)``):
-  exactly the events that precede a NORMAL-priority step event there.
-  Event ordering within a step instant (CONTROL < NORMAL < OBSERVE) is
-  therefore that of a step event, including trace samples observing
-  post-step state, while a tick with no due event costs no engine call at
-  all.
+  over the per-member clocks.  Each member has an *alarm*: its earliest
+  pending action or its horizon, whichever is first.  Before the step, only
+  the members whose alarm rang run their actions, up to and including the
+  CONTROL ones at their clock
+  (:meth:`~repro.model.simulator.IOPathSimulator.run_control`): exactly what
+  precedes a step at that instant.  Starts and issues therefore land before
+  the step of their instant and trace samples observe post-step state,
+  while a tick with no ringing alarm runs no Python per member at all.
 * An **adaptive** member picks its own step end every tick.  Its pending
   step ends where :meth:`~repro.model.simulator.IOPathSimulator.next_bound`
   puts it from the current rates, so quiescent intervals collapse into
-  single steps; before the tick its engine runs the events that precede a
-  NORMAL-priority event at that end, and a control event that would land
-  inside a longer-than-base step ends the step at its own time instead
-  (a *catch-up*), so no step spans a state change.  A generation holding an
-  adaptive member sets the kernel's steps before each tick; a generation of
-  fixed members sets them once.
+  single steps; before the tick it runs the actions that precede a step at
+  that end, and a CONTROL action that would land inside a longer-than-base
+  step ends the step at its own time instead (a *catch-up*), so no step
+  spans a state change.  A generation holding an adaptive member sets the
+  kernel's steps before each tick; a generation of fixed members sets them
+  once.
 
 A member is checked against its own horizon and retires on the tick it
 finishes: its result is built then, its arrays are detached from the flat
@@ -101,12 +107,12 @@ so ``batch.lane_steps`` (lanes stepped) equals ``batch.member_steps``.
 
 A bucket is a first-in-first-out queue.  :class:`BatchSimulator` admits
 runs in input order while the live members' connection lanes fit its
-budget (always one into an empty bucket), building each run's simulator and
-engine when it admits it, and at every compaction admits the next runs that
-fit into the lanes the retired ones freed (a *refill*).  A member's step
-count and wall time start on the tick it joins.  Under a budget a finished
-run keeps only its result and its engine's counters, so a long queue holds
-only its live runs' state.
+budget (always one into an empty bucket), building each run's simulator
+when it admits it, and at every compaction admits the next runs that fit
+into the lanes the retired ones freed (a *refill*).  A member's step count
+and wall time start on the tick it joins.  Under a budget a finished run
+keeps only its result and its action counts, so a long queue holds only its
+live runs' state.
 
 Bucketing
 ---------
@@ -139,7 +145,7 @@ labelled with its task ids.
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -149,17 +155,15 @@ from repro.config.filesystem import SyncMode
 from repro.config.scenario import ScenarioConfig
 from repro.errors import SimulationError
 from repro.model.results import RunResult
-from repro.model.simulator import IOPathSimulator
+from repro.model.simulator import CONTROL, OBSERVE, IOPathSimulator, start_anchor
 from repro.model.stepper import COMPLETION_EPSILON, ModelStepper, StepContext
-from repro.model.state import APP_ACTIVE
-from repro.network.congestion import WindowState
+from repro.model.state import APP_ACTIVE, OperationTable, app_layouts
+from repro.network.congestion import RngSites, WindowState
 from repro.network.incast import ServerBuffers
 from repro.network.topology import StarTopology
 from repro.obs.telemetry import get_telemetry
 from repro.perf.counters import StepProfiler
 from repro.pfs.filesystem import PVFSDeployment
-from repro.sim.engine import Simulator
-from repro.sim.events import EventPriority
 
 __all__ = [
     "BatchSimulator",
@@ -306,7 +310,7 @@ _LANE_ARRAYS = (
     ("topology", "srv", ("_server_busy", "_server_transferred")),
     (None, "conn", ("send_remaining", "frag_size")),
     (None, "srv", ("last_drain_rate", "last_admission_rate")),
-    (None, "app", ("app_phase",)),
+    (None, "app", ("app_phase", "app_start_at", "app_issue_at", "app_issue_seq")),
     (None, "proc", ("proc_current_op", "proc_next_issue")),
 )
 
@@ -328,8 +332,8 @@ Member = Union[ScenarioConfig, IOPathSimulator, Tuple[ScenarioConfig, Optional[i
 class _BatchMember:
     """One member simulation, its lanes in the flat state and its clock.
 
-    A queued member holds its request; its simulator and engine are built
-    when the driver admits it.  ``index`` and the lane slices locate the
+    A queued member holds its request; its simulator is built when the
+    driver admits it.  ``index`` and the lane slices locate the
     member in the current generation of the flat state;
     :class:`_BatchedState` assigns them, and each compaction renumbers the
     survivors.
@@ -343,7 +347,6 @@ class _BatchMember:
     t0: float
     until: float
     sim: Optional[IOPathSimulator] = None
-    engine: Optional[Simulator] = None
     #: Adaptive stepping: the member picks its own step end every tick.
     adaptive: bool = False
     #: The batch tick after which the member joined, and the wall clock then.
@@ -359,15 +362,13 @@ class _BatchMember:
     node_sl: slice = field(default_factory=lambda: slice(0))
     app_sl: slice = field(default_factory=lambda: slice(0))
     proc_sl: slice = field(default_factory=lambda: slice(0))
-    #: Time of the member engine's next event (``inf`` when none).
-    due: float = float("inf")
     #: Adaptive members: the end of the pending step (``inf`` while the
     #: adaptive bound is infinite), and whether this tick's step ends at a
     #: control event instead (a catch-up).
     next_step: float = float("inf")
     catching_up: bool = False
     #: Built on the tick the member finished (``None`` while it runs), with
-    #: its engine's counters.
+    #: its action counts.
     result: Optional[RunResult] = None
     stats: Dict[str, int] = field(default_factory=dict)
 
@@ -506,8 +507,10 @@ class BatchedStepper(ModelStepper):
 
     Inherits the shared data-plane phases and adds the parts that touch a
     member's own RNG streams or bookkeeping, each sliced per member: the
-    burst-escape gate, window dynamics and completion.  Each member steps on
-    its own clock (see :class:`~repro.model.stepper.StepContext`).
+    burst-escape gate, window dynamics and completion.  Each finds its
+    members with one reduction over the members' lane starts and runs
+    Python only for those with work.  Each member steps on its own clock
+    (see :class:`~repro.model.stepper.StepContext`).
     """
 
     def __init__(self, state: _BatchedState, members: Sequence[_BatchMember]) -> None:
@@ -516,7 +519,10 @@ class BatchedStepper(ModelStepper):
         # Carried over from the members: zero when fresh, stamped by the
         # driver before a compaction.
         self.observed_time[:] = [m.sim.state.deployment.observed_time for m in members]
-        self._rng_sites: Tuple[Tuple[slice, np.random.Generator, float], ...] = ()
+        #: Every member's first connection lane.
+        self._conn_starts = np.array([m.conn_sl.start for m in members], dtype=np.int64)
+        self._rng_sites = RngSites(self._conn_starts, [m.conn_sl for m in members],
+                                   [m.sim.state.windows._rng for m in members], ())
         #: Every server's member's base (resolved) step.
         self._base_server = np.array(
             [m.sim.step_size for m in members], dtype=np.float64
@@ -540,13 +546,8 @@ class BatchedStepper(ModelStepper):
         np.divide(self._ctx.dt_server, self._base_server, out=self._step_weight)
         # Per-member RNG sites for WindowState.update: hazard draws and
         # collapse jitter come from each member's own transport stream,
-        # sliced to its lanes, and the hazard from its own step.  Every
-        # member of a generation is live, so the site list stays fixed
-        # between step changes.
-        self._rng_sites = tuple(
-            (m.conn_sl, m.sim.state.windows._rng, step)
-            for m, step in zip(self._members, self._ctx.dt.tolist())
-        )
+        # sliced to its lanes, and the hazard from its own step.
+        self._rng_sites = self._rng_sites._replace(dts=self._ctx.dt.tolist())
 
     # -- per-member phases ---------------------------------------------- #
 
@@ -568,11 +569,11 @@ class BatchedStepper(ModelStepper):
         if not ws.tmp_bool_a.any():
             return
         ever_paced = self.state.windows.ever_paced
-        for member in self._members:
+        gated_members = np.logical_or.reduceat(ws.tmp_bool_a, self._conn_starts)
+        for k in np.flatnonzero(gated_members).tolist():
+            member = self._members[k]
             sl = member.conn_sl
             gated = ws.tmp_bool_a[sl]
-            if not gated.any():
-                continue
             draws = ws.draws[sl]
             member.sim.admission_rng.random(out=draws)
             probs = ws.tmp_conn_a[sl]
@@ -620,14 +621,14 @@ class BatchedStepper(ModelStepper):
             # Collapsed indices are ascending, so each member's share is one
             # contiguous run; split it per member for the local statistics.
             idx = update.collapsed_indices
-            for member in self._members:
-                sl = member.conn_sl
-                a = int(np.searchsorted(idx, sl.start, side="left"))
-                b = int(np.searchsorted(idx, sl.stop, side="left"))
-                if b <= a:
-                    continue
+            first = np.searchsorted(idx, self._conn_starts)
+            counts = np.diff(first, append=idx.shape[0])
+            for k in np.flatnonzero(counts).tolist():
+                member = self._members[k]
+                a = int(first[k])
+                b = a + int(counts[k])
                 mstate = member.sim.state
-                local_idx = idx[a:b] - sl.start
+                local_idx = idx[a:b] - member.conn_sl.start
                 mstate.collapses_per_app += np.bincount(
                     mstate.conn_app[local_idx], minlength=mstate.n_apps
                 )
@@ -640,11 +641,11 @@ class BatchedStepper(ModelStepper):
         """Complete collective operations and advance per-process streams.
 
         One flat scan over every member's applications; each change runs on
-        its member's own control plane, engine and state.
+        its member's own control plane and state.
 
         Reads:  outstanding bytes per app/process.
-        Writes: application runtime bookkeeping, :attr:`changed`; schedules
-                issue events.
+        Writes: application runtime bookkeeping, :attr:`changed`; sets
+                collective issue times.
         """
         changed = self.changed
         changed.clear()
@@ -660,7 +661,6 @@ class BatchedStepper(ModelStepper):
                 index - member.app_sl.start,
                 None if ready is None else ready[member.proc_sl],
                 None if settled is None else settled[member.app_sl],
-                member.engine,
                 float(now[member.index]),
             )
             if not changed or changed[-1] is not member:
@@ -772,13 +772,14 @@ class BatchSimulator:
     every member at once), always one into an empty batch, and at each
     compaction admits the next ones that fit into the lanes that retired
     members freed (a *refill*).  It builds a member's simulator when it
-    admits it and schedules its control plane from its start anchor; a
-    member's step count and wall time start when it joins.  With a budget
-    the batch keeps nothing of a finished member but its result and its
-    engine's counters (:attr:`_BatchMember.stats`), so a long queue holds
-    only its live members' state.  :attr:`members` lists every member in
-    input order; the current generation of the flat state (:attr:`state`,
-    :attr:`stepper`) holds the live ones, laid out by sync mode.
+    admits it and hands it the batch's :attr:`operations`; a member's step
+    count and wall time start when it joins.  With a budget the batch keeps
+    nothing of a finished member but its result and its action counts
+    (:attr:`_BatchMember.stats`), so a long queue holds only its live
+    members' state, and the table only the layouts they use.
+    :attr:`members` lists every member in input order; the current
+    generation of the flat state (:attr:`state`, :attr:`stepper`) holds the
+    live ones, laid out by sync mode.
     """
 
     def __init__(self, members: Sequence[Member], lanes: Optional[int] = None) -> None:
@@ -787,12 +788,17 @@ class BatchSimulator:
         requests = [_request(item) for item in members]
         key = _bucket_key(requests[0][0])
         self.members: List[_BatchMember] = []
+        #: The striping of every operation the members issue, kept per
+        #: layout while a live or queued member uses it (``_layout_users``).
+        self.operations: OperationTable = {}
+        self._layout_users: Counter = Counter()
         for scenario, seed, sim in requests:
             if _bucket_key(scenario) != key:
                 raise SimulationError(
                     "batch members must share the transport and server configuration"
                 )
-            t0 = min(0.0, min(app.start_time for app in scenario.applications))
+            t0 = start_anchor(scenario)
+            self._layout_users.update(set(app_layouts(scenario)))
             self.members.append(_BatchMember(
                 scenario=scenario, seed=seed, sim=sim,
                 lanes=_connection_lanes(scenario),
@@ -812,8 +818,8 @@ class BatchSimulator:
 
     def _admit(self) -> List[_BatchMember]:
         """Admit queued members in input order while their lanes fit the
-        budget (always one into an empty batch): build each one's simulator
-        and engine, schedule its control plane and set its clock and alarm.
+        budget (always one into an empty batch): build each one's simulator,
+        hand it the operation table and set its clock and alarm.
         """
         admitted: List[_BatchMember] = []
         queue, budget = self._queue, self._lanes
@@ -826,18 +832,13 @@ class BatchSimulator:
             if member.sim is None:
                 member.sim = IOPathSimulator(member.scenario, member.seed)
             sim = member.sim
+            sim.state.use_operations(self.operations)
             member.adaptive = sim.stepping.is_adaptive
-            member.engine = Simulator(
-                start_time=member.t0,
-                horizon=member.t0 + member.scenario.control.max_time * 2 + 1.0,
-            )
-            sim.schedule_control_plane(member.engine, member.t0)
             member.joined = self.n_batch_steps
             member.wall_start = time.perf_counter()
             member.clock = member.t0
             if not member.adaptive:
-                member.due = _next_event_time(member.engine)
-                member.alarm = min(member.due, member.until)
+                member.alarm = min(sim.next_action()[0], member.until)
             self._live_lanes += member.lanes
             admitted.append(member)
         return admitted
@@ -859,9 +860,9 @@ class BatchSimulator:
         #: anchor before the first).
         self.clock = np.array([m.clock for m in self._live], dtype=np.float64)
         #: Per live fixed-step member, the clock at which the driver must
-        #: look at it before stepping: its next engine event or its horizon,
+        #: look at it before stepping: its next action or its horizon,
         #: whichever is first (``inf`` once it finished, and for adaptive
-        #: members, which look at their engines every tick).
+        #: members, which look at their actions every tick).
         self._alarm = np.array([m.alarm for m in self._live], dtype=np.float64)
         #: Every live member's step: its resolved step, or for an adaptive
         #: member the step of the current tick.
@@ -922,15 +923,10 @@ class BatchSimulator:
                 self.stepper.profiler = None
         return [m.result for m in self.members]
 
-    def _set_alarm(self, member: _BatchMember) -> None:
-        if not member.adaptive:
-            member.due = _next_event_time(member.engine)
-            self._alarm[member.index] = min(member.due, member.until)
-
     def _follow_up(self, member: _BatchMember) -> None:
         """After a step that changed ``member``'s control plane: retire it if
         it finished (build its result and detach it; with a budget, drop its
-        simulator and engine), else note when its engine next has work."""
+        simulator), else note when it next has an action to take."""
         i = member.index
         if member.sim.state.all_finished():
             wall_time = time.perf_counter() - member.wall_start
@@ -938,15 +934,20 @@ class BatchSimulator:
             member.result = member.sim._build_result(
                 float(self.clock[i]), self.n_batch_steps - member.joined, wall_time
             )
-            member.stats = member.engine.stats()
+            member.stats = member.sim.control_stats()
             member.detach()
             if self._lanes is not None:
-                member.sim = member.engine = None
+                member.sim = None
+            for layout in set(app_layouts(member.scenario)):
+                self._layout_users[layout] -= 1
+                if not self._layout_users[layout]:
+                    del self.operations[layout]
             self._alarm[i] = float("inf")
             self._n_live -= 1
             self._live_lanes -= member.lanes
             return
-        self._set_alarm(member)
+        if not member.adaptive:
+            self._alarm[i] = min(member.sim.next_action()[0], member.until)
 
     def _unfinished(self, member: _BatchMember) -> SimulationError:
         """The error of a member that reached its horizon unfinished, naming
@@ -993,53 +994,47 @@ class BatchSimulator:
 
     def _run_control_plane(self, ringing: np.ndarray) -> None:
         """For each live fixed-step member whose alarm rang: fail if it is
-        past its horizon, else run its engine over the events that precede a
-        NORMAL-priority step event at its clock, if any are due."""
+        past its horizon, else run the actions that precede a step at its
+        clock, if any are due."""
         for i in ringing.tolist():
             member = self._live[i]
             now = float(self.clock[i])
             if now > member.until:
                 raise self._unfinished(member)
-            if member.due <= now:
-                member.engine.run(until=now, until_priority=EventPriority.NORMAL)
-                member.due = _next_event_time(member.engine)
-            self._alarm[i] = min(member.due, member.until)
+            self._alarm[i] = min(member.sim.run_control(now), member.until)
 
     def _adaptive_step_end(self, member: _BatchMember) -> float:
-        """Run an adaptive member's engine up to this tick's step and return
+        """Run an adaptive member's actions up to this tick's step and return
         the step's end.
 
-        Runs the events that precede a NORMAL-priority event at the pending
-        step end, as :meth:`_run_control_plane` does for a fixed member.
-        While the pending step is longer than a base step, the first control
-        event (an application start or an operation issue) ends that scan:
-        one at the member's clock re-anchors the pending step a base step
-        after it and runs; a later one ends this tick's step at its own time
-        (a catch-up) and runs on the next tick, after the step.  So no step
-        spans a state change, while a control event inside a base-length
-        step lands inside it, the granularity the fixed policy has.  Fails if
-        the step would end past the member's horizon.
+        Runs the actions that precede a step at the pending step end, as
+        :meth:`_run_control_plane` does for a fixed member.  While the
+        pending step is longer than a base step, the first CONTROL action
+        (an application start or a collective issue) ends that scan: one at
+        the member's clock re-anchors the pending step a base step after it
+        and runs; a later one ends this tick's step at its own time (a
+        catch-up) and runs on the next tick, after the step.  So no step
+        spans a state change, while an action inside a base-length step
+        lands inside it, the granularity the fixed policy has.  Fails if the
+        step would end past the member's horizon.
         """
-        engine = member.engine
+        sim = member.sim
         now = float(self.clock[member.index])
-        base = member.sim.step_size
+        base = sim.step_size
         member.catching_up = False
         while True:
-            head = engine.peek_next()
-            if head is None or head.time > min(member.next_step, member.until) or (
-                head.time == member.next_step and head.priority >= EventPriority.NORMAL
+            head = sim.next_action()
+            if head[0] > min(member.next_step, member.until) or (
+                head[0] == member.next_step and head[1] == OBSERVE
             ):
                 break
-            if (
-                head.priority == EventPriority.CONTROL
-                and member.next_step - now > base * (1.0 + 1e-12)
-            ):
-                if head.time > now:
+            if head[1] == CONTROL and member.next_step - now > base * (1.0 + 1e-12):
+                if head[0] > now:
                     member.catching_up = True
                     break
-                member.next_step = head.time + base
-            engine.step()
-        end = head.time if member.catching_up else member.next_step
+                member.next_step = head[0] + base
+            sim.run_action(head)
+        end = head[0] if member.catching_up else member.next_step
         if end > member.until:
             raise self._unfinished(member)
         return end
@@ -1068,8 +1063,9 @@ class BatchSimulator:
         Emits one synthetic ``phase`` child span per kernel phase, sized by
         the phase's accumulated wall time and laid end to end from
         ``start_us`` (a flame view of where the kernel spent its time, not a
-        per-step timeline), and counts ``step.phase.*``, every member
-        engine's counters, ``sim.steps`` and the kernel's ``batch.ticks``
+        per-step timeline), and counts ``step.phase.*``, the actions every
+        member took (``control.starts``, ``control.issues``,
+        ``control.samples``), ``sim.steps`` and the kernel's ``batch.ticks``
         (steps of the whole batch), ``batch.member_steps`` (steps of each
         member until it finished, summed) and ``batch.lane_steps`` (the
         live width summed over the ticks; compaction keeps finished members
@@ -1102,11 +1098,6 @@ class BatchSimulator:
         telemetry.count("batch.ticks", self.n_batch_steps)
         telemetry.count("batch.member_steps", member_steps)
         telemetry.count("batch.lane_steps", self.n_lane_steps)
-
-
-def _next_event_time(engine: Simulator) -> float:
-    head = engine.peek_next()
-    return float("inf") if head is None else head.time
 
 
 # ---------------------------------------------------------------------- #

@@ -1,21 +1,33 @@
 """One simulation run: its state, its control plane and its result.
 
 :class:`IOPathSimulator` is what the stepping kernel advances as a *member*:
-it owns one scenario's state, trace recorder and random streams, and the
-control plane that acts on them through a discrete-event engine:
-
-* an event starts each application at its configured time,
-* the completion phase of the kernel hands each finished operation back
-  here, which schedules the next issue or marks the application finished,
-* a periodic observation event samples traces,
-* :meth:`IOPathSimulator.next_bound` derives the adaptive step bound from
-  the current rates.
+it owns one scenario's state, trace recorder and random streams, and its
+control plane, which is data the driver reads between steps (below).  The
+completion phase of the kernel hands each finished operation back here,
+which sets the next collective issue, issues the next per-process
+operations or marks the application finished; and
+:meth:`IOPathSimulator.next_bound` derives the adaptive step bound from the
+current rates.
 
 :meth:`IOPathSimulator.run` runs the scenario as a batch of one on the
 kernel's one driver (:class:`repro.model.batch.BatchSimulator`), under
 either stepping policy.  The module-level helper :func:`simulate_scenario`
 is the one-call entry point used by the experiment framework:
 ``result = simulate_scenario(scenario)``.
+
+Control actions
+---------------
+An application's start (``ModelState.app_start_at``), a collective issue
+(``ModelState.app_issue_at``) and a trace sample
+(:attr:`IOPathSimulator.sample_at`, a sample period after the last while a
+series records) are *actions*.  They run in ``(time, tier, seq)`` order: at
+one instant starts and issues (tier :data:`CONTROL`) before samples (tier
+:data:`OBSERVE`), ties in the order the run set them (a start's ``seq`` is
+its application's index; every issue and sample takes the next number of a
+per-run counter).  A step sits between the tiers:
+:meth:`IOPathSimulator.run_control` runs the actions that precede a step
+ending at a given instant, so a sample at a step instant observes the
+post-step state, and an issue that lands inside a step waits for its end.
 
 Adaptive time advance
 ---------------------
@@ -31,7 +43,8 @@ fixed policy never calls it.
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import count
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -41,12 +54,21 @@ from repro.model.results import ApplicationResult, ComponentStats, RunResult
 from repro.model.state import APP_ACTIVE, ModelState
 from repro.model.stepper import COMPLETION_EPSILON
 from repro.obs.telemetry import get_telemetry
-from repro.sim.engine import Simulator
-from repro.sim.events import EventPriority
 from repro.sim.rng import RandomStreams
 from repro.sim.tracing import TraceRecorder
 
-__all__ = ["IOPathSimulator", "simulate_scenario"]
+__all__ = ["CONTROL", "IDLE", "OBSERVE", "IOPathSimulator", "simulate_scenario", "start_anchor"]
+
+#: Action tiers: at one instant starts and issues run before a step, and
+#: trace samples after it.
+CONTROL, OBSERVE = 0, 1
+_START, _ISSUE, _SAMPLE = 0, 1, 2
+_INF = float("inf")
+
+#: A pending action, ``(time, tier, seq, kind, app)`` (``app`` is ``-1`` for a
+#: sample): actions order as these tuples do, and :data:`IDLE` is none.
+Action = Tuple[float, int, int, int, int]
+IDLE: Action = (_INF, OBSERVE, 0, _SAMPLE, -1)
 
 #: Safety margin (seconds) added to a quiescent jump so the landing step is
 #: unambiguously at-or-after the state-changing instant despite float
@@ -79,6 +101,16 @@ class IOPathSimulator:
         self._transport = scenario.platform.network.transport
         self._app_independent = ~self.state.app_collective
         self._any_independent = bool(self._app_independent.any())
+        # Starts take sequence numbers 0..n_apps-1; issues and samples follow.
+        self._seq = count(self.state.n_apps)
+        self._sample_period = scenario.control.trace.series_sample_period
+        #: Time of the next trace sample (``inf`` while no series records).
+        self.sample_at, self._sample_seq = _INF, 0
+        if self.recorder.config.records_series:
+            self.sample_at = start_anchor(scenario) + self._sample_period
+            self._sample_seq = next(self._seq)
+        #: Actions taken: starts, issues and samples.
+        self._taken = [0, 0, 0]
 
     # ------------------------------------------------------------------ #
 
@@ -131,7 +163,7 @@ class IOPathSimulator:
                 label=label,
                 steps=result.n_steps,
                 wall_s=round(result.wall_time, 6),
-                events_processed=batch.members[0].stats["engine.events.processed"],
+                events_processed=sum(batch.members[0].stats.values()),
             )
         return result
 
@@ -139,59 +171,78 @@ class IOPathSimulator:
     # Control plane
     # ------------------------------------------------------------------ #
 
-    def schedule_control_plane(self, engine: Simulator, t0: float) -> None:
-        """Schedule the application starts and trace sampling on ``engine``.
+    def next_action(self) -> Action:
+        """The earliest pending action (:data:`IDLE` when none is)."""
+        state = self.state
+        pending = [
+            (t, CONTROL, app, _START, app)
+            for app, t in enumerate(state.app_start_at.tolist()) if t < _INF
+        ]
+        issues = zip(state.app_issue_at.tolist(), state.app_issue_seq.tolist())
+        pending += [
+            (t, CONTROL, seq, _ISSUE, app)
+            for app, (t, seq) in enumerate(issues) if t < _INF
+        ]
+        if self.sample_at < _INF:
+            pending.append((self.sample_at, OBSERVE, self._sample_seq, _SAMPLE, -1))
+        return min(pending, default=IDLE)
 
-        When no periodic series category records, the sampling event is not
-        scheduled at all: a disabled trace must not pay the per-sample
-        aggregate reductions (or the event churn).
-        """
-        for app in self.state.applications:
-            engine.schedule(
-                app.start_time,
-                self._make_start_callback(app.index),
-                priority=EventPriority.CONTROL,
-                label=f"start.{app.name}",
-            )
-        if self.recorder.config.records_series:
-            sample_period = self.scenario.control.trace.series_sample_period
-            engine.schedule_periodic(
-                sample_period,
-                self._sample,
-                start=t0 + sample_period,
-                priority=EventPriority.OBSERVE,
-                label="trace.sample",
-                stop_when=_finished_probe(self.state),
-            )
+    def run_control(self, now: float) -> float:
+        """Run, in order, every pending action that precedes a step ending
+        at ``now`` (those before ``now`` and the CONTROL ones at it); return
+        the time of the next pending action (``inf`` when none)."""
+        while True:
+            action = self.next_action()
+            if action[0] > now or (action[0] == now and action[1] == OBSERVE):
+                return action[0]
+            self.run_action(action)
 
-    def _make_start_callback(self, app_index: int):
-        def _start(sim: Simulator) -> None:
-            self.start_application(sim, app_index)
+    def run_action(self, action: Action) -> None:
+        """Take one pending action at its own time."""
+        now, _, _, kind, index = action
+        self._taken[kind] += 1
+        state = self.state
+        if kind == _START:
+            self.start_application(index, now)
+        elif kind == _ISSUE:
+            # The next collective operation of a waiting application.
+            state.app_issue_at[index] = _INF
+            app = state.applications[index]
+            op_index = state.app_runtime[index].current_op + 1
+            state.issue_operation(app, op_index)
+            state.recorder.mark(now, "op", f"{app.name}.op{op_index}")
+        else:
+            self._sample(now)
+            # The float accumulation of a periodic event: fired + period.
+            self.sample_at = now + self._sample_period
+            self._sample_seq = next(self._seq)
 
-        return _start
+    def control_stats(self) -> Dict[str, int]:
+        """Actions taken by kind, keyed for the telemetry registry."""
+        return dict(zip(("control.starts", "control.issues", "control.samples"), self._taken))
 
-    def start_application(self, sim: Simulator, app_index: int) -> None:
-        """Begin the I/O phase of one application (issue its first operation)."""
+    def start_application(self, app_index: int, now: float) -> None:
+        """Begin the I/O phase of one application at ``now`` (issue its
+        first operation)."""
         state = self.state
         app = state.applications[app_index]
         runtime = state.app_runtime[app_index]
         if runtime.started:
             raise SimulationError(f"application {app.name!r} started twice")
-        state.mark_started(app_index, sim.now)
-        state.recorder.mark(sim.now, "phase", f"{app.name}.start")
+        state.mark_started(app_index, now)
+        state.recorder.mark(now, "phase", f"{app.name}.start")
         if app.spec.pattern.collective:
             state.issue_operation(app, 0)
         else:
             procs = state.app_proc_ids[app_index]
             state.issue_process_operations(app, procs, np.zeros(procs.shape[0], dtype=np.int64))
-            state.proc_next_issue[procs] = sim.now
+            state.proc_next_issue[procs] = now
 
     def _complete_app(
         self,
         index: int,
         ready: Optional[np.ndarray],
         settled: Optional[np.ndarray],
-        sim: Simulator,
         now: float,
     ) -> None:
         """Apply one application's end-of-step change found by the kernel's
@@ -203,19 +254,14 @@ class IOPathSimulator:
         if pattern.collective:
             if runtime.current_op < 0:
                 return
-            runtime.ops_completed = runtime.current_op + 1
-            if runtime.ops_completed >= app.n_operations:
+            if runtime.current_op + 1 >= app.n_operations:
                 self._finish_app(runtime, now)
                 return
             state.mark_waiting(index)
-            next_op = runtime.current_op + 1
-            # ``now`` is the step instant; the engine's clock may lag it.
-            sim.schedule(
-                now + float(pattern.collective_overhead),
-                self._make_issue_callback(index, next_op),
-                priority=EventPriority.CONTROL,
-                label=f"issue.{app.name}.op{next_op}",
-            )
+            # ``now`` is the step instant; the issue waits for the step that
+            # ends at or after it.
+            state.app_issue_at[index] = now + float(pattern.collective_overhead)
+            state.app_issue_seq[index] = next(self._seq)
             return
         ids = state.app_proc_ids[index]
         issuing = ids[ready[ids]]
@@ -228,18 +274,8 @@ class IOPathSimulator:
     def _finish_app(self, runtime, now: float) -> None:
         self.state.mark_finished(runtime.app.index, now)
         self.state.recorder.mark(now, "phase", f"{runtime.app.name}.end")
-
-    def _make_issue_callback(self, app_index: int, op_index: int):
-        def _issue(sim: Simulator) -> None:
-            state = self.state
-            app = state.applications[app_index]
-            runtime = state.app_runtime[app_index]
-            if runtime.finished:
-                return
-            state.issue_operation(app, op_index)
-            state.recorder.mark(sim.now, "op", f"{app.name}.op{op_index}")
-
-        return _issue
+        if self.state.all_finished():
+            self.sample_at = _INF
 
     # ------------------------------------------------------------------ #
     # Adaptive time advance
@@ -323,9 +359,9 @@ class IOPathSimulator:
     def _next_issue_wait(self, now: float) -> Optional[float]:
         """Time until the earliest pending per-process operation issue.
 
-        Only the non-collective mode tracks issue instants as state
-        (``proc_next_issue``); collective issues are engine events and are
-        bounded by the driver.  Returns ``None`` when no process is waiting.
+        Only the per-process instants (``proc_next_issue``) count here;
+        collective issues are control actions, which the driver bounds.
+        Returns ``None`` when no process is waiting.
         """
         if not self._any_independent:
             return None
@@ -346,13 +382,10 @@ class IOPathSimulator:
     # Trace sampling
     # ------------------------------------------------------------------ #
 
-    def _sample(self, sim: Simulator) -> None:
+    def _sample(self, now: float) -> None:
         state = self.state
         recorder = self.recorder
-        now = sim.now
         config = recorder.config
-        if not config.records_series:  # pragma: no cover - never scheduled then
-            return
         if config.record_progress:
             completed = state.completed_bytes_per_app()
             for runtime in state.app_runtime:
@@ -381,13 +414,10 @@ class IOPathSimulator:
                 recorder.record(series_name, now, float(state.windows.cwnd[conn]), unit="bytes")
             for runtime in state.app_runtime:
                 app = runtime.app
-                conns = state.app_connection_ids(app)
-                if conns.size:
+                window = state.windows.cwnd[state.app_lanes(app)]
+                if window.size:
                     recorder.record(
-                        f"window.mean.{app.name}",
-                        now,
-                        float(np.mean(state.windows.cwnd[conns])),
-                        unit="bytes",
+                        f"window.mean.{app.name}", now, float(np.mean(window)), unit="bytes"
                     )
 
     # ------------------------------------------------------------------ #
@@ -426,11 +456,9 @@ class IOPathSimulator:
         )
 
 
-def _finished_probe(state: ModelState):
-    def _finished(sim: Simulator) -> bool:
-        return state.all_finished()
-
-    return _finished
+def start_anchor(scenario: ScenarioConfig) -> float:
+    """A run's clock before its first step: ``min(0, earliest start)``."""
+    return min(0.0, min(app.start_time for app in scenario.applications))
 
 
 def simulate_scenario(scenario: ScenarioConfig, seed: Optional[int] = None) -> RunResult:

@@ -17,17 +17,22 @@ The control-plane state the stepper scans every step — each application's
 lifecycle phase, each process's current operation and next issue instant —
 lives in flat arrays too, so the completion phase finds the (rare) steps on
 which something changes with a few vectorized reductions and runs Python
-only for the applications that actually change.
+only for the applications that actually change.  So do the pending control
+actions: each application's start and next collective issue time.  An issue
+reads its striping from an :data:`OperationTable`, which a bucket's runs
+share, so every issue after the first of its kind is a row lookup plus one
+indexed add.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.config.scenario import ScenarioConfig
+from repro.config.workload import PatternSpec
 from repro.errors import SimulationError
 from repro.network.congestion import WindowState
 from repro.network.incast import ServerBuffers
@@ -37,11 +42,11 @@ from repro.pfs.striping import extents_to_server_matrix
 from repro.sim.rng import RandomStreams
 from repro.sim.tracing import TraceRecorder
 from repro.workload.application import Application
-from repro.workload.patterns import request_extents
+from repro.workload.patterns import pattern_extents
 
 __all__ = [
     "APP_ACTIVE", "APP_FINISHED", "APP_PENDING", "APP_WAITING",
-    "AppRuntime", "ModelState",
+    "AppRuntime", "ModelState", "OperationTable", "app_layouts", "stripe_operation",
 ]
 
 #: Application lifecycle phases (values of ``ModelState.app_phase``).
@@ -60,8 +65,8 @@ class AppRuntime:
     """
 
     __slots__ = (
-        "app", "_state", "current_op", "ops_completed", "actual_start_time",
-        "end_time", "issued_bytes", "completed_bytes",
+        "app", "_state", "current_op", "actual_start_time",
+        "end_time", "issued_bytes",
     )
 
     def __init__(self, app: Application, state: "ModelState") -> None:
@@ -71,11 +76,9 @@ class AppRuntime:
         # cyclic garbage collector happens to run.
         self._state = weakref.ref(state)
         self.current_op = -1
-        self.ops_completed = 0
         self.actual_start_time = 0.0
         self.end_time = float("nan")
         self.issued_bytes = 0.0
-        self.completed_bytes = 0.0
 
     @property
     def phase(self) -> int:
@@ -91,15 +94,68 @@ class AppRuntime:
         return self.phase == APP_FINISHED
 
     @property
-    def waiting_issue(self) -> bool:
-        return self.phase == APP_WAITING
-
-    @property
     def write_time(self) -> float:
         """Duration of the application's I/O phase (NaN until finished)."""
         if not self.finished:
             return float("nan")
         return self.end_time - self.actual_start_time
+
+
+#: What fixes an application's striping: its pattern and process count, the
+#: stripe size, its servers and the deployment's server count.
+Layout = Tuple[PatternSpec, int, float, Tuple[int, ...], int]
+
+
+def app_layouts(scenario: ScenarioConfig) -> List[Layout]:
+    """The layout of each application of ``scenario``, in application order."""
+    fs = scenario.filesystem
+    return [
+        (spec.pattern, spec.n_processes, fs.stripe_size,
+         tuple(scenario.app_servers(spec)), fs.n_servers)
+        for spec in scenario.applications
+    ]
+
+
+class OperationRows(NamedTuple):
+    """One operation of one layout, every rank striped: rank ``r`` loads the
+    ``counts[r]`` cells of ``values`` (fragment sizes) after those of ranks
+    ``0..r-1`` onto the same cells of ``conns`` (offsets into its app's
+    connections, rank-major), ``totals[r]`` bytes in all.  32-bit offsets
+    and counts: a bucket keeps a layout's rows while any run uses it."""
+
+    conns: np.ndarray
+    values: np.ndarray
+    counts: np.ndarray
+    totals: np.ndarray
+
+
+def stripe_operation(layout: Layout, op_index: int) -> OperationRows:
+    """Stripe operation ``op_index`` of ``layout`` for every rank.
+
+    Each rank's row is bit for bit what striping its extent alone gives
+    (:func:`~repro.pfs.striping.extents_to_server_matrix` rows are
+    independent, ``pattern_extents`` is the per-rank arithmetic of
+    ``request_extents``, and ``_segment_sums`` reduces each row alone), so
+    a reused row holds the same bits.
+    """
+    pattern, n_processes, stripe_size, servers, n_servers = layout
+    offsets, lengths = pattern_extents(pattern, op_index, n_processes)
+    per_server = extents_to_server_matrix(offsets, lengths, stripe_size, servers, n_servers)
+    touched = per_server > 0
+    ranks, columns = np.nonzero(touched)
+    values = per_server[ranks, columns]
+    counts = touched.sum(axis=1)
+    position = np.zeros(n_servers, dtype=np.int64)
+    position[list(servers)] = np.arange(len(servers))
+    conns = ranks * len(servers) + position[columns]
+    # A rank that touches one server issues exactly that server's bytes.
+    totals = values if (counts == 1).all() else _segment_sums(values, counts)
+    return OperationRows(conns.astype(np.int32), values, counts.astype(np.int32), totals)
+
+
+#: Each distinct (layout, operation) pair's rows, striped on its first issue;
+#: the runs of a bucket share one table (a run alone owns one).
+OperationTable = Dict[Layout, Dict[int, OperationRows]]
 
 
 class ModelState:
@@ -151,8 +207,12 @@ class ModelState:
         conn_proc: List[np.ndarray] = []
         conn_server: List[np.ndarray] = []
         self.conn_matrix = np.full((self.n_processes, self.n_servers), -1, dtype=np.int64)
+        #: Each application's connections, rank-major (one per target server
+        #: of each process): ``[app_conn_start[i], app_conn_start[i + 1])``.
+        self.app_conn_start: List[int] = []
         offset = 0
         for app in self.applications:
+            self.app_conn_start.append(offset)
             ids = app.proc_ids()
             servers = np.asarray(app.servers, dtype=np.int64)
             procs_rep = np.repeat(ids, servers.shape[0])
@@ -162,6 +222,7 @@ class ModelState:
             conn_server.append(servers_rep)
             self.conn_matrix[procs_rep, servers_rep] = offset + np.arange(count)
             offset += count
+        self.app_conn_start.append(offset)
         self.n_connections = offset
         self.conn_proc = np.concatenate(conn_proc) if conn_proc else np.zeros(0, dtype=np.int64)
         self.conn_server = (
@@ -174,12 +235,6 @@ class ModelState:
         # completion phase, trace sampling) never rebuilds them:
         #: Global process indices per application, in rank order.
         self.app_proc_ids: List[np.ndarray] = [app.proc_ids() for app in self.applications]
-        #: Connection indices per application (every process/server pair).
-        self._app_conn_ids: List[np.ndarray] = [
-            self.conn_matrix[np.ix_(self.app_proc_ids[app.index],
-                                    np.asarray(app.servers, dtype=np.int64))].reshape(-1)
-            for app in self.applications
-        ]
 
         # Transport and buffer state.
         transport = platform.network.transport
@@ -220,6 +275,20 @@ class ModelState:
         self.proc_current_op = np.full(self.n_processes, -1, dtype=np.int64)
         self.proc_next_issue = np.zeros(self.n_processes, dtype=np.float64)
 
+        # Pending control actions, per application: the start (``inf`` once
+        # started) and the next collective issue (``inf`` when none) with its
+        # sequence number among the run's actions.
+        self.app_start_at = np.array(
+            [app.start_time for app in self.applications], dtype=np.float64
+        )
+        self.app_issue_at = np.full(self.n_apps, np.inf, dtype=np.float64)
+        self.app_issue_seq = np.zeros(self.n_apps, dtype=np.int64)
+
+        #: Each application's layout, and the operation table issues read
+        #: (its own until a bucket shares one).
+        self.layouts = app_layouts(scenario)
+        self.use_operations({})
+
         # Cached per-server drain rate of the previous step (for RTT estimates).
         self.last_drain_rate = np.full(
             self.n_servers, fs.server.ingest_bw, dtype=np.float64
@@ -231,68 +300,36 @@ class ModelState:
         # Collapse statistics per application (Incast detection).
         self.collapses_per_app = np.zeros(self.n_apps, dtype=np.int64)
 
-        # Traced connections (window figures): first connection of each app.
+        # Traced connections (window figures): the first ranks of each app,
+        # each to the app's first server.
         limit = self.recorder.config.window_connection_limit
         self.traced_connections: Dict[int, str] = {}
-        if self.recorder.config.record_windows and limit > 0:
+        if self.recorder.config.record_windows:
             for app in self.applications:
-                ids = app.proc_ids()
-                count = 0
-                for proc in ids[: max(limit, 1)]:
-                    for server in app.servers[:1]:
-                        conn = int(self.conn_matrix[proc, server])
-                        if conn >= 0:
-                            self.traced_connections[conn] = (
-                                f"window.{app.name}.rank{int(proc - app.first_proc_id)}"
-                                f".server{int(server)}"
-                            )
-                            count += 1
-                    if count >= limit:
-                        break
+                for rank in range(min(limit, app.n_processes)):
+                    conn = self.app_conn_start[app.index] + rank * len(app.servers)
+                    self.traced_connections[conn] = (
+                        f"window.{app.name}.rank{rank}.server{app.servers[0]}"
+                    )
 
     # ------------------------------------------------------------------ #
     # Operation issue
     # ------------------------------------------------------------------ #
 
-    def app_connection_ids(self, app: Application) -> np.ndarray:
-        """Connection indices of every (process, server) pair of ``app``.
+    def app_lanes(self, app: Application) -> slice:
+        """The connections of every (process, server) pair of ``app``."""
+        return slice(self.app_conn_start[app.index], self.app_conn_start[app.index + 1])
 
-        Returns the precomputed (step-invariant) index array; treat it as
-        read-only.
-        """
-        return self._app_conn_ids[app.index]
+    def use_operations(self, table: OperationTable) -> None:
+        """Read every issue's striping from ``table``."""
+        self._app_ops = [table.setdefault(layout, {}) for layout in self.layouts]
 
-    def _load_extents(
-        self,
-        app: Application,
-        procs: np.ndarray,
-        offsets: np.ndarray,
-        lengths: np.ndarray,
-    ) -> np.ndarray:
-        """Load one extent per process onto its connections, all at once.
-
-        Returns the bytes each process issued: the sum of its touched
-        servers' shares, reduced exactly as a per-process
-        ``per_server[touched].sum()`` would be.
-        """
-        per_server = extents_to_server_matrix(
-            offsets, lengths, self.scenario.filesystem.stripe_size,
-            app.servers, self.n_servers,
-        )
-        touched = per_server > 0
-        rows, servers = np.nonzero(touched)
-        conns = self.conn_matrix[procs[rows], servers]
-        if np.any(conns < 0):  # pragma: no cover - defensive
-            raise SimulationError(
-                f"application {app.name!r} has a process without a connection "
-                "to one of its servers"
-            )
-        values = per_server[rows, servers]
-        # Distinct (process, server) pairs are distinct connections, so one
-        # fancy-indexed update equals the per-process updates.
-        self.send_remaining[conns] += values
-        self.frag_size[conns] = values
-        return _segment_sums(values, touched.sum(axis=1))
+    def _rows(self, app: Application, op_index: int) -> OperationRows:
+        ops = self._app_ops[app.index]
+        rows = ops.get(op_index)
+        if rows is None:
+            rows = ops[op_index] = stripe_operation(self.layouts[app.index], op_index)
+        return rows
 
     def issue_operation(self, app: Application, op_index: int) -> float:
         """Load operation ``op_index`` of ``app`` onto its connections.
@@ -304,8 +341,12 @@ class ModelState:
             raise SimulationError(
                 f"application {app.name!r} has no operation {op_index}"
             )
-        offsets, lengths = app.operation_extents(op_index)
-        per_proc = self._load_extents(app, self.app_proc_ids[app.index], offsets, lengths)
+        rows = self._rows(app, op_index)
+        lanes = self.app_lanes(app)
+        # Distinct connections, so one fancy-indexed add loads them all.
+        self.send_remaining[lanes][rows.conns] += rows.values
+        self.frag_size[lanes][rows.conns] = rows.values
+        per_proc = rows.totals
         # cumsum accumulates in process order, as a running Python total does.
         issued = float(np.cumsum(per_proc)[-1]) if per_proc.size else 0.0
         runtime = self.app_runtime[app.index]
@@ -322,10 +363,23 @@ class ModelState:
         (non-collective mode); returns the bytes each process issued."""
         procs = np.asarray(procs, dtype=np.int64)
         op_indices = np.asarray(op_indices, dtype=np.int64)
-        offsets, lengths = request_extents(
-            app.spec.pattern, self.proc_rank[procs], op_indices, app.n_processes
-        )
-        per_proc = self._load_extents(app, procs, offsets, lengths)
+        ranks = self.proc_rank[procs]
+        per_proc = np.empty(procs.shape[0], dtype=np.float64)
+        send = self.send_remaining[self.app_lanes(app)]
+        frag = self.frag_size[self.app_lanes(app)]
+        for op in set(op_indices.tolist()):
+            sel = op_indices == op
+            rows = self._rows(app, op)
+            issuing = ranks[sel]
+            # Each issuing rank's row, gathered back to back.
+            starts = np.cumsum(rows.counts, dtype=np.int64) - rows.counts
+            counts = rows.counts[issuing]
+            ends = np.cumsum(counts, dtype=np.int64)
+            cells = np.arange(ends[-1]) + np.repeat(starts[issuing] - ends + counts, counts)
+            conns, values = rows.conns[cells], rows.values[cells]
+            send[conns] += values
+            frag[conns] = values
+            per_proc[sel] = rows.totals[issuing]
         runtime = self.app_runtime[app.index]
         if per_proc.size:
             # Accumulated process by process, in order.
@@ -341,6 +395,7 @@ class ModelState:
     def mark_started(self, app_index: int, now: float) -> None:
         """The application's I/O phase begins at ``now``."""
         self.app_phase[app_index] = APP_ACTIVE
+        self.app_start_at[app_index] = np.inf
         self.app_runtime[app_index].actual_start_time = now
 
     def mark_waiting(self, app_index: int) -> None:
@@ -351,9 +406,7 @@ class ModelState:
         """The application completed its I/O phase at ``now``."""
         self.app_phase[app_index] = APP_FINISHED
         self.n_finished += 1
-        runtime = self.app_runtime[app_index]
-        runtime.end_time = now
-        runtime.completed_bytes = runtime.issued_bytes
+        self.app_runtime[app_index].end_time = now
 
     # ------------------------------------------------------------------ #
     # Aggregations used by the stepper

@@ -20,13 +20,24 @@ implements one update per simulation step:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.config.network import TransportConfig
 
-__all__ = ["WindowState", "WindowUpdateResult"]
+__all__ = ["RngSites", "WindowState", "WindowUpdateResult"]
+
+
+class RngSites(NamedTuple):
+    """Random-draw ownership: site ``k`` owns the connections ``slices[k]``
+    (back to back, starting at ``starts[k]``, the first at 0), draws from
+    ``rngs[k]`` and takes its paced-timeout hazard from its step ``dts[k]``."""
+
+    starts: np.ndarray
+    slices: Sequence[slice]
+    rngs: Sequence[np.random.Generator]
+    dts: Sequence[float]
 
 
 @dataclass
@@ -185,7 +196,7 @@ class WindowState:
         oversubscribed: np.ndarray,
         loss_prone: Optional[np.ndarray] = None,
         collect_stats: bool = True,
-        rng_sites: Optional[Sequence[Tuple[slice, np.random.Generator, float]]] = None,
+        rng_sites: Optional[RngSites] = None,
     ) -> WindowUpdateResult:
         """Apply one step of window dynamics.
 
@@ -223,15 +234,15 @@ class WindowState:
             ``n_increased``, ``stalled_fraction``) that only tracing and
             analysis consume; the window dynamics themselves are unchanged.
         rng_sites:
-            Random-draw ownership as ``(slice, generator, dt)`` triples
-            covering disjoint connection ranges.  The batched kernel passes
-            one site per batch member so each member consumes draws from
-            *its own* transport stream, and takes its paced-timeout hazard
-            from *its own* step (a float), exactly as it would alone; the
+            Random-draw ownership (:class:`RngSites`).  The batched kernel
+            passes one site per batch member so each member consumes draws
+            from *its own* transport stream, and takes its paced-timeout
+            hazard from *its own* step, exactly as it would alone; the
             default single site over all connections, with the float ``dt``,
             reproduces the scalar behaviour bit-for-bit.  A site only draws
             when at least one of its connections is a hazard candidate
-            (resp. collapses), mirroring the scalar short-circuit.
+            (resp. collapses), mirroring the scalar short-circuit; one
+            reduction over the site starts finds those sites.
         """
         t = self.transport
         requested = np.asarray(requested, dtype=np.float64)
@@ -313,13 +324,14 @@ class WindowState:
         np.logical_and(mask_a, self.paced, out=mask_d)
         np.logical_and(mask_d, mask_c, out=mask_d)  # hazard candidates
         if rng_sites is None:
-            rng_sites = ((slice(None), self._rng, dt),)
+            rng_sites = RngSites(np.zeros(1, np.int64), (slice(None),), (self._rng,), (dt,))
         if t.paced_timeout_hazard > 0.0 and mask_d.any():
-            for site, rng, site_dt in rng_sites:
-                if mask_d[site].any():
-                    rng.random(out=self._draws[site])
-                    p_step = 1.0 - (1.0 - t.paced_timeout_hazard) ** (site_dt / t.rto)
-                    np.less(self._draws[site], p_step, out=mask_c[site])
+            drawing = np.logical_or.reduceat(mask_d, rng_sites.starts)
+            for k in np.flatnonzero(drawing).tolist():
+                site = rng_sites.slices[k]
+                rng_sites.rngs[k].random(out=self._draws[site])
+                p_step = 1.0 - (1.0 - t.paced_timeout_hazard) ** (rng_sites.dts[k] / t.rto)
+                np.less(self._draws[site], p_step, out=mask_c[site])
             # Sites without candidates keep a stale mask_c; the AND with
             # mask_d below discards it, so only drawn sites matter.
             np.logical_and(mask_d, mask_c, out=mask_c)
@@ -335,17 +347,12 @@ class WindowState:
             # Each site jitters its own collapsed connections (idx is
             # ascending, so a site's share is one contiguous run).
             jitter = np.empty(idx.shape[0], dtype=np.float64)
-            for site, rng, _ in rng_sites:
-                a = (
-                    0 if site.start is None
-                    else int(np.searchsorted(idx, site.start, side="left"))
-                )
-                b = (
-                    idx.shape[0] if site.stop is None
-                    else int(np.searchsorted(idx, site.stop, side="left"))
-                )
-                if b > a:
-                    jitter[a:b] = rng.uniform(0.5, 1.5, size=b - a)
+            first = np.searchsorted(idx, rng_sites.starts)
+            counts = np.diff(first, append=idx.shape[0])
+            for k in np.flatnonzero(counts).tolist():
+                a = int(first[k])
+                b = a + int(counts[k])
+                jitter[a:b] = rng_sites.rngs[k].uniform(0.5, 1.5, size=b - a)
             start = now[idx] if isinstance(now, np.ndarray) else now
             self.stall_until[idx] = start + t.rto * (2.0**backoff) * jitter
             self.backoff[idx] = backoff + 1
@@ -374,7 +381,3 @@ class WindowState:
     def total_collapses(self) -> int:
         """Total number of timeout collapses across all connections."""
         return int(self.collapse_count.sum())
-
-    def window_snapshot(self) -> np.ndarray:
-        """Copy of the current window sizes (bytes)."""
-        return self.cwnd.copy()

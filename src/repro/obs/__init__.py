@@ -4,8 +4,8 @@ The package is built around one invariant: **zero overhead when disabled**.
 :func:`get_telemetry` returns a no-op singleton until a CLI entry point (or a
 test) installs a live :class:`Telemetry` via :func:`telemetry_session`, so
 instrumented call sites cost one attribute check in the common case and the
-simulation hot paths carry no telemetry calls at all (the engine publishes
-plain counters post-run).
+simulation hot paths carry no telemetry calls at all (the control plane and
+the engine publish plain counters post-run).
 
 Layout:
 

@@ -325,13 +325,14 @@ def summarize_document(
             )
 
     counters = document.get("counters", {})
-    engine_counters = {
-        k: v for k, v in sorted(counters.items()) if k.startswith("engine.")
-    }
-    if engine_counters:
-        lines.append("engine")
-        for name, value in engine_counters.items():
-            lines.append(f"  {name:32s} {value:.0f}")
+    # Model runs count their control actions; the local write model (table
+    # 1) runs on the event engine.
+    for title, prefix in (("control plane", "control."), ("engine", "engine.")):
+        section = {k: v for k, v in sorted(counters.items()) if k.startswith(prefix)}
+        if section:
+            lines.append(title)
+            for name, value in section.items():
+                lines.append(f"  {name:32s} {value:.0f}")
     return "\n".join(lines)
 
 

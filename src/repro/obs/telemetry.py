@@ -19,10 +19,11 @@ The module-level *current telemetry* defaults to :data:`NULL`, a no-op
 singleton whose ``enabled`` attribute is ``False`` and whose every method
 does nothing.  Instrumentation points therefore cost one
 ``get_telemetry().enabled`` check on the disabled path — and the simulation
-hot paths (the stepping kernel, the event heap) carry **no** telemetry calls
-at all: they maintain plain integer counters that are *published* into the
-registry once, after the run (see
-:meth:`repro.sim.engine.Simulator.counter_stats` and
+hot paths (the stepping kernel, the control plane, the event heap) carry
+**no** telemetry calls at all: they maintain plain integer counters that
+are *published* into the registry once, after the run (see
+:meth:`repro.model.simulator.IOPathSimulator.control_stats`,
+:meth:`repro.sim.engine.Simulator.stats` and
 :class:`repro.perf.counters.StepProfiler`).  Telemetry must never perturb
 simulation state: it touches no RNG stream and no model array, so results
 are byte-identical with telemetry on and off (pinned by the golden tests).

@@ -6,11 +6,12 @@ set:
 
 * ``active/*`` — the kernel alone, one simulation per step (a batch of
   one): both applications started, the model in its contended active phase,
-  stepped a fixed number of base steps with no engine or tracing overhead in
-  the loop.  ``active/reduced-hdd-sync-on`` is the canonical active-phase
+  stepped a fixed number of base steps with no control plane or tracing
+  overhead in the loop.  ``active/reduced-hdd-sync-on`` is the canonical active-phase
   scenario every speedup claim refers to.
-* ``e2e/*`` — a complete :func:`simulate_scenario` run (engine, tracing and
-  completion handling included), normalized by its own step count.
+* ``e2e/*`` — a complete :func:`simulate_scenario` run (control plane,
+  tracing and completion handling included), normalized by its own step
+  count.
   ``e2e/tiny-hdd-sync-on@telemetry`` is the same run inside a telemetry
   session.
 * ``batched/*`` (optional) — the same kernel loop as ``active``, advancing
@@ -176,20 +177,18 @@ def _build_started_batch(batch_size: int, spec: BenchScenario = _BATCHED_SPEC):
     batch = BatchSimulator(scenarios)
     for member in batch.members:
         for index in range(len(member.sim.state.applications)):
-            member.sim.start_application(member.engine, index)
+            member.sim.start_application(index, member.t0)
     return batch
 
 
 def _step_active(batch) -> None:
-    """``ACTIVE_STEPS`` kernel steps with no engine in the loop."""
+    """``ACTIVE_STEPS`` kernel steps with no control plane in the loop
+    (issues are not measured)."""
     stepper = batch.stepper
     clock = batch.clock
     for _ in range(ACTIVE_STEPS):
         np.add(clock, batch.steps, out=clock)
         stepper.step_batch(clock)
-        for member in batch.members:
-            # Advance by hand; issues are not measured.
-            member.engine._now = float(clock[member.index])
 
 
 def _measure_batched(

@@ -1,10 +1,10 @@
 """Discrete-event simulation substrate.
 
-This subpackage contains the generic machinery that the I/O-path model in
-:mod:`repro.model` is built on:
+This subpackage contains the generic machinery that the models in
+:mod:`repro.model` are built on:
 
-* :mod:`repro.sim.engine` — the event heap and simulation clock (a run's
-  control plane: application starts, next issues, trace sampling),
+* :mod:`repro.sim.engine` — the event heap and simulation clock (the local
+  write model of Table I runs on it),
 * :mod:`repro.sim.events` — event records and priorities,
 * :mod:`repro.sim.rng` — reproducible, named random streams,
 * :mod:`repro.sim.timeseries` — compact time-series storage,

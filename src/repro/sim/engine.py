@@ -14,16 +14,16 @@ Two runs with the same configuration and seeds execute exactly the same event
 sequence: ties are broken by an insertion counter, and callbacks are never
 compared or hashed for ordering.
 
-The I/O-path model (:mod:`repro.model`) uses the engine for application phase
-starts, operation issues and trace sampling; unit tests exercise it as a
-general-purpose DES kernel.
+Table I's local write model (:mod:`repro.model.local`) runs on the engine;
+unit tests exercise it as a general-purpose DES kernel.  The I/O-path model
+runs no engine: its control plane is data (:mod:`repro.model.simulator`).
 """
 
 from __future__ import annotations
 
 import heapq
 import weakref
-from typing import Any, Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.events import Event, EventPriority
@@ -110,11 +110,6 @@ class Simulator:
         return len(self._heap)
 
     @property
-    def is_running(self) -> bool:
-        """True while :meth:`run` is executing callbacks."""
-        return self._running
-
-    @property
     def stop_reason(self) -> Optional[str]:
         """Reason given to :meth:`stop`, if the run was stopped early."""
         return self._stop_reason
@@ -138,7 +133,6 @@ class Simulator:
         *,
         priority: EventPriority = EventPriority.NORMAL,
         label: str = "",
-        payload: Any = None,
     ) -> Event:
         """Schedule ``callback`` at absolute simulated ``time``.
 
@@ -166,7 +160,6 @@ class Simulator:
             seq=self._seq,
             callback=callback,
             label=label,
-            payload=payload,
             on_cancel=self._on_cancel,
         )
         self._seq += 1
@@ -181,18 +174,11 @@ class Simulator:
         *,
         priority: EventPriority = EventPriority.NORMAL,
         label: str = "",
-        payload: Any = None,
     ) -> Event:
         """Schedule ``callback`` after ``delay`` seconds of simulated time."""
         if delay < 0:
             raise SchedulingError(f"negative delay {delay!r} for event {label!r}")
-        return self.schedule(
-            self._now + float(delay),
-            callback,
-            priority=priority,
-            label=label,
-            payload=payload,
-        )
+        return self.schedule(self._now + float(delay), callback, priority=priority, label=label)
 
     def schedule_periodic(
         self,
@@ -254,7 +240,6 @@ class Simulator:
         until: Optional[float] = None,
         *,
         max_events: Optional[int] = None,
-        until_priority: Optional[EventPriority] = None,
     ) -> float:
         """Run until the queue is empty, ``until`` is reached, or stopped.
 
@@ -263,12 +248,6 @@ class Simulator:
         until:
             If given, stop once the next event would be strictly after
             ``until`` and advance the clock to ``until``.
-        until_priority:
-            With ``until``: events *at* ``until`` run only when their priority
-            is below this tier.  ``run(t, until_priority=NORMAL)`` executes
-            exactly what precedes a NORMAL event at ``t`` — where the model
-            drivers place a fixed-cadence step — and leaves the rest for
-            later.
         max_events:
             Safety valve; raise :class:`~repro.errors.SimulationError` if more
             than this many events execute (guards against run-away periodic
@@ -296,16 +275,8 @@ class Simulator:
                 self._settle_head()
                 if not self._heap:
                     break
-                head = self._heap[0][1]
-                next_time = head.time
-                if until is not None and (
-                    next_time > until
-                    or (
-                        next_time == until
-                        and until_priority is not None
-                        and head.priority >= until_priority
-                    )
-                ):
+                next_time = self._heap[0][1].time
+                if until is not None and next_time > until:
                     self._now = float(until)
                     break
                 if self._horizon is not None and next_time > self._horizon:
@@ -320,8 +291,6 @@ class Simulator:
                         f"executed more than max_events={max_events} events; "
                         "likely a run-away periodic event"
                     )
-            else:  # pragma: no cover - unreachable
-                pass
             if until is not None and not self._stopped and self._now < until:
                 # Queue drained before reaching `until`.
                 self._now = float(until)

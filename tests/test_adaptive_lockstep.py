@@ -1,10 +1,10 @@
 """The per-tick rule of an adaptive member on the lockstep loop.
 
 An adaptive member of a bucket picks its own step end every tick
-(:mod:`repro.model.batch`): its engine runs the events that precede a
-NORMAL-priority event at its pending step end, and a control event (an
-application start or an operation issue) that would land inside a
-longer-than-base step ends the step at its own time instead (a catch-up),
+(:mod:`repro.model.batch`): it runs the actions that precede a step at its
+pending step end, and a CONTROL action (an application start or a
+collective issue) that would land inside a longer-than-base step ends the
+step at its own time instead (a catch-up),
 after which the member takes one base step.  Its clock is assigned its step
 end, and its buffer-pressure statistics weigh each step ``dt / base`` on its
 own servers, so a fixed member beside it still counts exactly one per step.
@@ -19,9 +19,7 @@ from hypothesis import strategies as st
 from repro.config.control import SteppingPolicy
 from repro.config.presets import make_scenario
 from repro.model.batch import BatchedStepper, BatchSimulator
-from repro.model.simulator import IOPathSimulator, simulate_scenario
-from repro.sim.engine import Simulator
-from repro.sim.events import EventPriority
+from repro.model.simulator import CONTROL, IOPathSimulator, simulate_scenario
 
 #: Relative slack of the "longer than a base step" test in the driver.
 _LONG = 1.0 + 1e-12
@@ -32,16 +30,16 @@ def _traced_run(members):
 
     Returns the batch, its results, every member's steps as ``(start, end)``
     pairs of its own clock, and the times of the CONTROL events each
-    member's engine ran.
+    member took.
     """
     batch = BatchSimulator(members)
     steps = [[] for _ in batch.members]
     controls = [[] for _ in batch.members]
     position = {id(m): k for k, m in enumerate(batch.members)}
-    engine_of = {id(m.engine): k for k, m in enumerate(batch.members)}
+    sim_of = {id(m.sim): k for k, m in enumerate(batch.members)}
     clock = {k: m.t0 for k, m in enumerate(batch.members)}
     step_batch = BatchedStepper.step_batch
-    engine_step = Simulator.step
+    run_action = IOPathSimulator.run_action
 
     def recording_step_batch(self, now):
         for member in self._members:
@@ -51,14 +49,13 @@ def _traced_run(members):
             clock[k] = end
         return step_batch(self, now)
 
-    def recording_engine_step(self):
-        head = self.peek_next()
-        if head is not None and head.priority == EventPriority.CONTROL:
-            controls[engine_of[id(self)]].append(head.time)
-        return engine_step(self)
+    def recording_run_action(self, action):
+        if action[1] == CONTROL:
+            controls[sim_of[id(self)]].append(action[0])
+        return run_action(self, action)
 
     with mock.patch.object(BatchedStepper, "step_batch", recording_step_batch), \
-            mock.patch.object(Simulator, "step", recording_engine_step):
+            mock.patch.object(IOPathSimulator, "run_action", recording_run_action):
         results = batch.run()
     return batch, results, steps, controls
 
@@ -91,7 +88,7 @@ class TestStepEnds:
         assert end == 5.0 + base
 
     def test_first_step_is_a_base_step(self):
-        """The first control event sits at the start anchor, so it runs at
+        """The first control action sits at the start anchor, so it runs at
         once and anchors the first step a base step after it."""
         batch, _, steps, _ = _traced_run(_mixed_pair(-2.0))
         member = batch.members[1]
@@ -100,7 +97,7 @@ class TestStepEnds:
     @given(delay=st.floats(min_value=-3.0, max_value=6.0, allow_nan=False))
     @settings(max_examples=5, deadline=None)
     def test_no_long_step_spans_a_control_event(self, delay):
-        """Every control event of an adaptive member lands on the end of a
+        """Every control action of an adaptive member lands on the end of a
         longer-than-base step or inside a base-length one."""
         batch, _, steps, controls = _traced_run(_mixed_pair(delay))
         base = batch.members[1].sim.step_size

@@ -147,7 +147,7 @@ class TestRefill:
     def test_finished_simulator_is_freed_before_the_bucket_ends(self, monkeypatch):
         """With the cyclic garbage collector off, a finished run's simulator
         is gone by the next compaction: the queue keeps its result and its
-        engine counters only."""
+        action counts only."""
         scenarios = [make_scenario("tiny", delay=d) for d in (-0.3, 0.3, 0.0)]
         batch = BatchSimulator(scenarios, lanes=2 * TINY_LANES)
         refs = [weakref.ref(m.sim) for m in batch.members if m.sim is not None]
@@ -171,8 +171,10 @@ class TestRefill:
         # The first compaction follows the first retirement, while the
         # other runs still step.
         assert freed and freed[0].count(True) == 1
-        assert all(m.sim is None and m.engine is None for m in batch.members)
-        assert all(m.stats["engine.events.processed"] > 0 for m in batch.members)
+        assert all(m.sim is None for m in batch.members)
+        assert all(m.stats["control.starts"] == 2 for m in batch.members)
+        # Every layout left the operation table with its last user.
+        assert len(batch.operations) == 0
         assert [r.n_steps > 0 for r in results] == [True] * 3
 
     @pytest.mark.parametrize("change", ["transport", "server"])

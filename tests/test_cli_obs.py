@@ -90,7 +90,7 @@ class TestObsSummary:
         assert "telemetry summary" in out
         assert "utilization" in out
         assert "step phases" in out
-        assert "engine.events.processed" in out
+        assert "control.starts" in out
 
     def test_summary_on_plain_run_fails_cleanly(self, tmp_path, capsys):
         assert main(["obs", "summary", str(tmp_path)]) == 1

@@ -1,9 +1,9 @@
 """The flat control plane: vectorized issue, striping, completion and driver.
 
 The model's control plane — issuing operations, detecting completions,
-stepping the batched members' engines — runs as array code over every
-process and application at once.  These tests pin each vectorized piece to
-the per-element computation it replaces, bit for bit.
+running the batched members' control actions — runs as array code over
+every process and application at once.  These tests pin each vectorized
+piece to the per-element computation it replaces, bit for bit.
 """
 
 from unittest import mock
@@ -22,8 +22,6 @@ from repro.obs.telemetry import telemetry_session
 from repro.pfs import striping
 from repro.pfs.striping import extent_to_server_bytes, extents_to_server_matrix
 from repro.scenarios.spec import build_scenario
-from repro.sim.engine import Simulator
-from repro.sim.events import EventPriority
 from repro.sim.rng import RandomStreams
 from repro.sim.tracing import TraceConfig
 from repro.workload.patterns import pattern_extents, request_extents
@@ -126,37 +124,27 @@ class TestVectorizedIssue:
             assert _segment_sums(values, counts).tolist() == expected
 
 
-class TestEngineUntilPriority:
-    def test_runs_only_what_precedes_the_tier_at_until(self):
-        sim = Simulator()
-        fired = []
-        for t, prio in ((0.5, EventPriority.OBSERVE), (1.0, EventPriority.CONTROL),
-                        (1.0, EventPriority.OBSERVE), (1.5, EventPriority.CONTROL)):
-            sim.schedule(t, lambda s, t=t, p=prio: fired.append((t, p)), priority=prio)
-        assert sim.run(until=1.0, until_priority=EventPriority.NORMAL) == 1.0
-        assert fired == [(0.5, EventPriority.OBSERVE), (1.0, EventPriority.CONTROL)]
-        sim.run(until=2.0)
-        assert fired[2:] == [(1.0, EventPriority.OBSERVE), (1.5, EventPriority.CONTROL)]
-
-
 class TestBatchDriver:
-    def test_engines_run_control_events_only(self):
-        """Steps are not engine events, alone or batched: each engine
-        processes exactly its control-plane events (starts and issues)."""
+    def test_members_take_control_actions_only(self):
+        """Steps are not control actions, alone or batched: each member
+        takes exactly its starts, issues and samples."""
         scenarios = [make_scenario("tiny", seed=seed) for seed in (1, 2)]
         alone = []
         for scenario in scenarios:
             with telemetry_session("alone") as session:
                 result = simulate_scenario(scenario)
                 counters = session.snapshot()["counters"]
-            assert counters["engine.events.processed"] < result.n_steps
-            alone.append(counters["engine.events.processed"])
+            actions = {k: v for k, v in counters.items() if k.startswith("control.")}
+            assert actions["control.starts"] == len(scenario.applications)
+            assert sum(actions.values()) < result.n_steps
+            assert "engine.events.processed" not in counters
+            alone.append(actions)
         batch = BatchSimulator(scenarios)
         batch.run()
-        assert [m.engine.events_processed for m in batch.members] == alone
+        assert [m.stats for m in batch.members] == alone
 
     def test_trace_sampling_members_match_alone(self):
-        """Members whose engines fire every step (full trace sampling) still
+        """Members that sample every step (full trace sampling) still
         observe post-step state exactly as alone."""
         scenarios = [
             make_scenario("tiny", seed=seed, trace=TraceConfig.full(sample_period=0.02))

@@ -37,6 +37,7 @@ def build_document(cache_hits=2, jobs=2.0):
     t.count("step.phase.offer.ns", 1e9)
     t.count("step.phase.offer.calls", 50)
     t.count("engine.events.processed", 7)
+    t.count("control.starts", 4)
     return t.to_document(run_id="run")
 
 
@@ -159,6 +160,7 @@ class TestSummarizeDocument:
         assert "2/4 hits (50.0%)" in report
         assert "drain" in report and "offer" in report
         assert "engine.events.processed" in report
+        assert "control plane\n  control.starts" in report
 
     def test_batching_reports_requests_and_repeats(self):
         t = Telemetry(label="repeats")

@@ -19,11 +19,9 @@ from repro.model.stepper import ModelStepper, StepWorkspace
 
 def step(batch):
     """Advance the member clocks by hand and step the kernel once (no
-    engine events run)."""
+    control actions run)."""
     np.add(batch.clock, batch.steps, out=batch.clock)
     batch.stepper.step_batch(batch.clock)
-    for member in batch.members:
-        member.engine._now = float(batch.clock[member.index])
 
 
 def contended_batch(n_warmup_steps: int = 40, scale: str = "tiny"):
@@ -33,7 +31,7 @@ def contended_batch(n_warmup_steps: int = 40, scale: str = "tiny"):
     batch = BatchSimulator([scenario])
     member = batch.members[0]
     for index in range(len(member.sim.state.applications)):
-        member.sim.start_application(member.engine, index)
+        member.sim.start_application(index, member.t0)
     for _ in range(n_warmup_steps):
         step(batch)
     return batch

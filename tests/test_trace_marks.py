@@ -8,12 +8,14 @@ one instant, a negative delay, a collective issue that lands between two
 step instants, and a trace sample between a start and the next step.  Each
 case runs under fixed and adaptive stepping; the digests were recorded
 before the control plane became arrays, and every case also matches its
-run inside a bucket with the others.
+run inside a bucket with the others.  Whole recordings of fully traced
+runs (window, progress and server series too) are pinned the same way.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -88,6 +90,35 @@ def test_marks_are_pinned_alone_and_in_a_bucket(policy):
     assert alone == PINNED[policy]
     batched = BatchSimulator(list(cases.values())).run()
     assert {name: _digest(r) for name, r in zip(cases, batched)} == alone
+
+
+#: Digests of the whole recording (every series and mark) of fully traced
+#: runs, fixed then adaptive.
+PINNED_RECORDINGS = [
+    "de6ff7d36b76", "59438374de02", "e1dfce9d075e", "06cd808151cd",
+    "443d4c63a6fb", "4e3f2af136de", "135b4e5c0cb6", "06cd808151cd",
+]
+
+
+def test_full_recordings_are_pinned():
+    digests = []
+    for stepping in (None, SteppingPolicy.adaptive()):
+        for scenario in (
+            make_scenario("tiny", delay=0.013, stepping=stepping,
+                          trace=TraceConfig.full(sample_period=0.0071)),
+            make_scenario("tiny", delay=-0.2, request_size=2 * units.MiB,
+                          stepping=stepping, trace=TraceConfig.full(sample_period=0.02)),
+            build_scenario(["streaming", "incast"], "tiny", delay=0.05, stepping=stepping,
+                           trace=TraceConfig.full(sample_period=0.013)).scenario,
+            # Every other step instant is a sample instant: the sample sees
+            # the state after that step.
+            make_scenario("tiny", delay=0.02, step=2.0 ** -8, stepping=stepping,
+                          trace=TraceConfig.full(sample_period=2.0 ** -7)),
+        ):
+            recording = simulate_scenario(scenario).recorder.to_dict()
+            digests.append(hashlib.sha256(
+                json.dumps(recording, sort_keys=True).encode()).hexdigest()[:12])
+    assert digests == PINNED_RECORDINGS
 
 
 def test_cases_record_the_marks_they_are_about():

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro import units
 from repro.config.server import ServerConfig
@@ -159,3 +159,10 @@ class FileSystemConfig:
             f"{units.bytes_to_human(self.stripe_size)}, {self.sync_mode.label}, "
             f"backend {self.device.name}"
         )
+
+
+def _coerce_optional(value: Optional[Sequence[int]]) -> Optional[Tuple[int, ...]]:
+    """Normalize an optional sequence of server indices (helper for callers)."""
+    if value is None:
+        return None
+    return tuple(int(v) for v in value)

@@ -21,7 +21,7 @@ writers per node, network, delay, targeted servers).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple, Union
 
 from repro import units
@@ -505,3 +505,15 @@ def make_multi_app_scenario(
         control=base.control,
         label=label or f"{base.label}/x{n_apps}",
     )
+
+
+def scaled_preset(base: ScalePreset, **overrides) -> ScalePreset:
+    """Return a copy of ``base`` with the given fields replaced."""
+    return replace(base, **overrides)
+
+
+def _as_tuple(values: Optional[Sequence[int]]) -> Optional[Tuple[int, ...]]:
+    """Internal helper to normalize optional index sequences."""
+    if values is None:
+        return None
+    return tuple(int(v) for v in values)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
+from repro import units
 from repro.core.delta import DeltaSweep
 
 __all__ = [
@@ -112,3 +113,8 @@ def format_comparison(
     for label, row in rows.items():
         table_rows.append([label] + [row.get(col, float("nan")) for col in columns])
     return format_table(headers, table_rows, title=title)
+
+
+def human_bytes(value: float) -> str:
+    """Convenience re-export of :func:`repro.units.bytes_to_human`."""
+    return units.bytes_to_human(value)

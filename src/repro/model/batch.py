@@ -310,7 +310,7 @@ _LANE_ARRAYS = (
     ("topology", "srv", ("_server_busy", "_server_transferred")),
     (None, "conn", ("send_remaining", "frag_size")),
     (None, "srv", ("last_drain_rate", "last_admission_rate")),
-    (None, "app", ("app_phase", "app_start_at", "app_issue_at", "app_issue_seq")),
+    (None, "app", ("app_phase",)),
     (None, "proc", ("proc_current_op", "proc_next_issue")),
 )
 

@@ -52,6 +52,11 @@ class LocalWriteResult:
         """Mean write time across applications."""
         return float(np.mean(self.write_times))
 
+    @property
+    def max_write_time(self) -> float:
+        """Slowest application's write time."""
+        return float(np.max(self.write_times))
+
     def slowdown_versus(self, alone: "LocalWriteResult") -> float:
         """Slowdown of this run relative to an interference-free run."""
         if alone.mean_write_time <= 0:

@@ -300,17 +300,24 @@ class ModelState:
         # Collapse statistics per application (Incast detection).
         self.collapses_per_app = np.zeros(self.n_apps, dtype=np.int64)
 
-        # Traced connections (window figures): the first ranks of each app,
-        # each to the app's first server.
+        # Traced connections (window figures): first connection of each app.
         limit = self.recorder.config.window_connection_limit
         self.traced_connections: Dict[int, str] = {}
-        if self.recorder.config.record_windows:
+        if self.recorder.config.record_windows and limit > 0:
             for app in self.applications:
-                for rank in range(min(limit, app.n_processes)):
-                    conn = self.app_conn_start[app.index] + rank * len(app.servers)
-                    self.traced_connections[conn] = (
-                        f"window.{app.name}.rank{rank}.server{app.servers[0]}"
-                    )
+                ids = app.proc_ids()
+                count = 0
+                for proc in ids[: max(limit, 1)]:
+                    for server in app.servers[:1]:
+                        conn = int(self.conn_matrix[proc, server])
+                        if conn >= 0:
+                            self.traced_connections[conn] = (
+                                f"window.{app.name}.rank{int(proc - app.first_proc_id)}"
+                                f".server{int(server)}"
+                            )
+                            count += 1
+                    if count >= limit:
+                        break
 
     # ------------------------------------------------------------------ #
     # Operation issue

@@ -381,3 +381,7 @@ class WindowState:
     def total_collapses(self) -> int:
         """Total number of timeout collapses across all connections."""
         return int(self.collapse_count.sum())
+
+    def window_snapshot(self) -> np.ndarray:
+        """Copy of the current window sizes (bytes)."""
+        return self.cwnd.copy()

@@ -23,6 +23,7 @@ bit for bit equal to one :class:`PVFSServer` per server.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro import units
 from repro.config.filesystem import SyncMode
@@ -208,3 +209,8 @@ class PVFSServer:
             f"ingest {units.bandwidth_to_human(self.config.ingest_bw)}, "
             f"buffer {units.bytes_to_human(self.config.buffer_bytes)}"
         )
+
+
+def _optional_float(value: Optional[float], default: float) -> float:
+    """Small helper for optional numeric parameters."""
+    return default if value is None else float(value)

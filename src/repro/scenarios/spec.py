@@ -177,6 +177,10 @@ class BuiltScenario:
     specs: Tuple[ScenarioSpec, ...]
     groups: Tuple[Tuple[str, ...], ...] = field(default_factory=tuple)
 
+    def group_for(self, index: int) -> Tuple[str, ...]:
+        """Application names of the ``index``-th spec."""
+        return self.groups[index]
+
 
 def build_scenario(
     specs: Sequence[Union[str, ScenarioSpec]],

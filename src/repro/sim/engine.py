@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import weakref
-from typing import Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.events import Event, EventPriority
@@ -110,6 +110,11 @@ class Simulator:
         return len(self._heap)
 
     @property
+    def is_running(self) -> bool:
+        """True while :meth:`run` is executing callbacks."""
+        return self._running
+
+    @property
     def stop_reason(self) -> Optional[str]:
         """Reason given to :meth:`stop`, if the run was stopped early."""
         return self._stop_reason
@@ -133,6 +138,7 @@ class Simulator:
         *,
         priority: EventPriority = EventPriority.NORMAL,
         label: str = "",
+        payload: Any = None,
     ) -> Event:
         """Schedule ``callback`` at absolute simulated ``time``.
 
@@ -160,6 +166,7 @@ class Simulator:
             seq=self._seq,
             callback=callback,
             label=label,
+            payload=payload,
             on_cancel=self._on_cancel,
         )
         self._seq += 1
@@ -174,11 +181,18 @@ class Simulator:
         *,
         priority: EventPriority = EventPriority.NORMAL,
         label: str = "",
+        payload: Any = None,
     ) -> Event:
         """Schedule ``callback`` after ``delay`` seconds of simulated time."""
         if delay < 0:
             raise SchedulingError(f"negative delay {delay!r} for event {label!r}")
-        return self.schedule(self._now + float(delay), callback, priority=priority, label=label)
+        return self.schedule(
+            self._now + float(delay),
+            callback,
+            priority=priority,
+            label=label,
+            payload=payload,
+        )
 
     def schedule_periodic(
         self,
@@ -240,6 +254,7 @@ class Simulator:
         until: Optional[float] = None,
         *,
         max_events: Optional[int] = None,
+        until_priority: Optional[EventPriority] = None,
     ) -> float:
         """Run until the queue is empty, ``until`` is reached, or stopped.
 
@@ -248,6 +263,11 @@ class Simulator:
         until:
             If given, stop once the next event would be strictly after
             ``until`` and advance the clock to ``until``.
+        until_priority:
+            With ``until``: events *at* ``until`` run only when their priority
+            is below this tier.  ``run(t, until_priority=NORMAL)`` executes
+            exactly what precedes a NORMAL event at ``t`` and leaves the
+            rest for later.
         max_events:
             Safety valve; raise :class:`~repro.errors.SimulationError` if more
             than this many events execute (guards against run-away periodic
@@ -275,8 +295,16 @@ class Simulator:
                 self._settle_head()
                 if not self._heap:
                     break
-                next_time = self._heap[0][1].time
-                if until is not None and next_time > until:
+                head = self._heap[0][1]
+                next_time = head.time
+                if until is not None and (
+                    next_time > until
+                    or (
+                        next_time == until
+                        and until_priority is not None
+                        and head.priority >= until_priority
+                    )
+                ):
                     self._now = float(until)
                     break
                 if self._horizon is not None and next_time > self._horizon:
@@ -291,6 +319,8 @@ class Simulator:
                         f"executed more than max_events={max_events} events; "
                         "likely a run-away periodic event"
                     )
+            else:  # pragma: no cover - unreachable
+                pass
             if until is not None and not self._stopped and self._now < until:
                 # Queue drained before reaching `until`.
                 self._now = float(until)

@@ -1,8 +1,8 @@
 """Event records used by the discrete-event engine.
 
 Events are intentionally tiny: a time, a priority, an insertion sequence
-number (for deterministic FIFO tie-breaking) and a callback.  The engine
-orders events by ``(time, priority, sequence)``.
+number (for deterministic FIFO tie-breaking), a callback, and an optional
+payload.  The engine orders events by ``(time, priority, sequence)``.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ class EventPriority(enum.IntEnum):
     NORMAL = 10
     #: Observation-only events: trace sampling, progress reporting.
     OBSERVE = 20
+    #: Last-resort events: watchdogs, horizon checks.
+    LAST = 30
 
 
 @dataclass(order=False)
@@ -49,6 +51,8 @@ class Event:
         Callable invoked as ``callback(simulator)`` when the event fires.
     label:
         Optional human-readable tag used in traces and error messages.
+    payload:
+        Optional arbitrary data attached to the event.
     cancelled:
         Cancelled events stay in the heap but are skipped when popped (the
         engine compacts the heap when cancelled entries dominate it).
@@ -59,6 +63,7 @@ class Event:
     seq: int
     callback: Callable[[Any], None]
     label: str = ""
+    payload: Optional[Any] = None
     cancelled: bool = field(default=False, compare=False)
     #: Set by the engine at scheduling time so it can keep an O(1) count of
     #: cancelled-but-still-heaped events (the compaction trigger).

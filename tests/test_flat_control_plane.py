@@ -22,6 +22,8 @@ from repro.obs.telemetry import telemetry_session
 from repro.pfs import striping
 from repro.pfs.striping import extent_to_server_bytes, extents_to_server_matrix
 from repro.scenarios.spec import build_scenario
+from repro.sim.engine import Simulator
+from repro.sim.events import EventPriority
 from repro.sim.rng import RandomStreams
 from repro.sim.tracing import TraceConfig
 from repro.workload.patterns import pattern_extents, request_extents
@@ -122,6 +124,19 @@ class TestVectorizedIssue:
             ends = np.cumsum(counts)
             expected = [values[e - c:e].sum() for c, e in zip(counts, ends)]
             assert _segment_sums(values, counts).tolist() == expected
+
+
+class TestEngineUntilPriority:
+    def test_runs_only_what_precedes_the_tier_at_until(self):
+        sim = Simulator()
+        fired = []
+        for t, prio in ((0.5, EventPriority.OBSERVE), (1.0, EventPriority.CONTROL),
+                        (1.0, EventPriority.OBSERVE), (1.5, EventPriority.CONTROL)):
+            sim.schedule(t, lambda s, t=t, p=prio: fired.append((t, p)), priority=prio)
+        assert sim.run(until=1.0, until_priority=EventPriority.NORMAL) == 1.0
+        assert fired == [(0.5, EventPriority.OBSERVE), (1.0, EventPriority.CONTROL)]
+        sim.run(until=2.0)
+        assert fired[2:] == [(1.0, EventPriority.OBSERVE), (1.5, EventPriority.CONTROL)]
 
 
 class TestBatchDriver:

@@ -31,10 +31,11 @@ construction rather than by tolerance:
 * ``bincount`` accumulates per bin in input order, and each member's
   connections occupy a contiguous flat range in their original relative
   order, so per-bin partial-sum order is unchanged;
-* the admission water-filling operates row-per-server on a ``(B*S, k)``
-  matrix; row reductions only combine elements of one member's server, and
-  dead rows are frozen exactly (``take[~live] = 0.0``), so extra iterations
-  driven by *other* members' rows are exact no-ops;
+* the admission water-filling runs row-per-server on each width class's
+  ``(m, w)`` matrix, every row at its server's true width and connection
+  order; a row reduction combines one member's server only, and each pass
+  works on the over-subscribed rows still live (a row that takes nothing
+  in a pass takes nothing later), so other members' rows never change it;
 * RNG draw order is preserved per member: the burst-escape gate draws from
   each member's own admission stream, and ``WindowState.update`` receives
   ``rng_sites`` so hazard draws and collapse jitter come from each member's
@@ -122,13 +123,13 @@ the window dynamics, the buffer capacity and the server laws' shared
 terms).  Everything else is per lane: device, sync mode, stripe size,
 server and client counts, NIC rates, RTT and node injection rate.
 Connection counts and per-server group sizes are free to differ too — the
-admission water-filling pads ragged groups into width classes
+admission water-filling stacks ragged groups by width class
 (:class:`~repro.network.incast.ServerBuffers`), and ``batch.padded_slots``
-accounts the masked waste — and so are steps, stepping policies, start
-anchors and horizons.  :func:`plan_buckets`, the one grouping policy,
-groups scenarios by that key and splits each group into one chunk per
-worker; a scenario without a partner forms a width-1 bucket, which is its
-run alone.  The lane budget is the queue's, not the planner's: at one
+counts the slots a padded layout would leave empty — and so are steps,
+stepping policies, start anchors and horizons.  :func:`plan_buckets`, the
+one grouping policy, groups scenarios by that key and splits each group
+into one chunk per worker; a scenario without a partner forms a width-1
+bucket, which is its run alone.  The lane budget is the queue's, not the planner's: at one
 worker a paper campaign round and the fleet matrix each run as one
 refilled bucket, which pays for its longest run's ticks once.
 :func:`simulate_many` is the front end of every staged computation
@@ -448,7 +449,9 @@ class _BatchedState:
         networks = [m.scenario.platform.network for m in members]
         conn_counts = [st.n_connections for st in states]
         self.conn_rtt = np.repeat([n.rtt for n in networks], conn_counts)
-        self.conn_line_rate = np.repeat([n.client_nic_bw for n in networks], conn_counts)
+        self.node_line_rate = np.repeat(
+            [n.client_nic_bw for n in networks], [st.topology.n_client_nodes for st in states]
+        )
         self.server_stripe = np.repeat(
             [m.scenario.filesystem.stripe_size for m in members],
             [st.n_servers for st in states],
@@ -534,6 +537,8 @@ class BatchedStepper(ModelStepper):
         ]
         self._app_independent = ~state.app_collective
         self._any_independent = bool(self._app_independent.any())
+        #: Every process's last operation index (exhausted once reached).
+        self._proc_last_op = state.proc_n_ops - 1
         #: Members whose control plane changed in the last step (an
         #: operation completed, an issue was scheduled, a member finished),
         #: in member order; the driver follows up on exactly these.
@@ -556,7 +561,8 @@ class BatchedStepper(ModelStepper):
         ``ws.tmp_bool_a`` (the gated mask computed by :meth:`_phase_offer`).
 
         Every member with a gated connection draws one full-lane ``random``
-        from its own admission stream; its failed connections collapse
+        from its own admission stream; one pass over every lane then finds
+        the gated connections whose draw failed, which collapse
         (``windows.force_timeout``) and offer nothing this step.
 
         Reads:  ``ws.tmp_bool_a`` (gated mask), ``windows.ever_paced``.
@@ -566,36 +572,38 @@ class BatchedStepper(ModelStepper):
         """
         ws = self.workspace
         transport = self._transport
-        if not ws.tmp_bool_a.any():
+        gated = ws.tmp_bool_a
+        if not np.count_nonzero(gated):
             return
-        ever_paced = self.state.windows.ever_paced
-        gated_members = np.logical_or.reduceat(ws.tmp_bool_a, self._conn_starts)
-        for k in np.flatnonzero(gated_members).tolist():
+        for k in np.logical_or.reduceat(gated, self._conn_starts).nonzero()[0].tolist():
+            member = self._members[k]
+            member.sim.admission_rng.random(out=ws.draws[member.conn_sl])
+        # A member that drew nothing keeps stale draws, which its ungated
+        # lanes discard; no member's draw depends on another's collapse.
+        probs = ws.tmp_conn_a
+        probs.fill(transport.burst_escape_probability)
+        np.copyto(probs, transport.burst_reentry_probability,
+                  where=self.state.windows.ever_paced)
+        failed = ws.tmp_bool_b
+        np.greater_equal(ws.draws, probs, out=failed)
+        np.logical_and(gated, failed, out=failed)
+        if not np.count_nonzero(failed):
+            return
+        for k in np.logical_or.reduceat(failed, self._conn_starts).nonzero()[0].tolist():
             member = self._members[k]
             sl = member.conn_sl
-            gated = ws.tmp_bool_a[sl]
-            draws = ws.draws[sl]
-            member.sim.admission_rng.random(out=draws)
-            probs = ws.tmp_conn_a[sl]
-            probs.fill(transport.burst_escape_probability)
-            np.copyto(probs, transport.burst_reentry_probability,
-                      where=ever_paced[sl])
-            failed = ws.tmp_bool_b[sl]
-            np.greater_equal(draws, probs, out=failed)
-            np.logical_and(gated, failed, out=failed)
-            if failed.any():
-                local_idx = np.flatnonzero(failed)
-                mstate = member.sim.state
-                now = float(ctx.now[member.index])
-                mstate.windows.force_timeout(local_idx, now)
-                ws.desired[sl][local_idx] = 0.0
-                mstate.collapses_per_app += np.bincount(
-                    mstate.conn_app[local_idx], minlength=mstate.n_apps
-                )
-                mstate.recorder.mark(
-                    now, "incast", "burst-loss",
-                    data={"count": int(local_idx.size)},
-                )
+            local_idx = failed[sl].nonzero()[0]
+            mstate = member.sim.state
+            now = float(ctx.now[member.index])
+            mstate.windows.force_timeout(local_idx, now)
+            ws.desired[sl][local_idx] = 0.0
+            mstate.collapses_per_app += np.bincount(
+                mstate.conn_app[local_idx], minlength=mstate.n_apps
+            )
+            mstate.recorder.mark(
+                now, "incast", "burst-loss",
+                data={"count": int(local_idx.size)},
+            )
 
     def _phase_window_dynamics(self, ctx: StepContext) -> None:
         """AIMD plus timeout collapse per connection.
@@ -614,7 +622,6 @@ class BatchedStepper(ModelStepper):
             rtt_eff=ctx.rtt_eff,
             oversubscribed=ctx.oversubscribed,
             loss_prone=ctx.loss_prone,
-            collect_stats=False,
             rng_sites=self._rng_sites,
         )
         if update.n_collapsed:
@@ -623,7 +630,7 @@ class BatchedStepper(ModelStepper):
             idx = update.collapsed_indices
             first = np.searchsorted(idx, self._conn_starts)
             counts = np.diff(first, append=idx.shape[0])
-            for k in np.flatnonzero(counts).tolist():
+            for k in counts.nonzero()[0].tolist():
                 member = self._members[k]
                 a = int(first[k])
                 b = a + int(counts[k])
@@ -703,10 +710,10 @@ class BatchedStepper(ModelStepper):
                 state.conn_proc, weights=outstanding, minlength=state.n_processes
             )
             idle = per_proc <= eps
-            exhausted = (state.proc_current_op + 1) >= state.proc_n_ops
-            ready = idle & ~exhausted
+            exhausted = state.proc_current_op >= self._proc_last_op
+            ready = np.greater(idle, exhausted)             # idle & ~exhausted
             ready &= state.proc_next_issue <= now.take(state.proc_member)
-            ready &= independent[state.proc_app]
+            ready &= independent.take(state.proc_app)
             idle &= exhausted
             settled = np.bincount(
                 state.proc_app, weights=idle, minlength=state.n_apps
@@ -716,7 +723,7 @@ class BatchedStepper(ModelStepper):
             changed[state.proc_app[ready]] = True
         if not np.count_nonzero(changed):
             return None
-        return np.flatnonzero(changed), ready, settled
+        return changed.nonzero()[0], ready, settled
 
     # -- the step ------------------------------------------------------- #
 
@@ -725,31 +732,17 @@ class BatchedStepper(ModelStepper):
         clock in ``now``: one float per member, the end of this step."""
         ctx = self._ctx
         ctx.now = now
-        now.take(self.state.conn_member, out=ctx.now_conn)
-        profiler = self.profiler
-        if profiler is None:
-            self._phase_workload_mix(ctx)
-            self._phase_drain(ctx)
-            self._phase_offer(ctx)
-            self._phase_admission(ctx)
-            self._phase_window_dynamics(ctx)
-            self._phase_accounting(ctx)
-            self._phase_completion(ctx)
+        now.take(self.state.conn_member, out=ctx.now_conn, mode="clip")
+        if self.profiler is not None:
+            self.profiler.step(self, ctx)
             return
-        with profiler.phase("workload_mix"):
-            self._phase_workload_mix(ctx)
-        with profiler.phase("drain"):
-            self._phase_drain(ctx)
-        with profiler.phase("offer"):
-            self._phase_offer(ctx)
-        with profiler.phase("admission"):
-            self._phase_admission(ctx)
-        with profiler.phase("window_dynamics"):
-            self._phase_window_dynamics(ctx)
-        with profiler.phase("accounting"):
-            self._phase_accounting(ctx)
-        with profiler.phase("completion"):
-            self._phase_completion(ctx)
+        self._phase_workload_mix(ctx)
+        self._phase_drain(ctx)
+        self._phase_offer(ctx)
+        self._phase_admission(ctx)
+        self._phase_window_dynamics(ctx)
+        self._phase_accounting(ctx)
+        self._phase_completion(ctx)
 
 
 # ---------------------------------------------------------------------- #
@@ -981,8 +974,8 @@ class BatchSimulator:
             for member, end in zip(adaptive, ends):
                 clock[member.index] = end
             np.greater_equal(clock, alarm, out=ringing)
-            if ringing.any():
-                self._run_control_plane(np.flatnonzero(ringing))
+            if np.count_nonzero(ringing):
+                self._run_control_plane(ringing.nonzero()[0])
             stepper.step_batch(clock)
             self.n_batch_steps += 1
             self.n_lane_steps += width

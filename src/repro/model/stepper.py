@@ -11,9 +11,10 @@ Each step of length ``dt`` runs seven vectorized sub-phases, in order:
 3. **Offer** — every connection offers up to a congestion-window-limited
    number of bytes, further capped by its node's injection bandwidth.
 4. **Admission** — the server buffers accept offered bytes into the space
-   available; when oversubscribed, admission happens in a weighted random
-   order in which established connections tend to win and newcomers may get
-   nothing (the Incast race).
+   available; a server whose offers fit admits them whole, an
+   oversubscribed one shares its room out in proportion to what each
+   connection offers (water-filling, unit weights).  The Incast race itself
+   is the offer phase's burst-escape gate and the window dynamics.
 5. **Window dynamics** — AIMD plus timeout collapse per connection.
 6. **Accounting** — link utilization and buffer pressure.
 7. **Completion** — collective operations complete when every fragment of
@@ -56,7 +57,10 @@ phase contract to memory:
 
 ``tests/test_stepper_workspace.py`` asserts the first rule mechanically by
 snapshotting owned slots after their phase and diffing after every later
-phase.
+phase.  Gathers into a slot use ``take(..., out=slot, mode="clip")``: with
+the default ``mode="raise"`` NumPy buffers the output of a ``take`` with
+``out=``, and the kernel's index maps are in range by construction, so
+``"clip"`` gathers the same values without the buffer.
 """
 
 from __future__ import annotations
@@ -109,6 +113,7 @@ class StepContext:
 
     #: Phase 2 — drain capacity.
     drain_rate: Optional[np.ndarray] = None    #: per-server drain bandwidth (B/s)
+    law: Optional[object] = None               #: the step's server drain law
 
     #: Phase 3 — offered load.
     rtt_eff: Optional[np.ndarray] = None       #: per-conn effective RTT (s)
@@ -134,7 +139,7 @@ class StepWorkspace:
     PHASE_SLOTS = {
         "workload_mix": ("outstanding", "busy", "busy_f", "n_active",
                          "n_streams", "n_streams_f", "avg_frag"),
-        "drain": ("sending", "drain_rate"),
+        "drain": ("sending", "n_ready", "drain_rate"),
         "offer": ("rtt_eff", "potential", "desired", "active", "loss_prone",
                   "draws"),
         "admission": (),
@@ -144,7 +149,7 @@ class StepWorkspace:
 
     #: Scratch slots: intra-phase intermediates, clobbered freely.
     SCRATCH_SLOTS = (
-        "tmp_conn_a", "tmp_conn_b", "tmp_conn_c", "tmp_conn_d",
+        "tmp_conn_a", "tmp_conn_b", "tmp_conn_c",
         "tmp_bool_a", "tmp_bool_b", "tmp_bool_c",
         "tmp_srv_a", "tmp_srv_b", "tmp_srv_bool",
         "tmp_node_a", "tmp_node_b", "tmp_node_mask",
@@ -165,6 +170,7 @@ class StepWorkspace:
         self.avg_frag = srv_f()
         # Phase 2 — drain capacity.
         self.sending = conn_b()
+        self.n_ready = srv_f()
         self.drain_rate = srv_f()
         # Phase 3 — offered load.
         self.rtt_eff = conn_f()
@@ -181,7 +187,6 @@ class StepWorkspace:
         self.tmp_conn_a = conn_f()
         self.tmp_conn_b = conn_f()
         self.tmp_conn_c = conn_f()
-        self.tmp_conn_d = conn_f()
         self.tmp_bool_a = conn_b()
         self.tmp_bool_b = conn_b()
         self.tmp_bool_c = conn_b()
@@ -216,7 +221,7 @@ class ModelStepper:
         self._base_rtt = state.conn_rtt
         self._node_caps = state.topology.node_capacities()
         self._server_nic = state.topology.server_capacities()
-        self._client_line_rate = state.conn_line_rate
+        self._node_line_rate = state.node_line_rate
         #: Time each member has observed (its steps summed, in order);
         #: stamped on the member's servers and links when it finishes.
         self.observed_time = np.zeros(state.n_members, dtype=np.float64)
@@ -271,9 +276,9 @@ class ModelStepper:
         ctx.dt[:] = dt
         if not (ctx.dt > 0).all():
             raise SimulationError("dt must be positive")
-        ctx.dt.take(state.conn_member, out=ctx.dt_conn)
-        ctx.dt.take(state.server_member, out=ctx.dt_server)
-        ctx.dt.take(state.node_member, out=ctx.dt_node)
+        ctx.dt.take(state.conn_member, out=ctx.dt_conn, mode="clip")
+        ctx.dt.take(state.server_member, out=ctx.dt_server, mode="clip")
+        ctx.dt.take(state.node_member, out=ctx.dt_node, mode="clip")
         np.multiply(self._node_caps, ctx.dt_node, out=self._node_caps_dt)
         np.multiply(self._server_nic, ctx.dt_server, out=self._server_nic_dt)
 
@@ -322,30 +327,29 @@ class ModelStepper:
         """Compute every server's drain capacity for this step.
 
         Reads:  ``ctx.busy/n_streams/avg_frag``, ``state.windows`` stalls.
-        Writes: ``ctx.drain_rate``, ``state.last_drain_rate`` (workspace
-                slots ``sending``, ``drain_rate``).
+        Writes: ``ctx.drain_rate``, ``ctx.law``, ``state.last_drain_rate``
+                (workspace slots ``sending``, ``n_ready``, ``drain_rate``).
         """
         state = self.state
         ws = self.workspace
-        drain_nominal = state.deployment.drain_rates(ctx.n_streams, ctx.avg_frag)
-        # Stalled fraction per server: busy connections sitting in an RTO.
-        # The denominator is phase 1's busy count (``n_active``); an idle
-        # server has a zero stalled count too, so 0 / max(0, 1) is already
-        # the exact 0.0 a guarded where() would select.
+        ctx.law = law = state.deployment.law(ctx.n_streams, ctx.avg_frag)
+        # Stalled fraction per server: busy connections in an RTO over phase
+        # 1's busy count floored at 1 (``n_streams_f``).  Counts of 0/1 weights
+        # are exact, so the stalled count is the busy count less those able to
+        # send (``n_ready``, among which the offer phase shares the window).
         # (in-place twin of WindowState.sending_allowed — keep in sync)
         np.less_equal(state.windows.stall_until, ctx.now_conn, out=ws.sending)
-        np.logical_not(ws.sending, out=ws.tmp_bool_a)
-        np.multiply(ws.busy_f, ws.tmp_bool_a, out=ws.tmp_conn_a)
-        stalled_count = np.bincount(
+        np.multiply(ws.busy_f, ws.sending, out=ws.tmp_conn_a)
+        ws.n_ready[:] = np.bincount(
             state.conn_server, weights=ws.tmp_conn_a, minlength=self._n_servers
         )
-        np.maximum(ws.n_active, 1.0, out=ws.tmp_srv_a)
-        np.divide(stalled_count, ws.tmp_srv_a, out=ws.tmp_srv_a)
-        # penalty = clip(1 - collapse_penalty * stalled_fraction, 0, 1)
+        np.subtract(ws.n_active, ws.n_ready, out=ws.tmp_srv_a)
+        np.divide(ws.tmp_srv_a, ws.n_streams_f, out=ws.tmp_srv_a)
+        # penalty = 1 - collapse_penalty * stalled_fraction: both factors lie
+        # in [0, 1], so it does too and needs no clamp.
         np.multiply(ws.tmp_srv_a, self._transport.collapse_penalty, out=ws.tmp_srv_a)
         np.subtract(1.0, ws.tmp_srv_a, out=ws.tmp_srv_a)
-        np.clip(ws.tmp_srv_a, 0.0, 1.0, out=ws.tmp_srv_a)
-        np.multiply(drain_nominal, ws.tmp_srv_a, out=ws.drain_rate)
+        np.multiply(law.rates, ws.tmp_srv_a, out=ws.drain_rate)
         np.maximum(ws.drain_rate, 1.0, out=state.last_drain_rate)
         ctx.drain_rate = ws.drain_rate
 
@@ -356,12 +360,17 @@ class ModelStepper:
     def _phase_offer(self, ctx: StepContext) -> None:
         """Window- and source-capped offered bytes, plus the Incast burst gate.
 
-        Reads:  ``ctx.busy/n_streams/drain_rate``, window state, buffers.
+        Reads:  ``ctx.busy/n_streams/drain_rate``, ``ws.n_ready``, window
+                state, buffers.
         Writes: ``ctx.rtt_eff``, ``ctx.desired``, ``ctx.loss_prone``
                 (workspace slots ``rtt_eff``, ``potential``, ``desired``,
                 ``active``, ``loss_prone``, ``draws``); may collapse gated
                 connections (``windows.force_timeout``) and consume RNG draws
                 for the burst-escape gate.
+
+        Shares that are per node or per server are computed there and
+        gathered once: the same operations on the same doubles give each
+        connection the bits a per-connection computation would.
         """
         state = self.state
         ws = self.workspace
@@ -370,10 +379,9 @@ class ModelStepper:
         conn_node = state.conn_node
 
         # Effective RTT: base RTT plus queueing delay at the server (its
-        # buffered bytes over its drain rate, floored at 1e-9 bytes/s).
-        np.maximum(state.last_drain_rate, 1e-9, out=ws.tmp_srv_a)
-        np.divide(state.buffers.fill, ws.tmp_srv_a, out=ws.tmp_srv_a)
-        ws.tmp_srv_a.take(conn_server, out=ws.rtt_eff)
+        # buffered bytes over its drain rate, floored at 1 byte/s).
+        np.divide(state.buffers.fill, state.last_drain_rate, out=ws.tmp_srv_a)
+        ws.tmp_srv_a.take(conn_server, out=ws.rtt_eff, mode="clip")
         np.add(ws.rtt_eff, self._base_rtt, out=ws.rtt_eff)
         # Receiver-advertised window: the clients collectively probe a bit
         # beyond the server buffer (rwnd_overcommit), shared by the
@@ -382,35 +390,43 @@ class ModelStepper:
         # credit, so the surviving (typically first-application) connections
         # inherit their share — this is what lets the incumbent keep
         # streaming while the newcomer's windows stay collapsed (Figure 11).
-        np.multiply(ws.busy_f, ws.sending, out=ws.tmp_conn_a)
-        n_ready = np.bincount(conn_server, weights=ws.tmp_conn_a, minlength=self._n_servers)
-        np.maximum(n_ready, 1.0, out=ws.tmp_srv_a)
+        np.maximum(ws.n_ready, 1.0, out=ws.tmp_srv_a)
         np.divide(self._rwnd_budget, ws.tmp_srv_a, out=ws.tmp_srv_a)
         np.maximum(ws.tmp_srv_a, transport.window_min, out=ws.tmp_srv_a)
-        ws.tmp_srv_a.take(conn_server, out=ws.tmp_conn_a)
+        ws.tmp_srv_a.take(conn_server, out=ws.tmp_conn_a, mode="clip")
         np.minimum(state.windows.cwnd, ws.tmp_conn_a, out=ws.tmp_conn_a)
         # potential = sending ? effective_window / max(rtt_eff, 1e-9) * dt : 0
+        # (finite and non-negative, so times 0/1 is the select's +0.0 or x).
         np.maximum(ws.rtt_eff, 1e-9, out=ws.tmp_conn_b)
         np.divide(ws.tmp_conn_a, ws.tmp_conn_b, out=ws.potential)
         np.multiply(ws.potential, ctx.dt_conn, out=ws.potential)
-        np.logical_not(ws.sending, out=ws.tmp_bool_a)
-        np.copyto(ws.potential, 0.0, where=ws.tmp_bool_a)
+        np.multiply(ws.potential, ws.sending, out=ws.potential)
         np.minimum(ws.potential, state.send_remaining, out=ws.desired)
         # Per-node injection cap: an over-capacity node scales each of its
-        # connections' demands by the same factor, capacity / total.
+        # connections' demands by the same factor, capacity / total < 1.
         totals = np.bincount(conn_node, weights=ws.desired, minlength=self._n_nodes)
-        np.maximum(totals, 1e-300, out=ws.tmp_node_a)
         np.greater(totals, self._node_caps_dt, out=ws.tmp_node_mask)
-        # Dividing only the over-capacity lanes sidesteps the overflow that
-        # near-zero totals would produce (long adaptive steps make
-        # capacity * dt huge); the untouched lanes keep their factor of 1.
-        ws.tmp_node_b.fill(1.0)
-        np.divide(self._node_caps_dt, ws.tmp_node_a, out=ws.tmp_node_b,
-                  where=ws.tmp_node_mask)
-        np.clip(ws.tmp_node_b, 0.0, 1.0, out=ws.tmp_node_b)
-        ws.tmp_node_b.take(conn_node, out=ws.tmp_conn_a)
-        np.multiply(ws.desired, ws.tmp_conn_a, out=ws.desired)
+        if np.count_nonzero(ws.tmp_node_mask):
+            # Dividing only the over-capacity lanes sidesteps the overflow
+            # that near-zero totals would produce (long adaptive steps make
+            # capacity * dt huge); the untouched lanes keep their factor of 1.
+            np.maximum(totals, 1e-300, out=ws.tmp_node_a)
+            ws.tmp_node_b.fill(1.0)
+            np.divide(self._node_caps_dt, ws.tmp_node_a, out=ws.tmp_node_b,
+                      where=ws.tmp_node_mask)
+            ws.tmp_node_b.take(conn_node, out=ws.tmp_conn_a, mode="clip")
+            np.multiply(ws.desired, ws.tmp_conn_a, out=ws.desired)
         np.greater(ws.desired, 1e-9, out=ws.active)
+        ctx.rtt_eff = ws.rtt_eff
+        ctx.desired = ws.desired
+        ctx.loss_prone = ws.loss_prone
+        if transport.lossless or not np.count_nonzero(ws.active):
+            # Credit-based flow control: bursts wait for credits instead of
+            # being dropped, so no connection is ever loss-prone and the
+            # Incast machinery below never engages.  Nor does it when
+            # nothing is offered: no connection is then window-limited.
+            ws.loss_prone.fill(False)
+            return
 
         # A connection can suffer a timeout collapse ("Incast") only when
         # (a) it offered a full window as a burst, clearly below what its
@@ -418,55 +434,48 @@ class ModelStepper:
         # (b) its server's buffer share per connection is down to a few MSS,
         # (c) its NIC can deliver the burst much faster than the connection's
         #     fair share of the server drain (an un-throttled source).
+        # Node shares: the node's injection capacity and its line rate (a
+        # node belongs to one member, whose client NIC rate every connection
+        # of the node carries) over its busy connections.
         active_per_node = np.bincount(conn_node, weights=ws.busy_f, minlength=self._n_nodes)
-        active_per_node.take(conn_node, out=ws.tmp_conn_a)
-        np.maximum(ws.tmp_conn_a, 1.0, out=ws.tmp_conn_a)  # shared denominator
-        self._node_caps_dt.take(conn_node, out=ws.tmp_conn_b)
-        np.divide(ws.tmp_conn_b, ws.tmp_conn_a, out=ws.tmp_conn_b)  # node share
+        np.maximum(active_per_node, 1.0, out=active_per_node)  # shared denominator
+        np.divide(self._node_caps_dt, active_per_node, out=ws.tmp_node_a)
+        np.multiply(ws.tmp_node_a, transport.source_margin, out=ws.tmp_node_a)
+        np.divide(self._node_line_rate, active_per_node, out=ws.tmp_node_b)
         np.multiply(ws.potential, self._wl_margin, out=ws.tmp_conn_c)
         np.greater_equal(state.send_remaining, ws.tmp_conn_c, out=ws.tmp_bool_a)
-        np.multiply(ws.tmp_conn_b, transport.source_margin, out=ws.tmp_conn_b)
+        ws.tmp_node_a.take(conn_node, out=ws.tmp_conn_b, mode="clip")  # node share
         np.less_equal(ws.potential, ws.tmp_conn_b, out=ws.tmp_bool_b)
         np.logical_and(ws.active, ws.tmp_bool_a, out=ws.tmp_bool_a)
         np.logical_and(ws.tmp_bool_a, ws.tmp_bool_b, out=ws.tmp_bool_a)  # window-limited
-        np.maximum(ws.n_streams_f, 1.0, out=ws.tmp_srv_a)
-        np.divide(state.buffers.capacity, ws.tmp_srv_a, out=ws.tmp_srv_a)
+        # Server shares (``n_streams`` is at least 1 by construction): the
+        # buffer per connection and the drain per connection.
+        np.divide(state.buffers.capacity, ws.n_streams_f, out=ws.tmp_srv_a)
         np.less(ws.tmp_srv_a, transport.incast_window_threshold, out=ws.tmp_srv_bool)
-        np.divide(self._client_line_rate, ws.tmp_conn_a, out=ws.tmp_conn_c)  # line share
-        ws.n_streams_f.take(conn_server, out=ws.tmp_conn_d)
-        np.maximum(ws.tmp_conn_d, 1.0, out=ws.tmp_conn_d)
-        state.last_drain_rate.take(conn_server, out=ws.tmp_conn_b)
-        np.divide(ws.tmp_conn_b, ws.tmp_conn_d, out=ws.tmp_conn_b)  # drain share
-        np.multiply(ws.tmp_conn_b, transport.burst_loss_ratio, out=ws.tmp_conn_b)
+        np.divide(state.last_drain_rate, ws.n_streams_f, out=ws.tmp_srv_b)
+        np.multiply(ws.tmp_srv_b, transport.burst_loss_ratio, out=ws.tmp_srv_b)
+        ws.tmp_node_b.take(conn_node, out=ws.tmp_conn_c, mode="clip")  # line share
+        ws.tmp_srv_b.take(conn_server, out=ws.tmp_conn_b, mode="clip")  # drain share
         np.greater_equal(ws.tmp_conn_c, ws.tmp_conn_b, out=ws.tmp_bool_b)  # bursty source
-        ws.tmp_srv_bool.take(conn_server, out=ws.tmp_bool_c)
+        ws.tmp_srv_bool.take(conn_server, out=ws.tmp_bool_c, mode="clip")
         np.logical_and(ws.tmp_bool_a, ws.tmp_bool_c, out=ws.loss_prone)
         np.logical_and(ws.loss_prone, ws.tmp_bool_b, out=ws.loss_prone)
-        if transport.lossless:
-            # Credit-based flow control: bursts wait for credits instead of
-            # being dropped, so no connection is ever loss-prone and the
-            # Incast machinery below never engages.
-            ws.loss_prone[:] = False
 
         # Burst-escape gate: a connection without a running ACK clock can
         # only (re)enter an Incast-regime server if its whole-window burst
         # survives an already full buffer.  Failed attempts are immediate
         # timeouts — this is what pins the second application's windows near
         # zero while the first application keeps streaming (Figures 11/12).
-        # (in-place twin of ServerBuffers.occupancy_fraction — keep in sync)
+        # A buffer is full at 90% occupancy (fill / capacity is non-negative,
+        # so clamping it to [0, 1] first would not move it across 0.9).
         np.divide(state.buffers.fill, state.buffers.capacity, out=ws.tmp_srv_a)
-        np.clip(ws.tmp_srv_a, 0.0, 1.0, out=ws.tmp_srv_a)
         np.greater_equal(ws.tmp_srv_a, 0.9, out=ws.tmp_srv_bool)  # buffer full
-        np.logical_not(state.windows.paced, out=ws.tmp_bool_a)
-        np.logical_and(ws.loss_prone, ws.tmp_bool_a, out=ws.tmp_bool_a)
-        np.logical_and(ws.tmp_bool_a, ws.active, out=ws.tmp_bool_a)
-        ws.tmp_srv_bool.take(conn_server, out=ws.tmp_bool_b)
+        # Loss-prone (hence active) and not paced: on booleans, a > b is
+        # a & ~b.
+        np.greater(ws.loss_prone, state.windows.paced, out=ws.tmp_bool_a)
+        ws.tmp_srv_bool.take(conn_server, out=ws.tmp_bool_b, mode="clip")
         np.logical_and(ws.tmp_bool_a, ws.tmp_bool_b, out=ws.tmp_bool_a)  # gated
         self._burst_escape_gate(ctx)  # per member: draws from its own stream
-
-        ctx.rtt_eff = ws.rtt_eff
-        ctx.desired = ws.desired
-        ctx.loss_prone = ws.loss_prone
 
     # ------------------------------------------------------------------ #
     # Phase 4 — admission and drain
@@ -480,7 +489,7 @@ class ModelStepper:
         proportional to the offered load; the Incast unfairness is carried by
         the burst-escape gate and the window dynamics.
 
-        Reads:  ``ctx.desired/drain_rate/n_streams/avg_frag``.
+        Reads:  ``ctx.desired/drain_rate/law``.
         Writes: ``ctx.admitted``, ``ctx.oversubscribed``;
                 ``state.send_remaining``, the server buffers, and the
                 deployment's backend accounting.
@@ -499,9 +508,7 @@ class ModelStepper:
         np.copyto(state.send_remaining, 0.0, where=ws.tmp_bool_a)
 
         drained_per_server, _drained_per_conn = state.buffers.drain(ws.tmp_srv_b)
-        state.deployment.commit_flat(
-            drained_per_server, ctx.dt_server, ctx.n_streams, ctx.avg_frag
-        )
+        state.deployment.commit_flat(drained_per_server, ctx.dt_server, ctx.law)
 
         ctx.admitted = admitted
         ctx.oversubscribed = oversubscribed
@@ -513,7 +520,8 @@ class ModelStepper:
     def _phase_accounting(self, ctx: StepContext) -> None:
         """Attribute this step's traffic to links and record buffer pressure.
 
-        Reads:  ``ctx.admitted``, the steps.
+        Reads:  ``ctx.admitted``, the buffers' per-server admitted bytes, the
+                steps and the dt-scaled link capacities.
         Writes: per-link utilization accounting, buffer-pressure statistics,
                 :attr:`observed_time`, ``state.last_admission_rate``.
         """
@@ -521,10 +529,9 @@ class ModelStepper:
         per_node = np.bincount(
             state.conn_node, weights=ctx.admitted, minlength=self._n_nodes
         )
-        per_server = np.bincount(
-            state.conn_server, weights=ctx.admitted, minlength=self._n_servers
-        )
-        state.topology.record_step_flat(per_node, per_server, ctx.dt_node, ctx.dt_server)
+        per_server = state.buffers.admitted_per_server
+        state.topology.record_step_flat(per_node, per_server, ctx.dt_node, ctx.dt_server,
+                                        self._node_caps_dt, self._server_nic_dt)
         np.add(self.observed_time, ctx.dt, out=self.observed_time)
         state.buffers.note_step(weight=self._step_weight)
         np.divide(per_server, ctx.dt_server, out=state.last_admission_rate)

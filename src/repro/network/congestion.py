@@ -42,17 +42,10 @@ class RngSites(NamedTuple):
 
 @dataclass
 class WindowUpdateResult:
-    """Summary of one window-update step (used for tracing and analysis).
-
-    When :meth:`WindowState.update` runs with ``collect_stats=False`` (the
-    stepper's hot path, which only consumes the collapse fields) the optional
-    aggregates are not computed and report ``0``/``0.0``.
-    """
+    """The timeout collapses of one window-update step: how many, and the
+    ascending indices of the collapsed connections."""
 
     n_collapsed: int
-    n_decreased: int
-    n_increased: int
-    stalled_fraction: float
     collapsed_indices: np.ndarray
 
 
@@ -195,7 +188,6 @@ class WindowState:
         rtt_eff: np.ndarray,
         oversubscribed: np.ndarray,
         loss_prone: Optional[np.ndarray] = None,
-        collect_stats: bool = True,
         rng_sites: Optional[RngSites] = None,
     ) -> WindowUpdateResult:
         """Apply one step of window dynamics.
@@ -229,10 +221,6 @@ class WindowState:
             backpressured (receiver window + queueing delay) keep their
             congestion window, as a self-clocked TCP sender would.  Defaults
             to "all active connections" (the most pessimistic assumption).
-        collect_stats:
-            When False, skip the aggregate counters (``n_decreased``,
-            ``n_increased``, ``stalled_fraction``) that only tracing and
-            analysis consume; the window dynamics themselves are unchanged.
         rng_sites:
             Random-draw ownership (:class:`RngSites`).  The batched kernel
             passes one site per batch member so each member consumes draws
@@ -247,28 +235,34 @@ class WindowState:
         t = self.transport
         requested = np.asarray(requested, dtype=np.float64)
         admitted = np.asarray(admitted, dtype=np.float64)
-        rtt = self._rtt
-        np.maximum(np.asarray(rtt_eff, dtype=np.float64), 1e-9, out=rtt)
-        oversubscribed = np.asarray(oversubscribed, dtype=bool)
         mask_a, mask_b, mask_c, mask_d = (
             self._mask_a, self._mask_b, self._mask_c, self._mask_d,
         )
 
         active = self._mask_active
         np.greater(requested, 1e-9, out=active)
+        np.greater(admitted, 1e-9, out=mask_a)  # delivered
+        self.delivered_bytes += admitted
+        if not (np.count_nonzero(active) or np.count_nonzero(mask_a)):
+            # Nothing requested or delivered: no window, backoff, pacing or
+            # starvation state changes, and no lane times out, because every
+            # update collapses (and resets) a lane whose starved time reaches
+            # the RTO; so nothing draws either.
+            return WindowUpdateResult(0, self._empty_indices)
         if loss_prone is None:
             loss_prone = active
         else:
             loss_prone = np.asarray(loss_prone, dtype=bool)
+        oversubscribed = np.asarray(oversubscribed, dtype=bool)
+        rtt = self._rtt
+        np.maximum(np.asarray(rtt_eff, dtype=np.float64), 1e-9, out=rtt)
         fraction = self._fraction
         fraction.fill(1.0)
         np.divide(admitted, requested, out=fraction, where=active)
 
-        np.greater(admitted, 1e-9, out=mask_a)  # delivered
-        self.delivered_bytes += admitted
         np.copyto(self.last_delivery, now, where=mask_a)
-        np.greater_equal(fraction, 0.5, out=mask_b)
-        np.logical_and(mask_a, mask_b, out=mask_b)
+        np.greater_equal(fraction, 0.5, out=mask_c)  # at least half delivered
+        np.logical_and(mask_a, mask_c, out=mask_b)
         np.copyto(self.backoff, 0, where=mask_b)
         # A connection that pushed at least a segment through has a running
         # ACK clock again.
@@ -279,7 +273,6 @@ class WindowState:
         # Additive increase: one segment per effective RTT of good progress.
         np.greater_equal(fraction, 0.9, out=mask_b)
         np.logical_and(active, mask_b, out=mask_b)  # good progress
-        n_increased = int(mask_b.sum()) if collect_stats else 0
         grown = self._cwnd_next
         np.divide(dt, rtt, out=grown)
         grown *= t.additive_increase_segments * t.mss
@@ -294,40 +287,47 @@ class WindowState:
         # treating it as loss makes low-connection-count configurations
         # (e.g. one writer per node) underutilize the backend.
         np.logical_and(active, loss_prone, out=mask_a)  # kept for starvation
-        np.less(fraction, 0.5, out=mask_b)
-        np.logical_and(mask_a, mask_b, out=mask_b)
+        # fraction < 0.5 is ~(fraction >= 0.5) (a fraction is never NaN), and
+        # on booleans a > b is a & ~b.
+        np.greater(mask_a, mask_c, out=mask_b)
         np.logical_and(mask_b, oversubscribed, out=mask_b)  # throttled
-        n_decreased = int(mask_b.sum()) if collect_stats else 0
-        shrunk = self._cwnd_next
-        np.multiply(self.cwnd, t.multiplicative_decrease, out=shrunk)
-        np.maximum(shrunk, t.window_min, out=shrunk)
-        np.copyto(self.cwnd, shrunk, where=mask_b)
+        if np.count_nonzero(mask_b):
+            shrunk = self._cwnd_next
+            np.multiply(self.cwnd, t.multiplicative_decrease, out=shrunk)
+            np.maximum(shrunk, t.window_min, out=shrunk)
+            np.copyto(self.cwnd, shrunk, where=mask_b)
 
         # Starvation accounting and timeout collapse.  Only loss-prone
         # connections accumulate starvation: a burst that hit a full buffer
         # was lost, while a source-paced trickle was merely delayed.
+        # Starving lanes are active, so zeroing every active lane and then
+        # writing back the starving ones' grown time sets each lane exactly.
+        # Every update collapses (and resets) a lane whose starved time
+        # reaches the RTO, so only a starving lane can time out.
         np.less(fraction, t.starvation_fraction, out=mask_b)
         np.logical_and(mask_a, mask_b, out=mask_b)  # starving
-        starved = self._starved_next
-        np.add(self.starved_time, dt, out=starved)
-        np.copyto(self.starved_time, starved, where=mask_b)
-        np.logical_not(mask_b, out=mask_c)
-        np.logical_and(active, mask_c, out=mask_c)
-        np.copyto(self.starved_time, 0.0, where=mask_c)
         timed_out = mask_b
-        np.greater_equal(self.starved_time, t.rto, out=timed_out)
+        if np.count_nonzero(mask_b):
+            starved = self._starved_next
+            np.add(self.starved_time, dt, out=starved)
+            np.copyto(self.starved_time, 0.0, where=active)
+            np.copyto(self.starved_time, starved, where=mask_b)
+            np.greater_equal(self.starved_time, t.rto, out=timed_out)
+            # On booleans, paced > timed_out is paced & ~timed_out.
+            np.greater(self.paced, timed_out, out=mask_d)
+            np.logical_and(mask_d, mask_a, out=mask_d)  # hazard candidates
+        else:
+            np.copyto(self.starved_time, 0.0, where=active)  # timed_out: none
+            np.logical_and(self.paced, mask_a, out=mask_d)  # hazard candidates
 
         # Residual whole-window losses for paced connections in the Incast
         # regime: rare, but they keep even the incumbent application from
         # being completely untouched (Figure 2(a) shows it slowed as well).
-        np.logical_not(timed_out, out=mask_c)
-        np.logical_and(mask_a, self.paced, out=mask_d)
-        np.logical_and(mask_d, mask_c, out=mask_d)  # hazard candidates
         if rng_sites is None:
             rng_sites = RngSites(np.zeros(1, np.int64), (slice(None),), (self._rng,), (dt,))
-        if t.paced_timeout_hazard > 0.0 and mask_d.any():
+        if t.paced_timeout_hazard > 0.0 and np.count_nonzero(mask_d):
             drawing = np.logical_or.reduceat(mask_d, rng_sites.starts)
-            for k in np.flatnonzero(drawing).tolist():
+            for k in drawing.nonzero()[0].tolist():
                 site = rng_sites.slices[k]
                 rng_sites.rngs[k].random(out=self._draws[site])
                 p_step = 1.0 - (1.0 - t.paced_timeout_hazard) ** (rng_sites.dts[k] / t.rto)
@@ -338,7 +338,7 @@ class WindowState:
             np.logical_or(timed_out, mask_c, out=timed_out)
 
         n_collapsed = int(np.count_nonzero(timed_out))
-        idx = np.flatnonzero(timed_out) if n_collapsed else self._empty_indices
+        idx = timed_out.nonzero()[0] if n_collapsed else self._empty_indices
         if n_collapsed:
             self.cwnd[idx] = t.window_min
             backoff = np.minimum(self.backoff[idx], t.max_backoff_exponent)
@@ -349,7 +349,7 @@ class WindowState:
             jitter = np.empty(idx.shape[0], dtype=np.float64)
             first = np.searchsorted(idx, rng_sites.starts)
             counts = np.diff(first, append=idx.shape[0])
-            for k in np.flatnonzero(counts).tolist():
+            for k in counts.nonzero()[0].tolist():
                 a = int(first[k])
                 b = a + int(counts[k])
                 jitter[a:b] = rng_sites.rngs[k].uniform(0.5, 1.5, size=b - a)
@@ -360,19 +360,7 @@ class WindowState:
             self.collapse_count[idx] += 1
             self.paced[idx] = False
 
-        stalled = (
-            self.stalled_fraction(now, active_mask=active | (~self.sending_allowed(now)))
-            if collect_stats
-            else 0.0
-        )
-        result = WindowUpdateResult(
-            n_collapsed=n_collapsed,
-            n_decreased=n_decreased,
-            n_increased=n_increased,
-            stalled_fraction=stalled,
-            collapsed_indices=idx,
-        )
-        return result
+        return WindowUpdateResult(n_collapsed, idx)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -381,7 +369,3 @@ class WindowState:
     def total_collapses(self) -> int:
         """Total number of timeout collapses across all connections."""
         return int(self.collapse_count.sum())
-
-    def window_snapshot(self) -> np.ndarray:
-        """Copy of the current window sizes (bytes)."""
-        return self.cwnd.copy()

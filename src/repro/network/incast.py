@@ -62,53 +62,31 @@ class ServerBuffers:
         # Step-invariant per-server connection groups, computed once so the
         # admission path never rescans the mapping array: one stable sort
         # lists each server's connections in ascending index order (exactly
-        # the order a boolean ``conn_server == s`` mask yields).  The groups
-        # stack into one padded (n_servers, K) index matrix, K being the
-        # widest group: short rows are padded by repeating their last real
-        # connection index (the pad slots are gathered but never read —
-        # every reduction slices the row to its true width) and the
-        # admission water-filling runs as row-wise 2D ops per *width class*
-        # instead of a per-server loop.  Slicing each class to its width
-        # preserves NumPy's pairwise-summation tree, so a ragged or batched
-        # deployment admits bit-for-bit what each group would admit alone.
+        # the order a boolean ``conn_server == s`` mask yields).  Servers of
+        # equal group width form a *width class*, whose groups stack into one
+        # (m, width) connection matrix; the admission water-filling runs as
+        # row-wise 2D ops per class instead of a per-server loop.  Each row
+        # keeps its true width and element order, which preserves NumPy's
+        # pairwise-summation tree (a zero-padded row would not: the sum
+        # unrolls by 8), so a ragged or batched deployment admits bit-for-bit
+        # what each group would admit alone.
         order = np.argsort(self.conn_server, kind="stable")
         widths = np.bincount(self.conn_server, minlength=self.n_servers)
+        starts = np.cumsum(widths) - widths
         max_width = int(widths.max()) if n_conns else 0
-        if max_width > 0:
-            starts = np.cumsum(widths) - widths
-            last = np.zeros(self.n_servers, dtype=np.int64)
-            filled = widths > 0
-            last[filled] = order[(starts + widths - 1)[filled]]
-            matrix = np.repeat(last[:, None], max_width, axis=1)
-            rows = self.conn_server[order]
-            matrix[rows, np.arange(n_conns) - starts[rows]] = order
-            self._group_matrix: Optional[np.ndarray] = matrix
-            self._group_flat = matrix.reshape(-1)
-            self._demands_2d = np.empty(matrix.shape, dtype=np.float64)
-            self._demands_flat = self._demands_2d.reshape(-1)
-            #: (width, row indices, (m, width) connection matrix) per distinct
-            #: nonzero group width, ascending — the units the water-filling
-            #: vectorizes over.
-            self._width_classes = [
-                (w, rows, matrix[rows, :w])
-                for w in sorted({int(x) for x in widths} - {0})
-                for rows in (np.flatnonzero(widths == w),)
-            ]
-            self._uniform_groups = (
-                len(self._width_classes) == 1
-                and self._width_classes[0][0] == max_width
-                and self._width_classes[0][1].shape[0] == self.n_servers
-            )
-        else:
-            self._group_matrix = None
-            self._width_classes = []
-            self._uniform_groups = False
-        #: Gathered-but-ignored slots of the padded group matrix — the
-        #: padding waste masked batching pays per admission call.
-        self.padded_slots = (
-            int((max_width - widths).sum()) if max_width > 0 else 0
-        )
-        #: Total slots of the padded group matrix (real + padding).
+        #: (width, row indices or ``slice(None)`` for every server, (m, width)
+        #: connection matrix) per distinct nonzero group width, ascending.
+        self._width_classes = []
+        for w in sorted({int(x) for x in widths} - {0}):
+            rows = np.flatnonzero(widths == w)
+            cols = order[starts[rows][:, None] + np.arange(w)]
+            if rows.shape[0] == self.n_servers:
+                rows = slice(None)
+            self._width_classes.append((w, rows, cols))
+        #: Slots a padded (n_servers, widest group) layout would leave empty:
+        #: how ragged the groups are (the classes gather no padding).
+        self.padded_slots = int((max_width - widths).sum()) if max_width > 0 else 0
+        #: Total slots of that padded layout (real + padding).
         self.group_slots = int(self.n_servers * max_width)
         self._weights_all_ones = False
         # Scratch buffers reused by admit()/drain(); holding them here keeps
@@ -117,6 +95,7 @@ class ServerBuffers:
         self._scratch_fraction = np.zeros(self.n_servers, dtype=np.float64)
         self._scratch_full = np.zeros(self.n_servers, dtype=bool)
         self._scratch_conn = np.zeros(n_conns, dtype=np.float64)
+        self._scratch_residue = np.zeros(n_conns, dtype=bool)
         self._validated_weights: Optional[np.ndarray] = None
         #: Bytes currently buffered per server.
         self.fill = np.zeros(self.n_servers, dtype=np.float64)
@@ -219,8 +198,10 @@ class ServerBuffers:
         )
         self.fill += admitted_per_server
         self.total_admitted += admitted_per_server
-        oversubscribed = oversub_server[self.conn_server]
-        return admitted, oversubscribed
+        #: Bytes admitted per server by the last call (the kernel's link
+        #: accounting reads them).
+        self.admitted_per_server = admitted_per_server
+        return admitted, oversub_server[self.conn_server]
 
     def _admit_proportional(
         self,
@@ -230,11 +211,17 @@ class ServerBuffers:
     ) -> np.ndarray:
         """Deterministic proportional admission, one water-filling per server.
 
-        The water-filling runs vectorized across servers per group-width
-        class (:meth:`_admit_proportional_stacked`), bit-for-bit equivalent
-        to the canonical :func:`~repro.network.allocation.proportional_share`
-        applied per server on the cached index groups — including ragged
-        deployments, where each width class stacks its own rows.
+        Bit-for-bit the canonical
+        :func:`~repro.network.allocation.proportional_share` applied per
+        server on the cached index groups, vectorized across the servers of
+        each width class.  A server whose offers fit its capacity admits
+        them as offered, so the result starts as a copy of ``offered``, with
+        the connections of servers without room zeroed; each class sums its
+        rows (``sum(axis=1)`` over the row's own connections at their true
+        width, the summation tree of the per-server ``demands.sum()``) and
+        water-fills only its over-subscribed rows, whose connections it
+        overwrites (a row without room that is offered anything is one, and
+        takes nothing).
         """
         weights = np.asarray(weights, dtype=np.float64)
         # The stepper passes the same frozen (non-writeable) unit-weight
@@ -250,96 +237,87 @@ class ServerBuffers:
             if not weights.flags.writeable:
                 self._validated_weights = weights
                 self._weights_all_ones = all_ones
-        if self._group_matrix is not None:
-            return self._admit_proportional_stacked(offered, weights, capacity, all_ones)
-        return np.zeros_like(offered)  # no connections at all
-
-    def _admit_proportional_stacked(
-        self,
-        offered: np.ndarray,
-        weights: np.ndarray,
-        capacity: np.ndarray,
-        all_ones: bool,
-    ) -> np.ndarray:
-        """Row-per-server vectorization of the proportional water-filling.
-
-        Works on the ``(n_servers, K)`` gathered demand matrix, one pass per
-        group-width class over that class's ``[:, :w]`` slice.  Row-wise
-        reductions (``sum(axis=1)``) use the same pairwise summation over the
-        same contiguous element order as the per-group ``demands.sum()`` of
-        the scalar path (slicing to the true width is what keeps the
-        summation tree identical — padded slots never enter a reduction),
-        and dead rows (capacity exhausted / all satisfied — the scalar
-        path's early ``break``) are frozen by zeroing their takes, so the
-        result is bit-for-bit the same.
-        """
-        offered.take(self._group_flat, out=self._demands_flat)
-        if self._uniform_groups:
-            # Single full-width class: operate on the reused buffer directly,
-            # no row gather — the common every-app-stripes-everywhere path.
-            alloc = self._water_fill_rows(
-                self._demands_2d, capacity, self._group_matrix, weights, all_ones
-            )
-            admitted = np.zeros_like(offered)
-            admitted[self._group_flat] = alloc.reshape(-1)
-            return admitted
-        admitted = np.zeros_like(offered)
-        for w, rows, class_matrix in self._width_classes:
-            demands = self._demands_2d[rows, :w]        # (m, w), rows contiguous
-            alloc = self._water_fill_rows(
-                demands, capacity[rows], class_matrix, weights, all_ones
-            )
-            admitted[class_matrix.reshape(-1)] = alloc.reshape(-1)
+        admitted = offered.copy()
+        no_room = capacity <= 0
+        if np.count_nonzero(no_room):
+            np.copyto(admitted, 0.0, where=no_room[self.conn_server])
+        if not np.count_nonzero(offered):
+            return admitted                 # nothing offered: every row fits
+        for _w, rows, cols in self._width_classes:
+            demands = offered[cols]
+            room = capacity[rows]
+            over = np.add.reduce(demands, axis=1) > room    # demands.sum(axis=1)
+            n_over = np.count_nonzero(over)
+            if not n_over:
+                continue
+            if n_over < over.shape[0]:
+                over = over.nonzero()[0]
+                demands, room, cols = demands[over], room[over], cols[over]
+            elif isinstance(rows, slice):
+                room = room.copy()                  # a view of ``capacity``
+            self._water_fill_rows(demands, room, cols,
+                                  1.0 if all_ones else weights[cols], admitted)
         return admitted
 
     @staticmethod
     def _water_fill_rows(
         demands: np.ndarray,
-        capacity: np.ndarray,
-        matrix: np.ndarray,
-        weights: np.ndarray,
-        all_ones: bool,
-    ) -> np.ndarray:
-        """The stacked water-filling kernel for one ``(m, w)`` row block."""
-        total = demands.sum(axis=1)
-        has_room = capacity > 0
-        fits = has_room & (total <= capacity)
-        over = has_room & (total > capacity)
-        all_over = bool(over.all())
-        if all_over:
-            alloc = None                                # every row water-fills
-        else:
-            alloc = np.zeros_like(demands)
-            alloc[fits] = demands[fits]
-        if all_over or over.any():
-            rows = demands if all_over else demands[over]   # (m, k)
-            if all_ones:
-                # where(unsat, 1.0, 0.0) with a scalar produces the same
-                # values as with an explicit unit-weight row; skip the gather.
-                row_weights: object = 1.0
+        remaining: np.ndarray,
+        cols: np.ndarray,
+        weights,
+        out: np.ndarray,
+    ) -> None:
+        """Water-fill each row of ``demands`` (``(k, w)``) into its room in
+        ``remaining`` (consumed) and write the allocation to ``out[cols]``.
+
+        A row is *live* in a pass while it has room left (``> 1e-12``) and an
+        unsatisfied cell.  A row that is not live takes nothing, so it stays
+        dead in every later pass: the pass loop writes it out and drops it,
+        and the live rows' reductions each combine one row's elements only,
+        so the result equals the per-server loop with its early ``break``.
+        Rows die by running out of room (on the tiny fleet matrix all of
+        them did), so a pass tests the room before it builds the weights.
+
+        ``weights`` is the float ``1.0`` for unit weights.  Then every cell's
+        weight is 0 or 1, so a row's weight sum is an exact count whatever
+        the summation order, and ``remaining * w / w_sum`` is
+        ``remaining / w_sum`` or ``+0.0`` cell by cell: one division per row
+        and one broadcast product give the same bits.
+        """
+        unit = isinstance(weights, float)
+        alloc = np.zeros(demands.shape)
+        unsatisfied = demands > 0
+        for _ in range(4):
+            live = remaining > 1e-12
+            if not np.count_nonzero(live):
+                break
+            if unit:
+                w = unsatisfied
+                w_sum = np.add.reduce(w, axis=1, dtype=np.float64)
             else:
-                row_weights = weights[matrix if all_over else matrix[over]]
-            row_alloc = np.zeros_like(rows)
-            remaining = capacity.copy() if all_over else capacity[over].copy()
-            unsatisfied = rows > 0
-            for _ in range(4):
-                w = np.where(unsatisfied, row_weights, 0.0)
-                w_sum = w.sum(axis=1)
-                live = (remaining > 1e-12) & (w_sum > 0)
-                if not live.any():
-                    break
-                w_sum_safe = np.where(live, w_sum, 1.0)
-                offer = remaining[:, None] * w / w_sum_safe[:, None]
-                take = np.minimum(offer, rows - row_alloc)
-                take[~live] = 0.0
-                row_alloc += take
-                remaining -= take.sum(axis=1)
-                unsatisfied = (rows - row_alloc) > 1e-9
-            if all_over:
-                alloc = row_alloc
+                w = np.where(unsatisfied, weights, 0.0)
+                w_sum = np.add.reduce(w, axis=1)
+            live &= w_sum > 0
+            n_live = np.count_nonzero(live)
+            if n_live < live.shape[0]:
+                dead = ~live
+                out[cols[dead]] = alloc[dead]
+                if not n_live:
+                    return
+                live = live.nonzero()[0]
+                demands, alloc, cols = demands[live], alloc[live], cols[live]
+                remaining, w, w_sum = remaining[live], w[live], w_sum[live]
+                if not unit:
+                    weights = weights[live]
+            if unit:
+                offer = np.multiply(w, (remaining / w_sum)[:, None])
             else:
-                alloc[over] = row_alloc
-        return alloc
+                offer = remaining[:, None] * w / w_sum[:, None]
+            take = np.minimum(offer, demands - alloc)
+            alloc += take
+            remaining -= np.add.reduce(take, axis=1)
+            unsatisfied = (demands - alloc) > 1e-9
+        out[cols] = alloc
 
     # ------------------------------------------------------------------ #
     # Drain
@@ -365,11 +343,12 @@ class ServerBuffers:
         fraction = self._scratch_fraction
         np.maximum(self.fill, 1e-300, out=fraction)
         np.divide(drained_per_server, fraction, out=fraction)
-        np.take(fraction, self.conn_server, out=self._scratch_conn)
+        fraction.take(self.conn_server, out=self._scratch_conn, mode="clip")
         drained_per_conn = self.conn_bytes * self._scratch_conn
         self.conn_bytes -= drained_per_conn
         # Snap tiny residues to zero so fragments complete crisply.
-        self.conn_bytes[self.conn_bytes < 1e-6] = 0.0
+        np.less(self.conn_bytes, 1e-6, out=self._scratch_residue)
+        np.copyto(self.conn_bytes, 0.0, where=self._scratch_residue)
         # In-place so views of fill (the batched kernel re-points members at
         # slices of one flat array) stay live across steps.
         self.fill[:] = np.bincount(

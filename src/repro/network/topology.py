@@ -70,9 +70,7 @@ class StarTopology:
         #: member).
         self.observed_time = 0.0
         self._scratch_node = np.empty(n_client_nodes, dtype=np.float64)
-        self._scratch_node2 = np.empty(n_client_nodes, dtype=np.float64)
         self._scratch_server = np.empty(n_servers, dtype=np.float64)
-        self._scratch_server2 = np.empty(n_servers, dtype=np.float64)
 
     # ------------------------------------------------------------------ #
 
@@ -100,41 +98,40 @@ class StarTopology:
         per_server_bytes: np.ndarray,
         node_dt: Union[float, np.ndarray],
         server_dt: Union[float, np.ndarray],
+        node_limit: np.ndarray,
+        server_limit: np.ndarray,
     ) -> None:
         """Account for one step of traffic on every link.
 
-        Bytes beyond a link's step capacity are clamped (the model's group
-        caps already keep traffic within capacity; the clamp guards float
-        round-off).  There is no input validation: the stepping kernel's
-        per-step bincounts are well-formed by construction.  Steps may
-        differ per link (a batch's members step on their own clocks, and
-        every link lane carries its member's step), and :attr:`observed_time`
-        does not advance (the kernel keeps each member's observed time
-        itself)."""
-        self._record_group(
-            per_node_bytes, self._node_capacity, self._node_transferred,
-            self._node_busy, self._scratch_node, self._scratch_node2, node_dt,
-        )
-        self._record_group(
-            per_server_bytes, self._server_capacity, self._server_transferred,
-            self._server_busy, self._scratch_server, self._scratch_server2, server_dt,
-        )
+        ``node_limit`` and ``server_limit`` are each link's capacity for the
+        step (capacity times its ``dt``), which the stepping kernel holds
+        from one change of steps to the next.  Bytes beyond a link's limit
+        are clamped (the model's group caps already keep traffic within
+        capacity; the clamp guards float round-off).  There is no input
+        validation: the stepping kernel's per-step bincounts are well-formed
+        by construction.  Steps may differ per link (a batch's members step
+        on their own clocks, and every link lane carries its member's step),
+        and :attr:`observed_time` does not advance (the kernel keeps each
+        member's observed time itself)."""
+        self._record_group(per_node_bytes, node_limit, self._node_transferred,
+                           self._node_busy, self._scratch_node, node_dt)
+        self._record_group(per_server_bytes, server_limit, self._server_transferred,
+                           self._server_busy, self._scratch_server, server_dt)
 
     @staticmethod
     def _record_group(
         nbytes: np.ndarray,
-        capacity: np.ndarray,
+        limit: np.ndarray,
         transferred: np.ndarray,
         busy: np.ndarray,
-        limit: np.ndarray,
         clipped: np.ndarray,
         dt: Union[float, np.ndarray],
     ) -> None:
-        np.multiply(capacity, dt, out=limit)
+        # clipped <= limit, so clipped / limit is at most 1 (or NaN for a
+        # zero limit) already: busy time needs no further clamp.
         np.minimum(nbytes, limit, out=clipped)
         transferred += clipped
         np.divide(clipped, limit, out=clipped)
-        np.minimum(clipped, 1.0, out=clipped)
         clipped *= dt
         busy += clipped
 

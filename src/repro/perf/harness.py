@@ -219,7 +219,7 @@ def _measure_batched(
 def _profile_phases(spec: BenchScenario) -> Dict[str, Dict[str, float]]:
     """One instrumented (untimed) pass collecting per-phase counters."""
     batch = _build_started_batch(1, spec)
-    profiler = StepProfiler()
+    profiler = StepProfiler(probe_allocations=True)
     batch.stepper.profiler = profiler
     _step_active(batch)
     return profiler.report()

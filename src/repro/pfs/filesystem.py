@@ -291,32 +291,23 @@ class PVFSDeployment:
     # Vectorized queries and updates used by the model stepper
     # ------------------------------------------------------------------ #
 
-    def drain_rates(
-        self,
-        n_streams: np.ndarray,
-        avg_fragment_sizes: np.ndarray,
-    ) -> np.ndarray:
-        """Per-server drain bandwidth for the current workload mix (a
-        read-only array)."""
-        return self._law(*self._workload(n_streams, avg_fragment_sizes)).rates
+    def law(self, n_streams: np.ndarray, avg_fragment_sizes: np.ndarray) -> "_Law":
+        """The drain law for the current workload mix (memoized).  Its
+        ``rates`` are each server's drain bandwidth (read-only); the drain
+        phase reads them and the backend commit takes the law whole, so a
+        step looks it up once."""
+        return self._law(*self._workload(n_streams, avg_fragment_sizes))
 
-    def commit_flat(
-        self,
-        drained: np.ndarray,
-        dt: np.ndarray,
-        n_streams: np.ndarray,
-        avg_fragment_sizes: np.ndarray,
-    ) -> None:
-        """Account for one step of drained bytes on every server.
+    def commit_flat(self, drained: np.ndarray, dt: np.ndarray, law: "_Law") -> None:
+        """Account for one step of drained bytes on every server, under the
+        step's drain ``law`` (:meth:`law`; nothing between the drain phase
+        and the commit changes the cache state it depends on).
 
         There are no input checks, and :attr:`observed_time` does not
         advance: ``dt`` is one step per server lane (a batch's members step
         on their own clocks), and the stepping kernel keeps each member's
         observed time itself.  Every use of ``dt`` is elementwise, so a lane
-        commits what its member alone would.  The law evaluation for the
-        step's workload mix comes from the memo the drain phase's
-        :meth:`drain_rates` call filled."""
-        law = self._law(*self._workload(n_streams, avg_fragment_sizes))
+        commits what its member alone would."""
         self.drained_bytes += drained
         for mode, lanes in self._runs:
             if mode is SyncMode.SYNC_OFF:

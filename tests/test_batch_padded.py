@@ -32,73 +32,112 @@ _finite = {"allow_nan": False, "allow_infinity": False}
 
 @st.composite
 def ragged_admissions(draw):
-    """A random ragged deployment plus one admission round's inputs."""
+    """A random ragged deployment plus one admission round's inputs.
+
+    Group widths reach past NumPy's 8-wide pairwise-sum unrolling and its
+    128-element block, so row sums run every summation shape the kernel
+    meets.  Each server's capacity differs through ``extra_capacity`` and
+    ``max_admission`` (zero included), rows may offer nothing at all, and
+    offers are skewed so that water-filling runs all four passes.  The
+    numbers come from a drawn NumPy seed; hypothesis shrinks the shape.
+    """
     n_servers = draw(st.integers(min_value=2, max_value=5))
     widths = draw(
         st.lists(
-            st.integers(min_value=0, max_value=4),
+            st.one_of(st.integers(min_value=0, max_value=4),
+                      st.integers(min_value=5, max_value=200)),
             min_size=n_servers, max_size=n_servers,
         )
     )
     assume(sum(widths) > 0)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     grouped = np.repeat(np.arange(n_servers, dtype=np.int64), widths)
     # Interleave the groups: connection ids need not be contiguous per server.
-    order = draw(st.permutations(range(int(grouped.shape[0]))))
-    conn_server = grouped[np.asarray(order, dtype=np.int64)]
+    conn_server = grouped[rng.permutation(grouped.shape[0])]
     n = int(conn_server.shape[0])
-    offered = np.asarray(
-        draw(
-            st.lists(
-                st.floats(min_value=0.0, max_value=500.0, **_finite),
-                min_size=n, max_size=n,
-            )
-        ),
-        dtype=np.float64,
-    )
-    weights = np.asarray(
-        draw(
-            st.lists(
-                st.floats(min_value=0.25, max_value=4.0, **_finite),
-                min_size=n, max_size=n,
-            )
-        ),
-        dtype=np.float64,
-    )
+    # Skewed offers with exact zeros, some servers offering nothing.
+    offered = rng.lognormal(mean=3.0, sigma=2.0, size=n)
+    offered[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = 0.0
+    silent = rng.random(n_servers) < draw(st.sampled_from([0.0, 0.3]))
+    offered[silent[conn_server]] = 0.0
+    if draw(st.booleans()):
+        weights = np.ones(n)
+    else:
+        weights = rng.uniform(0.25, 4.0, size=n)
     capacity = draw(st.floats(min_value=10.0, max_value=300.0, **_finite))
-    return n_servers, conn_server, offered, weights, capacity
-
-
-def _reference_admit(conn_server, n_servers, offered, weights, capacity):
-    """The scalar reference: one proportional_share call per server."""
-    admitted = np.zeros_like(offered)
-    offered_per_server = np.bincount(
-        conn_server, weights=offered, minlength=n_servers
-    )
-    for s in np.flatnonzero(offered_per_server > 0):
-        mask = conn_server == s
-        admitted[mask] = proportional_share(
-            offered[mask], float(capacity), weights=weights[mask]
+    # Per-server extra room and caps, scaled to each server's offer so that
+    # rows fit, water-fill or have no room at all.
+    per_server = np.bincount(conn_server, weights=offered, minlength=n_servers)
+    extra = max_admission = None
+    if draw(st.booleans()):
+        extra = per_server * rng.uniform(-0.5, 1.5, size=n_servers)
+    if draw(st.booleans()):
+        max_admission = per_server * rng.uniform(0.0, 1.5, size=n_servers)
+        max_admission[rng.random(n_servers) < 0.25] = 0.0
+    if draw(st.booleans()):
+        # Some servers' room is exactly their offers' pairwise sum, where a
+        # row total summed in another order would flip fit and overflow.
+        exact = rng.random(n_servers) < 0.5
+        totals = np.array([offered[conn_server == s].sum() for s in range(n_servers)])
+        extra = np.where(exact, 2.0 * totals, 0.0 if extra is None else extra)
+        max_admission = np.where(
+            exact, totals, np.inf if max_admission is None else max_admission
         )
-    return admitted
+    return n_servers, conn_server, offered, weights, capacity, extra, max_admission
+
+
+def _server_capacity(capacity, extra, max_admission, s):
+    """Server ``s``'s room for one admission round into empty buffers, in
+    the operation order of ``ServerBuffers.admit``."""
+    room = max(capacity - 0.0, 0.0)
+    if extra is not None:
+        room = room + max(float(extra[s]), 0.0)
+    if max_admission is not None:
+        room = min(room, max(float(max_admission[s]), 0.0))
+    return room
+
+
+def _reference_admit(conn_server, n_servers, offered, weights, capacity,
+                     extra=None, max_admission=None):
+    """The scalar reference: one proportional_share call per server, and
+    a server is oversubscribed when its offers, summed in connection
+    order, exceed its room."""
+    admitted = np.zeros_like(offered)
+    oversubscribed = np.zeros(offered.shape[0], dtype=bool)
+    for s in range(n_servers):
+        mask = conn_server == s
+        room = _server_capacity(capacity, extra, max_admission, s)
+        admitted[mask] = proportional_share(
+            offered[mask], room, weights=weights[mask]
+        )
+        total = 0.0
+        for value in offered[mask].tolist():
+            total += value
+        oversubscribed[mask] = total > room + 1e-9
+    return admitted, oversubscribed
 
 
 class TestRaggedAdmissionProperty:
     @given(case=ragged_admissions())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_stacked_matches_reference_bitwise(self, case):
-        n_servers, conn_server, offered, weights, capacity = case
+        (n_servers, conn_server, offered, weights, capacity,
+         extra, max_admission) = case
         buffers = ServerBuffers(
             n_servers=n_servers, capacity_bytes=capacity, conn_server=conn_server
         )
-        admitted, _ = buffers.admit(offered, weights)
-        expected = _reference_admit(
-            conn_server, n_servers, offered, weights, capacity
+        admitted, oversubscribed = buffers.admit(
+            offered, weights, extra_capacity=extra, max_admission=max_admission
         )
-        assert np.array_equal(admitted, expected)
-        # The padding accounting always balances: every slot of the (S, K)
-        # matrix is either a real group slot or a masked pad slot.
+        expected, expected_over = _reference_admit(
+            conn_server, n_servers, offered, weights, capacity, extra, max_admission
+        )
+        assert admitted.tobytes() == expected.tobytes()
+        assert np.array_equal(oversubscribed, expected_over)
+        # The padding accounting always balances: every slot of the padded
+        # (S, K) layout is either a real group slot or an empty one.
         real = int(np.bincount(conn_server, minlength=n_servers).sum())
-        if buffers._group_matrix is not None:
+        if buffers._width_classes:
             assert buffers.group_slots - buffers.padded_slots >= real
             assert buffers.padded_slots >= 0
 

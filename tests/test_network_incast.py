@@ -149,7 +149,6 @@ class TestProportionalAdmissionPaths:
         offered = np.array([50.0, 30.0, 40.0, 10.0, 200.0, 5.0])
         weights = np.array([1.0, 2.0, 1.0, 1.0, 1.0, 3.0])
         buffers = self.check(conn_server, 3, 100.0, offered, weights)
-        assert not buffers._uniform_groups
         assert [w for w, _, _ in buffers._width_classes] == [1, 2, 3]
         # Widths 3/2/1 padded to K=3: 0 + 1 + 2 wasted slots.
         assert buffers.padded_slots == 3
@@ -160,8 +159,8 @@ class TestProportionalAdmissionPaths:
         offered = np.array([80.0, 30.0, 40.0, 90.0, 200.0, 5.0])
         weights = np.ones(6)
         buffers = self.check(conn_server, 3, 100.0, offered, weights)
-        assert buffers._group_matrix is not None
-        assert buffers._uniform_groups
+        # One width class covering every server, in server order.
+        assert [(w, rows) for w, rows, _ in buffers._width_classes] == [(2, slice(None))]
         assert buffers.padded_slots == 0
 
     def test_server_without_connections_pads_harmlessly(self):

@@ -42,9 +42,10 @@ class TestStarTopology:
         assert topo.max_client_utilization() == 0.0
         # Node 0 sends half its step capacity, node 1 more than all of it
         # (clamped to 1); per-link steps may differ.
+        node_dt = np.array([0.1, 0.2, 0.1])
         topo.record_step_flat(
-            np.array([5.0, 30.0, 0.0]), np.array([20.0, 0.0]),
-            np.array([0.1, 0.2, 0.1]), 0.1,
+            np.array([5.0, 30.0, 0.0]), np.array([20.0, 0.0]), node_dt, 0.1,
+            topo.node_capacities() * node_dt, topo.server_capacities() * 0.1,
         )
         topo.observed_time = 0.2
         assert topo.max_client_utilization() == pytest.approx(1.0)

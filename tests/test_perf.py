@@ -428,3 +428,27 @@ class TestProfilerReset:
         profiler.reset()
         assert profiler.phases == ()
         assert profiler.report() == {}
+
+
+class TestTelemetryProfiler:
+    def test_telemetry_times_phases_without_allocation_probes(self, monkeypatch):
+        """Telemetry times every kernel phase, and never calls the
+        allocation probe that only ``perf --profile`` pays for."""
+        import sys
+
+        from repro.config.presets import make_scenario
+        from repro.model.batch import simulate_many
+        from repro.model.stepper import ModelStepper
+        from repro.obs.telemetry import telemetry_session
+
+        def probe():
+            raise AssertionError("telemetry probed allocations")
+
+        scenario = make_scenario("tiny", device="hdd", sync_mode="sync-on")
+        monkeypatch.setattr(sys, "getallocatedblocks", probe)
+        with telemetry_session("no-probe") as telemetry:
+            (result,) = simulate_many([scenario])
+            counters = telemetry.snapshot()["counters"]
+        for phase in ModelStepper.PHASES:
+            assert counters[f"step.phase.{phase}.calls"] == result.n_steps
+            assert counters[f"step.phase.{phase}.ns"] > 0

@@ -89,7 +89,7 @@ class TestDeployment:
 
     def test_drain_rates_vectorized(self):
         dep = self.make_deployment()
-        rates = dep.drain_rates(np.array([1, 8, 64]), np.full(3, 1 * MIB))
+        rates = dep.law(np.array([1, 8, 64]), np.full(3, 1 * MIB)).rates
         assert rates.shape == (3,)
         assert rates[0] >= rates[1] >= rates[2]
 
@@ -97,7 +97,7 @@ class TestDeployment:
         dep = self.make_deployment()
         assert dep.utilizations().tolist() == [0.0, 0.0, 0.0]
         dep.commit_flat(np.array([1e6, 2e6, 0.0]), np.full(3, 0.1),
-                        np.array([4, 4, 4]), np.full(3, 1 * MIB))
+                        dep.law(np.array([4, 4, 4]), np.full(3, 1 * MIB)))
         dep.observed_time = 0.1
         assert dep.drained_bytes.tolist() == [1e6, 2e6, 0.0]
         utilization = dep.utilizations()
@@ -108,4 +108,4 @@ class TestDeployment:
     def test_wrong_shapes_rejected(self):
         dep = self.make_deployment()
         with pytest.raises(ConfigurationError):
-            dep.drain_rates(np.array([1]), np.array([1.0]))
+            dep.law(np.array([1]), np.array([1.0]))

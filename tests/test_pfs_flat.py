@@ -80,7 +80,7 @@ class TestDrainLaw:
            frag=st.lists(fragments, min_size=N_SERVERS, max_size=N_SERVERS))
     def test_drain_rates_match_scalar_law(self, mode, device, n, frag):
         deployment, servers = make_pair(mode, device, 96 * units.GiB)
-        rates = deployment.drain_rates(np.array(n), np.array(frag))
+        rates = deployment.law(np.array(n), np.array(frag)).rates
         assert rates.tolist() == [
             server.drain_rate(k, g) for server, k, g in zip(servers, n, frag)
         ]
@@ -92,15 +92,15 @@ class TestCommitLaw:
            cache=st.sampled_from([1.0 * units.MiB, 8.0 * units.MiB, 96.0 * units.GiB]),
            steps=st.lists(step, min_size=1, max_size=12))
     def test_commit_sequences_match_scalar_servers(self, mode, device, cache, steps):
-        """Steps with and without a drain_rates call (which fills the law
-        memo) before the commit, as the stepper runs them; like the stepper,
-        the test advances the deployment's observed time itself."""
+        """Steps with and without a drain-rate lookup (which fills the law
+        memo) before the commit's own; like the stepper, the test advances
+        the deployment's observed time itself."""
         deployment, servers = make_pair(mode, device, cache)
         for drained, dt, n, frag, paired in steps:
             if paired:
-                deployment.drain_rates(np.array(n), np.array(frag))
+                deployment.law(np.array(n), np.array(frag))
             deployment.commit_flat(np.array(drained), np.full(N_SERVERS, dt),
-                                   np.array(n), np.array(frag))
+                                   deployment.law(np.array(n), np.array(frag)))
             deployment.observed_time += dt
             for server, nbytes, k, g in zip(servers, drained, n, frag):
                 server.commit(nbytes, dt, k, g)
@@ -160,11 +160,12 @@ class TestStackedDeployment:
                                    min_size=len(alone), max_size=len(alone))),
                 [d.n_servers for d in alone],
             )
-            rates = stacked.drain_rates(n, frag)
-            stacked.commit_flat(drained, dt, n, frag)
+            law = stacked.law(n, frag)
+            stacked.commit_flat(drained, dt, law)
             for deployment, sl in zip(alone, lanes):
-                assert deployment.drain_rates(n[sl], frag[sl]).tolist() == rates[sl].tolist()
-                deployment.commit_flat(drained[sl], dt[sl], n[sl], frag[sl])
+                alone_law = deployment.law(n[sl], frag[sl])
+                assert alone_law.rates.tolist() == law.rates[sl].tolist()
+                deployment.commit_flat(drained[sl], dt[sl], alone_law)
         for deployment, sl in zip(alone, lanes):
             for name in STATE:
                 assert getattr(stacked, name)[sl].tolist() == getattr(deployment, name).tolist(), name

@@ -1,4 +1,4 @@
-"""The stepping kernel and its drivers: B simulations per NumPy call.
+"""The stepping kernel and its drivers: B simulations per kernel call.
 
 :class:`BatchedStepper` is the one stepping kernel.  Every simulation steps
 on it as a member of a batch, and a run alone
@@ -7,8 +7,8 @@ campaign this repo runs (interference matrices, Δ-sweeps, parameter grids,
 seed replications) is embarrassingly many *independent* simulations, which
 makes the batch axis free: concatenate the per-connection, per-server and
 per-node state of B member simulations into flat arrays and run the same
-seven phases once per tick over ``B * N`` elements, so the Python/NumPy call
-overhead that dominates a narrow step is paid once per tick.  Past a few
+seven phases once per tick over ``B * N`` elements, so the Python and
+foreign-call overhead of a step is paid once per tick.  Past a few
 thousand lanes per-lane work dominates instead, which is why a bucket keeps
 its live lanes under a budget (:data:`_BUCKET_LANES`) and queues the rest.
 
@@ -17,31 +17,32 @@ Exactness
 Every member of a batch is bit-for-bit identical to its run alone, by
 construction rather than by tolerance:
 
-* every elementwise ufunc is trivially independent per lane, and every use
-  of the step clock in array code is elementwise: each lane carries its own
-  member's ``now`` and ``dt`` (per-lane arrays), so it computes the bits the
-  member's scalar clock gives alone; the one transcendental of ``dt`` (the
-  paced-timeout hazard) is taken per member in Python;
+* every elementwise operation (in the native kernel, NumPy's IEEE operation
+  in NumPy's order; see :mod:`repro.model.stepper`) is trivially
+  independent per lane, and every use of the step clock in array code is
+  elementwise: each lane carries its own member's ``now`` and ``dt``
+  (per-lane arrays), so it computes the bits the member's scalar clock gives
+  alone; the one transcendental of ``dt`` (the paced-timeout hazard) is
+  taken per member in Python;
 * so does every constant in which members may differ (RTT, client line
   rate, node injection and server NIC rates, stripe size, the device's law
-  and the sync mode): each lane holds its member's value and the array code
-  applies it in the scalar law's operation order, so an elementwise op on
-  equal doubles gives the scalar's bits; the server laws run once per run
-  of one sync mode, each generation laying its members out by sync mode;
-* ``bincount`` accumulates per bin in input order, and each member's
+  and the sync mode): each lane holds its member's value and the kernel
+  applies it in the scalar law's operation order, so an operation on equal
+  doubles gives the scalar's bits; the server law runs per server lane from
+  its own sync-mode code, so a generation lays its members out in any order;
+* a ``bincount`` accumulates per bin in input order, and each member's
   connections occupy a contiguous flat range in their original relative
   order, so per-bin partial-sum order is unchanged;
-* the admission water-filling runs row-per-server on each width class's
-  ``(m, w)`` matrix, every row at its server's true width and connection
-  order; a row reduction combines one member's server only, and each pass
-  works on the over-subscribed rows still live (a row that takes nothing
-  in a pass takes nothing later), so other members' rows never change it;
+* the admission water-filling runs row-per-server, every row at its
+  server's true width and connection order, so its row sums follow NumPy's
+  pairwise summation tree of the row alone; a row reduction combines one
+  member's server only, so other members' rows never change it;
 * RNG draw order is preserved per member: the burst-escape gate draws from
-  each member's own admission stream, and ``WindowState.update`` receives
-  ``rng_sites`` so hazard draws and collapse jitter come from each member's
-  own transport stream, gated and sized exactly as a member-alone run (one
-  reduction over the members' lane starts finds the members that draw, so
-  no per-member loop visits a member without work);
+  each member's own admission stream, and the window update's hazard draws
+  and collapse jitter come from each member's own transport stream
+  (:class:`~repro.network.congestion.RngSites`), gated and sized exactly as
+  a member-alone run (one reduction over the members' lane starts finds the
+  members that draw, so no per-member loop visits a member without work);
 * only live members step: a member retires on the tick it finishes, and at
   the end of that tick the flat state is rebuilt from the live members
   and the queued runs that now fit (*compaction*).  The rebuild
@@ -55,8 +56,8 @@ Flat control plane
 ------------------
 Nothing in a step loops over members, servers or processes:
 
-* the server laws (drain capacity, backend commit) run elementwise over
-  the stacked servers of every member in one flat
+* the server laws (drain capacity, backend commit) run per lane over the
+  stacked servers of every member in one flat
   :class:`~repro.pfs.filesystem.PVFSDeployment`;
 * application lifecycle and per-process issue state are flat arrays, so the
   completion phase finds the few applications whose operation completed
@@ -123,7 +124,7 @@ the window dynamics, the buffer capacity and the server laws' shared
 terms).  Everything else is per lane: device, sync mode, stripe size,
 server and client counts, NIC rates, RTT and node injection rate.
 Connection counts and per-server group sizes are free to differ too — the
-admission water-filling stacks ragged groups by width class
+admission water-filling runs each server's row at its own width
 (:class:`~repro.network.incast.ServerBuffers`), and ``batch.padded_slots``
 counts the slots a padded layout would leave empty — and so are steps,
 stepping policies, start anchors and horizons.  :func:`plan_buckets`, the
@@ -152,12 +153,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.config.filesystem import SyncMode
+from repro import native
 from repro.config.scenario import ScenarioConfig
 from repro.errors import SimulationError
 from repro.model.results import RunResult
 from repro.model.simulator import CONTROL, OBSERVE, IOPathSimulator, start_anchor
-from repro.model.stepper import COMPLETION_EPSILON, ModelStepper, StepContext
+from repro.model.stepper import ModelStepper, StepContext
 from repro.model.state import APP_ACTIVE, OperationTable, app_layouts
 from repro.network.congestion import RngSites, WindowState
 from repro.network.incast import ServerBuffers
@@ -180,14 +181,15 @@ __all__ = [
 #: Live connection lanes of a bucket :func:`run_bucket` runs.  The bucket is
 #: a queue: it admits runs in input order while their lanes fit, and admits
 #: the next ones into the lanes that finished runs free.  Measured on the
-#: 44-task tiny fleet matrix (4,800 lanes, 2-CPU machine): ticks, not lanes,
-#: are what narrow buckets pay for (about 150 µs per tick plus 11 µs per
-#: member-tick), but per-lane work dominates a tick past about 4k lanes (a
-#: tiny member costs 26.6 µs per member-tick at 4,096 lanes and still
-#: 24.3 µs at 16,384) while memory grows with the width: one 44-wide bucket
-#: read 8.8% more peak RSS than two chunks of about 2,400 lanes, close to the
-#: benchmark's 10% bound.  A refilled bucket pays for its longest run's ticks
-#: once at a bounded width.
+#: 44-task tiny fleet matrix (4,800 lanes, 2-CPU 2.1 GHz Xeon, native
+#: kernel; medians of three runs): a one-member tick costs about 8 µs, and a
+#: wider one about 5-7 µs per member-tick (14 µs for 2.4 members at
+#: 129-512 lanes, 51 µs for 9.8 at 513-2,048, 195 µs for 28 past 2,048), so
+#: ticks, not lanes, are what narrow buckets pay for.  Past a few thousand
+#: lanes per-lane work dominates (a tiny member costs 7.0 µs per member-tick
+#: at 4,096 lanes and 7.4 µs in one unbudgeted 44-wide bucket), and peak RSS
+#: no longer grows with the width (44.1-44.5 MB either way).  A refilled
+#: bucket pays for its longest run's ticks once at a bounded width.
 _BUCKET_LANES = 4096
 
 
@@ -311,7 +313,7 @@ _LANE_ARRAYS = (
     ("topology", "srv", ("_server_busy", "_server_transferred")),
     (None, "conn", ("send_remaining", "frag_size")),
     (None, "srv", ("last_drain_rate", "last_admission_rate")),
-    (None, "app", ("app_phase",)),
+    (None, "app", ("app_phase", "collapses_per_app")),
     (None, "proc", ("proc_current_op", "proc_next_issue")),
 )
 
@@ -319,10 +321,6 @@ _LANE_ARRAYS = (
 def _lane_owner(state, owner: Optional[str]):
     return state if owner is None else getattr(state, owner)
 
-
-#: The order in which a generation lays out its members' sync modes, so
-#: that each mode is one run of server lanes.
-_MODE_RANK = {mode: rank for rank, mode in enumerate(SyncMode)}
 
 #: What :class:`BatchSimulator` takes as a member: a scenario, a fresh
 #: simulator, or a ``(scenario, seed)`` request (``None``: its own seed).
@@ -448,12 +446,16 @@ class _BatchedState:
         self.n_processes = proc
         networks = [m.scenario.platform.network for m in members]
         conn_counts = [st.n_connections for st in states]
-        self.conn_rtt = np.repeat([n.rtt for n in networks], conn_counts)
+        # Float lanes even for int rates (a preset's 10**9), as the scalar
+        # arithmetic promotes them.
+        self.conn_rtt = np.repeat(np.array([n.rtt for n in networks], dtype=np.float64),
+                                  conn_counts)
         self.node_line_rate = np.repeat(
-            [n.client_nic_bw for n in networks], [st.topology.n_client_nodes for st in states]
+            np.array([n.client_nic_bw for n in networks], dtype=np.float64),
+            [st.topology.n_client_nodes for st in states],
         )
         self.server_stripe = np.repeat(
-            [m.scenario.filesystem.stripe_size for m in members],
+            np.array([m.scenario.filesystem.stripe_size for m in members], dtype=np.float64),
             [st.n_servers for st in states],
         )
         self.topology = StarTopology.stacked([st.topology for st in states])
@@ -510,9 +512,10 @@ class BatchedStepper(ModelStepper):
 
     Inherits the shared data-plane phases and adds the parts that touch a
     member's own RNG streams or bookkeeping, each sliced per member: the
-    burst-escape gate, window dynamics and completion.  Each finds its
-    members with one reduction over the members' lane starts and runs
-    Python only for those with work.  Each member steps on its own clock
+    burst-escape gate, window dynamics and completion.  The native kernel
+    runs their array code; each then finds its members with one reduction
+    over the members' lane starts (or a per-member count) and runs Python
+    only for those with work.  Each member steps on its own clock
     (see :class:`~repro.model.stepper.StepContext`).
     """
 
@@ -535,195 +538,163 @@ class BatchedStepper(ModelStepper):
             i for i, m in enumerate(self._members)
             for _ in range(m.app_sl.start, m.app_sl.stop)
         ]
-        self._app_independent = ~state.app_collective
-        self._any_independent = bool(self._app_independent.any())
-        #: Every process's last operation index (exhausted once reached).
-        self._proc_last_op = state.proc_n_ops - 1
         #: Members whose control plane changed in the last step (an
         #: operation completed, an issue was scheduled, a member finished),
         #: in member order; the driver follows up on exactly these.
         self.changed: List[_BatchMember] = []
+        #: The completion scan's outputs: the applications to update, the
+        #: processes ready to issue and the settled applications (its
+        #: ``proc_last_op`` is every process's last operation index,
+        #: exhausted once reached).
+        self._app_changed = np.zeros(state.n_apps, dtype=bool)
+        self._proc_ready = np.zeros(state.n_processes, dtype=bool)
+        self._app_settled = np.zeros(state.n_apps, dtype=bool)
+        #: Each member's burst-escape failures this step (``nk_gate`` counts
+        #: them, so only members with failures draw collapse jitter).
+        self._member_count = np.zeros(state.n_members, dtype=np.int64)
+        self._windows_table = state.windows.table()
+        self._kernel = self._kernel_table(
+            windows=self._windows_table, app_active=APP_ACTIVE,
+            conn_member=state.conn_member, member_count=self._member_count,
+            collapses_per_app=state.collapses_per_app,
+            app_phase=state.app_phase, app_collective=state.app_collective,
+            app_independent=~state.app_collective, app_n_procs=state.app_n_procs,
+            conn_app=state.conn_app, conn_proc=state.conn_proc, proc_app=state.proc_app,
+            proc_member=state.proc_member, proc_current_op=state.proc_current_op,
+            proc_last_op=state.proc_n_ops - 1, proc_next_issue=state.proc_next_issue,
+            changed=self._app_changed, ready=self._proc_ready, settled=self._app_settled,
+            per_app=np.zeros(state.n_apps, dtype=np.float64),
+            per_proc=np.zeros(state.n_processes, dtype=np.float64),
+            outstanding_scan=self.workspace.tmp_conn_a,
+        )
+        lib = native.library()
+        self._nk_gate = lib.nk_gate
+        self._nk_gate_collapse = lib.nk_gate_collapse
+        self._nk_count_timeouts = lib.nk_count_timeouts
+        self._nk_window_dynamics = lib.nk_window_dynamics
+        self._nk_completion = lib.nk_completion
+        #: The member clocks the completion scan last read, and their address.
+        self._now = None
+        self._now_address = 0
 
     def set_steps(self, dt) -> None:
         super().set_steps(dt)
         # A step weighs dt / base in the pressure statistics: exactly 1.0 for
         # a fixed step, the base steps it replaced for an adaptive one.
         np.divide(self._ctx.dt_server, self._base_server, out=self._step_weight)
-        # Per-member RNG sites for WindowState.update: hazard draws and
-        # collapse jitter come from each member's own transport stream,
-        # sliced to its lanes, and the hazard from its own step.
-        self._rng_sites = self._rng_sites._replace(dts=self._ctx.dt.tolist())
+        # Each connection's paced-timeout probability, from its member's
+        # step (a Python float power per member, as the member alone takes).
+        windows = self.state.windows
+        np.array([windows.step_hazard(dt) for dt in self._ctx.dt.tolist()]).take(
+            self.state.conn_member, out=windows.hazard, mode="clip")
 
     # -- per-member phases ---------------------------------------------- #
 
     def _burst_escape_gate(self, ctx: StepContext) -> None:
         """Resolve the burst-escape gate for the connections flagged in
-        ``ws.tmp_bool_a`` (the gated mask computed by :meth:`_phase_offer`).
+        ``ws.tmp_bool_a`` (the gated mask :meth:`_phase_offer` computed).
 
         Every member with a gated connection draws one full-lane ``random``
-        from its own admission stream; one pass over every lane then finds
-        the gated connections whose draw failed, which collapse
+        from its own admission stream; one native pass over every lane then
+        finds the gated connections whose draw reached their escape
+        probability (the re-entry one once ever paced), which collapse
         (``windows.force_timeout``) and offer nothing this step.
 
         Reads:  ``ws.tmp_bool_a`` (gated mask), ``windows.ever_paced``.
         Writes: ``ws.draws``, ``ws.desired`` entries of failed connections,
-                the members' window/collapse state; clobbers
-                ``tmp_conn_a``/``tmp_bool_b``.
+                the members' window/collapse state; clobbers ``tmp_bool_b``.
         """
         ws = self.workspace
-        transport = self._transport
-        gated = ws.tmp_bool_a
-        if not np.count_nonzero(gated):
-            return
-        for k in np.logical_or.reduceat(gated, self._conn_starts).nonzero()[0].tolist():
+        for k in np.logical_or.reduceat(ws.tmp_bool_a, self._conn_starts).nonzero()[0].tolist():
             member = self._members[k]
             member.sim.admission_rng.random(out=ws.draws[member.conn_sl])
         # A member that drew nothing keeps stale draws, which its ungated
         # lanes discard; no member's draw depends on another's collapse.
-        probs = ws.tmp_conn_a
-        probs.fill(transport.burst_escape_probability)
-        np.copyto(probs, transport.burst_reentry_probability,
-                  where=self.state.windows.ever_paced)
-        failed = ws.tmp_bool_b
-        np.greater_equal(ws.draws, probs, out=failed)
-        np.logical_and(gated, failed, out=failed)
-        if not np.count_nonzero(failed):
+        if not self._nk_gate(self._kernel.address):
             return
-        for k in np.logical_or.reduceat(failed, self._conn_starts).nonzero()[0].tolist():
+        # Each member with failures draws their collapse jitter from its
+        # transport stream (as WindowState.force_timeout does), in lane
+        # order, and the kernel collapses them all.
+        jitter = self.state.windows._jitter
+        offset = 0
+        counts = self._member_count
+        for k in counts.nonzero()[0].tolist():
             member = self._members[k]
-            sl = member.conn_sl
-            local_idx = failed[sl].nonzero()[0]
-            mstate = member.sim.state
-            now = float(ctx.now[member.index])
-            mstate.windows.force_timeout(local_idx, now)
-            ws.desired[sl][local_idx] = 0.0
-            mstate.collapses_per_app += np.bincount(
-                mstate.conn_app[local_idx], minlength=mstate.n_apps
+            n = int(counts[k])
+            jitter[offset:offset + n] = self._rng_sites.rngs[k].uniform(0.5, 1.5, size=n)
+            offset += n
+            member.sim.state.recorder.mark(
+                float(ctx.now[member.index]), "incast", "burst-loss", data={"count": n},
             )
-            mstate.recorder.mark(
-                now, "incast", "burst-loss",
-                data={"count": int(local_idx.size)},
-            )
+        self._nk_gate_collapse(self._kernel.address)
 
     def _phase_window_dynamics(self, ctx: StepContext) -> None:
-        """AIMD plus timeout collapse per connection.
+        """AIMD plus timeout collapse per connection
+        (:meth:`~repro.network.congestion.WindowState.update`): the native
+        kernel runs the update up to the paced-timeout hazard, and each
+        member with a hazard candidate or a collapse draws from its own
+        transport stream.
 
         Reads:  ``ctx.desired/admitted/rtt_eff/oversubscribed/loss_prone``.
         Writes: the transport window state; each member's
                 ``collapses_per_app``; may consume each member's transport
                 draws for the paced-timeout hazard.
         """
-        state = self.state
-        update = state.windows.update(
-            now=ctx.now_conn,
-            dt=ctx.dt_conn,
-            requested=ctx.desired,
-            admitted=ctx.admitted,
-            rtt_eff=ctx.rtt_eff,
-            oversubscribed=ctx.oversubscribed,
-            loss_prone=ctx.loss_prone,
-            rng_sites=self._rng_sites,
-        )
-        if update.n_collapsed:
-            # Collapsed indices are ascending, so each member's share is one
-            # contiguous run; split it per member for the local statistics.
-            idx = update.collapsed_indices
-            first = np.searchsorted(idx, self._conn_starts)
-            counts = np.diff(first, append=idx.shape[0])
-            for k in counts.nonzero()[0].tolist():
-                member = self._members[k]
-                a = int(first[k])
-                b = a + int(counts[k])
-                mstate = member.sim.state
-                local_idx = idx[a:b] - member.conn_sl.start
-                mstate.collapses_per_app += np.bincount(
-                    mstate.conn_app[local_idx], minlength=mstate.n_apps
-                )
-                mstate.recorder.mark(
-                    float(ctx.now[member.index]), "incast", "window-collapse",
-                    data={"count": int(b - a)},
-                )
+        packed = self._nk_window_dynamics(self._kernel.address)
+        if packed <= 0:
+            return
+        counts = self.state.windows.resolve(packed, ctx.now_conn, self._rng_sites,
+                                            self._windows_table)
+        if counts is None:
+            return
+        self._nk_count_timeouts(self._kernel.address)
+        for k in counts.nonzero()[0].tolist():
+            member = self._members[k]
+            member.sim.state.recorder.mark(
+                float(ctx.now[member.index]), "incast", "window-collapse",
+                data={"count": int(counts[k])},
+            )
 
     def _phase_completion(self, ctx: StepContext) -> None:
         """Complete collective operations and advance per-process streams.
 
-        One flat scan over every member's applications; each change runs on
-        its member's own control plane and state.
+        One native scan over every member's applications and processes
+        finds the applications whose state changes at the end of this step:
+        collective ones whose operation drained, and independent ones with a
+        process ready to issue its next operation or every process done.
+        The scan reads the same post-step outstanding bytes the
+        per-application checks read, and an application's update only
+        touches its own connections, so scanning all applications up front
+        decides exactly what a pass in index order would.  Each change runs
+        on its member's own control plane and state.
 
-        Reads:  outstanding bytes per app/process.
+        Reads:  outstanding bytes per app/process, ``app_phase``, process
+                issue state, the member clocks ``ctx.now``.
         Writes: application runtime bookkeeping, :attr:`changed`; sets
                 collective issue times.
         """
         changed = self.changed
         changed.clear()
         now = ctx.now
-        scan = self._scan_completions(now)
-        if scan is None:
+        if now is not self._now:
+            if not (now.dtype == np.float64 and now.flags.c_contiguous
+                    and now.shape == (self.state.n_members,)):
+                raise SimulationError("member clocks must be one float64 per member")
+            self._now, self._now_address = now, now.ctypes.data
+        if not self._nk_completion(self._kernel.address, self._now_address):
             return
-        apps, ready, settled = scan
         members = self._members
-        for index in apps.tolist():
+        ready, settled = self._proc_ready, self._app_settled
+        for index in self._app_changed.nonzero()[0].tolist():
             member = members[self._app_member[index]]
             member.sim._complete_app(
                 index - member.app_sl.start,
-                None if ready is None else ready[member.proc_sl],
-                None if settled is None else settled[member.app_sl],
+                ready[member.proc_sl],
+                settled[member.app_sl],
                 float(now[member.index]),
             )
             if not changed or changed[-1] is not member:
                 changed.append(member)
-
-    def _scan_completions(self, now: np.ndarray):
-        """Find the applications whose state changes at the end of this step.
-
-        One set of vectorized reductions over every application and process
-        replaces a Python pass over the applications.  Returns ``None`` when
-        nothing changes (the common case) or ``(apps, ready, settled)``: the
-        ascending indices of the applications to update, the per-process mask
-        of non-collective processes ready to issue their next operation, and
-        the per-application mask of non-collective applications whose every
-        process is done.  The masks read the same post-step outstanding
-        bytes the per-application checks read, and an application's update
-        only touches its own connections, so scanning all applications up
-        front decides exactly what a pass in index order would.
-
-        Reads:  outstanding bytes, ``app_phase``, process issue state, the
-                member clocks ``now``.
-        Writes: nothing (clobbers ``tmp_conn_a``).
-        """
-        state = self.state
-        active = state.app_phase == APP_ACTIVE
-        if not np.count_nonzero(active):
-            return None
-        eps = COMPLETION_EPSILON
-        outstanding = np.add(
-            state.send_remaining, state.buffers.conn_bytes, out=self.workspace.tmp_conn_a
-        )
-        changed = active & state.app_collective
-        if np.count_nonzero(changed):
-            per_app = np.bincount(state.conn_app, weights=outstanding, minlength=state.n_apps)
-            changed &= per_app <= eps
-        ready = settled = None
-        independent = active & self._app_independent if self._any_independent else None
-        if independent is not None and np.count_nonzero(independent):
-            per_proc = np.bincount(
-                state.conn_proc, weights=outstanding, minlength=state.n_processes
-            )
-            idle = per_proc <= eps
-            exhausted = state.proc_current_op >= self._proc_last_op
-            ready = np.greater(idle, exhausted)             # idle & ~exhausted
-            ready &= state.proc_next_issue <= now.take(state.proc_member)
-            ready &= independent.take(state.proc_app)
-            idle &= exhausted
-            settled = np.bincount(
-                state.proc_app, weights=idle, minlength=state.n_apps
-            ) == state.app_n_procs
-            settled &= independent
-            changed |= settled
-            changed[state.proc_app[ready]] = True
-        if not np.count_nonzero(changed):
-            return None
-        return changed.nonzero()[0], ready, settled
 
     # -- the step ------------------------------------------------------- #
 
@@ -772,7 +743,7 @@ class BatchSimulator:
     members' state, and the table only the layouts they use.
     :attr:`members` lists every member in input order; the current
     generation of the flat state (:attr:`state`, :attr:`stepper`) holds the
-    live ones, laid out by sync mode.
+    live ones.
     """
 
     def __init__(self, members: Sequence[Member], lanes: Optional[int] = None) -> None:
@@ -838,12 +809,10 @@ class BatchSimulator:
 
     def _build(self, members: Sequence[_BatchMember]) -> None:
         """Build a generation of the flat state and its kernel over
-        ``members``, laid out by sync mode (see :class:`_BatchedState`).
+        ``members``, in the order given (see :class:`_BatchedState`).
         Member order never changes a result: every reduction of the kernel
         stays within one member."""
-        self._live = sorted(
-            members, key=lambda m: _MODE_RANK[m.scenario.filesystem.sync_mode]
-        )
+        self._live = list(members)
         self._n_live = len(self._live)
         self.state = _BatchedState(self._live)
         self.stepper = BatchedStepper(self.state, self._live)
@@ -1206,7 +1175,7 @@ def simulate_many(
     come back in input order and are bitwise identical to running each
     request alone through :func:`~repro.model.simulator.simulate_scenario`,
     whatever the devices, sync modes, networks, stripe sizes and server
-    counts that share a bucket, its padded width classes, its mix of fixed
+    counts that share a bucket, its ragged server groups, its mix of fixed
     and adaptive stepping and the worker that ran it.  Emits ``batch.*``
     telemetry: ``batch.requests`` and ``batch.repeats`` (requests served by
     an equal request's result), and one ``simulation``-track span plus an

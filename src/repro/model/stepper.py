@@ -1,6 +1,6 @@
 """The per-step update of the I/O-path model: a phase-aware stepping kernel.
 
-Each step of length ``dt`` runs seven vectorized sub-phases, in order:
+Each step of length ``dt`` runs seven sub-phases, in order:
 
 1. **Workload mix** — count active writers and average fragment sizes per
    server (they set the device interleaving penalty and the processing
@@ -29,6 +29,25 @@ parts that touch a member's own RNG streams and bookkeeping (the
 burst-escape gate inside the offer phase, window dynamics and completion)
 and the step itself.  A run alone is a batch of one.
 
+Native kernel
+-------------
+The array code of every phase is C (``repro/native/kernel.c``, loaded by
+:mod:`repro.native`): a phase makes one foreign call on the generation's
+address table (built once per generation, checked slot by slot), and a
+phase with per-member work (the gate, the hazard, the completions) then runs
+Python for the members that have it.  The C gives NumPy's bits:
+
+* every elementwise operation is the IEEE operation NumPy performs, in its
+  order and association, and constants Python combined are combined once in
+  Python (``-ffp-contract=off``: no fused multiply-add);
+* a row sum (the admission's per-server ``demands.sum()``) follows NumPy's
+  pairwise summation tree at the row's true width, and a ``bincount``
+  accumulates each bin in input order;
+* the server law is evaluated per server lane every step from its own
+  constants and sync-mode code, so no layout by sync mode and no memo of
+  workload mixes are needed;
+* every random draw stays a Python call on its member's own generator.
+
 Phase contract
 --------------
 The phases communicate exclusively through a :class:`StepContext` (the
@@ -41,10 +60,8 @@ where the contract allows it.
 Workspace ownership
 -------------------
 The intermediate arrays live in a preallocated :class:`StepWorkspace` owned by
-the stepper, so a steady-state step performs no per-connection or per-server
-array allocations (NumPy reductions like ``bincount`` that have no ``out=``
-form still allocate their small outputs).  The ownership rules extend the
-phase contract to memory:
+the stepper, so a step allocates no per-connection or per-server arrays.
+The ownership rules extend the phase contract to memory:
 
 * every *named* slot (``StepWorkspace.PHASE_SLOTS``) is written only by its
   owning phase and is read-only for every later phase of the same step;
@@ -57,10 +74,7 @@ phase contract to memory:
 
 ``tests/test_stepper_workspace.py`` asserts the first rule mechanically by
 snapshotting owned slots after their phase and diffing after every later
-phase.  Gathers into a slot use ``take(..., out=slot, mode="clip")``: with
-the default ``mode="raise"`` NumPy buffers the output of a ``take`` with
-``out=``, and the kernel's index maps are in range by construction, so
-``"clip"`` gathers the same values without the buffer.
+phase.
 """
 
 from __future__ import annotations
@@ -70,6 +84,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro import native
 from repro.errors import SimulationError
 
 __all__ = ["COMPLETION_EPSILON", "ModelStepper", "StepContext", "StepWorkspace"]
@@ -113,7 +128,6 @@ class StepContext:
 
     #: Phase 2 — drain capacity.
     drain_rate: Optional[np.ndarray] = None    #: per-server drain bandwidth (B/s)
-    law: Optional[object] = None               #: the step's server drain law
 
     #: Phase 3 — offered load.
     rtt_eff: Optional[np.ndarray] = None       #: per-conn effective RTT (s)
@@ -128,10 +142,11 @@ class StepContext:
 class StepWorkspace:
     """Preallocated per-connection/per-server scratch of the stepping kernel.
 
-    One instance lives for the whole run; every step rewrites the slots in
-    place, so the kernel allocates no per-connection or per-server arrays in
-    steady state.  See the module docstring for the ownership rules; the
-    mapping below is the machine-readable form the aliasing test consumes.
+    One instance lives for a generation of the flat state; every step
+    rewrites the slots in place, so the kernel allocates no per-connection
+    or per-server arrays in steady state.  See the module docstring for the
+    ownership rules; the mapping below is the machine-readable form the
+    aliasing test consumes.
     """
 
     #: Named slots by owning phase.  The owner writes the slot; later phases
@@ -139,26 +154,26 @@ class StepWorkspace:
     PHASE_SLOTS = {
         "workload_mix": ("outstanding", "busy", "busy_f", "n_active",
                          "n_streams", "n_streams_f", "avg_frag"),
-        "drain": ("sending", "n_ready", "drain_rate"),
+        "drain": ("sending", "n_ready", "drain_rate", "rates", "device_bw"),
         "offer": ("rtt_eff", "potential", "desired", "active", "loss_prone",
                   "draws"),
-        "admission": (),
+        "admission": ("admitted", "oversubscribed"),
         "window_dynamics": (),
         "accounting": (),
     }
 
     #: Scratch slots: intra-phase intermediates, clobbered freely.
     SCRATCH_SLOTS = (
-        "tmp_conn_a", "tmp_conn_b", "tmp_conn_c",
-        "tmp_bool_a", "tmp_bool_b", "tmp_bool_c",
-        "tmp_srv_a", "tmp_srv_b", "tmp_srv_bool",
-        "tmp_node_a", "tmp_node_b", "tmp_node_mask",
+        "tmp_conn_a", "tmp_bool_a", "tmp_bool_b",
+        "tmp_srv_a", "tmp_srv_b", "tmp_srv_bool_a", "tmp_srv_bool_b",
+        "tmp_node_a", "tmp_node_b",
     )
 
     def __init__(self, n_connections: int, n_servers: int, n_nodes: int) -> None:
         conn_f = lambda: np.zeros(n_connections, dtype=np.float64)  # noqa: E731
         conn_b = lambda: np.zeros(n_connections, dtype=bool)  # noqa: E731
         srv_f = lambda: np.zeros(n_servers, dtype=np.float64)  # noqa: E731
+        srv_b = lambda: np.zeros(n_servers, dtype=bool)  # noqa: E731
         node_f = lambda: np.zeros(n_nodes, dtype=np.float64)  # noqa: E731
         # Phase 1 — workload mix.
         self.outstanding = conn_f()
@@ -168,10 +183,13 @@ class StepWorkspace:
         self.n_streams = np.ones(n_servers, dtype=np.int64)
         self.n_streams_f = srv_f()
         self.avg_frag = srv_f()
-        # Phase 2 — drain capacity.
+        # Phase 2 — drain capacity (and the server law's rates and device
+        # bandwidths, which the backend commit reads).
         self.sending = conn_b()
         self.n_ready = srv_f()
         self.drain_rate = srv_f()
+        self.rates = srv_f()
+        self.device_bw = srv_f()
         # Phase 3 — offered load.
         self.rtt_eff = conn_f()
         self.potential = conn_f()
@@ -179,23 +197,19 @@ class StepWorkspace:
         self.active = conn_b()
         self.loss_prone = conn_b()
         self.draws = conn_f()
-        # Step-invariant constants.  Frozen so downstream identity-based
-        # caches (the admission weights validation) stay sound.
-        self.ones = np.ones(n_connections, dtype=np.float64)
-        self.ones.flags.writeable = False
+        # Phase 4 — admission.
+        self.admitted = conn_f()
+        self.oversubscribed = conn_b()
         # Scratch.
         self.tmp_conn_a = conn_f()
-        self.tmp_conn_b = conn_f()
-        self.tmp_conn_c = conn_f()
         self.tmp_bool_a = conn_b()
         self.tmp_bool_b = conn_b()
-        self.tmp_bool_c = conn_b()
         self.tmp_srv_a = srv_f()
         self.tmp_srv_b = srv_f()
-        self.tmp_srv_bool = np.zeros(n_servers, dtype=bool)
+        self.tmp_srv_bool_a = srv_b()
+        self.tmp_srv_bool_b = srv_b()
         self.tmp_node_a = node_f()
         self.tmp_node_b = node_f()
-        self.tmp_node_mask = np.zeros(n_nodes, dtype=bool)
 
     def owned_slots(self, phase: str) -> dict:
         """Name -> array of the slots owned by ``phase``."""
@@ -206,8 +220,9 @@ class ModelStepper:
     """The kernel's step invariants, workspace and shared data-plane phases.
 
     Not a kernel on its own: :class:`repro.model.batch.BatchedStepper`
-    supplies the per-member burst-escape gate, window dynamics, completion
-    and the step.
+    supplies the per-member burst-escape gate, window dynamics, completion,
+    the step and the native address table (:attr:`_kernel`) every phase
+    hands the C.
     """
 
     #: Phase order of one step (used by the profiler and the aliasing test).
@@ -231,20 +246,14 @@ class ModelStepper:
         self.profiler = None
 
         # ---------------- cached step invariants -------------------------
-        # Everything below is constant for the lifetime of the run (or, for
-        # the dt-scaled arrays, until the next set_steps); computing them
-        # here keeps them out of the per-step path.
+        # Everything below is constant for the lifetime of the generation
+        # (or, for the dt-scaled arrays, until the next set_steps, which
+        # rewrites them in place).
         self.workspace = StepWorkspace(
             state.n_connections, state.n_servers, state.topology.n_client_nodes
         )
         self._n_servers = state.n_servers
         self._n_nodes = state.topology.n_client_nodes
-        self._stripe_size = state.server_stripe
-        #: rwnd_overcommit * buffer capacity (numerator of the per-server
-        #: receive-window budget).
-        self._rwnd_budget = self._transport.rwnd_overcommit * state.buffers.capacity
-        self._send_floor = COMPLETION_EPSILON * 1e-3
-        self._wl_margin = 1.0 - 1e-6
         # dt-scaled capacities, per lane (set by set_steps).
         self._node_caps_dt = np.empty_like(self._node_caps)
         self._server_nic_dt = np.empty_like(self._server_nic)
@@ -261,6 +270,59 @@ class ModelStepper:
             dt_conn=np.zeros(state.n_connections, dtype=np.float64),
             dt_server=np.zeros(self._n_servers, dtype=np.float64),
             dt_node=np.zeros(self._n_nodes, dtype=np.float64),
+        )
+        lib = native.library()
+        self._nk_workload_mix = lib.nk_workload_mix
+        self._nk_drain = lib.nk_drain_phase
+        self._nk_offer = lib.nk_offer
+        self._nk_admission = lib.nk_admission
+        self._nk_accounting = lib.nk_accounting
+
+    def _kernel_table(self, **extra) -> native.Table:
+        """The generation's address table of every array the phases hand
+        the native kernel (``extra``: the windows' table and the completion
+        scan's arrays), checked once: the generation's arrays keep their
+        addresses."""
+        state = self.state
+        ws = self.workspace
+        ctx = self._ctx
+        transport = self._transport
+        lengths = {"conn": state.n_connections, "srv": self._n_servers,
+                   "node": self._n_nodes, "member": state.n_members,
+                   "app": state.n_apps, "proc": state.n_processes}
+        return native.Table(
+            "kernel", lengths,
+            n_conn=state.n_connections, n_srv=self._n_servers, n_node=self._n_nodes,
+            n_member=state.n_members, n_app=state.n_apps, n_proc=state.n_processes,
+            buffers=state.buffers.table(), deployment=state.deployment.table(),
+            topology=state.topology.table(),
+            capacity=state.buffers.capacity,
+            collapse_penalty=transport.collapse_penalty,
+            # rwnd_overcommit * buffer capacity: the numerator of the
+            # per-server receive-window budget.
+            rwnd_budget=transport.rwnd_overcommit * state.buffers.capacity,
+            window_min=transport.window_min, lossless=bool(transport.lossless),
+            source_margin=transport.source_margin, wl_margin=1.0 - 1e-6,
+            incast_window_threshold=transport.incast_window_threshold,
+            burst_loss_ratio=transport.burst_loss_ratio,
+            send_floor=COMPLETION_EPSILON * 1e-3, epsilon=COMPLETION_EPSILON,
+            conn_server=state.conn_server, conn_node=state.conn_node,
+            send_remaining=state.send_remaining, frag_size=state.frag_size,
+            base_rtt=self._base_rtt, server_stripe=state.server_stripe,
+            node_caps_dt=self._node_caps_dt, server_nic_dt=self._server_nic_dt,
+            node_line_rate=self._node_line_rate, now_conn=ctx.now_conn,
+            dt_conn=ctx.dt_conn, dt_server=ctx.dt_server, dt_node=ctx.dt_node,
+            dt=ctx.dt, observed_time=self.observed_time, step_weight=self._step_weight,
+            last_drain_rate=state.last_drain_rate,
+            last_admission_rate=state.last_admission_rate,
+            escape_probability=transport.burst_escape_probability,
+            reentry_probability=transport.burst_reentry_probability,
+            **{name: getattr(ws, name) for names in StepWorkspace.PHASE_SLOTS.values()
+               for name in names},
+            gated=ws.tmp_bool_a, failed=ws.tmp_bool_b, srv_a=ws.tmp_srv_a, srv_b=ws.tmp_srv_b,
+            srv_mask_a=ws.tmp_srv_bool_a, srv_mask_b=ws.tmp_srv_bool_b,
+            node_a=ws.tmp_node_a, node_b=ws.tmp_node_b,
+            **extra,
         )
 
     def set_steps(self, dt) -> None:
@@ -287,34 +349,19 @@ class ModelStepper:
     # ------------------------------------------------------------------ #
 
     def _phase_workload_mix(self, ctx: StepContext) -> None:
-        """Classify the offered workload.
+        """Classify the offered workload: busy connections (outstanding
+        bytes over :data:`COMPLETION_EPSILON`), each server's active writers
+        (at least 1) and mean fragment size (its stripe size when idle, so
+        the drain-rate law never divides by zero).
 
         Reads:  ``state.send_remaining``, ``state.buffers.conn_bytes``,
                 ``state.frag_size``.
         Writes: ``ctx.busy``, ``ctx.n_streams``, ``ctx.avg_frag`` (workspace
-                slots ``outstanding``, ``busy``, ``busy_f``, ``n_streams``,
-                ``n_streams_f``, ``avg_frag``).
+                slots ``outstanding``, ``busy``, ``busy_f``, ``n_active``,
+                ``n_streams``, ``n_streams_f``, ``avg_frag``).
         """
-        state = self.state
         ws = self.workspace
-        np.add(state.send_remaining, state.buffers.conn_bytes, out=ws.outstanding)
-        np.greater(ws.outstanding, COMPLETION_EPSILON, out=ws.busy)
-        ws.busy_f[:] = ws.busy
-        servers = state.conn_server
-        # bincount with 0/1 float weights sums the same unit contributions a
-        # boolean-mask bincount would (adding exact zeros is a no-op), so the
-        # counts and fragment sums are bit-identical without the mask arrays.
-        ws.n_active[:] = np.bincount(servers, weights=ws.busy_f, minlength=self._n_servers)
-        np.multiply(state.frag_size, ws.busy_f, out=ws.tmp_conn_a)
-        frag_sum = np.bincount(servers, weights=ws.tmp_conn_a, minlength=self._n_servers)
-        np.maximum(ws.n_active, 1.0, out=ws.tmp_srv_a)
-        np.divide(frag_sum, ws.tmp_srv_a, out=ws.avg_frag)
-        # Idle servers: report a neutral granularity so the drain-rate law
-        # does not divide by zero.
-        np.less_equal(ws.avg_frag, 0.0, out=ws.tmp_srv_bool)
-        np.copyto(ws.avg_frag, self._stripe_size, where=ws.tmp_srv_bool)
-        ws.n_streams[:] = ws.tmp_srv_a
-        ws.n_streams_f[:] = ws.n_streams
+        self._nk_workload_mix(self._kernel.address)
         ctx.busy = ws.busy
         ctx.n_streams = ws.n_streams
         ctx.avg_frag = ws.avg_frag
@@ -324,34 +371,19 @@ class ModelStepper:
     # ------------------------------------------------------------------ #
 
     def _phase_drain(self, ctx: StepContext) -> None:
-        """Compute every server's drain capacity for this step.
+        """Compute every server's drain capacity for this step: the server
+        law per lane, reduced by ``collapse_penalty`` times the fraction of
+        the server's busy connections stalled in an RTO (busy ones less
+        those able to send, ``n_ready``, among which the offer phase shares
+        the window).
 
         Reads:  ``ctx.busy/n_streams/avg_frag``, ``state.windows`` stalls.
-        Writes: ``ctx.drain_rate``, ``ctx.law``, ``state.last_drain_rate``
-                (workspace slots ``sending``, ``n_ready``, ``drain_rate``).
+        Writes: ``ctx.drain_rate``, ``state.last_drain_rate`` (workspace
+                slots ``sending``, ``n_ready``, ``drain_rate``, ``rates``,
+                ``device_bw``).
         """
-        state = self.state
-        ws = self.workspace
-        ctx.law = law = state.deployment.law(ctx.n_streams, ctx.avg_frag)
-        # Stalled fraction per server: busy connections in an RTO over phase
-        # 1's busy count floored at 1 (``n_streams_f``).  Counts of 0/1 weights
-        # are exact, so the stalled count is the busy count less those able to
-        # send (``n_ready``, among which the offer phase shares the window).
-        # (in-place twin of WindowState.sending_allowed — keep in sync)
-        np.less_equal(state.windows.stall_until, ctx.now_conn, out=ws.sending)
-        np.multiply(ws.busy_f, ws.sending, out=ws.tmp_conn_a)
-        ws.n_ready[:] = np.bincount(
-            state.conn_server, weights=ws.tmp_conn_a, minlength=self._n_servers
-        )
-        np.subtract(ws.n_active, ws.n_ready, out=ws.tmp_srv_a)
-        np.divide(ws.tmp_srv_a, ws.n_streams_f, out=ws.tmp_srv_a)
-        # penalty = 1 - collapse_penalty * stalled_fraction: both factors lie
-        # in [0, 1], so it does too and needs no clamp.
-        np.multiply(ws.tmp_srv_a, self._transport.collapse_penalty, out=ws.tmp_srv_a)
-        np.subtract(1.0, ws.tmp_srv_a, out=ws.tmp_srv_a)
-        np.multiply(law.rates, ws.tmp_srv_a, out=ws.drain_rate)
-        np.maximum(ws.drain_rate, 1.0, out=state.last_drain_rate)
-        ctx.drain_rate = ws.drain_rate
+        self._nk_drain(self._kernel.address)
+        ctx.drain_rate = self.workspace.drain_rate
 
     # ------------------------------------------------------------------ #
     # Phase 3 — offered load
@@ -368,114 +400,32 @@ class ModelStepper:
                 connections (``windows.force_timeout``) and consume RNG draws
                 for the burst-escape gate.
 
-        Shares that are per node or per server are computed there and
-        gathered once: the same operations on the same doubles give each
-        connection the bits a per-connection computation would.
+        Each connection offers its effective window (its congestion window
+        capped by the receive window: the clients collectively probe
+        ``rwnd_overcommit`` beyond the server buffer, shared by the
+        server's connections able to send, so connections sitting out an
+        RTO cede their credit — what lets the incumbent keep streaming
+        while the newcomer's windows stay collapsed, Figure 11) per
+        effective RTT (base RTT plus the server's queueing delay), capped by
+        its outstanding bytes; an over-capacity node scales its
+        connections' offers by capacity / total.  A connection is
+        *loss-prone* (it can suffer a timeout collapse, "Incast") only when
+        (a) it offered a full window as a burst, clearly below what its
+        source NIC share would have allowed (window-limited), (b) its
+        server's buffer share per connection is down to a few MSS, and (c)
+        its NIC can deliver the burst much faster than its fair share of the
+        server drain.  Lossless transports are never loss-prone.  A
+        loss-prone connection without a running ACK clock (not paced) facing
+        a full buffer (90% occupancy) is *gated*: the burst-escape gate
+        decides whether its burst survives.
         """
-        state = self.state
         ws = self.workspace
-        transport = self._transport
-        conn_server = state.conn_server
-        conn_node = state.conn_node
-
-        # Effective RTT: base RTT plus queueing delay at the server (its
-        # buffered bytes over its drain rate, floored at 1 byte/s).
-        np.divide(state.buffers.fill, state.last_drain_rate, out=ws.tmp_srv_a)
-        ws.tmp_srv_a.take(conn_server, out=ws.rtt_eff, mode="clip")
-        np.add(ws.rtt_eff, self._base_rtt, out=ws.rtt_eff)
-        # Receiver-advertised window: the clients collectively probe a bit
-        # beyond the server buffer (rwnd_overcommit), shared by the
-        # connections of each server that are currently able to send.
-        # Connections sitting out an RTO stall do not consume receive-window
-        # credit, so the surviving (typically first-application) connections
-        # inherit their share — this is what lets the incumbent keep
-        # streaming while the newcomer's windows stay collapsed (Figure 11).
-        np.maximum(ws.n_ready, 1.0, out=ws.tmp_srv_a)
-        np.divide(self._rwnd_budget, ws.tmp_srv_a, out=ws.tmp_srv_a)
-        np.maximum(ws.tmp_srv_a, transport.window_min, out=ws.tmp_srv_a)
-        ws.tmp_srv_a.take(conn_server, out=ws.tmp_conn_a, mode="clip")
-        np.minimum(state.windows.cwnd, ws.tmp_conn_a, out=ws.tmp_conn_a)
-        # potential = sending ? effective_window / max(rtt_eff, 1e-9) * dt : 0
-        # (finite and non-negative, so times 0/1 is the select's +0.0 or x).
-        np.maximum(ws.rtt_eff, 1e-9, out=ws.tmp_conn_b)
-        np.divide(ws.tmp_conn_a, ws.tmp_conn_b, out=ws.potential)
-        np.multiply(ws.potential, ctx.dt_conn, out=ws.potential)
-        np.multiply(ws.potential, ws.sending, out=ws.potential)
-        np.minimum(ws.potential, state.send_remaining, out=ws.desired)
-        # Per-node injection cap: an over-capacity node scales each of its
-        # connections' demands by the same factor, capacity / total < 1.
-        totals = np.bincount(conn_node, weights=ws.desired, minlength=self._n_nodes)
-        np.greater(totals, self._node_caps_dt, out=ws.tmp_node_mask)
-        if np.count_nonzero(ws.tmp_node_mask):
-            # Dividing only the over-capacity lanes sidesteps the overflow
-            # that near-zero totals would produce (long adaptive steps make
-            # capacity * dt huge); the untouched lanes keep their factor of 1.
-            np.maximum(totals, 1e-300, out=ws.tmp_node_a)
-            ws.tmp_node_b.fill(1.0)
-            np.divide(self._node_caps_dt, ws.tmp_node_a, out=ws.tmp_node_b,
-                      where=ws.tmp_node_mask)
-            ws.tmp_node_b.take(conn_node, out=ws.tmp_conn_a, mode="clip")
-            np.multiply(ws.desired, ws.tmp_conn_a, out=ws.desired)
-        np.greater(ws.desired, 1e-9, out=ws.active)
+        n_gated = self._nk_offer(self._kernel.address)
         ctx.rtt_eff = ws.rtt_eff
         ctx.desired = ws.desired
         ctx.loss_prone = ws.loss_prone
-        if transport.lossless or not np.count_nonzero(ws.active):
-            # Credit-based flow control: bursts wait for credits instead of
-            # being dropped, so no connection is ever loss-prone and the
-            # Incast machinery below never engages.  Nor does it when
-            # nothing is offered: no connection is then window-limited.
-            ws.loss_prone.fill(False)
-            return
-
-        # A connection can suffer a timeout collapse ("Incast") only when
-        # (a) it offered a full window as a burst, clearly below what its
-        #     source NIC share would have allowed (window-limited),
-        # (b) its server's buffer share per connection is down to a few MSS,
-        # (c) its NIC can deliver the burst much faster than the connection's
-        #     fair share of the server drain (an un-throttled source).
-        # Node shares: the node's injection capacity and its line rate (a
-        # node belongs to one member, whose client NIC rate every connection
-        # of the node carries) over its busy connections.
-        active_per_node = np.bincount(conn_node, weights=ws.busy_f, minlength=self._n_nodes)
-        np.maximum(active_per_node, 1.0, out=active_per_node)  # shared denominator
-        np.divide(self._node_caps_dt, active_per_node, out=ws.tmp_node_a)
-        np.multiply(ws.tmp_node_a, transport.source_margin, out=ws.tmp_node_a)
-        np.divide(self._node_line_rate, active_per_node, out=ws.tmp_node_b)
-        np.multiply(ws.potential, self._wl_margin, out=ws.tmp_conn_c)
-        np.greater_equal(state.send_remaining, ws.tmp_conn_c, out=ws.tmp_bool_a)
-        ws.tmp_node_a.take(conn_node, out=ws.tmp_conn_b, mode="clip")  # node share
-        np.less_equal(ws.potential, ws.tmp_conn_b, out=ws.tmp_bool_b)
-        np.logical_and(ws.active, ws.tmp_bool_a, out=ws.tmp_bool_a)
-        np.logical_and(ws.tmp_bool_a, ws.tmp_bool_b, out=ws.tmp_bool_a)  # window-limited
-        # Server shares (``n_streams`` is at least 1 by construction): the
-        # buffer per connection and the drain per connection.
-        np.divide(state.buffers.capacity, ws.n_streams_f, out=ws.tmp_srv_a)
-        np.less(ws.tmp_srv_a, transport.incast_window_threshold, out=ws.tmp_srv_bool)
-        np.divide(state.last_drain_rate, ws.n_streams_f, out=ws.tmp_srv_b)
-        np.multiply(ws.tmp_srv_b, transport.burst_loss_ratio, out=ws.tmp_srv_b)
-        ws.tmp_node_b.take(conn_node, out=ws.tmp_conn_c, mode="clip")  # line share
-        ws.tmp_srv_b.take(conn_server, out=ws.tmp_conn_b, mode="clip")  # drain share
-        np.greater_equal(ws.tmp_conn_c, ws.tmp_conn_b, out=ws.tmp_bool_b)  # bursty source
-        ws.tmp_srv_bool.take(conn_server, out=ws.tmp_bool_c, mode="clip")
-        np.logical_and(ws.tmp_bool_a, ws.tmp_bool_c, out=ws.loss_prone)
-        np.logical_and(ws.loss_prone, ws.tmp_bool_b, out=ws.loss_prone)
-
-        # Burst-escape gate: a connection without a running ACK clock can
-        # only (re)enter an Incast-regime server if its whole-window burst
-        # survives an already full buffer.  Failed attempts are immediate
-        # timeouts — this is what pins the second application's windows near
-        # zero while the first application keeps streaming (Figures 11/12).
-        # A buffer is full at 90% occupancy (fill / capacity is non-negative,
-        # so clamping it to [0, 1] first would not move it across 0.9).
-        np.divide(state.buffers.fill, state.buffers.capacity, out=ws.tmp_srv_a)
-        np.greater_equal(ws.tmp_srv_a, 0.9, out=ws.tmp_srv_bool)  # buffer full
-        # Loss-prone (hence active) and not paced: on booleans, a > b is
-        # a & ~b.
-        np.greater(ws.loss_prone, state.windows.paced, out=ws.tmp_bool_a)
-        ws.tmp_srv_bool.take(conn_server, out=ws.tmp_bool_b, mode="clip")
-        np.logical_and(ws.tmp_bool_a, ws.tmp_bool_b, out=ws.tmp_bool_a)  # gated
-        self._burst_escape_gate(ctx)  # per member: draws from its own stream
+        if n_gated:
+            self._burst_escape_gate(ctx)  # per member: draws from its own stream
 
     # ------------------------------------------------------------------ #
     # Phase 4 — admission and drain
@@ -485,33 +435,20 @@ class ModelStepper:
         """Admit offered bytes into the buffers, then drain to the backends.
 
         Admission may use the space freed by this step's drain
-        (store-and-forward pipelining within one step).  Admission is
-        proportional to the offered load; the Incast unfairness is carried by
-        the burst-escape gate and the window dynamics.
+        (store-and-forward pipelining within one step) and is capped by the
+        server NIC.  Admission is proportional to the offered load (unit
+        weights); the Incast unfairness is carried by the burst-escape gate
+        and the window dynamics.  Sends under a milli-epsilon snap to zero.
 
-        Reads:  ``ctx.desired/drain_rate/law``.
-        Writes: ``ctx.admitted``, ``ctx.oversubscribed``;
-                ``state.send_remaining``, the server buffers, and the
-                deployment's backend accounting.
+        Reads:  ``ctx.desired/drain_rate``, the drain phase's law slots.
+        Writes: ``ctx.admitted``, ``ctx.oversubscribed`` (workspace slots
+                ``admitted``, ``oversubscribed``); ``state.send_remaining``,
+                the server buffers, and the deployment's backend accounting.
         """
-        state = self.state
         ws = self.workspace
-        np.multiply(ctx.drain_rate, ctx.dt_server, out=ws.tmp_srv_b)
-        admitted, oversubscribed = state.buffers.admit(
-            ctx.desired,
-            ws.ones,
-            extra_capacity=ws.tmp_srv_b,
-            max_admission=self._server_nic_dt,
-        )
-        state.send_remaining -= admitted
-        np.less(state.send_remaining, self._send_floor, out=ws.tmp_bool_a)
-        np.copyto(state.send_remaining, 0.0, where=ws.tmp_bool_a)
-
-        drained_per_server, _drained_per_conn = state.buffers.drain(ws.tmp_srv_b)
-        state.deployment.commit_flat(drained_per_server, ctx.dt_server, ctx.law)
-
-        ctx.admitted = admitted
-        ctx.oversubscribed = oversubscribed
+        self._nk_admission(self._kernel.address)
+        ctx.admitted = ws.admitted
+        ctx.oversubscribed = ws.oversubscribed
 
     # ------------------------------------------------------------------ #
     # Phase 6 — physical-link and pressure accounting
@@ -525,13 +462,4 @@ class ModelStepper:
         Writes: per-link utilization accounting, buffer-pressure statistics,
                 :attr:`observed_time`, ``state.last_admission_rate``.
         """
-        state = self.state
-        per_node = np.bincount(
-            state.conn_node, weights=ctx.admitted, minlength=self._n_nodes
-        )
-        per_server = state.buffers.admitted_per_server
-        state.topology.record_step_flat(per_node, per_server, ctx.dt_node, ctx.dt_server,
-                                        self._node_caps_dt, self._server_nic_dt)
-        np.add(self.observed_time, ctx.dt, out=self.observed_time)
-        state.buffers.note_step(weight=self._step_weight)
-        np.divide(per_server, ctx.dt_server, out=state.last_admission_rate)
+        self._nk_accounting(self._kernel.address)

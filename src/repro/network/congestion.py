@@ -15,6 +15,11 @@ implements one update per simulation step:
   backed-off RTO) when a connection is starved for a full RTO,
 * recovery of the "established" status used by the admission model once a
   connection delivers again.
+
+The update up to the paced-timeout hazard runs in the native kernel
+(:mod:`repro.native`), which the stepping kernel calls on the same arrays;
+the hazard's and the collapses' draws stay Python calls on each site's own
+generator.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from repro import native
 from repro.config.network import TransportConfig
 
 __all__ = ["RngSites", "WindowState", "WindowUpdateResult"]
@@ -32,7 +38,9 @@ __all__ = ["RngSites", "WindowState", "WindowUpdateResult"]
 class RngSites(NamedTuple):
     """Random-draw ownership: site ``k`` owns the connections ``slices[k]``
     (back to back, starting at ``starts[k]``, the first at 0), draws from
-    ``rngs[k]`` and takes its paced-timeout hazard from its step ``dts[k]``."""
+    ``rngs[k]`` and takes its paced-timeout hazard from its step ``dts[k]``
+    (:meth:`WindowState.update` reads the steps; the stepping kernel sets
+    :attr:`WindowState.hazard` itself)."""
 
     starts: np.ndarray
     slices: Sequence[slice]
@@ -100,19 +108,18 @@ class WindowState:
         #: True for connections that have been paced at least once; they
         #: recover from a timeout much more easily than true newcomers.
         self.ever_paced = np.zeros(n, dtype=bool)
-        # Scratch buffers for update(); reused every step so the hot path
-        # allocates nothing.  They never leave this class.
-        self._fraction = np.empty(n, dtype=np.float64)
-        self._rtt = np.empty(n, dtype=np.float64)
-        self._cwnd_next = np.empty(n, dtype=np.float64)
-        self._starved_next = np.empty(n, dtype=np.float64)
-        self._draws = np.empty(n, dtype=np.float64)
+        #: Each connection's paced-timeout probability for its current step
+        #: (:meth:`step_hazard` of its step).
+        self.hazard = np.zeros(n, dtype=np.float64)
+        # Scratch of update(), reused every step so the hot path allocates
+        # nothing: loss-prone active connections, timeouts, hazard
+        # candidates and their hazard draws.
+        self._draws = np.zeros(n, dtype=np.float64)
         self._empty_indices = np.zeros(0, dtype=np.int64)
-        self._mask_active = np.empty(n, dtype=bool)
-        self._mask_a = np.empty(n, dtype=bool)
-        self._mask_b = np.empty(n, dtype=bool)
-        self._mask_c = np.empty(n, dtype=bool)
-        self._mask_d = np.empty(n, dtype=bool)
+        self._keep = np.zeros(n, dtype=bool)
+        self._timed_out = np.zeros(n, dtype=bool)
+        self._candidates = np.zeros(n, dtype=bool)
+        self._jitter = np.zeros(n, dtype=np.float64)
 
     # ------------------------------------------------------------------ #
     # Queries used by the admission model
@@ -136,21 +143,24 @@ class WindowState:
         """Collapse the given connections immediately (burst lost entirely).
 
         Used by the admission gate for bursty connections whose whole-window
-        probe into a full buffer is dropped.  Returns how many connections
-        were collapsed.
+        probe into a full buffer is dropped: each window drops to its
+        minimum and the connection stalls for an exponentially backed-off
+        RTO, randomized a little (one jitter draw per connection, in the
+        ascending order ``indices`` must have).  Returns how many
+        connections were collapsed.
         """
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size == 0:
             return 0
-        t = self.transport
-        self.cwnd[indices] = t.window_min
-        backoff = np.minimum(self.backoff[indices], t.max_backoff_exponent)
-        jitter = self._rng.uniform(0.5, 1.5, size=indices.shape[0])
-        self.stall_until[indices] = now + t.rto * (2.0**backoff) * jitter
-        self.backoff[indices] = backoff + 1
-        self.starved_time[indices] = 0.0
-        self.collapse_count[indices] += 1
-        self.paced[indices] = False
+        if (np.diff(indices) <= 0).any():
+            raise ValueError("indices must be ascending and distinct")
+        flagged = np.zeros(self.n_connections, dtype=bool)
+        flagged[indices] = True
+        self._jitter[:indices.size] = self._rng.uniform(0.5, 1.5, size=indices.size)
+        native.library().nk_collapse(
+            self.table().address, flagged.ctypes.data,
+            np.full(self.n_connections, float(now)).ctypes.data, self._jitter.ctypes.data,
+        )
         return int(indices.size)
 
     def desired_bytes(self, now: float, dt: float, rtt_eff: np.ndarray) -> np.ndarray:
@@ -232,135 +242,115 @@ class WindowState:
             (resp. collapses), mirroring the scalar short-circuit; one
             reduction over the site starts finds those sites.
         """
-        t = self.transport
-        requested = np.asarray(requested, dtype=np.float64)
-        admitted = np.asarray(admitted, dtype=np.float64)
-        mask_a, mask_b, mask_c, mask_d = (
-            self._mask_a, self._mask_b, self._mask_c, self._mask_d,
+        n = self.n_connections
+
+        def lanes(values, dtype=np.float64):
+            return np.ascontiguousarray(np.broadcast_to(np.asarray(values, dtype=dtype), (n,)))
+
+        now_lanes = lanes(now)
+        packed = native.library().nk_window_update(
+            self.table().address, now_lanes.ctypes.data, lanes(dt).ctypes.data,
+            lanes(requested).ctypes.data, lanes(admitted).ctypes.data,
+            lanes(rtt_eff).ctypes.data, lanes(oversubscribed, bool).ctypes.data,
+            None if loss_prone is None else lanes(loss_prone, bool).ctypes.data,
         )
-
-        active = self._mask_active
-        np.greater(requested, 1e-9, out=active)
-        np.greater(admitted, 1e-9, out=mask_a)  # delivered
-        self.delivered_bytes += admitted
-        if not (np.count_nonzero(active) or np.count_nonzero(mask_a)):
-            # Nothing requested or delivered: no window, backoff, pacing or
-            # starvation state changes, and no lane times out, because every
-            # update collapses (and resets) a lane whose starved time reaches
-            # the RTO; so nothing draws either.
-            return WindowUpdateResult(0, self._empty_indices)
-        if loss_prone is None:
-            loss_prone = active
-        else:
-            loss_prone = np.asarray(loss_prone, dtype=bool)
-        oversubscribed = np.asarray(oversubscribed, dtype=bool)
-        rtt = self._rtt
-        np.maximum(np.asarray(rtt_eff, dtype=np.float64), 1e-9, out=rtt)
-        fraction = self._fraction
-        fraction.fill(1.0)
-        np.divide(admitted, requested, out=fraction, where=active)
-
-        np.copyto(self.last_delivery, now, where=mask_a)
-        np.greater_equal(fraction, 0.5, out=mask_c)  # at least half delivered
-        np.logical_and(mask_a, mask_c, out=mask_b)
-        np.copyto(self.backoff, 0, where=mask_b)
-        # A connection that pushed at least a segment through has a running
-        # ACK clock again.
-        np.greater_equal(admitted, t.mss, out=mask_a)  # newly paced
-        self.paced |= mask_a
-        self.ever_paced |= mask_a
-
-        # Additive increase: one segment per effective RTT of good progress.
-        np.greater_equal(fraction, 0.9, out=mask_b)
-        np.logical_and(active, mask_b, out=mask_b)  # good progress
-        grown = self._cwnd_next
-        np.divide(dt, rtt, out=grown)
-        grown *= t.additive_increase_segments * t.mss
-        np.add(self.cwnd, grown, out=grown)
-        np.minimum(grown, t.window_max, out=grown)
-        np.copyto(self.cwnd, grown, where=mask_b)
-
-        # Multiplicative decrease: only loss-prone connections interpret a
-        # throttled step as packet loss.  A paced connection that gets less
-        # than it asked for is experiencing flow control (advertised window,
-        # queueing delay), which real TCP absorbs without shrinking cwnd;
-        # treating it as loss makes low-connection-count configurations
-        # (e.g. one writer per node) underutilize the backend.
-        np.logical_and(active, loss_prone, out=mask_a)  # kept for starvation
-        # fraction < 0.5 is ~(fraction >= 0.5) (a fraction is never NaN), and
-        # on booleans a > b is a & ~b.
-        np.greater(mask_a, mask_c, out=mask_b)
-        np.logical_and(mask_b, oversubscribed, out=mask_b)  # throttled
-        if np.count_nonzero(mask_b):
-            shrunk = self._cwnd_next
-            np.multiply(self.cwnd, t.multiplicative_decrease, out=shrunk)
-            np.maximum(shrunk, t.window_min, out=shrunk)
-            np.copyto(self.cwnd, shrunk, where=mask_b)
-
-        # Starvation accounting and timeout collapse.  Only loss-prone
-        # connections accumulate starvation: a burst that hit a full buffer
-        # was lost, while a source-paced trickle was merely delayed.
-        # Starving lanes are active, so zeroing every active lane and then
-        # writing back the starving ones' grown time sets each lane exactly.
-        # Every update collapses (and resets) a lane whose starved time
-        # reaches the RTO, so only a starving lane can time out.
-        np.less(fraction, t.starvation_fraction, out=mask_b)
-        np.logical_and(mask_a, mask_b, out=mask_b)  # starving
-        timed_out = mask_b
-        if np.count_nonzero(mask_b):
-            starved = self._starved_next
-            np.add(self.starved_time, dt, out=starved)
-            np.copyto(self.starved_time, 0.0, where=active)
-            np.copyto(self.starved_time, starved, where=mask_b)
-            np.greater_equal(self.starved_time, t.rto, out=timed_out)
-            # On booleans, paced > timed_out is paced & ~timed_out.
-            np.greater(self.paced, timed_out, out=mask_d)
-            np.logical_and(mask_d, mask_a, out=mask_d)  # hazard candidates
-        else:
-            np.copyto(self.starved_time, 0.0, where=active)  # timed_out: none
-            np.logical_and(self.paced, mask_a, out=mask_d)  # hazard candidates
-
-        # Residual whole-window losses for paced connections in the Incast
-        # regime: rare, but they keep even the incumbent application from
-        # being completely untouched (Figure 2(a) shows it slowed as well).
         if rng_sites is None:
             rng_sites = RngSites(np.zeros(1, np.int64), (slice(None),), (self._rng,), (dt,))
-        if t.paced_timeout_hazard > 0.0 and np.count_nonzero(mask_d):
-            drawing = np.logical_or.reduceat(mask_d, rng_sites.starts)
+        for site, site_dt in zip(rng_sites.slices, rng_sites.dts):
+            self.hazard[site] = self.step_hazard(site_dt)
+        counts = self.resolve(packed, now_lanes, rng_sites)
+        if counts is None:
+            return WindowUpdateResult(0, self._empty_indices)
+        return WindowUpdateResult(int(counts.sum()), self._timed_out.nonzero()[0])
+
+    def step_hazard(self, dt: float) -> float:
+        """The paced-timeout probability of one step of length ``dt``."""
+        t = self.transport
+        return 1.0 - (1.0 - t.paced_timeout_hazard) ** (dt / t.rto)
+
+    def resolve(self, packed: int, now: np.ndarray, rng_sites: RngSites,
+                table: Optional[native.Table] = None) -> Optional[np.ndarray]:
+        """Finish an update the native kernel ran up to the hazard; returns
+        each site's timeouts, or ``None`` when no connection timed out.
+
+        ``packed`` is its result (``-1`` when nothing was requested or
+        delivered, else its hazard candidates ``<< 32`` plus its starvation
+        timeouts); ``now`` is per connection, and :attr:`hazard` holds each
+        connection's probability for its step.  Every update collapses (and
+        resets) a connection whose starved time reaches the RTO, so only a
+        starving one can time out.  The residual whole-window losses of
+        paced connections in the Incast regime (rare, but they keep even
+        the incumbent application from being completely untouched: Figure
+        2(a) shows it slowed as well) draw from each site holding a
+        candidate, and every timed-out connection collapses with a jitter
+        drawn from its own site.
+        """
+        t = self.transport
+        if packed <= 0:
+            return None
+        n_candidates, n_collapsed = packed >> 32, packed & 0xFFFFFFFF
+        lib = native.library()
+        table = table or self.table()
+        if t.paced_timeout_hazard > 0.0 and n_candidates:
+            drawing = np.logical_or.reduceat(self._candidates, rng_sites.starts)
             for k in drawing.nonzero()[0].tolist():
-                site = rng_sites.slices[k]
-                rng_sites.rngs[k].random(out=self._draws[site])
-                p_step = 1.0 - (1.0 - t.paced_timeout_hazard) ** (rng_sites.dts[k] / t.rto)
-                np.less(self._draws[site], p_step, out=mask_c[site])
-            # Sites without candidates keep a stale mask_c; the AND with
-            # mask_d below discards it, so only drawn sites matter.
-            np.logical_and(mask_d, mask_c, out=mask_c)
-            np.logical_or(timed_out, mask_c, out=timed_out)
+                rng_sites.rngs[k].random(out=self._draws[rng_sites.slices[k]])
+            # Sites without candidates keep stale draws; the kernel reads
+            # only the candidates', so only drawn sites matter.
+            n_collapsed = lib.nk_window_hazard(table.address)
+        if not n_collapsed:
+            return None
+        # Randomize the retry instant a little to avoid artificial lock-step
+        # retries among simultaneously collapsed connections: each site
+        # draws the jitter of its own timeouts, which the kernel consumes
+        # in lane order (a site's lanes are one contiguous run).
+        counts = np.add.reduceat(self._timed_out, rng_sites.starts, dtype=np.int64)
+        offset = 0
+        for k in counts.nonzero()[0].tolist():
+            n = int(counts[k])
+            self._jitter[offset:offset + n] = rng_sites.rngs[k].uniform(0.5, 1.5, size=n)
+            offset += n
+        lib.nk_collapse(table.address, self._timed_out.ctypes.data, now.ctypes.data,
+                        self._jitter.ctypes.data)
+        return counts
+        idx = self._timed_out.nonzero()[0]
+        self.cwnd[idx] = t.window_min
+        backoff = np.minimum(self.backoff[idx], t.max_backoff_exponent)
+        # Randomize the retry instant a little to avoid artificial lock-step
+        # retries among simultaneously collapsed connections.  Each site
+        # jitters its own collapsed connections (idx is ascending, so a
+        # site's share is one contiguous run).
+        jitter = np.empty(idx.shape[0], dtype=np.float64)
+        first = np.searchsorted(idx, rng_sites.starts)
+        counts = np.diff(first, append=idx.shape[0])
+        for k in counts.nonzero()[0].tolist():
+            a = int(first[k])
+            b = a + int(counts[k])
+            jitter[a:b] = rng_sites.rngs[k].uniform(0.5, 1.5, size=b - a)
+        self.stall_until[idx] = now[idx] + t.rto * (2.0**backoff) * jitter
+        self.backoff[idx] = backoff + 1
+        self.starved_time[idx] = 0.0
+        self.collapse_count[idx] += 1
+        self.paced[idx] = False
+        return WindowUpdateResult(int(n_collapsed), idx)
 
-        n_collapsed = int(np.count_nonzero(timed_out))
-        idx = timed_out.nonzero()[0] if n_collapsed else self._empty_indices
-        if n_collapsed:
-            self.cwnd[idx] = t.window_min
-            backoff = np.minimum(self.backoff[idx], t.max_backoff_exponent)
-            # Randomize the retry instant a little to avoid artificial
-            # lock-step retries among simultaneously collapsed connections.
-            # Each site jitters its own collapsed connections (idx is
-            # ascending, so a site's share is one contiguous run).
-            jitter = np.empty(idx.shape[0], dtype=np.float64)
-            first = np.searchsorted(idx, rng_sites.starts)
-            counts = np.diff(first, append=idx.shape[0])
-            for k in counts.nonzero()[0].tolist():
-                a = int(first[k])
-                b = a + int(counts[k])
-                jitter[a:b] = rng_sites.rngs[k].uniform(0.5, 1.5, size=b - a)
-            start = now[idx] if isinstance(now, np.ndarray) else now
-            self.stall_until[idx] = start + t.rto * (2.0**backoff) * jitter
-            self.backoff[idx] = backoff + 1
-            self.starved_time[idx] = 0.0
-            self.collapse_count[idx] += 1
-            self.paced[idx] = False
-
-        return WindowUpdateResult(n_collapsed, idx)
+    def table(self) -> native.Table:
+        """The address table of this state's current arrays."""
+        t = self.transport
+        return native.Table(
+            "windows", {"conn": self.n_connections},
+            n_conn=self.n_connections, mss=t.mss,
+            increase=t.additive_increase_segments * t.mss, window_max=t.window_max,
+            window_min=t.window_min, decrease=t.multiplicative_decrease,
+            starvation_fraction=t.starvation_fraction, rto=t.rto,
+            max_backoff=t.max_backoff_exponent,
+            cwnd=self.cwnd, stall_until=self.stall_until, backoff=self.backoff,
+            starved_time=self.starved_time, last_delivery=self.last_delivery,
+            collapse_count=self.collapse_count, delivered_bytes=self.delivered_bytes,
+            paced=self.paced, ever_paced=self.ever_paced, keep=self._keep,
+            timed_out=self._timed_out, candidates=self._candidates, draws=self._draws,
+            hazard=self.hazard, jitter=self._jitter,
+        )
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -15,6 +15,9 @@ interference.
   per server over the free space plus the bytes drained in the step,
 * :meth:`drain` — removal of drained bytes with per-connection attribution,
 * occupancy/pressure queries used for effective-RTT and root-cause analysis.
+
+Admission, drain and the pressure statistics run in the native kernel
+(:mod:`repro.native`), which the stepping kernel calls on the same arrays.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro import native
 from repro.errors import SimulationError
 
 __all__ = ["ServerBuffers"]
@@ -60,43 +64,35 @@ class ServerBuffers:
             raise SimulationError("conn_server contains out-of-range server indices")
         n_conns = self.conn_server.shape[0]
         # Step-invariant per-server connection groups, computed once so the
-        # admission path never rescans the mapping array: one stable sort
-        # lists each server's connections in ascending index order (exactly
-        # the order a boolean ``conn_server == s`` mask yields).  Servers of
-        # equal group width form a *width class*, whose groups stack into one
-        # (m, width) connection matrix; the admission water-filling runs as
-        # row-wise 2D ops per class instead of a per-server loop.  Each row
-        # keeps its true width and element order, which preserves NumPy's
-        # pairwise-summation tree (a zero-padded row would not: the sum
-        # unrolls by 8), so a ragged or batched deployment admits bit-for-bit
-        # what each group would admit alone.
-        order = np.argsort(self.conn_server, kind="stable")
+        # admission never rescans the mapping array: one stable sort lists
+        # each server's connections in ascending index order (exactly the
+        # order a boolean ``conn_server == s`` mask yields), and server ``s``
+        # owns ``_order[_row_start[s]:][:_row_width[s]]``.  The water-filling
+        # runs per server on that row at its true width and order, which
+        # keeps NumPy's pairwise-summation tree of the per-server
+        # ``demands.sum()``, so a ragged or batched deployment admits bit for
+        # bit what each group would admit alone.
+        self._order = np.argsort(self.conn_server, kind="stable")
         widths = np.bincount(self.conn_server, minlength=self.n_servers)
-        starts = np.cumsum(widths) - widths
+        self._row_width = widths.astype(np.int64)
+        self._row_start = np.cumsum(widths) - widths
         max_width = int(widths.max()) if n_conns else 0
-        #: (width, row indices or ``slice(None)`` for every server, (m, width)
-        #: connection matrix) per distinct nonzero group width, ascending.
-        self._width_classes = []
-        for w in sorted({int(x) for x in widths} - {0}):
-            rows = np.flatnonzero(widths == w)
-            cols = order[starts[rows][:, None] + np.arange(w)]
-            if rows.shape[0] == self.n_servers:
-                rows = slice(None)
-            self._width_classes.append((w, rows, cols))
         #: Slots a padded (n_servers, widest group) layout would leave empty:
-        #: how ragged the groups are (the classes gather no padding).
+        #: how ragged the groups are (the rows hold no padding).
         self.padded_slots = int((max_width - widths).sum()) if max_width > 0 else 0
         #: Total slots of that padded layout (real + padding).
         self.group_slots = int(self.n_servers * max_width)
         self._weights_all_ones = False
-        # Scratch buffers reused by admit()/drain(); holding them here keeps
-        # the per-step allocation count flat without changing any result.
-        self._scratch_capacity = np.zeros(self.n_servers, dtype=np.float64)
-        self._scratch_fraction = np.zeros(self.n_servers, dtype=np.float64)
-        self._scratch_full = np.zeros(self.n_servers, dtype=bool)
-        self._scratch_conn = np.zeros(n_conns, dtype=np.float64)
-        self._scratch_residue = np.zeros(n_conns, dtype=bool)
         self._validated_weights: Optional[np.ndarray] = None
+        # Scratch of the admission and drain routines.
+        self._room = np.zeros(self.n_servers, dtype=np.float64)
+        self._rows = np.zeros((4, n_conns), dtype=np.float64)
+        self._row_mask = np.zeros(n_conns, dtype=bool)
+        #: Bytes admitted per server by the last admission (the kernel's
+        #: link accounting reads them), and drained by the last drain.
+        self.admitted_per_server = np.zeros(self.n_servers, dtype=np.float64)
+        self._drained_per_server = np.zeros(self.n_servers, dtype=np.float64)
+        self._drained_per_conn = np.zeros(n_conns, dtype=np.float64)
         #: Bytes currently buffered per server.
         self.fill = np.zeros(self.n_servers, dtype=np.float64)
         #: Bytes currently buffered per connection.
@@ -172,61 +168,18 @@ class ServerBuffers:
             ``admitted`` — bytes accepted per connection;
             ``oversubscribed`` — boolean per connection, True when its server
             could not accept everything offered to it.
+
+        A server whose offers fit its room admits them as offered; an
+        over-subscribed one runs the canonical
+        :func:`~repro.network.allocation.proportional_share` water-filling
+        on its connections, bit for bit.  With unit weights a row's weight
+        sum is an exact count, so the routine takes no weights at all.
         """
-        offered = np.asarray(offered, dtype=np.float64)
-        if offered.shape[0] != self.n_connections:
-            raise SimulationError("offered has the wrong number of connections")
-        capacity = self._scratch_capacity
-        np.subtract(self.capacity, self.fill, out=capacity)
-        np.maximum(capacity, 0.0, out=capacity)
-        scratch = self._scratch_fraction
-        if extra_capacity is not None:
-            np.maximum(np.asarray(extra_capacity, dtype=np.float64), 0.0, out=scratch)
-            np.add(capacity, scratch, out=capacity)
-        if max_admission is not None:
-            np.maximum(np.asarray(max_admission, dtype=np.float64), 0.0, out=scratch)
-            np.minimum(capacity, scratch, out=capacity)
-
-        offered_per_server = np.bincount(
-            self.conn_server, weights=offered, minlength=self.n_servers
-        )
-        oversub_server = offered_per_server > capacity + 1e-9
-        admitted = self._admit_proportional(offered, weights, capacity)
-        self.conn_bytes += admitted
-        admitted_per_server = np.bincount(
-            self.conn_server, weights=admitted, minlength=self.n_servers
-        )
-        self.fill += admitted_per_server
-        self.total_admitted += admitted_per_server
-        #: Bytes admitted per server by the last call (the kernel's link
-        #: accounting reads them).
-        self.admitted_per_server = admitted_per_server
-        return admitted, oversub_server[self.conn_server]
-
-    def _admit_proportional(
-        self,
-        offered: np.ndarray,
-        weights: np.ndarray,
-        capacity: np.ndarray,
-    ) -> np.ndarray:
-        """Deterministic proportional admission, one water-filling per server.
-
-        Bit-for-bit the canonical
-        :func:`~repro.network.allocation.proportional_share` applied per
-        server on the cached index groups, vectorized across the servers of
-        each width class.  A server whose offers fit its capacity admits
-        them as offered, so the result starts as a copy of ``offered``, with
-        the connections of servers without room zeroed; each class sums its
-        rows (``sum(axis=1)`` over the row's own connections at their true
-        width, the summation tree of the per-server ``demands.sum()``) and
-        water-fills only its over-subscribed rows, whose connections it
-        overwrites (a row without room that is offered anything is one, and
-        takes nothing).
-        """
+        offered = self._lanes(offered, self.n_connections, "offered")
         weights = np.asarray(weights, dtype=np.float64)
-        # The stepper passes the same frozen (non-writeable) unit-weight
-        # array every step; identity-caching the validation and the all-ones
-        # flag is only sound for arrays that cannot be mutated in place, so
+        # A caller may pass the same frozen (non-writeable) weights every
+        # step; identity-caching the validation and the all-ones flag is
+        # only sound for arrays that cannot be mutated in place, so
         # writeable arrays are re-examined on every call.
         if weights is self._validated_weights:
             all_ones = self._weights_all_ones
@@ -237,87 +190,21 @@ class ServerBuffers:
             if not weights.flags.writeable:
                 self._validated_weights = weights
                 self._weights_all_ones = all_ones
-        admitted = offered.copy()
-        no_room = capacity <= 0
-        if np.count_nonzero(no_room):
-            np.copyto(admitted, 0.0, where=no_room[self.conn_server])
-        if not np.count_nonzero(offered):
-            return admitted                 # nothing offered: every row fits
-        for _w, rows, cols in self._width_classes:
-            demands = offered[cols]
-            room = capacity[rows]
-            over = np.add.reduce(demands, axis=1) > room    # demands.sum(axis=1)
-            n_over = np.count_nonzero(over)
-            if not n_over:
-                continue
-            if n_over < over.shape[0]:
-                over = over.nonzero()[0]
-                demands, room, cols = demands[over], room[over], cols[over]
-            elif isinstance(rows, slice):
-                room = room.copy()                  # a view of ``capacity``
-            self._water_fill_rows(demands, room, cols,
-                                  1.0 if all_ones else weights[cols], admitted)
-        return admitted
-
-    @staticmethod
-    def _water_fill_rows(
-        demands: np.ndarray,
-        remaining: np.ndarray,
-        cols: np.ndarray,
-        weights,
-        out: np.ndarray,
-    ) -> None:
-        """Water-fill each row of ``demands`` (``(k, w)``) into its room in
-        ``remaining`` (consumed) and write the allocation to ``out[cols]``.
-
-        A row is *live* in a pass while it has room left (``> 1e-12``) and an
-        unsatisfied cell.  A row that is not live takes nothing, so it stays
-        dead in every later pass: the pass loop writes it out and drops it,
-        and the live rows' reductions each combine one row's elements only,
-        so the result equals the per-server loop with its early ``break``.
-        Rows die by running out of room (on the tiny fleet matrix all of
-        them did), so a pass tests the room before it builds the weights.
-
-        ``weights`` is the float ``1.0`` for unit weights.  Then every cell's
-        weight is 0 or 1, so a row's weight sum is an exact count whatever
-        the summation order, and ``remaining * w / w_sum`` is
-        ``remaining / w_sum`` or ``+0.0`` cell by cell: one division per row
-        and one broadcast product give the same bits.
-        """
-        unit = isinstance(weights, float)
-        alloc = np.zeros(demands.shape)
-        unsatisfied = demands > 0
-        for _ in range(4):
-            live = remaining > 1e-12
-            if not np.count_nonzero(live):
-                break
-            if unit:
-                w = unsatisfied
-                w_sum = np.add.reduce(w, axis=1, dtype=np.float64)
-            else:
-                w = np.where(unsatisfied, weights, 0.0)
-                w_sum = np.add.reduce(w, axis=1)
-            live &= w_sum > 0
-            n_live = np.count_nonzero(live)
-            if n_live < live.shape[0]:
-                dead = ~live
-                out[cols[dead]] = alloc[dead]
-                if not n_live:
-                    return
-                live = live.nonzero()[0]
-                demands, alloc, cols = demands[live], alloc[live], cols[live]
-                remaining, w, w_sum = remaining[live], w[live], w_sum[live]
-                if not unit:
-                    weights = weights[live]
-            if unit:
-                offer = np.multiply(w, (remaining / w_sum)[:, None])
-            else:
-                offer = remaining[:, None] * w / w_sum[:, None]
-            take = np.minimum(offer, demands - alloc)
-            alloc += take
-            remaining -= np.add.reduce(take, axis=1)
-            unsatisfied = (demands - alloc) > 1e-9
-        out[cols] = alloc
+        if not all_ones:
+            weights = self._lanes(weights, self.n_connections, "weights")
+        if extra_capacity is not None:
+            extra_capacity = self._lanes(extra_capacity, self.n_servers, "extra_capacity")
+        if max_admission is not None:
+            max_admission = self._lanes(max_admission, self.n_servers, "max_admission")
+        admitted = np.empty(self.n_connections, dtype=np.float64)
+        oversubscribed = np.empty(self.n_connections, dtype=bool)
+        native.library().nk_admit(
+            self.table().address, offered.ctypes.data,
+            None if all_ones else weights.ctypes.data,
+            native.address(extra_capacity), native.address(max_admission),
+            admitted.ctypes.data, oversubscribed.ctypes.data,
+        )
+        return admitted, oversubscribed
 
     # ------------------------------------------------------------------ #
     # Drain
@@ -327,35 +214,16 @@ class ServerBuffers:
         """Drain up to ``drain_capacity`` bytes per server toward the backend.
 
         Drained bytes are attributed to connections proportionally to their
-        buffered bytes (a fluid approximation of FIFO service).
+        buffered bytes (a fluid approximation of FIFO service); residues
+        under a micro-byte snap to zero so fragments complete crisply.
 
         Returns
         -------
         (drained_per_server, drained_per_conn)
         """
-        drain_capacity = np.asarray(drain_capacity, dtype=np.float64)
-        if drain_capacity.shape[0] != self.n_servers:
-            raise SimulationError("drain_capacity has the wrong number of servers")
-        np.maximum(drain_capacity, 0.0, out=self._scratch_capacity)
-        drained_per_server = np.minimum(self.fill, self._scratch_capacity)
-        # An empty buffer drains exactly 0.0 bytes, so 0 / max(0, tiny) is the
-        # same +0.0 a guarded where() would select — no special case needed.
-        fraction = self._scratch_fraction
-        np.maximum(self.fill, 1e-300, out=fraction)
-        np.divide(drained_per_server, fraction, out=fraction)
-        fraction.take(self.conn_server, out=self._scratch_conn, mode="clip")
-        drained_per_conn = self.conn_bytes * self._scratch_conn
-        self.conn_bytes -= drained_per_conn
-        # Snap tiny residues to zero so fragments complete crisply.
-        np.less(self.conn_bytes, 1e-6, out=self._scratch_residue)
-        np.copyto(self.conn_bytes, 0.0, where=self._scratch_residue)
-        # In-place so views of fill (the batched kernel re-points members at
-        # slices of one flat array) stay live across steps.
-        self.fill[:] = np.bincount(
-            self.conn_server, weights=self.conn_bytes, minlength=self.n_servers
-        )
-        self.total_drained += drained_per_server
-        return drained_per_server, drained_per_conn
+        drain_capacity = self._lanes(drain_capacity, self.n_servers, "drain_capacity")
+        native.library().nk_drain(self.table().address, drain_capacity.ctypes.data)
+        return self._drained_per_server.copy(), self._drained_per_conn.copy()
 
     def note_step(self, full_threshold: float = 0.95, weight=1.0) -> None:
         """Record occupancy statistics for one step (for root-cause analysis).
@@ -366,9 +234,37 @@ class ServerBuffers:
         1 for a fixed step (the kernel's servers each weigh their own
         member's step).
         """
-        self.observed_steps += weight
-        occupancy = self._scratch_fraction
-        np.divide(self.fill, self.capacity, out=occupancy)
-        full = self._scratch_full
-        np.greater_equal(occupancy, full_threshold, out=full)
-        np.add(self.full_steps, weight, out=self.full_steps, where=full)
+        weight = np.ascontiguousarray(
+            np.broadcast_to(np.asarray(weight, dtype=np.float64), (self.n_servers,))
+        )
+        native.library().nk_note_step(self.table().address, weight.ctypes.data,
+                                      float(full_threshold))
+
+    # ------------------------------------------------------------------ #
+    # The native routines' view
+    # ------------------------------------------------------------------ #
+
+    @staticmethod
+    def _lanes(values, n: int, name: str) -> np.ndarray:
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        if values.shape != (n,):
+            raise SimulationError(f"{name} has the wrong number of lanes")
+        return values
+
+    def table(self) -> native.Table:
+        """The address table of these buffers' current arrays."""
+        rows = self._rows
+        return native.Table(
+            "buffers", {"conn": self.n_connections, "srv": self.n_servers},
+            n_conn=self.n_connections, n_srv=self.n_servers, capacity=self.capacity,
+            conn_server=self.conn_server, order=self._order,
+            row_start=self._row_start, row_width=self._row_width,
+            fill=self.fill, conn_bytes=self.conn_bytes,
+            total_admitted=self.total_admitted, total_drained=self.total_drained,
+            full_steps=self.full_steps, observed_steps=self.observed_steps,
+            admitted_per_server=self.admitted_per_server,
+            drained_per_server=self._drained_per_server,
+            drained_per_conn=self._drained_per_conn, room=self._room,
+            row_a=rows[0], row_b=rows[1], row_c=rows[2], row_d=rows[3],
+            row_mask=self._row_mask,
+        )

@@ -8,7 +8,7 @@ switch core is not the point of contention), but the class accounts for the
 traffic on every endpoint link so that assumption can be checked a
 posteriori: :class:`StarTopology` holds one capacity and one busy-time and
 byte counter per link, in flat per-link arrays that the stepping kernel
-updates once per step.
+updates once per step (in the native kernel, :mod:`repro.native`).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from repro import native
 from repro.config.network import NetworkConfig
 from repro.errors import ConfigurationError
 
@@ -69,8 +70,6 @@ class StarTopology:
         #: Time every link has observed (the stepping kernel stamps it per
         #: member).
         self.observed_time = 0.0
-        self._scratch_node = np.empty(n_client_nodes, dtype=np.float64)
-        self._scratch_server = np.empty(n_servers, dtype=np.float64)
 
     # ------------------------------------------------------------------ #
 
@@ -107,33 +106,29 @@ class StarTopology:
         step (capacity times its ``dt``), which the stepping kernel holds
         from one change of steps to the next.  Bytes beyond a link's limit
         are clamped (the model's group caps already keep traffic within
-        capacity; the clamp guards float round-off).  There is no input
-        validation: the stepping kernel's per-step bincounts are well-formed
-        by construction.  Steps may differ per link (a batch's members step
-        on their own clocks, and every link lane carries its member's step),
-        and :attr:`observed_time` does not advance (the kernel keeps each
-        member's observed time itself)."""
-        self._record_group(per_node_bytes, node_limit, self._node_transferred,
-                           self._node_busy, self._scratch_node, node_dt)
-        self._record_group(per_server_bytes, server_limit, self._server_transferred,
-                           self._server_busy, self._scratch_server, server_dt)
+        capacity; the clamp guards float round-off), so the busy share
+        ``clipped / limit`` needs no further clamp.  Steps may differ per
+        link (a batch's members step on their own clocks, and every link
+        lane carries its member's step), and :attr:`observed_time` does not
+        advance (the kernel keeps each member's observed time itself)."""
+        nodes, servers = self.n_client_nodes, self.n_servers
+        arrays = [
+            np.ascontiguousarray(np.broadcast_to(np.asarray(values, dtype=np.float64), (n,)))
+            for values, n in ((per_node_bytes, nodes), (per_server_bytes, servers),
+                              (node_dt, nodes), (server_dt, servers),
+                              (node_limit, nodes), (server_limit, servers))
+        ]
+        native.library().nk_record_step(self.table().address,
+                                        *[a.ctypes.data for a in arrays])
 
-    @staticmethod
-    def _record_group(
-        nbytes: np.ndarray,
-        limit: np.ndarray,
-        transferred: np.ndarray,
-        busy: np.ndarray,
-        clipped: np.ndarray,
-        dt: Union[float, np.ndarray],
-    ) -> None:
-        # clipped <= limit, so clipped / limit is at most 1 (or NaN for a
-        # zero limit) already: busy time needs no further clamp.
-        np.minimum(nbytes, limit, out=clipped)
-        transferred += clipped
-        np.divide(clipped, limit, out=clipped)
-        clipped *= dt
-        busy += clipped
+    def table(self) -> native.Table:
+        """The address table of these links' current arrays."""
+        return native.Table(
+            "topology", {"node": self.n_client_nodes, "srv": self.n_servers},
+            n_node=self.n_client_nodes, n_srv=self.n_servers,
+            node_transferred=self._node_transferred, node_busy=self._node_busy,
+            server_transferred=self._server_transferred, server_busy=self._server_busy,
+        )
 
     def _utilizations(self, busy: np.ndarray) -> np.ndarray:
         if self.observed_time == 0:

@@ -137,7 +137,7 @@ class TestRaggedAdmissionProperty:
         # The padding accounting always balances: every slot of the padded
         # (S, K) layout is either a real group slot or an empty one.
         real = int(np.bincount(conn_server, minlength=n_servers).sum())
-        if buffers._width_classes:
+        if buffers._row_width.any():
             assert buffers.group_slots - buffers.padded_slots >= real
             assert buffers.padded_slots >= 0
 

@@ -149,7 +149,9 @@ class TestProportionalAdmissionPaths:
         offered = np.array([50.0, 30.0, 40.0, 10.0, 200.0, 5.0])
         weights = np.array([1.0, 2.0, 1.0, 1.0, 1.0, 3.0])
         buffers = self.check(conn_server, 3, 100.0, offered, weights)
-        assert [w for w, _, _ in buffers._width_classes] == [1, 2, 3]
+        # Each server's row keeps its true width: 3, 2 and 1 connections.
+        assert buffers._row_width.tolist() == [3, 2, 1]
+        assert buffers._row_start.tolist() == [0, 3, 5]
         # Widths 3/2/1 padded to K=3: 0 + 1 + 2 wasted slots.
         assert buffers.padded_slots == 3
         assert buffers.group_slots == 9
@@ -159,8 +161,9 @@ class TestProportionalAdmissionPaths:
         offered = np.array([80.0, 30.0, 40.0, 90.0, 200.0, 5.0])
         weights = np.ones(6)
         buffers = self.check(conn_server, 3, 100.0, offered, weights)
-        # One width class covering every server, in server order.
-        assert [(w, rows) for w, rows, _ in buffers._width_classes] == [(2, slice(None))]
+        # Every server's row is two wide, its connections in index order.
+        assert buffers._row_width.tolist() == [2, 2, 2]
+        assert buffers._order.tolist() == [0, 3, 1, 4, 2, 5]
         assert buffers.padded_slots == 0
 
     def test_server_without_connections_pads_harmlessly(self):
@@ -168,9 +171,9 @@ class TestProportionalAdmissionPaths:
         offered = np.array([90.0, 60.0, 10.0, 20.0])
         weights = np.ones(4)
         buffers = self.check(conn_server, 3, 100.0, offered, weights)
-        # Server 1 hosts no connections: its padded row never reaches a
-        # width class and costs K slots of padding waste.
-        assert [w for w, _, _ in buffers._width_classes] == [2]
+        # Server 1 hosts no connections: its row is empty, and a padded
+        # layout would waste K slots on it.
+        assert buffers._row_width.tolist() == [2, 0, 2]
         assert buffers.padded_slots == 2
 
     def test_stacked_path_with_nonuniform_weights(self):

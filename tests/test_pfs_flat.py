@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro import units
 from repro.config.filesystem import FileSystemConfig, SyncMode
 from repro.config.server import ServerConfig
-from repro.pfs.filesystem import PVFSDeployment
+from repro.pfs.filesystem import _MODE_CODES, PVFSDeployment
 from repro.pfs.server import PVFSServer
 from repro.storage import device_by_name
 
@@ -146,9 +146,10 @@ class TestStackedDeployment:
         lanes = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
         width = int(bounds[-1])
         assert stacked.n_servers == width
-        # Adjacent deployments of one sync mode merge into one run of lanes.
-        changes = sum(a[0] is not b[0] for a, b in zip(parts, parts[1:]))
-        assert len(stacked._runs) == changes + 1
+        # Every lane carries its own deployment's sync mode, in any order.
+        assert stacked._mode.tolist() == [
+            _MODE_CODES[mode] for mode, _, _, n, _ in parts for _ in range(n)
+        ]
         for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
             drained = np.array(data.draw(st.lists(
                 st.floats(min_value=0.0, max_value=5e7, allow_nan=False),

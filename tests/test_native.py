@@ -97,9 +97,9 @@ class TestLoader:
         monkeypatch.setattr(native, "FLAGS", native.FLAGS + ("-g",))
         assert native.library_path(tmp_path) != plain
 
-    def test_racing_builders_never_expose_a_partial_file(self, tmp_path):
-        """Four builders race on an empty cache; whenever the library's
-        name exists, it is a whole, loadable library."""
+    def test_racing_builds_never_expose_a_partial_file(self, tmp_path):
+        """Four builds race on an empty cache; whenever the library's name
+        exists, it is a whole, loadable library."""
         path = native.library_path(tmp_path)
         seen = []
         errors = []
@@ -110,7 +110,7 @@ class TestLoader:
                 if path.exists():
                     seen.append(path.stat().st_size)
 
-        def builder():
+        def compile_once():
             try:
                 native.build(tmp_path)
             except Exception as exc:   # pragma: no cover - reported below
@@ -118,10 +118,10 @@ class TestLoader:
 
         watcher = threading.Thread(target=watch)
         watcher.start()
-        builders = [threading.Thread(target=builder) for _ in range(4)]
-        for thread in builders:
+        builds = [threading.Thread(target=compile_once) for _ in range(4)]
+        for thread in builds:
             thread.start()
-        for thread in builders:
+        for thread in builds:
             thread.join()
         done.set()
         watcher.join()

@@ -481,8 +481,9 @@ class _BatchedState:
         self.proc_n_ops = np.concatenate([st.proc_n_ops for st in states])
         #: All members' servers as one deployment.
         self.deployment = PVFSDeployment.stacked([st.deployment for st in states])
-        # The flat WindowState's rng is a dummy: update() receives rng_sites
-        # and force_timeout is only ever called on member WindowState objects.
+        # The flat WindowState's rng is a dummy: the kernel resolves its
+        # draws with the members' own streams (RngSites), and force_timeout
+        # is only ever called on member WindowState objects.
         self.windows = WindowState(
             conn, scenario.platform.network.transport, rng=np.random.default_rng(0)
         )
@@ -528,7 +529,7 @@ class BatchedStepper(ModelStepper):
         #: Every member's first connection lane.
         self._conn_starts = np.array([m.conn_sl.start for m in members], dtype=np.int64)
         self._rng_sites = RngSites(self._conn_starts, [m.conn_sl for m in members],
-                                   [m.sim.state.windows._rng for m in members], ())
+                                   [m.sim.state.windows._rng for m in members])
         #: Every server's member's base (resolved) step.
         self._base_server = np.array(
             [m.sim.step_size for m in members], dtype=np.float64
@@ -552,6 +553,11 @@ class BatchedStepper(ModelStepper):
         #: Each member's burst-escape failures this step (``nk_gate`` counts
         #: them, so only members with failures draw collapse jitter).
         self._member_count = np.zeros(state.n_members, dtype=np.int64)
+        #: Per member: the gate's draw (its admission stream's ``random`` and
+        #: its lanes of ``ws.draws``) and its trace recorder's ``mark``.
+        self._gate_draws = [(m.sim.admission_rng.random, self.workspace.draws[m.conn_sl])
+                            for m in members]
+        self._marks = [m.sim.state.recorder.mark for m in members]
         self._windows_table = state.windows.table()
         self._kernel = self._kernel_table(
             windows=self._windows_table, app_active=APP_ACTIVE,
@@ -604,10 +610,11 @@ class BatchedStepper(ModelStepper):
         Writes: ``ws.draws``, ``ws.desired`` entries of failed connections,
                 the members' window/collapse state; clobbers ``tmp_bool_b``.
         """
-        ws = self.workspace
-        for k in np.logical_or.reduceat(ws.tmp_bool_a, self._conn_starts).nonzero()[0].tolist():
-            member = self._members[k]
-            member.sim.admission_rng.random(out=ws.draws[member.conn_sl])
+        gate_draws = self._gate_draws
+        for k in np.logical_or.reduceat(self.workspace.tmp_bool_a,
+                                        self._conn_starts).nonzero()[0].tolist():
+            random, lanes = gate_draws[k]
+            random(out=lanes)
         # A member that drew nothing keeps stale draws, which its ungated
         # lanes discard; no member's draw depends on another's collapse.
         if not self._nk_gate(self._kernel.address):
@@ -616,16 +623,15 @@ class BatchedStepper(ModelStepper):
         # transport stream (as WindowState.force_timeout does), in lane
         # order, and the kernel collapses them all.
         jitter = self.state.windows._jitter
+        rngs = self._rng_sites.rngs
+        now = ctx.now
         offset = 0
         counts = self._member_count
         for k in counts.nonzero()[0].tolist():
-            member = self._members[k]
             n = int(counts[k])
-            jitter[offset:offset + n] = self._rng_sites.rngs[k].uniform(0.5, 1.5, size=n)
+            rngs[k].random(out=jitter[offset:offset + n])
             offset += n
-            member.sim.state.recorder.mark(
-                float(ctx.now[member.index]), "incast", "burst-loss", data={"count": n},
-            )
+            self._marks[k](float(now[k]), "incast", "burst-loss", data={"count": n})
         self._nk_gate_collapse(self._kernel.address)
 
     def _phase_window_dynamics(self, ctx: StepContext) -> None:
@@ -648,12 +654,10 @@ class BatchedStepper(ModelStepper):
         if counts is None:
             return
         self._nk_count_timeouts(self._kernel.address)
+        now = ctx.now
         for k in counts.nonzero()[0].tolist():
-            member = self._members[k]
-            member.sim.state.recorder.mark(
-                float(ctx.now[member.index]), "incast", "window-collapse",
-                data={"count": int(counts[k])},
-            )
+            self._marks[k](float(now[k]), "incast", "window-collapse",
+                           data={"count": int(counts[k])})
 
     def _phase_completion(self, ctx: StepContext) -> None:
         """Complete collective operations and advance per-process streams.

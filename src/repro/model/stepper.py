@@ -166,7 +166,7 @@ class StepWorkspace:
     SCRATCH_SLOTS = (
         "tmp_conn_a", "tmp_bool_a", "tmp_bool_b",
         "tmp_srv_a", "tmp_srv_b", "tmp_srv_bool_a", "tmp_srv_bool_b",
-        "tmp_node_a", "tmp_node_b",
+        "tmp_node_a", "tmp_node_b", "tmp_node_c",
     )
 
     def __init__(self, n_connections: int, n_servers: int, n_nodes: int) -> None:
@@ -210,6 +210,7 @@ class StepWorkspace:
         self.tmp_srv_bool_b = srv_b()
         self.tmp_node_a = node_f()
         self.tmp_node_b = node_f()
+        self.tmp_node_c = node_f()
 
     def owned_slots(self, phase: str) -> dict:
         """Name -> array of the slots owned by ``phase``."""
@@ -321,7 +322,7 @@ class ModelStepper:
                for name in names},
             gated=ws.tmp_bool_a, failed=ws.tmp_bool_b, srv_a=ws.tmp_srv_a, srv_b=ws.tmp_srv_b,
             srv_mask_a=ws.tmp_srv_bool_a, srv_mask_b=ws.tmp_srv_bool_b,
-            node_a=ws.tmp_node_a, node_b=ws.tmp_node_b,
+            node_a=ws.tmp_node_a, node_b=ws.tmp_node_b, node_c=ws.tmp_node_c,
             **extra,
         )
 

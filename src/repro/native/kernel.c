@@ -87,26 +87,6 @@ static void bincount(const int64_t *idx, const double *w, int64_t n, double *out
         out[idx[i]] += w[i];
 }
 
-/* bincount for an index that runs in long stretches of one bin (a node's,
- * an application's or a process's connections are contiguous): each
- * stretch accumulates in a register, in the same order, so the sums are
- * the same. */
-static void bincount_runs(const int64_t *idx, const double *w, int64_t n, double *out,
-                          int64_t bins)
-{
-    for (int64_t b = 0; b < bins; b++)
-        out[b] = 0.0;
-    int64_t i = 0;
-    while (i < n) {
-        const int64_t b = idx[i];
-        double sum = out[b];
-        do
-            sum += w[i];
-        while (++i < n && idx[i] == b);
-        out[b] = sum;
-    }
-}
-
 /* ------------------------------------------------------------------ */
 /* Exported primitives (the bit-rule tests call these)                 */
 /* ------------------------------------------------------------------ */
@@ -138,15 +118,17 @@ void nk_minimum(const double *a, const double *b, int64_t n, double *out)
 /* Server buffers (repro.network.incast.ServerBuffers)                 */
 /* ------------------------------------------------------------------ */
 
-/* Each server's connections, in ascending index order, are
- * order[row_start[s] : row_start[s] + row_width[s]]; row_a..row_d and
- * row_mask are per-connection scratch of the water-filling. */
+/* Each server's connections, in ascending index order, are its row:
+ * order[row_start[s] : row_start[s] + row_width[s]].  A bincount over the
+ * connections' servers adds each server's values in that order, so a row
+ * sums them from 0.0 in row order.  row_a..row_d and row_mask are scratch
+ * of the water-filling, at each connection's place in its row. */
 #define BUFFERS(X) \
     X(i, n_conn, -) X(i, n_srv, -) X(f, capacity, -) \
-    X(I, conn_server, conn) X(I, order, conn) X(I, row_start, srv) X(I, row_width, srv) \
+    X(I, order, conn) X(I, row_start, srv) X(I, row_width, srv) \
     X(F, fill, srv) X(F, conn_bytes, conn) X(F, total_admitted, srv) X(F, total_drained, srv) \
     X(F, full_steps, srv) X(F, observed_steps, srv) X(F, admitted_per_server, srv) \
-    X(F, drained_per_server, srv) X(F, drained_per_conn, conn) X(F, room, srv) \
+    X(F, drained_per_server, srv) X(F, drained_per_conn, conn) \
     X(F, row_a, conn) X(F, row_b, conn) X(F, row_c, conn) X(F, row_d, conn) X(B, row_mask, conn)
 
 #define BUFFERS_ENUM(type, name, size) BUF_##name,
@@ -155,25 +137,19 @@ const char nk_buffers_slots[] = BUFFERS(SLOT_SPEC);
 
 /* proportional_share of one over-subscribed row: up to four water-filling
  * passes of `room` over the row's demands dem[0:w] (connections cols[0:w]),
- * in proportion to `weights` (NULL: unit weights); writes the allocation to
- * admitted[cols]. */
+ * in proportion to `weights` (NULL: unit weights), from the unsatisfied
+ * mask unsat (dem > 0, `count` of them) and a zero allocation alloc. */
 static void water_fill(const double *dem, const int64_t *cols, int64_t w, double room,
-                       const double *weights, double *alloc, double *take, double *wv,
-                       uint8_t *unsat, double *admitted)
+                       const double *weights, int64_t count, double *alloc, double *take,
+                       double *wv, uint8_t *unsat)
 {
-    int64_t count = 0;  /* unsatisfied cells: a unit-weight row's weight sum */
-    for (int64_t j = 0; j < w; j++) {
-        alloc[j] = 0.0;
-        unsat[j] = dem[j] > 0;
-        count += unsat[j];
-    }
     double remaining = room;
     for (int pass = 0; pass < 4; pass++) {
         if (!(remaining > 1e-12))
             break;
         double w_sum;
         if (weights == NULL) {
-            w_sum = (double)count;
+            w_sum = (double)count;   /* a unit-weight row's weight sum */
         } else {
             for (int64_t j = 0; j < w; j++)
                 wv[j] = unsat[j] ? weights[cols[j]] : 0.0;
@@ -194,94 +170,94 @@ static void water_fill(const double *dem, const int64_t *cols, int64_t w, double
         }
         remaining -= row_sum(take, w);
     }
-    for (int64_t j = 0; j < w; j++)
-        admitted[cols[j]] = alloc[j];
 }
 
-/* ServerBuffers.admit; extra and max_admission may be NULL. */
-static void admit(const int64_t *bt, const double *offered, const double *weights,
-                  const double *extra, const double *max_admission, double *admitted,
-                  uint8_t *oversubscribed)
+/* Server s's admission room: its free space, plus its `extra` bytes (freed
+ * by this step's drain) and capped at its `max_admission` when given. */
+static inline double admission_room(const int64_t *bt, int64_t s, const double *extra,
+                                    const double *max_admission)
 {
-    const int64_t nc = bt[BUF_n_conn], ns = bt[BUF_n_srv];
-    const double capacity = f64(bt, BUF_capacity);
-    const int64_t *cs = AT(bt, BUF_conn_server, int64_t);
-    const int64_t *order = AT(bt, BUF_order, int64_t);
-    const int64_t *row_start = AT(bt, BUF_row_start, int64_t);
-    const int64_t *row_width = AT(bt, BUF_row_width, int64_t);
-    double *fill = AT(bt, BUF_fill, double);
-    double *conn_bytes = AT(bt, BUF_conn_bytes, double);
-    double *total_admitted = AT(bt, BUF_total_admitted, double);
-    double *per_server = AT(bt, BUF_admitted_per_server, double);
-    double *room = AT(bt, BUF_room, double);
-    double *dem = AT(bt, BUF_row_a, double), *alloc = AT(bt, BUF_row_b, double);
-    double *take = AT(bt, BUF_row_c, double), *wv = AT(bt, BUF_row_d, double);
-    uint8_t *unsat = AT(bt, BUF_row_mask, uint8_t);
+    double r = vmax(f64(bt, BUF_capacity) - AT(bt, BUF_fill, double)[s], 0.0);
+    if (extra != NULL)
+        r = r + vmax(extra[s], 0.0);
+    if (max_admission != NULL)
+        r = vmin(r, vmax(max_admission[s], 0.0));
+    return r;
+}
 
-    for (int64_t s = 0; s < ns; s++) {
-        double r = vmax(capacity - fill[s], 0.0);
-        if (extra != NULL)
-            r = r + vmax(extra[s], 0.0);
-        if (max_admission != NULL)
-            r = vmin(r, vmax(max_admission[s], 0.0));
-        room[s] = r;
+/* ServerBuffers.admit of server s's row into `room`.  A row whose offers
+ * fit admits them whole (nothing into no room); an over-subscribed one
+ * water-fills.  When send_remaining is given, each connection's unsent
+ * bytes drop by what it got, snapping to 0 under send_floor. */
+static void admit_row(const int64_t *bt, int64_t s, double room, const double *offered,
+                      const double *weights, double *admitted, uint8_t *oversubscribed,
+                      double *send_remaining, double send_floor)
+{
+    const int64_t w = AT(bt, BUF_row_width, int64_t)[s];
+    const int64_t base = AT(bt, BUF_row_start, int64_t)[s];
+    const int64_t *cols = AT(bt, BUF_order, int64_t) + base;
+    double *conn_bytes = AT(bt, BUF_conn_bytes, double);
+    double *dem = AT(bt, BUF_row_a, double) + base, *alloc = AT(bt, BUF_row_b, double) + base;
+    double *take = AT(bt, BUF_row_c, double) + base, *wv = AT(bt, BUF_row_d, double) + base;
+    uint8_t *unsat = AT(bt, BUF_row_mask, uint8_t) + base;
+
+    double total = 0.0;       /* offered to the server */
+    int64_t count = 0;
+    for (int64_t j = 0; j < w; j++) {
+        const double o = offered[cols[j]];
+        dem[j] = o;
+        total += o;
+        alloc[j] = 0.0;
+        unsat[j] = o > 0;
+        count += unsat[j];
     }
-    bincount(cs, offered, nc, per_server, ns);      /* offered per server */
-    int any_offered = 0;
-    for (int64_t i = 0; i < nc; i++) {
-        const int64_t s = cs[i];
-        oversubscribed[i] = per_server[s] > room[s] + 1e-9;
-        admitted[i] = room[s] <= 0 ? 0.0 : offered[i];
-        any_offered |= offered[i] != 0;
-    }
-    if (any_offered) {
-        for (int64_t s = 0; s < ns; s++) {
-            const int64_t w = row_width[s], base = row_start[s];
-            if (w == 0)
-                continue;
-            const int64_t *cols = order + base;
-            for (int64_t j = 0; j < w; j++)
-                dem[base + j] = offered[cols[j]];
-            if (row_sum(dem + base, w) > room[s])
-                water_fill(dem + base, cols, w, room[s], weights, alloc + base,
-                           take + base, wv + base, unsat + base, admitted);
+    const uint8_t over = total > room + 1e-9;
+    /* Rows that offer nothing sum to 0.0, and the room is never negative. */
+    const int water = w > 0 && row_sum(dem, w) > room;
+    if (water)
+        water_fill(dem, cols, w, room, weights, count, alloc, take, wv, unsat);
+    const int closed = room <= 0;
+    double got = 0.0;         /* admitted by the server */
+    for (int64_t j = 0; j < w; j++) {
+        const int64_t c = cols[j];
+        const double a = water ? alloc[j] : closed ? 0.0 : dem[j];
+        admitted[c] = a;
+        oversubscribed[c] = over;
+        conn_bytes[c] += a;
+        got += a;
+        if (send_remaining != NULL) {
+            const double left = send_remaining[c] - a;
+            send_remaining[c] = left < send_floor ? 0.0 : left;
         }
     }
-    for (int64_t i = 0; i < nc; i++)
-        conn_bytes[i] += admitted[i];
-    bincount(cs, admitted, nc, per_server, ns);
-    for (int64_t s = 0; s < ns; s++) {
-        fill[s] += per_server[s];
-        total_admitted[s] += per_server[s];
-    }
+    AT(bt, BUF_admitted_per_server, double)[s] = got;
+    AT(bt, BUF_fill, double)[s] += got;
+    AT(bt, BUF_total_admitted, double)[s] += got;
 }
 
-/* ServerBuffers.drain. */
-static void drain(const int64_t *bt, const double *drain_capacity)
+/* ServerBuffers.drain of server s's row, up to `capacity` bytes. */
+static void drain_row(const int64_t *bt, int64_t s, double capacity)
 {
-    const int64_t nc = bt[BUF_n_conn], ns = bt[BUF_n_srv];
-    const int64_t *cs = AT(bt, BUF_conn_server, int64_t);
+    const int64_t w = AT(bt, BUF_row_width, int64_t)[s];
+    const int64_t *cols = AT(bt, BUF_order, int64_t) + AT(bt, BUF_row_start, int64_t)[s];
     double *fill = AT(bt, BUF_fill, double);
     double *conn_bytes = AT(bt, BUF_conn_bytes, double);
-    double *total_drained = AT(bt, BUF_total_drained, double);
-    double *per_server = AT(bt, BUF_drained_per_server, double);
     double *per_conn = AT(bt, BUF_drained_per_conn, double);
-    double *fraction = AT(bt, BUF_room, double);
-
-    for (int64_t s = 0; s < ns; s++) {
-        const double drained = vmin(fill[s], vmax(drain_capacity[s], 0.0));
-        per_server[s] = drained;
-        fraction[s] = drained / vmax(fill[s], 1e-300);
+    const double drained = vmin(fill[s], vmax(capacity, 0.0));
+    const double fraction = drained / vmax(fill[s], 1e-300);
+    double left_total = 0.0;
+    for (int64_t j = 0; j < w; j++) {
+        const int64_t c = cols[j];
+        const double d = conn_bytes[c] * fraction;
+        per_conn[c] = d;
+        const double left = conn_bytes[c] - d;
+        const double kept = left < 1e-6 ? 0.0 : left;
+        conn_bytes[c] = kept;
+        left_total += kept;
     }
-    for (int64_t i = 0; i < nc; i++) {
-        const double d = conn_bytes[i] * fraction[cs[i]];
-        per_conn[i] = d;
-        const double left = conn_bytes[i] - d;
-        conn_bytes[i] = left < 1e-6 ? 0.0 : left;
-    }
-    bincount(cs, conn_bytes, nc, fill, ns);
-    for (int64_t s = 0; s < ns; s++)
-        total_drained[s] += per_server[s];
+    fill[s] = left_total;
+    AT(bt, BUF_drained_per_server, double)[s] = drained;
+    AT(bt, BUF_total_drained, double)[s] += drained;
 }
 
 /* ServerBuffers.note_step. */
@@ -303,10 +279,16 @@ void nk_admit(const int64_t *bt, const double *offered, const double *weights,
               const double *extra, const double *max_admission, double *admitted,
               uint8_t *oversubscribed)
 {
-    admit(bt, offered, weights, extra, max_admission, admitted, oversubscribed);
+    for (int64_t s = 0; s < bt[BUF_n_srv]; s++)
+        admit_row(bt, s, admission_room(bt, s, extra, max_admission), offered, weights,
+                  admitted, oversubscribed, NULL, 0.0);
 }
 
-void nk_drain(const int64_t *bt, const double *drain_capacity) { drain(bt, drain_capacity); }
+void nk_drain(const int64_t *bt, const double *drain_capacity)
+{
+    for (int64_t s = 0; s < bt[BUF_n_srv]; s++)
+        drain_row(bt, s, drain_capacity[s]);
+}
 
 void nk_note_step(const int64_t *bt, const double *weight, double threshold)
 {
@@ -625,10 +607,15 @@ static int64_t window_update(const int64_t *wt, const double *now, const double 
     return n_candidates << 32 | n_timed_out;
 }
 
+/* Generator.uniform(0.5, 1.5) of a Generator.random() draw u: NumPy
+ * computes low + (high - low) * u. */
+#define JITTER_LOW 0.5
+#define JITTER_RANGE 1.0
+
 /* WindowState.force_timeout of every flagged connection: the window drops
  * to its minimum and the connection stalls for an exponentially backed-off
- * RTO, scaled by its jitter (consumed in lane order, one per flagged lane)
- * from its clock `now`. */
+ * RTO, scaled by its jitter (from the uniform draws `jitter`, consumed in
+ * lane order, one per flagged lane) from its clock `now`. */
 static void collapse(const int64_t *wt, const uint8_t *flagged, const double *now,
                      const double *jitter)
 {
@@ -645,7 +632,8 @@ static void collapse(const int64_t *wt, const uint8_t *flagged, const double *no
             continue;
         const int64_t exponent = backoff[i] < max_backoff ? backoff[i] : max_backoff;
         cwnd[i] = window_min;
-        stall_until[i] = now[i] + rto * ldexp(1.0, (int)exponent) * jitter[j++];
+        const double scale = JITTER_LOW + JITTER_RANGE * jitter[j++];
+        stall_until[i] = now[i] + rto * ldexp(1.0, (int)exponent) * scale;
         backoff[i] = exponent + 1;
         starved_time[i] = 0.0;
         collapse_count[i] += 1;
@@ -715,7 +703,7 @@ int64_t nk_window_update(const int64_t *wt, const double *now, const double *dt,
     X(F, admitted, conn) X(B, oversubscribed, conn) \
     X(B, gated, conn) X(B, failed, conn) X(I, member_count, member) \
     X(F, srv_a, srv) X(F, srv_b, srv) X(B, srv_mask_a, srv) X(B, srv_mask_b, srv) \
-    X(F, node_a, node) X(F, node_b, node) \
+    X(F, node_a, node) X(F, node_b, node) X(F, node_c, node) \
     X(C, app_phase, app) X(I, collapses_per_app, app) X(B, app_collective, app) \
     X(B, app_independent, app) X(I, app_n_procs, app) X(I, conn_app, conn) \
     X(I, conn_proc, conn) X(I, proc_app, proc) X(I, proc_member, proc) \
@@ -812,7 +800,8 @@ int64_t nk_offer(const int64_t *kt)
     const double *n_streams_f = KF(n_streams_f), *line_rate = KF(node_line_rate);
     const uint8_t *sending = KB(sending);
     double *rtt_eff = KF(rtt_eff), *potential = KF(potential), *desired = KF(desired);
-    double *queue = KF(srv_a), *window = KF(srv_b), *node_a = KF(node_a), *node_b = KF(node_b);
+    double *queue = KF(srv_a), *window = KF(srv_b);
+    double *node_a = KF(node_a), *node_b = KF(node_b), *node_c = KF(node_c);
     uint8_t *active = KB(active), *loss_prone = KB(loss_prone), *gated = KB(gated);
     uint8_t *incast = KB(srv_mask_a), *full = KB(srv_mask_b);
 
@@ -836,7 +825,10 @@ int64_t nk_offer(const int64_t *kt)
         node_b[cn[i]] += busy_f[i];       /* busy connections per node */
     }
     /* Per-node injection cap: an over-capacity node scales its offers by
-     * capacity / total (dividing only those sidesteps overflow). */
+     * capacity / total (dividing only those sidesteps overflow).  Node
+     * shares over busy connections: injection capacity (with the source
+     * margin) and line rate. */
+    const double source_margin = f64(kt, K_source_margin);
     int capped = 0;
     for (int64_t k = 0; k < nn; k++) {
         if (node_a[k] > caps[k]) {
@@ -845,24 +837,8 @@ int64_t nk_offer(const int64_t *kt)
         } else {
             node_a[k] = 1.0;
         }
-    }
-    int64_t n_active = 0;
-    for (int64_t i = 0; i < nc; i++) {
-        if (capped)
-            desired[i] = desired[i] * node_a[cn[i]];
-        active[i] = desired[i] > 1e-9;
-        n_active += active[i];
-    }
-    if (kt[K_lossless] || !n_active) {
-        memset(loss_prone, 0, (size_t)nc);
-        return 0;
-    }
-    /* Node shares over busy connections: injection capacity (with the
-     * source margin) and line rate. */
-    const double source_margin = f64(kt, K_source_margin);
-    for (int64_t k = 0; k < nn; k++) {
         const double busy = vmax(node_b[k], 1.0);
-        node_a[k] = caps[k] / busy * source_margin;
+        node_c[k] = caps[k] / busy * source_margin;
         node_b[k] = line_rate[k] / busy;
     }
     /* Server shares: the buffer and the drain per connection; a buffer is
@@ -874,13 +850,20 @@ int64_t nk_offer(const int64_t *kt)
         queue[s] = last_drain[s] / n_streams_f[s] * burst_loss_ratio;
         full[s] = fill[s] / capacity >= 0.9;
     }
+    /* Lossless transports are never loss-prone, and neither is an idle
+     * connection. */
+    const int lossy = !kt[K_lossless];
     const double wl_margin = f64(kt, K_wl_margin);
     int64_t n_gated = 0;
     for (int64_t i = 0; i < nc; i++) {
         const int64_t s = cs[i], k = cn[i];
-        const int window_limited = active[i] && send_remaining[i] >= potential[i] * wl_margin
-                                   && potential[i] <= node_a[k];
-        const int prone = window_limited && incast[s] && node_b[k] >= queue[s];
+        if (capped)
+            desired[i] = desired[i] * node_a[k];
+        const int is_active = desired[i] > 1e-9;
+        active[i] = is_active;
+        const int window_limited = is_active && send_remaining[i] >= potential[i] * wl_margin
+                                   && potential[i] <= node_c[k];
+        const int prone = lossy && window_limited && incast[s] && node_b[k] >= queue[s];
         loss_prone[i] = prone;
         gated[i] = prone && !paced[i] && full[s];
         n_gated += gated[i];
@@ -948,21 +931,22 @@ void nk_count_timeouts(const int64_t *kt)
  * frees), the send floor, the drain and the backend commit. */
 void nk_admission(const int64_t *kt)
 {
-    const int64_t nc = kt[K_n_conn], ns = kt[K_n_srv];
+    const int64_t ns = kt[K_n_srv];
     const double send_floor = f64(kt, K_send_floor);
     const int64_t *bt = KT(buffers);
     const double *drain_rate = KF(drain_rate), *dt_server = KF(dt_server);
-    const double *admitted = KF(admitted);
-    double *send_remaining = KF(send_remaining), *extra = KF(srv_b);
+    const double *desired = KF(desired), *nic = KF(server_nic_dt);
+    double *admitted = KF(admitted), *send_remaining = KF(send_remaining), *extra = KF(srv_b);
+    uint8_t *oversubscribed = KB(oversubscribed);
 
-    for (int64_t s = 0; s < ns; s++)
+    /* Rows are independent: each server admits, its connections send, and
+     * it drains, before the next server. */
+    for (int64_t s = 0; s < ns; s++) {
         extra[s] = drain_rate[s] * dt_server[s];
-    admit(bt, KF(desired), NULL, extra, KF(server_nic_dt), KF(admitted), KB(oversubscribed));
-    for (int64_t i = 0; i < nc; i++) {
-        const double left = send_remaining[i] - admitted[i];
-        send_remaining[i] = left < send_floor ? 0.0 : left;
+        admit_row(bt, s, admission_room(bt, s, extra, nic), desired, NULL, admitted,
+                  oversubscribed, send_remaining, send_floor);
+        drain_row(bt, s, extra[s]);
     }
-    drain(bt, extra);
     commit(KT(deployment), AT(bt, BUF_drained_per_server, double), dt_server,
            KF(avg_frag), KF(device_bw));
 }
@@ -984,7 +968,7 @@ void nk_accounting(const int64_t *kt)
     double *per_node = KF(node_a), *observed = KF(observed_time);
     double *admission_rate = KF(last_admission_rate);
 
-    bincount_runs(KI(conn_node), KF(admitted), nc, per_node, kt[K_n_node]);
+    bincount(KI(conn_node), KF(admitted), nc, per_node, kt[K_n_node]);
     record_step(KT(topology), per_node, per_server, KF(dt_node), dt_server,
                 KF(node_caps_dt), KF(server_nic_dt));
     for (int64_t m = 0; m < nm; m++)
@@ -1030,12 +1014,12 @@ int64_t nk_completion(const int64_t *kt, const double *now)
         for (int64_t i = 0; i < nc; i++)
             outstanding[i] = send_remaining[i] + conn_bytes[i];
     if (any_collective) {
-        bincount_runs(KI(conn_app), outstanding, nc, per_app, na);
+        bincount(KI(conn_app), outstanding, nc, per_app, na);
         for (int64_t a = 0; a < na; a++)
             changed[a] = changed[a] && per_app[a] <= epsilon;
     }
     if (any_independent) {
-        bincount_runs(KI(conn_proc), outstanding, nc, per_proc, np);
+        bincount(KI(conn_proc), outstanding, nc, per_proc, np);
         for (int64_t a = 0; a < na; a++)
             per_app[a] = 0.0;
         for (int64_t p = 0; p < np; p++) {

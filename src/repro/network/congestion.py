@@ -37,15 +37,12 @@ __all__ = ["RngSites", "WindowState", "WindowUpdateResult"]
 
 class RngSites(NamedTuple):
     """Random-draw ownership: site ``k`` owns the connections ``slices[k]``
-    (back to back, starting at ``starts[k]``, the first at 0), draws from
-    ``rngs[k]`` and takes its paced-timeout hazard from its step ``dts[k]``
-    (:meth:`WindowState.update` reads the steps; the stepping kernel sets
-    :attr:`WindowState.hazard` itself)."""
+    (back to back, starting at ``starts[k]``, the first at 0) and draws from
+    ``rngs[k]``."""
 
     starts: np.ndarray
     slices: Sequence[slice]
     rngs: Sequence[np.random.Generator]
-    dts: Sequence[float]
 
 
 @dataclass
@@ -113,8 +110,12 @@ class WindowState:
         self.hazard = np.zeros(n, dtype=np.float64)
         # Scratch of update(), reused every step so the hot path allocates
         # nothing: loss-prone active connections, timeouts, hazard
-        # candidates and their hazard draws.
+        # candidates, their hazard draws and the collapses' jitter draws.
         self._draws = np.zeros(n, dtype=np.float64)
+        #: The RngSites whose draw calls :attr:`_site_draws` holds: each
+        #: site's ``random`` and its view of :attr:`_draws`.
+        self._sites: Optional[RngSites] = None
+        self._site_draws = []
         self._empty_indices = np.zeros(0, dtype=np.int64)
         self._keep = np.zeros(n, dtype=bool)
         self._timed_out = np.zeros(n, dtype=bool)
@@ -146,8 +147,9 @@ class WindowState:
         probe into a full buffer is dropped: each window drops to its
         minimum and the connection stalls for an exponentially backed-off
         RTO, randomized a little (one jitter draw per connection, in the
-        ascending order ``indices`` must have).  Returns how many
-        connections were collapsed.
+        ascending order ``indices`` must have: ``uniform(0.5, 1.5)``, which
+        the native kernel forms from a ``random()`` draw as NumPy does).
+        Returns how many connections were collapsed.
         """
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size == 0:
@@ -156,7 +158,7 @@ class WindowState:
             raise ValueError("indices must be ascending and distinct")
         flagged = np.zeros(self.n_connections, dtype=bool)
         flagged[indices] = True
-        self._jitter[:indices.size] = self._rng.uniform(0.5, 1.5, size=indices.size)
+        self._rng.random(out=self._jitter[:indices.size])
         native.library().nk_collapse(
             self.table().address, flagged.ctypes.data,
             np.full(self.n_connections, float(now)).ctypes.data, self._jitter.ctypes.data,
@@ -198,7 +200,6 @@ class WindowState:
         rtt_eff: np.ndarray,
         oversubscribed: np.ndarray,
         loss_prone: Optional[np.ndarray] = None,
-        rng_sites: Optional[RngSites] = None,
     ) -> WindowUpdateResult:
         """Apply one step of window dynamics.
 
@@ -206,8 +207,7 @@ class WindowState:
         ----------
         now, dt:
             Current simulated time and step length: floats, or one per
-            connection (the batched kernel's members each step on their own
-            clock, and every lane carries its member's values).
+            connection.
         requested:
             Bytes each connection tried to send this step (0 for idle or
             stalled connections).
@@ -231,16 +231,10 @@ class WindowState:
             backpressured (receiver window + queueing delay) keep their
             congestion window, as a self-clocked TCP sender would.  Defaults
             to "all active connections" (the most pessimistic assumption).
-        rng_sites:
-            Random-draw ownership (:class:`RngSites`).  The batched kernel
-            passes one site per batch member so each member consumes draws
-            from *its own* transport stream, and takes its paced-timeout
-            hazard from *its own* step, exactly as it would alone; the
-            default single site over all connections, with the float ``dt``,
-            reproduces the scalar behaviour bit-for-bit.  A site only draws
-            when at least one of its connections is a hazard candidate
-            (resp. collapses), mirroring the scalar short-circuit; one
-            reduction over the site starts finds those sites.
+
+        Every draw comes from this state's own generator, as one site over
+        all connections (:meth:`resolve`), and each connection's
+        paced-timeout hazard from its ``dt``.
         """
         n = self.n_connections
 
@@ -254,11 +248,9 @@ class WindowState:
             lanes(rtt_eff).ctypes.data, lanes(oversubscribed, bool).ctypes.data,
             None if loss_prone is None else lanes(loss_prone, bool).ctypes.data,
         )
-        if rng_sites is None:
-            rng_sites = RngSites(np.zeros(1, np.int64), (slice(None),), (self._rng,), (dt,))
-        for site, site_dt in zip(rng_sites.slices, rng_sites.dts):
-            self.hazard[site] = self.step_hazard(site_dt)
-        counts = self.resolve(packed, now_lanes, rng_sites)
+        self.hazard[:] = self.step_hazard(dt)
+        counts = self.resolve(packed, now_lanes,
+                              RngSites(np.zeros(1, np.int64), (slice(None),), (self._rng,)))
         if counts is None:
             return WindowUpdateResult(0, self._empty_indices)
         return WindowUpdateResult(int(counts.sum()), self._timed_out.nonzero()[0])
@@ -292,9 +284,15 @@ class WindowState:
         lib = native.library()
         table = table or self.table()
         if t.paced_timeout_hazard > 0.0 and n_candidates:
+            if rng_sites is not self._sites:
+                self._sites = rng_sites
+                self._site_draws = [(rng.random, self._draws[lanes])
+                                    for rng, lanes in zip(rng_sites.rngs, rng_sites.slices)]
+            site_draws = self._site_draws
             drawing = np.logical_or.reduceat(self._candidates, rng_sites.starts)
             for k in drawing.nonzero()[0].tolist():
-                rng_sites.rngs[k].random(out=self._draws[rng_sites.slices[k]])
+                random, lanes = site_draws[k]
+                random(out=lanes)
             # Sites without candidates keep stale draws; the kernel reads
             # only the candidates', so only drawn sites matter.
             n_collapsed = lib.nk_window_hazard(table.address)
@@ -302,37 +300,18 @@ class WindowState:
             return None
         # Randomize the retry instant a little to avoid artificial lock-step
         # retries among simultaneously collapsed connections: each site
-        # draws the jitter of its own timeouts, which the kernel consumes
-        # in lane order (a site's lanes are one contiguous run).
+        # draws the jitter of its own timeouts (as force_timeout does),
+        # which the kernel consumes in lane order (a site's lanes are one
+        # contiguous run).
         counts = np.add.reduceat(self._timed_out, rng_sites.starts, dtype=np.int64)
         offset = 0
         for k in counts.nonzero()[0].tolist():
             n = int(counts[k])
-            self._jitter[offset:offset + n] = rng_sites.rngs[k].uniform(0.5, 1.5, size=n)
+            rng_sites.rngs[k].random(out=self._jitter[offset:offset + n])
             offset += n
         lib.nk_collapse(table.address, self._timed_out.ctypes.data, now.ctypes.data,
                         self._jitter.ctypes.data)
         return counts
-        idx = self._timed_out.nonzero()[0]
-        self.cwnd[idx] = t.window_min
-        backoff = np.minimum(self.backoff[idx], t.max_backoff_exponent)
-        # Randomize the retry instant a little to avoid artificial lock-step
-        # retries among simultaneously collapsed connections.  Each site
-        # jitters its own collapsed connections (idx is ascending, so a
-        # site's share is one contiguous run).
-        jitter = np.empty(idx.shape[0], dtype=np.float64)
-        first = np.searchsorted(idx, rng_sites.starts)
-        counts = np.diff(first, append=idx.shape[0])
-        for k in counts.nonzero()[0].tolist():
-            a = int(first[k])
-            b = a + int(counts[k])
-            jitter[a:b] = rng_sites.rngs[k].uniform(0.5, 1.5, size=b - a)
-        self.stall_until[idx] = now[idx] + t.rto * (2.0**backoff) * jitter
-        self.backoff[idx] = backoff + 1
-        self.starved_time[idx] = 0.0
-        self.collapse_count[idx] += 1
-        self.paced[idx] = False
-        return WindowUpdateResult(int(n_collapsed), idx)
 
     def table(self) -> native.Table:
         """The address table of this state's current arrays."""

@@ -84,8 +84,7 @@ class ServerBuffers:
         self.group_slots = int(self.n_servers * max_width)
         self._weights_all_ones = False
         self._validated_weights: Optional[np.ndarray] = None
-        # Scratch of the admission and drain routines.
-        self._room = np.zeros(self.n_servers, dtype=np.float64)
+        # Scratch of the admission's water-filling.
         self._rows = np.zeros((4, n_conns), dtype=np.float64)
         self._row_mask = np.zeros(n_conns, dtype=bool)
         #: Bytes admitted per server by the last admission (the kernel's
@@ -257,14 +256,14 @@ class ServerBuffers:
         return native.Table(
             "buffers", {"conn": self.n_connections, "srv": self.n_servers},
             n_conn=self.n_connections, n_srv=self.n_servers, capacity=self.capacity,
-            conn_server=self.conn_server, order=self._order,
+            order=self._order,
             row_start=self._row_start, row_width=self._row_width,
             fill=self.fill, conn_bytes=self.conn_bytes,
             total_admitted=self.total_admitted, total_drained=self.total_drained,
             full_steps=self.full_steps, observed_steps=self.observed_steps,
             admitted_per_server=self.admitted_per_server,
             drained_per_server=self._drained_per_server,
-            drained_per_conn=self._drained_per_conn, room=self._room,
+            drained_per_conn=self._drained_per_conn,
             row_a=rows[0], row_b=rows[1], row_c=rows[2], row_d=rows[3],
             row_mask=self._row_mask,
         )

@@ -74,6 +74,37 @@ class TestBitRules:
         assert np.signbit(np.maximum(a, b)[0]) and np.signbit(np.minimum(a, b)[0])
 
 
+class TestCollapseJitter:
+    """A collapse's jitter is ``uniform(0.5, 1.5)`` of its member's
+    transport stream.  Python draws ``random()`` and the kernel forms
+    ``0.5 + 1.0 * u``, which is how NumPy's ``Generator.uniform`` maps the
+    same draw, so the stream and the stall times keep their bits."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(min_value=1, max_value=64))
+    def test_uniform_is_the_shifted_random_draw(self, seed, n):
+        uniform = np.random.default_rng(seed).uniform(0.5, 1.5, size=n)
+        shifted = 0.5 + 1.0 * np.random.default_rng(seed).random(n)
+        assert _bits(uniform) == _bits(shifted)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), backoff=st.integers(0, 8),
+           now=st.floats(-10.0, 10.0))
+    def test_force_timeout_stalls_by_the_uniform_jitter(self, seed, backoff, now):
+        from repro.config.network import TransportConfig
+        from repro.network.congestion import WindowState
+
+        transport = TransportConfig()
+        state = WindowState(5, transport, np.random.default_rng(seed))
+        state.backoff[:] = backoff
+        indices = np.array([0, 2, 3])
+        state.force_timeout(indices, now)
+        jitter = np.random.default_rng(seed).uniform(0.5, 1.5, size=indices.size)
+        exponent = min(backoff, transport.max_backoff_exponent)
+        expected = now + transport.rto * (2.0 ** exponent) * jitter
+        assert _bits(state.stall_until[indices]) == _bits(expected)
+
+
 class TestLoader:
     def test_a_build_goes_into_its_cache_dir_and_is_reused(self, tmp_path, monkeypatch):
         path = native.build(tmp_path)

@@ -187,11 +187,9 @@ static inline double admission_room(const int64_t *bt, int64_t s, const double *
 
 /* ServerBuffers.admit of server s's row into `room`.  A row whose offers
  * fit admits them whole (nothing into no room); an over-subscribed one
- * water-fills.  When send_remaining is given, each connection's unsent
- * bytes drop by what it got, snapping to 0 under send_floor. */
+ * water-fills. */
 static void admit_row(const int64_t *bt, int64_t s, double room, const double *offered,
-                      const double *weights, double *admitted, uint8_t *oversubscribed,
-                      double *send_remaining, double send_floor)
+                      const double *weights, double *admitted, uint8_t *oversubscribed)
 {
     const int64_t w = AT(bt, BUF_row_width, int64_t)[s];
     const int64_t base = AT(bt, BUF_row_start, int64_t)[s];
@@ -225,10 +223,6 @@ static void admit_row(const int64_t *bt, int64_t s, double room, const double *o
         oversubscribed[c] = over;
         conn_bytes[c] += a;
         got += a;
-        if (send_remaining != NULL) {
-            const double left = send_remaining[c] - a;
-            send_remaining[c] = left < send_floor ? 0.0 : left;
-        }
     }
     AT(bt, BUF_admitted_per_server, double)[s] = got;
     AT(bt, BUF_fill, double)[s] += got;
@@ -281,7 +275,7 @@ void nk_admit(const int64_t *bt, const double *offered, const double *weights,
 {
     for (int64_t s = 0; s < bt[BUF_n_srv]; s++)
         admit_row(bt, s, admission_room(bt, s, extra, max_admission), offered, weights,
-                  admitted, oversubscribed, NULL, 0.0);
+                  admitted, oversubscribed);
 }
 
 void nk_drain(const int64_t *bt, const double *drain_capacity)
@@ -934,17 +928,27 @@ void nk_admission(const int64_t *kt)
     const int64_t ns = kt[K_n_srv];
     const double send_floor = f64(kt, K_send_floor);
     const int64_t *bt = KT(buffers);
+    const int64_t *order = AT(bt, BUF_order, int64_t);
+    const int64_t *row_start = AT(bt, BUF_row_start, int64_t);
+    const int64_t *row_width = AT(bt, BUF_row_width, int64_t);
     const double *drain_rate = KF(drain_rate), *dt_server = KF(dt_server);
     const double *desired = KF(desired), *nic = KF(server_nic_dt);
     double *admitted = KF(admitted), *send_remaining = KF(send_remaining), *extra = KF(srv_b);
     uint8_t *oversubscribed = KB(oversubscribed);
 
-    /* Rows are independent: each server admits, its connections send, and
-     * it drains, before the next server. */
+    /* Rows are independent: each server admits, its connections send (a
+     * send under the floor snaps to 0), and it drains, before the next
+     * server. */
     for (int64_t s = 0; s < ns; s++) {
         extra[s] = drain_rate[s] * dt_server[s];
         admit_row(bt, s, admission_room(bt, s, extra, nic), desired, NULL, admitted,
-                  oversubscribed, send_remaining, send_floor);
+                  oversubscribed);
+        const int64_t *cols = order + row_start[s];
+        for (int64_t j = 0; j < row_width[s]; j++) {
+            const int64_t c = cols[j];
+            const double left = send_remaining[c] - admitted[c];
+            send_remaining[c] = left < send_floor ? 0.0 : left;
+        }
         drain_row(bt, s, extra[s]);
     }
     commit(KT(deployment), AT(bt, BUF_drained_per_server, double), dt_server,

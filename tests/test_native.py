@@ -1,10 +1,11 @@
 """The native kernel's bit rules and its loader.
 
 The stepping kernel's array code is C (``repro/native/kernel.c``); every
-routine must give NumPy's bits.  These tests pin the three rules the port
-rests on — a row sum follows NumPy's pairwise tree, a weighted bincount
-accumulates each bin in input order, and ``np.maximum``/``np.minimum`` pick
-their second operand on a tie of signed zeros — and the loader's contract:
+routine must give NumPy's bits.  These tests pin the rules the port rests
+on — a row sum follows NumPy's pairwise tree, a weighted bincount
+accumulates each bin in input order, ``np.maximum``/``np.minimum`` pick
+their second operand on a tie of signed zeros, and a collapse's jitter is
+NumPy's ``uniform`` map of a ``random()`` draw — and the loader's contract:
 one build per source and flags, reused, never exposed half written, and a
 named error when no compiler is found.
 """
